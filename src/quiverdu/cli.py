@@ -2,10 +2,10 @@
 
 Configs are JSON objects {"n": 3, "alpha": [...], "beta": [...],
 "gamma": [...]} whose vector entries are rational strings like "2/3"
-(plain integers are accepted).  Exit codes: 0 = pass, 1 = check failure,
-2 = input error or unsupported query.  With --json the report is a
-single machine-readable document, byte-identical for identical inputs
-and seed.
+(plain integers are accepted).  Exit codes: 0 = pass, 1 = check failure
+(including a failed internal cross-check), 2 = input error or unsupported
+query.  With --json the report is a single machine-readable document,
+byte-identical for identical inputs and seed.
 """
 
 from __future__ import annotations
@@ -331,7 +331,8 @@ def _cmd_verify(args) -> tuple[str, dict]:
         ok, findings = _nakayama_findings(params)
         return ("pass" if ok else "fail"), findings
     if what == "pwd":
-        report = pwd_probe_H(params, degree_bound=args.max_degree or 5,
+        degree_bound = 5 if args.max_degree is None else args.max_degree
+        report = pwd_probe_H(params, degree_bound=degree_bound,
                              trials=args.trials, seed=args.seed)
         return ("pass" if report.ok else "fail"), _pwd_findings(report)
     if what == "noetherian":
@@ -360,7 +361,8 @@ def _cmd_verify(args) -> tuple[str, dict]:
             sk_params = None
         if n < 2:
             raise ConfigError("verify skewgroup requires n >= 2")
-        report = verify_quotient_match(n, sk_params, max_degree=args.max_degree or 4)
+        max_degree = 4 if args.max_degree is None else args.max_degree
+        report = verify_quotient_match(n, sk_params, max_degree=max_degree)
         return ("pass" if report.ok else "fail"), _skewgroup_findings(report)
     raise ConfigError(f"unknown verify target {what!r}")
 
@@ -511,12 +513,12 @@ def main(argv=None) -> int:
     command = args.command if args.command != "verify" else f"verify {args.what}"
     try:
         verdict, findings = _DISPATCH[args.command](args)
-    except ConfigError as exc:
+    except (ConfigError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INPUT
+    except AssertionError as exc:
+        # An internal cross-check disagreed: a failed verdict, not a crash.
+        verdict, findings = "fail", {"internal_check_failed": str(exc)}
     report = {
         "command": command,
         "verdict": verdict,

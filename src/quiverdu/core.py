@@ -4,6 +4,12 @@ The quiver has vertices 0..n-1 and, for each i (mod n), an "up" arrow
 u_i : i -> i+1 and a "down" arrow d_i : i+1 -> i.  Paths compose left to
 right: p*q concatenates when target(p) = source(q) and is zero otherwise.
 All coefficients are exact rationals.
+
+``Combination`` is the one sparse linear-combination kernel of the
+package: addition, negation, scaling, equality, hashing and zero-stripping
+of a key -> coefficient map, plus ``combine`` for sums of many scaled
+parts.  ``Element`` (paths with rational coefficients) is the subclass
+defined here; the GWA and smash-product element types subclass it too.
 """
 
 from __future__ import annotations
@@ -95,10 +101,6 @@ def trivial_path(n: int, v: int) -> Path:
     return Path(n, v % n, ())
 
 
-def arrow_path(n: int, a: Arrow) -> Path:
-    return Path(n, a.source(n), (a,))
-
-
 def path_from_arrows(n: int, arrows: Iterable[Arrow]) -> Path:
     arrows = tuple(arrows)
     if not arrows:
@@ -126,11 +128,6 @@ def path_from_word(n: int, source: int, word: str) -> Path:
     return Path(n, source % n, tuple(arrows))
 
 
-def letter_profile(p: Path) -> str:
-    """The u/d letter string of a path (indices dropped)."""
-    return "".join(a.family for a in p.arrows)
-
-
 def canonical_path_key(p: Path) -> tuple:
     """Total order used for deterministic Element printing and sorting.
 
@@ -140,34 +137,129 @@ def canonical_path_key(p: Path) -> tuple:
     return (p.length, p.source, tuple((0 if a.family == UP else 1, a.index) for a in p.arrows))
 
 
-class Element:
-    """A finite rational combination of paths: the universal algebra value.
+class Combination:
+    """A finite linear combination: a map from keys to nonzero coefficients.
 
-    Immutable by convention; zero coefficients are stripped eagerly, so
-    two Elements are equal iff their term maps are equal.
+    Subclasses fix the key type and the coefficient ring through
+    ``_entry`` and keep only their named constructors, their product and
+    their printing.  Values are immutable: every operation builds a new
+    value and never touches the operands' term maps, so results may be
+    shared (the normal-form memo hands out the same Element repeatedly).
+    Zero coefficients are stripped eagerly, so two values are equal iff
+    their term maps are equal.
     """
 
     __slots__ = ("n", "terms")
 
-    def __init__(self, n: int, terms: Mapping[Path, Fraction] | None = None):
-        if n < 1:
-            raise ValueError("n must be positive")
-        clean: dict[Path, Fraction] = {}
-        for p, c in (terms or {}).items():
-            if p.n != n:
-                raise ValueError("path over wrong quiver size")
-            c = Fraction(c)
+    _MIN_N = 1
+    _MIN_N_ERROR = "n must be positive"
+
+    def __init__(self, n: int, terms: Mapping | None = None):
+        if n < self._MIN_N:
+            raise ValueError(self._MIN_N_ERROR)
+        clean = {}
+        for key, c in (terms or {}).items():
+            key, c = self._entry(n, key, c)
             if c:
-                clean[p] = c
+                clean[key] = c
         object.__setattr__(self, "n", n)
         object.__setattr__(self, "terms", clean)
 
-    def __setattr__(self, *args):  # pragma: no cover - guard only
-        raise AttributeError("Element is immutable")
+    @classmethod
+    def _entry(cls, n: int, key, coeff):
+        """Validate one term of a public constructor; return (key, coefficient)."""
+        return key, Fraction(coeff)
+
+    @staticmethod
+    def _scalar(c):
+        """Coerce a scaling factor into something coefficients multiply by."""
+        return Fraction(c)
 
     @classmethod
-    def zero(cls, n: int) -> "Element":
+    def _from_sums(cls, n: int, sums: dict):
+        """Build from a term map whose keys are already valid for ``n``.
+
+        Skips the per-term checks of ``_entry`` and drops zero sums; the
+        result gets a fresh dict, so ``sums`` stays the caller's.
+        """
+        self = object.__new__(cls)
+        object.__setattr__(self, "n", n)
+        object.__setattr__(self, "terms", {k: c for k, c in sums.items() if c})
+        return self
+
+    @classmethod
+    def combine(cls, n: int, parts: Iterable[tuple["Combination", object]]):
+        """The sum of ``c * x`` over the ``(x, c)`` pairs, built once.
+
+        Every part must live over the same ``n``.  The parts' term maps
+        are only read, never changed.
+        """
+        sums: dict = {}
+        for x, c in parts:
+            if x.n != n:
+                raise ValueError(f"mismatched sizes: {x.n} and {n}")
+            c = cls._scalar(c)
+            unit = c == 1
+            for key, v in x.terms.items():
+                if not unit:
+                    v = v * c
+                old = sums.get(key)
+                sums[key] = v if old is None else old + v
+        return cls._from_sums(n, sums)
+
+    def __setattr__(self, *args):  # pragma: no cover - guard only
+        raise AttributeError(f"{type(self).__name__} is immutable")
+
+    @classmethod
+    def zero(cls, n: int):
         return cls(n, {})
+
+    def is_zero(self) -> bool:
+        return not self.terms
+
+    def __bool__(self) -> bool:
+        return bool(self.terms)
+
+    def __eq__(self, other) -> bool:
+        return type(other) is type(self) and self.n == other.n and self.terms == other.terms
+
+    def __hash__(self):
+        return hash((self.n, frozenset(self.terms.items())))
+
+    def __add__(self, other):
+        return self.combine(self.n, ((self, 1), (other, 1)))
+
+    def __neg__(self):
+        return self._from_sums(self.n, {k: -c for k, c in self.terms.items()})
+
+    def __sub__(self, other):
+        return self.combine(self.n, ((self, 1), (other, -1)))
+
+    def scale(self, c):
+        return self.combine(self.n, ((self, c),))
+
+    def __mul__(self, other):
+        if isinstance(other, Combination):
+            return self._product(other)
+        return self.scale(other)
+
+    def __rmul__(self, other):
+        return self.scale(other)
+
+    def _product(self, other):
+        raise TypeError(f"{type(self).__name__} has no parameter-free product")
+
+
+class Element(Combination):
+    """A finite rational combination of paths: the universal algebra value."""
+
+    __slots__ = ()
+
+    @classmethod
+    def _entry(cls, n: int, p: Path, coeff):
+        if p.n != n:
+            raise ValueError("path over wrong quiver size")
+        return p, Fraction(coeff)
 
     @classmethod
     def from_path(cls, p: Path, coeff: Fraction | int = 1) -> "Element":
@@ -177,42 +269,8 @@ class Element:
     def identity(cls, n: int) -> "Element":
         return cls(n, {trivial_path(n, v): Fraction(1) for v in range(n)})
 
-    def is_zero(self) -> bool:
-        return not self.terms
-
-    def __bool__(self) -> bool:
-        return bool(self.terms)
-
-    def __eq__(self, other) -> bool:
-        return isinstance(other, Element) and self.n == other.n and self.terms == other.terms
-
-    def __hash__(self):
-        return hash((self.n, frozenset(self.terms.items())))
-
-    def __add__(self, other: "Element") -> "Element":
-        self._check(other)
-        terms = dict(self.terms)
-        for p, c in other.terms.items():
-            terms[p] = terms.get(p, Fraction(0)) + c
-        return Element(self.n, terms)
-
-    def __neg__(self) -> "Element":
-        return Element(self.n, {p: -c for p, c in self.terms.items()})
-
-    def __sub__(self, other: "Element") -> "Element":
-        return self + (-other)
-
-    def scale(self, c: Fraction | int) -> "Element":
-        c = Fraction(c)
-        return Element(self.n, {p: c * v for p, v in self.terms.items()})
-
-    def __mul__(self, other):
-        if isinstance(other, Element):
-            return multiply(self, other)
-        return self.scale(other)
-
-    def __rmul__(self, other):
-        return self.scale(other)
+    def _product(self, other: "Element") -> "Element":
+        return multiply(self, other)
 
     def support(self) -> list[Path]:
         return sorted(self.terms, key=canonical_path_key)
@@ -228,11 +286,7 @@ class Element:
         parts: dict[tuple[int, int, int], dict[Path, Fraction]] = {}
         for p, c in self.terms.items():
             parts.setdefault((p.length, p.source, p.target), {})[p] = c
-        return {key: Element(self.n, t) for key, t in parts.items()}
-
-    def _check(self, other: "Element") -> None:
-        if self.n != other.n:
-            raise ValueError("mismatched quiver sizes")
+        return {key: Element._from_sums(self.n, t) for key, t in parts.items()}
 
     def __str__(self) -> str:
         return format_element(self)
@@ -254,18 +308,15 @@ def multiply(a: Element, b: Element) -> Element:
     """Bilinear extension of path concatenation."""
     if a.n != b.n:
         raise ValueError("mismatched quiver sizes")
-    terms: dict[Path, Fraction] = {}
+    sums: dict[Path, Fraction] = {}
     for p, cp in a.terms.items():
         for q, cq in b.terms.items():
             if p.target != q.source:
                 continue
             r = Path(a.n, p.source, p.arrows + q.arrows)
-            c = terms.get(r, Fraction(0)) + cp * cq
-            if c:
-                terms[r] = c
-            else:
-                terms.pop(r, None)
-    return Element(a.n, terms)
+            old = sums.get(r)
+            sums[r] = cp * cq if old is None else old + cp * cq
+    return Element._from_sums(a.n, sums)
 
 
 def map_element(a: Element, vertex_map: Callable[[int], int],
@@ -275,21 +326,18 @@ def map_element(a: Element, vertex_map: Callable[[int], int],
     ``arrow_map`` returns (scalar, image arrow).  The images must compose;
     a well-formed quiver map guarantees this.
     """
-    terms: dict[Path, Fraction] = {}
+    sums: dict[Path, Fraction] = {}
     for p, c in a.terms.items():
         coeff = c
         arrows = []
         for arr in p.arrows:
             s, img = arrow_map(arr)
-            coeff *= s
+            coeff *= Fraction(s)
             arrows.append(img)
         q = Path(a.n, vertex_map(p.source) % a.n, tuple(arrows))
-        v = terms.get(q, Fraction(0)) + coeff
-        if v:
-            terms[q] = v
-        else:
-            terms.pop(q, None)
-    return Element(a.n, terms)
+        old = sums.get(q)
+        sums[q] = coeff if old is None else old + coeff
+    return Element._from_sums(a.n, sums)
 
 
 def adjacency_matrix(n: int) -> list[list[int]]:

@@ -13,6 +13,11 @@ m < 0.  The generator attached to vertex i satisfies
 X_i^- = e_i X^- = X^- e_{i+1} and X_i^+ = X^+ e_i = e_{i+1} X^+, so that
 X_i^- X_i^+ = x_i and X_i^+ X_i^- = y_{i+1}.
 
+``BaseElement`` (monomial (v, a, b) -> rational) and ``GwaElement``
+(exponent m -> coefficient r_m in R) are ``core.Combination``s: their
+linear arithmetic is the shared kernel, and only their products and the
+maps below live here.
+
 The algebra maps are theta(u_i) = X_i^-, theta(d_i) = X_i^+ and its
 inverse theta_prime with theta_prime(x_i) = u_i d_i and
 theta_prime(y_i) = d_{i-1} u_{i-1}.
@@ -23,36 +28,22 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Mapping
 
-from .core import Element, Parameters, Path, path_from_word, trivial_path
+from .core import Combination, Element, Parameters, Path, path_from_word, trivial_path
 from .rewrite import PRESET_QDU, ReductionSystem, build_system, normal_form
 
 
-class BaseElement:
+class BaseElement(Combination):
     """Element of R: finite map (vertex, x-exp, y-exp) -> rational."""
 
-    __slots__ = ("n", "terms")
-
-    def __init__(self, n: int, terms: Mapping[tuple[int, int, int], Fraction] | None = None):
-        if n < 1:
-            raise ValueError("n must be positive")
-        clean: dict[tuple[int, int, int], Fraction] = {}
-        for (v, a, b), c in (terms or {}).items():
-            if not 0 <= v < n or a < 0 or b < 0:
-                raise ValueError("bad base monomial")
-            c = Fraction(c)
-            if c:
-                clean[(v, a, b)] = c
-        object.__setattr__(self, "n", n)
-        object.__setattr__(self, "terms", clean)
-
-    def __setattr__(self, *args):  # pragma: no cover - guard only
-        raise AttributeError("BaseElement is immutable")
+    __slots__ = ()
 
     @classmethod
-    def zero(cls, n: int) -> "BaseElement":
-        return cls(n, {})
+    def _entry(cls, n: int, key: tuple[int, int, int], coeff):
+        v, a, b = key
+        if not 0 <= v < n or a < 0 or b < 0:
+            raise ValueError("bad base monomial")
+        return key, Fraction(coeff)
 
     @classmethod
     def e(cls, n: int, v: int) -> "BaseElement":
@@ -74,51 +65,17 @@ class BaseElement:
     def x_total(cls, n: int) -> "BaseElement":
         return cls(n, {(v, 1, 0): Fraction(1) for v in range(n)})
 
-    def is_zero(self) -> bool:
-        return not self.terms
-
-    def __bool__(self) -> bool:
-        return bool(self.terms)
-
-    def __eq__(self, other) -> bool:
-        return isinstance(other, BaseElement) and self.n == other.n and self.terms == other.terms
-
-    def __hash__(self):
-        return hash((self.n, frozenset(self.terms.items())))
-
-    def __add__(self, other: "BaseElement") -> "BaseElement":
-        terms = dict(self.terms)
-        for k, c in other.terms.items():
-            terms[k] = terms.get(k, Fraction(0)) + c
-        return BaseElement(self.n, terms)
-
-    def __neg__(self) -> "BaseElement":
-        return BaseElement(self.n, {k: -c for k, c in self.terms.items()})
-
-    def __sub__(self, other: "BaseElement") -> "BaseElement":
-        return self + (-other)
-
-    def scale(self, c) -> "BaseElement":
-        c = Fraction(c)
-        return BaseElement(self.n, {k: c * v for k, v in self.terms.items()})
-
-    def __mul__(self, other: "BaseElement") -> "BaseElement":
+    def _product(self, other: "BaseElement") -> "BaseElement":
         # Componentwise per vertex: e_i are orthogonal idempotents.
-        terms: dict[tuple[int, int, int], Fraction] = {}
+        sums: dict[tuple[int, int, int], Fraction] = {}
         for (v, a, b), c in self.terms.items():
             for (w, a2, b2), c2 in other.terms.items():
                 if v != w:
                     continue
                 key = (v, a + a2, b + b2)
-                val = terms.get(key, Fraction(0)) + c * c2
-                if val:
-                    terms[key] = val
-                else:
-                    terms.pop(key, None)
-        return BaseElement(self.n, terms)
-
-    def poly_degree(self) -> int:
-        return max((a + b for (_, a, b) in self.terms), default=0)
+                old = sums.get(key)
+                sums[key] = c * c2 if old is None else old + c * c2
+        return BaseElement._from_sums(self.n, sums)
 
     def __str__(self) -> str:
         if not self.terms:
@@ -137,47 +94,44 @@ class BaseElement:
         return " + ".join(bits)
 
 
-def sigma(params: Parameters, b: BaseElement) -> BaseElement:
-    """The shift substitution extended multiplicatively to R."""
-    n = params.n
-    out = BaseElement.zero(n)
+def _substitute(n: int, b: BaseElement, image_of) -> BaseElement:
+    """Extend e_v, x_v, y_v -> image_of(v) multiplicatively and linearly."""
+    parts = []
     for (v, a, bexp), c in b.terms.items():
-        image = BaseElement.e(n, v + 1)
-        xs = BaseElement.y(n, v + 1)
-        ys = (
-            BaseElement.y(n, v + 1).scale(params.alpha[v])
-            + BaseElement.x(n, v + 1).scale(params.beta[v])
-            + BaseElement.e(n, v + 1).scale(params.gamma[v])
-        )
+        image, xs, ys = image_of(v)
         for _ in range(a):
             image = image * xs
         for _ in range(bexp):
             image = image * ys
-        out = out + image.scale(c)
-    return out
+        parts.append((image, c))
+    return BaseElement.combine(n, parts)
+
+
+def sigma(params: Parameters, b: BaseElement) -> BaseElement:
+    """The shift substitution extended multiplicatively to R."""
+    n = params.n
+
+    def image_of(v):
+        w = (v + 1) % n
+        ys = BaseElement(n, {(w, 0, 1): params.alpha[v], (w, 1, 0): params.beta[v],
+                             (w, 0, 0): params.gamma[v]})
+        return BaseElement.e(n, w), BaseElement.y(n, w), ys
+    return _substitute(n, b, image_of)
 
 
 def sigma_inverse(params: Parameters, b: BaseElement) -> BaseElement:
     if not params.beta_all_nonzero():
         raise ValueError("sigma is not invertible: some beta_i = 0")
     n = params.n
-    out = BaseElement.zero(n)
-    for (v, a, bexp), c in b.terms.items():
+
+    def image_of(v):
         w = (v - 1) % n
-        image = BaseElement.e(n, w)
         # sigma(y_w) = alpha_w y_v + beta_w x_v + gamma_w e_v  =>  invert for x_v
-        xs = (
-            BaseElement.y(n, w)
-            - BaseElement.x(n, w).scale(params.alpha[w])
-            - BaseElement.e(n, w).scale(params.gamma[w])
-        ).scale(1 / params.beta[w])
-        ys = BaseElement.x(n, w)
-        for _ in range(a):
-            image = image * xs
-        for _ in range(bexp):
-            image = image * ys
-        out = out + image.scale(c)
-    return out
+        inv = 1 / params.beta[w]
+        xs = BaseElement(n, {(w, 0, 1): inv, (w, 1, 0): -params.alpha[w] * inv,
+                             (w, 0, 0): -params.gamma[w] * inv})
+        return BaseElement.e(n, w), xs, BaseElement.x(n, w)
+    return _substitute(n, b, image_of)
 
 
 def sigma_power(params: Parameters, b: BaseElement, m: int) -> BaseElement:
@@ -187,27 +141,16 @@ def sigma_power(params: Parameters, b: BaseElement, m: int) -> BaseElement:
     return b
 
 
-class GwaElement:
+class GwaElement(Combination):
     """Canonical form sum_m r_m X^m with r_m in R on the left."""
 
-    __slots__ = ("n", "terms")
-
-    def __init__(self, n: int, terms: Mapping[int, BaseElement] | None = None):
-        clean: dict[int, BaseElement] = {}
-        for m, r in (terms or {}).items():
-            if r.n != n:
-                raise ValueError("coefficient over wrong n")
-            if not r.is_zero():
-                clean[m] = r
-        object.__setattr__(self, "n", n)
-        object.__setattr__(self, "terms", clean)
-
-    def __setattr__(self, *args):  # pragma: no cover - guard only
-        raise AttributeError("GwaElement is immutable")
+    __slots__ = ()
 
     @classmethod
-    def zero(cls, n: int) -> "GwaElement":
-        return cls(n, {})
+    def _entry(cls, n: int, m: int, r: BaseElement):
+        if r.n != n:
+            raise ValueError("coefficient over wrong n")
+        return m, r
 
     @classmethod
     def from_base(cls, r: BaseElement) -> "GwaElement":
@@ -222,34 +165,6 @@ class GwaElement:
     def x_plus(cls, n: int, i: int | None = None) -> "GwaElement":
         r = BaseElement.one(n) if i is None else BaseElement.e(n, i + 1)
         return cls(n, {1: r})
-
-    def is_zero(self) -> bool:
-        return not self.terms
-
-    def __bool__(self) -> bool:
-        return bool(self.terms)
-
-    def __eq__(self, other) -> bool:
-        return isinstance(other, GwaElement) and self.n == other.n and self.terms == other.terms
-
-    def __add__(self, other: "GwaElement") -> "GwaElement":
-        terms = dict(self.terms)
-        for m, r in other.terms.items():
-            s = terms.get(m, BaseElement.zero(self.n)) + r
-            if s.is_zero():
-                terms.pop(m, None)
-            else:
-                terms[m] = s
-        return GwaElement(self.n, terms)
-
-    def __neg__(self) -> "GwaElement":
-        return GwaElement(self.n, {m: -r for m, r in self.terms.items()})
-
-    def __sub__(self, other: "GwaElement") -> "GwaElement":
-        return self + (-other)
-
-    def scale(self, c) -> "GwaElement":
-        return GwaElement(self.n, {m: r.scale(c) for m, r in self.terms.items()})
 
     def x_degrees(self) -> list[int]:
         return sorted(self.terms)
@@ -291,12 +206,13 @@ def _cross_factor(params: Parameters, m1: int, m2: int) -> BaseElement:
 def gwa_multiply(params: Parameters, a: GwaElement, b: GwaElement) -> GwaElement:
     if not params.beta_all_nonzero():
         raise ValueError("GWA arithmetic requires all beta_i nonzero")
-    out = GwaElement.zero(params.n)
+    n = params.n
+    parts = []
     for m1, r in a.terms.items():
         for m2, s in b.terms.items():
             coeff = r * sigma_power(params, s, m1) * _cross_factor(params, m1, m2)
-            out = out + GwaElement(params.n, {m1 + m2: coeff})
-    return out
+            parts.append((GwaElement(n, {m1 + m2: coeff}), 1))
+    return GwaElement.combine(n, parts)
 
 
 def theta(params: Parameters, a: Element) -> GwaElement:
@@ -304,14 +220,14 @@ def theta(params: Parameters, a: Element) -> GwaElement:
     if not params.beta_all_nonzero():
         raise ValueError("theta requires all beta_i nonzero")
     n = params.n
-    out = GwaElement.zero(n)
+    parts = []
     for p, c in a.terms.items():
         acc = GwaElement.from_base(BaseElement.e(n, p.source))
         for arrow in p.arrows:
             img = GwaElement.x_minus(n, arrow.index) if arrow.family == "u" else GwaElement.x_plus(n, arrow.index)
             acc = gwa_multiply(params, acc, img)
-        out = out + acc.scale(c)
-    return out
+        parts.append((acc, c))
+    return GwaElement.combine(n, parts)
 
 
 def theta_prime(params: Parameters, t: GwaElement, sys: ReductionSystem | None = None) -> Element:
@@ -326,21 +242,16 @@ def theta_prime(params: Parameters, t: GwaElement, sys: ReductionSystem | None =
         sys = build_system(PRESET_QDU, params)
     u_total = Element(n, {path_from_word(n, i, "u"): Fraction(1) for i in range(n)})
     d_total = Element(n, {path_from_word(n, (i + 1) % n, "d"): Fraction(1) for i in range(n)})
-    out = Element.zero(n)
+    parts = []
     for m, r in t.terms.items():
-        base_img = Element.zero(n)
-        for (v, a, b), c in r.terms.items():
-            word = Element.from_path(trivial_path(n, v), c)
-            for _ in range(a):
-                word = word * Element.from_path(path_from_word(n, v, "ud"))
-            for _ in range(b):
-                word = word * Element.from_path(path_from_word(n, v, "du"))
-            base_img = base_img + word
+        # x_v^a y_v^b e_v is the loop (u_v d_v)^a (d_{v-1} u_{v-1})^b at v.
+        base_img = Element(n, {path_from_word(n, v, "ud" * a + "du" * b): c
+                               for (v, a, b), c in r.terms.items()})
         shift = Element.identity(n)
         for _ in range(abs(m)):
             shift = shift * (d_total if m > 0 else u_total)
-        out = out + base_img * shift
-    return normal_form(sys, out)
+        parts.append((base_img * shift, 1))
+    return normal_form(sys, Element.combine(n, parts))
 
 
 def path_x_weight(p: Path) -> int:

@@ -57,10 +57,6 @@ def mat_total(a: Matrix) -> int:
     return sum(sum(row) for row in a)
 
 
-def mat_transpose(a: Matrix) -> Matrix:
-    return [list(col) for col in zip(*a)]
-
-
 @dataclass
 class MatrixPoly:
     """Finite map degree -> integer matrix; zero matrices are not stored."""

@@ -201,7 +201,7 @@ def normal_form_path(sys: ReductionSystem, path: Path) -> Element:
                 pending[q] = v
             else:
                 pending.pop(q, None)
-    result = Element(sys.n, done)
+    result = Element._from_sums(sys.n, done)
     sys._nf_cache[path] = result
     return result
 
@@ -214,10 +214,7 @@ def normal_form(sys: ReductionSystem, a: Element) -> Element:
     """
     if a.n != sys.n:
         raise ValueError("element over wrong quiver size")
-    out = Element.zero(sys.n)
-    for p, c in a.terms.items():
-        out = out + normal_form_path(sys, p).scale(c)
-    return out
+    return Element.combine(sys.n, ((normal_form_path(sys, p), c) for p, c in a.terms.items()))
 
 
 def is_zero_in_quotient(sys: ReductionSystem, a: Element) -> bool:
@@ -452,12 +449,36 @@ def dimension_matrix(sys: ReductionSystem, degree: int) -> list[list[int]]:
     return result
 
 
+# ---------------------------------------------------------------------------
+# The normal-word shape u^a (du)^j d^c of the down-up presets
+# ---------------------------------------------------------------------------
+
+def normal_shapes(degree: int) -> list[tuple[int, int, int]]:
+    """Every (a, j, c) with a + 2j + c = degree, in increasing order."""
+    return [(a, j, degree - a - 2 * j)
+            for a in range(degree + 1) for j in range((degree - a) // 2 + 1)]
+
+
+def normal_shape(path: Path) -> tuple[int, int, int]:
+    """The (a, j, c) of a normal word u^a (du)^j d^c; ValueError otherwise."""
+    word = "".join(arrow.family for arrow in path.arrows)
+    a = len(word) - len(word.lstrip("u"))
+    j = 0
+    pos = a
+    while word[pos:pos + 2] == "du":
+        j += 1
+        pos += 2
+    c = len(word) - pos
+    if word[pos:] != "d" * c:
+        raise ValueError(f"not a normal word: {word}")
+    return a, j, c
+
+
 def _closed_shape_matrix(n: int, degree: int) -> list[list[int]]:
-    # Normal words are u^a (du)^j d^c; from source i the target is i+a-c.
+    # From source i the normal word u^a (du)^j d^c ends at i + a - c.
+    shapes = normal_shapes(degree)
     out = [[0] * n for _ in range(n)]
     for i in range(n):
-        for a in range(degree + 1):
-            for j in range((degree - a) // 2 + 1):
-                c = degree - a - 2 * j
-                out[i][(i + a - c) % n] += 1
+        for a, _, c in shapes:
+            out[i][(i + a - c) % n] += 1
     return out

@@ -4,6 +4,8 @@ R = k<u, d | d^2u + ud^2, du^2 + u^2d> has normal monomial basis
 u^a (du)^b d^c; the generator g of Z_n acts by g(u) = zeta u,
 g(d) = zeta^{-1} d, so g scales a monomial by zeta^(#u - #d).  The smash
 product multiplies by (r # g^i)(s # g^j) = r g^i(s) # g^{i+j}.
+``SmashElement`` maps (monomial, group exponent) to a cyclotomic scalar;
+it is a ``core.Combination``, so only its product is written here.
 
 The orthogonal idempotents f_i = (1/n) sum_j zeta^{ij} # g^j decompose
 the identity; the capped generators U_i = f_i (u # 1) and
@@ -17,9 +19,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from typing import Mapping
 
-from .core import Element, Parameters, path_from_word
+from .core import Combination, Element, Parameters, path_from_word
 from .cyclotomic import CycScalar
 from .linalg import RowSpace
 from .rewrite import (
@@ -29,15 +30,12 @@ from .rewrite import (
     dimension_matrix,
     ensure_confluent,
     normal_form,
+    normal_shape,
+    normal_shapes,
 )
 
 # R-monomials in normal form: (a, b, c) stands for u^a (du)^b d^c.
 RMonomial = tuple[int, int, int]
-
-
-def monomial_degree(m: RMonomial) -> int:
-    a, b, c = m
-    return a + 2 * b + c
 
 
 def monomial_weight(m: RMonomial) -> int:
@@ -47,12 +45,8 @@ def monomial_weight(m: RMonomial) -> int:
 
 
 def monomials_of_degree(k: int) -> list[RMonomial]:
-    out = []
-    for a in range(k + 1):
-        for b in range((k - a) // 2 + 1):
-            c = k - a - 2 * b
-            out.append((a, b, c))
-    return sorted(out)
+    """The normal R-monomials of degree k, in increasing order."""
+    return normal_shapes(k)
 
 
 @lru_cache(maxsize=1)
@@ -65,52 +59,31 @@ def _monomial_to_path(m: RMonomial):
     return path_from_word(1, 0, "u" * a + "du" * b + "d" * c)
 
 
-def _path_to_monomial(p) -> RMonomial:
-    word = "".join(arrow.family for arrow in p.arrows)
-    a = 0
-    while a < len(word) and word[a] == "u":
-        a += 1
-    b = 0
-    pos = a
-    while word[pos:pos + 2] == "du":
-        b += 1
-        pos += 2
-    c = len(word) - pos
-    if word[pos:] != "d" * c:
-        raise ValueError(f"not a normal graded down-up word: {word}")
-    return (a, b, c)
-
-
 @lru_cache(maxsize=None)
 def r_monomial_product(m1: RMonomial, m2: RMonomial) -> tuple[tuple[RMonomial, Fraction], ...]:
     """Normal-form expansion of the product of two R-monomials."""
     sys = _graded_system()
     prod = Element.from_path(_monomial_to_path(m1)) * Element.from_path(_monomial_to_path(m2))
     nf = normal_form(sys, prod)
-    return tuple(sorted(((_path_to_monomial(p), c) for p, c in nf.terms.items())))
+    return tuple(sorted(((normal_shape(p), c) for p, c in nf.terms.items())))
 
 
-class SmashElement:
+class SmashElement(Combination):
     """Finite map (R-monomial, group exponent) -> cyclotomic scalar."""
 
-    __slots__ = ("n", "terms")
+    __slots__ = ()
 
-    def __init__(self, n: int, terms: Mapping[tuple[RMonomial, int], CycScalar] | None = None):
-        if n < 2:
-            raise ValueError("smash product needs n >= 2")
-        clean: dict[tuple[RMonomial, int], CycScalar] = {}
-        for (m, j), c in (terms or {}).items():
-            if not c.is_zero():
-                clean[(m, j % n)] = c
-        object.__setattr__(self, "n", n)
-        object.__setattr__(self, "terms", clean)
-
-    def __setattr__(self, *args):  # pragma: no cover - guard only
-        raise AttributeError("SmashElement is immutable")
+    _MIN_N = 2
+    _MIN_N_ERROR = "smash product needs n >= 2"
 
     @classmethod
-    def zero(cls, n: int) -> "SmashElement":
-        return cls(n, {})
+    def _entry(cls, n: int, key: tuple[RMonomial, int], coeff: CycScalar):
+        m, j = key
+        return (m, j % n), coeff
+
+    @staticmethod
+    def _scalar(c):
+        return c if isinstance(c, CycScalar) else Fraction(c)
 
     @classmethod
     def monomial(cls, n: int, m: RMonomial, j: int = 0, coeff: CycScalar | None = None) -> "SmashElement":
@@ -132,41 +105,8 @@ class SmashElement:
     def group(cls, n: int, j: int) -> "SmashElement":
         return cls.monomial(n, (0, 0, 0), j)
 
-    def is_zero(self) -> bool:
-        return not self.terms
-
-    def __bool__(self) -> bool:
-        return bool(self.terms)
-
-    def __eq__(self, other) -> bool:
-        return isinstance(other, SmashElement) and self.n == other.n and self.terms == other.terms
-
-    def __add__(self, other: "SmashElement") -> "SmashElement":
-        terms = dict(self.terms)
-        for key, c in other.terms.items():
-            s = terms.get(key, CycScalar.zero(self.n)) + c
-            if s.is_zero():
-                terms.pop(key, None)
-            else:
-                terms[key] = s
-        return SmashElement(self.n, terms)
-
-    def __neg__(self) -> "SmashElement":
-        return SmashElement(self.n, {k: -c for k, c in self.terms.items()})
-
-    def __sub__(self, other: "SmashElement") -> "SmashElement":
-        return self + (-other)
-
-    def scale(self, c) -> "SmashElement":
-        if not isinstance(c, CycScalar):
-            c = CycScalar.from_rational(self.n, c)
-        return SmashElement(self.n, {k: v * c for k, v in self.terms.items()})
-
-    def __mul__(self, other: "SmashElement") -> "SmashElement":
+    def _product(self, other: "SmashElement") -> "SmashElement":
         return smash_multiply(self, other)
-
-    def degrees(self) -> set[int]:
-        return {monomial_degree(m) for (m, _) in self.terms}
 
     def __str__(self) -> str:
         if not self.terms:
@@ -188,18 +128,15 @@ def smash_multiply(a: SmashElement, b: SmashElement) -> SmashElement:
     if a.n != b.n:
         raise ValueError("mismatched group orders")
     n = a.n
-    terms: dict[tuple[RMonomial, int], CycScalar] = {}
+    sums: dict[tuple[RMonomial, int], CycScalar] = {}
     for (m1, j1), c1 in a.terms.items():
         for (m2, j2), c2 in b.terms.items():
             scalar = c1 * c2 * group_action(n, j1, m2)
             for m, q in r_monomial_product(m1, m2):
                 key = (m, (j1 + j2) % n)
-                val = terms.get(key, CycScalar.zero(n)) + scalar * q
-                if val.is_zero():
-                    terms.pop(key, None)
-                else:
-                    terms[key] = val
-    return SmashElement(n, terms)
+                old = sums.get(key)
+                sums[key] = scalar * q if old is None else old + scalar * q
+    return SmashElement._from_sums(n, sums)
 
 
 @dataclass
@@ -220,15 +157,13 @@ def build_idempotents(n: int) -> IdempotentSet:
     for i in range(n):
         terms = {((0, 0, 0), j): CycScalar.zeta_power(n, i * j) * inv_n for j in range(n)}
         fs.append(SmashElement(n, terms))
-    total = SmashElement.zero(n)
     for i, f in enumerate(fs):
-        total = total + f
         for j, g in enumerate(fs):
             prod = smash_multiply(f, g)
             expected = f if i == j else SmashElement.zero(n)
             if prod != expected:
                 raise AssertionError(f"idempotent orthogonality failed at ({i},{j})")
-    if total != SmashElement.one(n):
+    if SmashElement.combine(n, ((f, 1) for f in fs)) != SmashElement.one(n):
         raise AssertionError("idempotents do not sum to the identity")
     return IdempotentSet(n, fs)
 

@@ -24,7 +24,6 @@ from .core import (
     Path,
     canonical_path_key,
     down,
-    letter_profile,
     map_element,
     path_from_arrows,
     path_from_word,
@@ -39,6 +38,7 @@ from .rewrite import (
     ensure_confluent,
     is_zero_in_quotient,
     normal_form,
+    normal_shape,
 )
 
 # ---------------------------------------------------------------------------
@@ -164,20 +164,20 @@ class SuperpotentialResult:
 def build_superpotential(params: Parameters, weights: TwistWeights) -> SuperpotentialResult:
     """Expand the compact-form potential and report orbit closure."""
     n = params.n
-    omega = Element.zero(n)
+    parts: list[tuple[Element, Fraction]] = []
     closures: dict[tuple[str, int], Fraction] = {}
     for i in range(n):
         # d_i d_{i-1} u_{i-1} u_i, a cycle at vertex i+1
         square = path_from_arrows(n, (down(i, n), down(i - 1, n), up(i - 1, n), up(i, n)))
         form, closure = _compact_form(weights, square)
-        omega = omega + form
         closures[("dduu", i)] = closure
+        parts.append((form, 1))
         # d_i u_i d_i u_i, weighted by -alpha_i
         zigzag = path_from_arrows(n, (down(i, n), up(i, n), down(i, n), up(i, n)))
         form, closure = _compact_form(weights, zigzag)
-        omega = omega + form.scale(-params.alpha[i])
         closures[("dudu", i)] = closure
-    return SuperpotentialResult(omega, closures)
+        parts.append((form, -params.alpha[i]))
+    return SuperpotentialResult(Element.combine(n, parts), closures)
 
 
 @dataclass
@@ -424,23 +424,6 @@ def property_report(params: Parameters, subalgebra_degree: int = 4) -> PropertyR
 # Non-noetherian ascending chain
 # ---------------------------------------------------------------------------
 
-def _normal_profile(p: Path) -> tuple[int, int, int]:
-    """Decompose a normal word into (u-run, du-pairs, d-run)."""
-    word = letter_profile(p)
-    a = 0
-    while a < len(word) and word[a] == "u":
-        a += 1
-    j = 0
-    pos = a
-    while word[pos:pos + 2] == "du":
-        j += 1
-        pos += 2
-    c = len(word) - pos
-    if word[pos:] != "d" * c:
-        raise ValueError(f"not a normal word: {word}")
-    return a, j, c
-
-
 @dataclass
 class ChainReport:
     vertex: int
@@ -517,7 +500,7 @@ def noetherian_chain_check(params: Parameters, i: int | None = None, s_max: int 
                 if product.is_zero():
                     continue
                 for p in product.terms:
-                    a_run, j_pairs, c_run = _normal_profile(p)
+                    a_run, j_pairs, c_run = normal_shape(p)
                     if a_run == m * n:
                         if params.gamma[i] == 0 and j_pairs == 0:
                             support_ok = False

@@ -177,3 +177,25 @@ def test_missing_config_is_input_error(capsys):
 def test_bad_element_is_input_error(tmp_path, capsys):
     cfg = write_config(tmp_path)
     assert main(["nf", cfg, "totally not an element", "--json"]) == 2
+
+
+def test_max_degree_zero_is_honoured(tmp_path, capsys):
+    cfg = write_config(tmp_path, n=2, beta=["-1", "-1"])
+    code, report = run_json(capsys, ["verify", "skewgroup", cfg, "--max-degree", "0", "--json"])
+    assert code == 0
+    assert report["findings"]["max_degree"] == 0
+    code, report = run_json(capsys, ["verify", "pwd", cfg, "--max-degree", "0",
+                                     "--trials", "5", "--json"])
+    assert code == 0 and report["verdict"] == "pass"
+
+
+def test_internal_check_failure_is_fail_verdict(tmp_path, capsys, monkeypatch):
+    def broken(*args, **kwargs):
+        raise AssertionError("closed form disagrees")
+
+    monkeypatch.setattr("quiverdu.cli.closed_form_check", broken)
+    cfg = write_config(tmp_path)
+    code, report = run_json(capsys, ["hilbert", cfg, "--check", "--json"])
+    assert code == 1
+    assert report["verdict"] == "fail"
+    assert report["findings"] == {"internal_check_failed": "closed form disagrees"}

@@ -1,0 +1,152 @@
+"""Property tests for the shared linear-combination kernel (core.Combination)."""
+
+from fractions import Fraction
+from functools import reduce
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from quiverdu.core import Element, Parameters, format_element, parse_element, path_from_word
+from quiverdu.cyclotomic import CycScalar, cyclotomic_polynomial
+from quiverdu.gwa import BaseElement, GwaElement
+from quiverdu.rewrite import PRESET_QDU, build_system, normal_form, normal_form_path
+from quiverdu.skewgroup import SmashElement
+
+# Enough cases to hit cancellations and size mismatches, few enough to stay fast.
+kernel_settings = settings(max_examples=60, deadline=None)
+
+rationals = st.builds(Fraction, st.integers(-6, 6), st.integers(1, 4))
+factors = st.one_of(st.integers(-3, 3), rationals)
+
+
+def paths(n, max_len=4):
+    return st.builds(lambda v, word: path_from_word(n, v, word),
+                     st.integers(0, n - 1), st.text("ud", max_size=max_len))
+
+
+def elements(n, max_len=4):
+    return st.dictionaries(paths(n, max_len), rationals, max_size=4).map(lambda t: Element(n, t))
+
+
+def base_elements(n):
+    keys = st.tuples(st.integers(0, n - 1), st.integers(0, 2), st.integers(0, 2))
+    return st.dictionaries(keys, rationals, max_size=4).map(lambda t: BaseElement(n, t))
+
+
+def gwa_elements(n):
+    return st.dictionaries(st.integers(-2, 2), base_elements(n), max_size=3).map(
+        lambda t: GwaElement(n, t))
+
+
+def cyc_scalars(n):
+    phi = len(cyclotomic_polynomial(n)) - 1
+    return st.lists(rationals, min_size=phi, max_size=phi).map(lambda cs: CycScalar(n, cs))
+
+
+def smash_elements(n):
+    monomials = st.tuples(st.integers(0, 2), st.integers(0, 1), st.integers(0, 2))
+    keys = st.tuples(monomials, st.integers(0, n - 1))
+    return st.dictionaries(keys, cyc_scalars(n), max_size=3).map(lambda t: SmashElement(n, t))
+
+
+KINDS = {
+    "element": (st.integers(1, 3), elements),
+    "base": (st.integers(1, 3), base_elements),
+    "gwa": (st.integers(1, 2), gwa_elements),
+    "smash": (st.integers(2, 4), smash_elements),
+}
+
+
+@st.composite
+def combination_parts(draw, kind):
+    sizes, values = KINDS[kind]
+    n = draw(sizes)
+    return n, draw(st.lists(st.tuples(values(n), factors), max_size=4))
+
+
+def reference_sum(parts):
+    """Term-by-term sum of c * x with plain dicts, zero sums dropped."""
+    sums = {}
+    for x, c in parts:
+        for key, v in x.terms.items():
+            v = v * c
+            sums[key] = sums[key] + v if key in sums else v
+    return {key: v for key, v in sums.items() if v}
+
+
+def check_combine(cls, n, parts):
+    snapshots = [dict(x.terms) for x, _ in parts]
+    combined = cls.combine(n, parts)
+    folded = reduce(lambda acc, part: acc + part[0].scale(part[1]), parts, cls.zero(n))
+    assert combined == folded
+    assert hash(combined) == hash(folded)
+    assert combined.terms == reference_sum(parts)
+    assert [x.terms for x, _ in parts] == snapshots
+
+
+@kernel_settings
+@given(combination_parts("element"))
+def test_combine_element(case):
+    check_combine(Element, *case)
+
+
+@kernel_settings
+@given(combination_parts("base"))
+def test_combine_base_element(case):
+    check_combine(BaseElement, *case)
+
+
+@kernel_settings
+@given(combination_parts("gwa"))
+def test_combine_gwa_element(case):
+    check_combine(GwaElement, *case)
+
+
+@kernel_settings
+@given(combination_parts("smash"))
+def test_combine_smash_element(case):
+    check_combine(SmashElement, *case)
+
+
+@kernel_settings
+@given(elements(3), elements(3))
+def test_subtraction_and_negation(a, b):
+    assert a - b == a + (-b)
+    assert (a - a).is_zero()
+    assert a.scale(0) == Element.zero(3)
+
+
+def test_combine_rejects_mismatched_sizes():
+    with pytest.raises(ValueError):
+        Element.combine(3, [(Element.identity(2), 1)])
+    with pytest.raises(ValueError):
+        Element.identity(3) + Element.identity(2)
+
+
+SYSTEM_PARAMS = Parameters.of(3, [2, 3, 5], [7, 11, 13], [1, 0, 4])
+
+
+@kernel_settings
+@given(elements(3, max_len=5), elements(3, max_len=5), factors)
+def test_normal_form_is_linear(a, b, c):
+    sys_ = build_system(PRESET_QDU, SYSTEM_PARAMS)
+    assert normal_form(sys_, a.scale(c) + b) == normal_form(sys_, a).scale(c) + normal_form(sys_, b)
+
+
+@kernel_settings
+@given(st.integers(1, 4).flatmap(elements))
+def test_text_roundtrip(a):
+    assert parse_element(format_element(a), a.n) == a
+
+
+@kernel_settings
+@given(paths(3, max_len=5), elements(3, max_len=5))
+def test_normal_form_leaves_memo_values_unchanged(p, q):
+    sys_ = build_system(PRESET_QDU, SYSTEM_PARAMS)
+    memo = normal_form_path(sys_, p)
+    snapshot = dict(memo.terms)
+    for c in (3, 1):
+        normal_form(sys_, Element.from_path(p).scale(c) + q)
+        assert sys_._nf_cache[p] is memo
+        assert sys_._nf_cache[p].terms == snapshot
