@@ -437,6 +437,23 @@ def _cmd_report(args) -> tuple[str, dict]:
 # Entry point
 # ---------------------------------------------------------------------------
 
+def _int_at_least(lowest: int):
+    """An argparse type: an integer no smaller than ``lowest``.
+
+    A degree below 0 or a trial count below 1 would check nothing and
+    still yield a pass, so such values are refused at the command line.
+    """
+    def parse(text: str) -> int:
+        try:
+            value = int(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+        if value < lowest:
+            raise argparse.ArgumentTypeError(f"must be at least {lowest}, got {value}")
+        return value
+    return parse
+
+
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="quiverdu",
                                      description="quiver down-up algebra toolkit")
@@ -454,7 +471,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p_basis = sub.add_parser("basis", help="normal-word basis at a degree")
     common(p_basis)
-    p_basis.add_argument("--degree", type=int, required=True)
+    p_basis.add_argument("--degree", type=_int_at_least(0), required=True)
     p_basis.add_argument("--preset", choices=["qdu", "preprojective"], default="qdu")
 
     p_conf = sub.add_parser("confluence", help="resolve all overlap ambiguities")
@@ -462,7 +479,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p_hil = sub.add_parser("hilbert", help="dimension matrices and totals")
     common(p_hil)
-    p_hil.add_argument("--max-degree", type=int, default=8)
+    p_hil.add_argument("--max-degree", type=_int_at_least(0), default=8)
     p_hil.add_argument("--preset", choices=["qdu", "preprojective"], default="qdu")
     p_hil.add_argument("--check", action="store_true",
                        help="compare enumeration against the closed form")
@@ -475,14 +492,14 @@ def _build_parser() -> argparse.ArgumentParser:
     p_ver.add_argument("what", choices=[
         "gwa", "superpotential", "nakayama", "pwd", "noetherian", "properties", "skewgroup"])
     common(p_ver)
-    p_ver.add_argument("--trials", type=int, default=200)
-    p_ver.add_argument("--max-degree", type=int, default=None)
+    p_ver.add_argument("--trials", type=_int_at_least(1), default=200)
+    p_ver.add_argument("--max-degree", type=_int_at_least(0), default=None)
     p_ver.add_argument("--n", type=int, default=None,
                        help="skewgroup: group order override (alpha=gamma=0 assumed)")
 
     p_rep = sub.add_parser("report", help="full verification suite for one config")
     common(p_rep)
-    p_rep.add_argument("--trials", type=int, default=100)
+    p_rep.add_argument("--trials", type=_int_at_least(1), default=100)
     return parser
 
 

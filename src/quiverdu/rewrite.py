@@ -73,6 +73,7 @@ class ReductionSystem:
     params: Parameters | None = None
     _verified: bool = field(default=False, repr=False)
     _nf_cache: dict = field(default_factory=dict, repr=False)
+    _tables: _RuleTables | None = field(default=None, repr=False, compare=False)
 
     @property
     def verified(self) -> bool:
@@ -141,23 +142,6 @@ def _preprojective_system(n: int) -> ReductionSystem:
 # Normal forms
 # ---------------------------------------------------------------------------
 
-def _leftmost_match(sys: ReductionSystem, arrows: tuple[Arrow, ...]):
-    """Find (position, rule) of the leftmost lhs occurrence, or None."""
-    best = None
-    for rule in sys.rules:
-        la = rule.lhs.arrows
-        k = len(la)
-        stop = len(arrows) - k + 1
-        if best is not None:
-            stop = min(stop, best[0] + 1)
-        for pos in range(stop):
-            if arrows[pos:pos + k] == la:
-                if best is None or pos < best[0]:
-                    best = (pos, rule)
-                break
-    return best
-
-
 def _rewrite_once(sys: ReductionSystem, path: Path, pos: int, rule: RewriteRule) -> dict[Path, Fraction]:
     k = len(rule.lhs.arrows)
     prefix = path.arrows[:pos]
@@ -169,39 +153,128 @@ def _rewrite_once(sys: ReductionSystem, path: Path, pos: int, rule: RewriteRule)
     return out
 
 
+class _RuleTables:
+    """A system's rules on int-coded words, and its product memo.
+
+    A word is a tuple of arrow codes, an arrow's code being its
+    ``_arrow_rank``; a combination is a dict word -> nonzero coefficient
+    whose words all start at one vertex (a word may be empty).
+    ``by_last`` maps an arrow code to the rules whose leading word ends
+    with it, as ``(lhs, len(lhs), rhs terms)``.  ``memo`` maps ``w + (a,)``
+    to its normal form for each normal word w whose product with the
+    arrow a is reducible; a nonempty word determines its source.
+    Integral coefficients are kept as ints, several times faster than
+    Fraction and exact when mixed with it.
+    """
+
+    __slots__ = ("arrows", "by_last", "memo")
+
+    def __init__(self, sys: ReductionSystem):
+        n = sys.n
+        self.arrows = tuple(down(i, n) for i in range(n)) + tuple(up(i, n) for i in range(n))
+        encode = lambda p: tuple(_arrow_rank(a, n) for a in p.arrows)
+        by_last: dict[int, list] = {}
+        for rule in sys.rules:
+            lhs = encode(rule.lhs)
+            rhs = tuple((encode(q), c.numerator if c.denominator == 1 else c)
+                        for q, c in rule.rhs.terms.items())
+            by_last.setdefault(lhs[-1], []).append((lhs, len(lhs), rhs))
+        self.by_last = by_last
+        self.memo: dict = {}
+
+
+def _add_scaled(out: dict, part: dict, c) -> None:
+    """out += c * part, on combinations (zero sums are left in)."""
+    for v, cv in part.items():
+        old = out.get(v)
+        out[v] = c * cv if old is None else old + c * cv
+
+
+def _times_word(by_last: dict, memo: dict, comb: dict, word: tuple):
+    """Generator returning the normal form of the normal combination ``comb`` times ``word``.
+
+    One arrow at a time: a product w·a of a normal word can only be
+    reducible at a leading word that ends with a, so one suffix
+    comparison per rule ending in a decides it.  A reducible product
+    missing from the memo is yielded as ``(w + (a,), rule)``, and its
+    normal form is sent back.
+    """
+    for a in word:
+        out: dict = {}
+        for w, c in comb.items():
+            wa = w + (a,)
+            nf = memo.get(wa)
+            if nf is None:
+                for rule in by_last.get(a, ()):
+                    if wa[-rule[1]:] == rule[0]:
+                        nf = yield wa, rule
+                        break
+                else:
+                    old = out.get(wa)
+                    out[wa] = c if old is None else old + c
+                    continue
+            _add_scaled(out, nf, c)
+        comb = {v: c for v, c in out.items() if c}
+    return comb
+
+
+def _reduce_end(by_last: dict, memo: dict, wa: tuple, rule: tuple):
+    """Generator returning the normal form of wa, reducible only at its end, by ``rule``.
+
+    The prefix before the lhs is normal, so it is multiplied by each rhs
+    word in turn.  The result goes into the memo.
+    """
+    _, k, rhs = rule
+    prefix = {wa[:-k]: 1}
+    out: dict = {}
+    for r, c in rhs:
+        _add_scaled(out, (yield from _times_word(by_last, memo, prefix, r)), c)
+    nf = {v: cv for v, cv in out.items() if cv}
+    memo[wa] = nf
+    return nf
+
+
+def _normal_word(tables: _RuleTables, word: tuple) -> dict:
+    """Normal form of an int-coded word.
+
+    Each pending reduction is a generator on an explicit stack, so the
+    Python call depth stays constant however long the word is.  Every
+    reduction a generator waits on is of a smaller word in the term
+    order, so the stack never waits on itself.
+    """
+    by_last, memo = tables.by_last, tables.memo
+    stack = [_times_word(by_last, memo, {(): 1}, word)]
+    sent = None
+    while True:
+        try:
+            wa, rule = stack[-1].send(sent)
+        except StopIteration as done:
+            stack.pop()
+            if not stack:
+                return done.value
+            sent = done.value
+        else:
+            stack.append(_reduce_end(by_last, memo, wa, rule))
+            sent = None
+
+
 def normal_form_path(sys: ReductionSystem, path: Path) -> Element:
-    """Fully reduce a single path, with per-system memoization."""
+    """Fully reduce a single path, with per-system memoization.
+
+    The path is built up from its source one arrow at a time, keeping the
+    product normal (right multiplication on normal words).
+    """
     cached = sys._nf_cache.get(path)
     if cached is not None:
         return cached
-    done: dict[Path, Fraction] = {}
-    pending: dict[Path, Fraction] = {path: Fraction(1)}
-    while pending:
-        p, c = pending.popitem()
-        hit = sys._nf_cache.get(p)
-        if hit is not None:
-            for q, cq in hit.terms.items():
-                v = done.get(q, Fraction(0)) + c * cq
-                if v:
-                    done[q] = v
-                else:
-                    done.pop(q, None)
-            continue
-        m = _leftmost_match(sys, p.arrows)
-        if m is None:
-            v = done.get(p, Fraction(0)) + c
-            if v:
-                done[p] = v
-            else:
-                done.pop(p, None)
-            continue
-        for q, cq in _rewrite_once(sys, p, m[0], m[1]).items():
-            v = pending.get(q, Fraction(0)) + c * cq
-            if v:
-                pending[q] = v
-            else:
-                pending.pop(q, None)
-    result = Element._from_sums(sys.n, done)
+    tables = sys._tables
+    if tables is None:
+        tables = sys._tables = _RuleTables(sys)
+    n, source, arrows = sys.n, path.source, tables.arrows
+    word = tuple(_arrow_rank(a, n) for a in path.arrows)
+    result = Element._from_sums(n, {
+        path if w == word else Path(n, source, tuple(arrows[k] for k in w)): Fraction(c)
+        for w, c in _normal_word(tables, word).items()})
     sys._nf_cache[path] = result
     return result
 

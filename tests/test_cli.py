@@ -199,3 +199,22 @@ def test_internal_check_failure_is_fail_verdict(tmp_path, capsys, monkeypatch):
     assert code == 1
     assert report["verdict"] == "fail"
     assert report["findings"] == {"internal_check_failed": "closed form disagrees"}
+
+
+@pytest.mark.parametrize("argv", [
+    ["hilbert", "{cfg}", "--check", "--max-degree", "-1", "--json"],
+    ["verify", "gwa", "{cfg}", "--trials", "-5", "--json"],
+    ["verify", "pwd", "{cfg}", "--trials", "0", "--json"],
+    ["verify", "pwd", "{cfg}", "--max-degree", "-1", "--json"],
+    ["basis", "{cfg}", "--degree", "-1", "--json"],
+    ["report", "{cfg}", "--trials", "0", "--json"],
+])
+def test_vacuous_arguments_are_refused(tmp_path, capsys, argv):
+    # Each of these used to check nothing and still print a pass.
+    cfg = write_config(tmp_path)
+    with pytest.raises(SystemExit) as exc:
+        main([cfg if a == "{cfg}" else a for a in argv])
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "must be at least" in captured.err

@@ -1,5 +1,7 @@
-"""Property tests for the shared linear-combination kernel (core.Combination)."""
+"""Property tests for the shared linear-combination kernel (core.Combination)
+and the normal-form kernel (rewrite.normal_form)."""
 
+import sys
 from fractions import Fraction
 from functools import reduce
 
@@ -10,7 +12,7 @@ from hypothesis import strategies as st
 from quiverdu.core import Element, Parameters, format_element, parse_element, path_from_word
 from quiverdu.cyclotomic import CycScalar, cyclotomic_polynomial
 from quiverdu.gwa import BaseElement, GwaElement
-from quiverdu.rewrite import PRESET_QDU, build_system, normal_form, normal_form_path
+from quiverdu.rewrite import PRESET_QDU, build_system, normal_form, normal_form_path, normal_shape
 from quiverdu.skewgroup import SmashElement
 
 # Enough cases to hit cancellations and size mismatches, few enough to stay fast.
@@ -150,3 +152,32 @@ def test_normal_form_leaves_memo_values_unchanged(p, q):
         normal_form(sys_, Element.from_path(p).scale(c) + q)
         assert sys_._nf_cache[p] is memo
         assert sys_._nf_cache[p].terms == snapshot
+
+
+@kernel_settings
+@given(elements(3), elements(3), elements(3))
+def test_normal_form_of_products_is_associative(a, b, c):
+    sys_ = build_system(PRESET_QDU, SYSTEM_PARAMS)
+    nf = lambda x: normal_form(sys_, x)
+    whole = nf(a * b * c)
+    assert nf(nf(a * b) * c) == whole
+    assert nf(a * nf(b * c)) == whole
+
+
+@kernel_settings
+@given(elements(3, max_len=8))
+def test_normal_form_words_have_the_normal_shape(a):
+    for p in normal_form(build_system(PRESET_QDU, SYSTEM_PARAMS), a).terms:
+        normal_shape(p)
+
+
+def test_long_word_reduces_at_constant_call_depth():
+    # Each d of d^600 u is reduced against the u in turn; a kernel whose
+    # call depth grew with the word would raise RecursionError here.
+    limit = sys.getrecursionlimit()
+    sys_ = build_system(PRESET_QDU, Parameters.of(1, [2], [3], [5]))
+    nf = normal_form(sys_, Element.from_path(path_from_word(1, 0, "d" * 600 + "u")))
+    assert nf
+    for p in nf.terms:
+        normal_shape(p)
+    assert sys.getrecursionlimit() == limit

@@ -1,0 +1,158 @@
+"""Differential test of the right-multiplication normal form.
+
+The reference is the whole-word worklist rewriter that the kernel
+replaced, kept here verbatim (``_leftmost_match`` and
+``normal_form_path``).  It is exponential in degree, so the cases stay at
+length <= 7.  Each side gets its own ReductionSystem, so neither reads the
+other's memo.
+"""
+
+from fractions import Fraction
+
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+
+from quiverdu import rewrite
+from quiverdu.core import Arrow, Element, Parameters, Path, path_from_word
+from quiverdu.rewrite import (
+    PRESET_GRADED,
+    PRESET_PREPROJECTIVE,
+    PRESET_QDU,
+    ReductionSystem,
+    _rewrite_once,
+    build_system,
+    certify_confluence_over_parameters,
+    check_confluence,
+    normal_form,
+)
+
+
+def _leftmost_match(sys: ReductionSystem, arrows: tuple[Arrow, ...]):
+    """Find (position, rule) of the leftmost lhs occurrence, or None."""
+    best = None
+    for rule in sys.rules:
+        la = rule.lhs.arrows
+        k = len(la)
+        stop = len(arrows) - k + 1
+        if best is not None:
+            stop = min(stop, best[0] + 1)
+        for pos in range(stop):
+            if arrows[pos:pos + k] == la:
+                if best is None or pos < best[0]:
+                    best = (pos, rule)
+                break
+    return best
+
+
+def reference_normal_form_path(sys: ReductionSystem, path: Path) -> Element:
+    """Fully reduce a single path, with per-system memoization."""
+    cached = sys._nf_cache.get(path)
+    if cached is not None:
+        return cached
+    done: dict[Path, Fraction] = {}
+    pending: dict[Path, Fraction] = {path: Fraction(1)}
+    while pending:
+        p, c = pending.popitem()
+        hit = sys._nf_cache.get(p)
+        if hit is not None:
+            for q, cq in hit.terms.items():
+                v = done.get(q, Fraction(0)) + c * cq
+                if v:
+                    done[q] = v
+                else:
+                    done.pop(q, None)
+            continue
+        m = _leftmost_match(sys, p.arrows)
+        if m is None:
+            v = done.get(p, Fraction(0)) + c
+            if v:
+                done[p] = v
+            else:
+                done.pop(p, None)
+            continue
+        for q, cq in _rewrite_once(sys, p, m[0], m[1]).items():
+            v = pending.get(q, Fraction(0)) + c * cq
+            if v:
+                pending[q] = v
+            else:
+                pending.pop(q, None)
+    result = Element._from_sums(sys.n, done)
+    sys._nf_cache[path] = result
+    return result
+
+
+def reference_normal_form(sys: ReductionSystem, a: Element) -> Element:
+    return Element.combine(sys.n, ((reference_normal_form_path(sys, p), c)
+                                   for p, c in a.terms.items()))
+
+
+# Zero is drawn often, so beta_i = 0 and gamma = 0 both occur, next to
+# integral and non-integral nonzero values.
+SCALARS = st.sampled_from([Fraction(0), Fraction(1), Fraction(-1), Fraction(2),
+                           Fraction(-1, 2), Fraction(3, 4)])
+
+
+@st.composite
+def systems(draw):
+    """(preset, n, params) over all three presets, n = 1..4."""
+    preset = draw(st.sampled_from([PRESET_QDU, PRESET_PREPROJECTIVE, PRESET_GRADED]))
+    if preset == PRESET_GRADED:
+        return preset, 1, None
+    n = draw(st.integers(1, 4))
+    if preset == PRESET_PREPROJECTIVE:
+        return preset, n, None
+    vec = st.lists(SCALARS, min_size=n, max_size=n)
+    return preset, n, Parameters.of(n, draw(vec), draw(vec), draw(vec))
+
+
+def elements(n):
+    paths = st.builds(lambda v, word: path_from_word(n, v, word),
+                      st.integers(0, n - 1), st.text("ud", max_size=7))
+    coeffs = st.builds(Fraction, st.integers(-6, 6), st.integers(1, 4))
+    return st.dictionaries(paths, coeffs, max_size=4).map(lambda t: Element(n, t))
+
+
+@st.composite
+def cases(draw):
+    preset, n, params = draw(systems())
+    return preset, n, params, draw(elements(n))
+
+
+@settings(max_examples=150, deadline=None)
+@given(cases())
+@example((PRESET_QDU, 3, Parameters.of(3, [2, 3, 5], [7, 0, 13], [1, 0, 4]),
+          Element.from_path(path_from_word(3, 1, "ddddduu"))))
+@example((PRESET_QDU, 2, Parameters.of(2, [1, -1], [0, 0], [Fraction(3, 2), 1]),
+          Element.from_path(path_from_word(2, 0, "dddudu"))))
+def test_normal_form_matches_worklist_reference(case):
+    preset, n, params, a = case
+    assert normal_form(build_system(preset, params, n=n), a) == \
+        reference_normal_form(build_system(preset, params, n=n), a)
+
+
+def test_confluence_report_matches_reference(monkeypatch):
+    instances = []
+    original = rewrite.check_confluence
+
+    def recording(sys):
+        instances.append(sys.params)
+        return original(sys)
+
+    monkeypatch.setattr(rewrite, "check_confluence", recording)
+    certify_confluence_over_parameters(n=2)
+    monkeypatch.undo()
+    assert len(instances) == 27 + 5
+
+    for params in instances:
+        new_sys, ref_sys = build_system(PRESET_QDU, params), build_system(PRESET_QDU, params)
+        new = check_confluence(new_sys)
+        with monkeypatch.context() as m:
+            m.setattr(rewrite, "normal_form_path", reference_normal_form_path)
+            ref = check_confluence(ref_sys)
+        assert [(o.word, o.left_rule, o.right_rule) for o in new.overlaps] == \
+            [(o.word, o.left_rule, o.right_rule) for o in ref.overlaps]
+        assert [o.difference for o in new.overlaps] == [o.difference for o in ref.overlaps]
+        assert new.confluent and ref.confluent
+        for o in new.overlaps:
+            word = Element.from_path(o.word)
+            assert normal_form(new_sys, word) == reference_normal_form(ref_sys, word)
