@@ -17,7 +17,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from . import __version__
-from .core import Parameters, format_element, parse_element
+from .core import Arrow, Parameters, format_element, parse_element
 from .hilbert import (
     ClosedFormReport,
     closed_form_check,
@@ -200,6 +200,8 @@ def _pwd_findings(report) -> dict:
     }
     if report.counterexample is not None:
         out["counterexample"] = {"left": report.counterexample[0], "right": report.counterexample[1]}
+    if report.beta_nonzero and report.tested == 0:
+        out["note"] = "no product was tested: every trial drew an empty corner"
     return out
 
 
@@ -292,12 +294,11 @@ def _cmd_iso(args) -> tuple[str, dict]:
 
 
 def _witness_arrow_map(w) -> dict:
-    from .core import Arrow
-
+    spec = w.spec
     out = {}
     for fam in ("u", "d"):
         for i in range(w.n):
-            scalar, image = w.arrow_image(Arrow(fam, i))
+            scalar, image = spec.arrow_image(Arrow(fam, i))
             out[f"{fam}{i}"] = f"{scalar} * {image}"
     return out
 
@@ -352,7 +353,7 @@ def _cmd_verify(args) -> tuple[str, dict]:
         }
         return ("pass" if report.checks_passed else "fail"), findings
     if what == "skewgroup":
-        n = args.n or params.n
+        n = params.n if args.n is None else args.n
         if args.n is None:
             if any(a != 0 for a in params.alpha) or not params.gamma_is_zero():
                 raise ConfigError("verify skewgroup requires alpha = gamma = 0 (or pass --n)")
@@ -414,16 +415,13 @@ def _cmd_report(args) -> tuple[str, dict]:
             nk_ok, nk = _nakayama_findings(params)
             sections["nakayama"] = nk
             oks.append(nk_ok)
-        pwd = pwd_probe_H(params, degree_bound=4, trials=min(args.trials, 100), seed=args.seed)
-        sections["pwd"] = _pwd_findings(pwd)
-        oks.append(pwd.ok)
     else:
         chain = noetherian_chain_check(params, s_max=2)
         sections["noetherian_chain"] = _chain_findings(chain)
         oks.append(chain.ok)
-        pwd = pwd_probe_H(params, degree_bound=4, trials=min(args.trials, 100), seed=args.seed)
-        sections["pwd"] = _pwd_findings(pwd)
-        oks.append(pwd.ok)
+    pwd = pwd_probe_H(params, degree_bound=4, trials=min(args.trials, 100), seed=args.seed)
+    sections["pwd"] = _pwd_findings(pwd)
+    oks.append(pwd.ok)
 
     if (2 <= n <= 12 and all(a == 0 for a in params.alpha) and params.gamma_is_zero()):
         sk = verify_quotient_match(n, params, max_degree=3)
@@ -494,7 +492,7 @@ def _build_parser() -> argparse.ArgumentParser:
     common(p_ver)
     p_ver.add_argument("--trials", type=_int_at_least(1), default=200)
     p_ver.add_argument("--max-degree", type=_int_at_least(0), default=None)
-    p_ver.add_argument("--n", type=int, default=None,
+    p_ver.add_argument("--n", type=_int_at_least(2), default=None,
                        help="skewgroup: group order override (alpha=gamma=0 assumed)")
 
     p_rep = sub.add_parser("report", help="full verification suite for one config")

@@ -26,8 +26,9 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-from .core import Arrow, Element, Parameters
+from .core import Arrow, Parameters
 from .rewrite import PRESET_QDU, build_system, ensure_confluent, normal_form
+from .structure import DiagonalMapSpec
 
 ROTATION = "rotation"
 REFLECTION = "reflection"
@@ -100,23 +101,11 @@ class IsoWitness:
         if len(self.lam) != self.n or any(x == 0 for x in self.lam):
             raise ValueError("lambda entries must be nonzero and of length n")
 
-    def vertex_image(self, v: int) -> int:
-        if self.orientation == ROTATION:
-            return (v + self.shift) % self.n
-        return (self.n - v + self.shift) % self.n
-
-    def arrow_image(self, a: Arrow) -> tuple[Fraction, Arrow]:
-        n = self.n
-        scalar = self.lam[a.index] if a.family == "u" else Fraction(1)
-        if self.orientation == ROTATION:
-            return scalar, Arrow(a.family, (a.index + self.shift) % n)
-        idx = (n - a.index - 1 + self.shift) % n
-        return scalar, Arrow("d" if a.family == "u" else "u", idx)
-
-    def apply(self, a: Element) -> Element:
-        from .core import map_element
-
-        return map_element(a, self.vertex_image, self.arrow_image)
+    @property
+    def spec(self) -> DiagonalMapSpec:
+        """The generator map: u_i -> lambda_i u_i, d_i -> d_i, then the relabeling."""
+        ones = (Fraction(1),) * self.n
+        return DiagonalMapSpec(self.n, self.orientation == REFLECTION, self.shift, self.lam, ones)
 
     def predicted_params(self, p: Parameters) -> Parameters:
         q = transform_scale(p, self.lam)
@@ -141,12 +130,13 @@ def verify_witness(w: IsoWitness, src: Parameters, tgt: Parameters) -> bool:
     n = src.n
     if w.n != n or tgt.n != n:
         return False
-    if sorted(w.vertex_image(v) for v in range(n)) != list(range(n)):
+    spec = w.spec
+    if sorted(spec.vertex_image(v) for v in range(n)) != list(range(n)):
         return False
     images = set()
     for fam in ("u", "d"):
         for i in range(n):
-            scalar, img = w.arrow_image(Arrow(fam, i))
+            scalar, img = spec.arrow_image(Arrow(fam, i))
             if scalar == 0:
                 return False
             images.add((img.family, img.index))
@@ -155,7 +145,7 @@ def verify_witness(w: IsoWitness, src: Parameters, tgt: Parameters) -> bool:
     tgt_sys = ensure_confluent(build_system(PRESET_QDU, tgt))
     src_sys = build_system(PRESET_QDU, src)
     return all(
-        normal_form(tgt_sys, w.apply(rel)).is_zero()
+        normal_form(tgt_sys, spec.apply(rel)).is_zero()
         for rel in src_sys.relation_elements()
     )
 

@@ -237,20 +237,15 @@ def verify_quotient_match(n: int, params: Parameters | None = None, max_degree: 
     caps = cap_generators(n, idem)
     us, ds = caps.us, caps.ds
 
-    proof_identities_ok = True
+    # (A, B) per relation: A = beta B is the relation, A + B = 0 the identity.
+    sides = []
     for i in range(n):
-        lhs1 = ds[(i - 1) % n] * us[(i - 1) % n] * us[i] + us[i] * us[(i + 1) % n] * ds[(i + 1) % n]
-        lhs2 = ds[i] * ds[(i - 1) % n] * us[(i - 1) % n] + us[(i + 1) % n] * ds[(i + 1) % n] * ds[i]
-        proof_identities_ok = proof_identities_ok and lhs1.is_zero() and lhs2.is_zero()
-
-    relation_kill = {}
-    for const in (1, -1):
-        killed = True
-        for i in range(n):
-            rel1 = ds[(i - 1) % n] * us[(i - 1) % n] * us[i] - (us[i] * us[(i + 1) % n] * ds[(i + 1) % n]).scale(const)
-            rel2 = ds[i] * ds[(i - 1) % n] * us[(i - 1) % n] - (us[(i + 1) % n] * ds[(i + 1) % n] * ds[i]).scale(const)
-            killed = killed and rel1.is_zero() and rel2.is_zero()
-        relation_kill[const] = killed
+        h, j = (i - 1) % n, (i + 1) % n
+        sides.append((ds[h] * us[h] * us[i], us[i] * us[j] * ds[j]))
+        sides.append((ds[i] * ds[h] * us[h], us[j] * ds[j] * ds[i]))
+    proof_identities_ok = all((a + b).is_zero() for a, b in sides)
+    relation_kill = {const: all((a - b.scale(const)).is_zero() for a, b in sides)
+                     for const in (1, -1)}
 
     matched = Parameters.of(n, [0] * n, [-1] * n, [0] * n)
     qdu = build_system(PRESET_QDU, matched)

@@ -8,7 +8,10 @@ distinct signed twists of p under the map sending a_1...a_d to
 moved arrow.  Two weight families are first-class: the printed weights
 (u_i, d_i both weighted beta_{i-1}) and the balanced weights
 (u_i -> beta_{i-1} u_i, d_i -> beta_{i-1}^{-1} d_i), which keep every
-twist orbit closed with scalar 1 for arbitrary nonzero beta.
+twist orbit closed with scalar 1 for arbitrary nonzero beta.  Twist
+weights are diagonal maps (``DiagonalMapSpec``) with the identity
+relabeling; Nakayama candidates and isomorphism witnesses are diagonal maps
+too.
 """
 
 from __future__ import annotations
@@ -71,34 +74,16 @@ def _vectorize(elements: list[Element]) -> list[list[Fraction]]:
 # Twisted superpotential
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class TwistWeights:
-    """Nonzero diagonal weights per arrow, defining a graded automorphism."""
-
-    n: int
-    u_weights: tuple[Fraction, ...]
-    d_weights: tuple[Fraction, ...]
-
-    def __post_init__(self) -> None:
-        if len(self.u_weights) != self.n or len(self.d_weights) != self.n:
-            raise ValueError("weight vectors must have length n")
-        if any(w == 0 for w in self.u_weights + self.d_weights):
-            raise ValueError("twist weights must be nonzero")
-
-    def weight(self, a: Arrow) -> Fraction:
-        return self.u_weights[a.index] if a.family == "u" else self.d_weights[a.index]
-
-
-def paper_twist_weights(params: Parameters) -> TwistWeights:
+def paper_twist_weights(params: Parameters) -> DiagonalMapSpec:
     """u_i and d_i both weighted by beta_{i-1}."""
     n = params.n
     w = tuple(params.beta[(i - 1) % n] for i in range(n))
     if any(x == 0 for x in w):
         raise ValueError("twist weights need nonzero beta")
-    return TwistWeights(n, w, w)
+    return DiagonalMapSpec(n, False, 0, w, w)
 
 
-def balanced_twist_weights(params: Parameters) -> TwistWeights:
+def balanced_twist_weights(params: Parameters) -> DiagonalMapSpec:
     """u_i -> beta_{i-1} u_i and d_i -> beta_{i-1}^{-1} d_i.
 
     Every twist orbit of the potential closes with scalar 1 under these
@@ -110,19 +95,20 @@ def balanced_twist_weights(params: Parameters) -> TwistWeights:
         raise ValueError("twist weights need nonzero beta")
     uw = tuple(params.beta[(i - 1) % n] for i in range(n))
     dw = tuple(1 / params.beta[(i - 1) % n] for i in range(n))
-    return TwistWeights(n, uw, dw)
+    return DiagonalMapSpec(n, False, 0, uw, dw)
 
 
-def _twist_term(weights: TwistWeights, p: Path, coeff: Fraction, degree: int) -> tuple[Path, Fraction]:
+def _twist_term(weights: DiagonalMapSpec, p: Path, coeff: Fraction, degree: int) -> tuple[Path, Fraction]:
     if p.source != p.target:
         raise ValueError("twist is defined on cycles only")
     last = p.arrows[-1]
     sign = Fraction(1) if degree % 2 else Fraction(-1)  # (-1)^{d+1}
     moved = Path(p.n, last.source(p.n), (last,) + p.arrows[:-1])
-    return moved, coeff * sign * weights.weight(last)
+    weight, _ = weights.arrow_image(last)
+    return moved, coeff * sign * weight
 
 
-def twist_element(weights: TwistWeights, a: Element, degree: int) -> Element:
+def twist_element(weights: DiagonalMapSpec, a: Element, degree: int) -> Element:
     terms: dict[Path, Fraction] = {}
     for p, c in a.terms.items():
         q, cq = _twist_term(weights, p, c, degree)
@@ -130,7 +116,7 @@ def twist_element(weights: TwistWeights, a: Element, degree: int) -> Element:
     return Element(a.n, terms)
 
 
-def _compact_form(weights: TwistWeights, p: Path) -> tuple[Element, Fraction]:
+def _compact_form(weights: DiagonalMapSpec, p: Path) -> tuple[Element, Fraction]:
     """Sum of the distinct signed twists of p; also the orbit-closure scalar.
 
     The orbit is followed for one full rotation period (deg p steps);
@@ -161,7 +147,7 @@ class SuperpotentialResult:
         return all(c == 1 for c in self.closure_scalars.values())
 
 
-def build_superpotential(params: Parameters, weights: TwistWeights) -> SuperpotentialResult:
+def build_superpotential(params: Parameters, weights: DiagonalMapSpec) -> SuperpotentialResult:
     """Expand the compact-form potential and report orbit closure."""
     n = params.n
     parts: list[tuple[Element, Fraction]] = []
@@ -186,7 +172,7 @@ class TwistInvarianceReport:
     defect: Element
 
 
-def check_twist_invariance(omega: Element, weights: TwistWeights) -> TwistInvarianceReport:
+def check_twist_invariance(omega: Element, weights: DiagonalMapSpec) -> TwistInvarianceReport:
     if omega.is_zero():
         return TwistInvarianceReport(True, omega)
     degrees = omega.degrees()
@@ -224,15 +210,17 @@ def check_derivation_quotient(omega: Element, params: Parameters) -> bool:
 
 
 # ---------------------------------------------------------------------------
-# Diagonal graded maps (Nakayama candidates and dihedral relabelings)
+# Diagonal graded maps (twist weights, Nakayama candidates, iso witnesses)
 # ---------------------------------------------------------------------------
 
 @dataclass(frozen=True)
 class DiagonalMapSpec:
     """A graded map sending each arrow to a scalar multiple of an arrow.
 
-    The vertex map is v -> shift + v or v -> shift - v (reflect); the
-    arrow relabeling is the one induced by it.
+    The vertex map is v -> shift + v, which sends u_i -> u_{shift+i} and
+    d_i -> d_{shift+i}, or with ``reflect`` v -> shift - v, which sends
+    u_i -> d_{shift-i-1} and d_i -> u_{shift-i-1}.  The images of u_i and
+    d_i are scaled by u_scalars[i] and d_scalars[i].
     """
 
     n: int
@@ -353,6 +341,19 @@ def check_diagonal_map(spec: DiagonalMapSpec, src: Parameters, tgt: Parameters) 
 # Property report (noetherian / PWD / polynomial subalgebra)
 # ---------------------------------------------------------------------------
 
+def _zero_divisor(params: Parameters, i: int) -> Element:
+    """a_i = d_{i-1} u_{i-1} - alpha_i u_i d_i - gamma_i e_i at vertex i.
+
+    When beta_i = 0, a_i u_i = 0 in H, so a_i is a left zero divisor.
+    """
+    n = params.n
+    return (
+        Element.from_path(path_from_word(n, i, "du"))
+        - Element.from_path(path_from_word(n, i, "ud"), params.alpha[i])
+        - Element.from_path(trivial_path(n, i), params.gamma[i])
+    )
+
+
 @dataclass
 class PropertyReport:
     beta_nonzero: bool
@@ -397,11 +398,7 @@ def property_report(params: Parameters, subalgebra_degree: int = 4) -> PropertyR
         for i in range(n):
             if params.beta[i] != 0:
                 continue
-            a = (
-                Element.from_path(path_from_word(n, i, "du"))
-                - Element.from_path(path_from_word(n, i, "ud"), params.alpha[i])
-                - Element.from_path(trivial_path(n, i), params.gamma[i])
-            )
+            a = _zero_divisor(params, i)
             b = Element.from_path(path_from_word(n, i, "u"))
             d_i = Element.from_path(path_from_word(n, (i + 1) % n, "d"))
             left_zero = is_zero_in_quotient(sys, a * b)
@@ -465,11 +462,7 @@ def noetherian_chain_check(params: Parameters, i: int | None = None, s_max: int 
         raise ValueError("degree bound too small for the requested s_max")
     sys = ensure_confluent(build_system(PRESET_QDU, params))
     u_cycle = Element.from_path(up_cycle_path(n, i))
-    g = (
-        Element.from_path(path_from_word(n, i, "ud"), params.alpha[i])
-        + Element.from_path(trivial_path(n, i), params.gamma[i])
-        - Element.from_path(x_path(n, i - 1))
-    )
+    g = -_zero_divisor(params, i)
     g_with_one = (
         Element.from_path(path_from_word(n, i, "ud"), params.alpha[i])
         + Element.identity(n).scale(params.gamma[i])
@@ -524,6 +517,7 @@ def noetherian_chain_check(params: Parameters, i: int | None = None, s_max: int 
 @dataclass
 class PwdHReport:
     trials: int
+    tested: int
     seed: int
     beta_nonzero: bool
     ok: bool
@@ -535,8 +529,10 @@ def pwd_probe_H(params: Parameters, degree_bound: int = 5, trials: int = 200,
                 seed: int = 0) -> PwdHReport:
     """Sample sandwiched products in H and test whether any vanishes.
 
-    With all beta_i nonzero every product must be nonzero; with some
-    beta_i = 0 the deterministic zero-divisor pair is exhibited as well.
+    With all beta_i nonzero every product must be nonzero, and at least
+    one product must have been tested (a trial whose corner pool is empty
+    tests nothing); with some beta_i = 0 the deterministic zero-divisor
+    pair is exhibited as well.
     """
     n = params.n
     sys = ensure_confluent(build_system(PRESET_QDU, params))
@@ -547,6 +543,7 @@ def pwd_probe_H(params: Parameters, degree_bound: int = 5, trials: int = 200,
     rng = random.Random(seed)
     beta_ok = params.beta_all_nonzero()
     failures = []
+    tested = 0
     for t in range(trials):
         i, k, j = (rng.randrange(n) for _ in range(3))
         pool_a, pool_b = pools.get((i, k), []), pools.get((k, j), [])
@@ -555,21 +552,18 @@ def pwd_probe_H(params: Parameters, degree_bound: int = 5, trials: int = 200,
         a = _random_combination(pool_a, rng)
         b = _random_combination(pool_b, rng)
         product = normal_form(sys, a * b)
+        tested += 1
         if product.is_zero():
             failures.append((t, str(a), str(b)))
     counterexample = None
     if not beta_ok:
         bad = next(k for k in range(n) if params.beta[k] == 0)
-        a = (
-            Element.from_path(path_from_word(n, bad, "du"))
-            - Element.from_path(path_from_word(n, bad, "ud"), params.alpha[bad])
-            - Element.from_path(trivial_path(n, bad), params.gamma[bad])
-        )
+        a = _zero_divisor(params, bad)
         b = Element.from_path(path_from_word(n, bad, "u"))
         if is_zero_in_quotient(sys, a * b):
             counterexample = (str(a), str(b))
-    ok = (not failures) if beta_ok else (counterexample is not None)
-    return PwdHReport(trials, seed, beta_ok, ok, failures, counterexample)
+    ok = (not failures and tested > 0) if beta_ok else (counterexample is not None)
+    return PwdHReport(trials, tested, seed, beta_ok, ok, failures, counterexample)
 
 
 def _random_combination(pool: list[Path], rng: random.Random) -> Element:

@@ -189,6 +189,19 @@ def test_max_degree_zero_is_honoured(tmp_path, capsys):
     assert code == 0 and report["verdict"] == "pass"
 
 
+def test_pwd_with_no_product_tested_is_not_a_pass(tmp_path, capsys):
+    # At degree 0 only e_i e_i products exist; the one trial of seed 0 draws
+    # a corner with an empty pool, the one trial of seed 2 does not.
+    cfg = write_config(tmp_path)
+    argv = ["verify", "pwd", cfg, "--max-degree", "0", "--trials", "1", "--json"]
+    code, report = run_json(capsys, argv + ["--seed", "0"])
+    assert code == 1 and report["verdict"] == "fail"
+    assert "note" in report["findings"]
+    code, report = run_json(capsys, argv + ["--seed", "2"])
+    assert code == 0 and report["verdict"] == "pass"
+    assert "note" not in report["findings"]
+
+
 def test_internal_check_failure_is_fail_verdict(tmp_path, capsys, monkeypatch):
     def broken(*args, **kwargs):
         raise AssertionError("closed form disagrees")
@@ -208,6 +221,7 @@ def test_internal_check_failure_is_fail_verdict(tmp_path, capsys, monkeypatch):
     ["verify", "pwd", "{cfg}", "--max-degree", "-1", "--json"],
     ["basis", "{cfg}", "--degree", "-1", "--json"],
     ["report", "{cfg}", "--trials", "0", "--json"],
+    ["verify", "skewgroup", "{cfg}", "--n", "0", "--json"],
 ])
 def test_vacuous_arguments_are_refused(tmp_path, capsys, argv):
     # Each of these used to check nothing and still print a pass.

@@ -3,7 +3,7 @@ from fractions import Fraction
 
 import pytest
 
-from quiverdu.core import Parameters
+from quiverdu.core import Arrow, Element, Parameters, map_element, path_from_word
 from quiverdu.iso import (
     REFLECTION,
     ROTATION,
@@ -211,3 +211,39 @@ def test_composite_coherence():
         wr = IsoWitness(4, REFLECTION, 2, lam)
         assert wr.predicted_params(p) == reflected
         assert verify_witness(wr, p, reflected)
+
+
+# The generator map of IsoWitness before it became a DiagonalMapSpec, kept
+# verbatim as the reference for the shared map.
+def reference_vertex_image(self, v: int) -> int:
+    if self.orientation == ROTATION:
+        return (v + self.shift) % self.n
+    return (self.n - v + self.shift) % self.n
+
+
+def reference_arrow_image(self, a: Arrow) -> tuple[Fraction, Arrow]:
+    n = self.n
+    scalar = self.lam[a.index] if a.family == "u" else Fraction(1)
+    if self.orientation == ROTATION:
+        return scalar, Arrow(a.family, (a.index + self.shift) % n)
+    idx = (n - a.index - 1 + self.shift) % n
+    return scalar, Arrow("d" if a.family == "u" else "u", idx)
+
+
+def test_witness_map_matches_the_reference_formulas():
+    rng = random.Random(113)
+    for n in range(1, 7):
+        for orientation in (ROTATION, REFLECTION):
+            for shift in range(n):
+                w = IsoWitness(n, orientation, shift, rand_lambda(n, rng))
+                spec = w.spec
+                for v in range(n):
+                    assert spec.vertex_image(v) == reference_vertex_image(w, v)
+                for fam in ("u", "d"):
+                    for i in range(n):
+                        a = Arrow(fam, i)
+                        assert spec.arrow_image(a) == reference_arrow_image(w, a)
+                loop = Element.from_path(path_from_word(n, 0, "ud" * 2 + "du"))
+                assert spec.apply(loop) == map_element(
+                    loop, lambda v: reference_vertex_image(w, v),
+                    lambda a: reference_arrow_image(w, a))

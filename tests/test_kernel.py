@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 
 from quiverdu.core import Element, Parameters, format_element, parse_element, path_from_word
 from quiverdu.cyclotomic import CycScalar, cyclotomic_polynomial
-from quiverdu.gwa import BaseElement, GwaElement
+from quiverdu.gwa import BaseElement, GwaElement, theta, theta_prime
 from quiverdu.rewrite import PRESET_QDU, build_system, normal_form, normal_form_path, normal_shape
 from quiverdu.skewgroup import SmashElement
 
@@ -181,3 +181,24 @@ def test_long_word_reduces_at_constant_call_depth():
     for p in nf.terms:
         normal_shape(p)
     assert sys.getrecursionlimit() == limit
+
+
+nonzero_rationals = rationals.filter(bool)
+
+
+@st.composite
+def gwa_params_and_element(draw):
+    """Parameters with every beta_i nonzero (alpha_i = 0 and gamma != 0 occur)
+    and an element of degree at most 6."""
+    n = draw(st.integers(1, 4))
+    vector = lambda values: draw(st.lists(values, min_size=n, max_size=n))
+    params = Parameters.of(n, vector(rationals), vector(nonzero_rationals), vector(rationals))
+    return params, draw(elements(n, max_len=6))
+
+
+@kernel_settings
+@given(gwa_params_and_element())
+def test_theta_prime_inverts_theta(case):
+    params, a = case
+    sys_ = build_system(PRESET_QDU, params)
+    assert theta_prime(params, theta(params, a), sys_) == normal_form(sys_, a)
