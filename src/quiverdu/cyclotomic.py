@@ -1,14 +1,20 @@
 """Exact arithmetic in the n-th cyclotomic field Q(zeta_n).
 
-Scalars are residues modulo the n-th cyclotomic polynomial, computed by
-the standard recursive factorization of x^n - 1.  All operations are
-exact over rationals; division uses the extended Euclidean algorithm.
+Scalars are residues modulo the n-th cyclotomic polynomial Phi_n, computed
+by the standard recursive factorization of x^n - 1.  A scalar is stored as
+integer numerators (one per power of zeta below phi(n)) over one positive
+common denominator, kept canonical: the gcd of the denominator and all
+numerators is 1, and zero is all zeros over 1.  Phi_n is monic with integer
+coefficients, so x^k mod Phi_n is integral; a per-n table of those residues
+turns a product into an integer convolution plus one table reduction.
+Division uses the extended Euclidean algorithm.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
+from math import gcd, lcm
 from typing import Mapping
 
 
@@ -60,85 +66,149 @@ def cyclotomic_polynomial(n: int) -> tuple[Fraction, ...]:
     return tuple(quo)
 
 
+@lru_cache(maxsize=None)
+def _power_table(n: int) -> tuple[tuple[int, ...], ...]:
+    """Row k holds the integer coefficients of x^k mod Phi_n.
+
+    There are max(n, 2 phi(n) - 1) rows: enough for zeta^e with
+    0 <= e < n and for the product of two reduced residues.
+    """
+    modulus = [int(c) for c in cyclotomic_polynomial(n)]
+    phi = len(modulus) - 1
+    rows = []
+    vec = [1] + [0] * (phi - 1)
+    for _ in range(max(n, 2 * phi - 1)):
+        rows.append(tuple(vec))
+        top = vec[-1]
+        vec = [0] + vec[:-1]
+        if top:  # x^phi = -(modulus[0] + ... + modulus[phi-1] x^(phi-1))
+            vec = [v - top * m for v, m in zip(vec, modulus)]
+    return tuple(rows)
+
+
+def _canonical(n: int, num, den: int) -> "CycScalar":
+    """The scalar num / den for a positive den, reduced to canonical form."""
+    if den != 1:
+        g = gcd(den, *num)
+        if g != 1:
+            num = [x // g for x in num]
+            den //= g
+    return CycScalar._raw(n, tuple(num), den)
+
+
 class CycScalar:
     """Residue modulo the n-th cyclotomic polynomial; zeta is the class of x."""
 
-    __slots__ = ("n", "coeffs")
+    __slots__ = ("n", "_num", "_den")
 
     def __init__(self, n: int, coeffs: Mapping[int, Fraction] | list | None = None):
         phi = len(cyclotomic_polynomial(n)) - 1
-        vec = [Fraction(0)] * phi
         if isinstance(coeffs, Mapping):
             items = coeffs.items()
         else:
             items = enumerate(coeffs or [])
-        overflow: list[tuple[int, Fraction]] = []
-        for k, c in items:
-            c = Fraction(c)
-            if not c:
-                continue
-            if k < phi:
-                vec[k] += c
-            else:
-                overflow.append((k, c))
-        if overflow:
-            top = max(k for k, _ in overflow)
-            poly = vec + [Fraction(0)] * (top - phi + 1)
-            for k, c in overflow:
-                poly[k] += c
-            _, rem = _poly_divmod(poly, list(cyclotomic_polynomial(n)))
-            vec = list(rem) + [Fraction(0)] * (phi - len(rem))
+        terms = [(k, Fraction(c)) for k, c in items]
+        den = lcm(*(c.denominator for _, c in terms))
+        num = [0] * phi
+        for k, c in terms:
+            c = c.numerator * (den // c.denominator)
+            if 0 <= k < phi:
+                num[k] += c
+            elif c:  # zeta^n = 1, and row k mod n of the table is reduced
+                num = [x + c * r for x, r in zip(num, _power_table(n)[k % n])]
+        reduced = _canonical(n, num, den)
         object.__setattr__(self, "n", n)
-        object.__setattr__(self, "coeffs", tuple(vec))
+        object.__setattr__(self, "_num", reduced._num)
+        object.__setattr__(self, "_den", reduced._den)
+
+    @classmethod
+    def _raw(cls, n: int, num: tuple[int, ...], den: int) -> "CycScalar":
+        """Wrap numerators and a denominator already in canonical form."""
+        self = object.__new__(cls)
+        object.__setattr__(self, "n", n)
+        object.__setattr__(self, "_num", num)
+        object.__setattr__(self, "_den", den)
+        return self
 
     def __setattr__(self, *args):  # pragma: no cover - guard only
         raise AttributeError("CycScalar is immutable")
 
+    @property
+    def coeffs(self) -> tuple[Fraction, ...]:
+        """Rational coefficients of 1, zeta, ..., zeta^(phi(n)-1)."""
+        return tuple(Fraction(x, self._den) for x in self._num)
+
     @classmethod
     def zero(cls, n: int) -> "CycScalar":
-        return cls(n, [])
+        return cls._raw(n, (0,) * (len(cyclotomic_polynomial(n)) - 1), 1)
 
     @classmethod
     def one(cls, n: int) -> "CycScalar":
-        return cls(n, [Fraction(1)])
+        return cls.from_rational(n, 1)
 
     @classmethod
     def from_rational(cls, n: int, c) -> "CycScalar":
-        return cls(n, [Fraction(c)])
+        c = Fraction(c)
+        phi = len(cyclotomic_polynomial(n)) - 1
+        return cls._raw(n, (c.numerator,) + (0,) * (phi - 1), c.denominator)
 
     @classmethod
     def zeta_power(cls, n: int, e: int) -> "CycScalar":
-        return cls(n, {e % n: Fraction(1)})
+        return cls._raw(n, _power_table(n)[e % n], 1)
 
     def is_zero(self) -> bool:
-        return not any(self.coeffs)
+        return not any(self._num)
 
     def __bool__(self) -> bool:
-        return any(self.coeffs)
+        return any(self._num)
 
     def __eq__(self, other) -> bool:
         if isinstance(other, (int, Fraction)):
-            other = CycScalar.from_rational(self.n, other)
-        return isinstance(other, CycScalar) and self.n == other.n and self.coeffs == other.coeffs
+            other = Fraction(other)
+            num = self._num
+            return (self._den == other.denominator and num[0] == other.numerator
+                    and not any(num[1:]))
+        return (isinstance(other, CycScalar) and self.n == other.n
+                and self._num == other._num and self._den == other._den)
 
     def __hash__(self):
-        return hash((self.n, self.coeffs))
+        return hash((self.n, self._num, self._den))
 
     def __add__(self, other: "CycScalar") -> "CycScalar":
-        return CycScalar(self.n, [a + b for a, b in zip(self.coeffs, other.coeffs)])
+        da, db = self._den, other._den
+        if da == db:
+            return _canonical(self.n, [x + y for x, y in zip(self._num, other._num)], da)
+        return _canonical(self.n, [x * db + y * da for x, y in zip(self._num, other._num)],
+                          da * db)
 
     def __neg__(self) -> "CycScalar":
-        return CycScalar(self.n, [-a for a in self.coeffs])
+        return CycScalar._raw(self.n, tuple(-x for x in self._num), self._den)
 
     def __sub__(self, other: "CycScalar") -> "CycScalar":
         return self + (-other)
 
     def __mul__(self, other):
-        if isinstance(other, (int, Fraction)):
-            c = Fraction(other)
-            return CycScalar(self.n, [a * c for a in self.coeffs])
-        prod = _poly_mul(list(self.coeffs), list(other.coeffs))
-        return CycScalar(self.n, {k: c for k, c in enumerate(prod)})
+        if type(other) is not CycScalar:
+            if isinstance(other, (int, Fraction)):
+                c = Fraction(other)
+                return _canonical(self.n, [x * c.numerator for x in self._num],
+                                  self._den * c.denominator)
+            return NotImplemented
+        a, b = self._num, other._num
+        phi = len(a)
+        conv = [0] * (2 * phi - 1)
+        for i, x in enumerate(a):
+            if x:
+                for j, y in enumerate(b):
+                    if y:
+                        conv[i + j] += x * y
+        num = conv[:phi]
+        table = _power_table(self.n)
+        for k in range(phi, 2 * phi - 1):
+            c = conv[k]
+            if c:
+                num = [x + c * r for x, r in zip(num, table[k])]
+        return _canonical(self.n, num, self._den * other._den)
 
     def __rmul__(self, other):
         return self * other
@@ -147,8 +217,10 @@ class CycScalar:
         """Extended Euclid against the (irreducible) cyclotomic modulus."""
         if self.is_zero():
             raise ZeroDivisionError("inverse of zero cyclotomic scalar")
+        if not any(self._num[1:]):
+            return CycScalar.from_rational(self.n, Fraction(self._den, self._num[0]))
         modulus = list(cyclotomic_polynomial(self.n))
-        r0, r1 = modulus, _poly_trim(list(self.coeffs))
+        r0, r1 = modulus, _poly_trim([Fraction(x) for x in self._num])
         s0, s1 = [], [Fraction(1)]
         while True:
             quo, rem = _poly_divmod(r0, r1)
@@ -164,13 +236,18 @@ class CycScalar:
             r0, r1 = r1, rem
         if len(r1) != 1:
             raise AssertionError("cyclotomic modulus is irreducible; gcd must be constant")
-        scale = 1 / r1[0]
+        scale = self._den / r1[0]
         return CycScalar(self.n, {k: c * scale for k, c in enumerate(s1)})
 
     def __truediv__(self, other: "CycScalar") -> "CycScalar":
         if isinstance(other, (int, Fraction)):
             return self * (Fraction(1) / Fraction(other))
         return self * other.inverse()
+
+    def __rtruediv__(self, other) -> "CycScalar":
+        if isinstance(other, (int, Fraction)):
+            return self.inverse() * other
+        return NotImplemented
 
     def __str__(self) -> str:
         if self.is_zero():

@@ -1,10 +1,14 @@
 """Exact Gaussian elimination over any field-like scalar type.
 
-Scalars must support +, -, *, /, equality, and truthiness (nonzero test).
-Used with Fraction and with cyclotomic scalars.
+Scalars must support +, -, *, equality, truthiness (nonzero test) and
+``Fraction(1) / x``.  Used with Fraction and with cyclotomic scalars.  A
+pivot row is scaled by the reciprocal of its leading entry, so that entry
+is exactly 1; an int row yields Fractions, never floats.
 """
 
 from __future__ import annotations
+
+from fractions import Fraction
 
 
 class RowSpace:
@@ -28,8 +32,8 @@ class RowSpace:
         row = self.residual(vec)
         for col in range(self.width):
             if row[col]:
-                inv = row[col]
-                normalized = [x / inv for x in row]
+                inv = Fraction(1) / row[col]  # one inverse per pivot, then products
+                normalized = [x * inv if x else x for x in row]
                 self.pivots.append((col, normalized))
                 self.pivots.sort(key=lambda t: t[0])
                 return True

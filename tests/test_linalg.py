@@ -1,3 +1,4 @@
+import random
 from fractions import Fraction
 
 import pytest
@@ -61,3 +62,71 @@ def test_twist_invariance_needs_homogeneous():
         path_from_word(3, 0, "ud"))
     with pytest.raises(ValueError):
         check_twist_invariance(mixed, weights)
+
+
+class ReferenceRowSpace(RowSpace):
+    """RowSpace with the per-entry division it used before (verbatim add)."""
+
+    def add(self, vec: list) -> bool:
+        row = self.residual(vec)
+        for col in range(self.width):
+            if row[col]:
+                inv = row[col]
+                normalized = [x / inv for x in row]
+                self.pivots.append((col, normalized))
+                self.pivots.sort(key=lambda t: t[0])
+                return True
+        return False
+
+
+def assert_unit_pivots(space, one):
+    for col, row in space.pivots:
+        assert row[col] == one and type(row[col]) is type(one)
+        assert not any(isinstance(x, float) for x in row)
+        assert not any(row[:col])
+
+
+def test_pivots_lead_with_exact_one():
+    rng = random.Random(97)
+    for width in (1, 3, 6):
+        int_rows = [[rng.randint(-3, 3) for _ in range(width)] for _ in range(width + 2)]
+        space = RowSpace(width)
+        for r in int_rows:
+            space.add(r)
+        assert_unit_pivots(space, Fraction(1))
+        assert space.rank == rank(frows(int_rows))
+        frac_rows = [[Fraction(rng.randint(-5, 5), rng.randint(1, 4)) for _ in range(width)]
+                     for _ in range(width + 2)]
+        space = RowSpace(width)
+        for r in frac_rows:
+            space.add(r)
+        assert_unit_pivots(space, Fraction(1))
+    for n in (3, 5, 8, 12):
+        cyc_rows = [[CycScalar(n, [rng.randint(-2, 2) for _ in range(3)]) / rng.randint(1, 3)
+                     for _ in range(4)] for _ in range(5)]
+        space = RowSpace(4)
+        for r in cyc_rows:
+            space.add(r)
+        assert_unit_pivots(space, CycScalar.one(n))
+
+
+def test_rowspace_matches_reference_elimination():
+    rng = random.Random(101)
+    for _ in range(40):
+        width = rng.randint(1, 5)
+        rows = frows([[rng.choice([0, 0, 1, -1, 2, 3]) for _ in range(width)]
+                      for _ in range(rng.randint(1, 5))])
+        other = frows([[rng.choice([0, 1, -2]) for _ in range(width)]
+                       for _ in range(rng.randint(1, 5))])
+        new, ref = RowSpace(width), ReferenceRowSpace(width)
+        for r in rows:
+            assert new.add(r) == ref.add(r)
+        assert new.pivots == ref.pivots
+        assert rank(rows) == ref.rank
+        for target in other:
+            assert in_span(rows, target) == ref.contains(target)
+        ref_other = ReferenceRowSpace(width)
+        for r in other:
+            ref_other.add(r)
+        assert spans_equal(rows, other) == (
+            ref.rank == ref_other.rank and all(ref.contains(r) for r in other))

@@ -185,8 +185,8 @@ def test_corner_weight_selection():
 
 
 def test_verify_quotient_match():
-    for n in (2, 3):
-        report = verify_quotient_match(n, max_degree=3)
+    for n, max_degree in ((2, 3), (3, 3), (6, 4), (8, 3)):
+        report = verify_quotient_match(n, max_degree=max_degree)
         assert report.idempotents_ok
         assert report.generator_forms_agree
         assert report.proof_identities_ok
