@@ -96,6 +96,11 @@ def _canonical(n: int, num, den: int) -> "CycScalar":
     return CycScalar._raw(n, tuple(num), den)
 
 
+def _same_n(a: "CycScalar", b: "CycScalar") -> None:
+    if a.n != b.n:
+        raise ValueError(f"scalars over different fields: n={a.n} and n={b.n}")
+
+
 class CycScalar:
     """Residue modulo the n-th cyclotomic polynomial; zeta is the class of x."""
 
@@ -175,6 +180,7 @@ class CycScalar:
         return hash((self.n, self._num, self._den))
 
     def __add__(self, other: "CycScalar") -> "CycScalar":
+        _same_n(self, other)
         da, db = self._den, other._den
         if da == db:
             return _canonical(self.n, [x + y for x, y in zip(self._num, other._num)], da)
@@ -194,6 +200,7 @@ class CycScalar:
                 return _canonical(self.n, [x * c.numerator for x in self._num],
                                   self._den * c.denominator)
             return NotImplemented
+        _same_n(self, other)
         a, b = self._num, other._num
         phi = len(a)
         conv = [0] * (2 * phi - 1)

@@ -26,7 +26,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-from .core import Arrow, Parameters
+from .core import Parameters
 from .rewrite import PRESET_QDU, build_system, ensure_confluent, normal_form
 from .structure import DiagonalMapSpec
 
@@ -126,26 +126,18 @@ def identity_witness(n: int) -> IsoWitness:
 
 
 def verify_witness(w: IsoWitness, src: Parameters, tgt: Parameters) -> bool:
-    """Arrow/vertex bijectivity plus relation preservation under the map."""
+    """Whether the witness's map sends every source relation to zero in the target.
+
+    The map is a dihedral ``DiagonalMapSpec``: bijective on vertices and
+    arrows, with nonzero scalars by construction.
+    """
     n = src.n
     if w.n != n or tgt.n != n:
-        return False
-    spec = w.spec
-    if sorted(spec.vertex_image(v) for v in range(n)) != list(range(n)):
-        return False
-    images = set()
-    for fam in ("u", "d"):
-        for i in range(n):
-            scalar, img = spec.arrow_image(Arrow(fam, i))
-            if scalar == 0:
-                return False
-            images.add((img.family, img.index))
-    if len(images) != 2 * n:
         return False
     tgt_sys = ensure_confluent(build_system(PRESET_QDU, tgt))
     src_sys = build_system(PRESET_QDU, src)
     return all(
-        normal_form(tgt_sys, spec.apply(rel)).is_zero()
+        normal_form(tgt_sys, w.spec.apply(rel)).is_zero()
         for rel in src_sys.relation_elements()
     )
 

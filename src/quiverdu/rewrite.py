@@ -8,6 +8,11 @@ Rules are oriented by the degree-lex order whose arrow ranking is
 d_0 > d_1 > ... > d_{n-1} > u_0 > ... > u_{n-1}, read left to right.
 Every preset is confluent; ``check_confluence`` certifies this on an
 instance by resolving all overlap ambiguities.
+
+One set of int-coded rule tables per system (``_RuleTables``, an arrow
+coded by its rank) serves normal forms, overlap resolution, basis
+enumeration and the forbidden-factor automaton; Paths and Elements are
+built from int words only for results.
 """
 
 from __future__ import annotations
@@ -24,7 +29,6 @@ from .core import (
     canonical_path_key,
     down,
     path_from_arrows,
-    trivial_path,
     up,
 )
 
@@ -142,45 +146,52 @@ def _preprojective_system(n: int) -> ReductionSystem:
 # Normal forms
 # ---------------------------------------------------------------------------
 
-def _rewrite_once(sys: ReductionSystem, path: Path, pos: int, rule: RewriteRule) -> dict[Path, Fraction]:
-    k = len(rule.lhs.arrows)
-    prefix = path.arrows[:pos]
-    suffix = path.arrows[pos + k:]
-    out: dict[Path, Fraction] = {}
-    for q, c in rule.rhs.terms.items():
-        new = Path(path.n, path.source, prefix + q.arrows + suffix)
-        out[new] = out.get(new, Fraction(0)) + c
-    return out
-
-
 class _RuleTables:
     """A system's rules on int-coded words, and its product memo.
 
     A word is a tuple of arrow codes, an arrow's code being its
     ``_arrow_rank``; a combination is a dict word -> nonzero coefficient
-    whose words all start at one vertex (a word may be empty).
-    ``by_last`` maps an arrow code to the rules whose leading word ends
-    with it, as ``(lhs, len(lhs), rhs terms)``.  ``memo`` maps ``w + (a,)``
-    to its normal form for each normal word w whose product with the
-    arrow a is reducible; a nonempty word determines its source.
-    Integral coefficients are kept as ints, several times faster than
-    Fraction and exact when mixed with it.
+    whose words all start at one vertex (a word may be empty).  ``rules``
+    holds each rule as ``(lhs, rhs terms)`` in rule order; ``by_last`` maps
+    an arrow code to the rules whose leading word ends with it, as
+    ``(lhs, len(lhs), rhs terms)``.  ``memo`` maps ``w + (a,)`` to its
+    normal form for each normal word w whose product with the arrow a is
+    reducible; a nonempty word determines its source.  Integral
+    coefficients are kept as ints, several times faster than Fraction and
+    exact when mixed with it.
     """
 
-    __slots__ = ("arrows", "by_last", "memo")
+    __slots__ = ("n", "arrows", "rules", "by_last", "memo")
 
     def __init__(self, sys: ReductionSystem):
-        n = sys.n
+        n = self.n = sys.n
         self.arrows = tuple(down(i, n) for i in range(n)) + tuple(up(i, n) for i in range(n))
-        encode = lambda p: tuple(_arrow_rank(a, n) for a in p.arrows)
-        by_last: dict[int, list] = {}
+        rules, by_last = [], {}
         for rule in sys.rules:
-            lhs = encode(rule.lhs)
-            rhs = tuple((encode(q), c.numerator if c.denominator == 1 else c)
+            lhs = self.encode(rule.lhs)
+            rhs = tuple((self.encode(q), c.numerator if c.denominator == 1 else c)
                         for q, c in rule.rhs.terms.items())
+            rules.append((lhs, rhs))
             by_last.setdefault(lhs[-1], []).append((lhs, len(lhs), rhs))
-        self.by_last = by_last
+        self.rules, self.by_last = tuple(rules), by_last
         self.memo: dict = {}
+
+    def encode(self, path: Path) -> tuple:
+        return tuple(_arrow_rank(a, self.n) for a in path.arrows)
+
+    def path(self, source: int, word: tuple) -> Path:
+        return Path(self.n, source, tuple(self.arrows[k] for k in word))
+
+    def element(self, source: int, comb: dict) -> Element:
+        """The Element of a combination of words from ``source``."""
+        return Element._from_sums(self.n, {self.path(source, w): Fraction(c)
+                                           for w, c in comb.items() if c})
+
+
+def _tables(sys: ReductionSystem) -> _RuleTables:
+    if sys._tables is None:
+        sys._tables = _RuleTables(sys)
+    return sys._tables
 
 
 def _add_scaled(out: dict, part: dict, c) -> None:
@@ -267,14 +278,8 @@ def normal_form_path(sys: ReductionSystem, path: Path) -> Element:
     cached = sys._nf_cache.get(path)
     if cached is not None:
         return cached
-    tables = sys._tables
-    if tables is None:
-        tables = sys._tables = _RuleTables(sys)
-    n, source, arrows = sys.n, path.source, tables.arrows
-    word = tuple(_arrow_rank(a, n) for a in path.arrows)
-    result = Element._from_sums(n, {
-        path if w == word else Path(n, source, tuple(arrows[k] for k in w)): Fraction(c)
-        for w, c in _normal_word(tables, word).items()})
+    tables = _tables(sys)
+    result = tables.element(path.source, _normal_word(tables, tables.encode(path)))
     sys._nf_cache[path] = result
     return result
 
@@ -331,36 +336,35 @@ def check_confluence(sys: ReductionSystem) -> ConfluenceReport:
     prefix of another; both one-step reductions of the superposed word are
     taken to normal form and compared.  Inclusion ambiguities cannot occur
     here (all leading words of a preset have equal length and are distinct)
-    but are checked for anyway.
+    but are checked for anyway.  Each reduction is ``prefix + rhs word +
+    suffix`` on int-coded words; Paths are built only for the report.
     """
+    tables = _tables(sys)
     overlaps: list[Overlap] = []
-    rules = sys.rules
-    for i, r1 in enumerate(rules):
-        a1 = r1.lhs.arrows
-        for j, r2 in enumerate(rules):
-            a2 = r2.lhs.arrows
+
+    def resolve(i, j, word, left, right):
+        # left and right are (prefix, rhs terms, suffix) one-step reductions of word.
+        diff: dict = {}
+        for (prefix, rhs, suffix), sign in ((left, 1), (right, -1)):
+            for r, c in rhs:
+                _add_scaled(diff, _normal_word(tables, prefix + r + suffix), sign * c)
+        source = sys.rules[i].lhs.source
+        overlaps.append(Overlap(tables.path(source, word), i, j, tables.element(source, diff)))
+
+    rules = tables.rules
+    for i, (a1, rhs1) in enumerate(rules):
+        for j, (a2, rhs2) in enumerate(rules):
             for k in range(1, min(len(a1), len(a2))):
-                if a1[len(a1) - k:] != a2[:k]:
-                    continue
-                word = Path(sys.n, r1.lhs.source, a1 + a2[k:])
-                left = _reduce_at(sys, word, 0, r1)
-                right = _reduce_at(sys, word, len(a1) - k, r2)
-                overlaps.append(Overlap(word, i, j, left - right))
+                if a1[len(a1) - k:] == a2[:k]:
+                    resolve(i, j, a1 + a2[k:], ((), rhs1, a2[k:]), (a1[:len(a1) - k], rhs2, ()))
             if i != j and len(a2) < len(a1):
                 for pos in range(len(a1) - len(a2) + 1):
                     if a1[pos:pos + len(a2)] == a2:
-                        word = r1.lhs
-                        left = normal_form(sys, r1.rhs)
-                        right = _reduce_at(sys, word, pos, r2)
-                        overlaps.append(Overlap(word, i, j, left - right))
+                        resolve(i, j, a1, ((), rhs1, ()), (a1[:pos], rhs2, a1[pos + len(a2):]))
     report = ConfluenceReport(sys.n, sys.preset, overlaps)
     if report.confluent:
         sys._verified = True
     return report
-
-
-def _reduce_at(sys: ReductionSystem, word: Path, pos: int, rule: RewriteRule) -> Element:
-    return normal_form(sys, Element(sys.n, _rewrite_once(sys, word, pos, rule)))
 
 
 def ensure_confluent(sys: ReductionSystem) -> ReductionSystem:
@@ -424,71 +428,51 @@ def certify_confluence_over_parameters(n: int, random_trials: int = 5, seed: int
 # ---------------------------------------------------------------------------
 
 def enumerate_basis(sys: ReductionSystem, degree: int) -> list[Path]:
-    """All degree-k paths containing no leading word as a factor."""
+    """All degree-k paths containing no leading word as a factor.
+
+    Walks the forbidden-factor automaton on int-coded words; Paths are
+    built only for the result.
+    """
     if degree < 0:
         raise ValueError("degree must be nonnegative")
-    maxlen = max((len(r.lhs.arrows) for r in sys.rules), default=0)
-    words = [trivial_path(sys.n, v) for v in range(sys.n)]
-    lhs_words = [r.lhs.arrows for r in sys.rules]
+    tables = _tables(sys)
+    transitions, _ = _automaton(tables)
+    layer = [(v, v, ()) for v in range(sys.n)]
     for _ in range(degree):
-        nxt = []
-        for w in words:
-            v = w.target
-            for a in (up(v, sys.n), down(v - 1, sys.n)):
-                arrows = w.arrows + (a,)
-                # A new forbidden factor must end at the appended arrow.
-                tail = arrows[-maxlen:] if maxlen else ()
-                if any(tail[len(tail) - len(f):] == f for f in lhs_words if len(f) <= len(tail)):
-                    continue
-                nxt.append(Path(sys.n, w.source, arrows))
-        words = nxt
-    return sorted(words, key=canonical_path_key)
+        layer = [(v, tid, w + (a,)) for v, sid, w in layer for a, tid in transitions[sid]]
+    return sorted((tables.path(v, w) for v, _, w in layer), key=canonical_path_key)
 
 
-def _automaton(sys: ReductionSystem):
-    """Forbidden-factor automaton: states are (vertex, live suffix)."""
-    forbidden = [r.lhs.arrows for r in sys.rules]
-    prefixes = {()}
-    for f in forbidden:
-        for k in range(1, len(f)):
-            prefixes.add(f[:k])
-    states: dict[tuple[int, tuple[Arrow, ...]], int] = {}
-    keys: list[tuple[int, tuple[Arrow, ...]]] = []
-    transitions: list[list[int]] = []
-    vertex_of: list[int] = []
+def _automaton(tables: _RuleTables):
+    """Forbidden-factor automaton: states are (vertex, live suffix).
 
-    def state_id(v: int, suf: tuple[Arrow, ...]) -> int:
-        key = (v, suf)
-        if key not in states:
-            states[key] = len(transitions)
-            keys.append(key)
-            transitions.append([])
-            vertex_of.append(v)
-        return states[key]
-
-    stack = [state_id(v, ()) for v in range(sys.n)]
-    seen = set(stack)
-    while stack:
-        sid = stack.pop()
-        (v, suf) = keys[sid]
+    The live suffix is the longest suffix of the word read so far that is
+    a proper prefix of a leading word; state v < n is (v, ()).  An arrow
+    is refused where it completes a leading word, by the kernel's suffix
+    test.  Returns each state's (arrow code, next state) pairs and vertex.
+    """
+    n = tables.n
+    forbidden = [lhs for lhs, _ in tables.rules]
+    live = max(map(len, forbidden), default=1) - 1
+    prefixes = {f[:k] for f in forbidden for k in range(1, len(f))}
+    keys = [(v, ()) for v in range(n)]
+    states = {key: sid for sid, key in enumerate(keys)}
+    transitions: list[list[tuple[int, int]]] = []
+    for v, suf in keys:  # keys grows while it is walked
         outs = []
-        for a in (up(v, sys.n), down(v - 1, sys.n)):
+        for a in (n + v, (v - 1) % n):  # the codes of u_v and d_{v-1}
             w = suf + (a,)
-            if any(w[len(w) - len(f):] == f for f in forbidden if len(f) <= len(w)):
+            if any(w[-k:] == lhs for lhs, k, _ in tables.by_last.get(a, ())):
                 continue
-            new_suf = ()
-            for k in range(min(len(w), max(len(f) for f in forbidden) - 1), 0, -1):
-                if w[len(w) - k:] in prefixes:
-                    new_suf = w[len(w) - k:]
-                    break
-            tid = state_id(a.target(sys.n), new_suf)
-            outs.append(tid)
-            if tid not in seen:
-                seen.add(tid)
-                stack.append(tid)
-        transitions[sid] = outs
-    starts = [states[(v, ())] for v in range(sys.n)]
-    return transitions, vertex_of, starts
+            new_suf = next((w[-k:] for k in range(min(len(w), live), 0, -1)
+                            if w[-k:] in prefixes), ())
+            key = (tables.arrows[a].target(n), new_suf)
+            if key not in states:
+                states[key] = len(keys)
+                keys.append(key)
+            outs.append((a, states[key]))
+        transitions.append(outs)
+    return transitions, [v for v, _ in keys]
 
 
 def dimension_matrix(sys: ReductionSystem, degree: int) -> list[list[int]]:
@@ -500,16 +484,16 @@ def dimension_matrix(sys: ReductionSystem, degree: int) -> list[list[int]]:
     """
     if degree < 0:
         raise ValueError("degree must be nonnegative")
-    transitions, vertex_of, starts = _automaton(sys)
+    transitions, vertex_of = _automaton(_tables(sys))
     result = [[0] * sys.n for _ in range(sys.n)]
     for i in range(sys.n):
         vec = [0] * len(transitions)
-        vec[starts[i]] = 1
+        vec[i] = 1
         for _ in range(degree):
             nxt = [0] * len(transitions)
             for sid, cnt in enumerate(vec):
                 if cnt:
-                    for tid in transitions[sid]:
+                    for _, tid in transitions[sid]:
                         nxt[tid] += cnt
             vec = nxt
         for sid, cnt in enumerate(vec):

@@ -77,8 +77,12 @@ class SmashElement(Combination):
     _MIN_N_ERROR = "smash product needs n >= 2"
 
     @classmethod
-    def _entry(cls, n: int, key: tuple[RMonomial, int], coeff: CycScalar):
+    def _entry(cls, n: int, key: tuple[RMonomial, int], coeff: CycScalar | Fraction | int):
         m, j = key
+        if not isinstance(coeff, CycScalar):
+            coeff = CycScalar.from_rational(n, coeff)
+        elif coeff.n != n:
+            raise ValueError(f"coefficient over n={coeff.n} in a smash element over n={n}")
         return (m, j % n), coeff
 
     @staticmethod

@@ -1,10 +1,13 @@
-"""Differential test of the right-multiplication normal form.
+"""Differential test of the right-multiplication normal form and of confluence.
 
-The reference is the whole-word worklist rewriter that the kernel
-replaced, kept here verbatim (``_leftmost_match`` and
+The normal-form reference is the whole-word worklist rewriter that the
+kernel replaced, kept here verbatim (``_leftmost_match`` and
 ``normal_form_path``).  It is exponential in degree, so the cases stay at
-length <= 7.  Each side gets its own ReductionSystem, so neither reads the
-other's memo.
+length <= 7.  The confluence reference is the ``Path``-based overlap
+resolution that the int-coded one replaced (``check_confluence``,
+``_reduce_at`` and ``_rewrite_once``), also kept verbatim but running on
+the worklist normal form.  Each side gets its own ReductionSystem, so
+neither reads the other's memo.
 """
 
 from fractions import Fraction
@@ -18,13 +21,26 @@ from quiverdu.rewrite import (
     PRESET_GRADED,
     PRESET_PREPROJECTIVE,
     PRESET_QDU,
+    ConfluenceReport,
+    Overlap,
     ReductionSystem,
-    _rewrite_once,
+    RewriteRule,
     build_system,
     certify_confluence_over_parameters,
     check_confluence,
     normal_form,
 )
+
+
+def _rewrite_once(sys: ReductionSystem, path: Path, pos: int, rule: RewriteRule) -> dict[Path, Fraction]:
+    k = len(rule.lhs.arrows)
+    prefix = path.arrows[:pos]
+    suffix = path.arrows[pos + k:]
+    out: dict[Path, Fraction] = {}
+    for q, c in rule.rhs.terms.items():
+        new = Path(path.n, path.source, prefix + q.arrows + suffix)
+        out[new] = out.get(new, Fraction(0)) + c
+    return out
 
 
 def _leftmost_match(sys: ReductionSystem, arrows: tuple[Arrow, ...]):
@@ -84,6 +100,45 @@ def reference_normal_form_path(sys: ReductionSystem, path: Path) -> Element:
 def reference_normal_form(sys: ReductionSystem, a: Element) -> Element:
     return Element.combine(sys.n, ((reference_normal_form_path(sys, p), c)
                                    for p, c in a.terms.items()))
+
+
+def reference_check_confluence(sys: ReductionSystem) -> ConfluenceReport:
+    """Resolve every overlap ambiguity both ways and report the differences.
+
+    An overlap is a proper suffix of one leading word equal to a proper
+    prefix of another; both one-step reductions of the superposed word are
+    taken to normal form and compared.  Inclusion ambiguities cannot occur
+    here (all leading words of a preset have equal length and are distinct)
+    but are checked for anyway.
+    """
+    overlaps: list[Overlap] = []
+    rules = sys.rules
+    for i, r1 in enumerate(rules):
+        a1 = r1.lhs.arrows
+        for j, r2 in enumerate(rules):
+            a2 = r2.lhs.arrows
+            for k in range(1, min(len(a1), len(a2))):
+                if a1[len(a1) - k:] != a2[:k]:
+                    continue
+                word = Path(sys.n, r1.lhs.source, a1 + a2[k:])
+                left = _reduce_at(sys, word, 0, r1)
+                right = _reduce_at(sys, word, len(a1) - k, r2)
+                overlaps.append(Overlap(word, i, j, left - right))
+            if i != j and len(a2) < len(a1):
+                for pos in range(len(a1) - len(a2) + 1):
+                    if a1[pos:pos + len(a2)] == a2:
+                        word = r1.lhs
+                        left = reference_normal_form(sys, r1.rhs)
+                        right = _reduce_at(sys, word, pos, r2)
+                        overlaps.append(Overlap(word, i, j, left - right))
+    report = ConfluenceReport(sys.n, sys.preset, overlaps)
+    if report.confluent:
+        sys._verified = True
+    return report
+
+
+def _reduce_at(sys: ReductionSystem, word: Path, pos: int, rule: RewriteRule) -> Element:
+    return reference_normal_form(sys, Element(sys.n, _rewrite_once(sys, word, pos, rule)))
 
 
 # Zero is drawn often, so beta_i = 0 and gamma = 0 both occur, next to
@@ -146,9 +201,7 @@ def test_confluence_report_matches_reference(monkeypatch):
     for params in instances:
         new_sys, ref_sys = build_system(PRESET_QDU, params), build_system(PRESET_QDU, params)
         new = check_confluence(new_sys)
-        with monkeypatch.context() as m:
-            m.setattr(rewrite, "normal_form_path", reference_normal_form_path)
-            ref = check_confluence(ref_sys)
+        ref = reference_check_confluence(ref_sys)
         assert [(o.word, o.left_rule, o.right_rule) for o in new.overlaps] == \
             [(o.word, o.left_rule, o.right_rule) for o in ref.overlaps]
         assert [o.difference for o in new.overlaps] == [o.difference for o in ref.overlaps]
@@ -156,3 +209,19 @@ def test_confluence_report_matches_reference(monkeypatch):
         for o in new.overlaps:
             word = Element.from_path(o.word)
             assert normal_form(new_sys, word) == reference_normal_form(ref_sys, word)
+
+
+def test_confluence_report_matches_reference_beyond_qdu():
+    # A one-vertex system whose leading word du sits inside ddu: its only
+    # ambiguity is an inclusion, and one side reduces to the trivial path.
+    n = 1
+    e0, u, ddu, du = (path_from_word(n, 0, w) for w in ("", "u", "ddu", "du"))
+    rules = (RewriteRule(ddu, Element.from_path(e0, 2)), RewriteRule(du, Element.from_path(u)))
+    for make in (lambda: ReductionSystem(n, rules, "custom"),
+                 lambda: build_system(PRESET_GRADED),
+                 lambda: build_system(PRESET_PREPROJECTIVE, n=3)):
+        new, ref = check_confluence(make()), reference_check_confluence(make())
+        assert [(o.word, o.left_rule, o.right_rule, o.difference) for o in new.overlaps] == \
+            [(o.word, o.left_rule, o.right_rule, o.difference) for o in ref.overlaps]
+    custom = check_confluence(ReductionSystem(n, rules, "custom"))
+    assert [(str(o.word), str(o.difference)) for o in custom.overlaps] == [("d0.d0.u0", "2 @0 + -1 * u0")]

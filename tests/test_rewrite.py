@@ -1,9 +1,10 @@
+import itertools
 import random
 from fractions import Fraction
 
 import pytest
 
-from quiverdu.core import Element, Parameters, path_from_word, trivial_path
+from quiverdu.core import Element, Parameters, canonical_path_key, path_from_word, trivial_path
 from quiverdu.rewrite import (
     PRESET_GRADED,
     PRESET_PREPROJECTIVE,
@@ -228,19 +229,23 @@ def test_enumerate_basis_counts():
 
 
 def test_enumerate_basis_matches_brute_force():
-    params = Parameters.of(2, [1, 1], [1, 1], [0, 0])
-    sys = build_system(PRESET_QDU, params)
-    lhs_profiles = {("d", "u", "u"), ("d", "d", "u")}
-    for k in range(6):
-        brute = []
-        for src in range(2):
-            for bits in range(2 ** k):
-                word = "".join("ud"[(bits >> t) & 1] for t in range(k))
-                letters = tuple(word)
-                if any(letters[i:i + 3] in lhs_profiles for i in range(k - 2)):
-                    continue
-                brute.append(path_from_word(2, src, word))
-        assert sorted(map(str, enumerate_basis(sys, k))) == sorted(map(str, brute))
+    # Every u/d letter word from every source, kept when no rule's leading
+    # word occurs in it as a factor.
+    systems = [build_system(PRESET_GRADED)]
+    for n in (1, 2, 3):
+        systems.append(build_system(PRESET_QDU, Parameters.of(n, [1] * n, [2] * n, [3] * n)))
+        systems.append(build_system(PRESET_PREPROJECTIVE, n=n))
+    for sys in systems:
+        lhs_words = [r.lhs.arrows for r in sys.rules]
+        for k in range(7):
+            brute = []
+            for src in range(sys.n):
+                for word in itertools.product("ud", repeat=k):
+                    p = path_from_word(sys.n, src, "".join(word))
+                    if not any(p.arrows[i:i + len(f)] == f
+                               for f in lhs_words for i in range(k - len(f) + 1)):
+                        brute.append(p)
+            assert enumerate_basis(sys, k) == sorted(brute, key=canonical_path_key)
 
 
 def test_dimension_matrix_examples():

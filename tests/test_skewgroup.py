@@ -1,3 +1,4 @@
+import operator
 import random
 from fractions import Fraction
 
@@ -39,6 +40,11 @@ def test_cyc_scalar_arithmetic():
     for e in range(n):
         total = total + CycScalar.zeta_power(n, e)
     assert total.is_zero()
+    # Operands over different n do not share a field.
+    z3, z5 = CycScalar.zeta_power(3, 1), CycScalar.zeta_power(5, 1)
+    for op in (operator.add, operator.sub, operator.mul, operator.truediv):
+        with pytest.raises(ValueError):
+            op(z3, z5)
 
 
 def test_cyc_scalar_inverse():
@@ -51,6 +57,17 @@ def test_cyc_scalar_inverse():
             if x.is_zero():
                 continue
             assert x * x.inverse() == CycScalar.one(n)
+
+
+def test_smash_element_coerces_rational_coefficients():
+    n = 3
+    x = SmashElement(n, {((0, 0, 0), 0): 1, ((1, 0, 0), 4): Fraction(1, 2)})
+    assert x.terms == {((0, 0, 0), 0): CycScalar.one(n),
+                       ((1, 0, 0), 1): CycScalar.from_rational(n, Fraction(1, 2))}
+    assert x + SmashElement.one(n) == SmashElement(
+        n, {((0, 0, 0), 0): 2, ((1, 0, 0), 1): Fraction(1, 2)})
+    with pytest.raises(ValueError):
+        SmashElement(n, {((0, 0, 0), 0): CycScalar.one(5)})
 
 
 def test_r_monomial_products():
