@@ -30,6 +30,7 @@ from .rewrite import (
     PRESET_QDU,
     build_system,
     check_confluence,
+    dimension_matrices,
     dimension_matrix,
     enumerate_basis,
     normal_form,
@@ -269,7 +270,7 @@ def _cmd_hilbert(args) -> tuple[str, dict]:
         report = closed_form_check(params, args.max_degree, preset=preset)
         return ("pass" if report.ok else "fail"), _closed_form_findings(report)
     sys_ = build_system(preset, params, n=params.n)
-    matrices = [dimension_matrix(sys_, k) for k in range(args.max_degree + 1)]
+    matrices = dimension_matrices(sys_, args.max_degree)
     findings = {
         "preset": preset,
         "max_degree": args.max_degree,

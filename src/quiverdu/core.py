@@ -281,13 +281,6 @@ class Element(Combination):
     def max_degree(self) -> int:
         return max((p.length for p in self.terms), default=0)
 
-    def homogeneous_components(self) -> dict[tuple[int, int, int], "Element"]:
-        """Split by (length, source, target); the element is their sum."""
-        parts: dict[tuple[int, int, int], dict[Path, Fraction]] = {}
-        for p, c in self.terms.items():
-            parts.setdefault((p.length, p.source, p.target), {})[p] = c
-        return {key: Element._from_sums(self.n, t) for key, t in parts.items()}
-
     def __str__(self) -> str:
         return format_element(self)
 

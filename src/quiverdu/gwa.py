@@ -30,7 +30,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .core import Combination, Element, Parameters, Path, path_from_word, trivial_path
-from .rewrite import PRESET_QDU, ReductionSystem, build_system, normal_form
+from .rewrite import PRESET_QDU, build_system, normal_form
 
 
 class BaseElement(Combination):
@@ -230,7 +230,7 @@ def theta(params: Parameters, a: Element) -> GwaElement:
     return GwaElement.combine(n, parts)
 
 
-def theta_prime(params: Parameters, t: GwaElement, sys: ReductionSystem | None = None) -> Element:
+def theta_prime(params: Parameters, t: GwaElement) -> Element:
     """x_i -> u_i d_i, y_i -> d_{i-1} u_{i-1}, X^- -> sum u_i, X^+ -> sum d_i.
 
     The image is returned in normal form for the quiver down-up system.
@@ -238,8 +238,6 @@ def theta_prime(params: Parameters, t: GwaElement, sys: ReductionSystem | None =
     if not params.beta_all_nonzero():
         raise ValueError("theta_prime requires all beta_i nonzero")
     n = params.n
-    if sys is None:
-        sys = build_system(PRESET_QDU, params)
     u_total = Element(n, {path_from_word(n, i, "u"): Fraction(1) for i in range(n)})
     d_total = Element(n, {path_from_word(n, (i + 1) % n, "d"): Fraction(1) for i in range(n)})
     parts = []
@@ -251,7 +249,7 @@ def theta_prime(params: Parameters, t: GwaElement, sys: ReductionSystem | None =
         for _ in range(abs(m)):
             shift = shift * (d_total if m > 0 else u_total)
         parts.append((base_img * shift, 1))
-    return normal_form(sys, Element.combine(n, parts))
+    return normal_form(build_system(PRESET_QDU, params), Element.combine(n, parts))
 
 
 def path_x_weight(p: Path) -> int:
@@ -331,22 +329,20 @@ class GwaVerifyReport:
 def verify_gwa(params: Parameters, trials: int = 200, seed: int = 0,
                degree_bound: int = 3) -> GwaVerifyReport:
     n = params.n
-    sys = build_system(PRESET_QDU, params)
-    relations_killed = all(
-        theta(params, rule.as_relation()).is_zero() for rule in sys.rules
-    )
+    rules = build_system(PRESET_QDU, params).rules
+    relations_killed = all(theta(params, rule.as_relation()).is_zero() for rule in rules)
     roundtrip_arrows = True
     grading_ok = True
     for i in range(n):
         for word, src in (("u", i), ("d", (i + 1) % n)):
             p = path_from_word(n, src, word)
             img = theta(params, Element.from_path(p))
-            if theta_prime(params, img, sys) != Element.from_path(p):
+            if theta_prime(params, img) != Element.from_path(p):
                 roundtrip_arrows = False
             if set(img.x_degrees()) != {path_x_weight(p)}:
                 grading_ok = False
         e_i = Element.from_path(trivial_path(n, i))
-        if theta_prime(params, theta(params, e_i), sys) != e_i:
+        if theta_prime(params, theta(params, e_i)) != e_i:
             roundtrip_arrows = False
     roundtrip_base = True
     for i in range(n):
@@ -356,7 +352,7 @@ def verify_gwa(params: Parameters, trials: int = 200, seed: int = 0,
             GwaElement.x_minus(n, i),
             GwaElement.x_plus(n, i),
         ):
-            if theta(params, theta_prime(params, gen, sys)) != gen:
+            if theta(params, theta_prime(params, gen)) != gen:
                 roundtrip_base = False
     pwd = pwd_probe_gwa(params, degree_bound=degree_bound, trials=trials, seed=seed)
     return GwaVerifyReport(relations_killed, roundtrip_arrows, roundtrip_base, grading_ok, pwd)

@@ -15,7 +15,7 @@ from .rewrite import (
     PRESET_PREPROJECTIVE,
     PRESET_QDU,
     build_system,
-    dimension_matrix,
+    dimension_matrices,
 )
 
 Matrix = list[list[int]]
@@ -79,14 +79,6 @@ class MatrixPoly:
     def __eq__(self, other) -> bool:
         return isinstance(other, MatrixPoly) and self.n == other.n and self.coeffs == other.coeffs
 
-    def mul(self, other: "MatrixPoly") -> "MatrixPoly":
-        out: dict[int, Matrix] = {}
-        for i, a in self.coeffs.items():
-            for j, b in other.coeffs.items():
-                k = i + j
-                out[k] = mat_add(out.get(k, mat_zero(self.n)), mat_mul(a, b))
-        return MatrixPoly(self.n, out)
-
     def scalar_poly_mul(self, scalar_coeffs: dict[int, int]) -> "MatrixPoly":
         out: dict[int, Matrix] = {}
         for i, a in self.coeffs.items():
@@ -106,11 +98,6 @@ class MatrixSeries:
         if not 0 <= k <= self.order:
             raise ValueError("degree beyond truncation order")
         return self.coeffs[k]
-
-    def truncate(self, order: int) -> "MatrixSeries":
-        if order > self.order:
-            raise ValueError("cannot extend a truncated series")
-        return MatrixSeries(self.n, order, self.coeffs[: order + 1])
 
 
 def invert_series(p: MatrixPoly, order: int, require_nonnegative: bool = True) -> MatrixSeries:
@@ -211,20 +198,12 @@ def closed_form_check(params: Parameters, max_degree: int, preset: str = PRESET_
         note = PREPROJECTIVE_TOTAL_NOTE
     else:
         raise ValueError(f"closed forms are defined for qdu/preprojective, not {preset!r}")
-    first_mismatch = None
-    totals = []
-    for k in range(max_degree + 1):
-        got = dimension_matrix(sys, k)
-        expected = series.coeff(k)
-        totals.append(mat_total(got))
-        if got != expected and first_mismatch is None:
-            for i in range(n):
-                for j in range(n):
-                    if got[i][j] != expected[i][j]:
-                        first_mismatch = (k, i, j, expected[i][j], got[i][j])
-                        break
-                if first_mismatch:
-                    break
+    matrices = dimension_matrices(sys, max_degree)
+    totals = [mat_total(got) for got in matrices]
+    first_mismatch = next(((k, i, j, series.coeff(k)[i][j], got[i][j])
+                           for k, got in enumerate(matrices)
+                           for i in range(n) for j in range(n)
+                           if got[i][j] != series.coeff(k)[i][j]), None)
     totals_match = all(totals[k] == total_formula(n, k) for k in range(max_degree + 1))
     return ClosedFormReport(
         preset, n, max_degree, first_mismatch is None, first_mismatch, totals, totals_match, note

@@ -70,18 +70,6 @@ def transform_reflect(p: Parameters) -> Parameters:
     return Parameters.of(n, alpha, beta, gamma)
 
 
-def transform_params(op: str, p: Parameters, lam: tuple[Fraction, ...] | None = None) -> Parameters:
-    if op == "scale":
-        if lam is None:
-            raise ValueError("scale needs lambda")
-        return transform_scale(p, lam)
-    if op == "rotate":
-        return transform_rotate(p)
-    if op == "reflect":
-        return transform_reflect(p)
-    raise ValueError(f"unknown transform {op!r}")
-
-
 # ---------------------------------------------------------------------------
 # Witnesses
 # ---------------------------------------------------------------------------

@@ -9,10 +9,13 @@ d_0 > d_1 > ... > d_{n-1} > u_0 > ... > u_{n-1}, read left to right.
 Every preset is confluent; ``check_confluence`` certifies this on an
 instance by resolving all overlap ambiguities.
 
-One set of int-coded rule tables per system (``_RuleTables``, an arrow
-coded by its rank) serves normal forms, overlap resolution, basis
-enumeration and the forbidden-factor automaton; Paths and Elements are
-built from int words only for results.
+``build_system`` returns one shared system per preset and parameter set
+(module-level ``lru_cache``s), so every caller reads one normal-form memo,
+one confluence verdict and one forbidden-factor automaton.  One set of
+int-coded rule tables per system (``_RuleTables``, an arrow coded by its
+rank) serves normal forms, overlap resolution, basis enumeration and the
+automaton, which is built on first use; Paths and Elements are built from
+int words only for results.
 """
 
 from __future__ import annotations
@@ -20,6 +23,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import lru_cache
 
 from .core import (
     Arrow,
@@ -88,7 +92,7 @@ class ReductionSystem:
 
 
 def build_system(preset: str, params: Parameters | None = None, n: int | None = None) -> ReductionSystem:
-    """Construct the reduction system for one of the three presets."""
+    """The one shared reduction system of a preset (and parameters or n)."""
     if preset == PRESET_QDU:
         if params is None:
             raise ValueError("quiver-down-up preset needs parameters")
@@ -100,13 +104,11 @@ def build_system(preset: str, params: Parameters | None = None, n: int | None = 
             raise ValueError("preprojective preset needs n >= 1")
         return _preprojective_system(n)
     if preset == PRESET_GRADED:
-        gdu = Parameters.of(1, [0], [-1], [0])
-        sys_ = _qdu_system(gdu)
-        return ReductionSystem(1, sys_.rules, PRESET_GRADED, gdu)
+        return _graded_system()
     raise ValueError(f"unknown preset {preset!r}")
 
 
-def _qdu_system(params: Parameters) -> ReductionSystem:
+def _qdu_rules(params: Parameters) -> tuple[RewriteRule, ...]:
     n = params.n
     rules = []
     for i in range(n):
@@ -130,9 +132,15 @@ def _qdu_system(params: Parameters) -> ReductionSystem:
         )
         rules.append(RewriteRule(lhs1, rhs1))
         rules.append(RewriteRule(lhs2, rhs2))
-    return ReductionSystem(n, tuple(rules), PRESET_QDU, params)
+    return tuple(rules)
 
 
+@lru_cache(maxsize=16)
+def _qdu_system(params: Parameters) -> ReductionSystem:
+    return ReductionSystem(params.n, _qdu_rules(params), PRESET_QDU, params)
+
+
+@lru_cache(maxsize=16)
 def _preprojective_system(n: int) -> ReductionSystem:
     rules = []
     for i in range(n):
@@ -140,6 +148,12 @@ def _preprojective_system(n: int) -> ReductionSystem:
         rhs = Element.from_path(path_from_arrows(n, (up(i + 1, n), down(i + 1, n))))
         rules.append(RewriteRule(lhs, rhs))
     return ReductionSystem(n, tuple(rules), PRESET_PREPROJECTIVE)
+
+
+@lru_cache(maxsize=1)
+def _graded_system() -> ReductionSystem:
+    gdu = Parameters.of(1, [0], [-1], [0])
+    return ReductionSystem(1, _qdu_rules(gdu), PRESET_GRADED, gdu)
 
 
 # ---------------------------------------------------------------------------
@@ -158,10 +172,10 @@ class _RuleTables:
     normal form for each normal word w whose product with the arrow a is
     reducible; a nonempty word determines its source.  Integral
     coefficients are kept as ints, several times faster than Fraction and
-    exact when mixed with it.
+    exact when mixed with it.  The automaton is built on first use.
     """
 
-    __slots__ = ("n", "arrows", "rules", "by_last", "memo")
+    __slots__ = ("n", "arrows", "rules", "by_last", "memo", "_automaton")
 
     def __init__(self, sys: ReductionSystem):
         n = self.n = sys.n
@@ -175,6 +189,13 @@ class _RuleTables:
             by_last.setdefault(lhs[-1], []).append((lhs, len(lhs), rhs))
         self.rules, self.by_last = tuple(rules), by_last
         self.memo: dict = {}
+        self._automaton = None
+
+    def automaton(self):
+        """The forbidden-factor automaton (``_build_automaton``), built once."""
+        if self._automaton is None:
+            self._automaton = _build_automaton(self)
+        return self._automaton
 
     def encode(self, path: Path) -> tuple:
         return tuple(_arrow_rank(a, self.n) for a in path.arrows)
@@ -436,14 +457,14 @@ def enumerate_basis(sys: ReductionSystem, degree: int) -> list[Path]:
     if degree < 0:
         raise ValueError("degree must be nonnegative")
     tables = _tables(sys)
-    transitions, _ = _automaton(tables)
+    transitions, _ = tables.automaton()
     layer = [(v, v, ()) for v in range(sys.n)]
     for _ in range(degree):
         layer = [(v, tid, w + (a,)) for v, sid, w in layer for a, tid in transitions[sid]]
     return sorted((tables.path(v, w) for v, _, w in layer), key=canonical_path_key)
 
 
-def _automaton(tables: _RuleTables):
+def _build_automaton(tables: _RuleTables):
     """Forbidden-factor automaton: states are (vertex, live suffix).
 
     The live suffix is the longest suffix of the word read so far that is
@@ -475,35 +496,42 @@ def _automaton(tables: _RuleTables):
     return transitions, [v for v, _ in keys]
 
 
-def dimension_matrix(sys: ReductionSystem, degree: int) -> list[list[int]]:
-    """(H_k)_{ij} = number of normal degree-k paths from i to j.
+def dimension_matrices(sys: ReductionSystem, max_degree: int) -> list[list[list[int]]]:
+    """[H_0, ..., H_max_degree], (H_k)_{ij} = number of normal degree-k paths from i to j.
 
-    Counted by transfer-matrix iteration on the forbidden-factor
-    automaton; the quiver down-up preset is independently cross-checked
-    against the closed normal-word shape u^a (du)^j d^c.
+    One transfer-matrix walk on the forbidden-factor automaton counts
+    every degree; the down-up presets are independently cross-checked
+    against the closed normal-word shape u^a (du)^j d^c at each degree.
     """
-    if degree < 0:
+    if max_degree < 0:
         raise ValueError("degree must be nonnegative")
-    transitions, vertex_of = _automaton(_tables(sys))
-    result = [[0] * sys.n for _ in range(sys.n)]
-    for i in range(sys.n):
-        vec = [0] * len(transitions)
-        vec[i] = 1
-        for _ in range(degree):
-            nxt = [0] * len(transitions)
-            for sid, cnt in enumerate(vec):
-                if cnt:
+    n = sys.n
+    transitions, vertex_of = _tables(sys).automaton()
+    # counts[i][s]: normal paths of the current degree from vertex i to state s.
+    counts = [[int(s == i) for s in range(len(transitions))] for i in range(n)]
+    matrices = []
+    for k in range(max_degree + 1):
+        if k:
+            steps = [[0] * len(transitions) for _ in range(n)]
+            for vec, nxt in zip(counts, steps):
+                for sid, cnt in enumerate(vec):
                     for _, tid in transitions[sid]:
                         nxt[tid] += cnt
-            vec = nxt
-        for sid, cnt in enumerate(vec):
-            result[i][vertex_of[sid]] += cnt
-    if sys.preset in (PRESET_QDU, PRESET_GRADED):
-        expected = _closed_shape_matrix(sys.n, degree)
-        if expected != result:
+            counts = steps
+        matrix = [[0] * n for _ in range(n)]
+        for row, vec in zip(matrix, counts):
+            for sid, cnt in enumerate(vec):
+                row[vertex_of[sid]] += cnt
+        if sys.preset in (PRESET_QDU, PRESET_GRADED) and matrix != _closed_shape_matrix(n, k):
             raise AssertionError(
-                f"automaton count disagrees with closed normal-word shape at degree {degree}")
-    return result
+                f"automaton count disagrees with closed normal-word shape at degree {k}")
+        matrices.append(matrix)
+    return matrices
+
+
+def dimension_matrix(sys: ReductionSystem, degree: int) -> list[list[int]]:
+    """(H_k)_{ij} = number of normal degree-k paths from i to j (``dimension_matrices``)."""
+    return dimension_matrices(sys, degree)[degree]
 
 
 # ---------------------------------------------------------------------------
@@ -532,10 +560,9 @@ def normal_shape(path: Path) -> tuple[int, int, int]:
 
 
 def _closed_shape_matrix(n: int, degree: int) -> list[list[int]]:
-    # From source i the normal word u^a (du)^j d^c ends at i + a - c.
-    shapes = normal_shapes(degree)
-    out = [[0] * n for _ in range(n)]
-    for i in range(n):
-        for a, _, c in shapes:
-            out[i][(i + a - c) % n] += 1
-    return out
+    # From source i the normal word u^a (du)^j d^c ends at i + a - c, so
+    # the matrix is circulant: row i is the offset counts shifted by i.
+    offsets = [0] * n
+    for a, _, c in normal_shapes(degree):
+        offsets[(a - c) % n] += 1
+    return [[offsets[(j - i) % n] for j in range(n)] for i in range(n)]

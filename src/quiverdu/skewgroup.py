@@ -27,7 +27,7 @@ from .rewrite import (
     PRESET_GRADED,
     PRESET_QDU,
     build_system,
-    dimension_matrix,
+    dimension_matrices,
     ensure_confluent,
     normal_form,
     normal_shape,
@@ -49,11 +49,6 @@ def monomials_of_degree(k: int) -> list[RMonomial]:
     return normal_shapes(k)
 
 
-@lru_cache(maxsize=1)
-def _graded_system():
-    return ensure_confluent(build_system(PRESET_GRADED))
-
-
 def _monomial_to_path(m: RMonomial):
     a, b, c = m
     return path_from_word(1, 0, "u" * a + "du" * b + "d" * c)
@@ -62,7 +57,7 @@ def _monomial_to_path(m: RMonomial):
 @lru_cache(maxsize=None)
 def r_monomial_product(m1: RMonomial, m2: RMonomial) -> tuple[tuple[RMonomial, Fraction], ...]:
     """Normal-form expansion of the product of two R-monomials."""
-    sys = _graded_system()
+    sys = ensure_confluent(build_system(PRESET_GRADED))
     prod = Element.from_path(_monomial_to_path(m1)) * Element.from_path(_monomial_to_path(m2))
     nf = normal_form(sys, prod)
     return tuple(sorted(((normal_shape(p), c) for p, c in nf.terms.items())))
@@ -299,10 +294,9 @@ def verify_quotient_match(n: int, params: Parameters | None = None, max_degree: 
                      for const in (1, -1)}
 
     matched = Parameters.of(n, [0] * n, [-1] * n, [0] * n)
-    qdu = build_system(PRESET_QDU, matched)
+    expected_by_degree = dimension_matrices(build_system(PRESET_QDU, matched), max_degree)
     mismatch = None
-    for k in range(max_degree + 1):
-        expected = dimension_matrix(qdu, k)
+    for k, expected in enumerate(expected_by_degree):
         found = corner_dimensions(n, k, idem)
         mismatch = next(((k, i, j, expected[i][j], found[i][j])
                          for i in range(n) for j in range(n)

@@ -250,27 +250,6 @@ class DiagonalMapSpec:
         return map_element(a, self.vertex_image, self.arrow_image)
 
 
-def compose_specs(first: DiagonalMapSpec, second: DiagonalMapSpec) -> DiagonalMapSpec:
-    """The spec acting as ``second after first``."""
-    if first.n != second.n:
-        raise ValueError("mismatched n")
-    n = first.n
-    reflect = first.reflect != second.reflect
-    shift = second.vertex_image(first.vertex_image(0))
-    u_scalars, d_scalars = [], []
-    for i in range(n):
-        for fam, out in (("u", u_scalars), ("d", d_scalars)):
-            c1, mid = first.arrow_image(Arrow(fam, i))
-            c2, _ = second.arrow_image(mid)
-            out.append(c1 * c2)
-    return DiagonalMapSpec(n, reflect, shift, tuple(u_scalars), tuple(d_scalars))
-
-
-def identity_spec(n: int) -> DiagonalMapSpec:
-    ones = tuple(Fraction(1) for _ in range(n))
-    return DiagonalMapSpec(n, False, 0, ones, ones)
-
-
 def paper_nakayama(params: Parameters) -> DiagonalMapSpec:
     """u_i -> -beta_{i-1}^{-1} u_i and d_i -> -beta_{i-1}^{-1} d_i."""
     n = params.n

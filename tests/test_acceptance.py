@@ -20,7 +20,7 @@ from quiverdu.hilbert import (
 )
 from quiverdu.iso import (
     decide_graded_iso,
-    transform_params,
+    transform_scale,
     verify_witness,
 )
 from quiverdu.rewrite import (
@@ -45,6 +45,7 @@ from quiverdu.structure import (
     paper_twist_weights,
     pwd_probe_H,
 )
+from test_iso import transform_params
 
 
 def _nonzero_fraction(rng):
@@ -272,7 +273,7 @@ def test_criterion_11_isomorphism_decision():
         n = 3
         a = Parameters.of(n, [0] * n, [_nonzero_fraction(rng) for _ in range(n)], [0] * n)
         if rng.random() < 0.5:
-            b = transform_params("scale", a, tuple(_nonzero_fraction(rng) for _ in range(n)))
+            b = transform_scale(a, tuple(_nonzero_fraction(rng) for _ in range(n)))
         else:
             b = Parameters.of(n, [_any_fraction(rng) for _ in range(n)],
                               [_nonzero_fraction(rng) for _ in range(n)], [0] * n)

@@ -2,6 +2,7 @@ import json
 
 import pytest
 
+from quiverdu import cli, rewrite
 from quiverdu.cli import ConfigError, main, parse_config
 
 
@@ -232,3 +233,30 @@ def test_vacuous_arguments_are_refused(tmp_path, capsys, argv):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert "must be at least" in captured.err
+
+
+def test_report_checks_confluence_once_and_builds_each_automaton_once(tmp_path, capsys, monkeypatch):
+    # Every section of a report reads the one shared system per parameter
+    # set: one confluence check, and one automaton per distinct system.
+    for cache in (rewrite._qdu_system, rewrite._preprojective_system, rewrite._graded_system):
+        cache.cache_clear()
+    checked, automata = [], []
+    check, build = rewrite.check_confluence, rewrite._build_automaton
+
+    def counted_check(sys):
+        checked.append(sys)
+        return check(sys)
+
+    def counted_build(tables):
+        automata.append(tables)
+        return build(tables)
+
+    for module in (rewrite, cli):
+        monkeypatch.setattr(module, "check_confluence", counted_check)
+    monkeypatch.setattr(rewrite, "_build_automaton", counted_build)
+    cfg = write_config(tmp_path, alpha=["2", "1/2", "5"], beta=["7", "-3/2", "13"],
+                       gamma=["1", "2", "1/3"])
+    code, report = run_json(capsys, ["report", cfg, "--json"])
+    assert code == 0 and report["verdict"] == "pass"
+    assert len(checked) == 1
+    assert len(automata) == len({id(t) for t in automata}) <= 2

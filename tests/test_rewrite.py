@@ -4,14 +4,17 @@ from fractions import Fraction
 
 import pytest
 
+from quiverdu import rewrite
 from quiverdu.core import Element, Parameters, canonical_path_key, path_from_word, trivial_path
 from quiverdu.rewrite import (
     PRESET_GRADED,
     PRESET_PREPROJECTIVE,
     PRESET_QDU,
+    ReductionSystem,
     build_system,
     certify_confluence_over_parameters,
     check_confluence,
+    dimension_matrices,
     dimension_matrix,
     ensure_confluent,
     enumerate_basis,
@@ -172,7 +175,7 @@ def test_confluence_graded_single_overlap():
 def test_checker_detects_non_confluence():
     # A deliberately broken system: d0.d0 -> u0.u0 and d0.u0 -> 0 overlap in
     # d0.d0.u0, whose two reductions differ by u0.u0.u0.
-    from quiverdu.rewrite import ReductionSystem, RewriteRule
+    from quiverdu.rewrite import RewriteRule
 
     n = 1
     r1 = RewriteRule(path_from_word(n, 0, "dd"), Element.from_path(path_from_word(n, 0, "uu")))
@@ -197,7 +200,9 @@ def test_grid_certificate_small():
 
 def test_is_zero_in_quotient():
     params = Parameters.of(3, [2, 3, 5], [7, 11, 13], [1, 0, 4])
-    sys = build_system(PRESET_QDU, params)
+    shared = build_system(PRESET_QDU, params)
+    # A private system: the shared one may have been verified already.
+    sys = ReductionSystem(shared.n, shared.rules, shared.preset, shared.params)
     rel = next(r for r in sys.rules if str(r.lhs) == "d0.d2.u2").as_relation()
     with pytest.raises(ValueError):
         is_zero_in_quotient(sys, rel)
@@ -267,12 +272,51 @@ def test_dimension_matrix_parameter_independent():
 
 
 def test_dimension_matrix_agrees_with_enumeration():
-    for preset, kwargs in ((PRESET_PREPROJECTIVE, {"n": 3}), (PRESET_GRADED, {})):
-        sys = build_system(preset, **kwargs)
+    qdu = build_system(PRESET_QDU, Parameters.of(3, [1, 2, 3], [4, 5, 6], [7, 8, 9]))
+    for sys in (build_system(PRESET_PREPROJECTIVE, n=3), build_system(PRESET_GRADED), qdu):
+        mats = dimension_matrices(sys, 5)
+        assert len(mats) == 6
         for k in range(6):
-            mat = dimension_matrix(sys, k)
             paths = enumerate_basis(sys, k)
             counts = [[0] * sys.n for _ in range(sys.n)]
             for p in paths:
                 counts[p.source][p.target] += 1
-            assert mat == counts
+            assert mats[k] == dimension_matrix(sys, k) == counts
+    with pytest.raises(ValueError):
+        dimension_matrices(qdu, -1)
+
+
+def test_build_system_shares_one_system_per_key():
+    params = Parameters.of(3, [1, 2, 3], [4, 5, 6], [7, 8, 9])
+    same = Parameters.of(3, ["1", "2", "3"], [4, 5, 6], [7, 8, 9])
+    qdu = build_system(PRESET_QDU, params)
+    assert build_system(PRESET_QDU, same) is qdu
+    assert build_system(PRESET_QDU, params, n=3) is qdu
+    assert build_system(PRESET_QDU, Parameters.of(3, [1, 2, 3], [4, 5, 6], [7, 8, 0])) is not qdu
+    pre = build_system(PRESET_PREPROJECTIVE, n=3)
+    assert build_system(PRESET_PREPROJECTIVE, params) is pre
+    assert build_system(PRESET_PREPROJECTIVE, params, n=3) is pre
+    assert build_system(PRESET_PREPROJECTIVE, n=4) is not pre
+    graded = build_system(PRESET_GRADED)
+    assert build_system(PRESET_GRADED) is graded
+    assert graded is not build_system(PRESET_QDU, graded.params)
+
+
+def test_dimension_matrices_cross_checks_every_degree(monkeypatch):
+    closed = rewrite._closed_shape_matrix
+
+    def wrong_at_four(n, degree):
+        m = closed(n, degree)
+        if degree == 4:
+            m[0][0] += 1
+        return m
+
+    monkeypatch.setattr(rewrite, "_closed_shape_matrix", wrong_at_four)
+    sys = build_system(PRESET_QDU, Parameters.of(3, [1, 2, 3], [4, 5, 6], [7, 8, 9]))
+    assert len(dimension_matrices(sys, 3)) == 4
+    with pytest.raises(AssertionError, match="at degree 4"):
+        dimension_matrices(sys, 8)
+    with pytest.raises(AssertionError, match="at degree 4"):
+        dimension_matrix(sys, 6)
+    # The preprojective preset has another normal-word shape: not cross-checked.
+    assert len(dimension_matrices(build_system(PRESET_PREPROJECTIVE, n=3), 8)) == 9

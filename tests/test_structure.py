@@ -3,18 +3,17 @@ from fractions import Fraction
 
 import pytest
 
-from quiverdu.core import Element, Parameters, down, path_from_word, up
+from quiverdu.core import Arrow, Element, Parameters, down, path_from_word, up
 from quiverdu.rewrite import PRESET_QDU, build_system, normal_form
 from quiverdu.structure import (
     balanced_twist_weights,
     build_superpotential,
     check_derivation_quotient,
     check_diagonal_map,
+    DiagonalMapSpec,
     check_twist_invariance,
-    compose_specs,
     cyclic_derivative,
     derived_nakayama,
-    identity_spec,
     noetherian_chain_check,
     paper_nakayama,
     paper_twist_weights,
@@ -144,6 +143,27 @@ def test_nakayama_paper_map_squares_condition():
     assert check_diagonal_map(paper_nakayama(unit), unit, unit).ok
     generic = Parameters.of(n, [1, 2, 3], [1, 2, 3], [0] * n)
     assert not check_diagonal_map(paper_nakayama(generic), generic, generic).ok
+
+
+def compose_specs(first, second):
+    """The diagonal map acting as ``second after first``."""
+    if first.n != second.n:
+        raise ValueError("mismatched n")
+    n = first.n
+    shift = second.vertex_image(first.vertex_image(0))
+    u_scalars, d_scalars = [], []
+    for i in range(n):
+        for fam, out in (("u", u_scalars), ("d", d_scalars)):
+            c1, mid = first.arrow_image(Arrow(fam, i))
+            c2, _ = second.arrow_image(mid)
+            out.append(c1 * c2)
+    return DiagonalMapSpec(n, first.reflect != second.reflect, shift,
+                           tuple(u_scalars), tuple(d_scalars))
+
+
+def identity_spec(n):
+    ones = (Fraction(1),) * n
+    return DiagonalMapSpec(n, False, 0, ones, ones)
 
 
 def test_diagonal_map_composition():
