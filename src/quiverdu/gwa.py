@@ -13,6 +13,15 @@ m < 0.  The generator attached to vertex i satisfies
 X_i^- = e_i X^- = X^- e_{i+1} and X_i^+ = X^+ e_i = e_{i+1} X^+, so that
 X_i^- X_i^+ = x_i and X_i^+ X_i^- = y_{i+1}.
 
+sigma^m is applied through cached images of e_v, x_v and y_v
+(``_ShiftTable``, one per parameter set in a bounded ``lru_cache``): each
+image is an affine combination of e_w, x_w, y_w with w = v + m, built once
+per m by one step from m -+ 1.  This is exact because sigma^m is an
+algebra map, so its value on x_v^a y_v^b e_v is sigma^m(x_v)^a
+sigma^m(y_v)^b; the table caches those monomial images and the cross
+factors of X^{m1} X^{m2} too, so a product costs one substitution per term
+pair instead of m.
+
 ``BaseElement`` (monomial (v, a, b) -> rational) and ``GwaElement``
 (exponent m -> coefficient r_m in R) are ``core.Combination``s: their
 linear arithmetic is the shared kernel, and only their products and the
@@ -28,6 +37,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 
 from .core import Combination, Element, Parameters, Path, path_from_word, trivial_path
 from .rewrite import PRESET_QDU, build_system, normal_form
@@ -135,10 +145,79 @@ def sigma_inverse(params: Parameters, b: BaseElement) -> BaseElement:
 
 
 def sigma_power(params: Parameters, b: BaseElement, m: int) -> BaseElement:
-    step = sigma if m >= 0 else sigma_inverse
-    for _ in range(abs(m)):
-        b = step(params, b)
-    return b
+    return _shift_table(params).apply(b, m)
+
+
+class _ShiftTable:
+    """sigma^m for one parameter set: the images of x_v and y_v for each m
+    used, the monomial images built from them and the cross factors."""
+
+    def __init__(self, params: Parameters):
+        self.params = params
+        self.invertible = params.beta_all_nonzero()
+        n = params.n
+        self._images = {0: tuple((BaseElement.x(n, v), BaseElement.y(n, v)) for v in range(n))}
+        self._monomials: dict[tuple[int, int, int, int], BaseElement] = {}
+        self._cross: dict[tuple[int, int], BaseElement] = {}
+
+    def images(self, m: int) -> tuple[tuple[BaseElement, BaseElement], ...]:
+        """(sigma^m(x_v), sigma^m(y_v)) for every vertex v."""
+        if m < 0 and not self.invertible:
+            raise ValueError("sigma is not invertible: some beta_i = 0")
+        step, sign = (sigma, 1) if m > 0 else (sigma_inverse, -1)
+        k = m
+        while k not in self._images:
+            k -= sign
+        while k != m:
+            prev = self._images[k]
+            k += sign
+            self._images[k] = tuple((step(self.params, xs), step(self.params, ys))
+                                    for xs, ys in prev)
+        return self._images[m]
+
+    def monomial(self, m: int, v: int, a: int, b: int) -> BaseElement:
+        """sigma^m(x_v^a y_v^b e_v)."""
+        key = (m, v, a, b)
+        image = self._monomials.get(key)
+        if image is None:
+            if a:
+                image = self.monomial(m, v, a - 1, b) * self.images(m)[v][0]
+            elif b:
+                image = self.monomial(m, v, 0, b - 1) * self.images(m)[v][1]
+            else:
+                image = BaseElement.e(self.params.n, v + m)
+            self._monomials[key] = image
+        return image
+
+    def apply(self, b: BaseElement, m: int) -> BaseElement:
+        if m == 0:
+            return b
+        self.images(m)  # refuses m < 0 without sigma^-1, also for b = 0
+        return BaseElement.combine(self.params.n, [(self.monomial(m, v, x, y), c)
+                                                   for (v, x, y), c in b.terms.items()])
+
+    def cross(self, m1: int, m2: int) -> BaseElement:
+        """Coefficient from contracting X^{m1} X^{m2} into X^{m1+m2}."""
+        key = (m1, m2)
+        out = self._cross.get(key)
+        if out is None:
+            if m1 > 0 > m2:
+                out = self._x_total(m1) * self.cross(m1 - 1, m2 + 1)
+            elif m1 < 0 < m2:
+                out = self._x_total(m1 + 1) * self.cross(m1 + 1, m2 - 1)
+            else:
+                out = BaseElement.one(self.params.n)
+            self._cross[key] = out
+        return out
+
+    def _x_total(self, m: int) -> BaseElement:
+        """sigma^m(x), x = sum_v x_v."""
+        return BaseElement.combine(self.params.n, [(xs, 1) for xs, _ in self.images(m)])
+
+
+@lru_cache(maxsize=16)
+def _shift_table(params: Parameters) -> _ShiftTable:
+    return _ShiftTable(params)
 
 
 class GwaElement(Combination):
@@ -188,29 +267,15 @@ class GwaElement(Combination):
         return " + ".join(bits)
 
 
-def _cross_factor(params: Parameters, m1: int, m2: int) -> BaseElement:
-    """Coefficient from contracting X^{m1} X^{m2} into X^{m1+m2}."""
-    n = params.n
-    out = BaseElement.one(n)
-    while m1 > 0 and m2 < 0:
-        out = out * sigma_power(params, BaseElement.x_total(n), m1)
-        m1 -= 1
-        m2 += 1
-    while m1 < 0 and m2 > 0:
-        out = out * sigma_power(params, BaseElement.x_total(n), m1 + 1)
-        m1 += 1
-        m2 -= 1
-    return out
-
-
 def gwa_multiply(params: Parameters, a: GwaElement, b: GwaElement) -> GwaElement:
     if not params.beta_all_nonzero():
         raise ValueError("GWA arithmetic requires all beta_i nonzero")
     n = params.n
+    table = _shift_table(params)
     parts = []
     for m1, r in a.terms.items():
         for m2, s in b.terms.items():
-            coeff = r * sigma_power(params, s, m1) * _cross_factor(params, m1, m2)
+            coeff = r * table.apply(s, m1) * table.cross(m1, m2)
             parts.append((GwaElement(n, {m1 + m2: coeff}), 1))
     return GwaElement.combine(n, parts)
 

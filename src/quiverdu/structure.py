@@ -460,12 +460,13 @@ def noetherian_chain_check(params: Parameters, i: int | None = None, s_max: int 
     basis_by_degree = {k: [p for p in enumerate_basis(sys, k) if p.source == i]
                        for k in range(degree_bound + 1)}
     support_ok = True
-    strict = []
-    span_rows: list[Element] = []
+    chain: list[Element] = []  # for each s: the products U^s g b, then U^{s+1} g
+    counts = []
     for s in range(1, s_max + 1):
         m = s
         g_m = generators[m - 1]
         max_b = degree_bound - m * n - 2
+        before = len(chain)
         for k in range(max_b + 1):
             for b in basis_by_degree[k]:
                 product = normal_form(sys, g_m * Element.from_path(b))
@@ -481,10 +482,19 @@ def noetherian_chain_check(params: Parameters, i: int | None = None, s_max: int 
                             support_ok = False
                     else:
                         support_ok = False
-                span_rows.append(product)
-        g_next = generators[s]
-        vecs = _vectorize(span_rows + [g_next])
-        strict.append((s, not in_span(vecs[:-1], vecs[-1])))
+                chain.append(product)
+        counts.append(len(chain) - before)
+        chain.append(generators[s])
+    # One vectorization over the joint support, and one elimination kept
+    # across s: I_s grows from I_{s-1}, so each spanning row is added once.
+    rows = _vectorize(chain)
+    space = RowSpace(len(rows[0]) if rows else 0)
+    vecs = iter(rows)
+    strict = []
+    for s, count in enumerate(counts, start=1):
+        for _ in range(count):
+            space.add(next(vecs))
+        strict.append((s, not space.contains(next(vecs))))
     return ChainReport(i, s_max, str(g), str(up_cycle_path(n, i)), annihilation_ok,
                        strict, support_ok)
 

@@ -3,6 +3,7 @@ from fractions import Fraction
 
 import pytest
 
+from quiverdu import gwa
 from quiverdu.core import Element, Parameters, path_from_word
 from quiverdu.gwa import (
     BaseElement,
@@ -12,6 +13,7 @@ from quiverdu.gwa import (
     pwd_probe_gwa,
     sigma,
     sigma_inverse,
+    sigma_power,
     theta,
     theta_prime,
     verify_gwa,
@@ -83,6 +85,37 @@ def test_sigma_inverse_needs_nonzero_beta():
     p = Parameters.of(2, [1, 1], [0, 1], [0, 0])
     with pytest.raises(ValueError):
         sigma_inverse(p, BaseElement.x(2, 0))
+
+
+def test_sigma_power_negative_needs_nonzero_beta_even_on_zero():
+    p = Parameters.of(2, [1, 1], [0, 1], [0, 0])
+    for b in (BaseElement.x(2, 0), BaseElement(2, {})):
+        with pytest.raises(ValueError):
+            sigma_power(p, b, -1)
+        with pytest.raises(ValueError):
+            sigma_power(p, b, -3)
+    assert sigma_power(p, BaseElement.x(2, 0), 2) == sigma(p, sigma(p, BaseElement.x(2, 0)))
+
+
+def test_sigma_power_zero_returns_argument():
+    for p in (params_n3(), Parameters.of(2, [1, 1], [0, 1], [0, 0])):
+        b = BaseElement(p.n, {(0, 2, 1): Fraction(3, 4)})
+        assert sigma_power(p, b, 0) is b
+
+
+def test_gwa_multiply_needs_nonzero_beta():
+    p = Parameters.of(3, [1, 1, 1], [1, 0, 1], [0, 0, 0])
+    with pytest.raises(ValueError):
+        gwa_multiply(p, GwaElement.x_minus(3), GwaElement.x_plus(3))
+    with pytest.raises(ValueError):
+        gwa_multiply(p, GwaElement(3, {}), GwaElement(3, {}))
+
+
+def test_gwa_caches_are_bounded_lru_caches():
+    caches = [obj for obj in vars(gwa).values() if hasattr(obj, "cache_clear")]
+    assert caches
+    for cache in caches:
+        assert cache.cache_info().maxsize is not None
 
 
 def test_gwa_contractions():
