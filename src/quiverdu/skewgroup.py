@@ -131,8 +131,13 @@ def smash_multiply(a: SmashElement, b: SmashElement) -> SmashElement:
     for (m1, j1), c1 in a.terms.items():
         for (m2, j2), c2 in b.terms.items():
             scalar = c1 * c2
-            if j1 * monomial_weight(m2) % n:  # g^j1 scales m2 by a root of unity other than 1
-                scalar = scalar * group_action(n, j1, m2)
+            # g^j1 scales u^a (du)^b d^c by zeta^(j1 (a - c)), read here from the
+            # definition of the action and not through ``monomial_weight``, so
+            # the left-factor check of ``corner_dimensions`` compares two
+            # independent computations of the weight.
+            shift = j1 * (m2[0] - m2[2]) % n
+            if shift:
+                scalar = scalar * CycScalar.zeta_power(n, shift)
             j = (j1 + j2) % n
             for m, q in r_monomial_product(m1, m2):
                 term = scalar if q == 1 else scalar * q
@@ -220,7 +225,9 @@ def check_group_absorption(n: int, idem: IdempotentSet) -> None:
     """Raise AssertionError unless g^t f_j = zeta^{-tj} f_j for every t and j.
 
     The identity gives f_i (m # g^t) f_j = zeta^{-tj} f_i (m # 1) f_j, so
-    the products with t = 0 alone span each corner f_i B_k f_j.
+    each spanning product f_i (m # g^t) f_j of a corner is a multiple of
+    the one with t = 0, and the products f_i (m # 1) f_j over the
+    degree-k monomials m span f_i B_k f_j.
     """
     for t in range(n):
         g = SmashElement.group(n, t)
@@ -233,28 +240,35 @@ def corner_dimensions(n: int, k: int, idem: IdempotentSet) -> list[list[int]]:
     """dim f_i B_k f_j for every corner (i, j), by exact rank over Q(zeta_n).
 
     Corner (i, j) is spanned by f_i (m # 1) f_j over the degree-k
-    monomials m; this rests on ``check_group_absorption``.  The left
-    factor f_i (m # 1) is formed once per (i, m).
+    monomials m (``check_group_absorption``).  Since g^t (m # 1) =
+    zeta^{t w(m)} (m # g^t) with w = ``monomial_weight``, the left factor
+    is f_i (m # 1) = m # f_a with a = i + w(m) mod n, where m # f_a stands
+    for sum_t (zeta^{at} / n) (m # g^t).  Orthogonality f_a f_j =
+    delta_{aj} f_j (``build_idempotents``) then gives
+    f_i (m # 1) f_j = delta_{aj} m # f_j: each m adds one row, to corner
+    (i, a) only.  The left factor is formed by the smash product once per
+    (i, m) and compared exactly with m # f_a; a mismatch raises
+    AssertionError.  Rows of distinct m have disjoint support (their keys
+    carry m), so each corner's rank is its number of rows; the ranks are
+    still taken by elimination.
     """
     monomials = monomials_of_degree(k)
     coords = {key: pos for pos, key in enumerate((m, t) for m in monomials for t in range(n))}
     zero = CycScalar.zero(n)
     dims = []
     for i in range(n):
-        lefts = [idem[i] * SmashElement.monomial(n, m) for m in monomials]
-        corner_row = []
-        for j in range(n):
-            space = RowSpace(len(coords))
-            for left in lefts:
-                prod = left * idem[j]
-                if prod.is_zero():
-                    continue
-                row = [zero] * len(coords)
-                for key, c in prod.terms.items():
-                    row[coords[key]] = c
-                space.add(row)
-            corner_row.append(space.rank)
-        dims.append(corner_row)
+        spaces = [RowSpace(len(coords)) for _ in range(n)]
+        for m in monomials:
+            left = idem[i] * SmashElement.monomial(n, m)
+            a = (i + monomial_weight(m)) % n
+            expected = {(m, t): c for (_, t), c in idem[a].terms.items()}
+            if left.terms != expected:
+                raise AssertionError(f"f_i (m # 1) != m # f_(i+w(m)) at i={i}, m={m}")
+            row = [zero] * len(coords)
+            for key, c in expected.items():
+                row[coords[key]] = c
+            spaces[a].add(row)
+        dims.append([space.rank for space in spaces])
     return dims
 
 
@@ -267,8 +281,11 @@ def verify_quotient_match(n: int, params: Parameters | None = None, max_degree: 
     H(0, beta, 0), that is A - beta B = 0 for each pair (A, B) above, so
     the identities of (a) are the case beta = -1 of (b) and
     ``proof_identities_ok`` is ``relation_kill[-1]``; (c) compares
-    dim f_i B f_j per degree with the quiver down-up dimension matrix by
-    exact rank computation over cyclotomics (``corner_dimensions``).
+    dim f_i B_k f_j per degree k with the quiver down-up dimension matrix
+    by exact rank computation over cyclotomics (``corner_dimensions``):
+    the products f_i (m # 1) f_j over the degree-k monomials m span the
+    corner (``check_group_absorption``), and each is written as
+    delta_{a j} m # f_j after its left factor is checked.
     Raises AssertionError if an internal cross-check fails.
     """
     if n < 2:

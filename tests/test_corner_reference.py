@@ -1,10 +1,13 @@
-"""Differential test of the corner spanning set of the skew-group check.
+"""Differential and mutation tests of the corner rows of the skew-group check.
 
 The reference is the corner loop that ``corner_dimensions`` replaced,
 kept here verbatim: it spans f_i B_k f_j with every triple product
 f_i (m # g^t) f_j.  The new code spans with t = 0 only, which is sound
-because g^t f_j = zeta^{-tj} f_j; a labelling of the idempotents that
-breaks that identity must be caught.
+because g^t f_j = zeta^{-tj} f_j, and writes each row in closed form,
+f_i (m # 1) f_j = delta_{a j} m # f_j with a = i + w(m), after checking
+the left factor f_i (m # 1) = m # f_a.  A labelling of the idempotents
+that breaks the absorption identity, a weight of the wrong sign and a
+left factor taken with the wrong idempotent must each be caught.
 """
 
 import json
@@ -14,13 +17,16 @@ import pytest
 from quiverdu import skewgroup
 from quiverdu.cli import main
 from quiverdu.cyclotomic import CycScalar
+from quiverdu.core import Parameters
 from quiverdu.linalg import RowSpace
+from quiverdu.rewrite import PRESET_QDU, build_system, dimension_matrices
 from quiverdu.skewgroup import (
     IdempotentSet,
     SmashElement,
     build_idempotents,
     check_group_absorption,
     corner_dimensions,
+    monomial_weight,
     monomials_of_degree,
 )
 
@@ -55,10 +61,10 @@ def rotated(idem: IdempotentSet) -> IdempotentSet:
     return IdempotentSet(idem.n, fs[1:] + fs[:1])
 
 
-@pytest.mark.parametrize("n", [2, 3, 4, 5])
+@pytest.mark.parametrize("n", [2, 3, 4, 5, 6])
 def test_corner_ranks_match_reference(n):
     idem = build_idempotents(n)
-    for k in range(4):
+    for k in range(4 if n <= 5 else 3):
         assert corner_dimensions(n, k, idem) == reference_corner_dimensions(n, k, idem), k
 
 
@@ -88,3 +94,74 @@ def test_tampered_idempotents_give_fail_exit_1(tmp_path, capsys, monkeypatch):
     assert code == 1
     assert report["verdict"] == "fail"
     assert report["findings"] == {"internal_check_failed": "g^t f_j != zeta^(-tj) f_j at t=1, j=0"}
+
+
+def weight_class_counts(n, k):
+    """#{m of degree k : w(m) = j - i mod n} for every corner (i, j), no smash product."""
+    counts = [[0] * n for _ in range(n)]
+    for m in monomials_of_degree(k):
+        for i in range(n):
+            counts[i][(i + monomial_weight(m)) % n] += 1
+    return counts
+
+
+def test_corner_rank_is_weight_class_count():
+    for n in range(2, 13):
+        idem = build_idempotents(n)
+        matched = Parameters.of(n, [0] * n, [-1] * n, [0] * n)
+        expected = dimension_matrices(build_system(PRESET_QDU, matched), 6)
+        for k in range(7):
+            counts = weight_class_counts(n, k)
+            assert corner_dimensions(n, k, idem) == counts, (n, k)
+            assert [list(row) for row in expected[k]] == counts, (n, k)
+
+
+def flip_weight_sign(monkeypatch):
+    """The corner code reads w(m) = #d - #u; the smash product keeps the true action."""
+    monkeypatch.setattr(skewgroup, "monomial_weight", lambda m: m[2] - m[0])
+
+
+def shift_left_factors(monkeypatch, n):
+    """f_{i+1} (m # 1) in place of f_i (m # 1), for every single m # 1 on the right."""
+    fs = build_idempotents(n).idempotents
+    genuine = skewgroup.smash_multiply
+
+    def mutated(a, b):
+        if a in fs and len(b.terms) == 1 and next(iter(b.terms))[1] == 0:
+            a = fs[(fs.index(a) + 1) % n]
+        return genuine(a, b)
+
+    monkeypatch.setattr(skewgroup, "smash_multiply", mutated)
+
+
+@pytest.mark.parametrize("n", [3, 4, 5, 6])
+def test_wrong_weight_sign_fails_left_factor_check(n, monkeypatch):
+    idem = build_idempotents(n)
+    flip_weight_sign(monkeypatch)
+    assert corner_dimensions(n, 0, idem) == [[int(i == j) for j in range(n)] for i in range(n)]
+    with pytest.raises(AssertionError, match=r"at i=0, m=\(0, 0, 1\)"):
+        corner_dimensions(n, 1, idem)
+
+
+@pytest.mark.parametrize("n", [2, 3, 5])
+def test_shifted_left_factor_fails_check(n, monkeypatch):
+    idem = build_idempotents(n)
+    shift_left_factors(monkeypatch, n)
+    with pytest.raises(AssertionError, match=r"at i=0, m=\(0, 0, 0\)"):
+        corner_dimensions(n, 0, idem)
+
+
+@pytest.mark.parametrize("mutate, message", [
+    (flip_weight_sign, "f_i (m # 1) != m # f_(i+w(m)) at i=0, m=(0, 0, 1)"),
+    (lambda mp: shift_left_factors(mp, 3), "f_i (m # 1) != m # f_(i+w(m)) at i=0, m=(0, 0, 0)"),
+], ids=["weight-sign", "left-factor"])
+def test_corrupted_corner_rows_give_fail_exit_1(mutate, message, tmp_path, capsys, monkeypatch):
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps({"n": 3, "alpha": ["0"] * 3, "beta": ["-1"] * 3,
+                                "gamma": ["0"] * 3}), encoding="utf-8")
+    mutate(monkeypatch)
+    code = main(["verify", "skewgroup", str(path), "--max-degree", "1", "--json"])
+    report = json.loads(capsys.readouterr().out)
+    assert code == 1
+    assert report["verdict"] == "fail"
+    assert report["findings"] == {"internal_check_failed": message}
