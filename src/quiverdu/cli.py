@@ -118,10 +118,6 @@ def load_config(path: str) -> AlgebraConfig:
 # Report assembly
 # ---------------------------------------------------------------------------
 
-def _matrix(m: list[list[int]]) -> list[list[int]]:
-    return [list(row) for row in m]
-
-
 def _closed_form_findings(report: ClosedFormReport) -> dict:
     out = {
         "preset": report.preset,
@@ -238,12 +234,11 @@ def _cmd_basis(args) -> tuple[str, dict]:
     preset = PRESET_PREPROJECTIVE if args.preset == "preprojective" else PRESET_QDU
     sys_ = build_system(preset, params, n=params.n)
     paths = enumerate_basis(sys_, args.degree)
-    matrix = dimension_matrix(sys_, args.degree)
     return "pass", {
         "degree": args.degree,
         "preset": preset,
         "paths": [str(p) for p in paths],
-        "dimension_matrix": _matrix(matrix),
+        "dimension_matrix": dimension_matrix(sys_, args.degree),
         "total": len(paths),
     }
 
@@ -274,7 +269,7 @@ def _cmd_hilbert(args) -> tuple[str, dict]:
     findings = {
         "preset": preset,
         "max_degree": args.max_degree,
-        "matrices": [_matrix(m) for m in matrices],
+        "matrices": matrices,
         "totals": [sum(sum(row) for row in m) for m in matrices],
     }
     return "pass", findings

@@ -366,10 +366,6 @@ class Parameters:
         conv = lambda xs: tuple(Fraction(x) for x in xs)
         return cls(n, conv(alpha), conv(beta), conv(gamma))
 
-    @classmethod
-    def zero_gamma(cls, n: int, alpha, beta) -> "Parameters":
-        return cls.of(n, alpha, beta, [0] * n)
-
     def beta_all_nonzero(self) -> bool:
         return all(b != 0 for b in self.beta)
 

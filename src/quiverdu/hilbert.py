@@ -214,13 +214,4 @@ def factorization_identity(n: int) -> bool:
     """(1-t^4)I - (t-t^3)M == (1-t^2)(I - Mt + It^2), coefficient by coefficient."""
     if n < 1:
         raise ValueError("n must be positive")
-    m = adjacency_matrix(n)
-    ident = mat_identity(n)
-    # (1-t^4) I
-    lhs_coeffs = {0: ident, 4: mat_scale(-1, ident)}
-    # minus (t-t^3) M
-    lhs_coeffs[1] = mat_scale(-1, m)
-    lhs_coeffs[3] = m
-    lhs = MatrixPoly(n, lhs_coeffs)
-    rhs = preprojective_denominator(n).scalar_poly_mul({0: 1, 2: -1})
-    return lhs == rhs
+    return qdu_denominator(n) == preprojective_denominator(n).scalar_poly_mul({0: 1, 2: -1})

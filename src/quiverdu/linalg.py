@@ -1,77 +1,75 @@
-"""Exact Gaussian elimination over any field-like scalar type.
+"""Exact Gaussian elimination on sparse rows over any field-like scalar type.
 
-Scalars must support +, -, *, equality, truthiness (nonzero test) and
-``Fraction(1) / x``.  Used with Fraction and with cyclotomic scalars.  A
-pivot row is scaled by the reciprocal of its leading entry, so that entry
-is exactly 1; an int row yields Fractions, never floats.
+A row is a mapping from column key to scalar; an absent key means zero,
+so ``Element.terms`` and other term maps are rows as they stand.  Column
+keys need only be hashable.  Scalars must support +, -, unary -, *,
+truthiness (nonzero test) and ``Fraction(1) / x``.  Used with Fraction
+and with cyclotomic scalars.  A pivot row is scaled by the reciprocal of
+its leading entry, so that entry is exactly 1; an int row yields
+Fractions, never floats.
 """
 
 from __future__ import annotations
 
+from collections.abc import Mapping
 from fractions import Fraction
 
 
 class RowSpace:
-    """Incremental row-echelon span with exact arithmetic."""
+    """Incremental echelon span of sparse rows with exact arithmetic.
 
-    def __init__(self, width: int):
-        self.width = width
-        self.pivots: list[tuple[int, list]] = []  # (pivot column, normalized row)
+    Pivots are kept in insertion order, and each pivot row is zero at the
+    pivot keys of the rows before it, so one pass over the pivots in that
+    order reduces a row.  ``width`` counts the columns the pivot rows reach.
+    """
 
-    def residual(self, vec: list) -> list:
-        row = list(vec)
-        for col, pivot_row in self.pivots:
-            c = row[col]
+    def __init__(self) -> None:
+        self.pivots: list[tuple[object, dict]] = []  # (pivot key, normalized row)
+        self._columns: set = set()
+
+    @property
+    def width(self) -> int:
+        return len(self._columns)
+
+    def residual(self, row: Mapping) -> dict:
+        out = {k: c for k, c in row.items() if c}
+        for key, pivot_row in self.pivots:
+            c = out.get(key)
             if c:
-                for j in range(col, self.width):
-                    row[j] = row[j] - c * pivot_row[j]
-        return row
+                for k, p in pivot_row.items():
+                    if k in out:
+                        v = out[k] - c * p
+                        if v:
+                            out[k] = v
+                        else:
+                            del out[k]
+                    else:
+                        out[k] = -(c * p)
+        return out
 
-    def add(self, vec: list) -> bool:
-        """Insert the vector; returns True if it enlarged the span."""
-        row = self.residual(vec)
-        for col in range(self.width):
-            if row[col]:
-                inv = Fraction(1) / row[col]  # one inverse per pivot, then products
-                normalized = [x * inv if x else x for x in row]
-                self.pivots.append((col, normalized))
-                self.pivots.sort(key=lambda t: t[0])
-                return True
-        return False
+    def add(self, row: Mapping) -> bool:
+        """Insert the row; returns True if it enlarged the span."""
+        out = self.residual(row)
+        if not out:
+            return False
+        key, lead = next(iter(out.items()))
+        inv = Fraction(1) / lead  # one inverse per pivot, then products
+        self.pivots.append((key, {k: c * inv for k, c in out.items()}))
+        self._columns.update(out)
+        return True
 
-    def contains(self, vec: list) -> bool:
-        return not any(self.residual(vec))
+    def contains(self, row: Mapping) -> bool:
+        return not self.residual(row)
 
     @property
     def rank(self) -> int:
         return len(self.pivots)
 
 
-def rank(rows: list[list]) -> int:
-    if not rows:
-        return 0
-    space = RowSpace(len(rows[0]))
-    for r in rows:
-        space.add(r)
-    return space.rank
-
-
-def in_span(rows: list[list], target: list) -> bool:
-    space = RowSpace(len(target))
-    for r in rows:
-        space.add(r)
-    return space.contains(target)
-
-
-def spans_equal(rows_a: list[list], rows_b: list[list]) -> bool:
-    if not rows_a and not rows_b:
-        return True
-    width = len(rows_a[0]) if rows_a else len(rows_b[0])
-    sa, sb = RowSpace(width), RowSpace(width)
+def spans_equal(rows_a: list[Mapping], rows_b: list[Mapping]) -> bool:
+    sa, sb = RowSpace(), RowSpace()
     for r in rows_a:
         sa.add(r)
     for r in rows_b:
         sb.add(r)
-    if sa.rank != sb.rank:
-        return False
-    return all(sa.contains(r) for r in rows_b)
+    return sa.rank == sb.rank and all(sa.contains(r) for r in rows_b)

@@ -253,21 +253,16 @@ def corner_dimensions(n: int, k: int, idem: IdempotentSet) -> list[list[int]]:
     still taken by elimination.
     """
     monomials = monomials_of_degree(k)
-    coords = {key: pos for pos, key in enumerate((m, t) for m in monomials for t in range(n))}
-    zero = CycScalar.zero(n)
     dims = []
     for i in range(n):
-        spaces = [RowSpace(len(coords)) for _ in range(n)]
+        spaces = [RowSpace() for _ in range(n)]
         for m in monomials:
             left = idem[i] * SmashElement.monomial(n, m)
             a = (i + monomial_weight(m)) % n
             expected = {(m, t): c for (_, t), c in idem[a].terms.items()}
             if left.terms != expected:
                 raise AssertionError(f"f_i (m # 1) != m # f_(i+w(m)) at i={i}, m={m}")
-            row = [zero] * len(coords)
-            for key, c in expected.items():
-                row[coords[key]] = c
-            spaces[a].add(row)
+            spaces[a].add(expected)
         dims.append([space.rank for space in spaces])
     return dims
 

@@ -25,7 +25,6 @@ from .core import (
     Element,
     Parameters,
     Path,
-    canonical_path_key,
     down,
     map_element,
     path_from_arrows,
@@ -33,7 +32,7 @@ from .core import (
     trivial_path,
     up,
 )
-from .linalg import RowSpace, in_span, spans_equal
+from .linalg import RowSpace, spans_equal
 from .rewrite import (
     PRESET_QDU,
     build_system,
@@ -48,26 +47,9 @@ from .rewrite import (
 # Named path constructors
 # ---------------------------------------------------------------------------
 
-def x_path(n: int, m: int) -> Path:
-    """The loop d_m u_m at vertex m+1."""
-    return path_from_word(n, (m + 1) % n, "du")
-
-
 def up_cycle_path(n: int, i: int) -> Path:
     """The full up-cycle u_i u_{i+1} ... u_{i-1+n} at vertex i."""
     return path_from_word(n, i % n, "u" * n)
-
-
-def _vectorize(elements: list[Element]) -> list[list[Fraction]]:
-    support = sorted({p for e in elements for p in e.terms}, key=canonical_path_key)
-    index = {p: pos for pos, p in enumerate(support)}
-    rows = []
-    for e in elements:
-        row = [Fraction(0)] * len(support)
-        for p, c in e.terms.items():
-            row[index[p]] = c
-        rows.append(row)
-    return rows
 
 
 # ---------------------------------------------------------------------------
@@ -205,8 +187,7 @@ def check_derivation_quotient(omega: Element, params: Parameters) -> bool:
     arrows = [up(i, n) for i in range(n)] + [down(i, n) for i in range(n)]
     derivatives = [cyclic_derivative(omega, a) for a in arrows]
     relations = build_system(PRESET_QDU, params).relation_elements()
-    vecs = _vectorize(derivatives + relations)
-    return spans_equal(vecs[: len(derivatives)], vecs[len(derivatives):])
+    return spans_equal([d.terms for d in derivatives], [r.terms for r in relations])
 
 
 # ---------------------------------------------------------------------------
@@ -289,12 +270,13 @@ def check_diagonal_map(spec: DiagonalMapSpec, src: Parameters, tgt: Parameters) 
     src_rels = build_system(PRESET_QDU, src).relation_elements()
     tgt_rels = build_system(PRESET_QDU, tgt).relation_elements()
     images = [spec.apply(r) for r in src_rels]
-    vecs = _vectorize(images + tgt_rels)
-    image_vecs, tgt_vecs = vecs[: len(images)], vecs[len(images):]
+    target = RowSpace()
+    for rel in tgt_rels:
+        target.add(rel.terms)
     details = []
     ok = True
-    for idx, (img, vec) in enumerate(zip(images, image_vecs)):
-        member = in_span(tgt_vecs, vec)
+    for idx, img in enumerate(images):
+        member = target.contains(img.terms)
         ok = ok and member
         scalar = None
         proportional_to = None
@@ -368,9 +350,8 @@ def property_report(params: Parameters, subalgebra_degree: int = 4) -> PropertyR
                     for _ in range(b):
                         word = word * gen_y
                     monomials.append(normal_form(sys, word))
-            vecs = _vectorize(monomials)
-            space = RowSpace(len(vecs[0]))
-            independent = all(space.add(v) for v in vecs)
+            space = RowSpace()
+            independent = all(space.add(m.terms) for m in monomials)
             checks = checks and independent
             witnesses.append({"vertex": i, "kind": "free-subalgebra", "ok": independent})
     else:
@@ -442,13 +423,8 @@ def noetherian_chain_check(params: Parameters, i: int | None = None, s_max: int 
     sys = ensure_confluent(build_system(PRESET_QDU, params))
     u_cycle = Element.from_path(up_cycle_path(n, i))
     g = -_zero_divisor(params, i)
-    g_with_one = (
-        Element.from_path(path_from_word(n, i, "ud"), params.alpha[i])
-        + Element.identity(n).scale(params.gamma[i])
-        - Element.from_path(x_path(n, i - 1))
-    )
     annihilation_ok = all(
-        is_zero_in_quotient(sys, u_cycle * g_with_one * Element.from_path(path_from_word(n, m, "u")))
+        is_zero_in_quotient(sys, u_cycle * g * Element.from_path(path_from_word(n, m, "u")))
         for m in range(n)
     )
     generators = []
@@ -460,13 +436,14 @@ def noetherian_chain_check(params: Parameters, i: int | None = None, s_max: int 
     basis_by_degree = {k: [p for p in enumerate_basis(sys, k) if p.source == i]
                        for k in range(degree_bound + 1)}
     support_ok = True
-    chain: list[Element] = []  # for each s: the products U^s g b, then U^{s+1} g
-    counts = []
+    # One elimination kept across s: I_s grows from I_{s-1}, so each
+    # spanning product is added once.
+    space = RowSpace()
+    strict = []
     for s in range(1, s_max + 1):
         m = s
         g_m = generators[m - 1]
         max_b = degree_bound - m * n - 2
-        before = len(chain)
         for k in range(max_b + 1):
             for b in basis_by_degree[k]:
                 product = normal_form(sys, g_m * Element.from_path(b))
@@ -482,19 +459,8 @@ def noetherian_chain_check(params: Parameters, i: int | None = None, s_max: int 
                             support_ok = False
                     else:
                         support_ok = False
-                chain.append(product)
-        counts.append(len(chain) - before)
-        chain.append(generators[s])
-    # One vectorization over the joint support, and one elimination kept
-    # across s: I_s grows from I_{s-1}, so each spanning row is added once.
-    rows = _vectorize(chain)
-    space = RowSpace(len(rows[0]) if rows else 0)
-    vecs = iter(rows)
-    strict = []
-    for s, count in enumerate(counts, start=1):
-        for _ in range(count):
-            space.add(next(vecs))
-        strict.append((s, not space.contains(next(vecs))))
+                space.add(product.terms)
+        strict.append((s, not space.contains(generators[s].terms)))
     return ChainReport(i, s_max, str(g), str(up_cycle_path(n, i)), annihilation_ok,
                        strict, support_ok)
 

@@ -1,20 +1,22 @@
 """Differential test of the one-elimination chain check.
 
 The reference is the loop that ``noetherian_chain_check`` replaced, kept
-here verbatim: at each s it vectorizes every spanning row found so far
-together with U^{s+1} g and eliminates them from scratch (``in_span``).
-The new check vectorizes once over the joint support and keeps one
-``RowSpace`` across s; both must give the same ``ChainReport``.
+here verbatim with the dense ``_vectorize`` and ``in_span`` it ran on: at
+each s it vectorizes every spanning row found so far together with
+U^{s+1} g and eliminates them from scratch, and it tests the annihilation
+with g_with_one, where the identity stands in for e_i.  The new check adds
+each product's term map to one sparse ``RowSpace`` kept across s; both
+must give the same ``ChainReport``.
 """
 
 from __future__ import annotations
 
+import random
 from fractions import Fraction
 
 import pytest
 
-from quiverdu.core import Element, Parameters, path_from_word, trivial_path
-from quiverdu.linalg import in_span
+from quiverdu.core import Element, Parameters, canonical_path_key, path_from_word, trivial_path
 from quiverdu.rewrite import (
     PRESET_QDU,
     build_system,
@@ -26,12 +28,24 @@ from quiverdu.rewrite import (
 )
 from quiverdu.structure import (
     ChainReport,
-    _vectorize,
     _zero_divisor,
     noetherian_chain_check,
     up_cycle_path,
-    x_path,
 )
+from test_linalg import in_span
+from test_structure import x_path
+
+
+def _vectorize(elements: list[Element]) -> list[list[Fraction]]:
+    support = sorted({p for e in elements for p in e.terms}, key=canonical_path_key)
+    index = {p: pos for pos, p in enumerate(support)}
+    rows = []
+    for e in elements:
+        row = [Fraction(0)] * len(support)
+        for p, c in e.terms.items():
+            row[index[p]] = c
+        rows.append(row)
+    return rows
 
 
 def reference_noetherian_chain_check(params: Parameters, i: int | None = None, s_max: int = 3,
@@ -134,3 +148,20 @@ def test_chain_report_matches_reference_with_wider_degree_bound():
     for s_max, bound in ((1, 9), (2, 12)):
         new = noetherian_chain_check(params, s_max=s_max, degree_bound=bound)
         assert new == reference_noetherian_chain_check(params, s_max=s_max, degree_bound=bound)
+
+
+def test_up_cycle_times_generator_ignores_the_identity():
+    """U g_with_one == U g term for term: U ends at i, where 1 acts as e_i."""
+    rng = random.Random(17)
+    for n in range(1, 6):
+        for _ in range(3):
+            params = Parameters.of(n, *([Fraction(rng.randint(-4, 4), rng.randint(1, 3))
+                                         for _ in range(n)] for _ in range(3)))
+            for i in range(n):
+                u_cycle = Element.from_path(up_cycle_path(n, i))
+                g_with_one = (
+                    Element.from_path(path_from_word(n, i, "ud"), params.alpha[i])
+                    + Element.identity(n).scale(params.gamma[i])
+                    - Element.from_path(x_path(n, i - 1))
+                )
+                assert u_cycle * g_with_one == u_cycle * -_zero_divisor(params, i)

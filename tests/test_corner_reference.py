@@ -18,7 +18,6 @@ from quiverdu import skewgroup
 from quiverdu.cli import main
 from quiverdu.cyclotomic import CycScalar
 from quiverdu.core import Parameters
-from quiverdu.linalg import RowSpace
 from quiverdu.rewrite import PRESET_QDU, build_system, dimension_matrices
 from quiverdu.skewgroup import (
     IdempotentSet,
@@ -29,6 +28,7 @@ from quiverdu.skewgroup import (
     monomial_weight,
     monomials_of_degree,
 )
+from test_linalg import RowSpace  # the dense elimination the corner loop ran on
 
 
 def reference_corner_dimensions(n, k, idem):

@@ -1,44 +1,155 @@
+"""Tests of sparse exact elimination, with the dense elimination it replaced.
+
+``RowSpace``, ``rank``, ``in_span`` and ``spans_equal`` below are the
+dense-list elimination of the package before rows became sparse term
+maps, kept verbatim as the reference; the package's sparse versions are
+reached as ``linalg.RowSpace`` and ``linalg.spans_equal``.  The
+differential tests feed both the same rows, as padded lists and as
+mappings with explicit zeros and shuffled key orders.
+"""
+
 import random
 from fractions import Fraction
 
 import pytest
 
+from quiverdu import linalg
 from quiverdu.cyclotomic import CycScalar
-from quiverdu.linalg import RowSpace, in_span, rank, spans_equal
+
+
+class RowSpace:
+    """Incremental row-echelon span with exact arithmetic."""
+
+    def __init__(self, width: int):
+        self.width = width
+        self.pivots: list[tuple[int, list]] = []  # (pivot column, normalized row)
+
+    def residual(self, vec: list) -> list:
+        row = list(vec)
+        for col, pivot_row in self.pivots:
+            c = row[col]
+            if c:
+                for j in range(col, self.width):
+                    row[j] = row[j] - c * pivot_row[j]
+        return row
+
+    def add(self, vec: list) -> bool:
+        """Insert the vector; returns True if it enlarged the span."""
+        row = self.residual(vec)
+        for col in range(self.width):
+            if row[col]:
+                inv = Fraction(1) / row[col]  # one inverse per pivot, then products
+                normalized = [x * inv if x else x for x in row]
+                self.pivots.append((col, normalized))
+                self.pivots.sort(key=lambda t: t[0])
+                return True
+        return False
+
+    def contains(self, vec: list) -> bool:
+        return not any(self.residual(vec))
+
+    @property
+    def rank(self) -> int:
+        return len(self.pivots)
+
+
+def rank(rows: list[list]) -> int:
+    if not rows:
+        return 0
+    space = RowSpace(len(rows[0]))
+    for r in rows:
+        space.add(r)
+    return space.rank
+
+
+def in_span(rows: list[list], target: list) -> bool:
+    space = RowSpace(len(target))
+    for r in rows:
+        space.add(r)
+    return space.contains(target)
+
+
+def spans_equal(rows_a: list[list], rows_b: list[list]) -> bool:
+    if not rows_a and not rows_b:
+        return True
+    width = len(rows_a[0]) if rows_a else len(rows_b[0])
+    sa, sb = RowSpace(width), RowSpace(width)
+    for r in rows_a:
+        sa.add(r)
+    for r in rows_b:
+        sb.add(r)
+    if sa.rank != sb.rank:
+        return False
+    return all(sa.contains(r) for r in rows_b)
 
 
 def frows(rows):
-    return [[Fraction(x) for x in row] for row in rows]
+    return [{j: Fraction(x) for j, x in enumerate(row)} for row in rows]
+
+
+def sparse_rank(rows):
+    space = linalg.RowSpace()
+    for r in rows:
+        space.add(r)
+    return space.rank
+
+
+def sparse_in_span(rows, target):
+    space = linalg.RowSpace()
+    for r in rows:
+        space.add(r)
+    return space.contains(target)
 
 
 def test_rank_basic():
-    assert rank(frows([[1, 2], [2, 4]])) == 1
-    assert rank(frows([[1, 0], [0, 1]])) == 2
-    assert rank([]) == 0
-    assert rank(frows([[0, 0, 0]])) == 0
+    assert sparse_rank(frows([[1, 2], [2, 4]])) == 1
+    assert sparse_rank(frows([[1, 0], [0, 1]])) == 2
+    assert sparse_rank([]) == 0
+    assert sparse_rank(frows([[0, 0, 0]])) == 0
+    assert sparse_rank([{}]) == 0
 
 
 def test_in_span():
     rows = frows([[1, 1, 0], [0, 1, 1]])
-    assert in_span(rows, frows([[1, 2, 1]])[0])
-    assert not in_span(rows, frows([[1, 0, 1]])[0])
+    assert sparse_in_span(rows, frows([[1, 2, 1]])[0])
+    assert not sparse_in_span(rows, frows([[1, 0, 1]])[0])
 
 
 def test_spans_equal():
     a = frows([[1, 0], [0, 1]])
     b = frows([[1, 1], [1, -1]])
-    assert spans_equal(a, b)
-    assert not spans_equal(a, frows([[1, 1]]))
-    assert spans_equal([], [])
+    assert linalg.spans_equal(a, b)
+    assert not linalg.spans_equal(a, frows([[1, 1]]))
+    assert linalg.spans_equal([], [])
 
 
 def test_rowspace_incremental():
-    space = RowSpace(3)
+    space = linalg.RowSpace()
     assert space.add(frows([[1, 2, 3]])[0])
     assert not space.add(frows([[2, 4, 6]])[0])
     assert space.add(frows([[0, 1, 0]])[0])
     assert space.rank == 2
     assert space.contains(frows([[1, 0, 3]])[0])
+
+
+def test_rows_with_any_hashable_keys():
+    space = linalg.RowSpace()
+    assert space.add({"x": 1, ("y", 2): Fraction(1, 2)})
+    assert not space.add({("y", 2): 1, "x": 2, "z": 0})
+    assert space.contains({"x": -2, ("y", 2): -1})
+    assert not space.contains({"z": 1})
+    assert space.width == 2
+
+
+def test_width_counts_columns_of_pivot_rows():
+    space = linalg.RowSpace()
+    assert space.width == 0
+    space.add({0: 1, 5: 0})
+    assert space.width == 1
+    space.add({0: 1, 3: 2})
+    assert space.width == 2
+    assert not space.add({3: 4, 0: 0})
+    assert space.width == 2 and isinstance(space.width, int)
 
 
 def test_rank_over_cyclotomics():
@@ -47,9 +158,9 @@ def test_rank_over_cyclotomics():
     one = CycScalar.one(n)
     zero = CycScalar.zero(n)
     # second row is zeta times the first: rank 1
-    assert rank([[one, z], [z, z * z]]) == 1
-    assert rank([[one, zero], [zero, z]]) == 2
-    assert in_span([[one, z]], [z, z * z])
+    assert sparse_rank([{0: one, 1: z}, {0: z, 1: z * z}]) == 1
+    assert sparse_rank([{0: one, 1: zero}, {0: zero, 1: z}]) == 2
+    assert sparse_in_span([{0: one, 1: z}], {0: z, 1: z * z})
 
 
 def test_twist_invariance_needs_homogeneous():
@@ -64,47 +175,44 @@ def test_twist_invariance_needs_homogeneous():
         check_twist_invariance(mixed, weights)
 
 
-class ReferenceRowSpace(RowSpace):
-    """RowSpace with the per-entry division it used before (verbatim add)."""
+class ReferenceRowSpace(linalg.RowSpace):
+    """Sparse RowSpace with a division per entry in place of one inverse per pivot."""
 
-    def add(self, vec: list) -> bool:
-        row = self.residual(vec)
-        for col in range(self.width):
-            if row[col]:
-                inv = row[col]
-                normalized = [x / inv for x in row]
-                self.pivots.append((col, normalized))
-                self.pivots.sort(key=lambda t: t[0])
-                return True
-        return False
+    def add(self, row) -> bool:
+        out = self.residual(row)
+        if not out:
+            return False
+        key, lead = next(iter(out.items()))
+        self.pivots.append((key, {k: c / lead for k, c in out.items()}))
+        return True
 
 
 def assert_unit_pivots(space, one):
-    for col, row in space.pivots:
-        assert row[col] == one and type(row[col]) is type(one)
-        assert not any(isinstance(x, float) for x in row)
-        assert not any(row[:col])
+    for pos, (key, row) in enumerate(space.pivots):
+        assert row[key] == one and type(row[key]) is type(one)
+        assert all(c and not isinstance(c, float) for c in row.values())
+        assert all(earlier not in row for earlier, _ in space.pivots[:pos])
 
 
 def test_pivots_lead_with_exact_one():
     rng = random.Random(97)
     for width in (1, 3, 6):
-        int_rows = [[rng.randint(-3, 3) for _ in range(width)] for _ in range(width + 2)]
-        space = RowSpace(width)
+        int_rows = [{j: rng.randint(-3, 3) for j in range(width)} for _ in range(width + 2)]
+        space = linalg.RowSpace()
         for r in int_rows:
             space.add(r)
         assert_unit_pivots(space, Fraction(1))
-        assert space.rank == rank(frows(int_rows))
-        frac_rows = [[Fraction(rng.randint(-5, 5), rng.randint(1, 4)) for _ in range(width)]
+        assert space.rank == rank([[r[j] for j in range(width)] for r in int_rows])
+        frac_rows = [{j: Fraction(rng.randint(-5, 5), rng.randint(1, 4)) for j in range(width)}
                      for _ in range(width + 2)]
-        space = RowSpace(width)
+        space = linalg.RowSpace()
         for r in frac_rows:
             space.add(r)
         assert_unit_pivots(space, Fraction(1))
     for n in (3, 5, 8, 12):
-        cyc_rows = [[CycScalar(n, [rng.randint(-2, 2) for _ in range(3)]) / rng.randint(1, 3)
-                     for _ in range(4)] for _ in range(5)]
-        space = RowSpace(4)
+        cyc_rows = [{j: CycScalar(n, [rng.randint(-2, 2) for _ in range(3)]) / rng.randint(1, 3)
+                     for j in range(4)} for _ in range(5)]
+        space = linalg.RowSpace()
         for r in cyc_rows:
             space.add(r)
         assert_unit_pivots(space, CycScalar.one(n))
@@ -118,15 +226,89 @@ def test_rowspace_matches_reference_elimination():
                       for _ in range(rng.randint(1, 5))])
         other = frows([[rng.choice([0, 1, -2]) for _ in range(width)]
                        for _ in range(rng.randint(1, 5))])
-        new, ref = RowSpace(width), ReferenceRowSpace(width)
+        new, ref = linalg.RowSpace(), ReferenceRowSpace()
         for r in rows:
             assert new.add(r) == ref.add(r)
         assert new.pivots == ref.pivots
-        assert rank(rows) == ref.rank
+        assert sparse_rank(rows) == ref.rank
         for target in other:
-            assert in_span(rows, target) == ref.contains(target)
-        ref_other = ReferenceRowSpace(width)
+            assert sparse_in_span(rows, target) == ref.contains(target)
+        ref_other = ReferenceRowSpace()
         for r in other:
             ref_other.add(r)
-        assert spans_equal(rows, other) == (
+        assert linalg.spans_equal(rows, other) == (
             ref.rank == ref_other.rank and all(ref.contains(r) for r in other))
+
+
+# ---------------------------------------------------------------------------
+# Sparse against dense elimination
+# ---------------------------------------------------------------------------
+
+def random_fraction(rng):
+    return Fraction(rng.randint(-4, 4), rng.randint(1, 3))
+
+
+def random_cyclotomic(n):
+    def draw(rng):
+        return CycScalar(n, [rng.randint(-2, 2) for _ in range(rng.randint(1, 3))]) / rng.randint(1, 3)
+    return draw
+
+
+def random_dense_rows(rng, width, count, draw, zero):
+    """Rows drawn sparsely, half of them combinations of earlier rows."""
+    rows = []
+    for _ in range(count):
+        if len(rows) >= 2 and rng.random() < 0.5:
+            a, b = rng.sample(rows, 2)
+            ca, cb = draw(rng), draw(rng)
+            rows.append([x * ca + y * cb for x, y in zip(a, b)])
+        else:
+            rows.append([draw(rng) if rng.random() < 0.6 else zero for _ in range(width)])
+    return rows
+
+
+def as_mapping(rng, dense, zero):
+    """The dense row as a mapping: explicit zeros kept or dropped, keys shuffled."""
+    items = [(j, c) for j, c in enumerate(dense) if c or rng.random() < 0.5]
+    if rng.random() < 0.3:
+        items.append((len(dense) + rng.randint(0, 2), zero))  # zero in a column no row uses
+    rng.shuffle(items)
+    return dict(items)
+
+
+def assert_sparse_matches_dense(rng, width, draw, zero, one):
+    rows = random_dense_rows(rng, width, rng.randint(1, width + 3), draw, zero)
+    targets = random_dense_rows(rng, width, 3, draw, zero)
+    # combinations of the rows are in the span; the sparse check must say so
+    for _ in range(2):
+        a, b = rng.choice(rows), rng.choice(rows)
+        ca, cb = draw(rng), draw(rng)
+        targets.append([x * ca + y * cb for x, y in zip(a, b)])
+    dense, sparse = RowSpace(width), linalg.RowSpace()
+    for r in rows:
+        assert sparse.add(as_mapping(rng, r, zero)) == dense.add(r)
+        assert sparse.rank == dense.rank
+        assert sparse.width <= width
+    assert_unit_pivots(sparse, one)
+    for t in targets:
+        assert sparse.contains(as_mapping(rng, t, zero)) == dense.contains(t)
+    assert linalg.spans_equal([as_mapping(rng, r, zero) for r in rows],
+                              [as_mapping(rng, t, zero) for t in targets]) == spans_equal(rows, targets)
+    shuffled = rows[:]
+    rng.shuffle(shuffled)
+    assert linalg.spans_equal([as_mapping(rng, r, zero) for r in rows],
+                              [as_mapping(rng, r, zero) for r in shuffled])
+
+
+def test_sparse_matches_dense_over_fractions():
+    rng = random.Random(2024)
+    for _ in range(150):
+        assert_sparse_matches_dense(rng, rng.randint(1, 7), random_fraction, Fraction(0), Fraction(1))
+
+
+@pytest.mark.parametrize("n", range(3, 13))
+def test_sparse_matches_dense_over_cyclotomics(n):
+    rng = random.Random(700 + n)
+    for _ in range(12):
+        assert_sparse_matches_dense(rng, rng.randint(1, 5), random_cyclotomic(n),
+                                    CycScalar.zero(n), CycScalar.one(n))

@@ -20,8 +20,12 @@ from quiverdu.structure import (
     property_report,
     pwd_probe_H,
     up_cycle_path,
-    x_path,
 )
+
+
+def x_path(n, m):
+    """The loop d_m u_m at vertex m+1."""
+    return path_from_word(n, (m + 1) % n, "du")
 
 
 def rand_params(n, rng, nonzero_beta=True, zero_gamma=False):
