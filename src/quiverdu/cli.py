@@ -69,12 +69,6 @@ class AlgebraConfig:
     def to_parameters(self) -> Parameters:
         return Parameters.of(self.n, self.alpha, self.beta, self.gamma)
 
-    def canonical_text(self) -> str:
-        return json.dumps(
-            {"n": self.n, "alpha": self.alpha, "beta": self.beta, "gamma": self.gamma},
-            sort_keys=True,
-        )
-
 
 def _rational_str(value, field: str, index: int) -> str:
     if isinstance(value, bool) or not isinstance(value, (int, str)):

@@ -16,11 +16,11 @@ X_i^- X_i^+ = x_i and X_i^+ X_i^- = y_{i+1}.
 sigma^m is applied through cached images of e_v, x_v and y_v
 (``_ShiftTable``, one per parameter set in a bounded ``lru_cache``): each
 image is an affine combination of e_w, x_w, y_w with w = v + m, built once
-per m by one step from m -+ 1.  This is exact because sigma^m is an
-algebra map, so its value on x_v^a y_v^b e_v is sigma^m(x_v)^a
-sigma^m(y_v)^b; the table caches those monomial images and the cross
-factors of X^{m1} X^{m2} too, so a product costs one substitution per term
-pair instead of m.
+per m from the images at m -+ 1 by sigma's definition.  This is exact
+because sigma^m is an algebra map, so its value on x_v^a y_v^b e_v is
+sigma^m(x_v)^a sigma^m(y_v)^b; the table caches those monomial images and
+the cross factors of X^{m1} X^{m2} too, so a product costs one
+substitution per term pair instead of m.
 
 ``BaseElement`` (monomial (v, a, b) -> rational) and ``GwaElement``
 (exponent m -> coefficient r_m in R) are ``core.Combination``s: their
@@ -71,10 +71,6 @@ class BaseElement(Combination):
     def one(cls, n: int) -> "BaseElement":
         return cls(n, {(v, 0, 0): Fraction(1) for v in range(n)})
 
-    @classmethod
-    def x_total(cls, n: int) -> "BaseElement":
-        return cls(n, {(v, 1, 0): Fraction(1) for v in range(n)})
-
     def _product(self, other: "BaseElement") -> "BaseElement":
         # Componentwise per vertex: e_i are orthogonal idempotents.
         sums: dict[tuple[int, int, int], Fraction] = {}
@@ -104,44 +100,13 @@ class BaseElement(Combination):
         return " + ".join(bits)
 
 
-def _substitute(n: int, b: BaseElement, image_of) -> BaseElement:
-    """Extend e_v, x_v, y_v -> image_of(v) multiplicatively and linearly."""
-    parts = []
-    for (v, a, bexp), c in b.terms.items():
-        image, xs, ys = image_of(v)
-        for _ in range(a):
-            image = image * xs
-        for _ in range(bexp):
-            image = image * ys
-        parts.append((image, c))
-    return BaseElement.combine(n, parts)
-
-
 def sigma(params: Parameters, b: BaseElement) -> BaseElement:
     """The shift substitution extended multiplicatively to R."""
-    n = params.n
-
-    def image_of(v):
-        w = (v + 1) % n
-        ys = BaseElement(n, {(w, 0, 1): params.alpha[v], (w, 1, 0): params.beta[v],
-                             (w, 0, 0): params.gamma[v]})
-        return BaseElement.e(n, w), BaseElement.y(n, w), ys
-    return _substitute(n, b, image_of)
+    return _shift_table(params).apply(b, 1)
 
 
 def sigma_inverse(params: Parameters, b: BaseElement) -> BaseElement:
-    if not params.beta_all_nonzero():
-        raise ValueError("sigma is not invertible: some beta_i = 0")
-    n = params.n
-
-    def image_of(v):
-        w = (v - 1) % n
-        # sigma(y_w) = alpha_w y_v + beta_w x_v + gamma_w e_v  =>  invert for x_v
-        inv = 1 / params.beta[w]
-        xs = BaseElement(n, {(w, 0, 1): inv, (w, 1, 0): -params.alpha[w] * inv,
-                             (w, 0, 0): -params.gamma[w] * inv})
-        return BaseElement.e(n, w), xs, BaseElement.x(n, w)
-    return _substitute(n, b, image_of)
+    return _shift_table(params).apply(b, -1)
 
 
 def sigma_power(params: Parameters, b: BaseElement, m: int) -> BaseElement:
@@ -164,16 +129,35 @@ class _ShiftTable:
         """(sigma^m(x_v), sigma^m(y_v)) for every vertex v."""
         if m < 0 and not self.invertible:
             raise ValueError("sigma is not invertible: some beta_i = 0")
-        step, sign = (sigma, 1) if m > 0 else (sigma_inverse, -1)
+        sign = 1 if m > 0 else -1
         k = m
         while k not in self._images:
             k -= sign
         while k != m:
-            prev = self._images[k]
+            self._images[k + sign] = self._step(k, sign)
             k += sign
-            self._images[k] = tuple((step(self.params, xs), step(self.params, ys))
-                                    for xs, ys in prev)
         return self._images[m]
+
+    def _step(self, m: int, sign: int) -> tuple[tuple[BaseElement, BaseElement], ...]:
+        """The images at m + sign from those at m, by sigma's definition:
+        sigma^{m+1} = sigma^m o sigma and sigma^{m-1} = sigma^m o sigma^-1."""
+        p, n, prev = self.params, self.params.n, self._images[m]
+        out = []
+        for v in range(n):
+            if sign > 0:
+                # sigma(x_v) = y_{v+1}, sigma(y_v) = alpha_v y_{v+1} + beta_v x_{v+1} + gamma_v e_{v+1}
+                xs, ys = prev[(v + 1) % n]
+                out.append((ys, BaseElement.combine(n, [(ys, p.alpha[v]), (xs, p.beta[v]),
+                                                       (BaseElement.e(n, v + 1 + m), p.gamma[v])])))
+            else:
+                # sigma^-1(y_v) = x_w and beta_w sigma^-1(x_v) = y_w - alpha_w x_w - gamma_w e_w, w = v - 1
+                w = (v - 1) % n
+                xs, ys = prev[w]
+                inv = 1 / p.beta[w]
+                out.append((BaseElement.combine(n, [(ys, inv), (xs, -p.alpha[w] * inv),
+                                                    (BaseElement.e(n, w + m), -p.gamma[w] * inv)]),
+                            xs))
+        return tuple(out)
 
     def monomial(self, m: int, v: int, a: int, b: int) -> BaseElement:
         """sigma^m(x_v^a y_v^b e_v)."""
@@ -391,8 +375,7 @@ class GwaVerifyReport:
                 and self.roundtrip_base and self.grading_ok and self.pwd.ok)
 
 
-def verify_gwa(params: Parameters, trials: int = 200, seed: int = 0,
-               degree_bound: int = 3) -> GwaVerifyReport:
+def verify_gwa(params: Parameters, trials: int = 200, seed: int = 0) -> GwaVerifyReport:
     n = params.n
     rules = build_system(PRESET_QDU, params).rules
     relations_killed = all(theta(params, rule.as_relation()).is_zero() for rule in rules)
@@ -419,5 +402,5 @@ def verify_gwa(params: Parameters, trials: int = 200, seed: int = 0,
         ):
             if theta(params, theta_prime(params, gen)) != gen:
                 roundtrip_base = False
-    pwd = pwd_probe_gwa(params, degree_bound=degree_bound, trials=trials, seed=seed)
+    pwd = pwd_probe_gwa(params, trials=trials, seed=seed)
     return GwaVerifyReport(relations_killed, roundtrip_arrows, roundtrip_base, grading_ok, pwd)

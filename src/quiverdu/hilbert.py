@@ -1,9 +1,14 @@
-"""Truncated matrix-valued Hilbert series, closed forms, and totals.
+"""Matrix-valued Hilbert series: the closed-form check and the totals.
 
-Coefficients are plain integer matrices (arbitrary precision).  The
-closed forms under test are (I - Mt + Mt^3 - It^4)^{-1} for the quiver
-down-up quotient and (I - Mt + It^2)^{-1} for the preprojective quotient,
-with M the adjacency matrix of the doubled n-cycle.
+The claim under test is that the dimension matrices H_k are the
+coefficients of D(t)^{-1}, with D(t) = I - Mt + Mt^3 - It^4 for the quiver
+down-up quotient and D(t) = I - Mt + It^2 for the preprojective quotient;
+M is the adjacency matrix of the doubled n-cycle.  A denominator is a plain
+map degree -> integer matrix (arbitrary precision).  Since D_0 = I, the
+truncated inverse is unique, so "H = D^{-1} through degree K" says exactly
+that the residual E_k = sum_j D_j H_{k-j} is I at k = 0 and 0 for
+k = 1..K.  ``closed_form_check`` computes E_k from the enumerated matrices;
+no series is inverted.
 """
 
 from __future__ import annotations
@@ -19,6 +24,7 @@ from .rewrite import (
 )
 
 Matrix = list[list[int]]
+Denominator = dict[int, Matrix]
 
 
 def mat_identity(n: int) -> Matrix:
@@ -31,10 +37,6 @@ def mat_zero(n: int) -> Matrix:
 
 def mat_add(a: Matrix, b: Matrix) -> Matrix:
     return [[x + y for x, y in zip(ra, rb)] for ra, rb in zip(a, b)]
-
-
-def mat_sub(a: Matrix, b: Matrix) -> Matrix:
-    return [[x - y for x, y in zip(ra, rb)] for ra, rb in zip(a, b)]
 
 
 def mat_scale(c: int, a: Matrix) -> Matrix:
@@ -57,94 +59,16 @@ def mat_total(a: Matrix) -> int:
     return sum(sum(row) for row in a)
 
 
-@dataclass
-class MatrixPoly:
-    """Finite map degree -> integer matrix; zero matrices are not stored."""
-
-    n: int
-    coeffs: dict[int, Matrix]
-
-    def __post_init__(self) -> None:
-        self.coeffs = {k: m for k, m in self.coeffs.items() if any(any(row) for row in m)}
-        if any(k < 0 for k in self.coeffs):
-            raise ValueError("polynomial degrees must be nonnegative")
-
-    def coeff(self, k: int) -> Matrix:
-        return self.coeffs.get(k, mat_zero(self.n))
-
-    @property
-    def degree(self) -> int:
-        return max(self.coeffs, default=0)
-
-    def __eq__(self, other) -> bool:
-        return isinstance(other, MatrixPoly) and self.n == other.n and self.coeffs == other.coeffs
-
-    def scalar_poly_mul(self, scalar_coeffs: dict[int, int]) -> "MatrixPoly":
-        out: dict[int, Matrix] = {}
-        for i, a in self.coeffs.items():
-            for j, c in scalar_coeffs.items():
-                k = i + j
-                out[k] = mat_add(out.get(k, mat_zero(self.n)), mat_scale(c, a))
-        return MatrixPoly(self.n, out)
-
-
-@dataclass
-class MatrixSeries:
-    n: int
-    order: int
-    coeffs: list[Matrix]
-
-    def coeff(self, k: int) -> Matrix:
-        if not 0 <= k <= self.order:
-            raise ValueError("degree beyond truncation order")
-        return self.coeffs[k]
-
-
-def invert_series(p: MatrixPoly, order: int, require_nonnegative: bool = True) -> MatrixSeries:
-    """The unique series h with p*h = I up to the given order.
-
-    Uses the recurrence H_k = -sum_{j>=1} p_j H_{k-j}.  The constant term
-    of p must be the identity.  The closed forms handled here all have
-    nonnegative coefficients (they count paths); by default this is
-    checked and violations raise.
-    """
-    ident = mat_identity(p.n)
-    if p.coeff(0) != ident:
-        raise ValueError("constant term must be the identity matrix")
-    coeffs = [ident]
-    for k in range(1, order + 1):
-        acc = mat_zero(p.n)
-        for j in range(1, min(k, p.degree) + 1):
-            acc = mat_add(acc, mat_mul(p.coeff(j), coeffs[k - j]))
-        hk = mat_scale(-1, acc)
-        if require_nonnegative and any(x < 0 for row in hk for x in row):
-            raise ValueError(f"negative series coefficient at degree {k}")
-        coeffs.append(hk)
-    return MatrixSeries(p.n, order, coeffs)
-
-
-def qdu_denominator(n: int) -> MatrixPoly:
+def qdu_denominator(n: int) -> Denominator:
     m = adjacency_matrix(n)
     ident = mat_identity(n)
-    return MatrixPoly(n, {0: ident, 1: mat_scale(-1, m), 3: m, 4: mat_scale(-1, ident)})
+    return {0: ident, 1: mat_scale(-1, m), 3: m, 4: mat_scale(-1, ident)}
 
 
-def preprojective_denominator(n: int) -> MatrixPoly:
+def preprojective_denominator(n: int) -> Denominator:
     m = adjacency_matrix(n)
     ident = mat_identity(n)
-    return MatrixPoly(n, {0: ident, 1: mat_scale(-1, m), 2: ident})
-
-
-def qdu_series(n: int, order: int) -> MatrixSeries:
-    return invert_series(qdu_denominator(n), order)
-
-
-def preprojective_series(n: int, order: int) -> MatrixSeries:
-    return invert_series(preprojective_denominator(n), order)
-
-
-def total_series(ms: MatrixSeries) -> list[int]:
-    return [mat_total(ms.coeff(k)) for k in range(ms.order + 1)]
+    return {0: ident, 1: mat_scale(-1, m), 2: ident}
 
 
 def qdu_total_formula(n: int, k: int) -> int:
@@ -182,28 +106,38 @@ class ClosedFormReport:
 def closed_form_check(params: Parameters, max_degree: int, preset: str = PRESET_QDU) -> ClosedFormReport:
     """Enumerated dimension matrices versus the closed-form series.
 
-    The enumeration is the ground truth; the series is the claim under
-    test.  Totals are compared against the scalar closed forms as well.
+    The enumeration is the ground truth; the series D(t)^{-1} is the claim
+    under test.  The check stops at the first k where R = E_k - [k=0] I is
+    nonzero.  Below k the matrices agree with the series, so R is H_k minus
+    the series coefficient, and ``first_mismatch`` is (k, i, j, expected,
+    got) at the first nonzero entry of R.  Totals are compared against the
+    scalar closed forms as well.
     """
     n = params.n
     if preset == PRESET_QDU:
         sys = build_system(PRESET_QDU, params)
-        series = qdu_series(n, max_degree)
+        denominator = qdu_denominator(n)
         total_formula = qdu_total_formula
         note = None
     elif preset == PRESET_PREPROJECTIVE:
         sys = build_system(PRESET_PREPROJECTIVE, n=n)
-        series = preprojective_series(n, max_degree)
+        denominator = preprojective_denominator(n)
         total_formula = preprojective_total_formula
         note = PREPROJECTIVE_TOTAL_NOTE
     else:
         raise ValueError(f"closed forms are defined for qdu/preprojective, not {preset!r}")
     matrices = dimension_matrices(sys, max_degree)
     totals = [mat_total(got) for got in matrices]
-    first_mismatch = next(((k, i, j, series.coeff(k)[i][j], got[i][j])
-                           for k, got in enumerate(matrices)
-                           for i in range(n) for j in range(n)
-                           if got[i][j] != series.coeff(k)[i][j]), None)
+    first_mismatch = None
+    for k, got in enumerate(matrices):
+        residual = mat_scale(-1, mat_identity(n)) if k == 0 else mat_zero(n)
+        for j, d in denominator.items():
+            if j <= k:
+                residual = mat_add(residual, mat_mul(d, matrices[k - j]))
+        first_mismatch = next(((k, i, j, got[i][j] - residual[i][j], got[i][j])
+                               for i in range(n) for j in range(n) if residual[i][j]), None)
+        if first_mismatch is not None:
+            break
     totals_match = all(totals[k] == total_formula(n, k) for k in range(max_degree + 1))
     return ClosedFormReport(
         preset, n, max_degree, first_mismatch is None, first_mismatch, totals, totals_match, note
@@ -214,4 +148,8 @@ def factorization_identity(n: int) -> bool:
     """(1-t^4)I - (t-t^3)M == (1-t^2)(I - Mt + It^2), coefficient by coefficient."""
     if n < 1:
         raise ValueError("n must be positive")
-    return qdu_denominator(n) == preprojective_denominator(n).scalar_poly_mul({0: 1, 2: -1})
+    qdu, pre = qdu_denominator(n), preprojective_denominator(n)
+    zero = mat_zero(n)
+    # Coefficient k of (1 - t^2) P is P_k - P_{k-2}.
+    return all(qdu.get(k, zero) == mat_add(pre.get(k, zero), mat_scale(-1, pre.get(k - 2, zero)))
+               for k in range(max(max(qdu), max(pre) + 2) + 1))

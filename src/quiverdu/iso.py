@@ -109,10 +109,6 @@ class IsoWitness:
         }
 
 
-def identity_witness(n: int) -> IsoWitness:
-    return IsoWitness(n, ROTATION, 0, tuple(Fraction(1) for _ in range(n)))
-
-
 def verify_witness(w: IsoWitness, src: Parameters, tgt: Parameters) -> bool:
     """Whether the witness's map sends every source relation to zero in the target.
 

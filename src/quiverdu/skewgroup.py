@@ -44,11 +44,6 @@ def monomial_weight(m: RMonomial) -> int:
     return a - c
 
 
-def monomials_of_degree(k: int) -> list[RMonomial]:
-    """The normal R-monomials of degree k, in increasing order."""
-    return normal_shapes(k)
-
-
 def _monomial_to_path(m: RMonomial):
     a, b, c = m
     return path_from_word(1, 0, "u" * a + "du" * b + "d" * c)
@@ -116,11 +111,6 @@ class SmashElement(Combination):
             word = "u" * a + "du" * b + "d" * c or "1"
             bits.append(f"({self.terms[(m, j)]})*{word}#g^{j}")
         return " + ".join(bits)
-
-
-def group_action(n: int, j: int, m: RMonomial) -> CycScalar:
-    """Scalar by which g^j acts on the monomial: zeta^{j * weight}."""
-    return CycScalar.zeta_power(n, j * monomial_weight(m))
 
 
 def smash_multiply(a: SmashElement, b: SmashElement) -> SmashElement:
@@ -252,7 +242,7 @@ def corner_dimensions(n: int, k: int, idem: IdempotentSet) -> list[list[int]]:
     carry m), so each corner's rank is its number of rows; the ranks are
     still taken by elimination.
     """
-    monomials = monomials_of_degree(k)
+    monomials = normal_shapes(k)
     dims = []
     for i in range(n):
         spaces = [RowSpace() for _ in range(n)]

@@ -325,11 +325,14 @@ class PropertyReport:
     checks_passed: bool
 
 
-def property_report(params: Parameters, subalgebra_degree: int = 4) -> PropertyReport:
+SUBALGEBRA_DEGREE = 4
+
+
+def property_report(params: Parameters) -> PropertyReport:
     """Flags follow the beta criterion; every flag is backed by a witness.
 
     With all beta_i nonzero the subalgebra k[u_i d_i, d_{i-1} u_{i-1}] is
-    certified free up to the stated degree; with a zero beta_i the
+    certified free up to degree ``SUBALGEBRA_DEGREE``; with a zero beta_i the
     zero-divisor pair and the algebraic dependence are certified instead.
     """
     n = params.n
@@ -342,8 +345,8 @@ def property_report(params: Parameters, subalgebra_degree: int = 4) -> PropertyR
             gen_x = Element.from_path(path_from_word(n, i, "ud"))        # u_i d_i
             gen_y = Element.from_path(path_from_word(n, i, "du"))        # d_{i-1} u_{i-1}
             monomials = []
-            for a in range(subalgebra_degree + 1):
-                for b in range(subalgebra_degree + 1 - a):
+            for a in range(SUBALGEBRA_DEGREE + 1):
+                for b in range(SUBALGEBRA_DEGREE + 1 - a):
                     word = Element.from_path(trivial_path(n, i))
                     for _ in range(a):
                         word = word * gen_x

@@ -14,8 +14,6 @@ from quiverdu.gwa import verify_gwa
 from quiverdu.hilbert import (
     closed_form_check,
     factorization_identity,
-    preprojective_series,
-    qdu_series,
     qdu_total_formula,
 )
 from quiverdu.iso import (
@@ -45,6 +43,7 @@ from quiverdu.structure import (
     paper_twist_weights,
     pwd_probe_H,
 )
+from test_hilbert_reference import preprojective_series, qdu_series
 from test_iso import transform_params
 
 

@@ -24,10 +24,17 @@ def run_json(capsys, argv):
     return code, json.loads(out)
 
 
+def canonical_text(cfg):
+    return json.dumps(
+        {"n": cfg.n, "alpha": cfg.alpha, "beta": cfg.beta, "gamma": cfg.gamma},
+        sort_keys=True,
+    )
+
+
 def test_parse_config_valid():
     cfg = parse_config('{"n":3,"alpha":["0","0","0"],"beta":["1","1","1"],"gamma":["0","0","0"]}')
     assert cfg.n == 3 and cfg.beta == ["1", "1", "1"]
-    round_trip = parse_config(cfg.canonical_text())
+    round_trip = parse_config(canonical_text(cfg))
     assert round_trip == cfg
 
 

@@ -26,9 +26,9 @@ from quiverdu.skewgroup import (
     check_group_absorption,
     corner_dimensions,
     monomial_weight,
-    monomials_of_degree,
 )
 from test_linalg import RowSpace  # the dense elimination the corner loop ran on
+from test_skewgroup import monomials_of_degree
 
 
 def reference_corner_dimensions(n, k, idem):

@@ -118,12 +118,17 @@ def test_gwa_caches_are_bounded_lru_caches():
         assert cache.cache_info().maxsize is not None
 
 
+def x_total(n):
+    """x = sum_v x_v in R."""
+    return BaseElement(n, {(v, 1, 0): Fraction(1) for v in range(n)})
+
+
 def test_gwa_contractions():
     p = params_n3()
     n = 3
     xm = GwaElement.x_minus(n)
     xp = GwaElement.x_plus(n)
-    assert gwa_multiply(p, xm, xp) == GwaElement.from_base(BaseElement.x_total(n))
+    assert gwa_multiply(p, xm, xp) == GwaElement.from_base(x_total(n))
     prod = gwa_multiply(p, GwaElement.x_plus(n, 0), GwaElement.x_minus(n, 0))
     assert prod == GwaElement.from_base(BaseElement.y(n, 1))
     prod2 = gwa_multiply(p, GwaElement.x_minus(n, 0), GwaElement.x_plus(n, 0))

@@ -6,16 +6,21 @@ and ``sigma_power``, ``_cross_factor`` and ``gwa_multiply`` under a
 ``reference_`` prefix): it applies sigma or sigma^-1 to the whole element
 |m| times and recomputes every cross factor.
 The fast path shares one table per parameter set across calls, so the
-draws below hit both fresh and already-filled tables.
+draws below hit both fresh and already-filled tables.  The table steps
+its generator images from m -+ 1 by sigma's definition, so the grid test
+below also compares every step with the substitution above.
 """
 
+import random
 from fractions import Fraction
 
+import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from quiverdu.core import Parameters
 from quiverdu.gwa import BaseElement, GwaElement, _shift_table, gwa_multiply, sigma_power
+from test_gwa import x_total
 
 
 def _substitute(n: int, b: BaseElement, image_of) -> BaseElement:
@@ -70,11 +75,11 @@ def reference_cross_factor(params: Parameters, m1: int, m2: int) -> BaseElement:
     n = params.n
     out = BaseElement.one(n)
     while m1 > 0 and m2 < 0:
-        out = out * reference_sigma_power(params, BaseElement.x_total(n), m1)
+        out = out * reference_sigma_power(params, x_total(n), m1)
         m1 -= 1
         m2 += 1
     while m1 < 0 and m2 > 0:
-        out = out * reference_sigma_power(params, BaseElement.x_total(n), m1 + 1)
+        out = out * reference_sigma_power(params, x_total(n), m1 + 1)
         m1 += 1
         m2 -= 1
     return out
@@ -158,3 +163,19 @@ def test_cross_factor_matches_reference(params, m1, m2):
 def test_gwa_multiply_matches_reference(case):
     params, a, b = case
     assert gwa_multiply(params, a, b) == reference_gwa_multiply(params, a, b)
+
+
+@pytest.mark.parametrize("n", range(1, 7))
+def test_sigma_power_matches_reference_on_a_grid(n):
+    rng = random.Random(n)
+    params = Parameters.of(n, [rng.choice(VALUES) for _ in range(n)],
+                           [rng.choice(VALUES[1:]) for _ in range(n)],
+                           [rng.choice(VALUES) for _ in range(n)])
+    _shift_table.cache_clear()
+    elements = [BaseElement.e(n, n - 1), BaseElement.x(n, 0), BaseElement.y(n, n - 1),
+                BaseElement(n, {(0, 2, 1): Fraction(3, 4), (n - 1, 0, 2): -1}),
+                BaseElement(n, {(v, 1, 1): v + 1 for v in range(n)}),
+                BaseElement(n, {(n // 2, 0, 0): 2, (n // 2, 3, 0): Fraction(-1, 2)})]
+    for m in (6, -6, *range(-5, 6)):
+        for b in elements:
+            assert sigma_power(params, b, m) == reference_sigma_power(params, b, m), (m, b)

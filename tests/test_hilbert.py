@@ -1,22 +1,25 @@
 import pytest
 
+from quiverdu import hilbert
 from quiverdu.core import Parameters, adjacency_matrix
 from quiverdu.hilbert import (
-    MatrixPoly,
     closed_form_check,
     factorization_identity,
-    invert_series,
     mat_identity,
     mat_mul,
     mat_scale,
-    mat_sub,
-    preprojective_series,
     preprojective_total_formula,
-    qdu_series,
     qdu_total_formula,
-    total_series,
 )
 from quiverdu.rewrite import PRESET_PREPROJECTIVE
+from test_hilbert_reference import (  # the series inverter the residual check replaced
+    MatrixPoly,
+    invert_series,
+    mat_sub,
+    preprojective_series,
+    qdu_series,
+    total_series,
+)
 
 
 def test_invert_series_qdu_coefficients():
@@ -113,3 +116,33 @@ def test_closed_form_check_preprojective():
 def test_factorization_identity():
     for n in range(1, 7):
         assert factorization_identity(n)
+
+
+def _flip_t3_coefficient(monkeypatch):
+    """Mutate D(t) = I - Mt + Mt^3 - It^4 into I - Mt - Mt^3 - It^4."""
+    original = hilbert.qdu_denominator
+
+    def flipped(n):
+        denominator = original(n)
+        denominator[3] = mat_scale(-1, denominator[3])
+        return denominator
+    monkeypatch.setattr(hilbert, "qdu_denominator", flipped)
+
+
+@pytest.mark.parametrize("n", [1, 3, 7, 12])
+def test_flipped_t3_coefficient_fails_closed_form_check_at_degree_3(monkeypatch, n):
+    _flip_t3_coefficient(monkeypatch)
+    report = closed_form_check(Parameters.of(n, [1] * n, [2] * n, [0] * n), 6)
+    assert not report.ok and not report.matrices_match and report.totals_match
+    k, i, j, expected, got = report.first_mismatch
+    # The flipped series has M^3 + M at degree 3 where the counts give M^3 - M.
+    m = adjacency_matrix(n)
+    assert k == 3
+    assert (i, j) == next((a, b) for a in range(n) for b in range(n) if m[a][b])
+    assert expected - got == 2 * m[i][j]
+
+
+def test_flipped_t3_coefficient_fails_factorization_identity(monkeypatch):
+    _flip_t3_coefficient(monkeypatch)
+    for n in range(1, 7):
+        assert not factorization_identity(n)

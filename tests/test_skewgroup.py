@@ -5,17 +5,26 @@ from fractions import Fraction
 import pytest
 
 from quiverdu.cyclotomic import CycScalar, cyclotomic_polynomial
+from quiverdu.rewrite import normal_shapes
 from quiverdu.skewgroup import (
     SmashElement,
     build_idempotents,
     cap_generators,
-    group_action,
     monomial_weight,
-    monomials_of_degree,
     r_monomial_product,
     smash_multiply,
     verify_quotient_match,
 )
+
+
+def monomials_of_degree(k):
+    """The normal R-monomials of degree k, in increasing order."""
+    return normal_shapes(k)
+
+
+def group_action(n, j, m):
+    """Scalar by which g^j acts on the monomial: zeta^{j * weight}."""
+    return CycScalar.zeta_power(n, j * monomial_weight(m))
 
 
 def test_cyclotomic_polynomials():
