@@ -37,6 +37,10 @@ class Arrow:
             raise ValueError(f"unknown arrow family {self.family!r}")
         if self.index < 0:
             raise ValueError("arrow index must be nonnegative")
+        object.__setattr__(self, "_hash", hash((self.family, self.index)))
+
+    def __hash__(self) -> int:
+        return self._hash
 
     def source(self, n: int) -> int:
         return self.index % n if self.family == UP else (self.index + 1) % n
@@ -62,6 +66,8 @@ class Path:
 
     The source is stored separately so the trivial path e_v is
     representable; consecutive arrows must compose (target = next source).
+    The hash, ``hash((n, source, arrows))``, and the target are computed
+    once here: paths are the dict keys of every path-algebra product.
     """
 
     n: int
@@ -69,23 +75,41 @@ class Path:
     arrows: tuple[Arrow, ...]
 
     def __post_init__(self) -> None:
-        if self.n < 1:
+        n = self.n
+        if n < 1:
             raise ValueError("n must be positive")
-        if not 0 <= self.source < self.n:
+        if not 0 <= self.source < n:
             raise ValueError("source vertex out of range")
         at = self.source
         for a in self.arrows:
-            if a.index >= self.n:
-                raise ValueError(f"arrow {a} out of range for n={self.n}")
-            if a.source(self.n) != at:
-                raise ValueError(f"arrows do not compose at vertex {at}: {a}")
-            at = a.target(self.n)
+            i = a.index
+            if i >= n:
+                raise ValueError(f"arrow {a} out of range for n={n}")
+            # u_i : i -> i+1 and d_i : i+1 -> i, as in Arrow.source/target.
+            nxt = i + 1 if i + 1 < n else 0
+            if a.family == UP:
+                if i != at:
+                    raise ValueError(f"arrows do not compose at vertex {at}: {a}")
+                at = nxt
+            else:
+                if nxt != at:
+                    raise ValueError(f"arrows do not compose at vertex {at}: {a}")
+                at = i
+        object.__setattr__(self, "_target", at)
+        object.__setattr__(self, "_hash", hash((n, self.source, self.arrows)))
+
+    def __hash__(self) -> int:
+        return self._hash
+
+    def __eq__(self, other) -> bool:
+        if type(other) is not Path:
+            return NotImplemented
+        return (self._hash == other._hash and self.arrows == other.arrows
+                and self.source == other.source and self.n == other.n)
 
     @property
     def target(self) -> int:
-        if not self.arrows:
-            return self.source
-        return self.arrows[-1].target(self.n)
+        return self._target
 
     @property
     def length(self) -> int:
@@ -360,6 +384,10 @@ class Parameters:
             vec = getattr(self, name)
             if len(vec) != self.n:
                 raise ValueError(f"{name} must have length n={self.n}")
+        object.__setattr__(self, "_hash", hash((self.n, self.alpha, self.beta, self.gamma)))
+
+    def __hash__(self) -> int:
+        return self._hash
 
     @classmethod
     def of(cls, n: int, alpha, beta, gamma) -> "Parameters":

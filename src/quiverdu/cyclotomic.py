@@ -161,6 +161,15 @@ class CycScalar:
     def zeta_power(cls, n: int, e: int) -> "CycScalar":
         return cls._raw(n, _power_table(n)[e % n], 1)
 
+    @classmethod
+    def from_power_counts(cls, n: int, counts, den: int = 1) -> "CycScalar":
+        """(sum_e counts[e] zeta^e) / den for integer counts, 0 <= e < n, and den > 0."""
+        num = [0] * (len(cyclotomic_polynomial(n)) - 1)
+        for c, row in zip(counts, _power_table(n)):
+            if c:
+                num = [x + c * r for x, r in zip(num, row)]
+        return _canonical(n, num, den)
+
     def is_zero(self) -> bool:
         return not any(self._num)
 

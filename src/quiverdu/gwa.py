@@ -72,12 +72,14 @@ class BaseElement(Combination):
         return cls(n, {(v, 0, 0): Fraction(1) for v in range(n)})
 
     def _product(self, other: "BaseElement") -> "BaseElement":
-        # Componentwise per vertex: e_i are orthogonal idempotents.
+        # Componentwise per vertex: e_i are orthogonal idempotents, so only
+        # the right factor's terms at the left term's vertex contribute.
+        at: dict[int, list[tuple[int, int, Fraction]]] = {}
+        for (w, a2, b2), c2 in other.terms.items():
+            at.setdefault(w, []).append((a2, b2, c2))
         sums: dict[tuple[int, int, int], Fraction] = {}
         for (v, a, b), c in self.terms.items():
-            for (w, a2, b2), c2 in other.terms.items():
-                if v != w:
-                    continue
+            for a2, b2, c2 in at.get(v, ()):
                 key = (v, a + a2, b + b2)
                 old = sums.get(key)
                 sums[key] = c * c2 if old is None else old + c * c2

@@ -172,10 +172,13 @@ class _RuleTables:
     normal form for each normal word w whose product with the arrow a is
     reducible; a nonempty word determines its source.  Integral
     coefficients are kept as ints, several times faster than Fraction and
-    exact when mixed with it.  The automaton is built on first use.
+    exact when mixed with it.  ``paths`` maps ``(source, word)`` to its
+    decoded ``Path``, so each word is decoded and validated once and every
+    result shares one ``Path`` per word.  The automaton is built on first
+    use.
     """
 
-    __slots__ = ("n", "arrows", "rules", "by_last", "memo", "_automaton")
+    __slots__ = ("n", "arrows", "rules", "by_last", "memo", "paths", "_automaton")
 
     def __init__(self, sys: ReductionSystem):
         n = self.n = sys.n
@@ -189,6 +192,7 @@ class _RuleTables:
             by_last.setdefault(lhs[-1], []).append((lhs, len(lhs), rhs))
         self.rules, self.by_last = tuple(rules), by_last
         self.memo: dict = {}
+        self.paths: dict = {}
         self._automaton = None
 
     def automaton(self):
@@ -201,7 +205,11 @@ class _RuleTables:
         return tuple(_arrow_rank(a, self.n) for a in path.arrows)
 
     def path(self, source: int, word: tuple) -> Path:
-        return Path(self.n, source, tuple(self.arrows[k] for k in word))
+        key = (source, word)
+        p = self.paths.get(key)
+        if p is None:
+            p = self.paths[key] = Path(self.n, source, tuple(self.arrows[k] for k in word))
+        return p
 
     def element(self, source: int, comb: dict) -> Element:
         """The Element of a combination of words from ``source``."""
@@ -562,7 +570,9 @@ def normal_shape(path: Path) -> tuple[int, int, int]:
 def _closed_shape_matrix(n: int, degree: int) -> list[list[int]]:
     # From source i the normal word u^a (du)^j d^c ends at i + a - c, so
     # the matrix is circulant: row i is the offset counts shifted by i.
+    # The shapes with a - c = d have a + c = s for each s = |d|, |d| + 2,
+    # ..., degree, so d = degree mod 2 and there are (degree - |d|)/2 + 1.
     offsets = [0] * n
-    for a, _, c in normal_shapes(degree):
-        offsets[(a - c) % n] += 1
+    for d in range(-degree, degree + 1, 2):
+        offsets[d % n] += (degree - abs(d)) // 2 + 1
     return [[offsets[(j - i) % n] for j in range(n)] for i in range(n)]

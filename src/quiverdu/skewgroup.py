@@ -146,20 +146,32 @@ class IdempotentSet:
 
 
 def build_idempotents(n: int) -> IdempotentSet:
-    """f_i = (1/n) sum_j zeta^{ij} # g^j; orthogonality and completeness verified."""
+    """f_i = (1/n) sum_a zeta^{ia} # g^a; orthogonality and completeness verified.
+
+    The f_i lie in the group algebra, where the action is trivial, so
+    f_i f_j is the cyclic convolution of the coefficient vectors
+    (zeta^{ia} / n)_a and (zeta^{jb} / n)_b: its coefficient at g^m is
+    (1/n^2) sum_a zeta^{ia + j(m - a)}.  Each such sum is counted by
+    exponent mod n, reduced in Q(zeta_n) and compared exactly with the
+    coefficient of delta_ij f_i, with no smash product.
+    """
     if n < 2:
         raise ValueError("idempotent decomposition needs n >= 2")
     inv_n = Fraction(1, n)
     fs = []
     for i in range(n):
-        terms = {((0, 0, 0), j): CycScalar.zeta_power(n, i * j) * inv_n for j in range(n)}
+        terms = {((0, 0, 0), a): CycScalar.zeta_power(n, i * a) * inv_n for a in range(n)}
         fs.append(SmashElement(n, terms))
-    for i, f in enumerate(fs):
-        for j, g in enumerate(fs):
-            prod = smash_multiply(f, g)
-            expected = f if i == j else SmashElement.zero(n)
-            if prod != expected:
-                raise AssertionError(f"idempotent orthogonality failed at ({i},{j})")
+    zero = CycScalar.zero(n)
+    for i in range(n):
+        for j in range(n):
+            for m in range(n):
+                counts = [0] * n
+                for a in range(n):
+                    counts[(i * a + j * (m - a)) % n] += 1
+                coeff = CycScalar.from_power_counts(n, counts, n * n)
+                if coeff != (fs[i].terms[((0, 0, 0), m)] if i == j else zero):
+                    raise AssertionError(f"idempotent orthogonality failed at ({i},{j})")
     if SmashElement.combine(n, ((f, 1) for f in fs)) != SmashElement.one(n):
         raise AssertionError("idempotents do not sum to the identity")
     return IdempotentSet(n, fs)

@@ -8,9 +8,14 @@ f_i (m # 1) f_j = delta_{a j} m # f_j with a = i + w(m), after checking
 the left factor f_i (m # 1) = m # f_a.  A labelling of the idempotents
 that breaks the absorption identity, a weight of the wrong sign and a
 left factor taken with the wrong idempotent must each be caught.
+
+``build_idempotents`` checks orthogonality by a cyclic convolution of
+coefficient vectors; the smash-product loop it replaced is kept here
+verbatim as ``reference_orthogonality``.
 """
 
 import json
+from fractions import Fraction
 
 import pytest
 
@@ -26,6 +31,7 @@ from quiverdu.skewgroup import (
     check_group_absorption,
     corner_dimensions,
     monomial_weight,
+    smash_multiply,
 )
 from test_linalg import RowSpace  # the dense elimination the corner loop ran on
 from test_skewgroup import monomials_of_degree
@@ -53,6 +59,33 @@ def reference_corner_dimensions(n, k, idem):
                         rank_count += 1
             dims[i][jv] = rank_count
     return dims
+
+
+def reference_orthogonality(n, fs):
+    """The smash-product check that the cyclic convolution replaced (verbatim loop)."""
+    for i, f in enumerate(fs):
+        for j, g in enumerate(fs):
+            prod = smash_multiply(f, g)
+            expected = f if i == j else SmashElement.zero(n)
+            if prod != expected:
+                raise AssertionError(f"idempotent orthogonality failed at ({i},{j})")
+
+
+def test_idempotents_pass_the_smash_product_check():
+    for n in range(2, 13):
+        idem = build_idempotents(n)
+        reference_orthogonality(n, idem.idempotents)
+        for i, f in enumerate(idem.idempotents):
+            assert f.terms == {((0, 0, 0), a): CycScalar.zeta_power(n, i * a) * Fraction(1, n)
+                               for a in range(n)}
+
+
+def test_orthogonality_check_reads_the_built_idempotents(monkeypatch):
+    # Every f_i built with zeta^(ia + 1) / n instead of zeta^(ia) / n.
+    genuine = CycScalar.zeta_power
+    monkeypatch.setattr(CycScalar, "zeta_power", classmethod(lambda cls, n, e: genuine(n, e + 1)))
+    with pytest.raises(AssertionError, match=r"orthogonality failed at \(0,0\)"):
+        build_idempotents(3)
 
 
 def rotated(idem: IdempotentSet) -> IdempotentSet:

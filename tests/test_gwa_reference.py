@@ -9,6 +9,10 @@ The fast path shares one table per parameter set across calls, so the
 draws below hit both fresh and already-filled tables.  The table steps
 its generator images from m -+ 1 by sigma's definition, so the grid test
 below also compares every step with the substitution above.
+
+``reference_base_product`` is the pairwise product of ``BaseElement`` that
+the per-vertex grouping replaced, kept verbatim: it visits every pair of
+terms and skips pairs at different vertices.
 """
 
 import random
@@ -83,6 +87,19 @@ def reference_cross_factor(params: Parameters, m1: int, m2: int) -> BaseElement:
         m1 += 1
         m2 -= 1
     return out
+
+
+def reference_base_product(self: BaseElement, other: BaseElement) -> BaseElement:
+    # Componentwise per vertex: e_i are orthogonal idempotents.
+    sums: dict[tuple[int, int, int], Fraction] = {}
+    for (v, a, b), c in self.terms.items():
+        for (w, a2, b2), c2 in other.terms.items():
+            if v != w:
+                continue
+            key = (v, a + a2, b + b2)
+            old = sums.get(key)
+            sums[key] = c * c2 if old is None else old + c * c2
+    return BaseElement._from_sums(self.n, sums)
 
 
 def reference_gwa_multiply(params: Parameters, a: GwaElement, b: GwaElement) -> GwaElement:
@@ -179,3 +196,24 @@ def test_sigma_power_matches_reference_on_a_grid(n):
     for m in (6, -6, *range(-5, 6)):
         for b in elements:
             assert sigma_power(params, b, m) == reference_sigma_power(params, b, m), (m, b)
+
+
+@st.composite
+def base_pairs(draw):
+    n = draw(st.integers(1, 4))
+    return draw(base_elements(n, max_size=6)), draw(base_elements(n, max_size=6))
+
+
+@settings(max_examples=300, deadline=None)
+@given(base_pairs())
+@example((BaseElement(3, {(0, 1, 0): 2, (1, 0, 2): Fraction(-1, 2), (1, 1, 1): 3}),
+          BaseElement(3, {(1, 2, 0): Fraction(3, 4), (1, 0, 0): -1, (2, 0, 1): 5})))
+@example((BaseElement(2, {(0, 1, 1): 1}), BaseElement(2, {(1, 0, 0): 1})))
+def test_base_product_matches_pairwise_reference(case):
+    # Vertices on one side only contribute nothing; the second example has
+    # no common vertex at all, so its product is zero.
+    a, b = case
+    product = a * b
+    assert product == reference_base_product(a, b)
+    assert list(product.terms) == list(reference_base_product(a, b).terms)
+    assert b * a == reference_base_product(b, a)

@@ -1,0 +1,138 @@
+"""Differential tests of the quiver key types and the shared decoded paths.
+
+``Arrow``, ``Path`` and ``Parameters`` compute their hash once, at
+construction, and it must equal the tuple hash that the generated
+dataclass ``__hash__`` gave: ``hash((family, index))``,
+``hash((n, source, arrows))`` and ``hash((n, alpha, beta, gamma))``.
+``Path`` validates with inline integer arithmetic; the reference is the
+method-based loop it replaced, kept here verbatim as
+``reference_post_init`` (with the old ``target`` property as
+``reference_target``), and both must raise on exactly the same inputs with
+the same message.  Each reduction system decodes a word to one ``Path``
+that every result shares.
+"""
+
+import itertools
+import random
+from fractions import Fraction
+from types import SimpleNamespace
+
+import pytest
+
+from quiverdu.core import DOWN, UP, Arrow, Element, Parameters, Path, path_from_word
+from quiverdu.rewrite import PRESET_QDU, ReductionSystem, _qdu_rules, _tables, build_system, normal_form
+
+
+def reference_post_init(self) -> None:
+    if self.n < 1:
+        raise ValueError("n must be positive")
+    if not 0 <= self.source < self.n:
+        raise ValueError("source vertex out of range")
+    at = self.source
+    for a in self.arrows:
+        if a.index >= self.n:
+            raise ValueError(f"arrow {a} out of range for n={self.n}")
+        if a.source(self.n) != at:
+            raise ValueError(f"arrows do not compose at vertex {at}: {a}")
+        at = a.target(self.n)
+
+
+def reference_target(self) -> int:
+    if not self.arrows:
+        return self.source
+    return self.arrows[-1].target(self.n)
+
+
+def outcome(build):
+    try:
+        return "ok", build()
+    except ValueError as exc:
+        return "raises", str(exc)
+
+
+@pytest.mark.parametrize("n", range(0, 6))
+def test_path_validation_matches_method_based_loop(n):
+    # Indices up to n, so the range check is reached; sources one past
+    # either end, so the source check is too.
+    arrows = [Arrow(family, i) for family in (UP, DOWN) for i in range(n + 1)]
+    checked = 0
+    for source in range(-1, n + 1):
+        for length in range(4):
+            for word in itertools.product(arrows, repeat=length):
+                fields = SimpleNamespace(n=n, source=source, arrows=word)
+                expected = outcome(lambda: reference_post_init(fields))
+                found = outcome(lambda: Path(n, source, word))
+                assert found[0] == expected[0], (n, source, word)
+                if found[0] == "raises":
+                    assert found[1] == expected[1], (n, source, word)
+                else:
+                    assert found[1].target == reference_target(fields), (n, source, word)
+                    checked += 1
+    assert checked > 0 or n == 0
+
+
+def random_path(rng, n):
+    word = "".join(rng.choice("ud") for _ in range(rng.randrange(7)))
+    return path_from_word(n, rng.randrange(n), word)
+
+
+def random_parameters(rng, n):
+    vec = lambda: [Fraction(rng.randint(-3, 3), rng.randint(1, 3)) for _ in range(n)]
+    return Parameters.of(n, vec(), vec(), vec())
+
+
+def test_hash_values_equal_the_old_tuple_hashes():
+    rng = random.Random(12)
+    for _ in range(400):
+        n = rng.randint(1, 6)
+        p = random_path(rng, n)
+        assert hash(p) == hash((p.n, p.source, p.arrows))
+        for a in p.arrows:
+            assert hash(a) == hash((a.family, a.index))
+        params = random_parameters(rng, n)
+        assert hash(params) == hash((params.n, params.alpha, params.beta, params.gamma))
+
+
+def test_equal_fields_mean_equal_objects():
+    rng = random.Random(13)
+    for _ in range(400):
+        n = rng.randint(1, 5)
+        p, q = random_path(rng, n), random_path(rng, rng.randint(1, 5))
+        twin = Path(p.n, p.source, tuple(Arrow(a.family, a.index) for a in p.arrows))
+        assert twin == p and hash(twin) == hash(p) and {p: 1}[twin] == 1
+        same = (p.n, p.source, p.arrows) == (q.n, q.source, q.arrows)
+        assert (p == q) is same and (p != q) is not same
+        a, b = Arrow(rng.choice("ud"), rng.randrange(4)), Arrow(rng.choice("ud"), rng.randrange(4))
+        assert (a == b) is ((a.family, a.index) == (b.family, b.index))
+        assert (a != b) is not (a == b)
+        params = random_parameters(rng, n)
+        copy = Parameters.of(n, params.alpha, params.beta, params.gamma)
+        assert copy == params and hash(copy) == hash(params)
+        other = random_parameters(rng, n)
+        same = (params.alpha, params.beta, params.gamma) == (other.alpha, other.beta, other.gamma)
+        assert (params == other) is same and (params != other) is not same
+    p = path_from_word(3, 0, "ud")
+    assert p != (p.n, p.source, p.arrows) and not p == (p.n, p.source, p.arrows)
+    # The trivial paths of different quivers share source and arrows.
+    assert Path(2, 0, ()) != Path(3, 0, ())
+
+
+def test_decode_memo_returns_one_path_per_word():
+    params = Parameters.of(3, [1, 2, 3], [4, 5, 6], [7, 8, 9])
+    tables = _tables(ReductionSystem(3, _qdu_rules(params), PRESET_QDU, params))
+    word = (3, 0, 3)  # u_0 d_0 u_0 from vertex 0; d_i is coded i and u_i is n + i
+    p = tables.path(0, word)
+    assert tables.path(0, word) is p
+    assert p == path_from_word(3, 0, "udu")
+    assert tables.path(1, ()) is tables.path(1, ()) and tables.path(1, ()) != tables.path(2, ())
+
+
+def test_normal_forms_share_decoded_paths():
+    params = Parameters.of(3, [1, 2, 3], [4, 5, 6], [7, 8, 9])
+    sys = build_system(PRESET_QDU, params)
+    first = normal_form(sys, Element.from_path(path_from_word(3, 1, "duu")))
+    second = normal_form(sys, Element.from_path(path_from_word(3, 1, "dduuu")) + first)
+    shared = [p for p in second.terms if p in first.terms]
+    assert shared
+    by_value = {p: p for p in first.terms}
+    assert all(by_value[p] is p for p in shared)

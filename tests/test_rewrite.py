@@ -20,6 +20,7 @@ from quiverdu.rewrite import (
     enumerate_basis,
     is_zero_in_quotient,
     normal_form,
+    normal_shapes,
     term_order_greater,
 )
 
@@ -300,6 +301,21 @@ def test_build_system_shares_one_system_per_key():
     graded = build_system(PRESET_GRADED)
     assert build_system(PRESET_GRADED) is graded
     assert graded is not build_system(PRESET_QDU, graded.params)
+
+
+def reference_closed_shape_matrix(n, degree):
+    """The enumeration of every shape u^a (du)^j d^c that the closed count replaced (verbatim)."""
+    offsets = [0] * n
+    for a, _, c in normal_shapes(degree):
+        offsets[(a - c) % n] += 1
+    return [[offsets[(j - i) % n] for j in range(n)] for i in range(n)]
+
+
+def test_closed_shape_count_matches_enumeration():
+    for n in range(1, 13):
+        for degree in range(61):
+            assert rewrite._closed_shape_matrix(n, degree) == reference_closed_shape_matrix(n, degree), \
+                (n, degree)
 
 
 def test_dimension_matrices_cross_checks_every_degree(monkeypatch):
