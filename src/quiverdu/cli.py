@@ -6,6 +6,11 @@ Configs are JSON objects {"n": 3, "alpha": [...], "beta": [...],
 (including a failed internal cross-check), 2 = input error or unsupported
 query.  With --json the report is a single machine-readable document,
 byte-identical for identical inputs and seed.
+
+``main(argv)`` may be called repeatedly in one process.  The argparse
+parser is built on the first call and shared by every later one; no other
+state persists between calls apart from the algebra ``lru_cache``s of
+``rewrite``, ``gwa``, ``skewgroup`` and ``cyclotomic``.
 """
 
 from __future__ import annotations
@@ -512,9 +517,17 @@ def _emit(report: dict, as_json: bool) -> None:
         print(f"  {key}: {json.dumps(value, sort_keys=True)}")
 
 
+# The parser is a process constant, like ``_DISPATCH``: it depends on no
+# argv or config and holds no algebra.  It is built on the first ``main``
+# call, not at import, and every later call shares it.
+_PARSER: argparse.ArgumentParser | None = None
+
+
 def main(argv=None) -> int:
-    parser = _build_parser()
-    args = parser.parse_args(argv)
+    global _PARSER
+    if _PARSER is None:
+        _PARSER = _build_parser()
+    args = _PARSER.parse_args(argv)
     command = args.command if args.command != "verify" else f"verify {args.what}"
     try:
         verdict, findings = _DISPATCH[args.command](args)

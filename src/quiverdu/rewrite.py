@@ -116,20 +116,22 @@ def _qdu_rules(params: Parameters) -> tuple[RewriteRule, ...]:
         u_i, u_i1 = up(i, n), up(i + 1, n)
         d_i, d_i1 = down(i, n), down(i + 1, n)
         u_prev, d_prev = up(i - 1, n), down(i - 1, n)
+        # The three rhs paths are distinct, so each rhs is one term map
+        # (``_from_sums`` drops the zero coefficients).
         # d_{i-1} u_{i-1} u_i -> a u_i d_i u_i + b u_i u_{i+1} d_{i+1} + g u_i
         lhs1 = path_from_arrows(n, (d_prev, u_prev, u_i))
-        rhs1 = (
-            Element.from_path(path_from_arrows(n, (u_i, d_i, u_i)), a)
-            + Element.from_path(path_from_arrows(n, (u_i, u_i1, d_i1)), b)
-            + Element.from_path(path_from_arrows(n, (u_i,)), g)
-        )
+        rhs1 = Element._from_sums(n, {
+            path_from_arrows(n, (u_i, d_i, u_i)): a,
+            path_from_arrows(n, (u_i, u_i1, d_i1)): b,
+            path_from_arrows(n, (u_i,)): g,
+        })
         # d_i d_{i-1} u_{i-1} -> a d_i u_i d_i + b u_{i+1} d_{i+1} d_i + g d_i
         lhs2 = path_from_arrows(n, (d_i, d_prev, u_prev))
-        rhs2 = (
-            Element.from_path(path_from_arrows(n, (d_i, u_i, d_i)), a)
-            + Element.from_path(path_from_arrows(n, (u_i1, d_i1, d_i)), b)
-            + Element.from_path(path_from_arrows(n, (d_i,)), g)
-        )
+        rhs2 = Element._from_sums(n, {
+            path_from_arrows(n, (d_i, u_i, d_i)): a,
+            path_from_arrows(n, (u_i1, d_i1, d_i)): b,
+            path_from_arrows(n, (d_i,)): g,
+        })
         rules.append(RewriteRule(lhs1, rhs1))
         rules.append(RewriteRule(lhs2, rhs2))
     return tuple(rules)
