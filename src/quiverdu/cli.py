@@ -517,9 +517,9 @@ def _emit(report: dict, as_json: bool) -> None:
         print(f"  {key}: {json.dumps(value, sort_keys=True)}")
 
 
-# The parser is a process constant, like ``_DISPATCH``: it depends on no
-# argv or config and holds no algebra.  It is built on the first ``main``
-# call, not at import, and every later call shares it.
+# Built on the first ``main`` call, not at import, so ``import quiverdu``
+# does not pay for argparse; not an ``lru_cache``, since callers that clear
+# the package's algebra caches must not drop it.
 _PARSER: argparse.ArgumentParser | None = None
 
 

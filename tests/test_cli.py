@@ -239,6 +239,7 @@ def test_vacuous_arguments_are_refused(tmp_path, capsys, argv):
     assert exc.value.code == 2
     captured = capsys.readouterr()
     assert captured.out == ""
+    assert captured.err.startswith(f"usage: quiverdu {argv[0]} ")
     assert "must be at least" in captured.err
 
 

@@ -139,13 +139,6 @@ def test_exits_match_a_fresh_parser(argv, recorded, capsys):
     assert not recorded
 
 
-def test_usage_errors_name_the_program(capsys):
-    code, _, err = main_exit(["verify", "skewgroup", CFG, "--n", "1"], capsys)
-    assert code == 2
-    assert err.startswith("usage: quiverdu verify")
-    assert "argument --n: must be at least 2, got 1" in err
-
-
 def test_no_state_leaks_between_calls(recorded, capsys):
     cli.main(["verify", "pwd", CFG, "--max-degree", "3", "--trials", "7"])
     assert recorded.pop().max_degree == 3
