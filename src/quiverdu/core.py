@@ -370,7 +370,7 @@ def adjacency_matrix(n: int) -> list[list[int]]:
 
 @dataclass(frozen=True)
 class Parameters:
-    """The (alpha, beta, gamma) triple of length-n rational vectors."""
+    """(alpha, beta, gamma): length-n vectors of field-like scalars (``of`` makes Fractions)."""
 
     n: int
     alpha: tuple[Fraction, ...]

@@ -189,6 +189,8 @@ class CycScalar:
         return hash((self.n, self._num, self._den))
 
     def __add__(self, other: "CycScalar") -> "CycScalar":
+        if type(other) is not CycScalar:
+            return NotImplemented
         _same_n(self, other)
         da, db = self._den, other._den
         if da == db:
@@ -200,6 +202,8 @@ class CycScalar:
         return CycScalar._raw(self.n, tuple(-x for x in self._num), self._den)
 
     def __sub__(self, other: "CycScalar") -> "CycScalar":
+        if type(other) is not CycScalar:
+            return NotImplemented
         return self + (-other)
 
     def __mul__(self, other):

@@ -13,11 +13,14 @@ Three constructors act on parameters and on generators:
                   beta_i'  = beta_{n-i-1}^{-1},
                   gamma_i' = -beta_{n-i-1}^{-1} gamma_{n-i-1}
 
-The graded decision (gamma = 0, beta nonzero, n >= 3) searches the 2n
-dihedral cases rotate^k o (reflect or id) o scale(lambda), solving for
-lambda by weighted union-find over multiplicative ratio constraints; the
-constraints are generated symbolically from the constructor formulas
-above, never from a transcribed composite.  Every positive answer is
+Each formula is written once, in ``transform_*``, and runs on any scalars
+with ``*``, ``/`` and unary ``-``: on numbers for a witness, and on
+lambda-monomials (``_Sym``) for the graded decision (gamma = 0, beta
+nonzero, n >= 3).  That decision searches the 2n dihedral cases
+rotate^k o (reflect or id) o scale(lambda), each case's composite being
+``IsoWitness.predicted_params`` run on the symbols lambda_0..lambda_{n-1},
+and solves for lambda by weighted union-find over the multiplicative
+ratio constraints the composite gives.  Every positive answer is
 re-verified on the defining relations before it is returned.
 """
 
@@ -40,34 +43,29 @@ REFLECTION = "reflection"
 
 def transform_scale(p: Parameters, lam: tuple[Fraction, ...]) -> Parameters:
     n = p.n
-    lam = tuple(Fraction(x) for x in lam)
+    lam = tuple(x if isinstance(x, _Sym) else Fraction(x) for x in lam)
     if len(lam) != n or any(x == 0 for x in lam):
         raise ValueError("lambda must be a length-n vector of nonzero scalars")
-    alpha = [lam[i] / lam[(i - 1) % n] * p.alpha[i] for i in range(n)]
-    beta = [lam[(i + 1) % n] / lam[(i - 1) % n] * p.beta[i] for i in range(n)]
-    gamma = [p.gamma[i] / lam[(i - 1) % n] for i in range(n)]
-    return Parameters.of(n, alpha, beta, gamma)
+    alpha = tuple(lam[i] / lam[(i - 1) % n] * p.alpha[i] for i in range(n))
+    beta = tuple(lam[(i + 1) % n] / lam[(i - 1) % n] * p.beta[i] for i in range(n))
+    gamma = tuple(p.gamma[i] / lam[(i - 1) % n] for i in range(n))
+    return Parameters(n, alpha, beta, gamma)
 
 
 def transform_rotate(p: Parameters, k: int = 1) -> Parameters:
     n = p.n
-    take = lambda vec, i: vec[(i - k) % n]
-    return Parameters.of(
-        n,
-        [take(p.alpha, i) for i in range(n)],
-        [take(p.beta, i) for i in range(n)],
-        [take(p.gamma, i) for i in range(n)],
-    )
+    take = lambda vec: tuple(vec[(i - k) % n] for i in range(n))
+    return Parameters(n, take(p.alpha), take(p.beta), take(p.gamma))
 
 
 def transform_reflect(p: Parameters) -> Parameters:
     n = p.n
     if not p.beta_all_nonzero():
         raise ValueError("reflection requires all beta_i nonzero")
-    alpha = [-p.alpha[(n - i - 1) % n] / p.beta[(n - i - 1) % n] for i in range(n)]
-    beta = [1 / p.beta[(n - i - 1) % n] for i in range(n)]
-    gamma = [-p.gamma[(n - i - 1) % n] / p.beta[(n - i - 1) % n] for i in range(n)]
-    return Parameters.of(n, alpha, beta, gamma)
+    alpha = tuple(-p.alpha[(n - i - 1) % n] / p.beta[(n - i - 1) % n] for i in range(n))
+    beta = tuple(1 / p.beta[(n - i - 1) % n] for i in range(n))
+    gamma = tuple(-p.gamma[(n - i - 1) % n] / p.beta[(n - i - 1) % n] for i in range(n))
+    return Parameters(n, alpha, beta, gamma)
 
 
 # ---------------------------------------------------------------------------
@@ -195,75 +193,47 @@ def solve_ratio_system(constraints: list[RatioConstraint], n: int):
 
 
 # ---------------------------------------------------------------------------
-# Symbolic composite parameters (coefficients times a lambda-monomial)
+# Symbolic lambda: the transforms above run on these as scalars
 # ---------------------------------------------------------------------------
 
 @dataclass(frozen=True)
 class _Sym:
+    """A rational coefficient times a lambda-monomial (zero has no monomial)."""
+
     coeff: Fraction
     exps: tuple[tuple[int, int], ...] = ()  # sorted (index, exponent), exponent != 0
 
-    @classmethod
-    def const(cls, c) -> "_Sym":
-        return cls(Fraction(c), ())
+    def __hash__(self) -> int:
+        return hash(self.exps)  # Parameters hash every entry; Fraction hashes are slow
 
-    def times_mono(self, mono: dict[int, int]) -> "_Sym":
-        if self.coeff == 0:
-            return _Sym(Fraction(0), ())
+    def _times(self, other, sign: int) -> "_Sym":
+        """self * other for sign 1, self / other for sign -1."""
+        if not isinstance(other, (_Sym, int, Fraction)):
+            return NotImplemented
+        c, mono = (other.coeff, other.exps) if isinstance(other, _Sym) else (other, ())
+        coeff = self.coeff * c if sign > 0 else self.coeff / c
+        if coeff == 0:
+            return _Sym(coeff)
         exps = dict(self.exps)
-        for idx, e in mono.items():
-            exps[idx] = exps.get(idx, 0) + e
+        for idx, e in mono:
+            exps[idx] = exps.get(idx, 0) + sign * e
             if exps[idx] == 0:
                 del exps[idx]
-        return _Sym(self.coeff, tuple(sorted(exps.items())))
+        return _Sym(coeff, tuple(sorted(exps.items())))
 
-    def scaled(self, c: Fraction) -> "_Sym":
-        return _Sym(self.coeff * c, self.exps if self.coeff * c else ())
+    def __mul__(self, other) -> "_Sym":
+        return self._times(other, 1)
 
-    def inverted(self) -> "_Sym":
-        if self.coeff == 0:
-            raise ZeroDivisionError("cannot invert symbolic zero")
-        return _Sym(1 / self.coeff, tuple(sorted((i, -e) for i, e in self.exps)))
+    __rmul__ = __mul__
 
-    def times(self, other: "_Sym") -> "_Sym":
-        return self.times_mono(dict(other.exps)).scaled(other.coeff)
+    def __truediv__(self, other) -> "_Sym":
+        return self._times(other, -1)
 
+    def __rtruediv__(self, other) -> "_Sym":
+        return _Sym(Fraction(other))._times(self, -1)
 
-@dataclass
-class _SymParams:
-    n: int
-    alpha: list[_Sym]
-    beta: list[_Sym]
-
-
-def _sym_scale(p: Parameters) -> _SymParams:
-    n = p.n
-    alpha = [
-        _Sym.const(p.alpha[i]).times_mono({i: 1, (i - 1) % n: -1})
-        for i in range(n)
-    ]
-    beta = [
-        _Sym.const(p.beta[i]).times_mono({(i + 1) % n: 1, (i - 1) % n: -1})
-        for i in range(n)
-    ]
-    return _SymParams(n, alpha, beta)
-
-
-def _sym_reflect(sp: _SymParams) -> _SymParams:
-    n = sp.n
-    alpha = [sp.beta[(n - i - 1) % n].inverted().times(sp.alpha[(n - i - 1) % n]).scaled(Fraction(-1))
-             for i in range(n)]
-    beta = [sp.beta[(n - i - 1) % n].inverted() for i in range(n)]
-    return _SymParams(n, alpha, beta)
-
-
-def _sym_rotate(sp: _SymParams, k: int) -> _SymParams:
-    n = sp.n
-    return _SymParams(
-        n,
-        [sp.alpha[(i - k) % n] for i in range(n)],
-        [sp.beta[(i - k) % n] for i in range(n)],
-    )
+    def __neg__(self) -> "_Sym":
+        return _Sym(-self.coeff, self.exps)
 
 
 def _constraint_from_equation(sym: _Sym, value: Fraction) -> RatioConstraint | None:
@@ -319,13 +289,13 @@ def decide_graded_iso(p: Parameters, q: Parameters) -> IsoVerdict:
         return IsoVerdict("unsupported", detail="decision covers the graded case gamma = 0 only")
     if not (p.beta_all_nonzero() and q.beta_all_nonzero()):
         return IsoVerdict("unsupported", detail="decision requires all beta_i nonzero")
+    symbols = tuple(_Sym(Fraction(1), ((i, 1),)) for i in range(n))
     cases: list[CaseDiagnostic] = []
     for orientation in (ROTATION, REFLECTION):
-        base = _sym_scale(p)
-        if orientation == REFLECTION:
-            base = _sym_reflect(base)
+        # Case k is rotate^k of case 0: scale and reflect once per orientation.
+        unrotated = IsoWitness(n, orientation, 0, symbols).predicted_params(p)
         for k in range(n):
-            sym = _sym_rotate(base, k)
+            sym = transform_rotate(unrotated, k)
             constraints: list[RatioConstraint] = []
             zero_pattern_ok = True
             for i in range(n):

@@ -1,8 +1,9 @@
 """Oriented reduction systems, normal forms, confluence, and graded bases.
 
-Three presets are supported: the quiver down-up relations for a parameter
-triple, the preprojective relations d_i u_i -> u_{i+1} d_{i+1}, and the
-single-vertex graded down-up relations d^2u -> -ud^2, du^2 -> -u^2d.
+Two presets are supported: the quiver down-up relations for a parameter
+triple, and the preprojective relations d_i u_i -> u_{i+1} d_{i+1}.  The
+graded down-up algebra (d^2u -> -ud^2, du^2 -> -u^2d) is the quiver
+down-up algebra at n = 1 with alpha = gamma = 0 and beta = -1.
 
 Rules are oriented by the degree-lex order whose arrow ranking is
 d_0 > d_1 > ... > d_{n-1} > u_0 > ... > u_{n-1}, read left to right.
@@ -38,7 +39,6 @@ from .core import (
 
 PRESET_QDU = "quiver-down-up"
 PRESET_PREPROJECTIVE = "preprojective"
-PRESET_GRADED = "graded-down-up"
 
 
 def _arrow_rank(a: Arrow, n: int) -> int:
@@ -103,8 +103,6 @@ def build_system(preset: str, params: Parameters | None = None, n: int | None = 
         if n is None or n < 1:
             raise ValueError("preprojective preset needs n >= 1")
         return _preprojective_system(n)
-    if preset == PRESET_GRADED:
-        return _graded_system()
     raise ValueError(f"unknown preset {preset!r}")
 
 
@@ -150,12 +148,6 @@ def _preprojective_system(n: int) -> ReductionSystem:
         rhs = Element.from_path(path_from_arrows(n, (up(i + 1, n), down(i + 1, n))))
         rules.append(RewriteRule(lhs, rhs))
     return ReductionSystem(n, tuple(rules), PRESET_PREPROJECTIVE)
-
-
-@lru_cache(maxsize=1)
-def _graded_system() -> ReductionSystem:
-    gdu = Parameters.of(1, [0], [-1], [0])
-    return ReductionSystem(1, _qdu_rules(gdu), PRESET_GRADED, gdu)
 
 
 # ---------------------------------------------------------------------------
@@ -532,7 +524,7 @@ def dimension_matrices(sys: ReductionSystem, max_degree: int) -> list[list[list[
         for row, vec in zip(matrix, counts):
             for sid, cnt in enumerate(vec):
                 row[vertex_of[sid]] += cnt
-        if sys.preset in (PRESET_QDU, PRESET_GRADED) and matrix != _closed_shape_matrix(n, k):
+        if sys.preset == PRESET_QDU and matrix != _closed_shape_matrix(n, k):
             raise AssertionError(
                 f"automaton count disagrees with closed normal-word shape at degree {k}")
         matrices.append(matrix)

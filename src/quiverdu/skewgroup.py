@@ -1,9 +1,11 @@
 """The graded down-up algebra smashed with a cyclic group, over cyclotomics.
 
-R = k<u, d | d^2u + ud^2, du^2 + u^2d> has normal monomial basis
-u^a (du)^b d^c; the generator g of Z_n acts by g(u) = zeta u,
-g(d) = zeta^{-1} d, so g scales a monomial by zeta^(#u - #d).  The smash
-product multiplies by (r # g^i)(s # g^j) = r g^i(s) # g^{i+j}.
+R = k<u, d | d^2u + ud^2, du^2 + u^2d>, the quiver down-up algebra at
+n = 1 with alpha = gamma = 0 and beta = -1 (``GRADED_DOWN_UP``), has normal
+monomial basis u^a (du)^b d^c; the generator g of Z_n acts by
+g(u) = zeta u, g(d) = zeta^{-1} d, so g scales a monomial by
+zeta^(#u - #d).  The smash product multiplies by
+(r # g^i)(s # g^j) = r g^i(s) # g^{i+j}.
 ``SmashElement`` maps (monomial, group exponent) to a cyclotomic scalar;
 it is a ``core.Combination``, so only its product is written here.
 
@@ -24,7 +26,6 @@ from .core import Combination, Element, Parameters, path_from_word
 from .cyclotomic import CycScalar
 from .linalg import RowSpace
 from .rewrite import (
-    PRESET_GRADED,
     PRESET_QDU,
     build_system,
     dimension_matrices,
@@ -33,6 +34,8 @@ from .rewrite import (
     normal_shape,
     normal_shapes,
 )
+
+GRADED_DOWN_UP = Parameters.of(1, [0], [-1], [0])
 
 # R-monomials in normal form: (a, b, c) stands for u^a (du)^b d^c.
 RMonomial = tuple[int, int, int]
@@ -52,7 +55,7 @@ def _monomial_to_path(m: RMonomial):
 @lru_cache(maxsize=None)
 def r_monomial_product(m1: RMonomial, m2: RMonomial) -> tuple[tuple[RMonomial, Fraction], ...]:
     """Normal-form expansion of the product of two R-monomials."""
-    sys = ensure_confluent(build_system(PRESET_GRADED))
+    sys = ensure_confluent(build_system(PRESET_QDU, GRADED_DOWN_UP))
     prod = Element.from_path(_monomial_to_path(m1)) * Element.from_path(_monomial_to_path(m2))
     nf = normal_form(sys, prod)
     return tuple(sorted(((normal_shape(p), c) for p, c in nf.terms.items())))

@@ -246,7 +246,7 @@ def test_vacuous_arguments_are_refused(tmp_path, capsys, argv):
 def test_report_checks_confluence_once_and_builds_each_automaton_once(tmp_path, capsys, monkeypatch):
     # Every section of a report reads the one shared system per parameter
     # set: one confluence check, and one automaton per distinct system.
-    for cache in (rewrite._qdu_system, rewrite._preprojective_system, rewrite._graded_system):
+    for cache in (rewrite._qdu_system, rewrite._preprojective_system):
         cache.cache_clear()
     checked, automata = [], []
     check, build = rewrite.check_confluence, rewrite._build_automaton

@@ -34,6 +34,28 @@ CONFIGS = {
     "skew2": (2, ["0", "0"], ["-1", "-1"], ["0", "0"]),
 }
 
+# Configs used only by ``iso`` calls: name -> (n, alpha, beta, gamma).
+# reflect_* is rotate^2(reflect(scale(reflect_p))): every rotation case and
+# the reflection cases of shift 0 and 1 fail with ratio-cycle certificates
+# before the witness.  unrelated_q has reflect_p's alpha zero pattern, and
+# all eight cases end in an inconsistent ratio cycle.  zeros_q is a
+# scale/rotate/reflect chain of zeros_p, whose zero alpha entries give
+# zero-pattern mismatches among the failed cases.
+ISO_CONFIGS = {
+    "reflect_p": (4, ["2", "-1/3", "5", "1"], ["3", "-2", "1/2", "7"], ["0"] * 4),
+    "reflect_q": (4, ["1/9", "-1/3", "-1/35", "150"], ["1/6", "1/30", "-3/7", "20"], ["0"] * 4),
+    "unrelated_q": (4, ["1", "1", "-1", "3"], ["1", "2", "3", "4"], ["0"] * 4),
+    "zeros_p": (5, ["0", "3", "0", "-1/2", "0"], ["2", "-1", "5", "1/3", "-4"], ["0"] * 5),
+    "zeros_q": (5, ["18/7", "0", "0", "5", "0"], ["-6/7", "3/8", "-5/8", "14/3", "2/25"],
+                ["0"] * 5),
+}
+
+ISO_PAIRS = {
+    "iso/reflection-shift2": ("reflect_p", "reflect_q"),
+    "iso/ratio-cycles": ("reflect_p", "unrelated_q"),
+    "iso/alpha-zeros": ("zeros_p", "zeros_q"),
+}
+
 NF_INPUTS = ("1 * d0.d{last}.u{last} + 2 @1", "1/2 * d1.d0.u0.u1.d1 + -3 * u0.d0")
 
 
@@ -67,12 +89,14 @@ def corpus(paths: dict[str, str]) -> list[tuple[str, list[str]]]:
         ("skewgroup/n4", ["verify", "skewgroup", paths["skew3"], "--n", "4",
                           "--max-degree", "2"]),
     ]
+    calls += [(label, ["iso", paths[a], "--other", paths[b]])
+              for label, (a, b) in ISO_PAIRS.items()]
     return calls
 
 
 def write_configs(directory: Path) -> dict[str, str]:
     paths = {}
-    for name, (n, alpha, beta, gamma) in CONFIGS.items():
+    for name, (n, alpha, beta, gamma) in {**CONFIGS, **ISO_CONFIGS}.items():
         path = directory / f"{name}.json"
         path.write_text(json.dumps({"n": n, "alpha": alpha, "beta": beta, "gamma": gamma}),
                         encoding="utf-8")

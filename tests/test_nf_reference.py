@@ -19,7 +19,6 @@ from hypothesis import strategies as st
 from quiverdu import rewrite
 from quiverdu.core import Arrow, Element, Parameters, Path, path_from_word
 from quiverdu.rewrite import (
-    PRESET_GRADED,
     PRESET_PREPROJECTIVE,
     PRESET_QDU,
     ConfluenceReport,
@@ -31,6 +30,7 @@ from quiverdu.rewrite import (
     check_confluence,
     normal_form,
 )
+from quiverdu.skewgroup import GRADED_DOWN_UP
 
 
 def _rewrite_once(sys: ReductionSystem, path: Path, pos: int, rule: RewriteRule) -> dict[Path, Fraction]:
@@ -157,10 +157,10 @@ SCALARS = st.sampled_from([Fraction(0), Fraction(1), Fraction(-1), Fraction(2),
 
 @st.composite
 def systems(draw):
-    """(preset, n, params) over all three presets, n = 1..4."""
-    preset = draw(st.sampled_from([PRESET_QDU, PRESET_PREPROJECTIVE, PRESET_GRADED]))
-    if preset == PRESET_GRADED:
-        return preset, 1, None
+    """(preset, n, params) over both presets, n = 1..4, and the graded down-up system."""
+    preset = draw(st.sampled_from([PRESET_QDU, PRESET_PREPROJECTIVE, GRADED_DOWN_UP]))
+    if preset is GRADED_DOWN_UP:
+        return PRESET_QDU, 1, GRADED_DOWN_UP
     n = draw(st.integers(1, 4))
     if preset == PRESET_PREPROJECTIVE:
         return preset, n, None
@@ -227,7 +227,7 @@ def test_confluence_report_matches_reference_beyond_qdu():
     e0, u, ddu, du = (path_from_word(n, 0, w) for w in ("", "u", "ddu", "du"))
     rules = (RewriteRule(ddu, Element.from_path(e0, 2)), RewriteRule(du, Element.from_path(u)))
     for make in (lambda: ReductionSystem(n, rules, "custom"),
-                 lambda: build_system(PRESET_GRADED),
+                 lambda: build_system(PRESET_QDU, GRADED_DOWN_UP),
                  lambda: build_system(PRESET_PREPROJECTIVE, n=3)):
         new_sys = make()
         new, ref = check_confluence(new_sys), reference_check_confluence(private_copy(new_sys))

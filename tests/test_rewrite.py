@@ -7,7 +7,6 @@ import pytest
 from quiverdu import rewrite
 from quiverdu.core import Element, Parameters, canonical_path_key, path_from_word, trivial_path
 from quiverdu.rewrite import (
-    PRESET_GRADED,
     PRESET_PREPROJECTIVE,
     PRESET_QDU,
     ReductionSystem,
@@ -23,6 +22,7 @@ from quiverdu.rewrite import (
     normal_shapes,
     term_order_greater,
 )
+from quiverdu.skewgroup import GRADED_DOWN_UP
 
 
 def rand_params(n, rng, nonzero_beta=True):
@@ -76,7 +76,7 @@ def test_preprojective_rules():
 
 
 def test_graded_down_up_rules():
-    sys = build_system(PRESET_GRADED)
+    sys = build_system(PRESET_QDU, GRADED_DOWN_UP)
     shapes = {str(r.lhs): {str(p): c for p, c in r.rhs.terms.items()} for r in sys.rules}
     assert shapes == {
         "d0.u0.u0": {"u0.u0.d0": Fraction(-1)},
@@ -163,7 +163,7 @@ def test_confluence_preprojective_no_overlaps():
 
 
 def test_confluence_graded_single_overlap():
-    sys = build_system(PRESET_GRADED)
+    sys = build_system(PRESET_QDU, GRADED_DOWN_UP)
     report = check_confluence(sys)
     assert report.confluent and len(report.overlaps) == 1
     word = report.overlaps[0].word
@@ -237,7 +237,7 @@ def test_enumerate_basis_counts():
 def test_enumerate_basis_matches_brute_force():
     # Every u/d letter word from every source, kept when no rule's leading
     # word occurs in it as a factor.
-    systems = [build_system(PRESET_GRADED)]
+    systems = [build_system(PRESET_QDU, GRADED_DOWN_UP)]
     for n in (1, 2, 3):
         systems.append(build_system(PRESET_QDU, Parameters.of(n, [1] * n, [2] * n, [3] * n)))
         systems.append(build_system(PRESET_PREPROJECTIVE, n=n))
@@ -274,7 +274,7 @@ def test_dimension_matrix_parameter_independent():
 
 def test_dimension_matrix_agrees_with_enumeration():
     qdu = build_system(PRESET_QDU, Parameters.of(3, [1, 2, 3], [4, 5, 6], [7, 8, 9]))
-    for sys in (build_system(PRESET_PREPROJECTIVE, n=3), build_system(PRESET_GRADED), qdu):
+    for sys in (build_system(PRESET_PREPROJECTIVE, n=3), build_system(PRESET_QDU, GRADED_DOWN_UP), qdu):
         mats = dimension_matrices(sys, 5)
         assert len(mats) == 6
         for k in range(6):
@@ -298,9 +298,9 @@ def test_build_system_shares_one_system_per_key():
     assert build_system(PRESET_PREPROJECTIVE, params) is pre
     assert build_system(PRESET_PREPROJECTIVE, params, n=3) is pre
     assert build_system(PRESET_PREPROJECTIVE, n=4) is not pre
-    graded = build_system(PRESET_GRADED)
-    assert build_system(PRESET_GRADED) is graded
-    assert graded is not build_system(PRESET_QDU, graded.params)
+    graded = build_system(PRESET_QDU, GRADED_DOWN_UP)
+    assert build_system(PRESET_QDU, GRADED_DOWN_UP) is graded
+    assert graded is build_system(PRESET_QDU, graded.params)
 
 
 def reference_closed_shape_matrix(n, degree):

@@ -14,7 +14,8 @@ from fractions import Fraction
 import pytest
 
 from quiverdu.core import Element, Parameters, down, path_from_arrows, up
-from quiverdu.rewrite import PRESET_GRADED, PRESET_QDU, ReductionSystem, RewriteRule, _qdu_rules, _tables, build_system
+from quiverdu.rewrite import PRESET_QDU, ReductionSystem, RewriteRule, _qdu_rules, _tables, build_system
+from quiverdu.skewgroup import GRADED_DOWN_UP
 
 
 def reference_qdu_rules(params: Parameters) -> tuple[RewriteRule, ...]:
@@ -88,5 +89,5 @@ def test_zero_entries_are_dropped():
 
 
 def test_graded_system_rules_match():
-    sys_ = build_system(PRESET_GRADED)
+    sys_ = build_system(PRESET_QDU, GRADED_DOWN_UP)
     assert sys_.rules == reference_qdu_rules(sys_.params)

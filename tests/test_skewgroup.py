@@ -56,6 +56,18 @@ def test_cyc_scalar_arithmetic():
             op(z3, z5)
 
 
+def test_cyc_scalar_sum_with_a_plain_number_is_a_type_error():
+    # Sums take CycScalar operands only; products also take int and Fraction.
+    z = CycScalar.zeta_power(5, 1)
+    for op in (operator.add, operator.sub):
+        for number in (1, Fraction(1, 2)):
+            with pytest.raises(TypeError):
+                op(z, number)
+            with pytest.raises(TypeError):
+                op(number, z)
+    assert z * 2 == 2 * z == z + z
+
+
 def test_cyc_scalar_inverse():
     rng = random.Random(83)
     for n in (3, 4, 5, 6, 8):
