@@ -384,10 +384,15 @@ class Parameters:
             vec = getattr(self, name)
             if len(vec) != self.n:
                 raise ValueError(f"{name} must have length n={self.n}")
-        object.__setattr__(self, "_hash", hash((self.n, self.alpha, self.beta, self.gamma)))
 
     def __hash__(self) -> int:
-        return self._hash
+        # Computed on first use and kept: symbolic composites (``iso``) are
+        # never hashed, so they never pay for hashing 3n entries.
+        try:
+            return self._hash
+        except AttributeError:
+            object.__setattr__(self, "_hash", hash((self.n, self.alpha, self.beta, self.gamma)))
+            return self._hash
 
     @classmethod
     def of(cls, n: int, alpha, beta, gamma) -> "Parameters":

@@ -25,6 +25,7 @@ import random
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
+from math import lcm
 
 from .core import (
     Arrow,
@@ -155,37 +156,51 @@ def _preprojective_system(n: int) -> ReductionSystem:
 # ---------------------------------------------------------------------------
 
 class _RuleTables:
-    """A system's rules on int-coded words, and its product memo.
+    """A system's rules on int-coded words, and its product memos.
 
     A word is a tuple of arrow codes, an arrow's code being its
-    ``_arrow_rank``; a combination is a dict word -> nonzero coefficient
-    whose words all start at one vertex (a word may be empty).  ``rules``
-    holds each rule as ``(lhs, rhs terms)`` in rule order; ``by_last`` maps
-    an arrow code to the rules whose leading word ends with it, as
-    ``(lhs, len(lhs), rhs terms)``.  ``memo`` maps ``w + (a,)`` to its
-    normal form for each normal word w whose product with the arrow a is
-    reducible; a nonempty word determines its source.  Integral
-    coefficients are kept as ints, several times faster than Fraction and
-    exact when mixed with it.  ``paths`` maps ``(source, word)`` to its
-    decoded ``Path``, so each word is decoded and validated once and every
-    result shares one ``Path`` per word.  The automaton is built on first
-    use.
+    ``_arrow_rank``; a combination is a dict word -> nonzero numerator
+    whose words all start at one vertex (a word may be empty), read over
+    one power D^e of the system's denominator D and passed with its
+    exponent e.  D is the lcm of the denominators of the rule
+    coefficients, so each right-hand-side coefficient c is stored as the
+    int D*c (exponent ``rule_exp`` = 1) and the kernel never builds a
+    Fraction.  D = 1 when every coefficient is integral, and also for a
+    coefficient type without ``denominator``, whose values are then kept
+    as given; every exponent is then 0.  ``rules`` holds each rule as
+    ``(lhs, rhs terms)`` in rule order; ``by_last`` maps an arrow code to
+    the rules whose leading word ends with it, as ``(lhs, len(lhs), rhs
+    terms)``.  ``memo`` maps ``w + (a,)`` to its normal form ``(e,
+    combination)`` for each normal word w whose product with the arrow a
+    is reducible; a nonempty word determines its source.  ``nf`` maps a
+    ``Path`` to its normal form ``(e, {Path: numerator})``.  ``paths``
+    maps ``(source, word)`` to its decoded ``Path``, so each word is
+    decoded and validated once and every result shares one ``Path`` per
+    word.  The automaton is built on first use.
     """
 
-    __slots__ = ("n", "arrows", "rules", "by_last", "memo", "paths", "_automaton")
+    __slots__ = ("n", "arrows", "denominator", "rule_exp", "rules", "by_last", "memo", "nf",
+                 "paths", "_automaton")
 
     def __init__(self, sys: ReductionSystem):
         n = self.n = sys.n
         self.arrows = tuple(down(i, n) for i in range(n)) + tuple(up(i, n) for i in range(n))
+        coeffs = [c for rule in sys.rules for c in rule.rhs.terms.values()]
+        if all(hasattr(c, "denominator") for c in coeffs):
+            D = lcm(*(c.denominator for c in coeffs))
+            scale = lambda c: c.numerator * (D // c.denominator)
+        else:
+            D, scale = 1, lambda c: c
+        self.denominator, self.rule_exp = D, int(D != 1)
         rules, by_last = [], {}
         for rule in sys.rules:
             lhs = self.encode(rule.lhs)
-            rhs = tuple((self.encode(q), c.numerator if c.denominator == 1 else c)
-                        for q, c in rule.rhs.terms.items())
+            rhs = tuple((self.encode(q), scale(c)) for q, c in rule.rhs.terms.items())
             rules.append((lhs, rhs))
             by_last.setdefault(lhs[-1], []).append((lhs, len(lhs), rhs))
         self.rules, self.by_last = tuple(rules), by_last
         self.memo: dict = {}
+        self.nf: dict = {}
         self.paths: dict = {}
         self._automaton = None
 
@@ -205,10 +220,17 @@ class _RuleTables:
             p = self.paths[key] = Path(self.n, source, tuple(self.arrows[k] for k in word))
         return p
 
-    def element(self, source: int, comb: dict) -> Element:
-        """The Element of a combination of words from ``source``."""
-        return Element._from_sums(self.n, {self.path(source, w): Fraction(c)
-                                           for w, c in comb.items() if c})
+    def element(self, source: int, e: int, comb: dict) -> Element:
+        """The Element of a combination of words from ``source`` over D^e."""
+        return _decode(self.n, self.denominator ** e,
+                       {self.path(source, w): c for w, c in comb.items()})
+
+
+def _decode(n: int, den: int, terms: dict) -> Element:
+    """The Element sum of (c / den) q over the (q, c) of ``terms``."""
+    if den == 1:
+        return Element._from_sums(n, {q: Fraction(c) for q, c in terms.items() if c})
+    return Element._from_sums(n, {q: Fraction(c, den) for q, c in terms.items() if c})
 
 
 def _tables(sys: ReductionSystem) -> _RuleTables:
@@ -217,67 +239,92 @@ def _tables(sys: ReductionSystem) -> _RuleTables:
     return sys._tables
 
 
-def _add_scaled(out: dict, part: dict, c) -> None:
-    """out += c * part, on combinations (zero sums are left in)."""
+def _add_scaled(out: dict, oe: int, part: dict, pe: int, c, D: int) -> int:
+    """out/D^oe += c * part/D^pe, on combinations; returns out's new exponent.
+
+    The larger exponent wins: ``out`` is multiplied through in place when
+    ``part``'s is larger, ``c`` is scaled otherwise, so no term moves and
+    zero sums are left in.
+    """
+    if pe != oe:
+        if pe > oe:
+            lift = D ** (pe - oe)
+            for v in out:
+                out[v] *= lift
+            oe = pe
+        else:
+            c *= D ** (oe - pe)
     for v, cv in part.items():
         old = out.get(v)
         out[v] = c * cv if old is None else old + c * cv
+    return oe
 
 
-def _times_word(by_last: dict, memo: dict, comb: dict, word: tuple):
-    """Generator returning the normal form of the normal combination ``comb`` times ``word``.
+def _times_word(tables: _RuleTables, comb: dict, e: int, word: tuple):
+    """Generator returning the normal form ``(e, combination)`` of ``comb``/D^e times ``word``.
 
-    One arrow at a time: a product w·a of a normal word can only be
-    reducible at a leading word that ends with a, so one suffix
-    comparison per rule ending in a decides it.  A reducible product
-    missing from the memo is yielded as ``(w + (a,), rule)``, and its
-    normal form is sent back.
+    ``comb`` is normal.  One arrow at a time: a product w·a of a normal
+    word can only be reducible at a leading word that ends with a, so one
+    suffix comparison per rule ending in a decides it.  A reducible
+    product missing from the memo is yielded as ``(w + (a,), rule)``, and
+    its normal form is sent back.
     """
+    by_last, memo, D = tables.by_last, tables.memo, tables.denominator
     for a in word:
         out: dict = {}
+        oe = e
         for w, c in comb.items():
             wa = w + (a,)
-            nf = memo.get(wa)
-            if nf is None:
+            hit = memo.get(wa)
+            if hit is None:
                 for rule in by_last.get(a, ()):
                     if wa[-rule[1]:] == rule[0]:
-                        nf = yield wa, rule
+                        hit = yield wa, rule
                         break
                 else:
+                    if oe != e:
+                        c *= D ** (oe - e)
                     old = out.get(wa)
                     out[wa] = c if old is None else old + c
                     continue
-            _add_scaled(out, nf, c)
+            oe = _add_scaled(out, oe, hit[1], e + hit[0], c, D)
         comb = {v: c for v, c in out.items() if c}
-    return comb
+        e = oe
+    return e, comb
 
 
-def _reduce_end(by_last: dict, memo: dict, wa: tuple, rule: tuple):
+def _reduce_end(tables: _RuleTables, wa: tuple, rule: tuple):
     """Generator returning the normal form of wa, reducible only at its end, by ``rule``.
 
     The prefix before the lhs is normal, so it is multiplied by each rhs
-    word in turn.  The result goes into the memo.
+    word in turn.  D is divided out of the result while it divides every
+    numerator, and the result goes into the memo.
     """
     _, k, rhs = rule
+    D, rule_exp = tables.denominator, tables.rule_exp
     prefix = {wa[:-k]: 1}
     out: dict = {}
+    e = 0
     for r, c in rhs:
-        _add_scaled(out, (yield from _times_word(by_last, memo, prefix, r)), c)
+        pe, part = yield from _times_word(tables, prefix, 0, r)
+        e = _add_scaled(out, e, part, pe + rule_exp, c, D)
     nf = {v: cv for v, cv in out.items() if cv}
-    memo[wa] = nf
-    return nf
+    while e and all(cv % D == 0 for cv in nf.values()):
+        nf = {v: cv // D for v, cv in nf.items()}
+        e -= 1
+    tables.memo[wa] = entry = (e, nf)
+    return entry
 
 
-def _normal_word(tables: _RuleTables, word: tuple) -> dict:
-    """Normal form of an int-coded word.
+def _normal_word(tables: _RuleTables, word: tuple) -> tuple[int, dict]:
+    """Normal form ``(e, combination)`` of an int-coded word.
 
     Each pending reduction is a generator on an explicit stack, so the
     Python call depth stays constant however long the word is.  Every
     reduction a generator waits on is of a smaller word in the term
     order, so the stack never waits on itself.
     """
-    by_last, memo = tables.by_last, tables.memo
-    stack = [_times_word(by_last, memo, {(): 1}, word)]
+    stack = [_times_word(tables, {(): 1}, 0, word)]
     sent = None
     while True:
         try:
@@ -288,34 +335,52 @@ def _normal_word(tables: _RuleTables, word: tuple) -> dict:
                 return done.value
             sent = done.value
         else:
-            stack.append(_reduce_end(by_last, memo, wa, rule))
+            stack.append(_reduce_end(tables, wa, rule))
             sent = None
 
 
-def normal_form_path(sys: ReductionSystem, path: Path) -> Element:
-    """Fully reduce a single path, with per-system memoization.
+def _path_nf(tables: _RuleTables, path: Path) -> tuple[int, dict]:
+    """Normal form ``(e, {Path: numerator})`` of a path, memoized per system.
 
     The path is built up from its source one arrow at a time, keeping the
     product normal (right multiplication on normal words).
     """
+    hit = tables.nf.get(path)
+    if hit is None:
+        e, comb = _normal_word(tables, tables.encode(path))
+        hit = tables.nf[path] = (e, {tables.path(path.source, w): c for w, c in comb.items()})
+    return hit
+
+
+def normal_form_path(sys: ReductionSystem, path: Path) -> Element:
+    """Fully reduce a single path, with per-system memoization."""
     cached = sys._nf_cache.get(path)
-    if cached is not None:
-        return cached
-    tables = _tables(sys)
-    result = tables.element(path.source, _normal_word(tables, tables.encode(path)))
-    sys._nf_cache[path] = result
-    return result
+    if cached is None:
+        tables = _tables(sys)
+        e, terms = _path_nf(tables, path)
+        cached = sys._nf_cache[path] = _decode(sys.n, tables.denominator ** e, terms)
+    return cached
 
 
 def normal_form(sys: ReductionSystem, a: Element) -> Element:
     """Reduce every term until no leading word occurs as a factor.
 
     Terminates because each replacement is strictly smaller in the term
-    order; the result is linear in the input.
+    order; the result is linear in the input.  The terms' normal forms
+    are summed in ints over L * D^e, L the lcm of the input's
+    denominators, and decoded once.
     """
     if a.n != sys.n:
         raise ValueError("element over wrong quiver size")
-    return Element.combine(sys.n, ((normal_form_path(sys, p), c) for p, c in a.terms.items()))
+    tables = _tables(sys)
+    D = tables.denominator
+    L = lcm(*(c.denominator for c in a.terms.values()))
+    sums: dict = {}
+    e = 0
+    for p, c in a.terms.items():
+        pe, part = _path_nf(tables, p)
+        e = _add_scaled(sums, e, part, pe, c.numerator * (L // c.denominator), D)
+    return _decode(sys.n, L * D ** e, sums)
 
 
 def is_zero_in_quotient(sys: ReductionSystem, a: Element) -> bool:
@@ -368,11 +433,13 @@ def check_confluence(sys: ReductionSystem) -> ConfluenceReport:
     def resolve(i, j, word, left, right):
         # left and right are (prefix, rhs terms, suffix) one-step reductions of word.
         diff: dict = {}
+        e = 0
         for (prefix, rhs, suffix), sign in ((left, 1), (right, -1)):
             for r, c in rhs:
-                _add_scaled(diff, _normal_word(tables, prefix + r + suffix), sign * c)
+                pe, part = _normal_word(tables, prefix + r + suffix)
+                e = _add_scaled(diff, e, part, pe + tables.rule_exp, sign * c, tables.denominator)
         source = sys.rules[i].lhs.source
-        overlaps.append(Overlap(tables.path(source, word), i, j, tables.element(source, diff)))
+        overlaps.append(Overlap(tables.path(source, word), i, j, tables.element(source, e, diff)))
 
     rules = tables.rules
     for i, (a1, rhs1) in enumerate(rules):

@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 from quiverdu.core import Element, Parameters, format_element, parse_element, path_from_word
 from quiverdu.cyclotomic import CycScalar, cyclotomic_polynomial
 from quiverdu.gwa import BaseElement, GwaElement, theta, theta_prime
-from quiverdu.rewrite import PRESET_QDU, build_system, normal_form, normal_form_path, normal_shape
+from quiverdu.rewrite import PRESET_QDU, _tables, build_system, normal_form, normal_form_path, normal_shape
 from quiverdu.skewgroup import SmashElement
 
 # Enough cases to hit cancellations and size mismatches, few enough to stay fast.
@@ -142,16 +142,35 @@ def test_text_roundtrip(a):
     assert parse_element(format_element(a), a.n) == a
 
 
+# D = 6: the coded memos hold numerators over powers of 6.
+RATIONAL_PARAMS = Parameters.of(3, [2, Fraction(1, 2), 5], [7, Fraction(-3, 2), 13],
+                                [1, 2, Fraction(1, 3)])
+
+
+def coded_snapshot(memo):
+    """Each (e, combination) entry of a coded memo, with its dict and a copy of it."""
+    return {key: (e, comb, dict(comb)) for key, (e, comb) in memo.items()}
+
+
 @kernel_settings
-@given(paths(3, max_len=5), elements(3, max_len=5))
-def test_normal_form_leaves_memo_values_unchanged(p, q):
-    sys_ = build_system(PRESET_QDU, SYSTEM_PARAMS)
+@given(st.sampled_from([SYSTEM_PARAMS, RATIONAL_PARAMS]), paths(3, max_len=5),
+       elements(3, max_len=5))
+def test_normal_form_leaves_memo_values_unchanged(params, p, q):
+    sys_ = build_system(PRESET_QDU, params)
     memo = normal_form_path(sys_, p)
     snapshot = dict(memo.terms)
+    tables = _tables(sys_)
+    coded, per_path = coded_snapshot(tables.memo), coded_snapshot(tables.nf)
+    handed_out = [memo.terms]
     for c in (3, 1):
-        normal_form(sys_, Element.from_path(p).scale(c) + q)
+        handed_out.append(normal_form(sys_, Element.from_path(p).scale(c) + q).terms)
         assert sys_._nf_cache[p] is memo
         assert sys_._nf_cache[p].terms == snapshot
+    for table, before in ((tables.memo, coded), (tables.nf, per_path)):
+        for key, (e, comb, copy) in before.items():
+            assert table[key][0] == e and table[key][1] is comb and comb == copy
+        held = {id(comb) for _, comb in table.values()}
+        assert not any(id(terms) in held for terms in handed_out)
 
 
 @kernel_settings

@@ -1,8 +1,8 @@
 """Differential tests of the quiver key types and the shared decoded paths.
 
-``Arrow``, ``Path`` and ``Parameters`` compute their hash once, at
-construction, and it must equal the tuple hash that the generated
-dataclass ``__hash__`` gave: ``hash((family, index))``,
+``Arrow`` and ``Path`` compute their hash once, at construction, and
+``Parameters`` on its first ``__hash__``; it must equal the tuple hash
+that the generated dataclass ``__hash__`` gave: ``hash((family, index))``,
 ``hash((n, source, arrows))`` and ``hash((n, alpha, beta, gamma))``.
 ``Path`` validates with inline integer arithmetic; the reference is the
 method-based loop it replaced, kept here verbatim as
@@ -136,3 +136,32 @@ def test_normal_forms_share_decoded_paths():
     assert shared
     by_value = {p: p for p in first.terms}
     assert all(by_value[p] is p for p in shared)
+
+
+class CountingScalar:
+    """A scalar that counts how often any instance is hashed."""
+
+    hashes = 0
+
+    def __init__(self, value):
+        self.value = value
+
+    def __eq__(self, other):
+        return isinstance(other, CountingScalar) and self.value == other.value
+
+    def __hash__(self):
+        CountingScalar.hashes += 1
+        return hash(self.value)
+
+
+def test_parameters_hash_is_computed_once_on_first_use():
+    n = 4
+    alpha, beta, gamma = (tuple(CountingScalar(k + 10 * j) for k in range(n)) for j in range(3))
+    CountingScalar.hashes = 0
+    params = Parameters(n, alpha, beta, gamma)
+    assert CountingScalar.hashes == 0
+    first = hash(params)
+    assert CountingScalar.hashes == 3 * n
+    assert hash(params) == first and {params: 1}[params] == 1
+    assert CountingScalar.hashes == 3 * n
+    assert first == hash((n, alpha, beta, gamma))
