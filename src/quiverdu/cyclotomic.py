@@ -7,6 +7,12 @@ common denominator, kept canonical: the gcd of the denominator and all
 numerators is 1, and zero is all zeros over 1.  Phi_n is monic with integer
 coefficients, so x^k mod Phi_n is integral; a per-n table of those residues
 turns a product into an integer convolution plus one table reduction.
+Two products skip the convolution.  A product with a rational (a plain
+number, or a scalar whose numerators of zeta^1 .. zeta^(phi(n)-1) are zero)
+scales the numerators in O(phi(n)).  ``times_zeta(e)`` moves numerator i to
+the power (i + e) mod n and reduces only the powers at or above phi(n)
+through their table rows.  A rational-valued scalar hashes as its
+``Fraction``, so it hashes equal to the number it equals.
 Division uses the extended Euclidean algorithm.
 """
 
@@ -93,7 +99,14 @@ def _canonical(n: int, num, den: int) -> "CycScalar":
         if g != 1:
             num = [x // g for x in num]
             den //= g
-    return CycScalar._raw(n, tuple(num), den)
+    return _raw(n, tuple(num), den)
+
+
+def _scaled(x: "CycScalar", p: int, q: int) -> "CycScalar":
+    """x * p / q for a positive q: the numerators scaled, no convolution."""
+    if p == q == 1:
+        return x
+    return _canonical(x.n, [v * p for v in x._num], x._den * q)
 
 
 def _same_n(a: "CycScalar", b: "CycScalar") -> None:
@@ -122,18 +135,9 @@ class CycScalar:
             elif c:  # zeta^n = 1, and row k mod n of the table is reduced
                 num = [x + c * r for x, r in zip(num, _power_table(n)[k % n])]
         reduced = _canonical(n, num, den)
-        object.__setattr__(self, "n", n)
-        object.__setattr__(self, "_num", reduced._num)
-        object.__setattr__(self, "_den", reduced._den)
-
-    @classmethod
-    def _raw(cls, n: int, num: tuple[int, ...], den: int) -> "CycScalar":
-        """Wrap numerators and a denominator already in canonical form."""
-        self = object.__new__(cls)
-        object.__setattr__(self, "n", n)
-        object.__setattr__(self, "_num", num)
-        object.__setattr__(self, "_den", den)
-        return self
+        _set_n(self, n)
+        _set_num(self, reduced._num)
+        _set_den(self, reduced._den)
 
     def __setattr__(self, *args):  # pragma: no cover - guard only
         raise AttributeError("CycScalar is immutable")
@@ -145,7 +149,7 @@ class CycScalar:
 
     @classmethod
     def zero(cls, n: int) -> "CycScalar":
-        return cls._raw(n, (0,) * (len(cyclotomic_polynomial(n)) - 1), 1)
+        return _raw(n, (0,) * (len(cyclotomic_polynomial(n)) - 1), 1)
 
     @classmethod
     def one(cls, n: int) -> "CycScalar":
@@ -155,11 +159,34 @@ class CycScalar:
     def from_rational(cls, n: int, c) -> "CycScalar":
         c = Fraction(c)
         phi = len(cyclotomic_polynomial(n)) - 1
-        return cls._raw(n, (c.numerator,) + (0,) * (phi - 1), c.denominator)
+        return _raw(n, (c.numerator,) + (0,) * (phi - 1), c.denominator)
 
     @classmethod
     def zeta_power(cls, n: int, e: int) -> "CycScalar":
-        return cls._raw(n, _power_table(n)[e % n], 1)
+        return _raw(n, _power_table(n)[e % n], 1)
+
+    def times_zeta(self, e: int) -> "CycScalar":
+        """self * zeta^e: numerator i moves to the power (i + e) mod n.
+
+        Only a power at or above phi(n) goes through its ``_power_table``
+        row.  zeta^e is a unit, so the result keeps the canonical
+        denominator and needs no gcd.
+        """
+        n = self.n
+        e %= n
+        if not e:
+            return self
+        num = self._num
+        phi = len(num)
+        out = [0] * phi
+        for i, x in enumerate(num):
+            if x:
+                k = (i + e) % n
+                if k < phi:
+                    out[k] += x
+                else:
+                    out = [y + x * r for y, r in zip(out, _power_table(n)[k])]
+        return _raw(n, tuple(out), self._den)
 
     @classmethod
     def from_power_counts(cls, n: int, counts, den: int = 1) -> "CycScalar":
@@ -186,7 +213,10 @@ class CycScalar:
                 and self._num == other._num and self._den == other._den)
 
     def __hash__(self):
-        return hash((self.n, self._num, self._den))
+        num = self._num
+        if not any(num[1:]):  # equal to a Fraction, so hashed as one
+            return hash(Fraction(num[0], self._den))
+        return hash((self.n, num, self._den))
 
     def __add__(self, other: "CycScalar") -> "CycScalar":
         if type(other) is not CycScalar:
@@ -199,7 +229,7 @@ class CycScalar:
                           da * db)
 
     def __neg__(self) -> "CycScalar":
-        return CycScalar._raw(self.n, tuple(-x for x in self._num), self._den)
+        return _raw(self.n, tuple(-x for x in self._num), self._den)
 
     def __sub__(self, other: "CycScalar") -> "CycScalar":
         if type(other) is not CycScalar:
@@ -210,11 +240,14 @@ class CycScalar:
         if type(other) is not CycScalar:
             if isinstance(other, (int, Fraction)):
                 c = Fraction(other)
-                return _canonical(self.n, [x * c.numerator for x in self._num],
-                                  self._den * c.denominator)
+                return _scaled(self, c.numerator, c.denominator)
             return NotImplemented
         _same_n(self, other)
         a, b = self._num, other._num
+        if not any(b[1:]):
+            return _scaled(self, b[0], other._den)
+        if not any(a[1:]):
+            return _scaled(other, a[0], self._den)
         phi = len(a)
         conv = [0] * (2 * phi - 1)
         for i, x in enumerate(a):
@@ -286,3 +319,17 @@ class CycScalar:
 
     def __repr__(self) -> str:
         return f"CycScalar({self.n}, {self})"
+
+
+# The slot setters, bound once: they skip the immutability guard of
+# ``CycScalar.__setattr__`` without a per-call attribute lookup.
+_set_n, _set_num, _set_den = (CycScalar.__dict__[s].__set__ for s in CycScalar.__slots__)
+
+
+def _raw(n: int, num: tuple[int, ...], den: int) -> CycScalar:
+    """Wrap numerators and a denominator already in canonical form."""
+    x = object.__new__(CycScalar)
+    _set_n(x, n)
+    _set_num(x, num)
+    _set_den(x, den)
+    return x

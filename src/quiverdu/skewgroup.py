@@ -39,6 +39,7 @@ GRADED_DOWN_UP = Parameters.of(1, [0], [-1], [0])
 
 # R-monomials in normal form: (a, b, c) stands for u^a (du)^b d^c.
 RMonomial = tuple[int, int, int]
+_UNIT: RMonomial = (0, 0, 0)
 
 
 def monomial_weight(m: RMonomial) -> int:
@@ -54,7 +55,15 @@ def _monomial_to_path(m: RMonomial):
 
 @lru_cache(maxsize=None)
 def r_monomial_product(m1: RMonomial, m2: RMonomial) -> tuple[tuple[RMonomial, Fraction], ...]:
-    """Normal-form expansion of the product of two R-monomials."""
+    """Normal-form expansion of the product of two R-monomials.
+
+    Every u^a (du)^b d^c is a normal word, so a product with the unit
+    monomial is the other factor, with no rewriting.
+    """
+    if m1 == _UNIT:
+        return ((m2, Fraction(1)),)
+    if m2 == _UNIT:
+        return ((m1, Fraction(1)),)
     sys = ensure_confluent(build_system(PRESET_QDU, GRADED_DOWN_UP))
     prod = Element.from_path(_monomial_to_path(m1)) * Element.from_path(_monomial_to_path(m2))
     nf = normal_form(sys, prod)
@@ -123,17 +132,14 @@ def smash_multiply(a: SmashElement, b: SmashElement) -> SmashElement:
     sums: dict[tuple[RMonomial, int], CycScalar] = {}
     for (m1, j1), c1 in a.terms.items():
         for (m2, j2), c2 in b.terms.items():
-            scalar = c1 * c2
             # g^j1 scales u^a (du)^b d^c by zeta^(j1 (a - c)), read here from the
             # definition of the action and not through ``monomial_weight``, so
             # the left-factor check of ``corner_dimensions`` compares two
             # independent computations of the weight.
-            shift = j1 * (m2[0] - m2[2]) % n
-            if shift:
-                scalar = scalar * CycScalar.zeta_power(n, shift)
+            scalar = (c1 * c2).times_zeta(j1 * (m2[0] - m2[2]))
             j = (j1 + j2) % n
             for m, q in r_monomial_product(m1, m2):
-                term = scalar if q == 1 else scalar * q
+                term = scalar if q == 1 else -scalar if q == -1 else scalar * q
                 old = sums.get((m, j))
                 sums[(m, j)] = term if old is None else old + term
     return SmashElement._from_sums(n, sums)
@@ -237,7 +243,8 @@ def check_group_absorption(n: int, idem: IdempotentSet) -> None:
     for t in range(n):
         g = SmashElement.group(n, t)
         for j in range(n):
-            if smash_multiply(g, idem[j]) != idem[j].scale(CycScalar.zeta_power(n, -t * j)):
+            scaled = {key: c.times_zeta(-t * j) for key, c in idem[j].terms.items()}
+            if smash_multiply(g, idem[j]).terms != scaled:
                 raise AssertionError(f"g^t f_j != zeta^(-tj) f_j at t={t}, j={j}")
 
 

@@ -184,10 +184,26 @@ def test_shifted_left_factor_fails_check(n, monkeypatch):
         corner_dimensions(n, 0, idem)
 
 
+def zeta_shift_off_by_one(monkeypatch):
+    """x * zeta^(e+1) in place of x * zeta^e for every shift e != 0 mod n."""
+    genuine = CycScalar.times_zeta
+    monkeypatch.setattr(CycScalar, "times_zeta",
+                        lambda x, e: genuine(x, e + 1) if e % x.n else x)
+
+
+def zeta_shift_off_by_one_in_products_only(monkeypatch):
+    """The same, with the absorption check (which also shifts) skipped."""
+    zeta_shift_off_by_one(monkeypatch)
+    monkeypatch.setattr(skewgroup, "check_group_absorption", lambda n, idem: None)
+
+
 @pytest.mark.parametrize("mutate, message", [
+    (zeta_shift_off_by_one, "g^t f_j != zeta^(-tj) f_j at t=1, j=1"),
+    (zeta_shift_off_by_one_in_products_only,
+     "f_i (m # 1) != m # f_(i+w(m)) at i=0, m=(0, 0, 1)"),
     (flip_weight_sign, "f_i (m # 1) != m # f_(i+w(m)) at i=0, m=(0, 0, 1)"),
     (lambda mp: shift_left_factors(mp, 3), "f_i (m # 1) != m # f_(i+w(m)) at i=0, m=(0, 0, 0)"),
-], ids=["weight-sign", "left-factor"])
+], ids=["zeta-shift", "zeta-shift-in-products", "weight-sign", "left-factor"])
 def test_corrupted_corner_rows_give_fail_exit_1(mutate, message, tmp_path, capsys, monkeypatch):
     path = tmp_path / "config.json"
     path.write_text(json.dumps({"n": 3, "alpha": ["0"] * 3, "beta": ["-1"] * 3,

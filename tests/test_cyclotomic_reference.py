@@ -5,6 +5,10 @@ representation replaced, kept here verbatim with its polynomial helpers
 and its own ``cyclotomic_polynomial`` cache.  Every public operation of
 ``quiverdu.cyclotomic.CycScalar`` must give the same rational coefficients
 as the reference, for n = 1..12.
+
+Products by a rational and by a power of zeta skip the integer
+convolution; ``convolution_product`` keeps that convolution verbatim as
+the reference for those fast paths.
 """
 
 from __future__ import annotations
@@ -238,6 +242,26 @@ def same(ref: CycScalar, new: New) -> bool:
     return new.n == ref.n and new.coeffs == ref.coeffs
 
 
+def convolution_product(a: New, b: New) -> tuple[Fraction, ...]:
+    """Coefficients of a * b by the general integer convolution (verbatim)."""
+    x, y = a._num, b._num
+    phi = len(x)
+    conv = [0] * (2 * phi - 1)
+    for i, u in enumerate(x):
+        if u:
+            for j, v in enumerate(y):
+                if v:
+                    conv[i + j] += u * v
+    num = conv[:phi]
+    table = cyclotomic._power_table(a.n)
+    for k in range(phi, 2 * phi - 1):
+        c = conv[k]
+        if c:
+            num = [u + c * r for u, r in zip(num, table[k])]
+    den = a._den * b._den
+    return tuple(Fraction(u, den) for u in num)
+
+
 def assert_canonical(x: New) -> None:
     num, den = x._num, x._den
     assert all(type(v) is int for v in num) and type(den) is int
@@ -307,3 +331,79 @@ def test_equality_and_hash_match_reference(pair, c):
     shifted = New(n, {k + n: v for k, v in enumerate(new.coeffs)})  # zeta^n = 1
     assert shifted == new and hash(shifted) == hash(new)
     assert new != New.one(n) + new
+    # A rational value equals its Fraction and int, so it hashes like them.
+    rational = New.from_rational(n, c)
+    assert hash(rational) == hash(Fraction(c)) and len({rational, Fraction(c)}) == 1
+    if not any(new.coeffs[1:]):
+        assert new == new.coeffs[0] and hash(new) == hash(new.coeffs[0])
+    assert len({New.one(n), 1}) == 1 and len({New.zero(n), 0, Fraction(0)}) == 1
+    assert len({New.from_rational(n, Fraction(1, 2)), Fraction(1, 2)}) == 1
+
+
+# ---------------------------------------------------------------------------
+# Fast paths against the general convolution
+# ---------------------------------------------------------------------------
+
+SAMPLE_RATIONALS = (Fraction(0), Fraction(1), Fraction(-1), Fraction(2), Fraction(-3, 4),
+                    Fraction(5, 6), Fraction(-7, 2))
+
+
+def sample_scalars(n: int) -> list[New]:
+    """Zero, rationals, powers of zeta and dense scalars with common denominators."""
+    out = [New.zero(n), New.one(n), New.from_rational(n, Fraction(-2, 3))]
+    out += [New.zeta_power(n, e) for e in range(n)]
+    out.append(New(n, [Fraction(k + 1, 6) * (-1) ** k for k in range(n)]))
+    out.append(New(n, {0: Fraction(1, 4), n - 1: Fraction(-3, 8), 2 * n + 1: 5}))
+    return out
+
+
+def assert_convolution_product(a: New, b: New) -> None:
+    prod = a * b
+    assert_canonical(prod)
+    assert prod.coeffs == convolution_product(a, b)
+    ref = CycScalar(a.n, list(a.coeffs)) * CycScalar(b.n, list(b.coeffs))
+    assert same(ref, prod)
+
+
+def test_rational_products_match_convolution():
+    for n in range(1, 13):
+        for x in sample_scalars(n):
+            for c in SAMPLE_RATIONALS:
+                r = New.from_rational(n, c)
+                assert_convolution_product(r, x)
+                assert_convolution_product(x, r)
+                for prod in (x * c, c * x):
+                    assert_canonical(prod)
+                    assert prod.coeffs == convolution_product(x, r)
+
+
+@settings(max_examples=150, deadline=None)
+@given(scalar_pairs(), st.one_of(rationals, small_ints))
+def test_random_rational_products_match_convolution(pair, c):
+    n, _, x = pair
+    r = New.from_rational(n, c)
+    assert_convolution_product(r, x)
+    assert_convolution_product(x, r)
+    assert_convolution_product(x, x)
+
+
+def test_zeta_power_products_match_convolution():
+    for n in range(1, 13):
+        for x in sample_scalars(n):
+            rx = CycScalar(n, list(x.coeffs))
+            for e in range(-2 * n, 2 * n + 1):
+                moved = x.times_zeta(e)
+                assert_canonical(moved)
+                assert moved == x * New.zeta_power(n, e)
+                assert moved.coeffs == convolution_product(x, New.zeta_power(n, e))
+                assert same(rx * CycScalar.zeta_power(n, e), moved)
+
+
+@settings(max_examples=150, deadline=None)
+@given(scalar_pairs(), st.integers(-40, 40))
+def test_random_zeta_power_products_match_convolution(pair, e):
+    n, ref, x = pair
+    moved = x.times_zeta(e)
+    assert_canonical(moved)
+    assert moved.coeffs == convolution_product(x, New.zeta_power(n, e))
+    assert same(ref * CycScalar.zeta_power(n, e), moved)

@@ -4,9 +4,18 @@ from fractions import Fraction
 
 import pytest
 
+from quiverdu.core import Element
 from quiverdu.cyclotomic import CycScalar, cyclotomic_polynomial
-from quiverdu.rewrite import normal_shapes
+from quiverdu.rewrite import (
+    PRESET_QDU,
+    build_system,
+    ensure_confluent,
+    normal_form,
+    normal_shape,
+    normal_shapes,
+)
 from quiverdu.skewgroup import (
+    GRADED_DOWN_UP,
     SmashElement,
     build_idempotents,
     cap_generators,
@@ -15,6 +24,7 @@ from quiverdu.skewgroup import (
     smash_multiply,
     verify_quotient_match,
 )
+from quiverdu.skewgroup import _monomial_to_path
 
 
 def monomials_of_degree(k):
@@ -104,6 +114,31 @@ def test_r_monomial_products():
     # d * u = the loop word (du)
     du = r_monomial_product(d, u)
     assert du == (((0, 1, 0), Fraction(1)),)
+
+
+def rewritten_product(m1, m2):
+    """The product of two R-monomials rewritten to normal form (no shortcut)."""
+    sys = ensure_confluent(build_system(PRESET_QDU, GRADED_DOWN_UP))
+    prod = Element.from_path(_monomial_to_path(m1)) * Element.from_path(_monomial_to_path(m2))
+    nf = normal_form(sys, prod)
+    return tuple(sorted(((normal_shape(p), c) for p, c in nf.terms.items())))
+
+
+def test_unit_monomial_products_match_rewriting():
+    unit = (0, 0, 0)
+    for k in range(9):
+        for m in monomials_of_degree(k):
+            assert r_monomial_product(unit, m) == rewritten_product(unit, m) == ((m, 1),)
+            assert r_monomial_product(m, unit) == rewritten_product(m, unit)
+
+
+def test_unit_monomial_lookups_are_counted():
+    r_monomial_product.cache_clear()
+    r_monomial_product((0, 0, 0), (1, 0, 0))
+    r_monomial_product((1, 0, 0), (0, 0, 0))
+    r_monomial_product((0, 0, 0), (1, 0, 0))
+    info = r_monomial_product.cache_info()
+    assert (info.hits, info.misses) == (1, 2)
 
 
 def test_monomial_count_matches_formula():
