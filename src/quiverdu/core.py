@@ -24,6 +24,10 @@ Scalar = Fraction
 UP = "u"
 DOWN = "d"
 
+# Numerators of the random coefficients c/q (q = 1, 2, 3) of the sampled
+# piecewise-domain probes.
+NONZERO_NUMERATORS = tuple(x for x in range(-5, 6) if x)
+
 
 @dataclass(frozen=True)
 class Arrow:

@@ -209,8 +209,15 @@ class CycScalar:
             num = self._num
             return (self._den == other.denominator and num[0] == other.numerator
                     and not any(num[1:]))
-        return (isinstance(other, CycScalar) and self.n == other.n
-                and self._num == other._num and self._den == other._den)
+        if not isinstance(other, CycScalar):
+            return False
+        if self.n == other.n:
+            return self._num == other._num and self._den == other._den
+        # Over different n only rational values compare, by value, so that
+        # equality stays transitive through the plain numbers.
+        num, other_num = self._num, other._num
+        return (self._den == other._den and num[0] == other_num[0]
+                and not any(num[1:]) and not any(other_num[1:]))
 
     def __hash__(self):
         num = self._num

@@ -27,6 +27,20 @@ substitution per term pair instead of m.
 linear arithmetic is the shared kernel, and only their products and the
 maps below live here.
 
+The GWA product runs on an int-coded R: a value is ``(den, {(v, a, b):
+int})``, int numerators over one positive denominator.  The shift table
+keeps its images and cross factors in this form only; ``sigma``,
+``sigma_inverse``, ``sigma_power`` and ``_ShiftTable.cross`` decode to
+``BaseElement`` on return.  ``gwa_multiply`` codes each operand
+coefficient once, sums the parts for each X-exponent over a common
+denominator raised to the lcm only when needed, and decodes each output
+term to one ``Fraction``.  ``pwd_probe_gwa`` draws its factors coded and
+tests the coded product; it decodes only the factors of a failing trial,
+to print them.  Zero sums are dropped where the ``BaseElement`` operations
+drop them, so every decoded value has the same key order as the
+``Fraction`` computation.  ``BaseElement._product`` stays on ``Fraction``
+for the public ``*``.
+
 The algebra maps are theta(u_i) = X_i^-, theta(d_i) = X_i^+ and its
 inverse theta_prime with theta_prime(x_i) = u_i d_i and
 theta_prime(y_i) = d_{i-1} u_{i-1}.
@@ -38,8 +52,10 @@ import random
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
+from math import gcd, lcm
 
-from .core import Combination, Element, Parameters, Path, path_from_word, trivial_path
+from .core import (NONZERO_NUMERATORS, Combination, Element, Parameters, Path, path_from_word,
+                   trivial_path)
 from .rewrite import PRESET_QDU, build_system, normal_form
 
 
@@ -115,19 +131,124 @@ def sigma_power(params: Parameters, b: BaseElement, m: int) -> BaseElement:
     return _shift_table(params).apply(b, m)
 
 
+# ---------------------------------------------------------------------------
+# Int-coded kernel: a value of R as (den, {(v, a, b): int}), int numerators
+# over one positive denominator and no zero numerator.  Every loop below
+# visits terms in the order of the BaseElement operation it replaces, and
+# zero sums are stripped where that operation strips them, so decoded
+# values keep BaseElement's key order.
+# ---------------------------------------------------------------------------
+
+def _code(r: BaseElement) -> tuple[int, dict]:
+    """r over the lcm of its coefficients' denominators."""
+    den = lcm(*(c.denominator for c in r.terms.values()))
+    return den, {k: c.numerator * (den // c.denominator) for k, c in r.terms.items()}
+
+
+def _decode(n: int, coded: tuple[int, dict]) -> BaseElement:
+    den, nums = coded
+    return BaseElement._from_sums(n, {k: Fraction(c, den) for k, c in nums.items()})
+
+
+def _decode_gwa(n: int, coded: dict) -> GwaElement:
+    """{m: (den, numerators)} as a GwaElement; an m without numerators is dropped."""
+    return GwaElement._from_sums(n, {m: _decode(n, r) for m, r in coded.items()})
+
+
+def _linear(parts) -> tuple[int, dict]:
+    """The sum of p * nums / d over the parts ``(p, (d, nums))``, p an int.
+
+    The common denominator is raised to the lcm only when a part's does
+    not divide it; zero sums are left in, as ``Combination.combine`` does.
+    """
+    den, out = 1, {}
+    for p, (d, nums) in parts:
+        if den % d:
+            lift = d // gcd(den, d)
+            for k in out:
+                out[k] *= lift
+            den *= lift
+        p *= den // d
+        for k, c in nums.items():
+            old = out.get(k)
+            out[k] = p * c if old is None else old + p * c
+    return den, out
+
+
+def _rational(parts) -> tuple[int, dict]:
+    """The sum of c * x over the parts ``(x, c)``, x coded and c rational,
+    as ``BaseElement.combine``; stripped and reduced."""
+    scaled = []
+    for (d, nums), c in parts:
+        c = Fraction(c)
+        scaled.append((c.numerator, (d * c.denominator, nums)))
+    den, out = _linear(scaled)
+    return _reduced(den, {k: c for k, c in out.items() if c})
+
+
+def _reduced(den: int, nums: dict) -> tuple[int, dict]:
+    g = gcd(den, *nums.values())
+    return (den, nums) if g == 1 else (den // g, {k: c // g for k, c in nums.items()})
+
+
+def _by_vertex(nums: dict) -> dict[int, list[tuple[int, int, int]]]:
+    at: dict[int, list[tuple[int, int, int]]] = {}
+    for (w, a, b), c in nums.items():
+        at.setdefault(w, []).append((a, b, c))
+    return at
+
+
+def _times(left: tuple[int, dict], den: int, at: dict) -> tuple[int, dict]:
+    """left times the value with denominator ``den`` and terms ``at`` (by vertex),
+    as ``BaseElement._product``."""
+    d, nums = left
+    sums: dict[tuple[int, int, int], int] = {}
+    for (v, a, b), c in nums.items():
+        for a2, b2, c2 in at.get(v, ()):
+            key = (v, a + a2, b + b2)
+            old = sums.get(key)
+            sums[key] = c * c2 if old is None else old + c * c2
+    return d * den, {k: c for k, c in sums.items() if c}
+
+
+def _product(left: tuple[int, dict], right: tuple[int, dict]) -> tuple[int, dict]:
+    return _reduced(*_times(left, right[0], _by_vertex(right[1])))
+
+
+def _add_into(acc: list, den: int, nums: dict) -> None:
+    """acc = [D, out]: out/D += nums/den, in place.  A sum that reaches zero
+    is deleted at once, as ``BaseElement`` addition strips each sum."""
+    out = acc[1]
+    g = gcd(acc[0], den)
+    lift, scale = den // g, acc[0] // g
+    if lift != 1:
+        for k in out:
+            out[k] *= lift
+        acc[0] *= lift
+    for k, c in nums.items():
+        old = out.get(k)
+        if old is None:
+            out[k] = c * scale
+        elif old + c * scale:
+            out[k] = old + c * scale
+        else:
+            del out[k]
+
+
 class _ShiftTable:
-    """sigma^m for one parameter set: the images of x_v and y_v for each m
-    used, the monomial images built from them and the cross factors."""
+    """sigma^m for one parameter set, int-coded: the images of x_v and y_v
+    for each m used, the monomial images built from them and the cross
+    factors (each with its terms grouped by vertex)."""
 
     def __init__(self, params: Parameters):
         self.params = params
         self.invertible = params.beta_all_nonzero()
         n = params.n
-        self._images = {0: tuple((BaseElement.x(n, v), BaseElement.y(n, v)) for v in range(n))}
-        self._monomials: dict[tuple[int, int, int, int], BaseElement] = {}
-        self._cross: dict[tuple[int, int], BaseElement] = {}
+        self._images = {0: tuple(((1, {(v, 1, 0): 1}), (1, {(v, 0, 1): 1})) for v in range(n))}
+        self._monomials: dict[tuple[int, int, int, int], tuple[int, dict]] = {}
+        self._cross: dict[tuple[int, int], tuple[int, dict, dict]] = {}
 
-    def images(self, m: int) -> tuple[tuple[BaseElement, BaseElement], ...]:
+    def images(self, m: int) -> tuple[tuple[tuple[int, dict], tuple[int, dict]], ...]:
         """(sigma^m(x_v), sigma^m(y_v)) for every vertex v."""
         if m < 0 and not self.invertible:
             raise ValueError("sigma is not invertible: some beta_i = 0")
@@ -140,7 +261,7 @@ class _ShiftTable:
             k += sign
         return self._images[m]
 
-    def _step(self, m: int, sign: int) -> tuple[tuple[BaseElement, BaseElement], ...]:
+    def _step(self, m: int, sign: int):
         """The images at m + sign from those at m, by sigma's definition:
         sigma^{m+1} = sigma^m o sigma and sigma^{m-1} = sigma^m o sigma^-1."""
         p, n, prev = self.params, self.params.n, self._images[m]
@@ -149,56 +270,66 @@ class _ShiftTable:
             if sign > 0:
                 # sigma(x_v) = y_{v+1}, sigma(y_v) = alpha_v y_{v+1} + beta_v x_{v+1} + gamma_v e_{v+1}
                 xs, ys = prev[(v + 1) % n]
-                out.append((ys, BaseElement.combine(n, [(ys, p.alpha[v]), (xs, p.beta[v]),
-                                                       (BaseElement.e(n, v + 1 + m), p.gamma[v])])))
+                e = (1, {((v + 1 + m) % n, 0, 0): 1})
+                out.append((ys, _rational([(ys, p.alpha[v]), (xs, p.beta[v]), (e, p.gamma[v])])))
             else:
                 # sigma^-1(y_v) = x_w and beta_w sigma^-1(x_v) = y_w - alpha_w x_w - gamma_w e_w, w = v - 1
                 w = (v - 1) % n
                 xs, ys = prev[w]
                 inv = 1 / p.beta[w]
-                out.append((BaseElement.combine(n, [(ys, inv), (xs, -p.alpha[w] * inv),
-                                                    (BaseElement.e(n, w + m), -p.gamma[w] * inv)]),
+                e = (1, {((w + m) % n, 0, 0): 1})
+                out.append((_rational([(ys, inv), (xs, -p.alpha[w] * inv), (e, -p.gamma[w] * inv)]),
                             xs))
         return tuple(out)
 
-    def monomial(self, m: int, v: int, a: int, b: int) -> BaseElement:
-        """sigma^m(x_v^a y_v^b e_v)."""
+    def monomial(self, m: int, v: int, a: int, b: int) -> tuple[int, dict]:
+        """sigma^m(x_v^a y_v^b e_v), coded."""
         key = (m, v, a, b)
         image = self._monomials.get(key)
         if image is None:
             if a:
-                image = self.monomial(m, v, a - 1, b) * self.images(m)[v][0]
+                image = _product(self.monomial(m, v, a - 1, b), self.images(m)[v][0])
             elif b:
-                image = self.monomial(m, v, 0, b - 1) * self.images(m)[v][1]
+                image = _product(self.monomial(m, v, 0, b - 1), self.images(m)[v][1])
             else:
-                image = BaseElement.e(self.params.n, v + m)
+                image = (1, {((v + m) % self.params.n, 0, 0): 1})
             self._monomials[key] = image
         return image
+
+    def shift(self, s: tuple[int, dict], m: int) -> tuple[int, dict]:
+        """sigma^m(s) for a coded s and m != 0 whose images exist."""
+        den, nums = s
+        monomial = self.monomial
+        d, out = _linear((c, monomial(m, v, a, b)) for (v, a, b), c in nums.items())
+        return den * d, {k: c for k, c in out.items() if c}
 
     def apply(self, b: BaseElement, m: int) -> BaseElement:
         if m == 0:
             return b
         self.images(m)  # refuses m < 0 without sigma^-1, also for b = 0
-        return BaseElement.combine(self.params.n, [(self.monomial(m, v, x, y), c)
-                                                   for (v, x, y), c in b.terms.items()])
+        return _decode(self.params.n, self.shift(_code(b), m))
 
-    def cross(self, m1: int, m2: int) -> BaseElement:
-        """Coefficient from contracting X^{m1} X^{m2} into X^{m1+m2}."""
+    def coded_cross(self, m1: int, m2: int) -> tuple[int, dict, dict]:
+        """(den, numerators, numerators by vertex) of ``cross(m1, m2)``."""
         key = (m1, m2)
         out = self._cross.get(key)
         if out is None:
             if m1 > 0 > m2:
-                out = self._x_total(m1) * self.cross(m1 - 1, m2 + 1)
+                den, nums = _product(self._x_total(m1), self.coded_cross(m1 - 1, m2 + 1)[:2])
             elif m1 < 0 < m2:
-                out = self._x_total(m1 + 1) * self.cross(m1 + 1, m2 - 1)
+                den, nums = _product(self._x_total(m1 + 1), self.coded_cross(m1 + 1, m2 - 1)[:2])
             else:
-                out = BaseElement.one(self.params.n)
-            self._cross[key] = out
+                den, nums = 1, {(v, 0, 0): 1 for v in range(self.params.n)}
+            out = self._cross[key] = (den, nums, _by_vertex(nums))
         return out
 
-    def _x_total(self, m: int) -> BaseElement:
+    def cross(self, m1: int, m2: int) -> BaseElement:
+        """Coefficient from contracting X^{m1} X^{m2} into X^{m1+m2}."""
+        return _decode(self.params.n, self.coded_cross(m1, m2)[:2])
+
+    def _x_total(self, m: int) -> tuple[int, dict]:
         """sigma^m(x), x = sum_v x_v."""
-        return BaseElement.combine(self.params.n, [(xs, 1) for xs, _ in self.images(m)])
+        return _rational([(xs, 1) for xs, _ in self.images(m)])
 
 
 @lru_cache(maxsize=16)
@@ -254,16 +385,36 @@ class GwaElement(Combination):
 
 
 def gwa_multiply(params: Parameters, a: GwaElement, b: GwaElement) -> GwaElement:
+    coded = [{m: _code(r) for m, r in x.terms.items()} for x in (a, b)]
+    return _decode_gwa(params.n, _coded_multiply(_gwa_table(params), *coded))
+
+
+def _gwa_table(params: Parameters) -> _ShiftTable:
     if not params.beta_all_nonzero():
         raise ValueError("GWA arithmetic requires all beta_i nonzero")
-    n = params.n
-    table = _shift_table(params)
-    parts = []
-    for m1, r in a.terms.items():
-        for m2, s in b.terms.items():
-            coeff = r * table.apply(s, m1) * table.cross(m1, m2)
-            parts.append((GwaElement(n, {m1 + m2: coeff}), 1))
-    return GwaElement.combine(n, parts)
+    return _shift_table(params)
+
+
+def _coded_multiply(table: _ShiftTable, a: dict, b: dict) -> dict[int, list]:
+    """a * b on coded GWA values {m: (den, numerators)}, as {m: [den, numerators]}.
+
+    The part of r X^{m1} times s X^{m2} is r sigma^{m1}(s) cross(m1, m2) at
+    m1 + m2; an m whose parts cancel keeps its entry with no numerators.
+    """
+    sums: dict[int, list] = {}
+    for m1, r in a.items():
+        for m2, s in b.items():
+            if m1:
+                s = table.shift(s, m1)
+            den, nums, at = table.coded_cross(m1, m2)
+            den, nums = _times(_times(r, s[0], _by_vertex(s[1])), den, at)
+            if nums:
+                acc = sums.get(m1 + m2)
+                if acc is None:
+                    sums[m1 + m2] = [den, nums]
+                else:
+                    _add_into(acc, den, nums)
+    return sums
 
 
 def theta(params: Parameters, a: Element) -> GwaElement:
@@ -321,25 +472,29 @@ class GwaPwdReport:
 
 
 def _random_corner_element(params: Parameters, i: int, k: int, rng: random.Random,
-                           degree_bound: int) -> GwaElement:
-    """Nonzero random element of e_i T e_k with bounded degrees."""
+                           degree_bound: int) -> dict[int, tuple[int, dict]]:
+    """Nonzero random element of e_i T e_k with bounded degrees, coded.
+
+    Each coefficient c/q with q in {1, 2, 3} is the numerator c * (6 / q)
+    over 6.
+    """
     n = params.n
-    terms: dict[int, BaseElement] = {}
+    terms: dict[int, tuple[int, dict]] = {}
     residue = (i - k) % n
     choices = [m for m in range(-degree_bound, degree_bound + 1) if m % n == residue]
     for m in rng.sample(choices, k=min(len(choices), rng.randint(1, 2))):
-        poly: dict[tuple[int, int, int], Fraction] = {}
+        poly: dict[tuple[int, int, int], int] = {}
         for _ in range(rng.randint(1, 2)):
             a = rng.randint(0, max(0, degree_bound - 1))
             b = rng.randint(0, max(0, degree_bound - 1 - a))
-            c = Fraction(rng.choice([x for x in range(-5, 6) if x]), rng.randint(1, 3))
-            poly[(i, a, b)] = poly.get((i, a, b), Fraction(0)) + c
-        base = BaseElement(n, poly)
-        if base:
-            terms[m] = base
+            c = rng.choice(NONZERO_NUMERATORS) * (6 // rng.randint(1, 3))
+            poly[(i, a, b)] = poly.get((i, a, b), 0) + c
+        poly = {key: c for key, c in poly.items() if c}
+        if poly:
+            terms[m] = (6, poly)
     if not terms:
-        terms[residue if residue <= degree_bound else residue - n] = BaseElement.e(n, i)
-    return GwaElement(n, terms)
+        terms[residue if residue <= degree_bound else residue - n] = (1, {(i, 0, 0): 1})
+    return terms
 
 
 def pwd_probe_gwa(params: Parameters, degree_bound: int = 3, trials: int = 200,
@@ -347,19 +502,25 @@ def pwd_probe_gwa(params: Parameters, degree_bound: int = 3, trials: int = 200,
     """Sample sandwiched products in T and assert none vanishes.
 
     Also asserts the top X-degree of a product is the sum of the top
-    X-degrees of the factors.
+    X-degrees of the factors.  Factors and products stay coded; a failing
+    trial's factors are decoded to print them.
     """
+    table = _gwa_table(params)
     rng = random.Random(seed)
     failures = []
     for t in range(trials):
         i, k, j = (rng.randrange(params.n) for _ in range(3))
         a = _random_corner_element(params, i, k, rng, degree_bound)
         b = _random_corner_element(params, k, j, rng, degree_bound)
-        prod = gwa_multiply(params, a, b)
-        if prod.is_zero():
-            failures.append((t, "zero product", str(a), str(b)))
-        elif prod.top_x_degree() != a.top_x_degree() + b.top_x_degree():
-            failures.append((t, "top degree dropped", str(a), str(b)))
+        top = max((m for m, (_, nums) in _coded_multiply(table, a, b).items() if nums),
+                  default=None)
+        if top is None:
+            kind = "zero product"
+        elif top != max(a) + max(b):
+            kind = "top degree dropped"
+        else:
+            continue
+        failures.append((t, kind, str(_decode_gwa(params.n, a)), str(_decode_gwa(params.n, b))))
     return GwaPwdReport(trials, seed, not failures, failures)
 
 

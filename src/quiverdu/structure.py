@@ -21,6 +21,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .core import (
+    NONZERO_NUMERATORS,
     Arrow,
     Element,
     Parameters,
@@ -529,5 +530,5 @@ def _random_combination(pool: list[Path], rng: random.Random) -> Element:
     chosen = rng.sample(pool, size)
     terms = {}
     for p in chosen:
-        terms[p] = Fraction(rng.choice([x for x in range(-5, 6) if x]), rng.randint(1, 3))
+        terms[p] = Fraction(rng.choice(NONZERO_NUMERATORS), rng.randint(1, 3))
     return Element(pool[0].n, terms)

@@ -1,3 +1,4 @@
+import itertools
 import operator
 import random
 from fractions import Fraction
@@ -64,6 +65,20 @@ def test_cyc_scalar_arithmetic():
     for op in (operator.add, operator.sub, operator.mul, operator.truediv):
         with pytest.raises(ValueError):
             op(z3, z5)
+
+
+def test_cyc_scalar_equality_is_transitive_across_fields():
+    # Rational values compare by value over any n, so a set of equal values
+    # has one element whatever the insertion order; a power of zeta is not
+    # rational and stays unequal across fields.
+    values = [1, CycScalar.one(3), CycScalar.one(5), Fraction(1)]
+    for order in itertools.permutations(values):
+        assert len(set(order)) == 1
+    assert CycScalar.from_rational(3, Fraction(-2, 3)) == CycScalar.from_rational(7, Fraction(-2, 3))
+    assert CycScalar.from_rational(3, Fraction(1, 2)) != CycScalar.one(5)
+    assert CycScalar.zeta_power(3, 1) != CycScalar.zeta_power(5, 1)
+    assert CycScalar.zeta_power(3, 1) + CycScalar.one(3) != CycScalar.one(5)
+    assert CycScalar.zeta_power(6, 3) == CycScalar.from_rational(4, -1) == -1
 
 
 def test_cyc_scalar_sum_with_a_plain_number_is_a_type_error():
