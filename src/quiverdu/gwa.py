@@ -36,10 +36,11 @@ coefficient once, sums the parts for each X-exponent over a common
 denominator raised to the lcm only when needed, and decodes each output
 term to one ``Fraction``.  ``pwd_probe_gwa`` draws its factors coded and
 tests the coded product; it decodes only the factors of a failing trial,
-to print them.  Zero sums are dropped where the ``BaseElement`` operations
-drop them, so every decoded value has the same key order as the
-``Fraction`` computation.  ``BaseElement._product`` stays on ``Fraction``
-for the public ``*``.
+to print them.  ``theta`` builds each path's image coded, one generator
+at a time, and decodes it once.  Zero sums are dropped where the
+``BaseElement`` operations drop them, so every decoded value has the same
+key order as the ``Fraction`` computation.  ``BaseElement._product``
+stays on ``Fraction`` for the public ``*``.
 
 The algebra maps are theta(u_i) = X_i^-, theta(d_i) = X_i^+ and its
 inverse theta_prime with theta_prime(x_i) = u_i d_i and
@@ -56,7 +57,7 @@ from math import gcd, lcm
 
 from .core import (NONZERO_NUMERATORS, Combination, Element, Parameters, Path, path_from_word,
                    trivial_path)
-from .rewrite import PRESET_QDU, build_system, normal_form
+from .rewrite import PRESET_QDU, build_system, normal_form, normal_product
 
 
 class BaseElement(Combination):
@@ -418,17 +419,25 @@ def _coded_multiply(table: _ShiftTable, a: dict, b: dict) -> dict[int, list]:
 
 
 def theta(params: Parameters, a: Element) -> GwaElement:
-    """u_i -> X_i^-, d_i -> X_i^+, extended multiplicatively and linearly."""
+    """u_i -> X_i^-, d_i -> X_i^+, extended multiplicatively and linearly.
+
+    Each path's image is built coded, one generator at a time, and
+    decoded once.
+    """
     if not params.beta_all_nonzero():
         raise ValueError("theta requires all beta_i nonzero")
+    table = _shift_table(params)
     n = params.n
     parts = []
     for p, c in a.terms.items():
-        acc = GwaElement.from_base(BaseElement.e(n, p.source))
+        acc = {0: (1, {(p.source, 0, 0): 1})}
         for arrow in p.arrows:
-            img = GwaElement.x_minus(n, arrow.index) if arrow.family == "u" else GwaElement.x_plus(n, arrow.index)
-            acc = gwa_multiply(params, acc, img)
-        parts.append((acc, c))
+            # X_i^- = e_i X^- and X_i^+ = e_{i+1} X^+
+            img = {-1: (1, {(arrow.index, 0, 0): 1})} if arrow.family == "u" else \
+                {1: (1, {((arrow.index + 1) % n, 0, 0): 1})}
+            acc = {m: _reduced(den, nums)
+                   for m, (den, nums) in _coded_multiply(table, acc, img).items() if nums}
+        parts.append((_decode_gwa(n, acc), c))
     return GwaElement.combine(n, parts)
 
 
@@ -440,18 +449,17 @@ def theta_prime(params: Parameters, t: GwaElement) -> Element:
     if not params.beta_all_nonzero():
         raise ValueError("theta_prime requires all beta_i nonzero")
     n = params.n
-    u_total = Element(n, {path_from_word(n, i, "u"): Fraction(1) for i in range(n)})
-    d_total = Element(n, {path_from_word(n, (i + 1) % n, "d"): Fraction(1) for i in range(n)})
+    sys = build_system(PRESET_QDU, params)
     parts = []
     for m, r in t.terms.items():
         # x_v^a y_v^b e_v is the loop (u_v d_v)^a (d_{v-1} u_{v-1})^b at v.
-        base_img = Element(n, {path_from_word(n, v, "ud" * a + "du" * b): c
-                               for (v, a, b), c in r.terms.items()})
-        shift = Element.identity(n)
+        img = normal_form(sys, Element(n, {path_from_word(n, v, "ud" * a + "du" * b): c
+                                           for (v, a, b), c in r.terms.items()}))
+        step = Element(n, {path_from_word(n, v, "d" if m > 0 else "u"): Fraction(1) for v in range(n)})
         for _ in range(abs(m)):
-            shift = shift * (d_total if m > 0 else u_total)
-        parts.append((base_img * shift, 1))
-    return normal_form(build_system(PRESET_QDU, params), Element.combine(n, parts))
+            img = normal_product(sys, img, step)
+        parts.append((img, 1))
+    return Element.combine(n, parts)
 
 
 def path_x_weight(p: Path) -> int:

@@ -16,7 +16,9 @@ one confluence verdict and one forbidden-factor automaton.  One set of
 int-coded rule tables per system (``_RuleTables``, an arrow coded by its
 rank) serves normal forms, overlap resolution, basis enumeration and the
 automaton, which is built on first use; Paths and Elements are built from
-int words only for results.
+int words only for results.  ``normal_product`` takes a product to normal
+form by multiplying the left factor's normal form by the right factor's
+words, so the product's paths are never built.
 """
 
 from __future__ import annotations
@@ -176,11 +178,12 @@ class _RuleTables:
     ``Path`` to its normal form ``(e, {Path: numerator})``.  ``paths``
     maps ``(source, word)`` to its decoded ``Path``, so each word is
     decoded and validated once and every result shares one ``Path`` per
-    word.  The automaton is built on first use.
+    word; ``words`` maps each decoded ``Path`` back to its word.  The
+    automaton is built on first use.
     """
 
     __slots__ = ("n", "arrows", "denominator", "rule_exp", "rules", "by_last", "memo", "nf",
-                 "paths", "_automaton")
+                 "paths", "words", "_automaton")
 
     def __init__(self, sys: ReductionSystem):
         n = self.n = sys.n
@@ -192,6 +195,11 @@ class _RuleTables:
         else:
             D, scale = 1, lambda c: c
         self.denominator, self.rule_exp = D, int(D != 1)
+        self.memo: dict = {}
+        self.nf: dict = {}
+        self.paths: dict = {}
+        self.words: dict = {}
+        self._automaton = None
         rules, by_last = [], {}
         for rule in sys.rules:
             lhs = self.encode(rule.lhs)
@@ -199,10 +207,6 @@ class _RuleTables:
             rules.append((lhs, rhs))
             by_last.setdefault(lhs[-1], []).append((lhs, len(lhs), rhs))
         self.rules, self.by_last = tuple(rules), by_last
-        self.memo: dict = {}
-        self.nf: dict = {}
-        self.paths: dict = {}
-        self._automaton = None
 
     def automaton(self):
         """The forbidden-factor automaton (``_build_automaton``), built once."""
@@ -211,13 +215,17 @@ class _RuleTables:
         return self._automaton
 
     def encode(self, path: Path) -> tuple:
-        return tuple(_arrow_rank(a, self.n) for a in path.arrows)
+        word = self.words.get(path)
+        if word is None:
+            word = tuple(_arrow_rank(a, self.n) for a in path.arrows)
+        return word
 
     def path(self, source: int, word: tuple) -> Path:
         key = (source, word)
         p = self.paths.get(key)
         if p is None:
             p = self.paths[key] = Path(self.n, source, tuple(self.arrows[k] for k in word))
+            self.words[p] = word
         return p
 
     def element(self, source: int, e: int, comb: dict) -> Element:
@@ -316,15 +324,15 @@ def _reduce_end(tables: _RuleTables, wa: tuple, rule: tuple):
     return entry
 
 
-def _normal_word(tables: _RuleTables, word: tuple) -> tuple[int, dict]:
-    """Normal form ``(e, combination)`` of an int-coded word.
+def _normal_times(tables: _RuleTables, comb: dict, e: int, word: tuple) -> tuple[int, dict]:
+    """Normal form ``(e, combination)`` of the normal ``comb``/D^e times an int-coded word.
 
     Each pending reduction is a generator on an explicit stack, so the
     Python call depth stays constant however long the word is.  Every
     reduction a generator waits on is of a smaller word in the term
-    order, so the stack never waits on itself.
+    order, so the stack never waits on itself.  ``comb`` is only read.
     """
-    stack = [_times_word(tables, {(): 1}, 0, word)]
+    stack = [_times_word(tables, comb, e, word)]
     sent = None
     while True:
         try:
@@ -337,6 +345,11 @@ def _normal_word(tables: _RuleTables, word: tuple) -> tuple[int, dict]:
         else:
             stack.append(_reduce_end(tables, wa, rule))
             sent = None
+
+
+def _normal_word(tables: _RuleTables, word: tuple) -> tuple[int, dict]:
+    """Normal form ``(e, combination)`` of an int-coded word."""
+    return _normal_times(tables, {(): 1}, 0, word)
 
 
 def _path_nf(tables: _RuleTables, path: Path) -> tuple[int, dict]:
@@ -362,6 +375,21 @@ def normal_form_path(sys: ReductionSystem, path: Path) -> Element:
     return cached
 
 
+def _coded_nf(tables: _RuleTables, a: Element) -> tuple[int, int, dict]:
+    """``(L, e, {Path: numerator})``: the normal form of ``a`` over L * D^e.
+
+    L is the lcm of ``a``'s denominators; zero sums are left in.
+    """
+    D = tables.denominator
+    L = lcm(*(c.denominator for c in a.terms.values()))
+    sums: dict = {}
+    e = 0
+    for p, c in a.terms.items():
+        pe, part = _path_nf(tables, p)
+        e = _add_scaled(sums, e, part, pe, c.numerator * (L // c.denominator), D)
+    return L, e, sums
+
+
 def normal_form(sys: ReductionSystem, a: Element) -> Element:
     """Reduce every term until no leading word occurs as a factor.
 
@@ -373,14 +401,51 @@ def normal_form(sys: ReductionSystem, a: Element) -> Element:
     if a.n != sys.n:
         raise ValueError("element over wrong quiver size")
     tables = _tables(sys)
+    L, e, sums = _coded_nf(tables, a)
+    return _decode(sys.n, L * tables.denominator ** e, sums)
+
+
+def normal_product(sys: ReductionSystem, a: Element, b: Element) -> Element:
+    """NF(a·b), equal to ``normal_form(sys, a * b)``, without building a·b.
+
+    NF(a·b) = NF(NF(a)·b), and a normal word times one arrow is normal
+    except at a leading word ending in that arrow, so NF(a)·q for a
+    word q of ``b`` is reduced one arrow of q at a time from the right
+    (``_times_word``; Bergman's diamond lemma makes the result the
+    normal form, whatever order the reductions take).  The prefix that
+    NF(a) contributes is never re-read and no product path is built.
+    ``a``'s terms go through the per-path memo, so ``a`` need not be
+    normal.  NF(a) is grouped by source and target, each group is
+    multiplied by the words of ``b`` that start at its target, and the
+    parts are summed per source in ints over L_a * L_b * D^e and decoded
+    once.
+    """
+    if a.n != sys.n or b.n != sys.n:
+        raise ValueError("element over wrong quiver size")
+    tables = _tables(sys)
     D = tables.denominator
-    L = lcm(*(c.denominator for c in a.terms.values()))
-    sums: dict = {}
-    e = 0
-    for p, c in a.terms.items():
-        pe, part = _path_nf(tables, p)
-        e = _add_scaled(sums, e, part, pe, c.numerator * (L // c.denominator), D)
-    return _decode(sys.n, L * D ** e, sums)
+    La, ea, left = _coded_nf(tables, a)
+    groups: dict = {}
+    for p, c in left.items():
+        if c:
+            groups.setdefault((p.source, p.target), {})[tables.encode(p)] = c
+    Lb = lcm(*(c.denominator for c in b.terms.values()))
+    right: dict = {}
+    for q, c in b.terms.items():
+        right.setdefault(q.source, []).append((tables.encode(q), c.numerator * (Lb // c.denominator)))
+    out: dict = {}
+    for (source, target), comb in groups.items():
+        for word, c in right.get(target, ()):
+            pe, part = _normal_times(tables, comb, ea, word)
+            acc = out.setdefault(source, [0, {}])
+            acc[0] = _add_scaled(acc[1], acc[0], part, pe, c, D)
+    terms = {}
+    for source, (e, sums) in out.items():
+        den = La * Lb * D ** e
+        for w, c in sums.items():
+            if c:
+                terms[tables.path(source, w)] = Fraction(c, den)
+    return Element._from_sums(sys.n, terms)
 
 
 def is_zero_in_quotient(sys: ReductionSystem, a: Element) -> bool:

@@ -150,6 +150,32 @@ def test_chain_report_matches_reference_with_wider_degree_bound():
         assert new == reference_noetherian_chain_check(params, s_max=s_max, degree_bound=bound)
 
 
+N4_CONFIGS = [
+    # n = 4 at the s_max = 2 of the CLI: degree bound 14, basis to degree 8
+    (Parameters.of(4, [2, Fraction(1, 2), 5, -1], [7, 0, 13, 2], [1, 2, Fraction(1, 3), -1]), 2, None),
+    # the same with a degree bound two above the target
+    (Parameters.of(4, [2, Fraction(1, 2), 5, -1], [7, 0, 13, 2], [1, 2, Fraction(1, 3), -1]), 2, 16),
+    # n = 4, beta_3 = 0, gamma = 0, integral
+    (Parameters.of(4, [1, 0, -2, 1], [1, 3, -1, 0], [0, 0, 0, 0]), 2, None),
+]
+
+
+@pytest.mark.parametrize("params, s_max, bound", N4_CONFIGS)
+def test_chain_report_matches_reference_at_n4(params, s_max, bound, monkeypatch):
+    # The reference enumerates the basis up to the degree bound; the check
+    # stops at the bound less n + 2, the largest degree a span reads.
+    from quiverdu import structure
+    degrees = []
+    enumerate_ = structure.enumerate_basis
+    monkeypatch.setattr(structure, "enumerate_basis",
+                        lambda sys_, k: degrees.append(k) or enumerate_(sys_, k))
+    new = noetherian_chain_check(params, s_max=s_max, degree_bound=bound)
+    bound = (s_max + 1) * 4 + 2 if bound is None else bound
+    assert max(degrees) == bound - 4 - 2
+    assert new == reference_noetherian_chain_check(params, s_max=s_max, degree_bound=bound)
+    assert new.ok
+
+
 def test_up_cycle_times_generator_ignores_the_identity():
     """U g_with_one == U g term for term: U ends at i, where 1 acts as e_i."""
     rng = random.Random(17)

@@ -14,6 +14,10 @@ below also compares every step with the substitution above.
 the per-vertex grouping replaced, kept verbatim: it visits every pair of
 terms and skips pairs at different vertices.
 
+``reference_theta`` is ``theta`` as it was before it kept a coded
+accumulator: one public ``gwa_multiply`` per generator, each coding both
+operands and decoding the result to ``Fraction``s.
+
 ``FractionShiftTable``, ``fraction_gwa_multiply``,
 ``reference_random_corner_element`` and ``reference_pwd_probe_gwa`` are
 the ``Fraction`` shift table, product, corner draw and probe that the
@@ -32,9 +36,9 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from quiverdu import cli, gwa
-from quiverdu.core import Parameters
+from quiverdu.core import Element, Parameters, path_from_word
 from quiverdu.gwa import (BaseElement, GwaElement, GwaPwdReport, _shift_table, gwa_multiply,
-                          pwd_probe_gwa, sigma_power)
+                          pwd_probe_gwa, sigma_power, theta)
 from test_gwa import x_total
 
 
@@ -574,3 +578,48 @@ def test_verify_gwa_fails_on_a_broken_cross_factor(broken_cross, tmp_path, capsy
     assert code == 1
     assert findings["relations_killed"] and findings["roundtrip_base"]
     assert findings["pwd"]["failures"] > 0
+
+
+# ---------------------------------------------------------------------------
+# theta with a coded accumulator against one gwa_multiply per generator
+# ---------------------------------------------------------------------------
+
+def reference_theta(params: Parameters, a: Element) -> GwaElement:
+    """u_i -> X_i^-, d_i -> X_i^+, extended multiplicatively and linearly."""
+    if not params.beta_all_nonzero():
+        raise ValueError("theta requires all beta_i nonzero")
+    n = params.n
+    parts = []
+    for p, c in a.terms.items():
+        acc = GwaElement.from_base(BaseElement.e(n, p.source))
+        for arrow in p.arrows:
+            img = GwaElement.x_minus(n, arrow.index) if arrow.family == "u" else GwaElement.x_plus(n, arrow.index)
+            acc = gwa_multiply(params, acc, img)
+        parts.append((acc, c))
+    return GwaElement.combine(n, parts)
+
+
+@pytest.mark.parametrize("n", range(1, 7))
+def test_coded_theta_matches_generator_at_a_time_reference(n):
+    # Denominators up to 7 in every parameter, gamma zero in every third
+    # draw, words up to length 9 (so X-exponents up to +-9) and relations,
+    # whose images cancel to zero.
+    rng = random.Random(1800 + n)
+    rational = lambda: Fraction(rng.choice([x for x in range(-9, 10) if x]), rng.randint(1, 7))
+    for draw in range(12):
+        gamma = [Fraction(0)] * n if draw % 3 == 0 else [rational() * rng.randint(0, 1) for _ in range(n)]
+        params = Parameters.of(n, [rational() * rng.randint(0, 1) for _ in range(n)],
+                               [rational() for _ in range(n)], gamma)
+        terms = {}
+        for _ in range(rng.randint(1, 4)):
+            word = "".join(rng.choice("ud") for _ in range(rng.randint(0, 9)))
+            terms[path_from_word(n, rng.randrange(n), word)] = rational()
+        for a in (Element(n, terms), *(rule.as_relation() for rule in
+                                        gwa.build_system(gwa.PRESET_QDU, params).rules)):
+            assert_same_terms(theta(params, a), reference_theta(params, a))
+
+
+def test_coded_theta_refuses_zero_beta():
+    params = Parameters.of(2, [1, 1], [0, 1], [0, 0])
+    with pytest.raises(ValueError, match="theta requires"):
+        theta(params, Element.from_path(path_from_word(2, 0, "u")))

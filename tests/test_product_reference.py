@@ -1,0 +1,373 @@
+"""Differential test of ``normal_product`` and of the checks that use it.
+
+``rewrite.normal_product(sys, a, b)`` returns NF(a·b) by multiplying the
+normal form of ``a`` by the words of ``b`` one arrow at a time; it never
+builds the product's paths.  It must equal ``normal_form(sys, a * b)`` as
+an ``Element`` for any ``a``, normal or not.
+
+The references are the product-then-``normal_form`` bodies that
+``normal_product`` replaced, kept here verbatim up to their names:
+``pwd_probe_H`` (as ``reference_pwd_probe_H``), ``property_report``
+(as ``reference_property_report``, whose subalgebra loop rebuilt
+e_i x^a y^b from scratch for every (a, b)) and ``theta_prime`` (as
+``reference_theta_prime``).  Each must give the same report or element.
+"""
+
+from __future__ import annotations
+
+import random
+from fractions import Fraction
+
+import pytest
+
+from quiverdu import core, gwa
+from quiverdu.core import Element, Parameters, Path, path_from_word, trivial_path
+from quiverdu.gwa import BaseElement, GwaElement, theta_prime
+from quiverdu.linalg import RowSpace
+from quiverdu.rewrite import (
+    PRESET_PREPROJECTIVE,
+    PRESET_QDU,
+    build_system,
+    enumerate_basis,
+    ensure_confluent,
+    is_zero_in_quotient,
+    normal_form,
+    normal_product,
+    _tables,
+)
+from quiverdu.structure import (
+    SUBALGEBRA_DEGREE,
+    PropertyReport,
+    PwdHReport,
+    _random_combination,
+    _zero_divisor,
+    noetherian_chain_check,
+    property_report,
+    pwd_probe_H,
+)
+
+
+def reference_pwd_probe_H(params: Parameters, degree_bound: int = 5, trials: int = 200,
+                          seed: int = 0) -> PwdHReport:
+    """Sample sandwiched products in H and test whether any vanishes.
+
+    With all beta_i nonzero every product must be nonzero, and at least
+    one product must have been tested (a trial whose corner pool is empty
+    tests nothing); with some beta_i = 0 the deterministic zero-divisor
+    pair is exhibited as well.
+    """
+    n = params.n
+    sys = ensure_confluent(build_system(PRESET_QDU, params))
+    pools: dict[tuple[int, int], list[Path]] = {}
+    for k in range(degree_bound + 1):
+        for p in enumerate_basis(sys, k):
+            pools.setdefault((p.source, p.target), []).append(p)
+    rng = random.Random(seed)
+    beta_ok = params.beta_all_nonzero()
+    failures = []
+    tested = 0
+    for t in range(trials):
+        i, k, j = (rng.randrange(n) for _ in range(3))
+        pool_a, pool_b = pools.get((i, k), []), pools.get((k, j), [])
+        if not pool_a or not pool_b:
+            continue
+        a = _random_combination(pool_a, rng)
+        b = _random_combination(pool_b, rng)
+        product = normal_form(sys, a * b)
+        tested += 1
+        if product.is_zero():
+            failures.append((t, str(a), str(b)))
+    counterexample = None
+    if not beta_ok:
+        bad = next(k for k in range(n) if params.beta[k] == 0)
+        a = _zero_divisor(params, bad)
+        b = Element.from_path(path_from_word(n, bad, "u"))
+        if is_zero_in_quotient(sys, a * b):
+            counterexample = (str(a), str(b))
+    ok = (not failures and tested > 0) if beta_ok else (counterexample is not None)
+    return PwdHReport(trials, tested, seed, beta_ok, ok, failures, counterexample)
+
+
+def reference_property_report(params: Parameters) -> PropertyReport:
+    """Flags follow the beta criterion; every flag is backed by a witness.
+
+    With all beta_i nonzero the subalgebra k[u_i d_i, d_{i-1} u_{i-1}] is
+    certified free up to degree ``SUBALGEBRA_DEGREE``; with a zero beta_i the
+    zero-divisor pair and the algebraic dependence are certified instead.
+    """
+    n = params.n
+    sys = ensure_confluent(build_system(PRESET_QDU, params))
+    flag = params.beta_all_nonzero()
+    witnesses: list[dict] = []
+    checks = True
+    if flag:
+        for i in range(n):
+            gen_x = Element.from_path(path_from_word(n, i, "ud"))        # u_i d_i
+            gen_y = Element.from_path(path_from_word(n, i, "du"))        # d_{i-1} u_{i-1}
+            monomials = []
+            for a in range(SUBALGEBRA_DEGREE + 1):
+                for b in range(SUBALGEBRA_DEGREE + 1 - a):
+                    word = Element.from_path(trivial_path(n, i))
+                    for _ in range(a):
+                        word = word * gen_x
+                    for _ in range(b):
+                        word = word * gen_y
+                    monomials.append(normal_form(sys, word))
+            space = RowSpace()
+            independent = all(space.add(m.terms) for m in monomials)
+            checks = checks and independent
+            witnesses.append({"vertex": i, "kind": "free-subalgebra", "ok": independent})
+    else:
+        for i in range(n):
+            if params.beta[i] != 0:
+                continue
+            a = _zero_divisor(params, i)
+            b = Element.from_path(path_from_word(n, i, "u"))
+            d_i = Element.from_path(path_from_word(n, (i + 1) % n, "d"))
+            left_zero = is_zero_in_quotient(sys, a * b)
+            right_zero = is_zero_in_quotient(sys, d_i * a)
+            dependence = is_zero_in_quotient(sys, a * Element.from_path(path_from_word(n, i, "ud")))
+            checks = checks and left_zero and right_zero and dependence
+            witnesses.append({
+                "vertex": i,
+                "kind": "zero-divisor",
+                "left": str(a),
+                "right": str(b),
+                "product_zero": left_zero,
+                "mirror_zero": right_zero,
+                "dependence_zero": dependence,
+            })
+    return PropertyReport(flag, flag, flag, flag, witnesses, checks)
+
+
+def reference_theta_prime(params: Parameters, t: GwaElement) -> Element:
+    """x_i -> u_i d_i, y_i -> d_{i-1} u_{i-1}, X^- -> sum u_i, X^+ -> sum d_i.
+
+    The image is returned in normal form for the quiver down-up system.
+    """
+    if not params.beta_all_nonzero():
+        raise ValueError("theta_prime requires all beta_i nonzero")
+    n = params.n
+    u_total = Element(n, {path_from_word(n, i, "u"): Fraction(1) for i in range(n)})
+    d_total = Element(n, {path_from_word(n, (i + 1) % n, "d"): Fraction(1) for i in range(n)})
+    parts = []
+    for m, r in t.terms.items():
+        # x_v^a y_v^b e_v is the loop (u_v d_v)^a (d_{v-1} u_{v-1})^b at v.
+        base_img = Element(n, {path_from_word(n, v, "ud" * a + "du" * b): c
+                               for (v, a, b), c in r.terms.items()})
+        shift = Element.identity(n)
+        for _ in range(abs(m)):
+            shift = shift * (d_total if m > 0 else u_total)
+        parts.append((base_img * shift, 1))
+    return normal_form(build_system(PRESET_QDU, params), Element.combine(n, parts))
+
+
+# ---------------------------------------------------------------------------
+# normal_product against normal_form of the built product
+# ---------------------------------------------------------------------------
+
+def random_params(rng: random.Random, n: int, integral: bool, zero_beta: bool = False) -> Parameters:
+    """Entries with denominators 1 (integral, so D = 1) or up to 7; a fifth of them zero."""
+    def entry(nonzero=False):
+        if not nonzero and rng.random() < 0.2:
+            return Fraction(0)
+        return Fraction(rng.choice([x for x in range(-9, 10) if x]), 1 if integral else rng.randint(1, 7))
+    beta = [entry(nonzero=True) for _ in range(n)]
+    if zero_beta:
+        beta[rng.randrange(n)] = Fraction(0)
+    return Parameters.of(n, [entry() for _ in range(n)], beta, [entry() for _ in range(n)])
+
+
+def random_element(rng: random.Random, n: int, sources=None, max_len: int = 7) -> Element:
+    """1-4 terms on random words (not normal in general), from ``sources`` if given."""
+    terms = {}
+    for _ in range(rng.randint(1, 4)):
+        word = "".join(rng.choice("ud") for _ in range(rng.randint(0, max_len)))
+        source = rng.choice(sources) if sources is not None else rng.randrange(n)
+        terms[path_from_word(n, source, word)] = Fraction(rng.randint(-9, 9) or 1, rng.choice((1, 2, 3, 7)))
+    return Element(n, terms)
+
+
+def systems(rng: random.Random, n: int):
+    """Both presets; quiver down-up with integral (D = 1) and rational (D != 1) rules."""
+    yield build_system(PRESET_PREPROJECTIVE, n=n)
+    for integral in (True, False):
+        yield build_system(PRESET_QDU, random_params(rng, n, integral))
+
+
+def assert_same_product(sys_, a: Element, b: Element) -> Element:
+    got = normal_product(sys_, a, b)
+    assert got == normal_form(sys_, a * b), (sys_.preset, sys_.params, a, b)
+    assert all(type(c) is Fraction for c in got.terms.values())
+    return got
+
+
+@pytest.mark.parametrize("n", range(1, 7))
+def test_normal_product_matches_normal_form_of_product(n):
+    rng = random.Random(18_000 + n)
+    for sys_ in systems(rng, n):
+        integral = sys_.params is None or all(
+            c.denominator == 1 for c in sys_.params.alpha + sys_.params.beta + sys_.params.gamma)
+        assert (_tables(sys_).denominator == 1) == integral
+        for _ in range(25):
+            # a is not normal in general and has terms at several sources.
+            assert_same_product(sys_, random_element(rng, n), random_element(rng, n))
+        # a normal a, as the checks pass it.
+        basis = [p for k in range(6) for p in enumerate_basis(sys_, k)]
+        for _ in range(10):
+            a = Element(n, {p: Fraction(rng.randint(1, 5), rng.randint(1, 3))
+                            for p in rng.sample(basis, min(3, len(basis)))})
+            assert_same_product(sys_, a, random_element(rng, n))
+
+
+@pytest.mark.parametrize("n", range(1, 7))
+def test_normal_product_rational_rules_have_a_denominator(n):
+    rng = random.Random(18_100 + n)
+    params = random_params(rng, n, integral=False)
+    params = Parameters.of(n, params.alpha, [Fraction(2, 3)] + list(params.beta[1:]), params.gamma)
+    sys_ = build_system(PRESET_QDU, params)
+    a = Element.from_path(path_from_word(n, 0, "d" * 3 + "u" * 3), Fraction(5, 7))
+    b = Element.from_path(path_from_word(n, 0, "du"), Fraction(-1, 2))
+    assert_same_product(sys_, a, b)
+    assert sys_._tables.denominator % 3 == 0
+
+
+@pytest.mark.parametrize("n", range(1, 7))
+def test_normal_product_endpoint_mismatch_is_zero(n):
+    rng = random.Random(18_200 + n)
+    for sys_ in systems(rng, n):
+        for _ in range(10):
+            a = random_element(rng, n)
+            targets = {p.target for p in a.terms}
+            others = [v for v in range(n) if v not in targets]
+            if not others:
+                continue
+            b = random_element(rng, n, sources=others)
+            assert assert_same_product(sys_, a, b).is_zero()
+        # no term of b starts where a term of a ends
+        if n > 1:
+            a = Element.from_path(path_from_word(n, 0, "ud"))
+            b = Element.from_path(path_from_word(n, 1, "d"))
+            assert assert_same_product(sys_, a, b).is_zero()
+
+
+@pytest.mark.parametrize("n", range(1, 7))
+def test_normal_product_with_trivial_paths(n):
+    rng = random.Random(18_300 + n)
+    for sys_ in systems(rng, n):
+        for _ in range(10):
+            x = random_element(rng, n)
+            e_v = Element.from_path(trivial_path(n, rng.randrange(n)), Fraction(3, 2))
+            for a, b in ((e_v, x), (x, e_v), (Element.identity(n), x), (x, Element.identity(n)),
+                         (e_v, e_v)):
+                assert_same_product(sys_, a, b)
+            assert normal_product(sys_, Element.identity(n), x) == normal_form(sys_, x)
+            assert normal_product(sys_, x, Element.identity(n)) == normal_form(sys_, x)
+
+
+def test_normal_product_of_zero_and_wrong_size():
+    sys_ = build_system(PRESET_QDU, Parameters.of(3, [1, 2, 0], [1, -1, 2], [0, 1, 0]))
+    x = Element.from_path(path_from_word(3, 0, "dud"))
+    assert normal_product(sys_, Element.zero(3), x).is_zero()
+    assert normal_product(sys_, x, Element.zero(3)).is_zero()
+    with pytest.raises(ValueError):
+        normal_product(sys_, Element.identity(2), Element.identity(3))
+    with pytest.raises(ValueError):
+        normal_product(sys_, Element.identity(3), Element.identity(2))
+
+
+def test_normal_product_leaves_its_operands_and_memos_unchanged():
+    sys_ = build_system(PRESET_QDU, Parameters.of(3, [2, Fraction(1, 2), 5], [7, Fraction(-3, 2), 13],
+                                                  [1, 2, Fraction(1, 3)]))
+    rng = random.Random(18_400)
+    for _ in range(20):
+        a, b = random_element(rng, 3), random_element(rng, 3)
+        a_terms, b_terms = dict(a.terms), dict(b.terms)
+        first = normal_product(sys_, a, b)
+        tables = sys_._tables
+        memo = {k: (e, dict(c)) for k, (e, c) in tables.memo.items()}
+        per_path = {k: (e, dict(c)) for k, (e, c) in tables.nf.items()}
+        assert normal_product(sys_, a, b) == first
+        assert a.terms == a_terms and b.terms == b_terms
+        assert {k: (e, dict(c)) for k, (e, c) in tables.memo.items()} == memo
+        assert {k: (e, dict(c)) for k, (e, c) in tables.nf.items()} == per_path
+
+
+# ---------------------------------------------------------------------------
+# The checks against their product-then-normal_form references
+# ---------------------------------------------------------------------------
+
+REGIMES = [
+    # beta all nonzero, gamma = 0, integral
+    Parameters.of(3, [1, 2, 3], [1, 1, 1], [0, 0, 0]),
+    # beta all nonzero, gamma != 0, rational (the generic n = 3 config)
+    Parameters.of(3, [2, Fraction(1, 2), 5], [7, Fraction(-3, 2), 13], [1, 2, Fraction(1, 3)]),
+    # some beta_i = 0, gamma != 0
+    Parameters.of(3, [1, 1, 1], [0, 2, 3], [1, 1, 1]),
+    # two beta_i = 0, gamma = 0, alpha_2 = 0
+    Parameters.of(4, [1, -1, 0, Fraction(3, 4)], [0, Fraction(-1, 2), 0, 1], [0, 0, 0, 0]),
+    # n = 1 and n = 2, beta nonzero and gamma != 0
+    Parameters.of(1, [2], [Fraction(-3, 7)], [5]),
+    Parameters.of(2, [0, Fraction(1, 2)], [-1, 3], [Fraction(2, 3), 0]),
+]
+
+
+@pytest.mark.parametrize("params", REGIMES)
+def test_pwd_probe_H_matches_reference(params):
+    for seed, degree_bound in ((0, 5), (3, 4), (11, 3), (29, 6)):
+        got = pwd_probe_H(params, degree_bound=degree_bound, trials=60, seed=seed)
+        assert got == reference_pwd_probe_H(params, degree_bound=degree_bound, trials=60, seed=seed)
+
+
+@pytest.mark.parametrize("params", REGIMES)
+def test_property_report_matches_reference(params):
+    assert property_report(params) == reference_property_report(params)
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_checks_match_references_on_random_parameters(seed):
+    rng = random.Random(18_500 + seed)
+    n = rng.randint(1, 4)
+    params = random_params(rng, n, integral=seed % 2 == 0, zero_beta=seed % 3 == 0)
+    assert property_report(params) == reference_property_report(params)
+    got = pwd_probe_H(params, degree_bound=4, trials=40, seed=seed)
+    assert got == reference_pwd_probe_H(params, degree_bound=4, trials=40, seed=seed)
+
+
+@pytest.mark.parametrize("params", [p for p in REGIMES if p.beta_all_nonzero()])
+def test_theta_prime_matches_reference(params):
+    rng = random.Random(18_600 + params.n)
+    n = params.n
+    for _ in range(15):
+        terms = {}
+        for _ in range(rng.randint(1, 3)):
+            base = BaseElement(n, {(rng.randrange(n), rng.randint(0, 2), rng.randint(0, 2)):
+                                   Fraction(rng.randint(-5, 5), rng.randint(1, 3))
+                                   for _ in range(rng.randint(1, 2))})
+            if base:
+                terms[rng.randint(-4, 4)] = base
+        t = GwaElement(n, terms)
+        assert theta_prime(params, t) == reference_theta_prime(params, t)
+
+
+# ---------------------------------------------------------------------------
+# The checks no longer build products in the free path algebra
+# ---------------------------------------------------------------------------
+
+def test_checks_do_not_build_path_algebra_products(monkeypatch):
+    def refuse(a, b):
+        raise AssertionError("core.multiply called")
+
+    monkeypatch.setattr(core, "multiply", refuse)
+    with pytest.raises(AssertionError):
+        Element.identity(2) * Element.identity(2)
+    generic = REGIMES[1]
+    zero_beta = REGIMES[2]
+    assert pwd_probe_H(generic, degree_bound=4, trials=30, seed=1).ok
+    assert pwd_probe_H(zero_beta, degree_bound=4, trials=30, seed=1).ok
+    assert property_report(generic).checks_passed
+    assert property_report(zero_beta).checks_passed
+    assert noetherian_chain_check(zero_beta, s_max=2).ok
+    t = GwaElement(3, {2: BaseElement(3, {(0, 1, 1): 1}), -1: BaseElement.e(3, 2)})
+    assert not theta_prime(generic, t).is_zero()
+    assert gwa.verify_gwa(generic, trials=5).ok
