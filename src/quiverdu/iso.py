@@ -238,12 +238,10 @@ class _Sym:
 
 def _constraint_from_equation(sym: _Sym, value: Fraction) -> RatioConstraint | None:
     """Translate coeff * l_a / l_b = value into a RatioConstraint."""
-    exps = dict(sym.exps)
-    pos = [i for i, e in exps.items() if e == 1]
-    neg = [i for i, e in exps.items() if e == -1]
-    if len(pos) != 1 or len(neg) != 1 or len(exps) != 2:
-        raise AssertionError(f"unexpected lambda monomial {sym.exps}")
-    return RatioConstraint(pos[0], neg[0], value / sym.coeff)
+    match sym.exps:
+        case ((a, 1), (b, -1)) | ((b, -1), (a, 1)):
+            return RatioConstraint(a, b, value / sym.coeff)
+    raise AssertionError(f"unexpected lambda monomial {sym.exps}")
 
 
 # ---------------------------------------------------------------------------

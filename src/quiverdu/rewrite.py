@@ -598,6 +598,23 @@ def enumerate_basis(sys: ReductionSystem, degree: int) -> list[Path]:
     return sorted((tables.path(v, w) for v, _, w in layer), key=canonical_path_key)
 
 
+def basis_from(sys: ReductionSystem, source: int, max_degree: int) -> list[list[Path]]:
+    """The normal paths from ``source`` of each degree 0, ..., ``max_degree``.
+
+    One automaton walk serves every degree; entry k lists the paths of
+    ``enumerate_basis(sys, k)`` that start at ``source``, in the same order.
+    """
+    tables = _tables(sys)
+    transitions, _ = tables.automaton()
+    layer = [(source, ())]  # state v < n is vertex v with no live suffix
+    by_degree = []
+    for k in range(max_degree + 1):
+        if k:
+            layer = [(tid, w + (a,)) for sid, w in layer for a, tid in transitions[sid]]
+        by_degree.append(sorted((tables.path(source, w) for _, w in layer), key=canonical_path_key))
+    return by_degree
+
+
 def _build_automaton(tables: _RuleTables):
     """Forbidden-factor automaton: states are (vertex, live suffix).
 

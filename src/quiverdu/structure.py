@@ -36,8 +36,11 @@ from .core import (
 from .linalg import RowSpace, spans_equal
 from .rewrite import (
     PRESET_QDU,
+    _add_scaled,
+    _normal_times,
+    _tables,
+    basis_from,
     build_system,
-    enumerate_basis,
     ensure_confluent,
     normal_form,  # noqa: F401 - perfbench's tracer test checks this binding is wrapped
     normal_product,
@@ -439,8 +442,7 @@ def noetherian_chain_check(params: Parameters, i: int | None = None, s_max: int 
         acc = normal_product(sys, acc, u_cycle)
         generators.append(normal_product(sys, acc, g))
 
-    basis_by_degree = {k: [p for p in enumerate_basis(sys, k) if p.source == i]
-                       for k in range(degree_bound - n - 2 + 1)}
+    basis_by_degree = basis_from(sys, i, degree_bound - n - 2)
     support_ok = True
     # One elimination kept across s: I_s grows from I_{s-1}, so each
     # spanning product is added once.
@@ -494,13 +496,26 @@ def pwd_probe_H(params: Parameters, degree_bound: int = 5, trials: int = 200,
     one product must have been tested (a trial whose corner pool is empty
     tests nothing); with some beta_i = 0 the deterministic zero-divisor
     pair is exhibited as well.
+
+    The trials run on int-coded words (``rewrite._RuleTables``).  A corner
+    pool holds the normal words of degree <= ``degree_bound`` from one
+    vertex to another, and a factor is a combination of distinct pool
+    words, so it is its own normal form: the coded factor a is NF(a) as
+    it is drawn.  NF(a·b) is then the sum over the words q of b of
+    c_q NF(a·q), each taken one arrow of q at a time from the right as in
+    ``normal_product`` (Bergman's diamond lemma makes the result the normal
+    form).  The product is zero exactly when every numerator of that sum
+    is, and only a zero product's factors are decoded, for ``failures``.
     """
     n = params.n
     sys = ensure_confluent(build_system(PRESET_QDU, params))
-    pools: dict[tuple[int, int], list[Path]] = {}
-    for k in range(degree_bound + 1):
-        for p in enumerate_basis(sys, k):
-            pools.setdefault((p.source, p.target), []).append(p)
+    tables = _tables(sys)
+    D = tables.denominator
+    pools: dict[tuple[int, int], list[tuple]] = {}
+    for v in range(n):
+        for paths in basis_from(sys, v, degree_bound):
+            for p in paths:
+                pools.setdefault((v, p.target), []).append(tables.encode(p))
     rng = random.Random(seed)
     beta_ok = params.beta_all_nonzero()
     failures = []
@@ -510,12 +525,16 @@ def pwd_probe_H(params: Parameters, degree_bound: int = 5, trials: int = 200,
         pool_a, pool_b = pools.get((i, k), []), pools.get((k, j), [])
         if not pool_a or not pool_b:
             continue
-        a = _random_combination(pool_a, rng)
-        b = _random_combination(pool_b, rng)
-        product = normal_product(sys, a, b)
+        a = _coded_combination(pool_a, rng)
+        b = _coded_combination(pool_b, rng)
+        product: dict = {}
+        e = 0
+        for q, c in b.items():
+            pe, part = _normal_times(tables, a, 0, q)
+            e = _add_scaled(product, e, part, pe, c, D)
         tested += 1
-        if product.is_zero():
-            failures.append((t, str(a), str(b)))
+        if not any(product.values()):
+            failures.append((t, str(_decoded(tables, i, a)), str(_decoded(tables, k, b))))
     counterexample = None
     if not beta_ok:
         bad = next(k for k in range(n) if params.beta[k] == 0)
@@ -527,10 +546,17 @@ def pwd_probe_H(params: Parameters, degree_bound: int = 5, trials: int = 200,
     return PwdHReport(trials, tested, seed, beta_ok, ok, failures, counterexample)
 
 
-def _random_combination(pool: list[Path], rng: random.Random) -> Element:
+def _coded_combination(pool: list[tuple], rng: random.Random) -> dict[tuple, int]:
+    """1 to 3 distinct words of ``pool`` with random nonzero coefficients, coded.
+
+    Each coefficient c/q with q in {1, 2, 3} is the numerator c * (6 / q)
+    over 6; c is drawn before q, word by word in sampled order.
+    """
     size = rng.randint(1, min(3, len(pool)))
-    chosen = rng.sample(pool, size)
-    terms = {}
-    for p in chosen:
-        terms[p] = Fraction(rng.choice(NONZERO_NUMERATORS), rng.randint(1, 3))
-    return Element(pool[0].n, terms)
+    return {w: rng.choice(NONZERO_NUMERATORS) * (6 // rng.randint(1, 3))
+            for w in rng.sample(pool, size)}
+
+
+def _decoded(tables, source: int, comb: dict[tuple, int]) -> Element:
+    """The Element of a coded combination of words from ``source`` over 6."""
+    return Element(tables.n, {tables.path(source, w): Fraction(c, 6) for w, c in comb.items()})

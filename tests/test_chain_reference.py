@@ -163,15 +163,16 @@ N4_CONFIGS = [
 @pytest.mark.parametrize("params, s_max, bound", N4_CONFIGS)
 def test_chain_report_matches_reference_at_n4(params, s_max, bound, monkeypatch):
     # The reference enumerates the basis up to the degree bound; the check
-    # stops at the bound less n + 2, the largest degree a span reads.
+    # walks it once from vertex i and stops at the bound less n + 2, the
+    # largest degree a span reads.
     from quiverdu import structure
-    degrees = []
-    enumerate_ = structure.enumerate_basis
-    monkeypatch.setattr(structure, "enumerate_basis",
-                        lambda sys_, k: degrees.append(k) or enumerate_(sys_, k))
+    walks = []
+    basis_from_ = structure.basis_from
+    monkeypatch.setattr(structure, "basis_from",
+                        lambda sys_, v, k: walks.append((v, k)) or basis_from_(sys_, v, k))
     new = noetherian_chain_check(params, s_max=s_max, degree_bound=bound)
     bound = (s_max + 1) * 4 + 2 if bound is None else bound
-    assert max(degrees) == bound - 4 - 2
+    assert walks == [(new.vertex, bound - 4 - 2)]
     assert new == reference_noetherian_chain_check(params, s_max=s_max, degree_bound=bound)
     assert new.ok
 

@@ -10,6 +10,8 @@ from quiverdu.iso import (
     IsoWitness,
     RatioConstraint,
     RatioInconsistency,
+    _constraint_from_equation,
+    _Sym,
     decide_graded_iso,
     solve_ratio_system,
     transform_reflect,
@@ -262,3 +264,26 @@ def test_witness_map_matches_the_reference_formulas():
                 assert spec.apply(loop) == map_element(
                     loop, lambda v: reference_vertex_image(w, v),
                     lambda a: reference_arrow_image(w, a))
+
+
+def test_constraint_from_equation_reads_the_two_lambda_indices():
+    # coeff * l_a / l_b = value, with a before or after b in index order
+    assert _constraint_from_equation(_Sym(Fraction(3), ((0, 1), (2, -1))), Fraction(6)) \
+        == RatioConstraint(0, 2, Fraction(2))
+    assert _constraint_from_equation(_Sym(Fraction(-1, 2), ((1, -1), (4, 1))), Fraction(5)) \
+        == RatioConstraint(4, 1, Fraction(-10))
+
+
+@pytest.mark.parametrize("exps", [
+    (),
+    ((0, 1),),
+    ((0, -1),),
+    ((0, 1), (1, 1)),
+    ((0, -1), (1, -1)),
+    ((0, 2), (1, -1)),
+    ((0, 1), (1, -2)),
+    ((0, 1), (1, -1), (2, 1)),
+])
+def test_constraint_from_equation_refuses_an_unexpected_monomial(exps):
+    with pytest.raises(AssertionError, match="unexpected lambda monomial"):
+        _constraint_from_equation(_Sym(Fraction(2), exps), Fraction(1))

@@ -11,6 +11,12 @@ The references are the product-then-``normal_form`` bodies that
 (as ``reference_property_report``, whose subalgebra loop rebuilt
 e_i x^a y^b from scratch for every (a, b)) and ``theta_prime`` (as
 ``reference_theta_prime``).  Each must give the same report or element.
+
+``pwd_probe_H`` now draws, multiplies and zero-tests on int-coded words.
+Its ``normal_product`` body, which drew ``Element``s with
+``_random_combination`` and decoded every product, is kept as
+``normal_product_pwd_probe_H``; the two must give the same report and
+leave their random generators in the same state.
 """
 
 from __future__ import annotations
@@ -21,7 +27,7 @@ from fractions import Fraction
 import pytest
 
 from quiverdu import core, gwa
-from quiverdu.core import Element, Parameters, Path, path_from_word, trivial_path
+from quiverdu.core import NONZERO_NUMERATORS, Element, Parameters, Path, path_from_word, trivial_path
 from quiverdu.gwa import BaseElement, GwaElement, theta_prime
 from quiverdu.linalg import RowSpace
 from quiverdu.rewrite import (
@@ -39,7 +45,6 @@ from quiverdu.structure import (
     SUBALGEBRA_DEGREE,
     PropertyReport,
     PwdHReport,
-    _random_combination,
     _zero_divisor,
     noetherian_chain_check,
     property_report,
@@ -86,6 +91,56 @@ def reference_pwd_probe_H(params: Parameters, degree_bound: int = 5, trials: int
             counterexample = (str(a), str(b))
     ok = (not failures and tested > 0) if beta_ok else (counterexample is not None)
     return PwdHReport(trials, tested, seed, beta_ok, ok, failures, counterexample)
+
+
+def normal_product_pwd_probe_H(params: Parameters, degree_bound: int = 5, trials: int = 200,
+                               seed: int = 0) -> PwdHReport:
+    """Sample sandwiched products in H and test whether any vanishes.
+
+    With all beta_i nonzero every product must be nonzero, and at least
+    one product must have been tested (a trial whose corner pool is empty
+    tests nothing); with some beta_i = 0 the deterministic zero-divisor
+    pair is exhibited as well.
+    """
+    n = params.n
+    sys = ensure_confluent(build_system(PRESET_QDU, params))
+    pools: dict[tuple[int, int], list[Path]] = {}
+    for k in range(degree_bound + 1):
+        for p in enumerate_basis(sys, k):
+            pools.setdefault((p.source, p.target), []).append(p)
+    rng = random.Random(seed)
+    beta_ok = params.beta_all_nonzero()
+    failures = []
+    tested = 0
+    for t in range(trials):
+        i, k, j = (rng.randrange(n) for _ in range(3))
+        pool_a, pool_b = pools.get((i, k), []), pools.get((k, j), [])
+        if not pool_a or not pool_b:
+            continue
+        a = _random_combination(pool_a, rng)
+        b = _random_combination(pool_b, rng)
+        product = normal_product(sys, a, b)
+        tested += 1
+        if product.is_zero():
+            failures.append((t, str(a), str(b)))
+    counterexample = None
+    if not beta_ok:
+        bad = next(k for k in range(n) if params.beta[k] == 0)
+        a = _zero_divisor(params, bad)
+        b = Element.from_path(path_from_word(n, bad, "u"))
+        if normal_product(sys, a, b).is_zero():
+            counterexample = (str(a), str(b))
+    ok = (not failures and tested > 0) if beta_ok else (counterexample is not None)
+    return PwdHReport(trials, tested, seed, beta_ok, ok, failures, counterexample)
+
+
+def _random_combination(pool: list[Path], rng: random.Random) -> Element:
+    size = rng.randint(1, min(3, len(pool)))
+    chosen = rng.sample(pool, size)
+    terms = {}
+    for p in chosen:
+        terms[p] = Fraction(rng.choice(NONZERO_NUMERATORS), rng.randint(1, 3))
+    return Element(pool[0].n, terms)
 
 
 def reference_property_report(params: Parameters) -> PropertyReport:
@@ -371,3 +426,65 @@ def test_checks_do_not_build_path_algebra_products(monkeypatch):
     t = GwaElement(3, {2: BaseElement(3, {(0, 1, 1): 1}), -1: BaseElement.e(3, 2)})
     assert not theta_prime(generic, t).is_zero()
     assert gwa.verify_gwa(generic, trials=5).ok
+
+
+# ---------------------------------------------------------------------------
+# The coded probe against its normal_product body
+# ---------------------------------------------------------------------------
+
+def probe_regimes(n: int) -> list[Parameters]:
+    """Rational parameters: beta nonzero with gamma = 0; beta_{n-1} = 0; gamma != 0."""
+    alpha = [Fraction(2 * i + 1, i + 2) for i in range(n)]
+    beta = [Fraction(-3, i + 1) if i % 2 else Fraction(i + 2) for i in range(n)]
+    gamma = [Fraction(i + 1, 3) for i in range(n)]
+    zero = [0] * n
+    return [
+        Parameters.of(n, alpha, beta, zero),
+        Parameters.of(n, alpha, beta[:-1] + [0], gamma),
+        Parameters.of(n, alpha, beta, gamma),
+    ]
+
+
+def run_probe(probe, monkeypatch, params: Parameters, **kwargs):
+    """The probe's report and the state its one random generator ends in."""
+    made = []
+
+    class Recording(random.Random):
+        def __init__(self, seed):
+            super().__init__(seed)
+            made.append(self)
+
+    with monkeypatch.context() as m:
+        m.setattr(random, "Random", Recording)
+        report = probe(params, **kwargs)
+    (rng,) = made
+    return report, rng.getstate()
+
+
+@pytest.mark.parametrize("n", range(1, 6))
+def test_coded_pwd_probe_H_matches_normal_product_probe(n, monkeypatch):
+    for params in probe_regimes(n):
+        for degree_bound in range(6):
+            kwargs = {"degree_bound": degree_bound, "trials": 50, "seed": 19_000 + 10 * n + degree_bound}
+            got = run_probe(pwd_probe_H, monkeypatch, params, **kwargs)
+            assert got == run_probe(normal_product_pwd_probe_H, monkeypatch, params, **kwargs), \
+                (params, degree_bound)
+            assert got[0].tested > 0
+
+
+@pytest.mark.parametrize("n", range(1, 4))
+def test_coded_pwd_probe_H_failures_match_where_products_vanish(n, monkeypatch):
+    # With alpha = beta = gamma = 0 many random products vanish, so the
+    # failure strings of the decoded factors are compared for real.
+    params = Parameters.of(n, [0] * n, [0] * n, [0] * n)
+    failures = 0
+    for degree_bound in range(1, 6):
+        for seed in range(3):
+            kwargs = {"degree_bound": degree_bound, "trials": 200, "seed": seed}
+            got = run_probe(pwd_probe_H, monkeypatch, params, **kwargs)
+            assert got == run_probe(normal_product_pwd_probe_H, monkeypatch, params, **kwargs), \
+                (degree_bound, seed)
+            failures += len(got[0].failures)
+    assert failures > 0
+    if n == 1:
+        assert len(pwd_probe_H(params, degree_bound=3, trials=200, seed=0).failures) == 29

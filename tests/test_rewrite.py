@@ -10,6 +10,7 @@ from quiverdu.rewrite import (
     PRESET_PREPROJECTIVE,
     PRESET_QDU,
     ReductionSystem,
+    basis_from,
     build_system,
     certify_confluence_over_parameters,
     check_confluence,
@@ -252,6 +253,20 @@ def test_enumerate_basis_matches_brute_force():
                                for f in lhs_words for i in range(k - len(f) + 1)):
                         brute.append(p)
             assert enumerate_basis(sys, k) == sorted(brute, key=canonical_path_key)
+
+
+def test_basis_from_is_enumerate_basis_at_one_source():
+    systems = [build_system(PRESET_QDU, GRADED_DOWN_UP), build_system(PRESET_PREPROJECTIVE, n=3)]
+    for n in (1, 2, 3, 4):
+        systems.append(build_system(PRESET_QDU, Parameters.of(n, [1] * n, [2] * n, [3] * n)))
+    for sys in systems:
+        for v in range(sys.n):
+            by_degree = basis_from(sys, v, 7)
+            assert len(by_degree) == 8
+            for k, paths in enumerate(by_degree):
+                assert paths == [p for p in enumerate_basis(sys, k) if p.source == v]
+        assert basis_from(sys, 0, 0) == [[trivial_path(sys.n, 0)]]
+        assert basis_from(sys, 0, -1) == []
 
 
 def test_dimension_matrix_examples():
