@@ -7,13 +7,22 @@ common denominator, kept canonical: the gcd of the denominator and all
 numerators is 1, and zero is all zeros over 1.  Phi_n is monic with integer
 coefficients, so x^k mod Phi_n is integral; a per-n table of those residues
 turns a product into an integer convolution plus one table reduction.
-Two products skip the convolution.  A product with a rational (a plain
-number, or a scalar whose numerators of zeta^1 .. zeta^(phi(n)-1) are zero)
-scales the numerators in O(phi(n)).  ``times_zeta(e)`` moves numerator i to
-the power (i + e) mod n and reduces only the powers at or above phi(n)
-through their table rows.  A rational-valued scalar hashes as its
+A product with a rational (a plain number, or a scalar whose numerators of
+zeta^1 .. zeta^(phi(n)-1) are zero) skips the convolution and scales the
+numerators in O(phi(n)).  A rational-valued scalar hashes as its
 ``Fraction``, so it hashes equal to the number it equals.
 Division uses the extended Euclidean algorithm.
+
+Callers that multiply many scalars at once (the skew-group check) work in
+the group algebra Q[x]/(x^n - 1) instead: a value there is a sparse map
+{k: int} for sum_k c_k x^k, 0 <= k < n, over a denominator the caller
+keeps, and a product is a cyclic convolution of such maps.  x -> zeta is
+a ring map onto Q(zeta_n) with kernel (Phi_n), so reducing a map by
+``power_residue`` gives exactly the numerators of the scalar it stands
+for; ``from_power_counts`` and ``power_counts`` convert between the two.
+A map that is nonzero can still stand for zero (1 + x + ... + x^(n-1)
+does), so such values are compared and tested for zero only after
+reduction.  This module is the only one that knows Phi_n.
 """
 
 from __future__ import annotations
@@ -92,6 +101,27 @@ def _power_table(n: int) -> tuple[tuple[int, ...], ...]:
     return tuple(rows)
 
 
+@lru_cache(maxsize=None)
+def _residue_rows(n: int) -> tuple[tuple[tuple[int, int], ...], ...]:
+    """Row k lists the nonzero (i, c) of x^k mod Phi_n, for 0 <= k < n."""
+    return tuple(tuple((i, c) for i, c in enumerate(row) if c) for row in _power_table(n)[:n])
+
+
+def power_residue(n: int, counts: Mapping[int, int]) -> list[int]:
+    """Integer numerators of (sum_k counts[k] x^k) mod Phi_n, for 0 <= k < n.
+
+    The group-algebra reduction: the image of sum_k counts[k] x^k under
+    x -> zeta, as numerators of 1, zeta, ..., zeta^(phi(n)-1).  The value
+    is zero exactly when every numerator is.
+    """
+    num = [0] * len(_power_table(n)[0])
+    rows = _residue_rows(n)
+    for k, c in counts.items():
+        for i, r in rows[k]:
+            num[i] += c * r
+    return num
+
+
 def _canonical(n: int, num, den: int) -> "CycScalar":
     """The scalar num / den for a positive den, reduced to canonical form."""
     if den != 1:
@@ -165,37 +195,18 @@ class CycScalar:
     def zeta_power(cls, n: int, e: int) -> "CycScalar":
         return _raw(n, _power_table(n)[e % n], 1)
 
-    def times_zeta(self, e: int) -> "CycScalar":
-        """self * zeta^e: numerator i moves to the power (i + e) mod n.
-
-        Only a power at or above phi(n) goes through its ``_power_table``
-        row.  zeta^e is a unit, so the result keeps the canonical
-        denominator and needs no gcd.
-        """
-        n = self.n
-        e %= n
-        if not e:
-            return self
-        num = self._num
-        phi = len(num)
-        out = [0] * phi
-        for i, x in enumerate(num):
-            if x:
-                k = (i + e) % n
-                if k < phi:
-                    out[k] += x
-                else:
-                    out = [y + x * r for y, r in zip(out, _power_table(n)[k])]
-        return _raw(n, tuple(out), self._den)
-
     @classmethod
-    def from_power_counts(cls, n: int, counts, den: int = 1) -> "CycScalar":
+    def from_power_counts(cls, n: int, counts: Mapping[int, int], den: int = 1) -> "CycScalar":
         """(sum_e counts[e] zeta^e) / den for integer counts, 0 <= e < n, and den > 0."""
-        num = [0] * (len(cyclotomic_polynomial(n)) - 1)
-        for c, row in zip(counts, _power_table(n)):
-            if c:
-                num = [x + c * r for x, r in zip(num, row)]
-        return _canonical(n, num, den)
+        return _canonical(n, power_residue(n, counts), den)
+
+    def power_counts(self) -> tuple[dict[int, int], int]:
+        """``(counts, den)`` with ``from_power_counts(n, counts, den) == self``.
+
+        The counts are the nonzero canonical numerators, by power of zeta
+        below phi(n): a group-algebra representative of the scalar.
+        """
+        return {k: x for k, x in enumerate(self._num) if x}, self._den
 
     def is_zero(self) -> bool:
         return not any(self._num)

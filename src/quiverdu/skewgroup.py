@@ -10,10 +10,25 @@ zeta^(#u - #d).  The smash product multiplies by
 it is a ``core.Combination``, so only its product is written here.
 
 The orthogonal idempotents f_i = (1/n) sum_j zeta^{ij} # g^j decompose
-the identity; the capped generators U_i = f_i (u # 1) and
-D_i = (d # 1) f_i satisfy the quiver down-up relations with alpha = 0,
+the identity; the capped generators U_i = f_i (u#1) and
+D_i = (d#1) f_i satisfy the quiver down-up relations with alpha = 0,
 gamma = 0 and beta identically -1, and the corner dimensions
 dim f_i B f_j match the quiver down-up dimension matrices degreewise.
+
+Products run on a coded form with int coefficients in the group algebra
+Q[x]/(x^n - 1): one positive int denominator and a map
+{(monomial, j): {k: int}}, k mod n, read as the sum of c_k x^k (m # g^j)
+over that denominator.  ``_encode`` takes a ``SmashElement``'s canonical
+numerators as they stand, which are a valid representative of each
+coefficient.  The action of g^j on u^a (du)^b d^c is the rotation of k by
+j (a - c) (``_rotate``), and a product is a cyclic convolution of the
+sparse maps times the int coefficients of ``r_monomial_product``.  The
+map x -> zeta is a ring map, so every decoded value is the one the
+product over Q(zeta_n) gives.  Its kernel (Phi_n) is not zero, since
+1 + x + ... + x^(n-1) maps to 0, so coded values are reduced by
+``cyclotomic.power_residue`` wherever one is compared or tested for zero
+(``_agree``), and decoded (``_decode``) where one is handed out as a
+``SmashElement``.
 """
 
 from __future__ import annotations
@@ -21,16 +36,17 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
+from math import lcm
 
 from .core import Combination, Element, Parameters, path_from_word
-from .cyclotomic import CycScalar
+from .cyclotomic import CycScalar, power_residue
 from .linalg import RowSpace
 from .rewrite import (
     PRESET_QDU,
     build_system,
     dimension_matrices,
     ensure_confluent,
-    normal_form,
+    normal_product,
     normal_shape,
     normal_shapes,
 )
@@ -54,20 +70,21 @@ def _monomial_to_path(m: RMonomial):
 
 
 @lru_cache(maxsize=None)
-def r_monomial_product(m1: RMonomial, m2: RMonomial) -> tuple[tuple[RMonomial, Fraction], ...]:
+def r_monomial_product(m1: RMonomial, m2: RMonomial) -> tuple[tuple[RMonomial, int], ...]:
     """Normal-form expansion of the product of two R-monomials.
 
     Every u^a (du)^b d^c is a normal word, so a product with the unit
-    monomial is the other factor, with no rewriting.
+    monomial is the other factor, with no rewriting.  R's rules have
+    coefficients +-1, so every coefficient is an int.
     """
     if m1 == _UNIT:
-        return ((m2, Fraction(1)),)
+        return ((m2, 1),)
     if m2 == _UNIT:
-        return ((m1, Fraction(1)),)
+        return ((m1, 1),)
     sys = ensure_confluent(build_system(PRESET_QDU, GRADED_DOWN_UP))
-    prod = Element.from_path(_monomial_to_path(m1)) * Element.from_path(_monomial_to_path(m2))
-    nf = normal_form(sys, prod)
-    return tuple(sorted(((normal_shape(p), c) for p, c in nf.terms.items())))
+    nf = normal_product(sys, Element.from_path(_monomial_to_path(m1)),
+                        Element.from_path(_monomial_to_path(m2)))
+    return tuple(sorted((normal_shape(p), int(c)) for p, c in nf.terms.items()))
 
 
 class SmashElement(Combination):
@@ -128,21 +145,77 @@ class SmashElement(Combination):
 def smash_multiply(a: SmashElement, b: SmashElement) -> SmashElement:
     if a.n != b.n:
         raise ValueError("mismatched group orders")
-    n = a.n
-    sums: dict[tuple[RMonomial, int], CycScalar] = {}
-    for (m1, j1), c1 in a.terms.items():
-        for (m2, j2), c2 in b.terms.items():
-            # g^j1 scales u^a (du)^b d^c by zeta^(j1 (a - c)), read here from the
+    return _decode(a.n, _coded_product(a.n, _encode(a), _encode(b)))
+
+
+# A coded smash element: (den, {(monomial, j): {k: int}}).
+Coded = tuple[int, dict]
+
+
+def _encode(x: SmashElement) -> Coded:
+    """``x`` over the lcm of its denominators, by canonical numerators."""
+    forms = {key: c.power_counts() for key, c in x.terms.items()}
+    den = lcm(*(d for _, d in forms.values()))
+    return den, {key: {k: v * (den // d) for k, v in counts.items()}
+                 for key, (counts, d) in forms.items()}
+
+
+def _decode(n: int, x: Coded) -> SmashElement:
+    den, terms = x
+    return SmashElement._from_sums(
+        n, {key: CycScalar.from_power_counts(n, v, den) for key, v in terms.items()})
+
+
+def _monomial(m: RMonomial, j: int = 0) -> Coded:
+    return 1, {(m, j): {0: 1}}
+
+
+def _rotate(v: dict, e: int, n: int) -> dict:
+    """The map v times x^e: exponent k moves to (k + e) mod n."""
+    e %= n
+    if not e:
+        return v
+    return {(k + e) % n: c for k, c in v.items()}
+
+
+def _coded_product(n: int, a: Coded, b: Coded) -> Coded:
+    """The smash product on coded elements; nothing is reduced mod Phi_n."""
+    (da, ta), (db, tb) = a, b
+    right = list(tb.items())
+    out: dict = {}
+    for (m1, j1), v1 in ta.items():
+        for (m2, j2), v2 in right:
+            # g^j1 scales u^a (du)^b d^c by x^(j1 (a - c)), read here from the
             # definition of the action and not through ``monomial_weight``, so
             # the left-factor check of ``corner_dimensions`` compares two
             # independent computations of the weight.
-            scalar = (c1 * c2).times_zeta(j1 * (m2[0] - m2[2]))
+            conv = {}
+            for k1, c1 in _rotate(v1, j1 * (m2[0] - m2[2]), n).items():
+                for k2, c2 in v2.items():
+                    k = (k1 + k2) % n
+                    conv[k] = conv.get(k, 0) + c1 * c2
             j = (j1 + j2) % n
             for m, q in r_monomial_product(m1, m2):
-                term = scalar if q == 1 else -scalar if q == -1 else scalar * q
-                old = sums.get((m, j))
-                sums[(m, j)] = term if old is None else old + term
-    return SmashElement._from_sums(n, sums)
+                acc = out.get((m, j))
+                if acc is None:
+                    out[(m, j)] = {k: q * c for k, c in conv.items()}
+                else:
+                    for k, c in conv.items():
+                        acc[k] = acc.get(k, 0) + q * c
+    return da * db, out
+
+
+def _agree(n: int, a: Coded, b: Coded, scale: int = 1) -> bool:
+    """a == scale * b over Q(zeta_n), decided after reduction mod Phi_n."""
+    (da, ta), (db, tb) = a, b
+    s = scale * da
+    for key in ta.keys() | tb.keys():
+        diff = {k: c * db for k, c in ta.get(key, {}).items()}
+        for k, c in tb.get(key, {}).items():
+            diff[k] = diff.get(k, 0) - s * c
+        if any(power_residue(n, diff)):
+            return False
+    return True
 
 
 @dataclass
@@ -161,8 +234,9 @@ def build_idempotents(n: int) -> IdempotentSet:
     f_i f_j is the cyclic convolution of the coefficient vectors
     (zeta^{ia} / n)_a and (zeta^{jb} / n)_b: its coefficient at g^m is
     (1/n^2) sum_a zeta^{ia + j(m - a)}.  Each such sum is counted by
-    exponent mod n, reduced in Q(zeta_n) and compared exactly with the
-    coefficient of delta_ij f_i, with no smash product.
+    exponent mod n; it equals the coefficient num/den of delta_ij f_i
+    exactly when counts * den - n^2 * num reduces to zero mod Phi_n, so
+    the check is an int zero test, with no smash product.
     """
     if n < 2:
         raise ValueError("idempotent decomposition needs n >= 2")
@@ -175,11 +249,13 @@ def build_idempotents(n: int) -> IdempotentSet:
     for i in range(n):
         for j in range(n):
             for m in range(n):
-                counts = [0] * n
+                expected = fs[i].terms.get(((0, 0, 0), m), zero) if i == j else zero
+                num, den = expected.power_counts()
+                diff = {k: -n * n * v for k, v in num.items()}
                 for a in range(n):
-                    counts[(i * a + j * (m - a)) % n] += 1
-                coeff = CycScalar.from_power_counts(n, counts, n * n)
-                if coeff != (fs[i].terms[((0, 0, 0), m)] if i == j else zero):
+                    k = (i * a + j * (m - a)) % n
+                    diff[k] = diff.get(k, 0) + den
+                if any(power_residue(n, diff)):
                     raise AssertionError(f"idempotent orthogonality failed at ({i},{j})")
     if SmashElement.combine(n, ((f, 1) for f in fs)) != SmashElement.one(n):
         raise AssertionError("idempotents do not sum to the identity")
@@ -194,22 +270,29 @@ class CapGenerators:
     both_forms_agree: bool
 
 
+def _coded_caps(n: int, idem: IdempotentSet) -> tuple[list[Coded], list[Coded], bool]:
+    """Coded U_i = f_i (u#1) and D_i = (d#1) f_i; whether the other forms agree."""
+    fs = [_encode(f) for f in idem.idempotents]
+    u, d = _monomial((1, 0, 0)), _monomial((0, 0, 1))
+    us, ds = [], []
+    agree = True
+    for i in range(n):
+        f, f_next = fs[i], fs[(i + 1) % n]
+        u_left = _coded_product(n, f, u)
+        d_left = _coded_product(n, d, f)
+        agree = (agree and _agree(n, u_left, _coded_product(n, u, f_next))
+                 and _agree(n, d_left, _coded_product(n, f_next, d)))
+        us.append(u_left)
+        ds.append(d_left)
+    return us, ds, agree
+
+
 def cap_generators(n: int, idem: IdempotentSet | None = None) -> CapGenerators:
     """U_i = f_i (u#1) = (u#1) f_{i+1} and D_i = (d#1) f_i = f_{i+1} (d#1)."""
     if idem is None:
         idem = build_idempotents(n)
-    u, d = SmashElement.gen_u(n), SmashElement.gen_d(n)
-    us, ds = [], []
-    agree = True
-    for i in range(n):
-        u_left = smash_multiply(idem[i], u)
-        u_right = smash_multiply(u, idem[i + 1])
-        d_left = smash_multiply(d, idem[i])
-        d_right = smash_multiply(idem[i + 1], d)
-        agree = agree and u_left == u_right and d_left == d_right
-        us.append(u_left)
-        ds.append(d_left)
-    return CapGenerators(n, us, ds, agree)
+    us, ds, agree = _coded_caps(n, idem)
+    return CapGenerators(n, [_decode(n, x) for x in us], [_decode(n, x) for x in ds], agree)
 
 
 @dataclass
@@ -240,11 +323,12 @@ def check_group_absorption(n: int, idem: IdempotentSet) -> None:
     the one with t = 0, and the products f_i (m # 1) f_j over the
     degree-k monomials m span f_i B_k f_j.
     """
+    fs = [_encode(f) for f in idem.idempotents]
     for t in range(n):
-        g = SmashElement.group(n, t)
-        for j in range(n):
-            scaled = {key: c.times_zeta(-t * j) for key, c in idem[j].terms.items()}
-            if smash_multiply(g, idem[j]).terms != scaled:
+        g = _monomial(_UNIT, t)
+        for j, (den, f) in enumerate(fs):
+            scaled = den, {key: _rotate(v, -t * j, n) for key, v in f.items()}
+            if not _agree(n, _coded_product(n, g, fs[j]), scaled):
                 raise AssertionError(f"g^t f_j != zeta^(-tj) f_j at t={t}, j={j}")
 
 
@@ -258,23 +342,29 @@ def corner_dimensions(n: int, k: int, idem: IdempotentSet) -> list[list[int]]:
     for sum_t (zeta^{at} / n) (m # g^t).  Orthogonality f_a f_j =
     delta_{aj} f_j (``build_idempotents``) then gives
     f_i (m # 1) f_j = delta_{aj} m # f_j: each m adds one row, to corner
-    (i, a) only.  The left factor is formed by the smash product once per
-    (i, m) and compared exactly with m # f_a; a mismatch raises
+    (i, a) only.  The left factor is formed by the coded smash product
+    once per (i, m) and compared exactly with m # f_a; a mismatch raises
     AssertionError.  Rows of distinct m have disjoint support (their keys
     carry m), so each corner's rank is its number of rows; the ranks are
     still taken by elimination.
     """
+    fs = [_encode(f) for f in idem.idempotents]
+    # The row of m # f_a scaled by f_a's coded denominator, a nonzero
+    # scale that keeps the rank: f_a's coefficient at g^0 is 1/n, so the
+    # row leads with 1, and RowSpace's scaling of its pivot row by 1/1
+    # returns each entry as it is, with no gcd.
+    rows = [[(t, CycScalar.from_power_counts(n, v)) for (_, t), v in f.items()] for _, f in fs]
     monomials = normal_shapes(k)
     dims = []
     for i in range(n):
         spaces = [RowSpace() for _ in range(n)]
         for m in monomials:
-            left = idem[i] * SmashElement.monomial(n, m)
+            left = _coded_product(n, fs[i], _monomial(m))
             a = (i + monomial_weight(m)) % n
-            expected = {(m, t): c for (_, t), c in idem[a].terms.items()}
-            if left.terms != expected:
+            den, f = fs[a]
+            if not _agree(n, left, (den, {(m, t): v for (_, t), v in f.items()})):
                 raise AssertionError(f"f_i (m # 1) != m # f_(i+w(m)) at i={i}, m={m}")
-            spaces[a].add(expected)
+            spaces[a].add({(m, t): c for t, c in rows[a]})
         dims.append([space.rank for space in spaces])
     return dims
 
@@ -292,7 +382,9 @@ def verify_quotient_match(n: int, params: Parameters | None = None, max_degree: 
     by exact rank computation over cyclotomics (``corner_dimensions``):
     the products f_i (m # 1) f_j over the degree-k monomials m span the
     corner (``check_group_absorption``), and each is written as
-    delta_{a j} m # f_j after its left factor is checked.
+    delta_{a j} m # f_j after its left factor is checked.  Every product
+    is taken on the coded form and every comparison is made after
+    reduction mod Phi_n (``_agree``).
     Raises AssertionError if an internal cross-check fails.
     """
     if n < 2:
@@ -306,15 +398,18 @@ def verify_quotient_match(n: int, params: Parameters | None = None, max_degree: 
             raise ValueError("skew-group comparison needs alpha = gamma = 0")
     idem = build_idempotents(n)  # raises if orthogonality/completeness fail
     check_group_absorption(n, idem)
-    caps = cap_generators(n, idem)
-    us, ds = caps.us, caps.ds
+    us, ds, forms_agree = _coded_caps(n, idem)
 
+    # D_i U_i and U_i D_i are shared by the two relations at each vertex
+    # (the product is associative, and sides are compared after reduction).
+    du = [_coded_product(n, ds[i], us[i]) for i in range(n)]
+    ud = [_coded_product(n, us[i], ds[i]) for i in range(n)]
     sides = []
     for i in range(n):
         h, j = (i - 1) % n, (i + 1) % n
-        sides.append((ds[h] * us[h] * us[i], us[i] * us[j] * ds[j]))
-        sides.append((ds[i] * ds[h] * us[h], us[j] * ds[j] * ds[i]))
-    relation_kill = {const: all((a - b.scale(const)).is_zero() for a, b in sides)
+        sides.append((_coded_product(n, du[h], us[i]), _coded_product(n, us[i], ud[j])))
+        sides.append((_coded_product(n, ds[i], du[h]), _coded_product(n, ud[j], ds[i])))
+    relation_kill = {const: all(_agree(n, a, b, const) for a, b in sides)
                      for const in (1, -1)}
 
     matched = Parameters.of(n, [0] * n, [-1] * n, [0] * n)
@@ -327,5 +422,5 @@ def verify_quotient_match(n: int, params: Parameters | None = None, max_degree: 
                          if found[i][j] != expected[i][j]), None)
         if mismatch is not None:
             break
-    return SkewGroupReport(n, max_degree, True, caps.both_forms_agree,
+    return SkewGroupReport(n, max_degree, True, forms_agree,
                            relation_kill[-1], relation_kill, mismatch is None, mismatch)

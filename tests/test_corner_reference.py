@@ -156,15 +156,15 @@ def flip_weight_sign(monkeypatch):
 
 def shift_left_factors(monkeypatch, n):
     """f_{i+1} (m # 1) in place of f_i (m # 1), for every single m # 1 on the right."""
-    fs = build_idempotents(n).idempotents
-    genuine = skewgroup.smash_multiply
+    fs = [skewgroup._encode(f) for f in build_idempotents(n).idempotents]
+    genuine = skewgroup._coded_product
 
-    def mutated(a, b):
-        if a in fs and len(b.terms) == 1 and next(iter(b.terms))[1] == 0:
+    def mutated(n_, a, b):
+        if a in fs and len(b[1]) == 1 and next(iter(b[1]))[1] == 0:
             a = fs[(fs.index(a) + 1) % n]
-        return genuine(a, b)
+        return genuine(n_, a, b)
 
-    monkeypatch.setattr(skewgroup, "smash_multiply", mutated)
+    monkeypatch.setattr(skewgroup, "_coded_product", mutated)
 
 
 @pytest.mark.parametrize("n", [3, 4, 5, 6])
@@ -185,10 +185,9 @@ def test_shifted_left_factor_fails_check(n, monkeypatch):
 
 
 def zeta_shift_off_by_one(monkeypatch):
-    """x * zeta^(e+1) in place of x * zeta^e for every shift e != 0 mod n."""
-    genuine = CycScalar.times_zeta
-    monkeypatch.setattr(CycScalar, "times_zeta",
-                        lambda x, e: genuine(x, e + 1) if e % x.n else x)
+    """v x^(e+1) in place of v x^e for every rotation e != 0 mod n."""
+    genuine = skewgroup._rotate
+    monkeypatch.setattr(skewgroup, "_rotate", lambda v, e, n: genuine(v, e + 1, n) if e % n else v)
 
 
 def zeta_shift_off_by_one_in_products_only(monkeypatch):

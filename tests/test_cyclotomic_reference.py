@@ -6,9 +6,15 @@ and its own ``cyclotomic_polynomial`` cache.  Every public operation of
 ``quiverdu.cyclotomic.CycScalar`` must give the same rational coefficients
 as the reference, for n = 1..12.
 
-Products by a rational and by a power of zeta skip the integer
-convolution; ``convolution_product`` keeps that convolution verbatim as
-the reference for those fast paths.
+Products by a rational and by a power of zeta (``times_zeta``, kept in
+``test_smash_reference`` with the smash product that called it) skip the
+integer convolution; ``convolution_product`` keeps that convolution
+verbatim as the reference for those fast paths.
+
+``power_residue`` reduces a group-algebra map {k: int}, 0 <= k < n, mod
+Phi_n; the reference constructor, which divides by Phi_n, must give the
+same coefficients, and ``power_counts`` must give a map that reduces back
+to the scalar.
 """
 
 from __future__ import annotations
@@ -22,6 +28,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from quiverdu import cyclotomic
+from test_smash_reference import times_zeta
 
 New = cyclotomic.CycScalar
 
@@ -392,7 +399,7 @@ def test_zeta_power_products_match_convolution():
         for x in sample_scalars(n):
             rx = CycScalar(n, list(x.coeffs))
             for e in range(-2 * n, 2 * n + 1):
-                moved = x.times_zeta(e)
+                moved = times_zeta(x, e)
                 assert_canonical(moved)
                 assert moved == x * New.zeta_power(n, e)
                 assert moved.coeffs == convolution_product(x, New.zeta_power(n, e))
@@ -403,7 +410,38 @@ def test_zeta_power_products_match_convolution():
 @given(scalar_pairs(), st.integers(-40, 40))
 def test_random_zeta_power_products_match_convolution(pair, e):
     n, ref, x = pair
-    moved = x.times_zeta(e)
+    moved = times_zeta(x, e)
     assert_canonical(moved)
     assert moved.coeffs == convolution_product(x, New.zeta_power(n, e))
     assert same(ref * CycScalar.zeta_power(n, e), moved)
+
+
+@st.composite
+def power_maps(draw):
+    """(n, {k: int} with 0 <= k < n, positive denominator)."""
+    n = draw(st.integers(1, 12))
+    counts = draw(st.dictionaries(st.integers(0, n - 1), st.integers(-20, 20), max_size=n))
+    return n, counts, draw(st.integers(1, 30))
+
+
+@settings(max_examples=200, deadline=None)
+@given(power_maps())
+def test_power_residue_matches_reference_division(case):
+    n, counts, den = case
+    ref = CycScalar(n, {k: Fraction(c, den) for k, c in counts.items()})
+    num = cyclotomic.power_residue(n, counts)
+    assert len(num) == phi(n) and all(type(v) is int for v in num)
+    assert tuple(Fraction(v, den) for v in num) == ref.coeffs
+    new = New.from_power_counts(n, counts, den)
+    assert_canonical(new)
+    assert same(ref, new)
+    again, again_den = new.power_counts()
+    assert all(0 <= k < phi(n) and v for k, v in again.items())
+    assert New.from_power_counts(n, again, again_den) == new
+
+
+def test_power_residue_of_the_full_orbit_sum_is_zero():
+    # 1 + x + ... + x^(n-1) is nonzero in the group algebra and 0 in Q(zeta_n), n >= 2.
+    for n in range(2, 13):
+        assert not any(cyclotomic.power_residue(n, {k: 1 for k in range(n)}))
+        assert any(cyclotomic.power_residue(n, {k: 1 for k in range(n - 1)}))

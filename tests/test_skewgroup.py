@@ -147,6 +147,17 @@ def test_unit_monomial_products_match_rewriting():
             assert r_monomial_product(m, unit) == rewritten_product(m, unit)
 
 
+def test_monomial_products_match_rewriting():
+    # Every pair up to degree 4: int coefficients, sorted, as rewriting gives.
+    for k1 in range(5):
+        for k2 in range(5):
+            for m1 in monomials_of_degree(k1):
+                for m2 in monomials_of_degree(k2):
+                    prod = r_monomial_product(m1, m2)
+                    assert prod == rewritten_product(m1, m2), (m1, m2)
+                    assert all(type(c) is int for _, c in prod)
+
+
 def test_unit_monomial_lookups_are_counted():
     r_monomial_product.cache_clear()
     r_monomial_product((0, 0, 0), (1, 0, 0))

@@ -1,0 +1,149 @@
+"""Differential test of the coded smash product.
+
+The reference is the ``CycScalar`` loop that ``smash_multiply`` ran before
+products moved to int-coded group-algebra coefficients, kept here verbatim
+as ``reference_smash_multiply``, with ``times_zeta``, the ``CycScalar``
+method it called (now a function of the scalar, otherwise verbatim).  The
+coded product keeps its coefficients in Q[x]/(x^n - 1) and reduces them
+mod Phi_n only where it compares, tests for zero or decodes, so it must
+give the reference's ``SmashElement`` for every n, also where a
+coefficient vanishes in Q(zeta_n) without vanishing in the group algebra.
+"""
+
+import random
+from fractions import Fraction
+
+import pytest
+
+from quiverdu import skewgroup
+from quiverdu.cyclotomic import CycScalar, _power_table, _raw, cyclotomic_polynomial
+from quiverdu.skewgroup import (
+    SmashElement,
+    build_idempotents,
+    r_monomial_product,
+    smash_multiply,
+    verify_quotient_match,
+)
+from test_skewgroup import monomials_of_degree
+
+
+def times_zeta(self, e: int) -> CycScalar:
+    """self * zeta^e: numerator i moves to the power (i + e) mod n.
+
+    Only a power at or above phi(n) goes through its ``_power_table``
+    row.  zeta^e is a unit, so the result keeps the canonical
+    denominator and needs no gcd.
+    """
+    n = self.n
+    e %= n
+    if not e:
+        return self
+    num = self._num
+    phi = len(num)
+    out = [0] * phi
+    for i, x in enumerate(num):
+        if x:
+            k = (i + e) % n
+            if k < phi:
+                out[k] += x
+            else:
+                out = [y + x * r for y, r in zip(out, _power_table(n)[k])]
+    return _raw(n, tuple(out), self._den)
+
+
+def reference_smash_multiply(a: SmashElement, b: SmashElement) -> SmashElement:
+    if a.n != b.n:
+        raise ValueError("mismatched group orders")
+    n = a.n
+    sums: dict[tuple[tuple[int, int, int], int], CycScalar] = {}
+    for (m1, j1), c1 in a.terms.items():
+        for (m2, j2), c2 in b.terms.items():
+            # g^j1 scales u^a (du)^b d^c by zeta^(j1 (a - c)), read here from the
+            # definition of the action and not through ``monomial_weight``, so
+            # the left-factor check of ``corner_dimensions`` compares two
+            # independent computations of the weight.
+            scalar = times_zeta(c1 * c2, j1 * (m2[0] - m2[2]))
+            j = (j1 + j2) % n
+            for m, q in r_monomial_product(m1, m2):
+                term = scalar if q == 1 else -scalar if q == -1 else scalar * q
+                old = sums.get((m, j))
+                sums[(m, j)] = term if old is None else old + term
+    return SmashElement._from_sums(n, sums)
+
+
+def random_scalar(rng: random.Random, n: int) -> CycScalar:
+    """A general element of Q(zeta_n): every power below phi(n), rational coefficients."""
+    phi = len(cyclotomic_polynomial(n)) - 1
+    return CycScalar(n, {k: Fraction(rng.randint(-4, 4), rng.randint(1, 6)) for k in range(phi)})
+
+
+def random_smash(rng: random.Random, n: int, terms: int = 3, max_degree: int = 3) -> SmashElement:
+    sums = {}
+    for _ in range(terms):
+        key = (rng.choice(monomials_of_degree(rng.randint(0, max_degree))), rng.randrange(n))
+        c = random_scalar(rng, n)
+        sums[key] = sums[key] + c if key in sums else c
+    return SmashElement(n, sums)
+
+
+@pytest.mark.parametrize("n", range(2, 13))
+def test_coded_product_matches_reference(n):
+    rng = random.Random(1000 + n)
+    for _ in range(12):
+        a, b, c = (random_smash(rng, n) for _ in range(3))
+        ab = smash_multiply(a, b)
+        assert ab == reference_smash_multiply(a, b)
+        assert ab * c == a * (b * c) == reference_smash_multiply(a, reference_smash_multiply(b, c))
+
+
+@pytest.mark.parametrize("n", [2, 3, 5, 12])
+def test_coded_product_of_idempotents_matches_reference(n):
+    fs = build_idempotents(n).idempotents
+    u, d = SmashElement.gen_u(n), SmashElement.gen_d(n)
+    for f in fs:
+        for g in fs + [u, d]:
+            assert smash_multiply(f, g) == reference_smash_multiply(f, g)
+            assert smash_multiply(g, f) == reference_smash_multiply(g, f)
+
+
+def test_product_vanishing_only_in_the_cyclotomic_field():
+    # Over n = 3, (zeta # 1 + 1 # g)(zeta # 1 + (1 + zeta) # g^2) has
+    # x^2 + (1 + x) = 1 + x + x^2 at 1 # g^0 in the group algebra, which
+    # is nonzero there and 0 in Q(zeta_3).
+    n = 3
+    zeta = CycScalar.zeta_power(n, 1)
+    one = CycScalar.one(n)
+    unit = (0, 0, 0)
+    a = SmashElement(n, {(unit, 0): zeta, (unit, 1): one})
+    b = SmashElement(n, {(unit, 0): zeta, (unit, 2): one + zeta})
+    den, terms = skewgroup._coded_product(n, skewgroup._encode(a), skewgroup._encode(b))
+    assert terms[(unit, 0)] == {0: 1, 1: 1, 2: 1}
+    prod = smash_multiply(a, b)
+    assert prod == reference_smash_multiply(a, b)
+    assert (unit, 0) not in prod.terms
+    assert prod == SmashElement(n, {(unit, 1): zeta, (unit, 2): zeta + zeta * zeta})
+    # Equal as values, unequal as group-algebra vectors: only the
+    # comparison after reduction says so.
+    zero = skewgroup._encode(SmashElement.zero(n))
+    unreduced = (den, terms)
+    assert skewgroup._agree(n, unreduced, skewgroup._encode(prod))
+    assert not skewgroup._agree(n, unreduced, zero)
+    assert skewgroup._agree(n, (den, {(unit, 0): terms[(unit, 0)]}), zero)
+
+
+def reference_coded_product(n, a, b):
+    """The reference product on coded elements: decode, multiply, encode."""
+    return skewgroup._encode(reference_smash_multiply(skewgroup._decode(n, a),
+                                                      skewgroup._decode(n, b)))
+
+
+@pytest.mark.parametrize("n", range(2, 13))
+def test_report_matches_reference_product(n, monkeypatch):
+    reports = [verify_quotient_match(n, max_degree=k) for k in range(5)]
+    for k, report in enumerate(reports):
+        assert (report.n, report.max_degree, report.idempotents_ok, report.generator_forms_agree,
+                report.proof_identities_ok, report.relation_kill, report.dimensions_ok,
+                report.dimension_mismatch) == (n, k, True, True, True, {1: False, -1: True},
+                                               True, None)
+    monkeypatch.setattr(skewgroup, "_coded_product", reference_coded_product)
+    assert verify_quotient_match(n, max_degree=4) == reports[4]
