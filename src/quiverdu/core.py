@@ -10,12 +10,21 @@ package: addition, negation, scaling, equality, hashing and zero-stripping
 of a key -> coefficient map, plus ``combine`` for sums of many scaled
 parts.  ``Element`` (paths with rational coefficients) is the subclass
 defined here; the GWA and smash-product element types subclass it too.
+
+Beside it sits the int-coded form of a rational combination, ``(den,
+{key: int})``: int numerators over one positive denominator.  The GWA
+product, the normal-form kernel and the domain probes run on it and build
+``Fraction``s only at the public boundary.  ``Combination.coded`` encodes
+over the lcm of the denominators, ``Combination.from_coded`` decodes,
+``add_into`` adds in place, lifting the denominator to the lcm only when
+needed, and ``reduced`` divides out a common factor.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import gcd, lcm
 from typing import Callable, Iterable, Mapping
 
 # Exact base scalars: always reduced, positive denominator, 0 == 0/1.
@@ -216,6 +225,21 @@ class Combination:
         return self
 
     @classmethod
+    def from_coded(cls, n: int, den: int, nums: Mapping):
+        """The sum of (c / den) key over the items of ``nums``, zeros dropped.
+
+        The keys must be valid for ``n``; they are not checked.
+        """
+        if den == 1:
+            return cls._from_sums(n, {k: Fraction(c) for k, c in nums.items()})
+        return cls._from_sums(n, {k: Fraction(c, den) for k, c in nums.items()})
+
+    def coded(self) -> tuple[int, dict]:
+        """``(den, {key: int})``: the coefficients over the lcm of their denominators."""
+        den = lcm(*(c.denominator for c in self.terms.values()))
+        return den, {k: c.numerator * (den // c.denominator) for k, c in self.terms.items()}
+
+    @classmethod
     def combine(cls, n: int, parts: Iterable[tuple["Combination", object]]):
         """The sum of ``c * x`` over the ``(x, c)`` pairs, built once.
 
@@ -276,6 +300,39 @@ class Combination:
 
     def _product(self, other):
         raise TypeError(f"{type(self).__name__} has no parameter-free product")
+
+
+def add_into(acc: list, den: int, nums: Mapping, p: int = 1, strip: bool = False) -> None:
+    """acc = [D, out]: out/D += p * nums/den, in place, p an int.
+
+    D is raised to lcm(D, den) only when ``den`` does not divide it.  With
+    ``strip`` (p and the numerators nonzero) a sum that reaches zero is
+    deleted at once, as each ``Combination`` addition strips it, so a later
+    term with its key goes to the end; without, it stays in place, as
+    ``Combination.combine`` leaves it until the end.
+    """
+    D, out = acc
+    if D % den:
+        lift = den // gcd(D, den)
+        for k in out:
+            out[k] *= lift
+        acc[0] = D = D * lift
+    p *= D // den
+    for k, c in nums.items():
+        c *= p
+        old = out.get(k)
+        if old is not None:
+            c += old
+            if strip and not c:
+                del out[k]
+                continue
+        out[k] = c
+
+
+def reduced(den: int, nums: dict) -> tuple[int, dict]:
+    """``(den, nums)`` divided through by the gcd of ``den`` and every numerator."""
+    g = gcd(den, *nums.values())
+    return (den, nums) if g == 1 else (den // g, {k: c // g for k, c in nums.items()})
 
 
 class Element(Combination):

@@ -27,11 +27,12 @@ substitution per term pair instead of m.
 linear arithmetic is the shared kernel, and only their products and the
 maps below live here.
 
-The GWA product runs on an int-coded R: a value is ``(den, {(v, a, b):
-int})``, int numerators over one positive denominator.  The shift table
-keeps its images and cross factors in this form only; ``sigma``,
-``sigma_inverse``, ``sigma_power`` and ``_ShiftTable.cross`` decode to
-``BaseElement`` on return.  ``gwa_multiply`` codes each operand
+All products run on R in the int-coded form of ``core`` (``(den,
+{(v, a, b): int})``, ``Combination.coded``), with ``core.add_into`` for
+sums.  The shift table keeps its images and cross factors in this form
+only; ``sigma``, ``sigma_inverse``, ``sigma_power`` and
+``_ShiftTable.cross`` decode to ``BaseElement`` on return, and so does
+the public ``*`` of ``BaseElement``.  ``gwa_multiply`` codes each operand
 coefficient once, sums the parts for each X-exponent over a common
 denominator raised to the lcm only when needed, and decodes each output
 term to one ``Fraction``.  ``pwd_probe_gwa`` draws its factors coded and
@@ -39,8 +40,7 @@ tests the coded product; it decodes only the factors of a failing trial,
 to print them.  ``theta`` builds each path's image coded, one generator
 at a time, and decodes it once.  Zero sums are dropped where the
 ``BaseElement`` operations drop them, so every decoded value has the same
-key order as the ``Fraction`` computation.  ``BaseElement._product``
-stays on ``Fraction`` for the public ``*``.
+key order as the ``Fraction`` computation.
 
 The algebra maps are theta(u_i) = X_i^-, theta(d_i) = X_i^+ and its
 inverse theta_prime with theta_prime(x_i) = u_i d_i and
@@ -53,10 +53,9 @@ import random
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from math import gcd, lcm
 
-from .core import (NONZERO_NUMERATORS, Combination, Element, Parameters, Path, path_from_word,
-                   trivial_path)
+from .core import (NONZERO_NUMERATORS, Combination, Element, Parameters, Path, add_into,
+                   path_from_word, reduced, trivial_path)
 from .rewrite import PRESET_QDU, build_system, normal_form, normal_product
 
 
@@ -89,18 +88,7 @@ class BaseElement(Combination):
         return cls(n, {(v, 0, 0): Fraction(1) for v in range(n)})
 
     def _product(self, other: "BaseElement") -> "BaseElement":
-        # Componentwise per vertex: e_i are orthogonal idempotents, so only
-        # the right factor's terms at the left term's vertex contribute.
-        at: dict[int, list[tuple[int, int, Fraction]]] = {}
-        for (w, a2, b2), c2 in other.terms.items():
-            at.setdefault(w, []).append((a2, b2, c2))
-        sums: dict[tuple[int, int, int], Fraction] = {}
-        for (v, a, b), c in self.terms.items():
-            for a2, b2, c2 in at.get(v, ()):
-                key = (v, a + a2, b + b2)
-                old = sums.get(key)
-                sums[key] = c * c2 if old is None else old + c * c2
-        return BaseElement._from_sums(self.n, sums)
+        return BaseElement.from_coded(self.n, *_product(self.coded(), other.coded()))
 
     def __str__(self) -> str:
         if not self.terms:
@@ -133,63 +121,26 @@ def sigma_power(params: Parameters, b: BaseElement, m: int) -> BaseElement:
 
 
 # ---------------------------------------------------------------------------
-# Int-coded kernel: a value of R as (den, {(v, a, b): int}), int numerators
-# over one positive denominator and no zero numerator.  Every loop below
-# visits terms in the order of the BaseElement operation it replaces, and
-# zero sums are stripped where that operation strips them, so decoded
-# values keep BaseElement's key order.
+# Products on coded values of R.  Every loop below visits terms in the
+# order of the BaseElement operation it replaces, and zero sums are
+# stripped where that operation strips them, so decoded values keep
+# BaseElement's key order.
 # ---------------------------------------------------------------------------
-
-def _code(r: BaseElement) -> tuple[int, dict]:
-    """r over the lcm of its coefficients' denominators."""
-    den = lcm(*(c.denominator for c in r.terms.values()))
-    return den, {k: c.numerator * (den // c.denominator) for k, c in r.terms.items()}
-
-
-def _decode(n: int, coded: tuple[int, dict]) -> BaseElement:
-    den, nums = coded
-    return BaseElement._from_sums(n, {k: Fraction(c, den) for k, c in nums.items()})
-
 
 def _decode_gwa(n: int, coded: dict) -> GwaElement:
     """{m: (den, numerators)} as a GwaElement; an m without numerators is dropped."""
-    return GwaElement._from_sums(n, {m: _decode(n, r) for m, r in coded.items()})
-
-
-def _linear(parts) -> tuple[int, dict]:
-    """The sum of p * nums / d over the parts ``(p, (d, nums))``, p an int.
-
-    The common denominator is raised to the lcm only when a part's does
-    not divide it; zero sums are left in, as ``Combination.combine`` does.
-    """
-    den, out = 1, {}
-    for p, (d, nums) in parts:
-        if den % d:
-            lift = d // gcd(den, d)
-            for k in out:
-                out[k] *= lift
-            den *= lift
-        p *= den // d
-        for k, c in nums.items():
-            old = out.get(k)
-            out[k] = p * c if old is None else old + p * c
-    return den, out
+    return GwaElement._from_sums(n, {m: BaseElement.from_coded(n, *r) for m, r in coded.items()})
 
 
 def _rational(parts) -> tuple[int, dict]:
     """The sum of c * x over the parts ``(x, c)``, x coded and c rational,
     as ``BaseElement.combine``; stripped and reduced."""
-    scaled = []
+    acc = [1, {}]
     for (d, nums), c in parts:
         c = Fraction(c)
-        scaled.append((c.numerator, (d * c.denominator, nums)))
-    den, out = _linear(scaled)
-    return _reduced(den, {k: c for k, c in out.items() if c})
-
-
-def _reduced(den: int, nums: dict) -> tuple[int, dict]:
-    g = gcd(den, *nums.values())
-    return (den, nums) if g == 1 else (den // g, {k: c // g for k, c in nums.items()})
+        add_into(acc, d * c.denominator, nums, c.numerator)
+    den, out = acc
+    return reduced(den, {k: c for k, c in out.items() if c})
 
 
 def _by_vertex(nums: dict) -> dict[int, list[tuple[int, int, int]]]:
@@ -213,27 +164,7 @@ def _times(left: tuple[int, dict], den: int, at: dict) -> tuple[int, dict]:
 
 
 def _product(left: tuple[int, dict], right: tuple[int, dict]) -> tuple[int, dict]:
-    return _reduced(*_times(left, right[0], _by_vertex(right[1])))
-
-
-def _add_into(acc: list, den: int, nums: dict) -> None:
-    """acc = [D, out]: out/D += nums/den, in place.  A sum that reaches zero
-    is deleted at once, as ``BaseElement`` addition strips each sum."""
-    out = acc[1]
-    g = gcd(acc[0], den)
-    lift, scale = den // g, acc[0] // g
-    if lift != 1:
-        for k in out:
-            out[k] *= lift
-        acc[0] *= lift
-    for k, c in nums.items():
-        old = out.get(k)
-        if old is None:
-            out[k] = c * scale
-        elif old + c * scale:
-            out[k] = old + c * scale
-        else:
-            del out[k]
+    return reduced(*_times(left, right[0], _by_vertex(right[1])))
 
 
 class _ShiftTable:
@@ -299,16 +230,17 @@ class _ShiftTable:
 
     def shift(self, s: tuple[int, dict], m: int) -> tuple[int, dict]:
         """sigma^m(s) for a coded s and m != 0 whose images exist."""
-        den, nums = s
-        monomial = self.monomial
-        d, out = _linear((c, monomial(m, v, a, b)) for (v, a, b), c in nums.items())
-        return den * d, {k: c for k, c in out.items() if c}
+        acc = [1, {}]
+        for (v, a, b), c in s[1].items():
+            add_into(acc, *self.monomial(m, v, a, b), c)
+        d, out = acc
+        return s[0] * d, {k: c for k, c in out.items() if c}
 
     def apply(self, b: BaseElement, m: int) -> BaseElement:
         if m == 0:
             return b
         self.images(m)  # refuses m < 0 without sigma^-1, also for b = 0
-        return _decode(self.params.n, self.shift(_code(b), m))
+        return BaseElement.from_coded(self.params.n, *self.shift(b.coded(), m))
 
     def coded_cross(self, m1: int, m2: int) -> tuple[int, dict, dict]:
         """(den, numerators, numerators by vertex) of ``cross(m1, m2)``."""
@@ -326,7 +258,7 @@ class _ShiftTable:
 
     def cross(self, m1: int, m2: int) -> BaseElement:
         """Coefficient from contracting X^{m1} X^{m2} into X^{m1+m2}."""
-        return _decode(self.params.n, self.coded_cross(m1, m2)[:2])
+        return BaseElement.from_coded(self.params.n, *self.coded_cross(m1, m2)[:2])
 
     def _x_total(self, m: int) -> tuple[int, dict]:
         """sigma^m(x), x = sum_v x_v."""
@@ -386,7 +318,7 @@ class GwaElement(Combination):
 
 
 def gwa_multiply(params: Parameters, a: GwaElement, b: GwaElement) -> GwaElement:
-    coded = [{m: _code(r) for m, r in x.terms.items()} for x in (a, b)]
+    coded = [{m: r.coded() for m, r in x.terms.items()} for x in (a, b)]
     return _decode_gwa(params.n, _coded_multiply(_gwa_table(params), *coded))
 
 
@@ -414,7 +346,7 @@ def _coded_multiply(table: _ShiftTable, a: dict, b: dict) -> dict[int, list]:
                 if acc is None:
                     sums[m1 + m2] = [den, nums]
                 else:
-                    _add_into(acc, den, nums)
+                    add_into(acc, den, nums, strip=True)
     return sums
 
 
@@ -435,7 +367,7 @@ def theta(params: Parameters, a: Element) -> GwaElement:
             # X_i^- = e_i X^- and X_i^+ = e_{i+1} X^+
             img = {-1: (1, {(arrow.index, 0, 0): 1})} if arrow.family == "u" else \
                 {1: (1, {((arrow.index + 1) % n, 0, 0): 1})}
-            acc = {m: _reduced(den, nums)
+            acc = {m: reduced(den, nums)
                    for m, (den, nums) in _coded_multiply(table, acc, img).items() if nums}
         parts.append((_decode_gwa(n, acc), c))
     return GwaElement.combine(n, parts)

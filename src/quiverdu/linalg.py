@@ -5,8 +5,9 @@ so ``Element.terms`` and other term maps are rows as they stand.  Column
 keys need only be hashable.  Scalars must support +, -, unary -, *,
 truthiness (nonzero test) and ``Fraction(1) / x``.  Used with Fraction
 and with cyclotomic scalars.  A pivot row is scaled by the reciprocal of
-its leading entry, so that entry is exactly 1; an int row yields
-Fractions, never floats.
+its leading entry, so that entry is exactly 1; a row that already leads
+with a non-int 1 is kept as it is, and an int row yields Fractions, never
+floats.
 """
 
 from __future__ import annotations
@@ -53,8 +54,10 @@ class RowSpace:
         if not out:
             return False
         key, lead = next(iter(out.items()))
-        inv = Fraction(1) / lead  # one inverse per pivot, then products
-        self.pivots.append((key, {k: c * inv for k, c in out.items()}))
+        if type(lead) is int or lead != 1:
+            inv = Fraction(1) / lead  # one inverse per pivot, then products
+            out = {k: c * inv for k, c in out.items()}
+        self.pivots.append((key, out))
         self._columns.update(out)
         return True
 

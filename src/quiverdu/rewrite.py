@@ -16,9 +16,13 @@ one confluence verdict and one forbidden-factor automaton.  One set of
 int-coded rule tables per system (``_RuleTables``, an arrow coded by its
 rank) serves normal forms, overlap resolution, basis enumeration and the
 automaton, which is built on first use; Paths and Elements are built from
-int words only for results.  ``normal_product`` takes a product to normal
-form by multiplying the left factor's normal form by the right factor's
-words, so the product's paths are never built.
+int words only for results.  Inside the kernel a combination is int
+numerators over a power D^e of the system's denominator, summed by
+``_add_scaled``; inputs are encoded with ``Combination.coded`` and results
+decoded with ``Element.from_coded`` (``core``'s int-coded form).
+``normal_product`` takes a product to normal form by multiplying the left
+factor's normal form by the right factor's words, so the product's paths
+are never built.
 """
 
 from __future__ import annotations
@@ -169,10 +173,11 @@ class _RuleTables:
     int D*c (exponent ``rule_exp`` = 1) and the kernel never builds a
     Fraction.  D = 1 when every coefficient is integral, and also for a
     coefficient type without ``denominator``, whose values are then kept
-    as given; every exponent is then 0.  ``rules`` holds each rule as
-    ``(lhs, rhs terms)`` in rule order; ``by_last`` maps an arrow code to
-    the rules whose leading word ends with it, as ``(lhs, len(lhs), rhs
-    terms)``.  ``memo`` maps ``w + (a,)`` to its normal form ``(e,
+    as given; every exponent is then 0, and the kernel takes no gcd, so
+    such values need only ``+``, ``*`` and a zero test.  ``rules`` holds
+    each rule as ``(lhs, rhs terms)`` in rule order; ``by_last`` maps an
+    arrow code to the rules whose leading word ends with it, as ``(lhs,
+    len(lhs), rhs terms)``.  ``memo`` maps ``w + (a,)`` to its normal form ``(e,
     combination)`` for each normal word w whose product with the arrow a
     is reducible; a nonempty word determines its source.  ``nf`` maps a
     ``Path`` to its normal form ``(e, {Path: numerator})``.  ``paths``
@@ -228,17 +233,9 @@ class _RuleTables:
             self.words[p] = word
         return p
 
-    def element(self, source: int, e: int, comb: dict) -> Element:
-        """The Element of a combination of words from ``source`` over D^e."""
-        return _decode(self.n, self.denominator ** e,
-                       {self.path(source, w): c for w, c in comb.items()})
-
-
-def _decode(n: int, den: int, terms: dict) -> Element:
-    """The Element sum of (c / den) q over the (q, c) of ``terms``."""
-    if den == 1:
-        return Element._from_sums(n, {q: Fraction(c) for q, c in terms.items() if c})
-    return Element._from_sums(n, {q: Fraction(c, den) for q, c in terms.items() if c})
+    def element(self, source: int, den: int, comb: dict) -> Element:
+        """The Element of a combination of words from ``source`` over ``den``."""
+        return Element.from_coded(self.n, den, {self.path(source, w): c for w, c in comb.items()})
 
 
 def _tables(sys: ReductionSystem) -> _RuleTables:
@@ -371,7 +368,7 @@ def normal_form_path(sys: ReductionSystem, path: Path) -> Element:
     if cached is None:
         tables = _tables(sys)
         e, terms = _path_nf(tables, path)
-        cached = sys._nf_cache[path] = _decode(sys.n, tables.denominator ** e, terms)
+        cached = sys._nf_cache[path] = Element.from_coded(sys.n, tables.denominator ** e, terms)
     return cached
 
 
@@ -381,12 +378,12 @@ def _coded_nf(tables: _RuleTables, a: Element) -> tuple[int, int, dict]:
     L is the lcm of ``a``'s denominators; zero sums are left in.
     """
     D = tables.denominator
-    L = lcm(*(c.denominator for c in a.terms.values()))
+    L, nums = a.coded()
     sums: dict = {}
     e = 0
-    for p, c in a.terms.items():
+    for p, c in nums.items():
         pe, part = _path_nf(tables, p)
-        e = _add_scaled(sums, e, part, pe, c.numerator * (L // c.denominator), D)
+        e = _add_scaled(sums, e, part, pe, c, D)
     return L, e, sums
 
 
@@ -402,7 +399,7 @@ def normal_form(sys: ReductionSystem, a: Element) -> Element:
         raise ValueError("element over wrong quiver size")
     tables = _tables(sys)
     L, e, sums = _coded_nf(tables, a)
-    return _decode(sys.n, L * tables.denominator ** e, sums)
+    return Element.from_coded(sys.n, L * tables.denominator ** e, sums)
 
 
 def normal_product(sys: ReductionSystem, a: Element, b: Element) -> Element:
@@ -429,23 +426,18 @@ def normal_product(sys: ReductionSystem, a: Element, b: Element) -> Element:
     for p, c in left.items():
         if c:
             groups.setdefault((p.source, p.target), {})[tables.encode(p)] = c
-    Lb = lcm(*(c.denominator for c in b.terms.values()))
+    Lb, nums = b.coded()
     right: dict = {}
-    for q, c in b.terms.items():
-        right.setdefault(q.source, []).append((tables.encode(q), c.numerator * (Lb // c.denominator)))
+    for q, c in nums.items():
+        right.setdefault(q.source, []).append((tables.encode(q), c))
     out: dict = {}
     for (source, target), comb in groups.items():
         for word, c in right.get(target, ()):
             pe, part = _normal_times(tables, comb, ea, word)
             acc = out.setdefault(source, [0, {}])
             acc[0] = _add_scaled(acc[1], acc[0], part, pe, c, D)
-    terms = {}
-    for source, (e, sums) in out.items():
-        den = La * Lb * D ** e
-        for w, c in sums.items():
-            if c:
-                terms[tables.path(source, w)] = Fraction(c, den)
-    return Element._from_sums(sys.n, terms)
+    return Element.combine(sys.n, ((tables.element(source, La * Lb * D ** e, sums), 1)
+                                   for source, (e, sums) in out.items()))
 
 
 def is_zero_in_quotient(sys: ReductionSystem, a: Element) -> bool:
@@ -504,7 +496,8 @@ def check_confluence(sys: ReductionSystem) -> ConfluenceReport:
                 pe, part = _normal_word(tables, prefix + r + suffix)
                 e = _add_scaled(diff, e, part, pe + tables.rule_exp, sign * c, tables.denominator)
         source = sys.rules[i].lhs.source
-        overlaps.append(Overlap(tables.path(source, word), i, j, tables.element(source, e, diff)))
+        overlaps.append(Overlap(tables.path(source, word), i, j,
+                                tables.element(source, tables.denominator ** e, diff)))
 
     rules = tables.rules
     for i, (a1, rhs1) in enumerate(rules):

@@ -351,8 +351,8 @@ def corner_dimensions(n: int, k: int, idem: IdempotentSet) -> list[list[int]]:
     fs = [_encode(f) for f in idem.idempotents]
     # The row of m # f_a scaled by f_a's coded denominator, a nonzero
     # scale that keeps the rank: f_a's coefficient at g^0 is 1/n, so the
-    # row leads with 1, and RowSpace's scaling of its pivot row by 1/1
-    # returns each entry as it is, with no gcd.
+    # row leads with the CycScalar 1, and RowSpace keeps such a pivot row
+    # as it is, with no inverse and no product.
     rows = [[(t, CycScalar.from_power_counts(n, v)) for (_, t), v in f.items()] for _, f in fs]
     monomials = normal_shapes(k)
     dims = []

@@ -534,7 +534,7 @@ def pwd_probe_H(params: Parameters, degree_bound: int = 5, trials: int = 200,
             e = _add_scaled(product, e, part, pe, c, D)
         tested += 1
         if not any(product.values()):
-            failures.append((t, str(_decoded(tables, i, a)), str(_decoded(tables, k, b))))
+            failures.append((t, str(tables.element(i, 6, a)), str(tables.element(k, 6, b))))
     counterexample = None
     if not beta_ok:
         bad = next(k for k in range(n) if params.beta[k] == 0)
@@ -555,8 +555,3 @@ def _coded_combination(pool: list[tuple], rng: random.Random) -> dict[tuple, int
     size = rng.randint(1, min(3, len(pool)))
     return {w: rng.choice(NONZERO_NUMERATORS) * (6 // rng.randint(1, 3))
             for w in rng.sample(pool, size)}
-
-
-def _decoded(tables, source: int, comb: dict[tuple, int]) -> Element:
-    """The Element of a coded combination of words from ``source`` over 6."""
-    return Element(tables.n, {tables.path(source, w): Fraction(c, 6) for w, c in comb.items()})

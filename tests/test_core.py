@@ -7,6 +7,7 @@ from quiverdu.core import (
     Element,
     Parameters,
     Path,
+    add_into,
     adjacency_matrix,
     compose,
     down,
@@ -15,6 +16,7 @@ from quiverdu.core import (
     parse_element,
     path_from_arrows,
     path_from_word,
+    reduced,
     trivial_path,
     up,
 )
@@ -185,3 +187,108 @@ def test_zero_coefficients_stripped():
     assert a.is_zero()
     b = Element.from_path(p) - Element.from_path(p)
     assert b.is_zero() and b == Element.zero(n)
+
+
+# ---------------------------------------------------------------------------
+# The int-coded form (den, {key: int})
+# ---------------------------------------------------------------------------
+
+
+def test_coded_round_trip_keeps_values_and_key_order():
+    rng = random.Random(11)
+    for n in (1, 2, 3, 5):
+        for _ in range(40):
+            a = rand_element(n, rng, max_len=4, nterms=rng.randint(0, 6))
+            den, nums = a.coded()
+            assert all(den % c.denominator == 0 for c in a.terms.values())
+            assert all(type(c) is int and c for c in nums.values())
+            assert list(nums) == list(a.terms)
+            back = Element.from_coded(n, den, nums)
+            assert back == a and list(back.terms) == list(a.terms)
+            assert all(type(c) is Fraction for c in back.terms.values())
+
+
+def test_coded_denominator_is_the_lcm():
+    p, q, r = (path_from_word(3, 0, w) for w in ("u", "uu", "ud"))
+    a = Element(3, {p: Fraction(1, 4), q: Fraction(5, 6), r: 2})
+    assert a.coded() == (12, {p: 3, q: 10, r: 24})
+
+
+def test_coded_zero_and_integral_values_are_over_one():
+    assert Element.zero(3).coded() == (1, {})
+    assert Element.from_coded(3, 1, {}) == Element.zero(3)
+    assert Element.from_coded(3, 7, {}) == Element.zero(3)
+    p, q = path_from_word(2, 0, "ud"), trivial_path(2, 1)
+    a = Element(2, {p: 3, q: -2})
+    assert a.coded() == (1, {p: 3, q: -2})
+    back = Element.from_coded(2, 1, {p: 3, q: -2})
+    assert back == a and all(type(c) is Fraction for c in back.terms.values())
+
+
+def test_from_coded_drops_zeros_and_reduces_each_coefficient():
+    p, q, r = (path_from_word(3, 1, w) for w in ("u", "d", "du"))
+    x = Element.from_coded(3, 6, {p: 0, q: 4, r: -3})
+    assert list(x.terms) == [q, r]
+    assert x.terms == {q: Fraction(2, 3), r: Fraction(-1, 2)}
+    assert Element.from_coded(3, 1, {p: 0, q: 0}).is_zero()
+
+
+def test_add_into_lifts_only_when_the_denominator_does_not_divide():
+    acc = [6, {"a": 1}]
+    out = acc[1]
+    add_into(acc, 3, {"b": 1})  # 3 divides 6: nothing is lifted
+    assert acc == [6, {"a": 1, "b": 2}] and acc[1] is out
+    add_into(acc, 1, {"a": 2}, p=-1)
+    assert acc == [6, {"a": -11, "b": 2}]
+    add_into(acc, 4, {"c": 1})  # lcm(6, 4) = 12, not 24
+    assert acc == [12, {"a": -22, "b": 4, "c": 3}] and acc[1] is out
+    add_into(acc, 8, {"a": 1}, p=3)  # lcm(12, 8) = 24
+    assert acc == [24, {"a": -35, "b": 8, "c": 6}]
+
+
+def test_add_into_without_strip_keeps_a_zero_sum_in_place():
+    acc = [1, {"a": 1, "b": 1}]
+    add_into(acc, 1, {"a": -1})
+    assert list(acc[1].items()) == [("a", 0), ("b", 1)]
+    add_into(acc, 2, {"a": 1, "c": 1})
+    assert list(acc[1].items()) == [("a", 1), ("b", 2), ("c", 1)] and acc[0] == 2
+
+
+def test_add_into_with_strip_deletes_a_zero_sum_and_re_appends_it():
+    acc = [1, {"a": 1, "b": 1}]
+    add_into(acc, 1, {"a": -1}, strip=True)
+    assert list(acc[1].items()) == [("b", 1)]
+    add_into(acc, 2, {"a": 1, "c": 1}, strip=True)
+    assert list(acc[1].items()) == [("b", 2), ("a", 1), ("c", 1)] and acc[0] == 2
+
+
+def test_add_into_matches_combination_sums():
+    # strip=False is Combination.combine; strip=True is a chain of + .
+    rng = random.Random(12)
+    for n in (1, 2, 3):
+        for _ in range(60):
+            parts = [(rand_element(n, rng, max_len=2, nterms=rng.randint(0, 4)),
+                      rng.choice((-3, -2, -1, 1, 2, 3))) for _ in range(rng.randint(1, 5))]
+            for strip in (False, True):
+                acc = [1, {}]
+                for x, p in parts:
+                    add_into(acc, *x.coded(), p, strip=strip)
+                got = Element.from_coded(n, *acc)
+                if strip:
+                    ref = Element.zero(n)
+                    for x, p in parts:
+                        ref = ref + x.scale(p)
+                    assert acc[1] == {k: v for k, v in acc[1].items() if v}
+                else:
+                    ref = Element.combine(n, parts)
+                assert got == ref and list(got.terms) == list(ref.terms)
+
+
+def test_reduced_divides_out_the_common_factor():
+    assert reduced(12, {"a": 4, "b": -8}) == (3, {"a": 1, "b": -2})
+    assert reduced(12, {"a": 4, "b": 6}) == (6, {"a": 2, "b": 3})
+    nums = {"a": 3, "b": -2}
+    den, same = reduced(5, nums)
+    assert den == 5 and same is nums
+    assert reduced(4, {}) == (1, {})
+    assert reduced(1, {"a": 7}) == (1, {"a": 7})

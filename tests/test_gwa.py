@@ -266,3 +266,20 @@ def test_verify_gwa_degenerate_n():
         p = rand_params(n, rng)
         report = verify_gwa(p, trials=20, seed=3)
         assert report.ok
+
+
+def test_verify_gwa_fails_when_theta_misses_one_relation(monkeypatch):
+    # Every relation but the first still maps to zero, so a check that
+    # needed only one of them to vanish would pass.
+    params = params_n3()
+    first = build_system(PRESET_QDU, params).rules[0].as_relation()
+    real = gwa.theta
+
+    def theta_missing_one(p, a):
+        image = real(p, a)
+        return image + GwaElement.x_plus(p.n, 0) if a == first else image
+
+    monkeypatch.setattr(gwa, "theta", theta_missing_one)
+    report = verify_gwa(params, trials=20)
+    assert not report.relations_killed and not report.ok
+    assert report.roundtrip_arrows and report.roundtrip_base and report.grading_ok and report.pwd.ok

@@ -287,3 +287,11 @@ def test_constraint_from_equation_reads_the_two_lambda_indices():
 def test_constraint_from_equation_refuses_an_unexpected_monomial(exps):
     with pytest.raises(AssertionError, match="unexpected lambda monomial"):
         _constraint_from_equation(_Sym(Fraction(2), exps), Fraction(1))
+
+
+def test_decide_refuses_gamma_on_one_side_only():
+    graded = Parameters.of(3, [1, 0, 2], [1, 2, 3], [0, 0, 0])
+    ungraded = Parameters.of(3, [1, 0, 2], [1, 2, 3], [0, 1, 0])
+    for p, q in ((graded, ungraded), (ungraded, graded)):
+        verdict = decide_graded_iso(p, q)
+        assert verdict.kind == "unsupported" and "gamma" in verdict.detail

@@ -218,6 +218,30 @@ def test_pivots_lead_with_exact_one():
         assert_unit_pivots(space, CycScalar.one(n))
 
 
+def test_pivot_row_leading_with_a_non_int_one_is_kept_as_it_is(monkeypatch):
+    # No inverse and no products: each entry of the pivot row is the row's own.
+    def refuse(self):
+        raise AssertionError("inverse taken for a lead of 1")
+
+    monkeypatch.setattr(CycScalar, "inverse", refuse)
+    for one, rest in ((Fraction(1), [Fraction(-2, 3), Fraction(5)]),
+                      (CycScalar.one(5), [CycScalar(5, [1, -1, 2, 0]), CycScalar(5, [0, 0, 0, 3])])):
+        row = {"a": one, "b": rest[0], "c": rest[1]}
+        space = linalg.RowSpace()
+        assert space.add(row)
+        key, pivot = space.pivots[0]
+        assert key == "a" and pivot == row
+        assert all(pivot[k] is row[k] for k in row)
+        assert not space.add({"a": one * 2, "b": rest[0] * 2, "c": rest[1] * 2})
+    monkeypatch.undo()
+    space = linalg.RowSpace()
+    space.add({"a": CycScalar(5, [2]), "b": CycScalar(5, [0, 4])})  # a lead of 2 still scales
+    assert space.pivots[0][1] == {"a": CycScalar.one(5), "b": CycScalar(5, [0, 2])}
+    space = linalg.RowSpace()
+    space.add({"a": 1, "b": 2})  # an int lead of 1 still yields Fractions
+    assert all(type(c) is Fraction for c in space.pivots[0][1].values())
+
+
 def test_rowspace_matches_reference_elimination():
     rng = random.Random(101)
     for _ in range(40):

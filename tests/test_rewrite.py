@@ -351,3 +351,114 @@ def test_dimension_matrices_cross_checks_every_degree(monkeypatch):
         dimension_matrix(sys, 6)
     # The preprojective preset has another normal-word shape: not cross-checked.
     assert len(dimension_matrices(build_system(PRESET_PREPROJECTIVE, n=3), 8)) == 9
+
+
+# ---------------------------------------------------------------------------
+# Rule coefficients without ``denominator``: the int-coded kernel runs on
+# them with D = 1 and passes them through unchanged, so the overlaps of the
+# quiver down-up rules resolve as polynomial identities in the parameters.
+# ---------------------------------------------------------------------------
+
+
+class Poly:
+    """A sparse polynomial with int coefficients in named variables.
+
+    ``terms`` maps a monomial, a sorted tuple of (variable, exponent), to
+    a nonzero int.  Ints mix in as constants.  Only ``+``, ``*`` and the
+    zero test exist: no division, no gcd and no ``denominator``.
+    """
+
+    __slots__ = ("terms",)
+
+    def __init__(self, terms=None):
+        self.terms = {m: c for m, c in (terms or {}).items() if c}
+
+    @classmethod
+    def var(cls, name) -> "Poly":
+        return cls({((name, 1),): 1})
+
+    @staticmethod
+    def lift(x) -> "Poly":
+        if isinstance(x, Poly):
+            return x
+        if type(x) is not int:
+            raise TypeError(f"no polynomial for {x!r}")
+        return Poly({(): x})
+
+    def __add__(self, other):
+        out = dict(self.terms)
+        for m, c in Poly.lift(other).terms.items():
+            out[m] = out.get(m, 0) + c
+        return Poly(out)
+
+    __radd__ = __add__
+
+    def __mul__(self, other):
+        out = {}
+        for m1, c1 in self.terms.items():
+            for m2, c2 in Poly.lift(other).terms.items():
+                exps = dict(m1)
+                for v, k in m2:
+                    exps[v] = exps.get(v, 0) + k
+                m = tuple(sorted(exps.items()))
+                out[m] = out.get(m, 0) + c1 * c2
+        return Poly(out)
+
+    __rmul__ = __mul__
+
+    def __bool__(self) -> bool:
+        return bool(self.terms)
+
+
+def symbolic_params(n: int) -> Parameters:
+    """(alpha, beta, gamma) as n independent variables each, through ``Parameters`` itself."""
+    return Parameters(n, *(tuple(Poly.var((name, i)) for i in range(n)) for name in "abg"))
+
+
+def unresolved_overlaps(rules, n, params) -> list:
+    """The overlaps of ``rules`` whose difference is not zero, resolved as
+    ``check_confluence`` does, on coded words and without decoding."""
+    tables = rewrite._tables(ReductionSystem(n, rules, PRESET_QDU, params))
+    assert tables.denominator == 1 and tables.rule_exp == 0
+    found, unresolved = 0, []
+    for i, (a1, rhs1) in enumerate(tables.rules):
+        for j, (a2, rhs2) in enumerate(tables.rules):
+            for k in range(1, min(len(a1), len(a2))):
+                if a1[len(a1) - k:] != a2[:k]:
+                    continue
+                found += 1
+                diff, e = {}, 0
+                sides = ((((), rhs1, a2[k:]), 1), ((a1[:-k], rhs2, ()), -1))
+                for (prefix, rhs, suffix), sign in sides:
+                    for r, c in rhs:
+                        pe, part = rewrite._normal_word(tables, prefix + r + suffix)
+                        e = rewrite._add_scaled(diff, e, part, pe, sign * c, 1)
+                assert e == 0
+                if any(diff.values()):
+                    unresolved.append((i, j))
+    numeric = check_confluence(build_system(PRESET_QDU, Parameters.of(n, [1] * n, [2] * n, [3] * n)))
+    assert found == len(numeric.overlaps) > 0
+    return unresolved
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_overlaps_resolve_over_polynomial_coefficients(n):
+    params = symbolic_params(n)
+    rules = rewrite._qdu_rules(params)
+    assert all(isinstance(c, Poly) for rule in rules for c in rule.rhs.terms.values())
+    assert not hasattr(rules[0].rhs.terms[next(iter(rules[0].rhs.terms))], "denominator")
+    assert unresolved_overlaps(rules, n, params) == []
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_perturbed_rule_leaves_an_overlap_unresolved(n):
+    # alpha_0 + eps in the first rule only: the rules no longer come from
+    # one parameter vector, and the overlaps that reduce by rule 0 see it.
+    params = symbolic_params(n)
+    rules = list(rewrite._qdu_rules(params))
+    first, *rest = rules[0].rhs.terms.items()
+    eps = Poly.var(("eps", 0))
+    rules[0] = rewrite.RewriteRule(rules[0].lhs, Element._from_sums(n, {first[0]: first[1] + eps,
+                                                                        **dict(rest)}))
+    expected = [(1, 0)] + ([(2 * n - 1, 2 * n - 2)] if n > 1 else [])
+    assert unresolved_overlaps(tuple(rules), n, params) == expected

@@ -5,6 +5,7 @@ from fractions import Fraction
 
 import pytest
 
+from quiverdu import skewgroup
 from quiverdu.core import Element
 from quiverdu.cyclotomic import CycScalar, cyclotomic_polynomial
 from quiverdu.rewrite import (
@@ -293,3 +294,33 @@ def test_verify_quotient_match():
         assert report.relation_kill[1] is False
         assert report.dimensions_ok, report.dimension_mismatch
         assert report.ok
+
+
+def test_one_corrupted_relation_side_fails_the_relation_check(monkeypatch):
+    # Doubles D_{n-1} U_{n-1} U_0, one side of one relation at vertex 0; the
+    # other 2n - 1 pairs still agree.
+    n = 3
+    real_caps, real_product = skewgroup._coded_caps, skewgroup._coded_product
+    caps, du_last = {}, []
+
+    def spy_caps(n, idem):
+        us, ds, agree = real_caps(n, idem)
+        caps.update(u0=us[0], d_last=ds[n - 1], u_last=us[n - 1])
+        return us, ds, agree
+
+    def product(n, a, b):
+        out = real_product(n, a, b)
+        if caps and a is caps["d_last"] and b is caps["u_last"]:
+            du_last.append(out)
+        elif du_last and a is du_last[0] and b is caps["u0"]:
+            den, terms = out
+            return den, {key: {k: 2 * c for k, c in v.items()} for key, v in terms.items()}
+        return out
+
+    monkeypatch.setattr(skewgroup, "_coded_caps", spy_caps)
+    monkeypatch.setattr(skewgroup, "_coded_product", product)
+    report = verify_quotient_match(n, max_degree=1)
+    assert du_last, "the corrupted side was never formed"
+    assert report.relation_kill == {1: False, -1: False}
+    assert not report.proof_identities_ok and not report.ok
+    assert report.generator_forms_agree and report.dimensions_ok

@@ -3,8 +3,9 @@ from fractions import Fraction
 
 import pytest
 
-from quiverdu.core import Arrow, Element, Parameters, down, path_from_word, up
-from quiverdu.rewrite import PRESET_QDU, build_system, normal_form
+from quiverdu import structure
+from quiverdu.core import Arrow, Element, Parameters, down, path_from_word, trivial_path, up
+from quiverdu.rewrite import PRESET_QDU, build_system, enumerate_basis, normal_form
 from quiverdu.structure import (
     balanced_twist_weights,
     build_superpotential,
@@ -246,3 +247,68 @@ def test_pwd_probe_zero_beta_counterexample():
     assert not report.beta_nonzero
     assert report.counterexample is not None
     assert report.ok
+
+
+def test_property_report_fails_on_a_dependent_monomial(monkeypatch):
+    # At vertex 1 the monomial y = d_0 u_0 comes back as 2 e_1, a multiple of
+    # the monomial 1 before it; the other vertices stay free.
+    params = Parameters.of(3, [1, 2, 0], [1, -1, 3], [0, 1, 2])
+    y1 = Element.from_path(path_from_word(3, 1, "du"))
+    real = structure.normal_product
+    replaced = []
+
+    def product(sys, a, b):
+        if b == y1 and not replaced:
+            replaced.append(a)
+            return a.scale(2)
+        return real(sys, a, b)
+
+    monkeypatch.setattr(structure, "normal_product", product)
+    report = property_report(params)
+    assert replaced == [Element.from_path(path_from_word(3, 1, ""))]
+    assert [w["ok"] for w in report.witnesses] == [True, False, True]
+    assert report.checks_passed is False
+
+
+@pytest.mark.parametrize("alpha, beta, gamma, s_max", [
+    ([1, 1, 1], [0, 2, 3], [1, 1, 1], 2),
+    ([2, "1/2", 0], [0, -1, 5], [0, 0, 0], 2),
+    ([1, 0], [0, 3], [2, 1], 3),
+])
+def test_chain_span_rows_per_s_match_an_independent_count(monkeypatch, alpha, beta, gamma, s_max):
+    # The span for U^s g holds NF(U^s g b) for every normal b from i of
+    # degree <= degree_bound - s n - 2 with a nonzero product.  Counted
+    # here from enumerate_basis, core products and normal_form.
+    n = len(alpha)
+    params = Parameters.of(n, alpha, beta, gamma)
+    seen = []
+
+    class CountingSpace(structure.RowSpace):
+        added = 0
+
+        def add(self, row):
+            CountingSpace.added += 1
+            return super().add(row)
+
+        def contains(self, row):
+            seen.append(CountingSpace.added)
+            return super().contains(row)
+
+    monkeypatch.setattr(structure, "RowSpace", CountingSpace)
+    report = noetherian_chain_check(params, i=0, s_max=s_max)
+    assert report.ok
+
+    sys_ = build_system(PRESET_QDU, params)
+    bound = (s_max + 1) * n + 2
+    g = (Element.from_path(path_from_word(n, 0, "ud"), params.alpha[0])
+         + Element.from_path(trivial_path(n, 0), params.gamma[0])
+         - Element.from_path(path_from_word(n, 0, "du")))
+    expected, total = [], 0
+    for s in range(1, s_max + 1):
+        g_s = normal_form(sys_, Element.from_path(path_from_word(n, 0, "u" * (s * n))) * g)
+        for k in range(bound - s * n - 2 + 1):
+            for b in enumerate_basis(sys_, k):
+                if b.source == 0 and not normal_form(sys_, g_s * Element.from_path(b)).is_zero():
+                    total += 1
+        expected.append(total)
+    assert seen == expected
