@@ -36,9 +36,10 @@ the public ``*`` of ``BaseElement``.  ``gwa_multiply`` codes each operand
 coefficient once, sums the parts for each X-exponent over a common
 denominator raised to the lcm only when needed, and decodes each output
 term to one ``Fraction``.  ``pwd_probe_gwa`` draws its factors coded and
-tests the coded product; it decodes only the factors of a failing trial,
-to print them.  ``theta`` builds each path's image coded, one generator
-at a time, and decodes it once.  Zero sums are dropped where the
+tests the coded product of their top X-degree parts, and the full
+product only when that part vanishes; it decodes only the factors of a
+failing trial, to print them.  ``theta`` builds each path's image coded,
+one generator at a time, and decodes it once.  Zero sums are dropped where the
 ``BaseElement`` operations drop them, so every decoded value has the same
 key order as the ``Fraction`` computation.
 
@@ -442,7 +443,11 @@ def pwd_probe_gwa(params: Parameters, degree_bound: int = 3, trials: int = 200,
     """Sample sandwiched products in T and assert none vanishes.
 
     Also asserts the top X-degree of a product is the sum of the top
-    X-degrees of the factors.  Factors and products stay coded; a failing
+    X-degrees of the factors.  T is Z-graded by X-degree, so the product's
+    part at max(a) + max(b) is the product of the parts of a and b at
+    max(a) and max(b) alone; a trial passes when that part is nonzero, and
+    only a failing trial takes the full product, to tell a zero product
+    from a dropped top degree.  Factors and products stay coded; a failing
     trial's factors are decoded to print them.
     """
     table = _gwa_table(params)
@@ -452,14 +457,13 @@ def pwd_probe_gwa(params: Parameters, degree_bound: int = 3, trials: int = 200,
         i, k, j = (rng.randrange(params.n) for _ in range(3))
         a = _random_corner_element(params, i, k, rng, degree_bound)
         b = _random_corner_element(params, k, j, rng, degree_bound)
-        top = max((m for m, (_, nums) in _coded_multiply(table, a, b).items() if nums),
-                  default=None)
-        if top is None:
-            kind = "zero product"
-        elif top != max(a) + max(b):
+        top_a, top_b = max(a), max(b)
+        if _coded_multiply(table, {top_a: a[top_a]}, {top_b: b[top_b]}):
+            continue
+        if any(nums for _, nums in _coded_multiply(table, a, b).values()):
             kind = "top degree dropped"
         else:
-            continue
+            kind = "zero product"
         failures.append((t, kind, str(_decode_gwa(params.n, a)), str(_decode_gwa(params.n, b))))
     return GwaPwdReport(trials, seed, not failures, failures)
 

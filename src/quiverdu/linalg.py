@@ -3,11 +3,13 @@
 A row is a mapping from column key to scalar; an absent key means zero,
 so ``Element.terms`` and other term maps are rows as they stand.  Column
 keys need only be hashable.  Scalars must support +, -, unary -, *,
-truthiness (nonzero test) and ``Fraction(1) / x``.  Used with Fraction
-and with cyclotomic scalars.  A pivot row is scaled by the reciprocal of
-its leading entry, so that entry is exactly 1; a row that already leads
-with a non-int 1 is kept as it is, and an int row yields Fractions, never
-floats.
+truthiness (nonzero test) and ``Fraction(1) / x``.  Every caller in
+``src/`` passes Fraction rows; no caller there passes ``CycScalar`` rows
+any more, since the skew-group corners are counted by weight class, but
+the elimination still accepts them.  A pivot row is scaled by the
+reciprocal of its leading entry, so that entry is exactly 1; a row that
+already leads with a non-int 1 is kept as it is, and an int row yields
+Fractions, never floats.
 """
 
 from __future__ import annotations

@@ -690,7 +690,11 @@ def normal_shapes(degree: int) -> list[tuple[int, int, int]]:
 
 def normal_shape(path: Path) -> tuple[int, int, int]:
     """The (a, j, c) of a normal word u^a (du)^j d^c; ValueError otherwise."""
-    word = "".join(arrow.family for arrow in path.arrows)
+    return word_shape("".join(arrow.family for arrow in path.arrows))
+
+
+def word_shape(word: str) -> tuple[int, int, int]:
+    """The (a, j, c) of a normal word given by its letters 'u' and 'd'."""
     a = len(word) - len(word.lstrip("u"))
     j = 0
     pos = a

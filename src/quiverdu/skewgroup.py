@@ -29,6 +29,18 @@ product over Q(zeta_n) gives.  Its kernel (Phi_n) is not zero, since
 ``cyclotomic.power_residue`` wherever one is compared or tested for zero
 (``_agree``), and decoded (``_decode``) where one is handed out as a
 ``SmashElement``.
+
+The corner dimensions are counted, not eliminated (I. Reiten,
+C. Riedtmann, *Skew group algebras in the representation theory of
+Artin algebras*, J. Algebra 1985): dim f_i B_k f_j is the number of
+degree-k monomials m with i + w(m) = j mod n, w = ``monomial_weight``.
+The count rests on three finite checks, each an AssertionError when it
+fails (``corner_dimensions``): f_i (m # 1) = m # f_(i+w(m)) for every i
+and m in {1, d, u}, by the coded product; w(m) = #u - #d of m's word for
+every monomial counted; and both rules of R are weight-homogeneous, so g
+acts by algebra automorphisms and the generator identity extends to
+every m.  ``verify_quotient_match`` also checks that u_i -> U_i,
+d_i -> D_i, e_i -> f_i is onto (sum_i U_i = u#1, sum_i D_i = d#1).
 """
 
 from __future__ import annotations
@@ -38,17 +50,17 @@ from fractions import Fraction
 from functools import lru_cache
 from math import lcm
 
-from .core import Combination, Element, Parameters, path_from_word
+from .core import Combination, Parameters, path_from_word
 from .cyclotomic import CycScalar, power_residue
-from .linalg import RowSpace
 from .rewrite import (
     PRESET_QDU,
+    _normal_times,
+    _tables,
     build_system,
     dimension_matrices,
     ensure_confluent,
-    normal_product,
-    normal_shape,
     normal_shapes,
+    word_shape,
 )
 
 GRADED_DOWN_UP = Parameters.of(1, [0], [-1], [0])
@@ -64,9 +76,32 @@ def monomial_weight(m: RMonomial) -> int:
     return a - c
 
 
-def _monomial_to_path(m: RMonomial):
+def _monomial_word(m: RMonomial) -> str:
     a, b, c = m
-    return path_from_word(1, 0, "u" * a + "du" * b + "d" * c)
+    return "u" * a + "du" * b + "d" * c
+
+
+def _monomial_to_path(m: RMonomial):
+    return path_from_word(1, 0, _monomial_word(m))
+
+
+def _word_weight(word: str) -> int:
+    """#u - #d of a word, counted from its letters."""
+    return word.count("u") - word.count("d")
+
+
+# R's rewriting kernel runs on int-coded words; at n = 1 the arrow code
+# (``rewrite._arrow_rank``) of d is 0 and that of u is 1.
+def _codes(word: str) -> tuple[int, ...]:
+    return tuple(int(x == "u") for x in word)
+
+
+def _letters(codes: tuple[int, ...]) -> str:
+    return "".join("du"[x] for x in codes)
+
+
+def _r_tables():
+    return _tables(ensure_confluent(build_system(PRESET_QDU, GRADED_DOWN_UP)))
 
 
 @lru_cache(maxsize=None)
@@ -74,17 +109,21 @@ def r_monomial_product(m1: RMonomial, m2: RMonomial) -> tuple[tuple[RMonomial, i
     """Normal-form expansion of the product of two R-monomials.
 
     Every u^a (du)^b d^c is a normal word, so a product with the unit
-    monomial is the other factor, with no rewriting.  R's rules have
-    coefficients +-1, so every coefficient is an int.
+    monomial is the other factor, with no rewriting.  Otherwise m1's
+    int-coded word is multiplied by m2's in the rewriting kernel
+    (``_normal_times``), and no ``Element`` or ``Path`` is built.  R's
+    rules have coefficients +-1, so the kernel's denominator is 1 and
+    every coefficient is an int; AssertionError otherwise.
     """
     if m1 == _UNIT:
         return ((m2, 1),)
     if m2 == _UNIT:
         return ((m1, 1),)
-    sys = ensure_confluent(build_system(PRESET_QDU, GRADED_DOWN_UP))
-    nf = normal_product(sys, Element.from_path(_monomial_to_path(m1)),
-                        Element.from_path(_monomial_to_path(m2)))
-    return tuple(sorted((normal_shape(p), int(c)) for p, c in nf.terms.items()))
+    e, comb = _normal_times(_r_tables(), {_codes(_monomial_word(m1)): 1}, 0,
+                            _codes(_monomial_word(m2)))
+    if e or not all(type(c) is int for c in comb.values()):
+        raise AssertionError(f"R-monomial product {m1} * {m2} has a non-int coefficient")
+    return tuple(sorted((word_shape(_letters(w)), c) for w, c in comb.items()))
 
 
 class SmashElement(Combination):
@@ -205,6 +244,19 @@ def _coded_product(n: int, a: Coded, b: Coded) -> Coded:
     return da * db, out
 
 
+def _coded_sum(xs: list[Coded]) -> Coded:
+    """The sum of coded elements, over the lcm of their denominators."""
+    den = lcm(*(d for d, _ in xs))
+    out: dict = {}
+    for d, terms in xs:
+        scale = den // d
+        for key, v in terms.items():
+            acc = out.setdefault(key, {})
+            for k, c in v.items():
+                acc[k] = acc.get(k, 0) + scale * c
+    return den, out
+
+
 def _agree(n: int, a: Coded, b: Coded, scale: int = 1) -> bool:
     """a == scale * b over Q(zeta_n), decided after reduction mod Phi_n."""
     (da, ta), (db, tb) = a, b
@@ -270,9 +322,22 @@ class CapGenerators:
     both_forms_agree: bool
 
 
+def _one_power_idempotent(n: int, i: int) -> Coded:
+    """f_i = (1/n) sum_t x^(it) # g^t, one power of x per group element."""
+    return n, {(_UNIT, t): {i * t % n: 1} for t in range(n)}
+
+
 def _coded_caps(n: int, idem: IdempotentSet) -> tuple[list[Coded], list[Coded], bool]:
-    """Coded U_i = f_i (u#1) and D_i = (d#1) f_i; whether the other forms agree."""
-    fs = [_encode(f) for f in idem.idempotents]
+    """Coded U_i = f_i (u#1) and D_i = (d#1) f_i; whether the other forms agree.
+
+    The f_i are coded with one power of x per group element, so every cap
+    has one power per term; each is checked against the built f_i once
+    (AssertionError if they differ).
+    """
+    fs = [_one_power_idempotent(n, i) for i in range(n)]
+    for i, f in enumerate(fs):
+        if not _agree(n, f, _encode(idem[i])):
+            raise AssertionError(f"one-power f_i != built f_i at i={i}")
     u, d = _monomial((1, 0, 0)), _monomial((0, 0, 1))
     us, ds = [], []
     agree = True
@@ -332,8 +397,12 @@ def check_group_absorption(n: int, idem: IdempotentSet) -> None:
                 raise AssertionError(f"g^t f_j != zeta^(-tj) f_j at t={t}, j={j}")
 
 
+# The unit and the generators d, u of R, in that order.
+_GENERATORS: tuple[RMonomial, ...] = (_UNIT, (0, 0, 1), (1, 0, 0))
+
+
 def corner_dimensions(n: int, k: int, idem: IdempotentSet) -> list[list[int]]:
-    """dim f_i B_k f_j for every corner (i, j), by exact rank over Q(zeta_n).
+    """dim f_i B_k f_j for every corner (i, j): the degree-k monomials m with i + w(m) = j.
 
     Corner (i, j) is spanned by f_i (m # 1) f_j over the degree-k
     monomials m (``check_group_absorption``).  Since g^t (m # 1) =
@@ -342,31 +411,49 @@ def corner_dimensions(n: int, k: int, idem: IdempotentSet) -> list[list[int]]:
     for sum_t (zeta^{at} / n) (m # g^t).  Orthogonality f_a f_j =
     delta_{aj} f_j (``build_idempotents``) then gives
     f_i (m # 1) f_j = delta_{aj} m # f_j: each m adds one row, to corner
-    (i, a) only.  The left factor is formed by the coded smash product
-    once per (i, m) and compared exactly with m # f_a; a mismatch raises
-    AssertionError.  Rows of distinct m have disjoint support (their keys
-    carry m), so each corner's rank is its number of rows; the ranks are
-    still taken by elimination.
+    (i, a) only.  Rows of distinct m have disjoint support (their keys
+    carry m), so each corner's rank is its number of rows, which is
+    counted, with no product and no elimination.  Three checks carry the
+    count, and each raises AssertionError when it fails:
+
+    - both rules of R are weight-homogeneous, so g acts by algebra
+      automorphisms and the left-factor identity, once it holds for the
+      generators, holds for every monomial;
+    - the left-factor identity holds for every i and for the generators
+      of degree at most k (1 at k = 0; 1, d and u after), each side
+      formed by the coded smash product;
+    - w(m) is #u - #d of m's word for every degree-k monomial counted.
     """
+    _check_generators(n, k, idem)
+    return _weight_class_counts(n, k)
+
+
+def _check_generators(n: int, k: int, idem: IdempotentSet) -> None:
+    """Raise AssertionError unless R's rules are weight-homogeneous and
+    f_i (m # 1) = m # f_(i+w(m)) for every i and generator m of degree at most k."""
+    for lhs, rhs in _r_tables().rules:
+        for word, _ in rhs:
+            if _word_weight(_letters(word)) != _word_weight(_letters(lhs)):
+                raise AssertionError(f"R rule {_letters(lhs)} has the rhs term "
+                                     f"{_letters(word)} of another weight")
     fs = [_encode(f) for f in idem.idempotents]
-    # The row of m # f_a scaled by f_a's coded denominator, a nonzero
-    # scale that keeps the rank: f_a's coefficient at g^0 is 1/n, so the
-    # row leads with the CycScalar 1, and RowSpace keeps such a pivot row
-    # as it is, with no inverse and no product.
-    rows = [[(t, CycScalar.from_power_counts(n, v)) for (_, t), v in f.items()] for _, f in fs]
-    monomials = normal_shapes(k)
-    dims = []
     for i in range(n):
-        spaces = [RowSpace() for _ in range(n)]
-        for m in monomials:
+        for m in _GENERATORS[:1 if k == 0 else 3]:
             left = _coded_product(n, fs[i], _monomial(m))
-            a = (i + monomial_weight(m)) % n
-            den, f = fs[a]
+            den, f = fs[(i + monomial_weight(m)) % n]
             if not _agree(n, left, (den, {(m, t): v for (_, t), v in f.items()})):
                 raise AssertionError(f"f_i (m # 1) != m # f_(i+w(m)) at i={i}, m={m}")
-            spaces[a].add({(m, t): c for t, c in rows[a]})
-        dims.append([space.rank for space in spaces])
-    return dims
+
+
+def _weight_class_counts(n: int, k: int) -> list[list[int]]:
+    """#{m of degree k : w(m) = j - i mod n} for every (i, j); w is checked against #u - #d."""
+    by_weight = [0] * n
+    for m in normal_shapes(k):
+        w = monomial_weight(m)
+        if w != _word_weight(_monomial_word(m)):
+            raise AssertionError(f"monomial_weight(m) != #u - #d at m={m}")
+        by_weight[w % n] += 1
+    return [[by_weight[(j - i) % n] for j in range(n)] for i in range(n)]
 
 
 def verify_quotient_match(n: int, params: Parameters | None = None, max_degree: int = 4) -> SkewGroupReport:
@@ -378,13 +465,20 @@ def verify_quotient_match(n: int, params: Parameters | None = None, max_degree: 
     H(0, beta, 0), that is A - beta B = 0 for each pair (A, B) above, so
     the identities of (a) are the case beta = -1 of (b) and
     ``proof_identities_ok`` is ``relation_kill[-1]``; (c) compares
-    dim f_i B_k f_j per degree k with the quiver down-up dimension matrix
-    by exact rank computation over cyclotomics (``corner_dimensions``):
-    the products f_i (m # 1) f_j over the degree-k monomials m span the
-    corner (``check_group_absorption``), and each is written as
-    delta_{a j} m # f_j after its left factor is checked.  Every product
-    is taken on the coded form and every comparison is made after
-    reduction mod Phi_n (``_agree``).
+    dim f_i B_k f_j per degree k with the quiver down-up dimension matrix.
+    The products f_i (m # 1) f_j over the degree-k monomials m span the
+    corner (``check_group_absorption``), and each is delta_{a j} m # f_j
+    with a = i + w(m), so the dimension is the number of degree-k
+    monomials of weight j - i mod n (``corner_dimensions``, which checks
+    the three hypotheses of that count: the left-factor identity on the
+    generators, w = #u - #d, and weight-homogeneous rules of R); (d)
+    checks that the map is onto: sum_i U_i = u#1 and sum_i D_i = d#1, and
+    the n orthogonal nonzero idempotents f_i span the group algebra, so
+    the image contains generators of B.  Caps and relation sides are
+    built from idempotents coded with one power of x per group element,
+    each checked against the built f_i.  Every product is taken on the
+    coded form and every comparison is made after reduction mod Phi_n
+    (``_agree``).
     Raises AssertionError if an internal cross-check fails.
     """
     if n < 2:
@@ -414,13 +508,18 @@ def verify_quotient_match(n: int, params: Parameters | None = None, max_degree: 
 
     matched = Parameters.of(n, [0] * n, [-1] * n, [0] * n)
     expected_by_degree = dimension_matrices(build_system(PRESET_QDU, matched), max_degree)
+    # ``corner_dimensions`` for every degree, with its checks made once.
+    _check_generators(n, max_degree, idem)
     mismatch = None
     for k, expected in enumerate(expected_by_degree):
-        found = corner_dimensions(n, k, idem)
+        found = _weight_class_counts(n, k)
         mismatch = next(((k, i, j, expected[i][j], found[i][j])
                          for i in range(n) for j in range(n)
                          if found[i][j] != expected[i][j]), None)
         if mismatch is not None:
             break
+    for caps, gen in ((us, (1, 0, 0)), (ds, (0, 0, 1))):
+        if not _agree(n, _coded_sum(caps), _monomial(gen)):
+            raise AssertionError(f"the map is not onto: sum of caps != {_monomial_word(gen)}#1")
     return SkewGroupReport(n, max_degree, True, forms_agree,
                            relation_kill[-1], relation_kill, mismatch is None, mismatch)

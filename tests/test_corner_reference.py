@@ -12,6 +12,15 @@ left factor taken with the wrong idempotent must each be caught.
 ``build_idempotents`` checks orthogonality by a cyclic convolution of
 coefficient vectors; the smash-product loop it replaced is kept here
 verbatim as ``reference_orthogonality``.
+
+``corner_dimensions`` now counts each corner's rows by weight class.  The
+path it replaced, one coded smash product per (i, m) and a ``RowSpace``
+rank over ``CycScalar`` rows, is kept here verbatim as
+``rank_corner_dimensions`` (up to the ``linalg.`` prefix), and the caps
+built from canonical idempotent forms as ``canonical_coded_caps``.  The
+count's checked hypotheses (the left-factor identity on the generators,
+w = #u - #d, weight-homogeneous rules of R) and the check that the map is
+onto must each be able to fail.
 """
 
 import json
@@ -19,14 +28,19 @@ from fractions import Fraction
 
 import pytest
 
-from quiverdu import skewgroup
+from quiverdu import linalg, rewrite, skewgroup
 from quiverdu.cli import main
 from quiverdu.cyclotomic import CycScalar
-from quiverdu.core import Parameters
-from quiverdu.rewrite import PRESET_QDU, build_system, dimension_matrices
+from quiverdu.core import Element, Parameters, path_from_word
+from quiverdu.rewrite import PRESET_QDU, build_system, dimension_matrices, normal_shapes
 from quiverdu.skewgroup import (
+    GRADED_DOWN_UP,
     IdempotentSet,
     SmashElement,
+    _agree,
+    _coded_product,
+    _encode,
+    _monomial,
     build_idempotents,
     check_group_absorption,
     corner_dimensions,
@@ -213,3 +227,230 @@ def test_corrupted_corner_rows_give_fail_exit_1(mutate, message, tmp_path, capsy
     assert code == 1
     assert report["verdict"] == "fail"
     assert report["findings"] == {"internal_check_failed": message}
+
+
+# ---------------------------------------------------------------------------
+# The weight-class count against the elimination it replaced
+# ---------------------------------------------------------------------------
+
+def rank_corner_dimensions(n: int, k: int, idem: IdempotentSet) -> list[list[int]]:
+    """dim f_i B_k f_j for every corner (i, j), by exact rank over Q(zeta_n).
+
+    Corner (i, j) is spanned by f_i (m # 1) f_j over the degree-k
+    monomials m (``check_group_absorption``).  Since g^t (m # 1) =
+    zeta^{t w(m)} (m # g^t) with w = ``monomial_weight``, the left factor
+    is f_i (m # 1) = m # f_a with a = i + w(m) mod n, where m # f_a stands
+    for sum_t (zeta^{at} / n) (m # g^t).  Orthogonality f_a f_j =
+    delta_{aj} f_j (``build_idempotents``) then gives
+    f_i (m # 1) f_j = delta_{aj} m # f_j: each m adds one row, to corner
+    (i, a) only.  The left factor is formed by the coded smash product
+    once per (i, m) and compared exactly with m # f_a; a mismatch raises
+    AssertionError.  Rows of distinct m have disjoint support (their keys
+    carry m), so each corner's rank is its number of rows; the ranks are
+    still taken by elimination.
+    """
+    fs = [_encode(f) for f in idem.idempotents]
+    # The row of m # f_a scaled by f_a's coded denominator, a nonzero
+    # scale that keeps the rank: f_a's coefficient at g^0 is 1/n, so the
+    # row leads with the CycScalar 1, and RowSpace keeps such a pivot row
+    # as it is, with no inverse and no product.
+    rows = [[(t, CycScalar.from_power_counts(n, v)) for (_, t), v in f.items()] for _, f in fs]
+    monomials = normal_shapes(k)
+    dims = []
+    for i in range(n):
+        spaces = [linalg.RowSpace() for _ in range(n)]
+        for m in monomials:
+            left = _coded_product(n, fs[i], _monomial(m))
+            a = (i + monomial_weight(m)) % n
+            den, f = fs[a]
+            if not _agree(n, left, (den, {(m, t): v for (_, t), v in f.items()})):
+                raise AssertionError(f"f_i (m # 1) != m # f_(i+w(m)) at i={i}, m={m}")
+            spaces[a].add({(m, t): c for t, c in rows[a]})
+        dims.append([space.rank for space in spaces])
+    return dims
+
+
+def canonical_coded_caps(n, idem):
+    """Coded U_i = f_i (u#1) and D_i = (d#1) f_i; whether the other forms agree."""
+    fs = [_encode(f) for f in idem.idempotents]
+    u, d = _monomial((1, 0, 0)), _monomial((0, 0, 1))
+    us, ds = [], []
+    agree = True
+    for i in range(n):
+        f, f_next = fs[i], fs[(i + 1) % n]
+        u_left = _coded_product(n, f, u)
+        d_left = _coded_product(n, d, f)
+        agree = (agree and _agree(n, u_left, _coded_product(n, u, f_next))
+                 and _agree(n, d_left, _coded_product(n, f_next, d)))
+        us.append(u_left)
+        ds.append(d_left)
+    return us, ds, agree
+
+
+@pytest.mark.parametrize("n", range(2, 13))
+def test_weight_count_equals_elimination_ranks(n):
+    idem = build_idempotents(n)
+    for k in range(13):
+        assert corner_dimensions(n, k, idem) == rank_corner_dimensions(n, k, idem), k
+
+
+def test_count_takes_no_product_per_monomial(monkeypatch):
+    # Three generator checks per i, however many monomials are counted.
+    n, calls = 4, []
+    genuine = skewgroup._coded_product
+    monkeypatch.setattr(skewgroup, "_coded_product",
+                        lambda *args: calls.append(args) or genuine(*args))
+    idem = build_idempotents(n)
+    for k, products in ((0, n), (1, 3 * n), (12, 3 * n)):
+        calls.clear()
+        corner_dimensions(n, k, idem)
+        assert len(calls) == products, k
+
+
+def test_verify_makes_no_rank_computation(monkeypatch):
+    def refuse(*args):
+        raise AssertionError("RowSpace used")
+
+    monkeypatch.setattr(linalg.RowSpace, "add", refuse)
+    for n in (2, 5, 12):
+        assert skewgroup.verify_quotient_match(n, max_degree=6).ok
+
+
+def weight_u_plus_d(monkeypatch):
+    """w(m) = #u + #d of m's word in place of #u - #d."""
+    monkeypatch.setattr(skewgroup, "monomial_weight", lambda m: m[0] + 2 * m[1] + m[2])
+
+
+@pytest.mark.parametrize("n, message", [
+    (2, r"monomial_weight\(m\) != #u - #d at m=\(0, 0, 1\)"),
+    (3, r"f_i \(m # 1\) != m # f_\(i\+w\(m\)\) at i=0, m=\(0, 0, 1\)"),
+])
+def test_weight_u_plus_d_fails(n, message, monkeypatch):
+    # At n = 2, +1 = -1 mod n, so the left factors agree and only the
+    # exact comparison with #u - #d sees the wrong weight.
+    idem = build_idempotents(n)
+    weight_u_plus_d(monkeypatch)
+    assert corner_dimensions(n, 0, idem) == [[int(i == j) for j in range(n)] for i in range(n)]
+    with pytest.raises(AssertionError, match=message):
+        corner_dimensions(n, 1, idem)
+
+
+def test_weight_u_plus_d_gives_fail_exit_1(tmp_path, capsys, monkeypatch):
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps({"n": 2, "alpha": ["0"] * 2, "beta": ["-1"] * 2,
+                                "gamma": ["0"] * 2}), encoding="utf-8")
+    weight_u_plus_d(monkeypatch)
+    code = main(["verify", "skewgroup", str(path), "--max-degree", "2", "--json"])
+    report = json.loads(capsys.readouterr().out)
+    assert code == 1
+    assert report["findings"] == {
+        "internal_check_failed": "monomial_weight(m) != #u - #d at m=(0, 0, 1)"}
+
+
+@pytest.fixture
+def fresh_r_products():
+    """R-monomial products computed afresh before and after a test that swaps R's rules."""
+    skewgroup.r_monomial_product.cache_clear()
+    yield
+    skewgroup.r_monomial_product.cache_clear()
+
+
+def r_with_extra_term(word: str):
+    """R's rule tables with ``word`` added to the rhs of d u u -> -u u d."""
+    sys = build_system(PRESET_QDU, GRADED_DOWN_UP)
+    first, second = sys.rules
+    assert "".join(a.family for a in first.lhs.arrows) == "duu"
+    extra = Element.from_path(path_from_word(1, 0, word))
+    tampered = rewrite.RewriteRule(first.lhs, first.rhs + extra)
+    return rewrite._RuleTables(rewrite.ReductionSystem(1, (tampered, second), PRESET_QDU))
+
+
+def test_rule_with_a_term_of_another_weight_is_refused(fresh_r_products, monkeypatch):
+    idem = build_idempotents(3)
+    expected = corner_dimensions(3, 2, idem)
+    # u has the weight of duu (a gamma term): still weight-homogeneous.
+    same = r_with_extra_term("u")
+    monkeypatch.setattr(skewgroup, "_r_tables", lambda: same)
+    assert corner_dimensions(3, 2, idem) == expected
+    other = r_with_extra_term("d")
+    monkeypatch.setattr(skewgroup, "_r_tables", lambda: other)
+    with pytest.raises(AssertionError, match="R rule duu has the rhs term d of another weight"):
+        corner_dimensions(3, 0, idem)
+
+
+def test_rule_of_another_weight_gives_fail_exit_1(fresh_r_products, tmp_path, capsys,
+                                                  monkeypatch):
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps({"n": 3, "alpha": ["0"] * 3, "beta": ["-1"] * 3,
+                                "gamma": ["0"] * 3}), encoding="utf-8")
+    tables = r_with_extra_term("d")
+    monkeypatch.setattr(skewgroup, "_r_tables", lambda: tables)
+    code = main(["verify", "skewgroup", str(path), "--max-degree", "1", "--json"])
+    report = json.loads(capsys.readouterr().out)
+    assert code == 1
+    assert report["findings"] == {
+        "internal_check_failed": "R rule duu has the rhs term d of another weight"}
+
+
+# ---------------------------------------------------------------------------
+# Caps from one-power idempotents, and the map onto B
+# ---------------------------------------------------------------------------
+
+@pytest.mark.parametrize("n", range(2, 13))
+def test_one_power_caps_agree_with_canonical_caps(n):
+    idem = build_idempotents(n)
+    us, ds, agree = skewgroup._coded_caps(n, idem)
+    ref_us, ref_ds, ref_agree = canonical_coded_caps(n, idem)
+    assert agree is ref_agree is True
+    for got, ref in zip(us + ds, ref_us + ref_ds, strict=True):
+        assert _agree(n, got, ref)
+        # One power of x per term, against up to phi(n) from canonical forms.
+        assert all(len(v) == 1 for v in got[1].values())
+
+
+def doubled_first_idempotent(n):
+    """f_0 replaced by 2 f_0: g^t (2 f_0) = 2 f_0 still, so absorption holds."""
+    idem = build_idempotents(n)
+    fs = idem.idempotents
+    return IdempotentSet(n, [fs[0] * 2] + fs[1:])
+
+
+def test_one_power_idempotents_are_checked_against_the_built_ones():
+    for n in (2, 3, 7):
+        idem = doubled_first_idempotent(n)
+        check_group_absorption(n, idem)
+        with pytest.raises(AssertionError, match="one-power f_i != built f_i at i=0"):
+            skewgroup._coded_caps(n, idem)
+
+
+def test_doubled_idempotent_gives_fail_exit_1(tmp_path, capsys, monkeypatch):
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps({"n": 3, "alpha": ["0"] * 3, "beta": ["-1"] * 3,
+                                "gamma": ["0"] * 3}), encoding="utf-8")
+    monkeypatch.setattr(skewgroup, "build_idempotents", doubled_first_idempotent)
+    code = main(["verify", "skewgroup", str(path), "--max-degree", "1", "--json"])
+    report = json.loads(capsys.readouterr().out)
+    assert code == 1
+    assert report["findings"] == {"internal_check_failed": "one-power f_i != built f_i at i=0"}
+
+
+@pytest.mark.parametrize("n", range(2, 13))
+def test_caps_sum_to_the_generators(n):
+    us, ds, _ = skewgroup._coded_caps(n, build_idempotents(n))
+    assert _agree(n, skewgroup._coded_sum(us), _monomial((1, 0, 0)))
+    assert _agree(n, skewgroup._coded_sum(ds), _monomial((0, 0, 1)))
+    assert not _agree(n, skewgroup._coded_sum(us[1:]), _monomial((1, 0, 0)))
+
+
+def test_one_cap_left_out_gives_fail_exit_1(tmp_path, capsys, monkeypatch):
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps({"n": 3, "alpha": ["0"] * 3, "beta": ["-1"] * 3,
+                                "gamma": ["0"] * 3}), encoding="utf-8")
+    genuine = skewgroup._coded_sum
+    monkeypatch.setattr(skewgroup, "_coded_sum", lambda xs: genuine(xs[:-1]))
+    code = main(["verify", "skewgroup", str(path), "--max-degree", "1", "--json"])
+    report = json.loads(capsys.readouterr().out)
+    assert code == 1
+    assert report["verdict"] == "fail"
+    assert report["findings"] == {
+        "internal_check_failed": "the map is not onto: sum of caps != u#1"}

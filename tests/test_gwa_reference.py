@@ -24,6 +24,10 @@ the ``Fraction`` shift table, product, corner draw and probe that the
 int-coded kernel replaced, kept verbatim up to their names.  They are the
 reference for key order as well as for values: the stepwise references
 above agree in value but build their terms in another order.
+
+``full_product_pwd_probe_gwa`` is the coded probe as it was before it
+tested the product of the top X-degree parts first, kept verbatim up to
+its name: it takes the full product in every trial.
 """
 
 import json
@@ -37,7 +41,8 @@ from hypothesis import strategies as st
 
 from quiverdu import cli, gwa
 from quiverdu.core import Element, Parameters, path_from_word
-from quiverdu.gwa import (BaseElement, GwaElement, GwaPwdReport, _shift_table, gwa_multiply,
+from quiverdu.gwa import (BaseElement, GwaElement, GwaPwdReport, _coded_multiply, _decode_gwa,
+                          _gwa_table, _random_corner_element, _shift_table, gwa_multiply,
                           pwd_probe_gwa, sigma_power, theta)
 from test_gwa import x_total
 
@@ -578,6 +583,79 @@ def test_verify_gwa_fails_on_a_broken_cross_factor(broken_cross, tmp_path, capsy
     assert code == 1
     assert findings["relations_killed"] and findings["roundtrip_base"]
     assert findings["pwd"]["failures"] > 0
+
+
+# ---------------------------------------------------------------------------
+# The top parts first against the full product in every trial
+# ---------------------------------------------------------------------------
+
+def full_product_pwd_probe_gwa(params: Parameters, degree_bound: int = 3, trials: int = 200,
+                               seed: int = 0) -> GwaPwdReport:
+    """Sample sandwiched products in T and assert none vanishes.
+
+    Also asserts the top X-degree of a product is the sum of the top
+    X-degrees of the factors.  Factors and products stay coded; a failing
+    trial's factors are decoded to print them.
+    """
+    table = _gwa_table(params)
+    rng = random.Random(seed)
+    failures = []
+    for t in range(trials):
+        i, k, j = (rng.randrange(params.n) for _ in range(3))
+        a = _random_corner_element(params, i, k, rng, degree_bound)
+        b = _random_corner_element(params, k, j, rng, degree_bound)
+        top = max((m for m, (_, nums) in _coded_multiply(table, a, b).items() if nums),
+                  default=None)
+        if top is None:
+            kind = "zero product"
+        elif top != max(a) + max(b):
+            kind = "top degree dropped"
+        else:
+            continue
+        failures.append((t, kind, str(_decode_gwa(params.n, a)), str(_decode_gwa(params.n, b))))
+    return GwaPwdReport(trials, seed, not failures, failures)
+
+
+PROBE_PARAMS = [
+    Parameters.of(1, [Fraction(1, 2)], [Fraction(-3, 7)], [2]),
+    Parameters.of(3, [2, Fraction(1, 2), 5], [7, Fraction(-3, 2), 13], [1, 2, Fraction(1, 3)]),
+    Parameters.of(4, [0] * 4, [-1] * 4, [0] * 4),
+]
+
+
+@pytest.mark.parametrize("params", PROBE_PARAMS)
+def test_top_parts_first_matches_full_product_probe(params):
+    for degree_bound in (1, 2, 3, 5):
+        for seed in (0, 7):
+            got = pwd_probe_gwa(params, degree_bound=degree_bound, trials=80, seed=seed)
+            assert got.ok
+            assert got == full_product_pwd_probe_gwa(params, degree_bound=degree_bound,
+                                                     trials=80, seed=seed)
+
+
+@pytest.fixture
+def opposite_crosses_vanish(monkeypatch):
+    """cross(m1, m2) = 0 whenever m1 and m2 have opposite signs, tables rebuilt."""
+    genuine = gwa._ShiftTable.coded_cross
+    monkeypatch.setattr(gwa._ShiftTable, "coded_cross",
+                        lambda self, m1, m2: (1, {}, {}) if m1 * m2 < 0 else genuine(self, m1, m2))
+    _shift_table.cache_clear()
+    yield
+    _shift_table.cache_clear()
+
+
+@pytest.mark.parametrize("params", PROBE_PARAMS)
+def test_top_parts_first_classifies_failures_as_full_product(params, opposite_crosses_vanish):
+    # A top pair of opposite signs vanishes: the trial fails, as a zero
+    # product when every pair has opposite signs and as a dropped top
+    # degree when a lower pair survives.
+    kinds = set()
+    for degree_bound in (1, 2, 3, 4):
+        got = pwd_probe_gwa(params, degree_bound=degree_bound, trials=100, seed=degree_bound)
+        assert got == full_product_pwd_probe_gwa(params, degree_bound=degree_bound, trials=100,
+                                                 seed=degree_bound)
+        kinds.update(kind for _, kind, _, _ in got.failures)
+    assert kinds == {"zero product", "top degree dropped"}
 
 
 # ---------------------------------------------------------------------------

@@ -8,6 +8,10 @@ coded product keeps its coefficients in Q[x]/(x^n - 1) and reduces them
 mod Phi_n only where it compares, tests for zero or decodes, so it must
 give the reference's ``SmashElement`` for every n, also where a
 coefficient vanishes in Q(zeta_n) without vanishing in the group algebra.
+
+``r_monomial_product`` multiplies int-coded words in the rewriting
+kernel; the ``Element``/``normal_product`` path it replaced is kept here
+verbatim as ``element_r_monomial_product`` (without its cache).
 """
 
 import random
@@ -16,9 +20,15 @@ from fractions import Fraction
 import pytest
 
 from quiverdu import skewgroup
+from quiverdu.core import Element, Parameters
 from quiverdu.cyclotomic import CycScalar, _power_table, _raw, cyclotomic_polynomial
+from quiverdu.rewrite import PRESET_QDU, build_system, ensure_confluent, normal_product, normal_shape
 from quiverdu.skewgroup import (
+    _UNIT,
+    GRADED_DOWN_UP,
+    RMonomial,
     SmashElement,
+    _monomial_to_path,
     build_idempotents,
     r_monomial_product,
     smash_multiply,
@@ -147,3 +157,44 @@ def test_report_matches_reference_product(n, monkeypatch):
                                                True, None)
     monkeypatch.setattr(skewgroup, "_coded_product", reference_coded_product)
     assert verify_quotient_match(n, max_degree=4) == reports[4]
+
+
+def element_r_monomial_product(m1: RMonomial, m2: RMonomial) -> tuple[tuple[RMonomial, int], ...]:
+    """Normal-form expansion of the product of two R-monomials.
+
+    Every u^a (du)^b d^c is a normal word, so a product with the unit
+    monomial is the other factor, with no rewriting.  R's rules have
+    coefficients +-1, so every coefficient is an int.
+    """
+    if m1 == _UNIT:
+        return ((m2, 1),)
+    if m2 == _UNIT:
+        return ((m1, 1),)
+    sys = ensure_confluent(build_system(PRESET_QDU, GRADED_DOWN_UP))
+    nf = normal_product(sys, Element.from_path(_monomial_to_path(m1)),
+                        Element.from_path(_monomial_to_path(m2)))
+    return tuple(sorted((normal_shape(p), int(c)) for p, c in nf.terms.items()))
+
+
+def test_coded_monomial_products_match_element_path():
+    r_monomial_product.cache_clear()
+    monomials = [m for k in range(5) for m in monomials_of_degree(k)]
+    for m1 in monomials:
+        for m2 in monomials:
+            got = r_monomial_product(m1, m2)
+            assert got == element_r_monomial_product(m1, m2), (m1, m2)
+            assert all(type(c) is int for _, c in got)
+
+
+def test_monomial_product_refuses_a_non_int_coefficient(monkeypatch):
+    # beta = -1/2 gives d^2 u -> -(1/2) u d^2: denominator 2 in the kernel.
+    halved = Parameters.of(1, [0], [Fraction(-1, 2)], [0])
+    tables = skewgroup._tables(ensure_confluent(build_system(PRESET_QDU, halved)))
+    monkeypatch.setattr(skewgroup, "_r_tables", lambda: tables)
+    r_monomial_product.cache_clear()
+    try:
+        assert r_monomial_product((0, 0, 1), (1, 0, 0)) == (((0, 1, 0), 1),)
+        with pytest.raises(AssertionError, match=r"\(0, 0, 2\) \* \(1, 0, 0\) has a non-int"):
+            r_monomial_product((0, 0, 2), (1, 0, 0))
+    finally:
+        r_monomial_product.cache_clear()
