@@ -15,20 +15,23 @@ D_i = (d#1) f_i satisfy the quiver down-up relations with alpha = 0,
 gamma = 0 and beta identically -1, and the corner dimensions
 dim f_i B f_j match the quiver down-up dimension matrices degreewise.
 
-Products run on a coded form with int coefficients in the group algebra
+Products run on ``core``'s int-coded form, keyed for the group algebra
 Q[x]/(x^n - 1): one positive int denominator and a map
-{(monomial, j): {k: int}}, k mod n, read as the sum of c_k x^k (m # g^j)
+{(monomial, j, k): int}, k mod n, read as the sum of c x^k (m # g^j)
 over that denominator.  ``_encode`` takes a ``SmashElement``'s canonical
 numerators as they stand, which are a valid representative of each
-coefficient.  The action of g^j on u^a (du)^b d^c is the rotation of k by
-j (a - c) (``_rotate``), and a product is a cyclic convolution of the
-sparse maps times the int coefficients of ``r_monomial_product``.  The
-map x -> zeta is a ring map, so every decoded value is the one the
-product over Q(zeta_n) gives.  Its kernel (Phi_n) is not zero, since
-1 + x + ... + x^(n-1) maps to 0, so coded values are reduced by
-``cyclotomic.power_residue`` wherever one is compared or tested for zero
-(``_agree``), and decoded (``_decode``) where one is handed out as a
-``SmashElement``.
+coefficient.  The action of g^j1 on u^a (du)^b d^c adds j1 (a - c) to the
+exponent, so a term pair (m1, j1, k1), (m2, j2, k2) lands at
+k1 + k2 + j1 (a2 - c2) mod n, times the int coefficients of
+``r_monomial_product``; sums go through ``core.add_into``.  The map
+x -> zeta is a ring map, so every decoded value is the one the product
+over Q(zeta_n) gives.  Its kernel (Phi_n) is not zero, since
+1 + x + ... + x^(n-1) maps to 0, so coded values are grouped by
+(monomial, j) and reduced by ``cyclotomic.power_residue`` wherever one
+is compared or tested for zero (``_agree``), and decoded (``_decode``)
+where one is handed out as a ``SmashElement``.  The f_i are built once
+per check in this form, one power of x per group element
+(``build_idempotents``), and every later check reads that set.
 
 The corner dimensions are counted, not eliminated (I. Reiten,
 C. Riedtmann, *Skew group algebras in the representation theory of
@@ -50,7 +53,7 @@ from fractions import Fraction
 from functools import lru_cache
 from math import lcm
 
-from .core import Combination, Parameters, path_from_word
+from .core import Combination, Parameters, add_into
 from .cyclotomic import CycScalar, power_residue
 from .rewrite import (
     PRESET_QDU,
@@ -79,10 +82,6 @@ def monomial_weight(m: RMonomial) -> int:
 def _monomial_word(m: RMonomial) -> str:
     a, b, c = m
     return "u" * a + "du" * b + "d" * c
-
-
-def _monomial_to_path(m: RMonomial):
-    return path_from_word(1, 0, _monomial_word(m))
 
 
 def _word_weight(word: str) -> int:
@@ -187,7 +186,8 @@ def smash_multiply(a: SmashElement, b: SmashElement) -> SmashElement:
     return _decode(a.n, _coded_product(a.n, _encode(a), _encode(b)))
 
 
-# A coded smash element: (den, {(monomial, j): {k: int}}).
+# A coded smash element: (den, {(monomial, j, k): int}), the sum of
+# c x^k (m # g^j) over den.
 Coded = tuple[int, dict]
 
 
@@ -195,26 +195,27 @@ def _encode(x: SmashElement) -> Coded:
     """``x`` over the lcm of its denominators, by canonical numerators."""
     forms = {key: c.power_counts() for key, c in x.terms.items()}
     den = lcm(*(d for _, d in forms.values()))
-    return den, {key: {k: v * (den // d) for k, v in counts.items()}
-                 for key, (counts, d) in forms.items()}
+    return den, {(m, j, k): v * (den // d)
+                 for (m, j), (counts, d) in forms.items() for k, v in counts.items()}
+
+
+def _grouped(terms: dict) -> dict:
+    """The nonzero numerators by (monomial, group exponent): {(m, j): {k: int}}."""
+    groups: dict = {}
+    for (m, j, k), c in terms.items():
+        if c:
+            groups.setdefault((m, j), {})[k] = c
+    return groups
 
 
 def _decode(n: int, x: Coded) -> SmashElement:
     den, terms = x
     return SmashElement._from_sums(
-        n, {key: CycScalar.from_power_counts(n, v, den) for key, v in terms.items()})
+        n, {key: CycScalar.from_power_counts(n, v, den) for key, v in _grouped(terms).items()})
 
 
 def _monomial(m: RMonomial, j: int = 0) -> Coded:
-    return 1, {(m, j): {0: 1}}
-
-
-def _rotate(v: dict, e: int, n: int) -> dict:
-    """The map v times x^e: exponent k moves to (k + e) mod n."""
-    e %= n
-    if not e:
-        return v
-    return {(k + e) % n: c for k, c in v.items()}
+    return 1, {(m, j, 0): 1}
 
 
 def _coded_product(n: int, a: Coded, b: Coded) -> Coded:
@@ -222,122 +223,84 @@ def _coded_product(n: int, a: Coded, b: Coded) -> Coded:
     (da, ta), (db, tb) = a, b
     right = list(tb.items())
     out: dict = {}
-    for (m1, j1), v1 in ta.items():
-        for (m2, j2), v2 in right:
+    for (m1, j1, k1), c1 in ta.items():
+        for (m2, j2, k2), c2 in right:
             # g^j1 scales u^a (du)^b d^c by x^(j1 (a - c)), read here from the
             # definition of the action and not through ``monomial_weight``, so
             # the left-factor check of ``corner_dimensions`` compares two
             # independent computations of the weight.
-            conv = {}
-            for k1, c1 in _rotate(v1, j1 * (m2[0] - m2[2]), n).items():
-                for k2, c2 in v2.items():
-                    k = (k1 + k2) % n
-                    conv[k] = conv.get(k, 0) + c1 * c2
-            j = (j1 + j2) % n
+            j, k, c = (j1 + j2) % n, (k1 + k2 + j1 * (m2[0] - m2[2])) % n, c1 * c2
             for m, q in r_monomial_product(m1, m2):
-                acc = out.get((m, j))
-                if acc is None:
-                    out[(m, j)] = {k: q * c for k, c in conv.items()}
-                else:
-                    for k, c in conv.items():
-                        acc[k] = acc.get(k, 0) + q * c
+                key = (m, j, k)
+                out[key] = out.get(key, 0) + q * c
     return da * db, out
 
 
 def _coded_sum(xs: list[Coded]) -> Coded:
     """The sum of coded elements, over the lcm of their denominators."""
-    den = lcm(*(d for d, _ in xs))
-    out: dict = {}
-    for d, terms in xs:
-        scale = den // d
-        for key, v in terms.items():
-            acc = out.setdefault(key, {})
-            for k, c in v.items():
-                acc[k] = acc.get(k, 0) + scale * c
-    return den, out
+    acc = [1, {}]
+    for den, terms in xs:
+        add_into(acc, den, terms)
+    return tuple(acc)
 
 
 def _agree(n: int, a: Coded, b: Coded, scale: int = 1) -> bool:
-    """a == scale * b over Q(zeta_n), decided after reduction mod Phi_n."""
-    (da, ta), (db, tb) = a, b
-    s = scale * da
-    for key in ta.keys() | tb.keys():
-        diff = {k: c * db for k, c in ta.get(key, {}).items()}
-        for k, c in tb.get(key, {}).items():
-            diff[k] = diff.get(k, 0) - s * c
-        if any(power_residue(n, diff)):
-            return False
-    return True
+    """a == scale * b over Q(zeta_n), decided after reduction mod Phi_n.
+
+    Only the (monomial, group exponent) groups with a nonzero numerator
+    in the difference are reduced.
+    """
+    diff = [1, {}]
+    add_into(diff, *a)
+    add_into(diff, *b, -scale)
+    return not any(any(power_residue(n, v)) for v in _grouped(diff[1]).values())
+
+
+def _one_power_idempotent(n: int, i: int) -> Coded:
+    """f_i = (1/n) sum_t x^(it) # g^t, one power of x per group element."""
+    return n, {(_UNIT, t, i * t % n): 1 for t in range(n)}
 
 
 @dataclass
 class IdempotentSet:
+    """The checked f_i, coded; indexing and ``idempotents`` decode them."""
+
     n: int
-    idempotents: list[SmashElement]
+    coded: list[Coded]
+
+    @property
+    def idempotents(self) -> list[SmashElement]:
+        return [_decode(self.n, f) for f in self.coded]
 
     def __getitem__(self, i: int) -> SmashElement:
-        return self.idempotents[i % self.n]
+        return _decode(self.n, self.coded[i % self.n])
 
 
 def build_idempotents(n: int) -> IdempotentSet:
     """f_i = (1/n) sum_a zeta^{ia} # g^a; orthogonality and completeness verified.
 
-    The f_i lie in the group algebra, where the action is trivial, so
-    f_i f_j is the cyclic convolution of the coefficient vectors
-    (zeta^{ia} / n)_a and (zeta^{jb} / n)_b: its coefficient at g^m is
-    (1/n^2) sum_a zeta^{ia + j(m - a)}.  Each such sum is counted by
-    exponent mod n; it equals the coefficient num/den of delta_ij f_i
-    exactly when counts * den - n^2 * num reduces to zero mod Phi_n, so
-    the check is an int zero test, with no smash product.
+    Each f_i is built once, coded with one power of x per group element
+    (``_one_power_idempotent``), and every later check of the skew-group
+    model reads that set.  f_i f_j = delta_ij f_i is checked for every
+    (i, j) and every group exponent by the coded product, compared after
+    reduction mod Phi_n, and the f_i must sum to the identity.
     """
     if n < 2:
         raise ValueError("idempotent decomposition needs n >= 2")
-    inv_n = Fraction(1, n)
-    fs = []
-    for i in range(n):
-        terms = {((0, 0, 0), a): CycScalar.zeta_power(n, i * a) * inv_n for a in range(n)}
-        fs.append(SmashElement(n, terms))
-    zero = CycScalar.zero(n)
+    fs = [_one_power_idempotent(n, i) for i in range(n)]
+    zero = (1, {})
     for i in range(n):
         for j in range(n):
-            for m in range(n):
-                expected = fs[i].terms.get(((0, 0, 0), m), zero) if i == j else zero
-                num, den = expected.power_counts()
-                diff = {k: -n * n * v for k, v in num.items()}
-                for a in range(n):
-                    k = (i * a + j * (m - a)) % n
-                    diff[k] = diff.get(k, 0) + den
-                if any(power_residue(n, diff)):
-                    raise AssertionError(f"idempotent orthogonality failed at ({i},{j})")
-    if SmashElement.combine(n, ((f, 1) for f in fs)) != SmashElement.one(n):
+            if not _agree(n, _coded_product(n, fs[i], fs[j]), fs[i] if i == j else zero):
+                raise AssertionError(f"idempotent orthogonality failed at ({i},{j})")
+    if not _agree(n, _coded_sum(fs), _monomial(_UNIT)):
         raise AssertionError("idempotents do not sum to the identity")
     return IdempotentSet(n, fs)
 
 
-@dataclass
-class CapGenerators:
-    n: int
-    us: list[SmashElement]
-    ds: list[SmashElement]
-    both_forms_agree: bool
-
-
-def _one_power_idempotent(n: int, i: int) -> Coded:
-    """f_i = (1/n) sum_t x^(it) # g^t, one power of x per group element."""
-    return n, {(_UNIT, t): {i * t % n: 1} for t in range(n)}
-
-
 def _coded_caps(n: int, idem: IdempotentSet) -> tuple[list[Coded], list[Coded], bool]:
-    """Coded U_i = f_i (u#1) and D_i = (d#1) f_i; whether the other forms agree.
-
-    The f_i are coded with one power of x per group element, so every cap
-    has one power per term; each is checked against the built f_i once
-    (AssertionError if they differ).
-    """
-    fs = [_one_power_idempotent(n, i) for i in range(n)]
-    for i, f in enumerate(fs):
-        if not _agree(n, f, _encode(idem[i])):
-            raise AssertionError(f"one-power f_i != built f_i at i={i}")
+    """Coded U_i = f_i (u#1) and D_i = (d#1) f_i; whether the other forms agree."""
+    fs = idem.coded
     u, d = _monomial((1, 0, 0)), _monomial((0, 0, 1))
     us, ds = [], []
     agree = True
@@ -350,14 +313,6 @@ def _coded_caps(n: int, idem: IdempotentSet) -> tuple[list[Coded], list[Coded], 
         us.append(u_left)
         ds.append(d_left)
     return us, ds, agree
-
-
-def cap_generators(n: int, idem: IdempotentSet | None = None) -> CapGenerators:
-    """U_i = f_i (u#1) = (u#1) f_{i+1} and D_i = (d#1) f_i = f_{i+1} (d#1)."""
-    if idem is None:
-        idem = build_idempotents(n)
-    us, ds, agree = _coded_caps(n, idem)
-    return CapGenerators(n, [_decode(n, x) for x in us], [_decode(n, x) for x in ds], agree)
 
 
 @dataclass
@@ -388,12 +343,12 @@ def check_group_absorption(n: int, idem: IdempotentSet) -> None:
     the one with t = 0, and the products f_i (m # 1) f_j over the
     degree-k monomials m span f_i B_k f_j.
     """
-    fs = [_encode(f) for f in idem.idempotents]
     for t in range(n):
         g = _monomial(_UNIT, t)
-        for j, (den, f) in enumerate(fs):
-            scaled = den, {key: _rotate(v, -t * j, n) for key, v in f.items()}
-            if not _agree(n, _coded_product(n, g, fs[j]), scaled):
+        for j, f in enumerate(idem.coded):
+            den, terms = f
+            scaled = den, {(m, s, (k - t * j) % n): c for (m, s, k), c in terms.items()}
+            if not _agree(n, _coded_product(n, g, f), scaled):
                 raise AssertionError(f"g^t f_j != zeta^(-tj) f_j at t={t}, j={j}")
 
 
@@ -436,12 +391,12 @@ def _check_generators(n: int, k: int, idem: IdempotentSet) -> None:
             if _word_weight(_letters(word)) != _word_weight(_letters(lhs)):
                 raise AssertionError(f"R rule {_letters(lhs)} has the rhs term "
                                      f"{_letters(word)} of another weight")
-    fs = [_encode(f) for f in idem.idempotents]
+    fs = idem.coded
     for i in range(n):
         for m in _GENERATORS[:1 if k == 0 else 3]:
             left = _coded_product(n, fs[i], _monomial(m))
             den, f = fs[(i + monomial_weight(m)) % n]
-            if not _agree(n, left, (den, {(m, t): v for (_, t), v in f.items()})):
+            if not _agree(n, left, (den, {(m, t, e): c for (_, t, e), c in f.items()})):
                 raise AssertionError(f"f_i (m # 1) != m # f_(i+w(m)) at i={i}, m={m}")
 
 
@@ -474,11 +429,10 @@ def verify_quotient_match(n: int, params: Parameters | None = None, max_degree: 
     generators, w = #u - #d, and weight-homogeneous rules of R); (d)
     checks that the map is onto: sum_i U_i = u#1 and sum_i D_i = d#1, and
     the n orthogonal nonzero idempotents f_i span the group algebra, so
-    the image contains generators of B.  Caps and relation sides are
-    built from idempotents coded with one power of x per group element,
-    each checked against the built f_i.  Every product is taken on the
-    coded form and every comparison is made after reduction mod Phi_n
-    (``_agree``).
+    the image contains generators of B.  Every check reads the one set of
+    coded f_i that ``build_idempotents`` checked.  Every product is taken
+    on the coded form and every comparison is made after reduction mod
+    Phi_n (``_agree``).
     Raises AssertionError if an internal cross-check fails.
     """
     if n < 2:

@@ -9,15 +9,18 @@ the left factor f_i (m # 1) = m # f_a.  A labelling of the idempotents
 that breaks the absorption identity, a weight of the wrong sign and a
 left factor taken with the wrong idempotent must each be caught.
 
-``build_idempotents`` checks orthogonality by a cyclic convolution of
-coefficient vectors; the smash-product loop it replaced is kept here
-verbatim as ``reference_orthogonality``.
+``build_idempotents`` builds each f_i once, coded with one power of x per
+group element (``_one_power_idempotent``), and checks orthogonality and
+completeness on that set; the smash-product loop of an earlier check is
+kept here verbatim as ``reference_orthogonality``.  The idempotent
+mutants act on that builder, so every check downstream reads them.
 
 ``corner_dimensions`` now counts each corner's rows by weight class.  The
 path it replaced, one coded smash product per (i, m) and a ``RowSpace``
-rank over ``CycScalar`` rows, is kept here verbatim as
-``rank_corner_dimensions`` (up to the ``linalg.`` prefix), and the caps
-built from canonical idempotent forms as ``canonical_coded_caps``.  The
+rank over ``CycScalar`` rows, is kept here as ``rank_corner_dimensions``
+(verbatim up to the ``linalg.`` prefix and the flat coded keys
+(monomial, group exponent, power of x)), and the caps built from
+canonical idempotent forms as ``canonical_coded_caps``.  The
 count's checked hypotheses (the left-factor identity on the generators,
 w = #u - #d, weight-homogeneous rules of R) and the check that the map is
 onto must each be able to fail.
@@ -31,15 +34,17 @@ import pytest
 from quiverdu import linalg, rewrite, skewgroup
 from quiverdu.cli import main
 from quiverdu.cyclotomic import CycScalar
-from quiverdu.core import Element, Parameters, path_from_word
+from quiverdu.core import Element, Parameters, add_into, path_from_word
 from quiverdu.rewrite import PRESET_QDU, build_system, dimension_matrices, normal_shapes
 from quiverdu.skewgroup import (
+    _UNIT,
     GRADED_DOWN_UP,
     IdempotentSet,
     SmashElement,
     _agree,
     _coded_product,
     _encode,
+    _grouped,
     _monomial,
     build_idempotents,
     check_group_absorption,
@@ -94,18 +99,43 @@ def test_idempotents_pass_the_smash_product_check():
                                for a in range(n)}
 
 
+def tamper_idempotents(monkeypatch, tamper):
+    """Build every f_i as ``tamper(n, i, f_i)`` on its coded form."""
+    genuine = skewgroup._one_power_idempotent
+    monkeypatch.setattr(skewgroup, "_one_power_idempotent",
+                        lambda n, i: tamper(n, i, genuine(n, i)))
+
+
+def shift_exponents(monkeypatch, where=lambda i, t: True):
+    """f_i built with x^(it + 1) / n in place of x^(it) / n at each g^t with ``where(i, t)``."""
+    tamper_idempotents(monkeypatch, lambda n, i, f: (f[0], {
+        (m, t, (k + where(i, t)) % n): c for (m, t, k), c in f[1].items()}))
+
+
 def test_orthogonality_check_reads_the_built_idempotents(monkeypatch):
-    # Every f_i built with zeta^(ia + 1) / n instead of zeta^(ia) / n.
-    genuine = CycScalar.zeta_power
-    monkeypatch.setattr(CycScalar, "zeta_power", classmethod(lambda cls, n, e: genuine(n, e + 1)))
+    shift_exponents(monkeypatch)
     with pytest.raises(AssertionError, match=r"orthogonality failed at \(0,0\)"):
         build_idempotents(3)
 
 
-def rotated(idem: IdempotentSet) -> IdempotentSet:
-    """f_{j+1} under the label j: still orthogonal and complete."""
-    fs = idem.idempotents
-    return IdempotentSet(idem.n, fs[1:] + fs[:1])
+@pytest.mark.parametrize("i, t", [(i, t) for i in range(4) for t in range(4)])
+def test_orthogonality_is_checked_at_every_group_exponent(i, t, monkeypatch):
+    shift_exponents(monkeypatch, lambda i_, t_: (i_, t_) == (i, t))
+    with pytest.raises(AssertionError, match="orthogonality failed"):
+        build_idempotents(4)
+
+
+def test_completeness_check_reads_the_built_idempotents(monkeypatch):
+    # f_(n-1) built as 0: 0 is orthogonal to every f_i and to itself.
+    tamper_idempotents(monkeypatch, lambda n, i, f: f if i < n - 1 else (1, {}))
+    with pytest.raises(AssertionError, match="idempotents do not sum to the identity"):
+        build_idempotents(3)
+
+
+def rotate_idempotents(monkeypatch):
+    """f_{j+1} built under the label j: still orthogonal and complete."""
+    genuine = skewgroup._one_power_idempotent
+    monkeypatch.setattr(skewgroup, "_one_power_idempotent", lambda n, i: genuine(n, (i + 1) % n))
 
 
 @pytest.mark.parametrize("n", [2, 3, 4, 5, 6])
@@ -120,10 +150,11 @@ def test_group_absorption_holds():
         check_group_absorption(n, build_idempotents(n))
 
 
-def test_tampered_idempotents_fail_absorption():
+def test_tampered_idempotents_fail_absorption(monkeypatch):
+    rotate_idempotents(monkeypatch)
     for n in (2, 3, 5):
-        idem = rotated(build_idempotents(n))
-        for i, f in enumerate(idem.idempotents):  # the tamper keeps f_i f_j = delta_ij f_i
+        idem = build_idempotents(n)  # the tamper keeps f_i f_j = delta_ij f_i and completeness
+        for i, f in enumerate(idem.idempotents):
             for j, g in enumerate(idem.idempotents):
                 assert f * g == (f if i == j else SmashElement.zero(n))
         with pytest.raises(AssertionError, match="at t=1, j=0"):
@@ -134,8 +165,7 @@ def test_tampered_idempotents_give_fail_exit_1(tmp_path, capsys, monkeypatch):
     path = tmp_path / "config.json"
     path.write_text(json.dumps({"n": 3, "alpha": ["0"] * 3, "beta": ["-1"] * 3,
                                 "gamma": ["0"] * 3}), encoding="utf-8")
-    genuine = skewgroup.build_idempotents
-    monkeypatch.setattr(skewgroup, "build_idempotents", lambda n: rotated(genuine(n)))
+    rotate_idempotents(monkeypatch)
     code = main(["verify", "skewgroup", str(path), "--max-degree", "1", "--json"])
     report = json.loads(capsys.readouterr().out)
     assert code == 1
@@ -170,7 +200,7 @@ def flip_weight_sign(monkeypatch):
 
 def shift_left_factors(monkeypatch, n):
     """f_{i+1} (m # 1) in place of f_i (m # 1), for every single m # 1 on the right."""
-    fs = [skewgroup._encode(f) for f in build_idempotents(n).idempotents]
+    fs = build_idempotents(n).coded
     genuine = skewgroup._coded_product
 
     def mutated(n_, a, b):
@@ -199,24 +229,42 @@ def test_shifted_left_factor_fails_check(n, monkeypatch):
 
 
 def zeta_shift_off_by_one(monkeypatch):
-    """v x^(e+1) in place of v x^e for every rotation e != 0 mod n."""
-    genuine = skewgroup._rotate
-    monkeypatch.setattr(skewgroup, "_rotate", lambda v, e, n: genuine(v, e + 1, n) if e % n else v)
+    """x^(e+1) in place of x^e for every action term e = j1 (a2 - c2) != 0 mod n.
+
+    Each pair of terms is multiplied by the genuine product, and its
+    result moved up one power of x where g^j1 acts on m2 by x^e, e != 0.
+    """
+    genuine = skewgroup._coded_product
+
+    def shifted(n, a, b):
+        acc = [1, {}]
+        for (m1, j1, k1), c1 in a[1].items():
+            for (m2, j2, k2), c2 in b[1].items():
+                e = j1 * (m2[0] - m2[2]) % n
+                _, part = genuine(n, (1, {(m1, j1, k1): c1}), (1, {(m2, j2, k2): c2}))
+                add_into(acc, 1, {(m, j, (k + bool(e)) % n): c for (m, j, k), c in part.items()})
+        return a[0] * b[0], acc[1]
+
+    monkeypatch.setattr(skewgroup, "_coded_product", shifted)
 
 
 def zeta_shift_off_by_one_in_products_only(monkeypatch):
-    """The same, with the absorption check (which also shifts) skipped."""
+    """The same, with the absorption check skipped."""
     zeta_shift_off_by_one(monkeypatch)
     monkeypatch.setattr(skewgroup, "check_group_absorption", lambda n, idem: None)
 
 
 @pytest.mark.parametrize("mutate, message", [
-    (zeta_shift_off_by_one, "g^t f_j != zeta^(-tj) f_j at t=1, j=1"),
+    (zeta_shift_off_by_one, "f_i (m # 1) != m # f_(i+w(m)) at i=0, m=(0, 0, 1)"),
     (zeta_shift_off_by_one_in_products_only,
      "f_i (m # 1) != m # f_(i+w(m)) at i=0, m=(0, 0, 1)"),
     (flip_weight_sign, "f_i (m # 1) != m # f_(i+w(m)) at i=0, m=(0, 0, 1)"),
     (lambda mp: shift_left_factors(mp, 3), "f_i (m # 1) != m # f_(i+w(m)) at i=0, m=(0, 0, 0)"),
-], ids=["zeta-shift", "zeta-shift-in-products", "weight-sign", "left-factor"])
+    (shift_exponents, "idempotent orthogonality failed at (0,0)"),
+    (lambda mp: tamper_idempotents(mp, lambda n, i, f: f if i < n - 1 else (1, {})),
+     "idempotents do not sum to the identity"),
+], ids=["zeta-shift", "zeta-shift-in-products", "weight-sign", "left-factor",
+        "tampered-exponent", "zero-idempotent"])
 def test_corrupted_corner_rows_give_fail_exit_1(mutate, message, tmp_path, capsys, monkeypatch):
     path = tmp_path / "config.json"
     path.write_text(json.dumps({"n": 3, "alpha": ["0"] * 3, "beta": ["-1"] * 3,
@@ -254,7 +302,8 @@ def rank_corner_dimensions(n: int, k: int, idem: IdempotentSet) -> list[list[int
     # scale that keeps the rank: f_a's coefficient at g^0 is 1/n, so the
     # row leads with the CycScalar 1, and RowSpace keeps such a pivot row
     # as it is, with no inverse and no product.
-    rows = [[(t, CycScalar.from_power_counts(n, v)) for (_, t), v in f.items()] for _, f in fs]
+    rows = [[(t, CycScalar.from_power_counts(n, v)) for (_, t), v in _grouped(f).items()]
+            for _, f in fs]
     monomials = normal_shapes(k)
     dims = []
     for i in range(n):
@@ -263,7 +312,7 @@ def rank_corner_dimensions(n: int, k: int, idem: IdempotentSet) -> list[list[int
             left = _coded_product(n, fs[i], _monomial(m))
             a = (i + monomial_weight(m)) % n
             den, f = fs[a]
-            if not _agree(n, left, (den, {(m, t): v for (_, t), v in f.items()})):
+            if not _agree(n, left, (den, {(m, t, e): c for (_, t, e), c in f.items()})):
                 raise AssertionError(f"f_i (m # 1) != m # f_(i+w(m)) at i={i}, m={m}")
             spaces[a].add({(m, t): c for t, c in rows[a]})
         dims.append([space.rank for space in spaces])
@@ -404,34 +453,38 @@ def test_one_power_caps_agree_with_canonical_caps(n):
     assert agree is ref_agree is True
     for got, ref in zip(us + ds, ref_us + ref_ds, strict=True):
         assert _agree(n, got, ref)
-        # One power of x per term, against up to phi(n) from canonical forms.
-        assert all(len(v) == 1 for v in got[1].values())
+        # One power of x per (monomial, group exponent), against up to
+        # phi(n) from canonical forms.
+        assert len({key[:2] for key in got[1]}) == len(got[1])
 
 
-def doubled_first_idempotent(n):
-    """f_0 replaced by 2 f_0: g^t (2 f_0) = 2 f_0 still, so absorption holds."""
-    idem = build_idempotents(n)
-    fs = idem.idempotents
-    return IdempotentSet(n, [fs[0] * 2] + fs[1:])
+def double_first_idempotent(monkeypatch):
+    """f_0 built as 2 f_0: g^t (2 f_0) = 2 f_0 still, so absorption holds."""
+    tamper_idempotents(monkeypatch, lambda n, i, f: f if i else (
+        f[0], {key: 2 * c for key, c in f[1].items()}))
 
 
-def test_one_power_idempotents_are_checked_against_the_built_ones():
+def test_doubled_idempotent_fails_orthogonality(monkeypatch):
     for n in (2, 3, 7):
-        idem = doubled_first_idempotent(n)
-        check_group_absorption(n, idem)
-        with pytest.raises(AssertionError, match="one-power f_i != built f_i at i=0"):
-            skewgroup._coded_caps(n, idem)
+        genuine = build_idempotents(n).coded
+        doubled = IdempotentSet(n, [(n, {key: 2 * c for key, c in genuine[0][1].items()})]
+                                + genuine[1:])
+        check_group_absorption(n, doubled)
+    double_first_idempotent(monkeypatch)
+    for n in (2, 3, 7):
+        with pytest.raises(AssertionError, match=r"orthogonality failed at \(0,0\)"):
+            build_idempotents(n)
 
 
 def test_doubled_idempotent_gives_fail_exit_1(tmp_path, capsys, monkeypatch):
     path = tmp_path / "config.json"
     path.write_text(json.dumps({"n": 3, "alpha": ["0"] * 3, "beta": ["-1"] * 3,
                                 "gamma": ["0"] * 3}), encoding="utf-8")
-    monkeypatch.setattr(skewgroup, "build_idempotents", doubled_first_idempotent)
+    double_first_idempotent(monkeypatch)
     code = main(["verify", "skewgroup", str(path), "--max-degree", "1", "--json"])
     report = json.loads(capsys.readouterr().out)
     assert code == 1
-    assert report["findings"] == {"internal_check_failed": "one-power f_i != built f_i at i=0"}
+    assert report["findings"] == {"internal_check_failed": "idempotent orthogonality failed at (0,0)"}
 
 
 @pytest.mark.parametrize("n", range(2, 13))
@@ -447,7 +500,14 @@ def test_one_cap_left_out_gives_fail_exit_1(tmp_path, capsys, monkeypatch):
     path.write_text(json.dumps({"n": 3, "alpha": ["0"] * 3, "beta": ["-1"] * 3,
                                 "gamma": ["0"] * 3}), encoding="utf-8")
     genuine = skewgroup._coded_sum
-    monkeypatch.setattr(skewgroup, "_coded_sum", lambda xs: genuine(xs[:-1]))
+
+    def without_last_cap(xs):
+        # Sums of caps only: the idempotents, summed in the group algebra
+        # for the completeness check, keep every summand.
+        caps = any(m != _UNIT for _, terms in xs for (m, _, _) in terms)
+        return genuine(xs[:-1] if caps else xs)
+
+    monkeypatch.setattr(skewgroup, "_coded_sum", without_last_cap)
     code = main(["verify", "skewgroup", str(path), "--max-degree", "1", "--json"])
     report = json.loads(capsys.readouterr().out)
     assert code == 1

@@ -1,12 +1,15 @@
 import itertools
+import json
 import operator
 import random
+from dataclasses import dataclass
 from fractions import Fraction
 
 import pytest
 
 from quiverdu import skewgroup
-from quiverdu.core import Element
+from quiverdu.cli import main
+from quiverdu.core import Element, path_from_word
 from quiverdu.cyclotomic import CycScalar, cyclotomic_polynomial
 from quiverdu.rewrite import (
     PRESET_QDU,
@@ -19,14 +22,36 @@ from quiverdu.rewrite import (
 from quiverdu.skewgroup import (
     GRADED_DOWN_UP,
     SmashElement,
+    IdempotentSet,
+    RMonomial,
+    _monomial_word,
     build_idempotents,
-    cap_generators,
     monomial_weight,
     r_monomial_product,
     smash_multiply,
     verify_quotient_match,
 )
-from quiverdu.skewgroup import _monomial_to_path
+
+
+def _monomial_to_path(m: RMonomial):
+    return path_from_word(1, 0, _monomial_word(m))
+
+
+@dataclass
+class CapGenerators:
+    n: int
+    us: list[SmashElement]
+    ds: list[SmashElement]
+    both_forms_agree: bool
+
+
+def cap_generators(n: int, idem: IdempotentSet | None = None) -> CapGenerators:
+    """U_i = f_i (u#1) = (u#1) f_{i+1} and D_i = (d#1) f_i = f_{i+1} (d#1)."""
+    if idem is None:
+        idem = build_idempotents(n)
+    us, ds, agree = skewgroup._coded_caps(n, idem)
+    return CapGenerators(n, [skewgroup._decode(n, x) for x in us],
+                         [skewgroup._decode(n, x) for x in ds], agree)
 
 
 def monomials_of_degree(k):
@@ -296,10 +321,11 @@ def test_verify_quotient_match():
         assert report.ok
 
 
-def test_one_corrupted_relation_side_fails_the_relation_check(monkeypatch):
-    # Doubles D_{n-1} U_{n-1} U_0, one side of one relation at vertex 0; the
-    # other 2n - 1 pairs still agree.
-    n = 3
+def corrupt_one_relation_side(monkeypatch):
+    """Double D_{n-1} U_{n-1} U_0, one side of one relation at vertex 0.
+
+    Returns the list that receives D_{n-1} U_{n-1} once it is formed.
+    """
     real_caps, real_product = skewgroup._coded_caps, skewgroup._coded_product
     caps, du_last = {}, []
 
@@ -314,13 +340,32 @@ def test_one_corrupted_relation_side_fails_the_relation_check(monkeypatch):
             du_last.append(out)
         elif du_last and a is du_last[0] and b is caps["u0"]:
             den, terms = out
-            return den, {key: {k: 2 * c for k, c in v.items()} for key, v in terms.items()}
+            return den, {key: 2 * c for key, c in terms.items()}
         return out
 
     monkeypatch.setattr(skewgroup, "_coded_caps", spy_caps)
     monkeypatch.setattr(skewgroup, "_coded_product", product)
-    report = verify_quotient_match(n, max_degree=1)
+    return du_last
+
+
+def test_one_corrupted_relation_side_fails_the_relation_check(monkeypatch):
+    # The other 2n - 1 pairs still agree.
+    du_last = corrupt_one_relation_side(monkeypatch)
+    report = verify_quotient_match(3, max_degree=1)
     assert du_last, "the corrupted side was never formed"
     assert report.relation_kill == {1: False, -1: False}
     assert not report.proof_identities_ok and not report.ok
     assert report.generator_forms_agree and report.dimensions_ok
+
+
+def test_one_corrupted_relation_side_gives_fail_exit_1(tmp_path, capsys, monkeypatch):
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps({"n": 3, "alpha": ["0"] * 3, "beta": ["-1"] * 3,
+                                "gamma": ["0"] * 3}), encoding="utf-8")
+    corrupt_one_relation_side(monkeypatch)
+    code = main(["verify", "skewgroup", str(path), "--max-degree", "1", "--json"])
+    report = json.loads(capsys.readouterr().out)
+    assert code == 1
+    assert report["verdict"] == "fail"
+    assert report["findings"]["relations_killed_by_beta"] == {"-1": False, "1": False}
+    assert report["findings"]["proof_identities"] is False
