@@ -18,10 +18,15 @@ product, the normal-form kernel and the domain probes run on it and build
 over the lcm of the denominators, ``Combination.from_coded`` decodes,
 ``add_into`` adds in place, lifting the denominator to the lcm only when
 needed, and ``reduced`` divides out a common factor.
+
+``Sampler`` is the random generator of the sampled domain probes: a
+``random.Random`` whose small draws make fewer Python calls for the same
+generator bits.
 """
 
 from __future__ import annotations
 
+import random
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, lcm
@@ -36,6 +41,80 @@ DOWN = "d"
 # Numerators of the random coefficients c/q (q = 1, 2, 3) of the sampled
 # piecewise-domain probes.
 NONZERO_NUMERATORS = tuple(x for x in range(-5, 6) if x)
+
+
+class Sampler(random.Random):
+    """The random generator of the sampled piecewise-domain probes.
+
+    ``below(n)`` is ``randrange(n)``; ``randint``, ``choice`` and
+    ``sample`` (k <= 5, a list or tuple population, no ``counts``) are
+    ``random.Random``'s, on int arguments.  Each inlines the rejection
+    loop of CPython's ``_randbelow_with_getrandbits`` (k = n.bit_length()
+    bits for a range of n, redrawn while >= n), so it makes the same
+    ``getrandbits`` calls and values and the generator state match
+    ``random.Random(seed)`` call for call; only the method layers
+    ``randint -> randrange -> _randbelow`` in between are skipped.
+    Everything else is ``random.Random``'s.
+    """
+
+    def below(self, n: int) -> int:
+        """Uniform in range(n), n > 0."""
+        k = n.bit_length()
+        r = self.getrandbits(k)
+        while r >= n:
+            r = self.getrandbits(k)
+        return r
+
+    def randint(self, a: int, b: int) -> int:
+        n = b - a + 1
+        if n <= 0:
+            raise ValueError(f"empty range for randint({a}, {b})")
+        k = n.bit_length()
+        r = self.getrandbits(k)
+        while r >= n:
+            r = self.getrandbits(k)
+        return a + r
+
+    def choice(self, seq):
+        n = len(seq)
+        if not n:
+            raise IndexError("Cannot choose from an empty sequence")
+        k = n.bit_length()
+        r = self.getrandbits(k)
+        while r >= n:
+            r = self.getrandbits(k)
+        return seq[r]
+
+    def sample(self, population, k, *, counts=None):
+        n = len(population)
+        if k > 5 or k < 0 or k > n or counts is not None or type(population) not in (list, tuple):
+            return super().sample(population, k, counts=counts)
+        if k == 1:
+            # Both branches below draw one index in range(n).
+            return [population[self.below(n)]]
+        getrandbits = self.getrandbits
+        result = []
+        if n <= 21:
+            # CPython's pool branch: each pick is replaced by the last unpicked item.
+            pool = list(population)
+            for m in range(n, n - k, -1):
+                bits = m.bit_length()
+                j = getrandbits(bits)
+                while j >= m:
+                    j = getrandbits(bits)
+                result.append(pool[j])
+                pool[j] = pool[m - 1]
+        else:
+            # Its set branch: an index already picked is drawn again.
+            bits = n.bit_length()
+            picked = set()
+            for _ in range(k):
+                j = getrandbits(bits)
+                while j >= n or j in picked:
+                    j = getrandbits(bits)
+                picked.add(j)
+                result.append(population[j])
+        return result
 
 
 @dataclass(frozen=True)

@@ -35,7 +35,8 @@ only; ``sigma``, ``sigma_inverse``, ``sigma_power`` and
 the public ``*`` of ``BaseElement``.  ``gwa_multiply`` codes each operand
 coefficient once, sums the parts for each X-exponent over a common
 denominator raised to the lcm only when needed, and decodes each output
-term to one ``Fraction``.  ``pwd_probe_gwa`` draws its factors coded and
+term to one ``Fraction``.  ``pwd_probe_gwa`` draws its factors coded,
+from ``core.Sampler`` over X-degrees tabled once per (n, degree bound), and
 tests the coded product of their top X-degree parts, and the full
 product only when that part vanishes; it decodes only the factors of a
 failing trial, to print them.  ``theta`` builds each path's image coded,
@@ -50,12 +51,11 @@ theta_prime(y_i) = d_{i-1} u_{i-1}.
 
 from __future__ import annotations
 
-import random
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 
-from .core import (NONZERO_NUMERATORS, Combination, Element, Parameters, Path, add_into,
+from .core import (NONZERO_NUMERATORS, Combination, Element, Parameters, Path, Sampler, add_into,
                    path_from_word, reduced, trivial_path)
 from .rewrite import PRESET_QDU, build_system, normal_form, normal_product
 
@@ -412,17 +412,24 @@ class GwaPwdReport:
     failures: list
 
 
-def _random_corner_element(params: Parameters, i: int, k: int, rng: random.Random,
+@lru_cache(maxsize=16)
+def _x_degrees(n: int, degree_bound: int) -> tuple[tuple[int, ...], ...]:
+    """The X-degrees m with |m| <= ``degree_bound``, grouped by m mod n."""
+    return tuple(tuple(m for m in range(-degree_bound, degree_bound + 1) if m % n == residue)
+                 for residue in range(n))
+
+
+def _random_corner_element(params: Parameters, i: int, k: int, rng: Sampler,
                            degree_bound: int) -> dict[int, tuple[int, dict]]:
     """Nonzero random element of e_i T e_k with bounded degrees, coded.
 
     Each coefficient c/q with q in {1, 2, 3} is the numerator c * (6 / q)
-    over 6.
+    over 6.  ``rng`` may be any ``random.Random``: the draws are the same.
     """
     n = params.n
     terms: dict[int, tuple[int, dict]] = {}
     residue = (i - k) % n
-    choices = [m for m in range(-degree_bound, degree_bound + 1) if m % n == residue]
+    choices = _x_degrees(n, degree_bound)[residue]
     for m in rng.sample(choices, k=min(len(choices), rng.randint(1, 2))):
         poly: dict[tuple[int, int, int], int] = {}
         for _ in range(rng.randint(1, 2)):
@@ -451,10 +458,11 @@ def pwd_probe_gwa(params: Parameters, degree_bound: int = 3, trials: int = 200,
     trial's factors are decoded to print them.
     """
     table = _gwa_table(params)
-    rng = random.Random(seed)
+    rng = Sampler(seed)
+    n = params.n
     failures = []
     for t in range(trials):
-        i, k, j = (rng.randrange(params.n) for _ in range(3))
+        i, k, j = rng.below(n), rng.below(n), rng.below(n)
         a = _random_corner_element(params, i, k, rng, degree_bound)
         b = _random_corner_element(params, k, j, rng, degree_bound)
         top_a, top_b = max(a), max(b)
@@ -464,7 +472,7 @@ def pwd_probe_gwa(params: Parameters, degree_bound: int = 3, trials: int = 200,
             kind = "top degree dropped"
         else:
             kind = "zero product"
-        failures.append((t, kind, str(_decode_gwa(params.n, a)), str(_decode_gwa(params.n, b))))
+        failures.append((t, kind, str(_decode_gwa(n, a)), str(_decode_gwa(n, b))))
     return GwaPwdReport(trials, seed, not failures, failures)
 
 

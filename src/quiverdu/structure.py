@@ -16,7 +16,6 @@ too.
 
 from __future__ import annotations
 
-import random
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -26,6 +25,7 @@ from .core import (
     Element,
     Parameters,
     Path,
+    Sampler,
     down,
     map_element,
     path_from_arrows,
@@ -36,6 +36,7 @@ from .core import (
 from .linalg import RowSpace, spans_equal
 from .rewrite import (
     PRESET_QDU,
+    _RuleTables,
     _add_scaled,
     _normal_times,
     _tables,
@@ -501,39 +502,30 @@ def pwd_probe_H(params: Parameters, degree_bound: int = 5, trials: int = 200,
     pool holds the normal words of degree <= ``degree_bound`` from one
     vertex to another, and a factor is a combination of distinct pool
     words, so it is its own normal form: the coded factor a is NF(a) as
-    it is drawn.  NF(a·b) is then the sum over the words q of b of
-    c_q NF(a·q), each taken one arrow of q at a time from the right as in
-    ``normal_product`` (Bergman's diamond lemma makes the result the normal
-    form).  The product is zero exactly when every numerator of that sum
-    is, and only a zero product's factors are decoded, for ``failures``.
+    it is drawn.  Each trial's zero test is ``_product_vanishes``; only a
+    zero product's factors are decoded, for ``failures``.
     """
     n = params.n
     sys = ensure_confluent(build_system(PRESET_QDU, params))
     tables = _tables(sys)
-    D = tables.denominator
     pools: dict[tuple[int, int], list[tuple]] = {}
     for v in range(n):
         for paths in basis_from(sys, v, degree_bound):
             for p in paths:
                 pools.setdefault((v, p.target), []).append(tables.encode(p))
-    rng = random.Random(seed)
+    rng = Sampler(seed)
     beta_ok = params.beta_all_nonzero()
     failures = []
     tested = 0
     for t in range(trials):
-        i, k, j = (rng.randrange(n) for _ in range(3))
+        i, k, j = rng.below(n), rng.below(n), rng.below(n)
         pool_a, pool_b = pools.get((i, k), []), pools.get((k, j), [])
         if not pool_a or not pool_b:
             continue
         a = _coded_combination(pool_a, rng)
         b = _coded_combination(pool_b, rng)
-        product: dict = {}
-        e = 0
-        for q, c in b.items():
-            pe, part = _normal_times(tables, a, 0, q)
-            e = _add_scaled(product, e, part, pe, c, D)
         tested += 1
-        if not any(product.values()):
+        if _product_vanishes(tables, a, b):
             failures.append((t, str(tables.element(i, 6, a)), str(tables.element(k, 6, b))))
     counterexample = None
     if not beta_ok:
@@ -546,7 +538,50 @@ def pwd_probe_H(params: Parameters, degree_bound: int = 5, trials: int = 200,
     return PwdHReport(trials, tested, seed, beta_ok, ok, failures, counterexample)
 
 
-def _coded_combination(pool: list[tuple], rng: random.Random) -> dict[tuple, int]:
+def _product_vanishes(tables: _RuleTables, a: dict[tuple, int], b: dict[tuple, int]) -> bool:
+    """Whether NF(a·b) = 0, for combinations a, b of normal words (numerators only).
+
+    Top-degree lemma: no QDU rule has a right-hand-side word longer than
+    its leading word, so reduction never raises degree, and NF is linear.
+    With D_a and D_b the top word lengths of a and b, a product w·q of a
+    word w of a and a word q of b that are not both of top length has
+    degree below D_a + D_b, and so has its normal form.  So the
+    degree-(D_a + D_b) part of NF(a·b) is that of NF(a_top·b_top), where
+    a_top and b_top are the top-degree parts of a and b.  A nonzero top
+    part means a nonzero product.  A vanishing one decides nothing (a
+    gamma term can leave a lower degree), so only then is the full
+    product taken; when a and b are their own top parts, the product
+    already taken is the full one.
+    """
+    top_a, top_b = max(map(len, a)), max(map(len, b))
+    a_top = {w: c for w, c in a.items() if len(w) == top_a}
+    b_top = {q: c for q, c in b.items() if len(q) == top_b}
+    product = _coded_times(tables, a_top, b_top)
+    top = top_a + top_b
+    if any(c for w, c in product.items() if len(w) == top):
+        return False
+    if len(a_top) < len(a) or len(b_top) < len(b):
+        product = _coded_times(tables, a, b)
+    return not any(product.values())
+
+
+def _coded_times(tables: _RuleTables, a: dict[tuple, int], b: dict[tuple, int]) -> dict[tuple, int]:
+    """NF(a·b) for combinations a, b of normal words, up to a power of D; zero sums left in.
+
+    The sum over the words q of b of c_q NF(a·q), each taken one arrow of
+    q at a time from the right as in ``normal_product`` (Bergman's diamond
+    lemma makes the result the normal form).
+    """
+    D = tables.denominator
+    product: dict = {}
+    e = 0
+    for q, c in b.items():
+        pe, part = _normal_times(tables, a, 0, q)
+        e = _add_scaled(product, e, part, pe, c, D)
+    return product
+
+
+def _coded_combination(pool: list[tuple], rng: Sampler) -> dict[tuple, int]:
     """1 to 3 distinct words of ``pool`` with random nonzero coefficients, coded.
 
     Each coefficient c/q with q in {1, 2, 3} is the numerator c * (6 / q)

@@ -17,6 +17,13 @@ Its ``normal_product`` body, which drew ``Element``s with
 ``_random_combination`` and decoded every product, is kept as
 ``normal_product_pwd_probe_H``; the two must give the same report and
 leave their random generators in the same state.
+
+``pwd_probe_H`` now zero-tests the product of the factors' top-degree
+parts first and takes the full product only when that part vanishes
+(``structure._product_vanishes``), drawing from ``core.Sampler``.  The
+coded loop that took the full product in every trial is kept verbatim up
+to its name as ``full_product_pwd_probe_H``; the two must give the same
+report and leave their generators in the same state.
 """
 
 from __future__ import annotations
@@ -26,13 +33,18 @@ from fractions import Fraction
 
 import pytest
 
-from quiverdu import core, gwa
-from quiverdu.core import NONZERO_NUMERATORS, Element, Parameters, Path, path_from_word, trivial_path
+from quiverdu import core, gwa, structure
+from quiverdu.core import (NONZERO_NUMERATORS, Element, Parameters, Path, Sampler, path_from_word,
+                           trivial_path)
 from quiverdu.gwa import BaseElement, GwaElement, theta_prime
 from quiverdu.linalg import RowSpace
 from quiverdu.rewrite import (
     PRESET_PREPROJECTIVE,
     PRESET_QDU,
+    _add_scaled,
+    _normal_times,
+    _qdu_rules,
+    basis_from,
     build_system,
     enumerate_basis,
     ensure_confluent,
@@ -45,6 +57,9 @@ from quiverdu.structure import (
     SUBALGEBRA_DEGREE,
     PropertyReport,
     PwdHReport,
+    _coded_combination,
+    _coded_times,
+    _product_vanishes,
     _zero_divisor,
     noetherian_chain_check,
     property_report,
@@ -446,16 +461,23 @@ def probe_regimes(n: int) -> list[Parameters]:
 
 
 def run_probe(probe, monkeypatch, params: Parameters, **kwargs):
-    """The probe's report and the state its one random generator ends in."""
+    """The probe's report and the state its one random generator ends in.
+
+    The references draw from a ``random.Random``, ``pwd_probe_H`` from a
+    ``core.Sampler``; either is recorded.
+    """
     made = []
 
-    class Recording(random.Random):
-        def __init__(self, seed):
-            super().__init__(seed)
-            made.append(self)
+    def recording(base):
+        class Recording(base):
+            def __init__(self, seed):
+                super().__init__(seed)
+                made.append(self)
+        return Recording
 
     with monkeypatch.context() as m:
-        m.setattr(random, "Random", Recording)
+        m.setattr(random, "Random", recording(random.Random))
+        m.setattr(structure, "Sampler", recording(Sampler))
         report = probe(params, **kwargs)
     (rng,) = made
     return report, rng.getstate()
@@ -488,3 +510,183 @@ def test_coded_pwd_probe_H_failures_match_where_products_vanish(n, monkeypatch):
     assert failures > 0
     if n == 1:
         assert len(pwd_probe_H(params, degree_bound=3, trials=200, seed=0).failures) == 29
+
+
+# ---------------------------------------------------------------------------
+# The top-degree test against the full product in every trial
+# ---------------------------------------------------------------------------
+
+def full_product_pwd_probe_H(params: Parameters, degree_bound: int = 5, trials: int = 200,
+                             seed: int = 0) -> PwdHReport:
+    """Sample sandwiched products in H and test whether any vanishes.
+
+    With all beta_i nonzero every product must be nonzero, and at least
+    one product must have been tested (a trial whose corner pool is empty
+    tests nothing); with some beta_i = 0 the deterministic zero-divisor
+    pair is exhibited as well.
+
+    The trials run on int-coded words (``rewrite._RuleTables``).  A corner
+    pool holds the normal words of degree <= ``degree_bound`` from one
+    vertex to another, and a factor is a combination of distinct pool
+    words, so it is its own normal form: the coded factor a is NF(a) as
+    it is drawn.  NF(a·b) is then the sum over the words q of b of
+    c_q NF(a·q), each taken one arrow of q at a time from the right as in
+    ``normal_product`` (Bergman's diamond lemma makes the result the normal
+    form).  The product is zero exactly when every numerator of that sum
+    is, and only a zero product's factors are decoded, for ``failures``.
+    """
+    n = params.n
+    sys = ensure_confluent(build_system(PRESET_QDU, params))
+    tables = _tables(sys)
+    D = tables.denominator
+    pools: dict[tuple[int, int], list[tuple]] = {}
+    for v in range(n):
+        for paths in basis_from(sys, v, degree_bound):
+            for p in paths:
+                pools.setdefault((v, p.target), []).append(tables.encode(p))
+    rng = random.Random(seed)
+    beta_ok = params.beta_all_nonzero()
+    failures = []
+    tested = 0
+    for t in range(trials):
+        i, k, j = (rng.randrange(n) for _ in range(3))
+        pool_a, pool_b = pools.get((i, k), []), pools.get((k, j), [])
+        if not pool_a or not pool_b:
+            continue
+        a = _coded_combination(pool_a, rng)
+        b = _coded_combination(pool_b, rng)
+        product: dict = {}
+        e = 0
+        for q, c in b.items():
+            pe, part = _normal_times(tables, a, 0, q)
+            e = _add_scaled(product, e, part, pe, c, D)
+        tested += 1
+        if not any(product.values()):
+            failures.append((t, str(tables.element(i, 6, a)), str(tables.element(k, 6, b))))
+    counterexample = None
+    if not beta_ok:
+        bad = next(k for k in range(n) if params.beta[k] == 0)
+        a = _zero_divisor(params, bad)
+        b = Element.from_path(path_from_word(n, bad, "u"))
+        if normal_product(sys, a, b).is_zero():
+            counterexample = (str(a), str(b))
+    ok = (not failures and tested > 0) if beta_ok else (counterexample is not None)
+    return PwdHReport(trials, tested, seed, beta_ok, ok, failures, counterexample)
+
+
+def top_degree_regimes(n: int) -> list[Parameters]:
+    """beta all nonzero or beta_0 = 0, each with gamma = 0 and gamma != 0; alpha_0 = 0.
+
+    With alpha_0 = beta_0 = 0 the top part of d_{n-1} u_{n-1} · u_0 vanishes
+    (it reduces to gamma_0 u_0), so the fallback is taken often.
+    """
+    alpha = [Fraction(0)] + [Fraction(2 * i + 1, i + 2) for i in range(1, n)]
+    beta = [Fraction(-3, i + 1) if i % 2 else Fraction(i + 2) for i in range(n)]
+    gamma = [Fraction(i + 1, 3) for i in range(n)]
+    zero = [0] * n
+    return [Parameters.of(n, alpha, b, g) for b in (beta, [0] + beta[1:]) for g in (zero, gamma)]
+
+
+@pytest.mark.parametrize("n", range(1, 5))
+def test_top_degree_probe_matches_full_product_probe(n, monkeypatch):
+    for params in top_degree_regimes(n):
+        for degree_bound in range(6):
+            for seed in (0, 24_000 + n, 24_100 + degree_bound):
+                kwargs = {"degree_bound": degree_bound, "trials": 40, "seed": seed}
+                got = run_probe(pwd_probe_H, monkeypatch, params, **kwargs)
+                assert got == run_probe(full_product_pwd_probe_H, monkeypatch, params, **kwargs), \
+                    (params, degree_bound, seed)
+
+
+@pytest.mark.parametrize("n", range(1, 4))
+def test_top_degree_probe_matches_full_product_probe_where_products_vanish(n):
+    # alpha = beta = gamma = 0: many products vanish, so failures are compared.
+    params = Parameters.of(n, [0] * n, [0] * n, [0] * n)
+    failures = 0
+    for degree_bound in range(6):
+        for seed in range(3):
+            got = pwd_probe_H(params, degree_bound=degree_bound, trials=100, seed=seed)
+            assert got == full_product_pwd_probe_H(params, degree_bound=degree_bound, trials=100,
+                                                   seed=seed)
+            failures += len(got.failures)
+    assert failures > 0
+
+
+def gamma_pair(params: Parameters, i: int):
+    """Coded a = d_{i-1} u_{i-1} - alpha_i u_i d_i, z = a - gamma_i e_i and b = u_i.
+
+    Numerators over the lcm of the denominators of alpha_i and gamma_i.
+    """
+    n = params.n
+    tables = _tables(ensure_confluent(build_system(PRESET_QDU, params)))
+    alpha, gamma = params.alpha[i], params.gamma[i]
+    den = alpha.denominator * gamma.denominator
+    word = lambda text: tables.encode(path_from_word(n, i, text))
+    a = {w: c for w, c in ((word("du"), den), (word("ud"), -alpha * den)) if c}
+    z = {**a, (): -gamma * den}
+    return tables, {w: int(c) for w, c in a.items()}, {w: int(c) for w, c in z.items()}, {word("u"): 1}
+
+
+def check_gamma_pair_step(product_vanishes) -> None:
+    """With beta_i = 0 and gamma_i != 0, a·b = gamma_i u_i: its top part is 0, the product is not.
+
+    And z·b = 0 although NF(z_top·b) = a·b is not: the top parts' lower
+    degrees decide nothing either.
+    """
+    rng = random.Random(24_200)
+    for n in range(1, 5):
+        for i in range(n):
+            alpha = [Fraction(rng.randint(-4, 4), rng.randint(1, 3)) for _ in range(n)]
+            beta = [Fraction(rng.choice((-2, -1, 1, 3)), rng.randint(1, 3)) for _ in range(n)]
+            gamma = [Fraction(rng.choice((-2, -1, 1, 3)), rng.randint(1, 3)) for _ in range(n)]
+            beta[i] = Fraction(0)
+            tables, a, z, b = gamma_pair(Parameters.of(n, alpha, beta, gamma), i)
+            product = _coded_times(tables, a, b)
+            assert not any(c for w, c in product.items() if len(w) == 3)
+            assert {w for w, c in product.items() if c} == set(b)
+            assert not product_vanishes(tables, a, b), (n, i)
+            assert not any(_coded_times(tables, z, b).values())
+            assert product_vanishes(tables, z, b), (n, i)
+
+
+def test_vanishing_top_part_is_not_a_zero_product():
+    check_gamma_pair_step(_product_vanishes)
+
+
+def top_part_only(tables, a, b) -> bool:
+    """A mutant: a vanishing top part counts as a zero product."""
+    top_a, top_b = max(map(len, a)), max(map(len, b))
+    product = _coded_times(tables, {w: c for w, c in a.items() if len(w) == top_a},
+                           {q: c for q, c in b.items() if len(q) == top_b})
+    return not any(c for w, c in product.items() if len(w) == top_a + top_b)
+
+
+def lower_degrees_too(tables, a, b) -> bool:
+    """A mutant: any nonzero numerator of NF(a_top·b_top) counts as a nonzero product."""
+    top_a, top_b = max(map(len, a)), max(map(len, b))
+    product = _coded_times(tables, {w: c for w, c in a.items() if len(w) == top_a},
+                           {q: c for q, c in b.items() if len(q) == top_b})
+    return not any(product.values()) and not any(_coded_times(tables, a, b).values())
+
+
+def test_counting_a_vanishing_top_part_as_zero_is_caught(monkeypatch):
+    with pytest.raises(AssertionError):
+        check_gamma_pair_step(top_part_only)
+    with pytest.raises(AssertionError):
+        check_gamma_pair_step(lower_degrees_too)
+    # The probe with the mutant step reports zero products the full product does not.
+    monkeypatch.setattr(structure, "_product_vanishes", top_part_only)
+    params = top_degree_regimes(3)[3]
+    got = pwd_probe_H(params, degree_bound=4, trials=200, seed=0)
+    assert got.failures
+    assert got != full_product_pwd_probe_H(params, degree_bound=4, trials=200, seed=0)
+
+
+@pytest.mark.parametrize("n", range(1, 13))
+def test_no_rule_raises_degree(n):
+    # The hypothesis of the top-degree lemma, with zero entries included.
+    rng = random.Random(24_300 + n)
+    for trial in range(8):
+        params = random_params(rng, n, integral=trial % 2 == 0, zero_beta=trial % 3 == 0)
+        for rule in _qdu_rules(params):
+            assert all(len(q.arrows) <= len(rule.lhs.arrows) for q in rule.rhs.terms), (params, rule)
