@@ -47,14 +47,16 @@ class Sampler(random.Random):
     """The random generator of the sampled piecewise-domain probes.
 
     ``below(n)`` is ``randrange(n)``; ``randint``, ``choice`` and
-    ``sample`` (k <= 5, a list or tuple population, no ``counts``) are
-    ``random.Random``'s, on int arguments.  Each inlines the rejection
-    loop of CPython's ``_randbelow_with_getrandbits`` (k = n.bit_length()
-    bits for a range of n, redrawn while >= n), so it makes the same
-    ``getrandbits`` calls and values and the generator state match
-    ``random.Random(seed)`` call for call; only the method layers
-    ``randint -> randrange -> _randbelow`` in between are skipped.
-    Everything else is ``random.Random``'s.
+    ``sample`` are ``random.Random``'s, on int arguments.  Each inlines
+    the rejection loop of CPython's ``_randbelow_with_getrandbits``
+    (k = n.bit_length() bits for a range of n, redrawn while >= n), so it
+    makes the same ``getrandbits`` calls and values and the generator
+    state match ``random.Random(seed)`` call for call; only the method
+    layers ``randint -> randrange -> _randbelow`` in between are skipped.
+    ``sample`` is inlined only for k <= 5 and a list or tuple population
+    of at most 21 items, without ``counts``: CPython's pool branch.  Any
+    other call goes to ``random.Random.sample``.  Everything else is
+    ``random.Random``'s.
     """
 
     def below(self, n: int) -> int:
@@ -87,33 +89,22 @@ class Sampler(random.Random):
 
     def sample(self, population, k, *, counts=None):
         n = len(population)
-        if k > 5 or k < 0 or k > n or counts is not None or type(population) not in (list, tuple):
+        if (k > 5 or k < 0 or k > n or n > 21 or counts is not None
+                or type(population) not in (list, tuple)):
             return super().sample(population, k, counts=counts)
-        if k == 1:
-            # Both branches below draw one index in range(n).
+        if k == 1:  # the pool branch's one draw, without the copy
             return [population[self.below(n)]]
+        # CPython's pool branch: each pick is replaced by the last unpicked item.
         getrandbits = self.getrandbits
         result = []
-        if n <= 21:
-            # CPython's pool branch: each pick is replaced by the last unpicked item.
-            pool = list(population)
-            for m in range(n, n - k, -1):
-                bits = m.bit_length()
+        pool = list(population)
+        for m in range(n, n - k, -1):
+            bits = m.bit_length()
+            j = getrandbits(bits)
+            while j >= m:
                 j = getrandbits(bits)
-                while j >= m:
-                    j = getrandbits(bits)
-                result.append(pool[j])
-                pool[j] = pool[m - 1]
-        else:
-            # Its set branch: an index already picked is drawn again.
-            bits = n.bit_length()
-            picked = set()
-            for _ in range(k):
-                j = getrandbits(bits)
-                while j >= n or j in picked:
-                    j = getrandbits(bits)
-                picked.add(j)
-                result.append(population[j])
+            result.append(pool[j])
+            pool[j] = pool[m - 1]
         return result
 
 

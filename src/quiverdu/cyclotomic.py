@@ -4,25 +4,25 @@ Scalars are residues modulo the n-th cyclotomic polynomial Phi_n, computed
 by the standard recursive factorization of x^n - 1.  A scalar is stored as
 integer numerators (one per power of zeta below phi(n)) over one positive
 common denominator, kept canonical: the gcd of the denominator and all
-numerators is 1, and zero is all zeros over 1.  Phi_n is monic with integer
-coefficients, so x^k mod Phi_n is integral; a per-n table of those residues
-turns a product into an integer convolution plus one table reduction.
-A product with a rational (a plain number, or a scalar whose numerators of
-zeta^1 .. zeta^(phi(n)-1) are zero) skips the convolution and scales the
-numerators in O(phi(n)).  A rational-valued scalar hashes as its
-``Fraction``, so it hashes equal to the number it equals.
-Division uses the extended Euclidean algorithm.
+numerators is 1, and zero is all zeros over 1.  A rational-valued scalar
+hashes as its ``Fraction``, so it hashes equal to the number it equals.
 
-Callers that multiply many scalars at once (the skew-group check) work in
-the group algebra Q[x]/(x^n - 1) instead: a value there is a sparse map
-{k: int} for sum_k c_k x^k, 0 <= k < n, over a denominator the caller
-keeps, and a product is a cyclic convolution of such maps.  x -> zeta is
-a ring map onto Q(zeta_n) with kernel (Phi_n), so reducing a map by
-``power_residue`` gives exactly the numerators of the scalar it stands
-for; ``from_power_counts`` and ``power_counts`` convert between the two.
-A map that is nonzero can still stand for zero (1 + x + ... + x^(n-1)
-does), so such values are compared and tested for zero only after
-reduction.  This module is the only one that knows Phi_n.
+Values are built in the group algebra Q[x]/(x^n - 1): a sparse map
+{k: int} for sum_k c_k x^k, 0 <= k < n, over one denominator.  x -> zeta
+is a ring map onto Q(zeta_n) with kernel (Phi_n), and ``power_residue``,
+the one reduction mod Phi_n, takes such a map to the numerators of the
+scalar it stands for; ``from_power_counts`` and ``power_counts`` convert
+between the two.  Every constructor and every product ends in
+``from_power_counts``: a product is the cyclic convolution of the
+numerators mod n.  The inverse of a is adj / N(a), where adj is the
+product of the conjugates zeta -> zeta^k of a over the units k != 1 mod n
+and N(a) = a * adj is the field norm, a nonzero rational.
+
+Callers that multiply many scalars at once (the skew-group check) keep
+their values as such maps, over a denominator of their own, and reduce
+them only to compare.  A map that is nonzero can still stand for zero
+(1 + x + ... + x^(n-1) does), so such values are compared and tested for
+zero only after reduction.  This module is the only one that knows Phi_n.
 """
 
 from __future__ import annotations
@@ -82,18 +82,14 @@ def cyclotomic_polynomial(n: int) -> tuple[Fraction, ...]:
 
 
 @lru_cache(maxsize=None)
-def _power_table(n: int) -> tuple[tuple[int, ...], ...]:
-    """Row k holds the integer coefficients of x^k mod Phi_n.
-
-    There are max(n, 2 phi(n) - 1) rows: enough for zeta^e with
-    0 <= e < n and for the product of two reduced residues.
-    """
+def _residue_rows(n: int) -> tuple[tuple[tuple[int, int], ...], ...]:
+    """Row k lists the nonzero (i, c) of x^k mod Phi_n, for 0 <= k < n."""
     modulus = [int(c) for c in cyclotomic_polynomial(n)]
     phi = len(modulus) - 1
     rows = []
     vec = [1] + [0] * (phi - 1)
-    for _ in range(max(n, 2 * phi - 1)):
-        rows.append(tuple(vec))
+    for _ in range(n):
+        rows.append(tuple((i, c) for i, c in enumerate(vec) if c))
         top = vec[-1]
         vec = [0] + vec[:-1]
         if top:  # x^phi = -(modulus[0] + ... + modulus[phi-1] x^(phi-1))
@@ -101,20 +97,14 @@ def _power_table(n: int) -> tuple[tuple[int, ...], ...]:
     return tuple(rows)
 
 
-@lru_cache(maxsize=None)
-def _residue_rows(n: int) -> tuple[tuple[tuple[int, int], ...], ...]:
-    """Row k lists the nonzero (i, c) of x^k mod Phi_n, for 0 <= k < n."""
-    return tuple(tuple((i, c) for i, c in enumerate(row) if c) for row in _power_table(n)[:n])
-
-
 def power_residue(n: int, counts: Mapping[int, int]) -> list[int]:
     """Integer numerators of (sum_k counts[k] x^k) mod Phi_n, for 0 <= k < n.
 
-    The group-algebra reduction: the image of sum_k counts[k] x^k under
-    x -> zeta, as numerators of 1, zeta, ..., zeta^(phi(n)-1).  The value
-    is zero exactly when every numerator is.
+    The image of sum_k counts[k] x^k under x -> zeta, as numerators of
+    1, zeta, ..., zeta^(phi(n)-1).  The value is zero exactly when every
+    numerator is.
     """
-    num = [0] * len(_power_table(n)[0])
+    num = [0] * (len(cyclotomic_polynomial(n)) - 1)
     rows = _residue_rows(n)
     for k, c in counts.items():
         for i, r in rows[k]:
@@ -129,14 +119,11 @@ def _canonical(n: int, num, den: int) -> "CycScalar":
         if g != 1:
             num = [x // g for x in num]
             den //= g
-    return _raw(n, tuple(num), den)
-
-
-def _scaled(x: "CycScalar", p: int, q: int) -> "CycScalar":
-    """x * p / q for a positive q: the numerators scaled, no convolution."""
-    if p == q == 1:
-        return x
-    return _canonical(x.n, [v * p for v in x._num], x._den * q)
+    x = object.__new__(CycScalar)
+    object.__setattr__(x, "n", n)
+    object.__setattr__(x, "_num", tuple(num))
+    object.__setattr__(x, "_den", den)
+    return x
 
 
 def _same_n(a: "CycScalar", b: "CycScalar") -> None:
@@ -149,25 +136,14 @@ class CycScalar:
 
     __slots__ = ("n", "_num", "_den")
 
-    def __init__(self, n: int, coeffs: Mapping[int, Fraction] | list | None = None):
-        phi = len(cyclotomic_polynomial(n)) - 1
-        if isinstance(coeffs, Mapping):
-            items = coeffs.items()
-        else:
-            items = enumerate(coeffs or [])
+    def __new__(cls, n: int, coeffs: Mapping[int, Fraction] | list | None = None):
+        items = coeffs.items() if isinstance(coeffs, Mapping) else enumerate(coeffs or [])
         terms = [(k, Fraction(c)) for k, c in items]
         den = lcm(*(c.denominator for _, c in terms))
-        num = [0] * phi
-        for k, c in terms:
-            c = c.numerator * (den // c.denominator)
-            if 0 <= k < phi:
-                num[k] += c
-            elif c:  # zeta^n = 1, and row k mod n of the table is reduced
-                num = [x + c * r for x, r in zip(num, _power_table(n)[k % n])]
-        reduced = _canonical(n, num, den)
-        _set_n(self, n)
-        _set_num(self, reduced._num)
-        _set_den(self, reduced._den)
+        counts: dict[int, int] = {}
+        for k, c in terms:  # zeta^n = 1
+            counts[k % n] = counts.get(k % n, 0) + c.numerator * (den // c.denominator)
+        return cls.from_power_counts(n, counts, den)
 
     def __setattr__(self, *args):  # pragma: no cover - guard only
         raise AttributeError("CycScalar is immutable")
@@ -179,7 +155,7 @@ class CycScalar:
 
     @classmethod
     def zero(cls, n: int) -> "CycScalar":
-        return _raw(n, (0,) * (len(cyclotomic_polynomial(n)) - 1), 1)
+        return cls.from_power_counts(n, {})
 
     @classmethod
     def one(cls, n: int) -> "CycScalar":
@@ -188,12 +164,11 @@ class CycScalar:
     @classmethod
     def from_rational(cls, n: int, c) -> "CycScalar":
         c = Fraction(c)
-        phi = len(cyclotomic_polynomial(n)) - 1
-        return _raw(n, (c.numerator,) + (0,) * (phi - 1), c.denominator)
+        return cls.from_power_counts(n, {0: c.numerator}, c.denominator)
 
     @classmethod
     def zeta_power(cls, n: int, e: int) -> "CycScalar":
-        return _raw(n, _power_table(n)[e % n], 1)
+        return cls.from_power_counts(n, {e % n: 1})
 
     @classmethod
     def from_power_counts(cls, n: int, counts: Mapping[int, int], den: int = 1) -> "CycScalar":
@@ -247,7 +222,7 @@ class CycScalar:
                           da * db)
 
     def __neg__(self) -> "CycScalar":
-        return _raw(self.n, tuple(-x for x in self._num), self._den)
+        return _canonical(self.n, [-x for x in self._num], self._den)
 
     def __sub__(self, other: "CycScalar") -> "CycScalar":
         if type(other) is not CycScalar:
@@ -255,60 +230,43 @@ class CycScalar:
         return self + (-other)
 
     def __mul__(self, other):
+        """The cyclic convolution of the numerators mod n, reduced mod Phi_n."""
         if type(other) is not CycScalar:
-            if isinstance(other, (int, Fraction)):
-                c = Fraction(other)
-                return _scaled(self, c.numerator, c.denominator)
-            return NotImplemented
+            if not isinstance(other, (int, Fraction)):
+                return NotImplemented
+            other = CycScalar.from_rational(self.n, other)
         _same_n(self, other)
-        a, b = self._num, other._num
-        if not any(b[1:]):
-            return _scaled(self, b[0], other._den)
-        if not any(a[1:]):
-            return _scaled(other, a[0], self._den)
-        phi = len(a)
-        conv = [0] * (2 * phi - 1)
-        for i, x in enumerate(a):
+        n = self.n
+        counts: dict[int, int] = {}
+        for i, x in enumerate(self._num):
             if x:
-                for j, y in enumerate(b):
+                for j, y in enumerate(other._num):
                     if y:
-                        conv[i + j] += x * y
-        num = conv[:phi]
-        table = _power_table(self.n)
-        for k in range(phi, 2 * phi - 1):
-            c = conv[k]
-            if c:
-                num = [x + c * r for x, r in zip(num, table[k])]
-        return _canonical(self.n, num, self._den * other._den)
+                        k = (i + j) % n
+                        counts[k] = counts.get(k, 0) + x * y
+        return CycScalar.from_power_counts(n, counts, self._den * other._den)
 
     def __rmul__(self, other):
         return self * other
 
     def inverse(self) -> "CycScalar":
-        """Extended Euclid against the (irreducible) cyclotomic modulus."""
+        """adj / N(self), by the field norm.
+
+        adj is the product of the conjugates zeta -> zeta^k of self over
+        the units k != 1 mod n, and N(self) = self * adj is rational.
+        """
         if self.is_zero():
             raise ZeroDivisionError("inverse of zero cyclotomic scalar")
-        if not any(self._num[1:]):
-            return CycScalar.from_rational(self.n, Fraction(self._den, self._num[0]))
-        modulus = list(cyclotomic_polynomial(self.n))
-        r0, r1 = modulus, _poly_trim([Fraction(x) for x in self._num])
-        s0, s1 = [], [Fraction(1)]
-        while True:
-            quo, rem = _poly_divmod(r0, r1)
-            if not rem:
-                break
-            prod = _poly_mul(quo, s1)
-            new_s = [Fraction(0)] * max(len(s0), len(prod))
-            for idx, c in enumerate(s0):
-                new_s[idx] += c
-            for idx, c in enumerate(prod):
-                new_s[idx] -= c
-            s0, s1 = s1, _poly_trim(new_s)
-            r0, r1 = r1, rem
-        if len(r1) != 1:
-            raise AssertionError("cyclotomic modulus is irreducible; gcd must be constant")
-        scale = self._den / r1[0]
-        return CycScalar(self.n, {k: c * scale for k, c in enumerate(s1)})
+        n = self.n
+        adj = CycScalar.one(n)
+        for k in range(2, n):
+            if gcd(k, n) == 1:
+                conjugate = {i * k % n: x for i, x in enumerate(self._num) if x}
+                adj = adj * CycScalar.from_power_counts(n, conjugate, self._den)
+        norm = self * adj
+        if not norm or any(norm._num[1:]):
+            raise AssertionError("the norm of a nonzero scalar must be a nonzero rational")
+        return adj * Fraction(norm._den, norm._num[0])
 
     def __truediv__(self, other: "CycScalar") -> "CycScalar":
         if isinstance(other, (int, Fraction)):
@@ -337,17 +295,3 @@ class CycScalar:
 
     def __repr__(self) -> str:
         return f"CycScalar({self.n}, {self})"
-
-
-# The slot setters, bound once: they skip the immutability guard of
-# ``CycScalar.__setattr__`` without a per-call attribute lookup.
-_set_n, _set_num, _set_den = (CycScalar.__dict__[s].__set__ for s in CycScalar.__slots__)
-
-
-def _raw(n: int, num: tuple[int, ...], den: int) -> CycScalar:
-    """Wrap numerators and a denominator already in canonical form."""
-    x = object.__new__(CycScalar)
-    _set_n(x, n)
-    _set_num(x, num)
-    _set_den(x, den)
-    return x

@@ -6,10 +6,13 @@ and its own ``cyclotomic_polynomial`` cache.  Every public operation of
 ``quiverdu.cyclotomic.CycScalar`` must give the same rational coefficients
 as the reference, for n = 1..12.
 
-Products by a rational and by a power of zeta (``times_zeta``, kept in
-``test_smash_reference`` with the smash product that called it) skip the
-integer convolution; ``convolution_product`` keeps that convolution
-verbatim as the reference for those fast paths.
+A product is a cyclic convolution mod n reduced by ``power_residue``.
+``convolution_product`` keeps, verbatim, the product that
+``quiverdu.cyclotomic`` ran before: a convolution of the reduced
+numerators, then a reduction through the ``_power_table`` of
+``test_smash_reference``.  It is an independent reference for products
+by a rational and by a power of zeta (``times_zeta``, kept there with
+the smash product that called it).
 
 ``power_residue`` reduces a group-algebra map {k: int}, 0 <= k < n, mod
 Phi_n; the reference constructor, which divides by Phi_n, must give the
@@ -28,7 +31,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from quiverdu import cyclotomic
-from test_smash_reference import times_zeta
+from test_smash_reference import _power_table, times_zeta
 
 New = cyclotomic.CycScalar
 
@@ -260,7 +263,7 @@ def convolution_product(a: New, b: New) -> tuple[Fraction, ...]:
                 if v:
                     conv[i + j] += u * v
     num = conv[:phi]
-    table = cyclotomic._power_table(a.n)
+    table = _power_table(a.n)
     for k in range(phi, 2 * phi - 1):
         c = conv[k]
         if c:

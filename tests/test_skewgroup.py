@@ -7,7 +7,7 @@ from fractions import Fraction
 
 import pytest
 
-from quiverdu import skewgroup
+from quiverdu import cyclotomic, skewgroup
 from quiverdu.cli import main
 from quiverdu.core import Element, path_from_word
 from quiverdu.cyclotomic import CycScalar, cyclotomic_polynomial
@@ -120,8 +120,15 @@ def test_cyc_scalar_sum_with_a_plain_number_is_a_type_error():
 
 
 def test_cyc_scalar_inverse():
+    # n = 1..12 covers phi(n) = 1 and the non-cyclic unit groups of 8 and
+    # 12.  zeta^e and the rationals have closed-form inverses that share
+    # no code with the norm.
     rng = random.Random(83)
-    for n in (3, 4, 5, 6, 8):
+    for n in range(1, 13):
+        for e in range(n):
+            assert CycScalar.zeta_power(n, e).inverse() == CycScalar.zeta_power(n, n - e)
+        for c in (Fraction(1), Fraction(-1), Fraction(3), Fraction(-2, 7), Fraction(5, 4)):
+            assert CycScalar.from_rational(n, c).inverse() == CycScalar.from_rational(n, 1 / c)
         for _ in range(6):
             coeffs = {k: Fraction(rng.randint(-4, 4), rng.randint(1, 3))
                       for k in range(len(cyclotomic_polynomial(n)) - 1)}
@@ -129,6 +136,8 @@ def test_cyc_scalar_inverse():
             if x.is_zero():
                 continue
             assert x * x.inverse() == CycScalar.one(n)
+        with pytest.raises(ZeroDivisionError):
+            CycScalar.zero(n).inverse()
 
 
 def test_smash_element_coerces_rational_coefficients():
@@ -369,3 +378,35 @@ def test_one_corrupted_relation_side_gives_fail_exit_1(tmp_path, capsys, monkeyp
     assert report["verdict"] == "fail"
     assert report["findings"]["relations_killed_by_beta"] == {"-1": False, "1": False}
     assert report["findings"]["proof_identities"] is False
+
+
+class _ScalarBuilt(Exception):
+    """A CycScalar was built where no command should build one."""
+
+
+def test_cli_commands_build_no_cyc_scalar(tmp_path, capsys, monkeypatch):
+    # The skew-group check multiplies in Q[x]/(x^n - 1) and reduces only
+    # by power_residue, so no command builds a CycScalar, and the speed of
+    # its arithmetic costs no command anything.  If a command builds one
+    # again, this fails: that arithmetic is on a CLI path once more.
+    configs = {"skew3": (3, ["0"] * 3, ["-1"] * 3, ["0"] * 3),
+               "gamma0": (3, ["1", "-1/2", "2"], ["2", "3", "-1"], ["0"] * 3)}
+    paths = {}
+    for name, (n, alpha, beta, gamma) in configs.items():
+        paths[name] = tmp_path / f"{name}.json"
+        paths[name].write_text(json.dumps({"n": n, "alpha": alpha, "beta": beta,
+                                           "gamma": gamma}), encoding="utf-8")
+    calls = [["verify", "skewgroup", str(paths["skew3"]), "--n", str(k), "--max-degree", "4"]
+             for k in range(2, 13)]
+    calls += [["report", str(paths["skew3"])],
+              ["report", str(paths["gamma0"]), "--trials", "10"]]
+
+    def refuse(*args):
+        raise _ScalarBuilt
+    with monkeypatch.context() as m:
+        m.setattr(cyclotomic, "_canonical", refuse)
+        refused = [(main(argv + ["--json"]), capsys.readouterr().out) for argv in calls]
+    built = [(main(argv + ["--json"]), capsys.readouterr().out) for argv in calls]
+    assert refused == built
+    assert [(code, json.loads(out)["verdict"]) for code, out in built] == [(0, "pass")] * 13
+    assert "skewgroup" in json.loads(built[11][1])["findings"]

@@ -3,7 +3,12 @@
 The reference is the ``CycScalar`` loop that ``smash_multiply`` ran before
 products moved to int-coded group-algebra coefficients, kept here verbatim
 as ``reference_smash_multiply``, with ``times_zeta``, the ``CycScalar``
-method it called (now a function of the scalar, otherwise verbatim).  The
+method it called (now a function of the scalar, otherwise verbatim).
+``times_zeta`` reads ``_power_table`` (the table of x^k mod Phi_n) and
+``_raw`` (the wrapper of canonical numerators), which left
+``quiverdu.cyclotomic`` when ``power_residue`` became its one reduction
+mod Phi_n; they are kept here verbatim, and ``test_cyclotomic_reference``
+imports the table.  The
 coded product keeps its coefficients in Q[x]/(x^n - 1) and reduces them
 mod Phi_n only where it compares, tests for zero or decodes, so it must
 give the reference's ``SmashElement`` for every n, also where a
@@ -16,12 +21,13 @@ verbatim as ``element_r_monomial_product`` (without its cache).
 
 import random
 from fractions import Fraction
+from functools import lru_cache
 
 import pytest
 
 from quiverdu import skewgroup
 from quiverdu.core import Element, Parameters
-from quiverdu.cyclotomic import CycScalar, _power_table, _raw, cyclotomic_polynomial
+from quiverdu.cyclotomic import CycScalar, cyclotomic_polynomial
 from quiverdu.rewrite import PRESET_QDU, build_system, ensure_confluent, normal_product, normal_shape
 from quiverdu.skewgroup import (
     _UNIT,
@@ -34,6 +40,40 @@ from quiverdu.skewgroup import (
     verify_quotient_match,
 )
 from test_skewgroup import _monomial_to_path, monomials_of_degree
+
+
+@lru_cache(maxsize=None)
+def _power_table(n: int) -> tuple[tuple[int, ...], ...]:
+    """Row k holds the integer coefficients of x^k mod Phi_n.
+
+    There are max(n, 2 phi(n) - 1) rows: enough for zeta^e with
+    0 <= e < n and for the product of two reduced residues.
+    """
+    modulus = [int(c) for c in cyclotomic_polynomial(n)]
+    phi = len(modulus) - 1
+    rows = []
+    vec = [1] + [0] * (phi - 1)
+    for _ in range(max(n, 2 * phi - 1)):
+        rows.append(tuple(vec))
+        top = vec[-1]
+        vec = [0] + vec[:-1]
+        if top:  # x^phi = -(modulus[0] + ... + modulus[phi-1] x^(phi-1))
+            vec = [v - top * m for v, m in zip(vec, modulus)]
+    return tuple(rows)
+
+
+# The slot setters, bound once: they skip the immutability guard of
+# ``CycScalar.__setattr__`` without a per-call attribute lookup.
+_set_n, _set_num, _set_den = (CycScalar.__dict__[s].__set__ for s in CycScalar.__slots__)
+
+
+def _raw(n: int, num: tuple[int, ...], den: int) -> CycScalar:
+    """Wrap numerators and a denominator already in canonical form."""
+    x = object.__new__(CycScalar)
+    _set_n(x, n)
+    _set_num(x, num)
+    _set_den(x, den)
+    return x
 
 
 def times_zeta(self, e: int) -> CycScalar:
