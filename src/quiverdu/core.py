@@ -9,7 +9,9 @@ All coefficients are exact rationals.
 package: addition, negation, scaling, equality, hashing and zero-stripping
 of a key -> coefficient map, plus ``combine`` for sums of many scaled
 parts.  ``Element`` (paths with rational coefficients) is the subclass
-defined here; the GWA and smash-product element types subclass it too.
+defined here; the two GWA element types subclass it too.  The smash
+product of the skew-group check has no subclass: it runs on the int-coded
+form alone.
 
 Beside it sits the int-coded form of a rational combination, ``(den,
 {key: int})``: int numerators over one positive denominator.  The GWA
@@ -251,19 +253,16 @@ class Combination:
     ``_entry`` and keep only their named constructors, their product and
     their printing.  Values are immutable: every operation builds a new
     value and never touches the operands' term maps, so results may be
-    shared (the normal-form memo hands out the same Element repeatedly).
+    shared.
     Zero coefficients are stripped eagerly, so two values are equal iff
     their term maps are equal.
     """
 
     __slots__ = ("n", "terms")
 
-    _MIN_N = 1
-    _MIN_N_ERROR = "n must be positive"
-
     def __init__(self, n: int, terms: Mapping | None = None):
-        if n < self._MIN_N:
-            raise ValueError(self._MIN_N_ERROR)
+        if n < 1:
+            raise ValueError("n must be positive")
         clean = {}
         for key, c in (terms or {}).items():
             key, c = self._entry(n, key, c)
@@ -276,11 +275,6 @@ class Combination:
     def _entry(cls, n: int, key, coeff):
         """Validate one term of a public constructor; return (key, coefficient)."""
         return key, Fraction(coeff)
-
-    @staticmethod
-    def _scalar(c):
-        """Coerce a scaling factor into something coefficients multiply by."""
-        return Fraction(c)
 
     @classmethod
     def _from_sums(cls, n: int, sums: dict):
@@ -320,7 +314,7 @@ class Combination:
         for x, c in parts:
             if x.n != n:
                 raise ValueError(f"mismatched sizes: {x.n} and {n}")
-            c = cls._scalar(c)
+            c = Fraction(c)
             unit = c == 1
             for key, v in x.terms.items():
                 if not unit:

@@ -1,11 +1,12 @@
 """Exact arithmetic in the n-th cyclotomic field Q(zeta_n).
 
 Scalars are residues modulo the n-th cyclotomic polynomial Phi_n, computed
-by the standard recursive factorization of x^n - 1.  A scalar is stored as
-integer numerators (one per power of zeta below phi(n)) over one positive
-common denominator, kept canonical: the gcd of the denominator and all
-numerators is 1, and zero is all zeros over 1.  A rational-valued scalar
-hashes as its ``Fraction``, so it hashes equal to the number it equals.
+in ints by the standard recursive factorization of x^n - 1.  A scalar is
+stored as integer numerators (one per power of zeta below phi(n)) over one
+positive common denominator, kept canonical: the gcd of the denominator
+and all numerators is 1, and zero is all zeros over 1.  A rational-valued
+scalar hashes as its ``Fraction``, so it hashes equal to the number it
+equals.
 
 Values are built in the group algebra Q[x]/(x^n - 1): a sparse map
 {k: int} for sum_k c_k x^k, 0 <= k < n, over one denominator.  x -> zeta
@@ -18,11 +19,15 @@ numerators mod n.  The inverse of a is adj / N(a), where adj is the
 product of the conjugates zeta -> zeta^k of a over the units k != 1 mod n
 and N(a) = a * adj is the field norm, a nonzero rational.
 
-Callers that multiply many scalars at once (the skew-group check) keep
-their values as such maps, over a denominator of their own, and reduce
-them only to compare.  A map that is nonzero can still stand for zero
+The skew-group check, the one caller in ``src/``, keeps its values as
+such maps, over a denominator of their own, and calls ``power_residue``
+only to compare.  A map that is nonzero can still stand for zero
 (1 + x + ... + x^(n-1) does), so such values are compared and tested for
 zero only after reduction.  This module is the only one that knows Phi_n.
+
+``CycScalar`` has no caller in ``src/``.  It stays as the field's value
+type for the tests, whose references decode coded smash elements into
+``CycScalar``s, and for the benchmark's tracer, which wraps its methods.
 """
 
 from __future__ import annotations
@@ -33,50 +38,35 @@ from math import gcd, lcm
 from typing import Mapping
 
 
-def _poly_trim(coeffs: list[Fraction]) -> list[Fraction]:
-    while coeffs and coeffs[-1] == 0:
-        coeffs.pop()
-    return coeffs
-
-
-def _poly_mul(a: list[Fraction], b: list[Fraction]) -> list[Fraction]:
-    if not a or not b:
-        return []
-    out = [Fraction(0)] * (len(a) + len(b) - 1)
-    for i, x in enumerate(a):
-        if x:
-            for j, y in enumerate(b):
-                out[i + j] += x * y
-    return _poly_trim(out)
-
-
-def _poly_divmod(a: list[Fraction], b: list[Fraction]) -> tuple[list[Fraction], list[Fraction]]:
-    if not b:
-        raise ZeroDivisionError("polynomial division by zero")
-    rem = list(a)
-    quo = [Fraction(0)] * max(0, len(a) - len(b) + 1)
-    lead = b[-1]
-    for shift in range(len(rem) - len(b), -1, -1):
-        c = rem[shift + len(b) - 1] / lead
-        if c:
-            quo[shift] = c
-            for j, y in enumerate(b):
-                rem[shift + j] -= c * y
-    return _poly_trim(quo), _poly_trim(rem)
-
-
 @lru_cache(maxsize=None)
-def cyclotomic_polynomial(n: int) -> tuple[Fraction, ...]:
-    """Coefficients (low to high) of the n-th cyclotomic polynomial."""
+def cyclotomic_polynomial(n: int) -> tuple[int, ...]:
+    """Coefficients (low to high) of the n-th cyclotomic polynomial.
+
+    Phi_n is x^n - 1 divided by the product of Phi_d over the proper
+    divisors d of n.  That product is monic with int coefficients, so the
+    long division stays in ints and must leave no remainder.
+    """
     if n < 1:
         raise ValueError("n must be positive")
-    xn_minus_1 = [Fraction(-1)] + [Fraction(0)] * (n - 1) + [Fraction(1)]
-    divisor = [Fraction(1)]
+    divisor = [1]
     for d in range(1, n):
         if n % d == 0:
-            divisor = _poly_mul(divisor, list(cyclotomic_polynomial(d)))
-    quo, rem = _poly_divmod(xn_minus_1, divisor)
-    if rem:
+            phi_d = cyclotomic_polynomial(d)
+            product = [0] * (len(divisor) + len(phi_d) - 1)
+            for i, x in enumerate(divisor):
+                if x:
+                    for j, y in enumerate(phi_d):
+                        product[i + j] += x * y
+            divisor = product
+    rem = [-1] + [0] * (n - 1) + [1]
+    deg = len(divisor) - 1
+    quo = [0] * (n - deg + 1)
+    for shift in range(n - deg, -1, -1):
+        c = quo[shift] = rem[shift + deg]
+        if c:
+            for j, y in enumerate(divisor):
+                rem[shift + j] -= c * y
+    if any(rem):
         raise AssertionError("cyclotomic division left a remainder")
     return tuple(quo)
 
@@ -84,7 +74,7 @@ def cyclotomic_polynomial(n: int) -> tuple[Fraction, ...]:
 @lru_cache(maxsize=None)
 def _residue_rows(n: int) -> tuple[tuple[tuple[int, int], ...], ...]:
     """Row k lists the nonzero (i, c) of x^k mod Phi_n, for 0 <= k < n."""
-    modulus = [int(c) for c in cyclotomic_polynomial(n)]
+    modulus = cyclotomic_polynomial(n)
     phi = len(modulus) - 1
     rows = []
     vec = [1] + [0] * (phi - 1)

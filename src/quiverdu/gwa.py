@@ -407,9 +407,13 @@ def path_x_weight(p: Path) -> int:
 @dataclass
 class GwaPwdReport:
     trials: int
+    tested: int
     seed: int
-    ok: bool
     failures: list
+
+    @property
+    def ok(self) -> bool:
+        return not self.failures and self.tested > 0
 
 
 @lru_cache(maxsize=16)
@@ -420,11 +424,13 @@ def _x_degrees(n: int, degree_bound: int) -> tuple[tuple[int, ...], ...]:
 
 
 def _random_corner_element(params: Parameters, i: int, k: int, rng: Sampler,
-                           degree_bound: int) -> dict[int, tuple[int, dict]]:
+                           degree_bound: int) -> dict[int, tuple[int, dict]] | None:
     """Nonzero random element of e_i T e_k with bounded degrees, coded.
 
     Each coefficient c/q with q in {1, 2, 3} is the numerator c * (6 / q)
     over 6.  ``rng`` may be any ``random.Random``: the draws are the same.
+    None when no X-degree m = i - k mod n has |m| <= ``degree_bound``: the
+    corner has no element within the bound.
     """
     n = params.n
     terms: dict[int, tuple[int, dict]] = {}
@@ -440,6 +446,8 @@ def _random_corner_element(params: Parameters, i: int, k: int, rng: Sampler,
         poly = {key: c for key, c in poly.items() if c}
         if poly:
             terms[m] = (6, poly)
+    if not choices:
+        return None
     if not terms:
         terms[residue if residue <= degree_bound else residue - n] = (1, {(i, 0, 0): 1})
     return terms
@@ -455,16 +463,23 @@ def pwd_probe_gwa(params: Parameters, degree_bound: int = 3, trials: int = 200,
     max(a) and max(b) alone; a trial passes when that part is nonzero, and
     only a failing trial takes the full product, to tell a zero product
     from a dropped top degree.  Factors and products stay coded; a failing
-    trial's factors are decoded to print them.
+    trial's factors are decoded to print them.  A trial with a corner that
+    has no X-degree within ``degree_bound`` tests nothing; both factors are
+    still drawn, so later trials draw as before.  The probe passes only if
+    some trial was tested.
     """
     table = _gwa_table(params)
     rng = Sampler(seed)
     n = params.n
     failures = []
+    tested = 0
     for t in range(trials):
         i, k, j = rng.below(n), rng.below(n), rng.below(n)
         a = _random_corner_element(params, i, k, rng, degree_bound)
         b = _random_corner_element(params, k, j, rng, degree_bound)
+        if a is None or b is None:
+            continue
+        tested += 1
         top_a, top_b = max(a), max(b)
         if _coded_multiply(table, {top_a: a[top_a]}, {top_b: b[top_b]}):
             continue
@@ -473,7 +488,7 @@ def pwd_probe_gwa(params: Parameters, degree_bound: int = 3, trials: int = 200,
         else:
             kind = "zero product"
         failures.append((t, kind, str(_decode_gwa(n, a)), str(_decode_gwa(n, b))))
-    return GwaPwdReport(trials, seed, not failures, failures)
+    return GwaPwdReport(trials, tested, seed, failures)
 
 
 @dataclass

@@ -87,7 +87,6 @@ class ReductionSystem:
     preset: str
     params: Parameters | None = None
     _verified: bool = field(default=False, repr=False)
-    _nf_cache: dict = field(default_factory=dict, repr=False)
     _tables: _RuleTables | None = field(default=None, repr=False, compare=False)
 
     @property
@@ -360,16 +359,6 @@ def _path_nf(tables: _RuleTables, path: Path) -> tuple[int, dict]:
         e, comb = _normal_word(tables, tables.encode(path))
         hit = tables.nf[path] = (e, {tables.path(path.source, w): c for w, c in comb.items()})
     return hit
-
-
-def normal_form_path(sys: ReductionSystem, path: Path) -> Element:
-    """Fully reduce a single path, with per-system memoization."""
-    cached = sys._nf_cache.get(path)
-    if cached is None:
-        tables = _tables(sys)
-        e, terms = _path_nf(tables, path)
-        cached = sys._nf_cache[path] = Element.from_coded(sys.n, tables.denominator ** e, terms)
-    return cached
 
 
 def _coded_nf(tables: _RuleTables, a: Element) -> tuple[int, int, dict]:

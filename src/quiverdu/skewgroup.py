@@ -6,8 +6,6 @@ monomial basis u^a (du)^b d^c; the generator g of Z_n acts by
 g(u) = zeta u, g(d) = zeta^{-1} d, so g scales a monomial by
 zeta^(#u - #d).  The smash product multiplies by
 (r # g^i)(s # g^j) = r g^i(s) # g^{i+j}.
-``SmashElement`` maps (monomial, group exponent) to a cyclotomic scalar;
-it is a ``core.Combination``, so only its product is written here.
 
 The orthogonal idempotents f_i = (1/n) sum_j zeta^{ij} # g^j decompose
 the identity; the capped generators U_i = f_i (u#1) and
@@ -15,23 +13,20 @@ D_i = (d#1) f_i satisfy the quiver down-up relations with alpha = 0,
 gamma = 0 and beta identically -1, and the corner dimensions
 dim f_i B f_j match the quiver down-up dimension matrices degreewise.
 
-Products run on ``core``'s int-coded form, keyed for the group algebra
+A smash element has one form here, coded for the group algebra
 Q[x]/(x^n - 1): one positive int denominator and a map
 {(monomial, j, k): int}, k mod n, read as the sum of c x^k (m # g^j)
-over that denominator.  ``_encode`` takes a ``SmashElement``'s canonical
-numerators as they stand, which are a valid representative of each
-coefficient.  The action of g^j1 on u^a (du)^b d^c adds j1 (a - c) to the
-exponent, so a term pair (m1, j1, k1), (m2, j2, k2) lands at
-k1 + k2 + j1 (a2 - c2) mod n, times the int coefficients of
+over that denominator.  The action of g^j1 on u^a (du)^b d^c adds
+j1 (a - c) to the exponent, so a term pair (m1, j1, k1), (m2, j2, k2)
+lands at k1 + k2 + j1 (a2 - c2) mod n, times the int coefficients of
 ``r_monomial_product``; sums go through ``core.add_into``.  The map
-x -> zeta is a ring map, so every decoded value is the one the product
-over Q(zeta_n) gives.  Its kernel (Phi_n) is not zero, since
-1 + x + ... + x^(n-1) maps to 0, so coded values are grouped by
-(monomial, j) and reduced by ``cyclotomic.power_residue`` wherever one
-is compared or tested for zero (``_agree``), and decoded (``_decode``)
-where one is handed out as a ``SmashElement``.  The f_i are built once
-per check in this form, one power of x per group element
-(``build_idempotents``), and every later check reads that set.
+x -> zeta is a ring map, so every product is the image of the one over
+Q(zeta_n).  Its kernel (Phi_n) is not zero, since 1 + x + ... + x^(n-1)
+maps to 0, so coded values are grouped by (monomial, j) and reduced by
+``cyclotomic.power_residue`` wherever one is compared or tested for zero
+(``_agree``); nothing is ever decoded into ``CycScalar``s.  The f_i are
+built once per check in this form, one power of x per group element
+(``build_idempotents``), and every later check reads that list.
 
 The corner dimensions are counted, not eliminated (I. Reiten,
 C. Riedtmann, *Skew group algebras in the representation theory of
@@ -49,12 +44,10 @@ d_i -> D_i, e_i -> f_i is onto (sum_i U_i = u#1, sum_i D_i = d#1).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import lru_cache
-from math import lcm
 
-from .core import Combination, Parameters, add_into
-from .cyclotomic import CycScalar, power_residue
+from .core import Parameters, add_into
+from .cyclotomic import power_residue
 from .rewrite import (
     PRESET_QDU,
     _normal_times,
@@ -125,78 +118,9 @@ def r_monomial_product(m1: RMonomial, m2: RMonomial) -> tuple[tuple[RMonomial, i
     return tuple(sorted((word_shape(_letters(w)), c) for w, c in comb.items()))
 
 
-class SmashElement(Combination):
-    """Finite map (R-monomial, group exponent) -> cyclotomic scalar."""
-
-    __slots__ = ()
-
-    _MIN_N = 2
-    _MIN_N_ERROR = "smash product needs n >= 2"
-
-    @classmethod
-    def _entry(cls, n: int, key: tuple[RMonomial, int], coeff: CycScalar | Fraction | int):
-        m, j = key
-        if not isinstance(coeff, CycScalar):
-            coeff = CycScalar.from_rational(n, coeff)
-        elif coeff.n != n:
-            raise ValueError(f"coefficient over n={coeff.n} in a smash element over n={n}")
-        return (m, j % n), coeff
-
-    @staticmethod
-    def _scalar(c):
-        return c if isinstance(c, CycScalar) else Fraction(c)
-
-    @classmethod
-    def monomial(cls, n: int, m: RMonomial, j: int = 0, coeff: CycScalar | None = None) -> "SmashElement":
-        return cls(n, {(m, j): coeff if coeff is not None else CycScalar.one(n)})
-
-    @classmethod
-    def one(cls, n: int) -> "SmashElement":
-        return cls.monomial(n, (0, 0, 0), 0)
-
-    @classmethod
-    def gen_u(cls, n: int) -> "SmashElement":
-        return cls.monomial(n, (1, 0, 0), 0)
-
-    @classmethod
-    def gen_d(cls, n: int) -> "SmashElement":
-        return cls.monomial(n, (0, 0, 1), 0)
-
-    @classmethod
-    def group(cls, n: int, j: int) -> "SmashElement":
-        return cls.monomial(n, (0, 0, 0), j)
-
-    def _product(self, other: "SmashElement") -> "SmashElement":
-        return smash_multiply(self, other)
-
-    def __str__(self) -> str:
-        if not self.terms:
-            return "0"
-        bits = []
-        for (m, j) in sorted(self.terms):
-            a, b, c = m
-            word = "u" * a + "du" * b + "d" * c or "1"
-            bits.append(f"({self.terms[(m, j)]})*{word}#g^{j}")
-        return " + ".join(bits)
-
-
-def smash_multiply(a: SmashElement, b: SmashElement) -> SmashElement:
-    if a.n != b.n:
-        raise ValueError("mismatched group orders")
-    return _decode(a.n, _coded_product(a.n, _encode(a), _encode(b)))
-
-
 # A coded smash element: (den, {(monomial, j, k): int}), the sum of
 # c x^k (m # g^j) over den.
 Coded = tuple[int, dict]
-
-
-def _encode(x: SmashElement) -> Coded:
-    """``x`` over the lcm of its denominators, by canonical numerators."""
-    forms = {key: c.power_counts() for key, c in x.terms.items()}
-    den = lcm(*(d for _, d in forms.values()))
-    return den, {(m, j, k): v * (den // d)
-                 for (m, j), (counts, d) in forms.items() for k, v in counts.items()}
 
 
 def _grouped(terms: dict) -> dict:
@@ -206,12 +130,6 @@ def _grouped(terms: dict) -> dict:
         if c:
             groups.setdefault((m, j), {})[k] = c
     return groups
-
-
-def _decode(n: int, x: Coded) -> SmashElement:
-    den, terms = x
-    return SmashElement._from_sums(
-        n, {key: CycScalar.from_power_counts(n, v, den) for key, v in _grouped(terms).items()})
 
 
 def _monomial(m: RMonomial, j: int = 0) -> Coded:
@@ -261,27 +179,12 @@ def _one_power_idempotent(n: int, i: int) -> Coded:
     return n, {(_UNIT, t, i * t % n): 1 for t in range(n)}
 
 
-@dataclass
-class IdempotentSet:
-    """The checked f_i, coded; indexing and ``idempotents`` decode them."""
-
-    n: int
-    coded: list[Coded]
-
-    @property
-    def idempotents(self) -> list[SmashElement]:
-        return [_decode(self.n, f) for f in self.coded]
-
-    def __getitem__(self, i: int) -> SmashElement:
-        return _decode(self.n, self.coded[i % self.n])
-
-
-def build_idempotents(n: int) -> IdempotentSet:
+def build_idempotents(n: int) -> list[Coded]:
     """f_i = (1/n) sum_a zeta^{ia} # g^a; orthogonality and completeness verified.
 
     Each f_i is built once, coded with one power of x per group element
     (``_one_power_idempotent``), and every later check of the skew-group
-    model reads that set.  f_i f_j = delta_ij f_i is checked for every
+    model reads that list.  f_i f_j = delta_ij f_i is checked for every
     (i, j) and every group exponent by the coded product, compared after
     reduction mod Phi_n, and the f_i must sum to the identity.
     """
@@ -295,12 +198,11 @@ def build_idempotents(n: int) -> IdempotentSet:
                 raise AssertionError(f"idempotent orthogonality failed at ({i},{j})")
     if not _agree(n, _coded_sum(fs), _monomial(_UNIT)):
         raise AssertionError("idempotents do not sum to the identity")
-    return IdempotentSet(n, fs)
+    return fs
 
 
-def _coded_caps(n: int, idem: IdempotentSet) -> tuple[list[Coded], list[Coded], bool]:
+def _coded_caps(n: int, fs: list[Coded]) -> tuple[list[Coded], list[Coded], bool]:
     """Coded U_i = f_i (u#1) and D_i = (d#1) f_i; whether the other forms agree."""
-    fs = idem.coded
     u, d = _monomial((1, 0, 0)), _monomial((0, 0, 1))
     us, ds = [], []
     agree = True
@@ -335,7 +237,7 @@ class SkewGroupReport:
                 and self.dimensions_ok)
 
 
-def check_group_absorption(n: int, idem: IdempotentSet) -> None:
+def check_group_absorption(n: int, fs: list[Coded]) -> None:
     """Raise AssertionError unless g^t f_j = zeta^{-tj} f_j for every t and j.
 
     The identity gives f_i (m # g^t) f_j = zeta^{-tj} f_i (m # 1) f_j, so
@@ -345,7 +247,7 @@ def check_group_absorption(n: int, idem: IdempotentSet) -> None:
     """
     for t in range(n):
         g = _monomial(_UNIT, t)
-        for j, f in enumerate(idem.coded):
+        for j, f in enumerate(fs):
             den, terms = f
             scaled = den, {(m, s, (k - t * j) % n): c for (m, s, k), c in terms.items()}
             if not _agree(n, _coded_product(n, g, f), scaled):
@@ -356,7 +258,7 @@ def check_group_absorption(n: int, idem: IdempotentSet) -> None:
 _GENERATORS: tuple[RMonomial, ...] = (_UNIT, (0, 0, 1), (1, 0, 0))
 
 
-def corner_dimensions(n: int, k: int, idem: IdempotentSet) -> list[list[int]]:
+def corner_dimensions(n: int, k: int, fs: list[Coded]) -> list[list[int]]:
     """dim f_i B_k f_j for every corner (i, j): the degree-k monomials m with i + w(m) = j.
 
     Corner (i, j) is spanned by f_i (m # 1) f_j over the degree-k
@@ -379,11 +281,11 @@ def corner_dimensions(n: int, k: int, idem: IdempotentSet) -> list[list[int]]:
       formed by the coded smash product;
     - w(m) is #u - #d of m's word for every degree-k monomial counted.
     """
-    _check_generators(n, k, idem)
+    _check_generators(n, k, fs)
     return _weight_class_counts(n, k)
 
 
-def _check_generators(n: int, k: int, idem: IdempotentSet) -> None:
+def _check_generators(n: int, k: int, fs: list[Coded]) -> None:
     """Raise AssertionError unless R's rules are weight-homogeneous and
     f_i (m # 1) = m # f_(i+w(m)) for every i and generator m of degree at most k."""
     for lhs, rhs in _r_tables().rules:
@@ -391,7 +293,6 @@ def _check_generators(n: int, k: int, idem: IdempotentSet) -> None:
             if _word_weight(_letters(word)) != _word_weight(_letters(lhs)):
                 raise AssertionError(f"R rule {_letters(lhs)} has the rhs term "
                                      f"{_letters(word)} of another weight")
-    fs = idem.coded
     for i in range(n):
         for m in _GENERATORS[:1 if k == 0 else 3]:
             left = _coded_product(n, fs[i], _monomial(m))
@@ -429,7 +330,7 @@ def verify_quotient_match(n: int, params: Parameters | None = None, max_degree: 
     generators, w = #u - #d, and weight-homogeneous rules of R); (d)
     checks that the map is onto: sum_i U_i = u#1 and sum_i D_i = d#1, and
     the n orthogonal nonzero idempotents f_i span the group algebra, so
-    the image contains generators of B.  Every check reads the one set of
+    the image contains generators of B.  Every check reads the one list of
     coded f_i that ``build_idempotents`` checked.  Every product is taken
     on the coded form and every comparison is made after reduction mod
     Phi_n (``_agree``).
@@ -444,9 +345,9 @@ def verify_quotient_match(n: int, params: Parameters | None = None, max_degree: 
             raise ValueError("parameter length disagrees with n")
         if any(a != 0 for a in params.alpha) or not params.gamma_is_zero():
             raise ValueError("skew-group comparison needs alpha = gamma = 0")
-    idem = build_idempotents(n)  # raises if orthogonality/completeness fail
-    check_group_absorption(n, idem)
-    us, ds, forms_agree = _coded_caps(n, idem)
+    fs = build_idempotents(n)  # raises if orthogonality/completeness fail
+    check_group_absorption(n, fs)
+    us, ds, forms_agree = _coded_caps(n, fs)
 
     # D_i U_i and U_i D_i are shared by the two relations at each vertex
     # (the product is associative, and sides are compared after reduction).
@@ -463,7 +364,7 @@ def verify_quotient_match(n: int, params: Parameters | None = None, max_degree: 
     matched = Parameters.of(n, [0] * n, [-1] * n, [0] * n)
     expected_by_degree = dimension_matrices(build_system(PRESET_QDU, matched), max_degree)
     # ``corner_dimensions`` for every degree, with its checks made once.
-    _check_generators(n, max_degree, idem)
+    _check_generators(n, max_degree, fs)
     mismatch = None
     for k, expected in enumerate(expected_by_degree):
         found = _weight_class_counts(n, k)

@@ -18,9 +18,12 @@ mutants act on that builder, so every check downstream reads them.
 ``corner_dimensions`` now counts each corner's rows by weight class.  The
 path it replaced, one coded smash product per (i, m) and a ``RowSpace``
 rank over ``CycScalar`` rows, is kept here as ``rank_corner_dimensions``
-(verbatim up to the ``linalg.`` prefix and the flat coded keys
-(monomial, group exponent, power of x)), and the caps built from
-canonical idempotent forms as ``canonical_coded_caps``.  The
+(verbatim up to the ``linalg.`` prefix, the flat coded keys
+(monomial, group exponent, power of x), and canonical forms taken through
+``test_skewgroup``'s ``decode`` and ``encode``), and the caps built from
+canonical idempotent forms as ``canonical_coded_caps``.  The triple
+products of ``reference_corner_dimensions`` and ``reference_orthogonality``
+are read decoded, as plain {(monomial, group exponent): CycScalar} dicts.  The
 count's checked hypotheses (the left-factor identity on the generators,
 w = #u - #d, weight-homogeneous rules of R) and the check that the map is
 onto must each be able to fail.
@@ -39,25 +42,32 @@ from quiverdu.rewrite import PRESET_QDU, build_system, dimension_matrices, norma
 from quiverdu.skewgroup import (
     _UNIT,
     GRADED_DOWN_UP,
-    IdempotentSet,
-    SmashElement,
     _agree,
     _coded_product,
-    _encode,
     _grouped,
     _monomial,
     build_idempotents,
     check_group_absorption,
     corner_dimensions,
     monomial_weight,
-    smash_multiply,
 )
 from test_linalg import RowSpace  # the dense elimination the corner loop ran on
-from test_skewgroup import monomials_of_degree
+from test_skewgroup import (
+    decode,
+    decoded_idempotents,
+    encode,
+    monomial,
+    monomials_of_degree,
+    smash_product,
+)
 
 
-def reference_corner_dimensions(n, k, idem):
-    """dim f_i B_k f_j spanned by every f_i (m # g^t) f_j (verbatim loop)."""
+def reference_corner_dimensions(n, k, fs):
+    """dim f_i B_k f_j spanned by every f_i (m # g^t) f_j (verbatim loop).
+
+    ``fs`` are the coded f_i, read decoded.
+    """
+    idem = [decode(n, f) for f in fs]
     dims = [[0] * n for _ in range(n)]
     monomials = monomials_of_degree(k)
     coords = {(m, j): pos for pos, (m, j) in enumerate(
@@ -68,11 +78,11 @@ def reference_corner_dimensions(n, k, idem):
             rank_count = 0
             for m in monomials:
                 for t in range(n):
-                    prod = idem[i] * SmashElement.monomial(n, m, t) * idem[jv]
-                    if prod.is_zero():
+                    prod = smash_product(n, idem[i], monomial(n, m, t), idem[jv])
+                    if not prod:
                         continue
                     row = [CycScalar.zero(n)] * len(coords)
-                    for key, c in prod.terms.items():
+                    for key, c in prod.items():
                         row[coords[key]] = c
                     if space.add(row):
                         rank_count += 1
@@ -84,18 +94,18 @@ def reference_orthogonality(n, fs):
     """The smash-product check that the cyclic convolution replaced (verbatim loop)."""
     for i, f in enumerate(fs):
         for j, g in enumerate(fs):
-            prod = smash_multiply(f, g)
-            expected = f if i == j else SmashElement.zero(n)
+            prod = smash_product(n, f, g)
+            expected = f if i == j else {}
             if prod != expected:
                 raise AssertionError(f"idempotent orthogonality failed at ({i},{j})")
 
 
 def test_idempotents_pass_the_smash_product_check():
     for n in range(2, 13):
-        idem = build_idempotents(n)
-        reference_orthogonality(n, idem.idempotents)
-        for i, f in enumerate(idem.idempotents):
-            assert f.terms == {((0, 0, 0), a): CycScalar.zeta_power(n, i * a) * Fraction(1, n)
+        fs = decoded_idempotents(n)
+        reference_orthogonality(n, fs)
+        for i, f in enumerate(fs):
+            assert f == {((0, 0, 0), a): CycScalar.zeta_power(n, i * a) * Fraction(1, n)
                                for a in range(n)}
 
 
@@ -140,9 +150,9 @@ def rotate_idempotents(monkeypatch):
 
 @pytest.mark.parametrize("n", [2, 3, 4, 5, 6])
 def test_corner_ranks_match_reference(n):
-    idem = build_idempotents(n)
+    fs = build_idempotents(n)
     for k in range(4 if n <= 5 else 3):
-        assert corner_dimensions(n, k, idem) == reference_corner_dimensions(n, k, idem), k
+        assert corner_dimensions(n, k, fs) == reference_corner_dimensions(n, k, fs), k
 
 
 def test_group_absorption_holds():
@@ -153,12 +163,13 @@ def test_group_absorption_holds():
 def test_tampered_idempotents_fail_absorption(monkeypatch):
     rotate_idempotents(monkeypatch)
     for n in (2, 3, 5):
-        idem = build_idempotents(n)  # the tamper keeps f_i f_j = delta_ij f_i and completeness
-        for i, f in enumerate(idem.idempotents):
-            for j, g in enumerate(idem.idempotents):
-                assert f * g == (f if i == j else SmashElement.zero(n))
+        fs = build_idempotents(n)  # the tamper keeps f_i f_j = delta_ij f_i and completeness
+        decoded = [decode(n, f) for f in fs]
+        for i, f in enumerate(decoded):
+            for j, g in enumerate(decoded):
+                assert smash_product(n, f, g) == (f if i == j else {})
         with pytest.raises(AssertionError, match="at t=1, j=0"):
-            check_group_absorption(n, idem)
+            check_group_absorption(n, fs)
 
 
 def test_tampered_idempotents_give_fail_exit_1(tmp_path, capsys, monkeypatch):
@@ -200,7 +211,7 @@ def flip_weight_sign(monkeypatch):
 
 def shift_left_factors(monkeypatch, n):
     """f_{i+1} (m # 1) in place of f_i (m # 1), for every single m # 1 on the right."""
-    fs = build_idempotents(n).coded
+    fs = build_idempotents(n)
     genuine = skewgroup._coded_product
 
     def mutated(n_, a, b):
@@ -281,7 +292,7 @@ def test_corrupted_corner_rows_give_fail_exit_1(mutate, message, tmp_path, capsy
 # The weight-class count against the elimination it replaced
 # ---------------------------------------------------------------------------
 
-def rank_corner_dimensions(n: int, k: int, idem: IdempotentSet) -> list[list[int]]:
+def rank_corner_dimensions(n: int, k: int, idem: list) -> list[list[int]]:
     """dim f_i B_k f_j for every corner (i, j), by exact rank over Q(zeta_n).
 
     Corner (i, j) is spanned by f_i (m # 1) f_j over the degree-k
@@ -297,7 +308,7 @@ def rank_corner_dimensions(n: int, k: int, idem: IdempotentSet) -> list[list[int
     carry m), so each corner's rank is its number of rows; the ranks are
     still taken by elimination.
     """
-    fs = [_encode(f) for f in idem.idempotents]
+    fs = [encode(decode(n, f)) for f in idem]
     # The row of m # f_a scaled by f_a's coded denominator, a nonzero
     # scale that keeps the rank: f_a's coefficient at g^0 is 1/n, so the
     # row leads with the CycScalar 1, and RowSpace keeps such a pivot row
@@ -321,7 +332,7 @@ def rank_corner_dimensions(n: int, k: int, idem: IdempotentSet) -> list[list[int
 
 def canonical_coded_caps(n, idem):
     """Coded U_i = f_i (u#1) and D_i = (d#1) f_i; whether the other forms agree."""
-    fs = [_encode(f) for f in idem.idempotents]
+    fs = [encode(decode(n, f)) for f in idem]
     u, d = _monomial((1, 0, 0)), _monomial((0, 0, 1))
     us, ds = [], []
     agree = True
@@ -466,9 +477,8 @@ def double_first_idempotent(monkeypatch):
 
 def test_doubled_idempotent_fails_orthogonality(monkeypatch):
     for n in (2, 3, 7):
-        genuine = build_idempotents(n).coded
-        doubled = IdempotentSet(n, [(n, {key: 2 * c for key, c in genuine[0][1].items()})]
-                                + genuine[1:])
+        genuine = build_idempotents(n)
+        doubled = [(n, {key: 2 * c for key, c in genuine[0][1].items()})] + genuine[1:]
         check_group_absorption(n, doubled)
     double_first_idempotent(monkeypatch)
     for n in (2, 3, 7):

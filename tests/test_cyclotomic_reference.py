@@ -448,3 +448,12 @@ def test_power_residue_of_the_full_orbit_sum_is_zero():
     for n in range(2, 13):
         assert not any(cyclotomic.power_residue(n, {k: 1 for k in range(n)}))
         assert any(cyclotomic.power_residue(n, {k: 1 for k in range(n - 1)}))
+
+
+def test_int_cyclotomic_polynomial_matches_fraction_division():
+    # The package divides x^n - 1 by the product of Phi_d over the proper
+    # divisors d in ints; the reference divides in Fractions.
+    for n in range(1, 61):
+        got = cyclotomic.cyclotomic_polynomial(n)
+        assert all(type(c) is int for c in got)
+        assert got == cyclotomic_polynomial(n), n

@@ -5,12 +5,13 @@ the sum of c x^k (m # g^j) over one positive denominator.  The nested form
 it replaced, ``(den, {(m, j): {k: int}})``, is kept here verbatim with its
 kernel: ``_encode``, ``_decode``, ``_rotate``, ``_coded_product``,
 ``_coded_sum`` and ``_agree`` (renamed with a ``nested_`` prefix), and the
-``CycScalar`` loop of ``build_idempotents`` (which returned an
-``IdempotentSet`` of the ``SmashElement``s it built; here it returns the
-list).  On seeded random coded elements for n = 2..12 the flat kernel's
-products and sums must decode to the reference's, and ``_agree`` must give
-the reference's verdict, also on pairs that agree only after reduction
-mod Phi_n.
+``CycScalar`` loop of ``build_idempotents`` (here it returns the list of
+the elements it built).  Decoded elements are the plain
+{(monomial, group exponent): CycScalar} dicts of ``test_skewgroup``, in
+place of the ``SmashElement`` class that carried them.  On seeded random
+coded elements for n = 2..12 the flat kernel's products and sums must
+decode to the reference's, and ``_agree`` must give the reference's
+verdict, also on pairs that agree only after reduction mod Phi_n.
 """
 
 import random
@@ -21,22 +22,22 @@ import pytest
 
 from quiverdu import skewgroup
 from quiverdu.cyclotomic import CycScalar, power_residue
-from quiverdu.skewgroup import SmashElement, build_idempotents, r_monomial_product
-from test_skewgroup import monomials_of_degree
+from quiverdu.skewgroup import build_idempotents, r_monomial_product
+from test_skewgroup import decode, encode, monomials_of_degree, smash
 
 
-def nested_encode(x: SmashElement):
+def nested_encode(x: dict):
     """``x`` over the lcm of its denominators, by canonical numerators."""
-    forms = {key: c.power_counts() for key, c in x.terms.items()}
+    forms = {key: c.power_counts() for key, c in x.items()}
     den = lcm(*(d for _, d in forms.values()))
     return den, {key: {k: v * (den // d) for k, v in counts.items()}
                  for key, (counts, d) in forms.items()}
 
 
-def nested_decode(n: int, x) -> SmashElement:
+def nested_decode(n: int, x) -> dict:
     den, terms = x
-    return SmashElement._from_sums(
-        n, {key: CycScalar.from_power_counts(n, v, den) for key, v in terms.items()})
+    values = {key: CycScalar.from_power_counts(n, v, den) for key, v in terms.items()}
+    return {key: c for key, c in values.items() if c}
 
 
 def nested_rotate(v: dict, e: int, n: int) -> dict:
@@ -100,7 +101,7 @@ def nested_agree(n: int, a, b, scale: int = 1) -> bool:
     return True
 
 
-def reference_build_idempotents(n: int) -> list[SmashElement]:
+def reference_build_idempotents(n: int) -> list[dict]:
     """f_i = (1/n) sum_a zeta^{ia} # g^a; orthogonality and completeness verified.
 
     The f_i lie in the group algebra, where the action is trivial, so
@@ -117,12 +118,12 @@ def reference_build_idempotents(n: int) -> list[SmashElement]:
     fs = []
     for i in range(n):
         terms = {((0, 0, 0), a): CycScalar.zeta_power(n, i * a) * inv_n for a in range(n)}
-        fs.append(SmashElement(n, terms))
+        fs.append(smash(n, terms))
     zero = CycScalar.zero(n)
     for i in range(n):
         for j in range(n):
             for m in range(n):
-                expected = fs[i].terms.get(((0, 0, 0), m), zero) if i == j else zero
+                expected = fs[i].get(((0, 0, 0), m), zero) if i == j else zero
                 num, den = expected.power_counts()
                 diff = {k: -n * n * v for k, v in num.items()}
                 for a in range(n):
@@ -130,7 +131,8 @@ def reference_build_idempotents(n: int) -> list[SmashElement]:
                     diff[k] = diff.get(k, 0) + den
                 if any(power_residue(n, diff)):
                     raise AssertionError(f"idempotent orthogonality failed at ({i},{j})")
-    if SmashElement.combine(n, ((f, 1) for f in fs)) != SmashElement.one(n):
+    total = {key: sum((f.get(key, zero) for f in fs), zero) for key in set().union(*fs)}
+    if smash(n, total) != smash(n, {((0, 0, 0), 0): 1}):
         raise AssertionError("idempotents do not sum to the identity")
     return fs
 
@@ -165,13 +167,13 @@ def test_flat_products_and_sums_match_nested_kernel(n):
         a, b, c = (random_coded(rng, n) for _ in range(3))
         flat = skewgroup._coded_product(n, a, b)
         ref = nested_coded_product(n, nested(a), nested(b))
-        assert skewgroup._decode(n, flat) == nested_decode(n, ref)
+        assert decode(n, flat) == nested_decode(n, ref)
         assert flat[0] == ref[0]
         three = skewgroup._coded_product(n, flat, c)
-        assert skewgroup._decode(n, three) == nested_decode(
+        assert decode(n, three) == nested_decode(
             n, nested_coded_product(n, ref, nested(c)))
         total = skewgroup._coded_sum([a, b, c])
-        assert skewgroup._decode(n, total) == nested_decode(
+        assert decode(n, total) == nested_decode(
             n, nested_coded_sum([nested(a), nested(b), nested(c)]))
 
 
@@ -185,7 +187,7 @@ def test_flat_agree_matches_nested_verdicts(n):
         m, j, _ = next(iter(a[1]))
         # prod plus a term that vanishes only in Q(zeta_n), over another denominator.
         shifted = skewgroup._coded_sum([prod, vanishing(n, m, j)])
-        reencoded = skewgroup._encode(skewgroup._decode(n, prod))
+        reencoded = encode(decode(n, prod))
         for x, y in ((a, b), (prod, reencoded), (prod, shifted), (shifted, reencoded),
                      (a, a), (prod, (1, {}))):
             for scale in (1, -1, 2):
@@ -197,13 +199,13 @@ def test_flat_agree_matches_nested_verdicts(n):
 
 @pytest.mark.parametrize("n", range(2, 13))
 def test_flat_idempotents_match_cyclotomic_build(n):
-    assert build_idempotents(n).idempotents == reference_build_idempotents(n)
+    assert [decode(n, f) for f in build_idempotents(n)] == reference_build_idempotents(n)
 
 
 @pytest.mark.parametrize("n", range(2, 13))
 def test_flat_encode_and_decode_match_nested(n):
     rng = random.Random(2500 + n)
     for _ in range(10):
-        x = skewgroup._decode(n, random_coded(rng, n))
-        assert nested(skewgroup._encode(x)) == nested_encode(x)
-        assert skewgroup._decode(n, skewgroup._encode(x)) == x
+        x = decode(n, random_coded(rng, n))
+        assert nested(encode(x)) == nested_encode(x)
+        assert decode(n, encode(x)) == x

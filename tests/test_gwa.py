@@ -245,6 +245,38 @@ def test_pwd_probe_trivial_and_random():
     assert report.ok, report.failures
 
 
+@pytest.mark.parametrize("n", range(1, 13))
+def test_corner_draws_stay_within_the_degree_bound(n):
+    # A corner (i, k) whose residue i - k mod n has no X-degree within the
+    # bound draws None; every other draw is nonzero, with every term there.
+    params = Parameters.of(n, [1] * n, [2] * n, [0] * n)
+    for degree_bound in range(5):
+        rng = random.Random(degree_bound)
+        for i in range(n):
+            for k in range(n):
+                degrees = [m for m in range(-degree_bound, degree_bound + 1)
+                           if m % n == (i - k) % n]
+                for _ in range(4):
+                    drawn = gwa._random_corner_element(params, i, k, rng, degree_bound)
+                    if not degrees:
+                        assert drawn is None
+                        continue
+                    assert drawn and set(drawn) <= set(degrees), (i, k, degree_bound)
+
+
+def test_pwd_probe_counts_untested_trials():
+    # n = 9 with bound 3: residues 4 and 5 have no X-degree in [-3, 3], so
+    # some trials test nothing; with bound 0 only i = k = j is tested, and
+    # a probe that tests nothing does not pass.
+    n = 9
+    p = Parameters.of(n, [1, 2, 3, "1/2", 0, -1, 2, 1, 5], [2, 3, "-3/2", 1, 7, -1, 2, "1/3", 4],
+                      [1, 0, 2, 1, "1/2", 3, 1, 0, 2])
+    report = pwd_probe_gwa(p, trials=200, seed=0)
+    assert 0 < report.tested < report.trials and report.ok
+    empty = pwd_probe_gwa(p, degree_bound=0, trials=2, seed=0)
+    assert (empty.tested, empty.failures, empty.ok) == (0, [], False)
+
+
 def test_pwd_probe_deterministic_under_seed():
     p = params_n3()
     r1 = pwd_probe_gwa(p, trials=20, seed=5)

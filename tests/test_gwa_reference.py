@@ -21,13 +21,17 @@ operands and decoding the result to ``Fraction``s.
 ``FractionShiftTable``, ``fraction_gwa_multiply``,
 ``reference_random_corner_element`` and ``reference_pwd_probe_gwa`` are
 the ``Fraction`` shift table, product, corner draw and probe that the
-int-coded kernel replaced, kept verbatim up to their names.  They are the
+int-coded kernel replaced, kept verbatim up to their names and to one
+change they share with the kernel: a corner with no X-degree within the
+bound draws None, and the probe skips that trial as untested and counts
+the tested ones.  They are the
 reference for key order as well as for values: the stepwise references
 above agree in value but build their terms in another order.
 
 ``full_product_pwd_probe_gwa`` is the coded probe as it was before it
 tested the product of the top X-degree parts first, kept verbatim up to
-its name: it takes the full product in every trial.
+its name and the same skip and count: it takes the full product in every
+tested trial.
 """
 
 import json
@@ -348,7 +352,7 @@ def fraction_gwa_multiply(params: Parameters, a: GwaElement, b: GwaElement) -> G
 
 
 def reference_random_corner_element(params: Parameters, i: int, k: int, rng: random.Random,
-                                    degree_bound: int) -> GwaElement:
+                                    degree_bound: int) -> GwaElement | None:
     """Nonzero random element of e_i T e_k with bounded degrees."""
     n = params.n
     terms: dict[int, BaseElement] = {}
@@ -364,6 +368,8 @@ def reference_random_corner_element(params: Parameters, i: int, k: int, rng: ran
         base = BaseElement(n, poly)
         if base:
             terms[m] = base
+    if not choices:
+        return None
     if not terms:
         terms[residue if residue <= degree_bound else residue - n] = BaseElement.e(n, i)
     return GwaElement(n, terms)
@@ -378,16 +384,20 @@ def reference_pwd_probe_gwa(params: Parameters, degree_bound: int = 3, trials: i
     """
     rng = random.Random(seed)
     failures = []
+    tested = 0
     for t in range(trials):
         i, k, j = (rng.randrange(params.n) for _ in range(3))
         a = reference_random_corner_element(params, i, k, rng, degree_bound)
         b = reference_random_corner_element(params, k, j, rng, degree_bound)
+        if a is None or b is None:
+            continue
+        tested += 1
         prod = fraction_gwa_multiply(params, a, b)
         if prod.is_zero():
             failures.append((t, "zero product", str(a), str(b)))
         elif prod.top_x_degree() != a.top_x_degree() + b.top_x_degree():
             failures.append((t, "top degree dropped", str(a), str(b)))
-    return GwaPwdReport(trials, seed, not failures, failures)
+    return GwaPwdReport(trials, tested, seed, failures)
 
 
 # ---------------------------------------------------------------------------
@@ -511,7 +521,9 @@ def test_coded_corner_draw_matches_reference(n):
                 ref_rng.randrange(n), ref_rng.randrange(n)
                 coded = gwa._random_corner_element(params, i, k, rng, degree_bound)
                 ref = reference_random_corner_element(params, i, k, ref_rng, degree_bound)
-                assert_same_terms(decode_corner(n, coded), ref)
+                assert (coded is None) == (ref is None)
+                if coded is not None:
+                    assert_same_terms(decode_corner(n, coded), ref)
                 assert rng.getstate() == ref_rng.getstate()
 
 
@@ -600,10 +612,14 @@ def full_product_pwd_probe_gwa(params: Parameters, degree_bound: int = 3, trials
     table = _gwa_table(params)
     rng = random.Random(seed)
     failures = []
+    tested = 0
     for t in range(trials):
         i, k, j = (rng.randrange(params.n) for _ in range(3))
         a = _random_corner_element(params, i, k, rng, degree_bound)
         b = _random_corner_element(params, k, j, rng, degree_bound)
+        if a is None or b is None:
+            continue
+        tested += 1
         top = max((m for m, (_, nums) in _coded_multiply(table, a, b).items() if nums),
                   default=None)
         if top is None:
@@ -613,7 +629,7 @@ def full_product_pwd_probe_gwa(params: Parameters, degree_bound: int = 3, trials
         else:
             continue
         failures.append((t, kind, str(_decode_gwa(params.n, a)), str(_decode_gwa(params.n, b))))
-    return GwaPwdReport(trials, seed, not failures, failures)
+    return GwaPwdReport(trials, tested, seed, failures)
 
 
 PROBE_PARAMS = [

@@ -10,10 +10,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from quiverdu.core import Element, Parameters, format_element, parse_element, path_from_word
-from quiverdu.cyclotomic import CycScalar, cyclotomic_polynomial
 from quiverdu.gwa import BaseElement, GwaElement, theta, theta_prime
-from quiverdu.rewrite import PRESET_QDU, _tables, build_system, normal_form, normal_form_path, normal_shape
-from quiverdu.skewgroup import SmashElement
+from quiverdu.rewrite import PRESET_QDU, _tables, build_system, normal_form, normal_shape
 
 # Enough cases to hit cancellations and size mismatches, few enough to stay fast.
 kernel_settings = settings(max_examples=60, deadline=None)
@@ -41,22 +39,10 @@ def gwa_elements(n):
         lambda t: GwaElement(n, t))
 
 
-def cyc_scalars(n):
-    phi = len(cyclotomic_polynomial(n)) - 1
-    return st.lists(rationals, min_size=phi, max_size=phi).map(lambda cs: CycScalar(n, cs))
-
-
-def smash_elements(n):
-    monomials = st.tuples(st.integers(0, 2), st.integers(0, 1), st.integers(0, 2))
-    keys = st.tuples(monomials, st.integers(0, n - 1))
-    return st.dictionaries(keys, cyc_scalars(n), max_size=3).map(lambda t: SmashElement(n, t))
-
-
 KINDS = {
     "element": (st.integers(1, 3), elements),
     "base": (st.integers(1, 3), base_elements),
     "gwa": (st.integers(1, 2), gwa_elements),
-    "smash": (st.integers(2, 4), smash_elements),
 }
 
 
@@ -106,12 +92,6 @@ def test_combine_gwa_element(case):
 
 
 @kernel_settings
-@given(combination_parts("smash"))
-def test_combine_smash_element(case):
-    check_combine(SmashElement, *case)
-
-
-@kernel_settings
 @given(elements(3), elements(3))
 def test_subtraction_and_negation(a, b):
     assert a - b == a + (-b)
@@ -157,15 +137,15 @@ def coded_snapshot(memo):
        elements(3, max_len=5))
 def test_normal_form_leaves_memo_values_unchanged(params, p, q):
     sys_ = build_system(PRESET_QDU, params)
-    memo = normal_form_path(sys_, p)
-    snapshot = dict(memo.terms)
+    first = normal_form(sys_, Element.from_path(p))
+    snapshot = dict(first.terms)
     tables = _tables(sys_)
     coded, per_path = coded_snapshot(tables.memo), coded_snapshot(tables.nf)
-    handed_out = [memo.terms]
+    handed_out = [first.terms]
     for c in (3, 1):
         handed_out.append(normal_form(sys_, Element.from_path(p).scale(c) + q).terms)
-        assert sys_._nf_cache[p] is memo
-        assert sys_._nf_cache[p].terms == snapshot
+        assert first.terms == snapshot
+        assert normal_form(sys_, Element.from_path(p)) == first
     for table, before in ((tables.memo, coded), (tables.nf, per_path)):
         for key, (e, comb, copy) in before.items():
             assert table[key][0] == e and table[key][1] is comb and comb == copy

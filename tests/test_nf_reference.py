@@ -2,13 +2,15 @@
 
 The normal-form reference is the whole-word worklist rewriter that the
 kernel replaced, kept here verbatim (``_leftmost_match`` and
-``normal_form_path``).  It is exponential in degree, so the cases stay at
-length <= 7.  The confluence reference is the ``Path``-based overlap
-resolution that the int-coded one replaced (``check_confluence``,
-``_reduce_at`` and ``_rewrite_once``), also kept verbatim but running on
-the worklist normal form.  ``build_system`` returns one shared system per
-preset and parameters, so each reference side gets a private copy
-(``private_copy``) and never reads the kernel's memo.
+``normal_form_path``), except that its memo is a dict of its own
+(``_memo``): the package keeps no per-system ``Element`` memo.  It is
+exponential in degree, so the cases stay at length <= 7.  The confluence
+reference is the ``Path``-based overlap resolution that the int-coded one
+replaced (``check_confluence``, ``_reduce_at`` and ``_rewrite_once``),
+also kept verbatim but running on the worklist normal form.
+``build_system`` returns one shared system per preset and parameters, so
+each reference side gets a private copy (``private_copy``) and never reads
+the kernel's memo.
 """
 
 from fractions import Fraction
@@ -61,16 +63,26 @@ def _leftmost_match(sys: ReductionSystem, arrows: tuple[Arrow, ...]):
     return best
 
 
+# The reference's per-system memo: id(sys) -> (sys, {Path: Element}).  The
+# system is held with its memo, so its id is not reused while the entry lives.
+_MEMOS: dict[int, tuple[ReductionSystem, dict]] = {}
+
+
+def _memo(sys: ReductionSystem) -> dict:
+    return _MEMOS.setdefault(id(sys), (sys, {}))[1]
+
+
 def reference_normal_form_path(sys: ReductionSystem, path: Path) -> Element:
     """Fully reduce a single path, with per-system memoization."""
-    cached = sys._nf_cache.get(path)
+    memo = _memo(sys)
+    cached = memo.get(path)
     if cached is not None:
         return cached
     done: dict[Path, Fraction] = {}
     pending: dict[Path, Fraction] = {path: Fraction(1)}
     while pending:
         p, c = pending.popitem()
-        hit = sys._nf_cache.get(p)
+        hit = memo.get(p)
         if hit is not None:
             for q, cq in hit.terms.items():
                 v = done.get(q, Fraction(0)) + c * cq
@@ -94,7 +106,7 @@ def reference_normal_form_path(sys: ReductionSystem, path: Path) -> Element:
             else:
                 pending.pop(q, None)
     result = Element._from_sums(sys.n, done)
-    sys._nf_cache[path] = result
+    memo[path] = result
     return result
 
 
@@ -145,7 +157,7 @@ def _reduce_at(sys: ReductionSystem, word: Path, pos: int, rule: RewriteRule) ->
 def private_copy(sys: ReductionSystem) -> ReductionSystem:
     """The same rules in a new system, outside the shared ``build_system`` cache."""
     copy = ReductionSystem(sys.n, sys.rules, sys.preset, sys.params)
-    assert copy is not sys and not copy._nf_cache
+    assert copy is not sys and not _memo(copy)
     return copy
 
 

@@ -1,9 +1,12 @@
+import ast
+import inspect
 import itertools
 import json
 import operator
 import random
 from dataclasses import dataclass
 from fractions import Fraction
+from math import lcm
 
 import pytest
 
@@ -21,14 +24,11 @@ from quiverdu.rewrite import (
 )
 from quiverdu.skewgroup import (
     GRADED_DOWN_UP,
-    SmashElement,
-    IdempotentSet,
     RMonomial,
     _monomial_word,
     build_idempotents,
     monomial_weight,
     r_monomial_product,
-    smash_multiply,
     verify_quotient_match,
 )
 
@@ -37,21 +37,69 @@ def _monomial_to_path(m: RMonomial):
     return path_from_word(1, 0, _monomial_word(m))
 
 
+# The tests read smash elements decoded: plain {(monomial, group exponent):
+# CycScalar} dicts with no zero coefficient, so two decoded values are equal
+# exactly when their dicts are.
+
+def decode(n: int, x) -> dict:
+    """A coded smash element ``(den, {(m, j, k): int})`` over Q(zeta_n)."""
+    den, terms = x
+    groups: dict = {}
+    for (m, j, k), c in terms.items():
+        groups.setdefault((m, j), {})[k] = c
+    values = {key: CycScalar.from_power_counts(n, v, den) for key, v in groups.items()}
+    return {key: c for key, c in values.items() if c}
+
+
+def encode(x: dict):
+    """A decoded smash element over the lcm of its denominators, by canonical numerators."""
+    forms = {key: c.power_counts() for key, c in x.items()}
+    den = lcm(*(d for _, d in forms.values()))
+    return den, {(m, j, k): v * (den // d)
+                 for (m, j), (counts, d) in forms.items() for k, v in counts.items()}
+
+
+def smash(n: int, terms: dict) -> dict:
+    """{(m, j): c} with j taken mod n and every coefficient a CycScalar over n."""
+    out: dict = {}
+    for (m, j), c in terms.items():
+        if not isinstance(c, CycScalar):
+            c = CycScalar.from_rational(n, c)
+        key = (m, j % n)
+        out[key] = out[key] + c if key in out else c
+    return {key: c for key, c in out.items() if c}
+
+
+def monomial(n: int, m: RMonomial, j: int = 0) -> dict:
+    return smash(n, {(m, j): 1})
+
+
+def smash_product(n: int, *factors: dict) -> dict:
+    """The product of decoded smash elements, left to right, by the coded kernel."""
+    acc = encode(factors[0])
+    for x in factors[1:]:
+        acc = skewgroup._coded_product(n, acc, encode(x))
+    return decode(n, acc)
+
+
+def decoded_idempotents(n: int) -> list[dict]:
+    return [decode(n, f) for f in build_idempotents(n)]
+
+
 @dataclass
 class CapGenerators:
     n: int
-    us: list[SmashElement]
-    ds: list[SmashElement]
+    us: list[dict]
+    ds: list[dict]
     both_forms_agree: bool
 
 
-def cap_generators(n: int, idem: IdempotentSet | None = None) -> CapGenerators:
+def cap_generators(n: int, fs: list | None = None) -> CapGenerators:
     """U_i = f_i (u#1) = (u#1) f_{i+1} and D_i = (d#1) f_i = f_{i+1} (d#1)."""
-    if idem is None:
-        idem = build_idempotents(n)
-    us, ds, agree = skewgroup._coded_caps(n, idem)
-    return CapGenerators(n, [skewgroup._decode(n, x) for x in us],
-                         [skewgroup._decode(n, x) for x in ds], agree)
+    if fs is None:
+        fs = build_idempotents(n)
+    us, ds, agree = skewgroup._coded_caps(n, fs)
+    return CapGenerators(n, [decode(n, x) for x in us], [decode(n, x) for x in ds], agree)
 
 
 def monomials_of_degree(k):
@@ -140,17 +188,6 @@ def test_cyc_scalar_inverse():
             CycScalar.zero(n).inverse()
 
 
-def test_smash_element_coerces_rational_coefficients():
-    n = 3
-    x = SmashElement(n, {((0, 0, 0), 0): 1, ((1, 0, 0), 4): Fraction(1, 2)})
-    assert x.terms == {((0, 0, 0), 0): CycScalar.one(n),
-                       ((1, 0, 0), 1): CycScalar.from_rational(n, Fraction(1, 2))}
-    assert x + SmashElement.one(n) == SmashElement(
-        n, {((0, 0, 0), 0): 2, ((1, 0, 0), 1): Fraction(1, 2)})
-    with pytest.raises(ValueError):
-        SmashElement(n, {((0, 0, 0), 0): CycScalar.one(5)})
-
-
 def test_r_monomial_products():
     # d * d * u = -u d^2 in the graded down-up algebra
     d, u = (0, 0, 1), (1, 0, 0)
@@ -209,25 +246,24 @@ def test_monomial_count_matches_formula():
 
 def test_smash_relation_example():
     n = 3
-    d = SmashElement.gen_d(n)
-    u = SmashElement.gen_u(n)
-    prod = d * d * u
-    ((m, j),) = prod.terms.keys()
+    d, u = monomial(n, (0, 0, 1)), monomial(n, (1, 0, 0))
+    prod = smash_product(n, d, d, u)
+    ((m, j),) = prod.keys()
     assert m == (1, 0, 2) and j == 0
-    assert prod.terms[(m, j)] == CycScalar.from_rational(n, -1)
+    assert prod[(m, j)] == CycScalar.from_rational(n, -1)
 
 
 def test_smash_group_scaling():
     n = 3
-    u_g = SmashElement.monomial(n, (1, 0, 0), 1)     # u # g
-    u_e = SmashElement.gen_u(n)                      # u # 1
-    prod = u_g * u_e
-    ((m, j),) = prod.terms.keys()
+    u_g = monomial(n, (1, 0, 0), 1)     # u # g
+    u_e = monomial(n, (1, 0, 0))        # u # 1
+    prod = smash_product(n, u_g, u_e)
+    ((m, j),) = prod.keys()
     assert m == (2, 0, 0) and j == 1
-    assert prod.terms[(m, j)] == CycScalar.zeta_power(n, 1)
-    g = SmashElement.group(n, 1)
-    gn1 = SmashElement.group(n, n - 1)
-    assert g * gn1 == SmashElement.one(n)
+    assert prod[(m, j)] == CycScalar.zeta_power(n, 1)
+    g = monomial(n, (0, 0, 0), 1)
+    gn1 = monomial(n, (0, 0, 0), n - 1)
+    assert smash_product(n, g, gn1) == monomial(n, (0, 0, 0))
 
 
 def test_group_action_is_automorphism():
@@ -262,31 +298,30 @@ def test_smash_multiply_associative():
             if not c.is_zero():
                 cur = terms.get((m, j))
                 terms[(m, j)] = c if cur is None else cur + c
-        return SmashElement(n, terms)
+        return smash(n, terms)
 
     for _ in range(15):
         a, b, c = rand_smash(), rand_smash(), rand_smash()
-        assert (a * b) * c == a * (b * c)
+        assert (smash_product(n, smash_product(n, a, b), c)
+                == smash_product(n, a, smash_product(n, b, c)))
 
 
 def test_idempotents():
     for n in (2, 3):
-        idem = build_idempotents(n)  # raises internally on failure
-        f0 = idem[0]
-        assert smash_multiply(f0, f0) == f0
+        fs = decoded_idempotents(n)  # build_idempotents raises internally on failure
+        f0 = fs[0]
+        assert smash_product(n, f0, f0) == f0
         other = 2 % n  # distinct from index 1 for both n = 2 and n = 3
-        assert smash_multiply(idem[1], idem[other]) == SmashElement.zero(n)
+        assert smash_product(n, fs[1], fs[other]) == {}
     with pytest.raises(ValueError):
         build_idempotents(1)
 
 
 def test_idempotent_n2_explicit():
     n = 2
-    idem = build_idempotents(n)
-    f0 = idem[0]
+    f0 = decoded_idempotents(n)[0]
     half = CycScalar.from_rational(n, Fraction(1, 2))
-    assert f0.terms[((0, 0, 0), 0)] == half
-    assert f0.terms[((0, 0, 0), 1)] == half
+    assert f0 == {((0, 0, 0), 0): half, ((0, 0, 0), 1): half}
 
 
 def test_cap_generators_agree():
@@ -298,24 +333,25 @@ def test_cap_generators_agree():
 def test_down_up_loop_is_corner_invariant():
     # D_i U_i is fixed by f_{i+1} on both sides
     n = 3
-    idem = build_idempotents(n)
-    caps = cap_generators(n, idem)
+    fs = decoded_idempotents(n)
+    caps = cap_generators(n)
     for i in range(n):
-        loop = caps.ds[i] * caps.us[i]
-        assert not loop.is_zero()
-        assert idem[i + 1] * loop * idem[i + 1] == loop
+        loop = smash_product(n, caps.ds[i], caps.us[i])
+        assert loop
+        f = fs[(i + 1) % n]
+        assert smash_product(n, f, loop, f) == loop
 
 
 def test_corner_weight_selection():
     # f_i (m # g^t) f_j vanishes unless weight(m) = j - i mod n
     n = 3
-    idem = build_idempotents(n)
+    fs = decoded_idempotents(n)
     for m in monomials_of_degree(2):
         for i in range(n):
             for j in range(n):
-                prod = idem[i] * SmashElement.monomial(n, m, 0) * idem[j]
+                prod = smash_product(n, fs[i], monomial(n, m), fs[j])
                 expected_nonzero = (monomial_weight(m) - (j - i)) % n == 0
-                assert (not prod.is_zero()) == expected_nonzero
+                assert bool(prod) == expected_nonzero
 
 
 def test_verify_quotient_match():
@@ -338,8 +374,8 @@ def corrupt_one_relation_side(monkeypatch):
     real_caps, real_product = skewgroup._coded_caps, skewgroup._coded_product
     caps, du_last = {}, []
 
-    def spy_caps(n, idem):
-        us, ds, agree = real_caps(n, idem)
+    def spy_caps(n, fs):
+        us, ds, agree = real_caps(n, fs)
         caps.update(u0=us[0], d_last=ds[n - 1], u_last=us[n - 1])
         return us, ds, agree
 
@@ -410,3 +446,16 @@ def test_cli_commands_build_no_cyc_scalar(tmp_path, capsys, monkeypatch):
     assert refused == built
     assert [(code, json.loads(out)["verdict"]) for code, out in built] == [(0, "pass")] * 13
     assert "skewgroup" in json.loads(built[11][1])["findings"]
+
+
+def test_skewgroup_takes_only_power_residue_from_cyclotomic():
+    # The smash product has one representation, the coded form: nothing in
+    # skewgroup builds or reads a CycScalar.
+    taken = []
+    for node in ast.walk(ast.parse(inspect.getsource(skewgroup))):
+        if isinstance(node, ast.ImportFrom):
+            taken += [(node.module, alias.name) for alias in node.names
+                      if "cyclotomic" in (node.module or "") or alias.name == "cyclotomic"]
+        elif isinstance(node, ast.Import):
+            taken += [(None, alias.name) for alias in node.names if "cyclotomic" in alias.name]
+    assert taken == [("cyclotomic", "power_residue")]

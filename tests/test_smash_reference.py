@@ -1,8 +1,10 @@
 """Differential test of the coded smash product.
 
-The reference is the ``CycScalar`` loop that ``smash_multiply`` ran before
-products moved to int-coded group-algebra coefficients, kept here verbatim
-as ``reference_smash_multiply``, with ``times_zeta``, the ``CycScalar``
+The reference is the ``CycScalar`` loop that the smash product ran before
+products moved to int-coded group-algebra coefficients, kept here as
+``reference_smash_multiply`` (verbatim, up to taking n and plain decoded
+dicts, ``test_skewgroup.decode``, in place of the ``SmashElement`` class
+that no longer exists), with ``times_zeta``, the ``CycScalar``
 method it called (now a function of the scalar, otherwise verbatim).
 ``times_zeta`` reads ``_power_table`` (the table of x^k mod Phi_n) and
 ``_raw`` (the wrapper of canonical numerators), which left
@@ -10,8 +12,8 @@ method it called (now a function of the scalar, otherwise verbatim).
 mod Phi_n; they are kept here verbatim, and ``test_cyclotomic_reference``
 imports the table.  The
 coded product keeps its coefficients in Q[x]/(x^n - 1) and reduces them
-mod Phi_n only where it compares, tests for zero or decodes, so it must
-give the reference's ``SmashElement`` for every n, also where a
+mod Phi_n only where it compares or tests for zero, so, decoded, it must
+give the reference's value for every n, also where a
 coefficient vanishes in Q(zeta_n) without vanishing in the group algebra.
 
 ``r_monomial_product`` multiplies int-coded words in the rewriting
@@ -33,13 +35,19 @@ from quiverdu.skewgroup import (
     _UNIT,
     GRADED_DOWN_UP,
     RMonomial,
-    SmashElement,
-    build_idempotents,
     r_monomial_product,
-    smash_multiply,
     verify_quotient_match,
 )
-from test_skewgroup import _monomial_to_path, monomials_of_degree
+from test_skewgroup import (
+    _monomial_to_path,
+    decode,
+    decoded_idempotents,
+    encode,
+    monomial,
+    monomials_of_degree,
+    smash,
+    smash_product,
+)
 
 
 @lru_cache(maxsize=None)
@@ -100,13 +108,10 @@ def times_zeta(self, e: int) -> CycScalar:
     return _raw(n, tuple(out), self._den)
 
 
-def reference_smash_multiply(a: SmashElement, b: SmashElement) -> SmashElement:
-    if a.n != b.n:
-        raise ValueError("mismatched group orders")
-    n = a.n
+def reference_smash_multiply(n: int, a: dict, b: dict) -> dict:
     sums: dict[tuple[tuple[int, int, int], int], CycScalar] = {}
-    for (m1, j1), c1 in a.terms.items():
-        for (m2, j2), c2 in b.terms.items():
+    for (m1, j1), c1 in a.items():
+        for (m2, j2), c2 in b.items():
             # g^j1 scales u^a (du)^b d^c by zeta^(j1 (a - c)), read here from the
             # definition of the action and not through ``monomial_weight``, so
             # the left-factor check of ``corner_dimensions`` compares two
@@ -117,7 +122,7 @@ def reference_smash_multiply(a: SmashElement, b: SmashElement) -> SmashElement:
                 term = scalar if q == 1 else -scalar if q == -1 else scalar * q
                 old = sums.get((m, j))
                 sums[(m, j)] = term if old is None else old + term
-    return SmashElement._from_sums(n, sums)
+    return {key: c for key, c in sums.items() if c}
 
 
 def random_scalar(rng: random.Random, n: int) -> CycScalar:
@@ -126,13 +131,13 @@ def random_scalar(rng: random.Random, n: int) -> CycScalar:
     return CycScalar(n, {k: Fraction(rng.randint(-4, 4), rng.randint(1, 6)) for k in range(phi)})
 
 
-def random_smash(rng: random.Random, n: int, terms: int = 3, max_degree: int = 3) -> SmashElement:
+def random_smash(rng: random.Random, n: int, terms: int = 3, max_degree: int = 3) -> dict:
     sums = {}
     for _ in range(terms):
         key = (rng.choice(monomials_of_degree(rng.randint(0, max_degree))), rng.randrange(n))
         c = random_scalar(rng, n)
         sums[key] = sums[key] + c if key in sums else c
-    return SmashElement(n, sums)
+    return smash(n, sums)
 
 
 @pytest.mark.parametrize("n", range(2, 13))
@@ -140,19 +145,20 @@ def test_coded_product_matches_reference(n):
     rng = random.Random(1000 + n)
     for _ in range(12):
         a, b, c = (random_smash(rng, n) for _ in range(3))
-        ab = smash_multiply(a, b)
-        assert ab == reference_smash_multiply(a, b)
-        assert ab * c == a * (b * c) == reference_smash_multiply(a, reference_smash_multiply(b, c))
+        ab = smash_product(n, a, b)
+        assert ab == reference_smash_multiply(n, a, b)
+        assert (smash_product(n, ab, c) == smash_product(n, a, smash_product(n, b, c))
+                == reference_smash_multiply(n, a, reference_smash_multiply(n, b, c)))
 
 
 @pytest.mark.parametrize("n", [2, 3, 5, 12])
 def test_coded_product_of_idempotents_matches_reference(n):
-    fs = build_idempotents(n).idempotents
-    u, d = SmashElement.gen_u(n), SmashElement.gen_d(n)
+    fs = decoded_idempotents(n)
+    u, d = monomial(n, (1, 0, 0)), monomial(n, (0, 0, 1))
     for f in fs:
         for g in fs + [u, d]:
-            assert smash_multiply(f, g) == reference_smash_multiply(f, g)
-            assert smash_multiply(g, f) == reference_smash_multiply(g, f)
+            assert smash_product(n, f, g) == reference_smash_multiply(n, f, g)
+            assert smash_product(n, g, f) == reference_smash_multiply(n, g, f)
 
 
 def test_product_vanishing_only_in_the_cyclotomic_field():
@@ -163,28 +169,27 @@ def test_product_vanishing_only_in_the_cyclotomic_field():
     zeta = CycScalar.zeta_power(n, 1)
     one = CycScalar.one(n)
     unit = (0, 0, 0)
-    a = SmashElement(n, {(unit, 0): zeta, (unit, 1): one})
-    b = SmashElement(n, {(unit, 0): zeta, (unit, 2): one + zeta})
-    den, terms = skewgroup._coded_product(n, skewgroup._encode(a), skewgroup._encode(b))
+    a = {(unit, 0): zeta, (unit, 1): one}
+    b = {(unit, 0): zeta, (unit, 2): one + zeta}
+    den, terms = skewgroup._coded_product(n, encode(a), encode(b))
     at_unit = {key: c for key, c in terms.items() if key[:2] == (unit, 0)}
     assert at_unit == {(unit, 0, 0): 1, (unit, 0, 1): 1, (unit, 0, 2): 1}
-    prod = smash_multiply(a, b)
-    assert prod == reference_smash_multiply(a, b)
-    assert (unit, 0) not in prod.terms
-    assert prod == SmashElement(n, {(unit, 1): zeta, (unit, 2): zeta + zeta * zeta})
+    prod = decode(n, (den, terms))
+    assert prod == reference_smash_multiply(n, a, b)
+    assert (unit, 0) not in prod
+    assert prod == {(unit, 1): zeta, (unit, 2): zeta + zeta * zeta}
     # Equal as values, unequal as group-algebra vectors: only the
     # comparison after reduction says so.
-    zero = skewgroup._encode(SmashElement.zero(n))
+    zero = (1, {})
     unreduced = (den, terms)
-    assert skewgroup._agree(n, unreduced, skewgroup._encode(prod))
+    assert skewgroup._agree(n, unreduced, encode(prod))
     assert not skewgroup._agree(n, unreduced, zero)
     assert skewgroup._agree(n, (den, at_unit), zero)
 
 
 def reference_coded_product(n, a, b):
     """The reference product on coded elements: decode, multiply, encode."""
-    return skewgroup._encode(reference_smash_multiply(skewgroup._decode(n, a),
-                                                      skewgroup._decode(n, b)))
+    return encode(reference_smash_multiply(n, decode(n, a), decode(n, b)))
 
 
 @pytest.mark.parametrize("n", range(2, 13))
