@@ -188,6 +188,9 @@ def _chain_findings(report) -> dict:
     }
 
 
+_UNTESTED_NOTE = "no product was tested: every trial drew an empty corner"
+
+
 def _pwd_findings(report) -> dict:
     out = {
         "trials": report.trials,
@@ -197,7 +200,7 @@ def _pwd_findings(report) -> dict:
     if report.counterexample is not None:
         out["counterexample"] = {"left": report.counterexample[0], "right": report.counterexample[1]}
     if report.beta_nonzero and report.tested == 0:
-        out["note"] = "no product was tested: every trial drew an empty corner"
+        out["note"] = _UNTESTED_NOTE
     return out
 
 
@@ -313,6 +316,8 @@ def _cmd_verify(args) -> tuple[str, dict]:
             "grading": report.grading_ok,
             "pwd": {"trials": report.pwd.trials, "failures": len(report.pwd.failures)},
         }
+        if report.pwd.tested == 0:
+            findings["pwd"]["note"] = _UNTESTED_NOTE
         return ("pass" if report.ok else "fail"), findings
     if what == "superpotential":
         if not params.beta_all_nonzero():
@@ -402,6 +407,8 @@ def _cmd_report(args) -> tuple[str, dict]:
             "grading": gwa.grading_ok,
             "pwd_failures": len(gwa.pwd.failures),
         }
+        if gwa.pwd.tested == 0:
+            sections["gwa"]["pwd_note"] = _UNTESTED_NOTE
         oks.append(gwa.ok)
         if params.gamma_is_zero():
             sp_ok, sp = _superpotential_findings(params)

@@ -1,25 +1,35 @@
-"""Exact Gaussian elimination on sparse rows over any field-like scalar type.
+"""Exact Gaussian elimination on sparse rational rows, fraction-free over the ints.
 
-A row is a mapping from column key to scalar; an absent key means zero,
-so ``Element.terms`` and other term maps are rows as they stand.  Column
-keys need only be hashable.  Scalars must support +, -, unary -, *,
-truthiness (nonzero test) and ``Fraction(1) / x``.  Every caller in
-``src/`` passes Fraction rows; no caller there passes ``CycScalar`` rows
-any more, since the skew-group corners are counted by weight class, but
-the elimination still accepts them.  A pivot row is scaled by the
-reciprocal of its leading entry, so that entry is exactly 1; a row that
-already leads with a non-int 1 is kept as it is, and an int row yields
-Fractions, never floats.
+A row is a mapping from column key to an int or a ``Fraction``; an absent
+key means zero, so ``Element.terms`` and other term maps are rows as they
+stand.  Column keys need only be hashable.  A row is cleared to ints at
+entry, by the lcm of its denominators, so every entry inside the
+elimination is an int and no division is taken: a row is reduced by a
+pivot row p as r <- (lead/g) r - (c/g) p, with c its entry at p's key and
+g = gcd(c, lead), a nonzero multiple of the reduction over Q (Bareiss,
+integer-preserving elimination).  A new pivot row is divided by its
+content and stored with a positive lead.  Callers in ``src/`` pass
+coded numerators (``Element.coded()`` or the rewriting kernel's
+combinations), for which clearing is a no-op.
 """
 
 from __future__ import annotations
 
 from collections.abc import Mapping
-from fractions import Fraction
+from math import gcd, lcm
+
+
+def _cleared(row: Mapping) -> dict:
+    """The row's nonzero entries, times the lcm of their denominators, as ints."""
+    out = {k: c for k, c in row.items() if c}
+    if all(type(c) is int for c in out.values()):
+        return out
+    den = lcm(*(c.denominator for c in out.values()))
+    return {k: c.numerator * (den // c.denominator) for k, c in out.items()}
 
 
 class RowSpace:
-    """Incremental echelon span of sparse rows with exact arithmetic.
+    """Incremental echelon span of sparse rational rows, kept as primitive int rows.
 
     Pivots are kept in insertion order, and each pivot row is zero at the
     pivot keys of the rows before it, so one pass over the pivots in that
@@ -27,7 +37,7 @@ class RowSpace:
     """
 
     def __init__(self) -> None:
-        self.pivots: list[tuple[object, dict]] = []  # (pivot key, normalized row)
+        self.pivots: list[tuple[object, dict]] = []  # (pivot key, primitive int row)
         self._columns: set = set()
 
     @property
@@ -35,19 +45,23 @@ class RowSpace:
         return len(self._columns)
 
     def residual(self, row: Mapping) -> dict:
-        out = {k: c for k, c in row.items() if c}
+        """A nonzero int multiple of the row reduced by every pivot; {} iff in the span."""
+        out = _cleared(row)
         for key, pivot_row in self.pivots:
             c = out.get(key)
             if c:
+                lead = pivot_row[key]
+                g = gcd(c, lead)
+                if g != lead:
+                    scale = lead // g
+                    out = {k: scale * v for k, v in out.items()}
+                c //= g
                 for k, p in pivot_row.items():
-                    if k in out:
-                        v = out[k] - c * p
-                        if v:
-                            out[k] = v
-                        else:
-                            del out[k]
+                    v = out.get(k, 0) - c * p  # nonzero where out has no k
+                    if v:
+                        out[k] = v
                     else:
-                        out[k] = -(c * p)
+                        del out[k]
         return out
 
     def add(self, row: Mapping) -> bool:
@@ -56,9 +70,11 @@ class RowSpace:
         if not out:
             return False
         key, lead = next(iter(out.items()))
-        if type(lead) is int or lead != 1:
-            inv = Fraction(1) / lead  # one inverse per pivot, then products
-            out = {k: c * inv for k, c in out.items()}
+        content = gcd(*out.values())
+        if lead < 0:
+            content = -content
+        if content != 1:
+            out = {k: c // content for k, c in out.items()}
         self.pivots.append((key, out))
         self._columns.update(out)
         return True

@@ -28,6 +28,7 @@ are never built.
 from __future__ import annotations
 
 import random
+import re
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
@@ -677,23 +678,18 @@ def normal_shapes(degree: int) -> list[tuple[int, int, int]]:
             for a in range(degree + 1) for j in range((degree - a) // 2 + 1)]
 
 
-def normal_shape(path: Path) -> tuple[int, int, int]:
-    """The (a, j, c) of a normal word u^a (du)^j d^c; ValueError otherwise."""
-    return word_shape("".join(arrow.family for arrow in path.arrows))
+_SHAPE = re.compile(r"(u*)((?:du)*)(d*)")
 
 
-def word_shape(word: str) -> tuple[int, int, int]:
-    """The (a, j, c) of a normal word given by its letters 'u' and 'd'."""
-    a = len(word) - len(word.lstrip("u"))
-    j = 0
-    pos = a
-    while word[pos:pos + 2] == "du":
-        j += 1
-        pos += 2
-    c = len(word) - pos
-    if word[pos:] != "d" * c:
+def coded_shape(n: int, word: tuple) -> tuple[int, int, int]:
+    """The (a, j, c) of a normal int-coded word u^a (du)^j d^c; ValueError otherwise.
+
+    An arrow code below n is a d, any other a u (``_arrow_rank``).
+    """
+    match = _SHAPE.fullmatch("".join("d" if x < n else "u" for x in word))
+    if match is None:
         raise ValueError(f"not a normal word: {word}")
-    return a, j, c
+    return len(match[1]), len(match[2]) // 2, len(match[3])
 
 
 def _closed_shape_matrix(n: int, degree: int) -> list[list[int]]:

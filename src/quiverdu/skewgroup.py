@@ -53,10 +53,10 @@ from .rewrite import (
     _normal_times,
     _tables,
     build_system,
+    coded_shape,
     dimension_matrices,
     ensure_confluent,
     normal_shapes,
-    word_shape,
 )
 
 GRADED_DOWN_UP = Parameters.of(1, [0], [-1], [0])
@@ -115,7 +115,7 @@ def r_monomial_product(m1: RMonomial, m2: RMonomial) -> tuple[tuple[RMonomial, i
                             _codes(_monomial_word(m2)))
     if e or not all(type(c) is int for c in comb.values()):
         raise AssertionError(f"R-monomial product {m1} * {m2} has a non-int coefficient")
-    return tuple(sorted((word_shape(_letters(w)), c) for w, c in comb.items()))
+    return tuple(sorted((coded_shape(1, w), c) for w, c in comb.items()))
 
 
 # A coded smash element: (den, {(monomial, j, k): int}), the sum of

@@ -42,10 +42,10 @@ from .rewrite import (
     _tables,
     basis_from,
     build_system,
+    coded_shape,
     ensure_confluent,
     normal_form,  # noqa: F401 - perfbench's tracer test checks this binding is wrapped
     normal_product,
-    normal_shape,
 )
 
 # ---------------------------------------------------------------------------
@@ -192,7 +192,7 @@ def check_derivation_quotient(omega: Element, params: Parameters) -> bool:
     arrows = [up(i, n) for i in range(n)] + [down(i, n) for i in range(n)]
     derivatives = [cyclic_derivative(omega, a) for a in arrows]
     relations = build_system(PRESET_QDU, params).relation_elements()
-    return spans_equal([d.terms for d in derivatives], [r.terms for r in relations])
+    return spans_equal([d.coded()[1] for d in derivatives], [r.coded()[1] for r in relations])
 
 
 # ---------------------------------------------------------------------------
@@ -277,11 +277,11 @@ def check_diagonal_map(spec: DiagonalMapSpec, src: Parameters, tgt: Parameters) 
     images = [spec.apply(r) for r in src_rels]
     target = RowSpace()
     for rel in tgt_rels:
-        target.add(rel.terms)
+        target.add(rel.coded()[1])
     details = []
     ok = True
     for idx, img in enumerate(images):
-        member = target.contains(img.terms)
+        member = target.contains(img.coded()[1])
         ok = ok and member
         scalar = None
         proportional_to = None
@@ -333,12 +333,33 @@ class PropertyReport:
 SUBALGEBRA_DEGREE = 4
 
 
+def _subalgebra_monomials(tables: _RuleTables, i: int):
+    """x^a y^b at vertex i for a + b <= ``SUBALGEBRA_DEGREE``, x = u_i d_i and
+    y = d_{i-1} u_{i-1}, as coded combinations over a power of D, each one
+    ``_normal_times`` step from one before it.  Every word starts at i."""
+    n = tables.n
+    gen_x = tables.encode(path_from_word(n, i, "ud"))
+    gen_y = tables.encode(path_from_word(n, i, "du"))
+    xe, x_power = 0, {(): 1}  # e_i
+    for a in range(SUBALGEBRA_DEGREE + 1):
+        if a:
+            xe, x_power = _normal_times(tables, x_power, xe, gen_x)
+        e, monomial = xe, x_power
+        yield monomial
+        for _ in range(SUBALGEBRA_DEGREE - a):
+            e, monomial = _normal_times(tables, monomial, e, gen_y)
+            yield monomial
+
+
 def property_report(params: Parameters) -> PropertyReport:
     """Flags follow the beta criterion; every flag is backed by a witness.
 
     With all beta_i nonzero the subalgebra k[u_i d_i, d_{i-1} u_{i-1}] is
-    certified free up to degree ``SUBALGEBRA_DEGREE``; with a zero beta_i the
-    zero-divisor pair and the algebraic dependence are certified instead.
+    certified free up to degree ``SUBALGEBRA_DEGREE``: the monomials x^a y^b
+    at vertex i are built on int-coded words (``_subalgebra_monomials``)
+    and added as they come to one int ``RowSpace``, up to the first
+    dependent one.  With a zero beta_i the zero-divisor pair and the
+    algebraic dependence are certified instead.
     """
     n = params.n
     sys = ensure_confluent(build_system(PRESET_QDU, params))
@@ -346,19 +367,10 @@ def property_report(params: Parameters) -> PropertyReport:
     witnesses: list[dict] = []
     checks = True
     if flag:
+        tables = _tables(sys)
         for i in range(n):
-            gen_x = Element.from_path(path_from_word(n, i, "ud"))        # u_i d_i
-            gen_y = Element.from_path(path_from_word(n, i, "du"))        # d_{i-1} u_{i-1}
-            monomials = []
-            x_power = Element.from_path(trivial_path(n, i))
-            for a in range(SUBALGEBRA_DEGREE + 1):
-                if a:
-                    x_power = normal_product(sys, x_power, gen_x)
-                monomials.append(x_power)
-                for _ in range(SUBALGEBRA_DEGREE - a):
-                    monomials.append(normal_product(sys, monomials[-1], gen_y))
             space = RowSpace()
-            independent = all(space.add(m.terms) for m in monomials)
+            independent = all(space.add(m) for m in _subalgebra_monomials(tables, i))
             checks = checks and independent
             witnesses.append({"vertex": i, "kind": "free-subalgebra", "ok": independent})
     else:
@@ -416,6 +428,11 @@ def noetherian_chain_check(params: Parameters, i: int | None = None, s_max: int 
     enumerated up to ``degree_bound`` - n - 2 only (the bound at m = 1).
     Also checks the annihilation U g u_m = 0 for every vertex m and the
     support pattern of the spanning products (u-runs are mn or mn+1).
+
+    The generators U^m g and the basis words are int-coded once; each
+    spanning product is one ``_normal_times`` call, its support is read
+    on the coded words (``coded_shape``), and it is added to the int
+    ``RowSpace`` as it is, over its power of D.
     """
     n = params.n
     if i is None:
@@ -443,7 +460,10 @@ def noetherian_chain_check(params: Parameters, i: int | None = None, s_max: int 
         acc = normal_product(sys, acc, u_cycle)
         generators.append(normal_product(sys, acc, g))
 
-    basis_by_degree = basis_from(sys, i, degree_bound - n - 2)
+    tables = _tables(sys)
+    coded = [{tables.encode(p): c for p, c in gen.coded()[1].items()} for gen in generators]
+    basis_by_degree = [[tables.encode(b) for b in paths]
+                       for paths in basis_from(sys, i, degree_bound - n - 2)]
     support_ok = True
     # One elimination kept across s: I_s grows from I_{s-1}, so each
     # spanning product is added once.
@@ -451,15 +471,15 @@ def noetherian_chain_check(params: Parameters, i: int | None = None, s_max: int 
     strict = []
     for s in range(1, s_max + 1):
         m = s
-        g_m = generators[m - 1]
+        g_m = coded[m - 1]
         max_b = degree_bound - m * n - 2
         for k in range(max_b + 1):
             for b in basis_by_degree[k]:
-                product = normal_product(sys, g_m, Element.from_path(b))
-                if product.is_zero():
+                _, product = _normal_times(tables, g_m, 0, b)
+                if not product:
                     continue
-                for p in product.terms:
-                    a_run, j_pairs, c_run = normal_shape(p)
+                for w in product:
+                    a_run, j_pairs, c_run = coded_shape(n, w)
                     if a_run == m * n:
                         if params.gamma[i] == 0 and j_pairs == 0:
                             support_ok = False
@@ -468,8 +488,8 @@ def noetherian_chain_check(params: Parameters, i: int | None = None, s_max: int 
                             support_ok = False
                     else:
                         support_ok = False
-                space.add(product.terms)
-        strict.append((s, not space.contains(generators[s].terms)))
+                space.add(product)
+        strict.append((s, not space.contains(coded[s])))
     return ChainReport(i, s_max, str(g), str(up_cycle_path(n, i)), annihilation_ok,
                        strict, support_ok)
 

@@ -5,7 +5,7 @@ here verbatim with the dense ``_vectorize`` and ``in_span`` it ran on: at
 each s it vectorizes every spanning row found so far together with
 U^{s+1} g and eliminates them from scratch, and it tests the annihilation
 with g_with_one, where the identity stands in for e_i.  The new check adds
-each product's term map to one sparse ``RowSpace`` kept across s; both
+each product, int-coded, to one sparse ``RowSpace`` kept across s; both
 must give the same ``ChainReport``.
 """
 
@@ -24,7 +24,6 @@ from quiverdu.rewrite import (
     ensure_confluent,
     is_zero_in_quotient,
     normal_form,
-    normal_shape,
 )
 from quiverdu.structure import (
     ChainReport,
@@ -32,6 +31,7 @@ from quiverdu.structure import (
     noetherian_chain_check,
     up_cycle_path,
 )
+from replaced_code import normal_shape
 from test_linalg import in_span
 from test_structure import x_path
 

@@ -210,6 +210,25 @@ def test_pwd_with_no_product_tested_is_not_a_pass(tmp_path, capsys):
     assert "note" not in report["findings"]
 
 
+def test_gwa_with_no_product_tested_says_why(tmp_path, capsys):
+    # At n = 12 with the default degree bound 3, the corners whose residue
+    # is 4 to 8 mod 12 have no X-degree in [-3, 3]: the one trial of seed 0
+    # draws such a corner and tests nothing, the one trial of seed 2 does not.
+    n = 12
+    cfg = write_config(tmp_path, n=n, alpha=["1"] * n, beta=["2"] * n, gamma=["1"] * n)
+    argv = ["verify", "gwa", cfg, "--trials", "1", "--json"]
+    code, report = run_json(capsys, argv + ["--seed", "0"])
+    assert code == 1 and report["verdict"] == "fail"
+    assert report["findings"]["pwd"] == {"trials": 1, "failures": 0, "note": cli._UNTESTED_NOTE}
+    code, report = run_json(capsys, argv + ["--seed", "2"])
+    assert code == 0 and report["verdict"] == "pass"
+    assert report["findings"]["pwd"] == {"trials": 1, "failures": 0}
+    code, report = run_json(capsys, ["report", cfg, "--trials", "1", "--seed", "0", "--json"])
+    assert code == 1 and report["findings"]["gwa"]["pwd_note"] == cli._UNTESTED_NOTE
+    code, report = run_json(capsys, ["report", cfg, "--trials", "1", "--seed", "2", "--json"])
+    assert "pwd_note" not in report["findings"]["gwa"]
+
+
 def test_internal_check_failure_is_fail_verdict(tmp_path, capsys, monkeypatch):
     def broken(*args, **kwargs):
         raise AssertionError("closed form disagrees")

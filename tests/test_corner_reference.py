@@ -18,7 +18,8 @@ mutants act on that builder, so every check downstream reads them.
 ``corner_dimensions`` now counts each corner's rows by weight class.  The
 path it replaced, one coded smash product per (i, m) and a ``RowSpace``
 rank over ``CycScalar`` rows, is kept here as ``rank_corner_dimensions``
-(verbatim up to the ``linalg.`` prefix, the flat coded keys
+(verbatim up to the elimination over any field-like scalar, now
+``replaced_code.RowSpace`` since ``linalg`` takes rational rows only, the flat coded keys
 (monomial, group exponent, power of x), and canonical forms taken through
 ``test_skewgroup``'s ``decode`` and ``encode``), and the caps built from
 canonical idempotent forms as ``canonical_coded_caps``.  The triple
@@ -51,6 +52,7 @@ from quiverdu.skewgroup import (
     corner_dimensions,
     monomial_weight,
 )
+import replaced_code
 from test_linalg import RowSpace  # the dense elimination the corner loop ran on
 from test_skewgroup import (
     decode,
@@ -311,14 +313,14 @@ def rank_corner_dimensions(n: int, k: int, idem: list) -> list[list[int]]:
     fs = [encode(decode(n, f)) for f in idem]
     # The row of m # f_a scaled by f_a's coded denominator, a nonzero
     # scale that keeps the rank: f_a's coefficient at g^0 is 1/n, so the
-    # row leads with the CycScalar 1, and RowSpace keeps such a pivot row
-    # as it is, with no inverse and no product.
+    # row leads with the CycScalar 1, and the elimination over Q(zeta_n)
+    # keeps such a pivot row as it is, with no inverse and no product.
     rows = [[(t, CycScalar.from_power_counts(n, v)) for (_, t), v in _grouped(f).items()]
             for _, f in fs]
     monomials = normal_shapes(k)
     dims = []
     for i in range(n):
-        spaces = [linalg.RowSpace() for _ in range(n)]
+        spaces = [replaced_code.RowSpace() for _ in range(n)]
         for m in monomials:
             left = _coded_product(n, fs[i], _monomial(m))
             a = (i + monomial_weight(m)) % n

@@ -11,7 +11,8 @@ from hypothesis import strategies as st
 
 from quiverdu.core import Element, Parameters, format_element, parse_element, path_from_word
 from quiverdu.gwa import BaseElement, GwaElement, theta, theta_prime
-from quiverdu.rewrite import PRESET_QDU, _tables, build_system, normal_form, normal_shape
+from quiverdu.rewrite import PRESET_QDU, _tables, build_system, normal_form
+from replaced_code import normal_shape
 
 # Enough cases to hit cancellations and size mismatches, few enough to stay fast.
 kernel_settings = settings(max_examples=60, deadline=None)

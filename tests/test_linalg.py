@@ -1,4 +1,4 @@
-"""Tests of sparse exact elimination, with the dense elimination it replaced.
+"""Tests of sparse exact elimination, with the eliminations it replaced.
 
 ``RowSpace``, ``rank``, ``in_span`` and ``spans_equal`` below are the
 dense-list elimination of the package before rows became sparse term
@@ -6,13 +6,21 @@ maps, kept verbatim as the reference; the package's sparse versions are
 reached as ``linalg.RowSpace`` and ``linalg.spans_equal``.  The
 differential tests feed both the same rows, as padded lists and as
 mappings with explicit zeros and shuffled key orders.
+
+``linalg`` eliminates fraction-free over the ints and takes rational rows
+only.  The sparse elimination over any field-like scalar that it replaced
+is ``replaced_code.RowSpace``; the cyclotomic tests run on it, and the
+differential tests hold the int elimination to it on int and ``Fraction``
+rows.
 """
 
 import random
 from fractions import Fraction
+from math import gcd
 
 import pytest
 
+import replaced_code
 from quiverdu import linalg
 from quiverdu.cyclotomic import CycScalar
 
@@ -152,15 +160,25 @@ def test_width_counts_columns_of_pivot_rows():
     assert space.width == 2 and isinstance(space.width, int)
 
 
+def field_rank(rows):
+    space = replaced_code.RowSpace()
+    for r in rows:
+        space.add(r)
+    return space.rank
+
+
 def test_rank_over_cyclotomics():
+    # On the elimination over any field-like scalar; linalg takes rational rows only.
     n = 3
     z = CycScalar.zeta_power(n, 1)
     one = CycScalar.one(n)
     zero = CycScalar.zero(n)
     # second row is zeta times the first: rank 1
-    assert sparse_rank([{0: one, 1: z}, {0: z, 1: z * z}]) == 1
-    assert sparse_rank([{0: one, 1: zero}, {0: zero, 1: z}]) == 2
-    assert sparse_in_span([{0: one, 1: z}], {0: z, 1: z * z})
+    assert field_rank([{0: one, 1: z}, {0: z, 1: z * z}]) == 1
+    assert field_rank([{0: one, 1: zero}, {0: zero, 1: z}]) == 2
+    space = replaced_code.RowSpace()
+    space.add({0: one, 1: z})
+    assert space.contains({0: z, 1: z * z})
 
 
 def test_twist_invariance_needs_homogeneous():
@@ -175,7 +193,7 @@ def test_twist_invariance_needs_homogeneous():
         check_twist_invariance(mixed, weights)
 
 
-class ReferenceRowSpace(linalg.RowSpace):
+class ReferenceRowSpace(replaced_code.RowSpace):
     """Sparse RowSpace with a division per entry in place of one inverse per pivot."""
 
     def add(self, row) -> bool:
@@ -187,59 +205,59 @@ class ReferenceRowSpace(linalg.RowSpace):
         return True
 
 
-def assert_unit_pivots(space, one):
+def assert_primitive_pivots(space):
+    """Each pivot row is a primitive int row with a positive lead at its key,
+    zero at the keys of the pivots before it."""
     for pos, (key, row) in enumerate(space.pivots):
-        assert row[key] == one and type(row[key]) is type(one)
-        assert all(c and not isinstance(c, float) for c in row.values())
+        assert next(iter(row)) == key and row[key] > 0
+        assert all(type(c) is int and c for c in row.values())
+        assert gcd(*row.values()) == 1
         assert all(earlier not in row for earlier, _ in space.pivots[:pos])
 
 
-def test_pivots_lead_with_exact_one():
+def assert_proportional(row, ref_row):
+    """``row`` is a nonzero multiple of ``ref_row``."""
+    assert row.keys() == ref_row.keys()
+    key = next(iter(ref_row))
+    ratio = Fraction(row[key]) / ref_row[key]
+    assert all(row[k] == ratio * c for k, c in ref_row.items())
+
+
+def test_pivot_rows_are_primitive_with_a_positive_int_lead():
     rng = random.Random(97)
     for width in (1, 3, 6):
         int_rows = [{j: rng.randint(-3, 3) for j in range(width)} for _ in range(width + 2)]
         space = linalg.RowSpace()
         for r in int_rows:
             space.add(r)
-        assert_unit_pivots(space, Fraction(1))
+        assert_primitive_pivots(space)
         assert space.rank == rank([[r[j] for j in range(width)] for r in int_rows])
         frac_rows = [{j: Fraction(rng.randint(-5, 5), rng.randint(1, 4)) for j in range(width)}
                      for _ in range(width + 2)]
         space = linalg.RowSpace()
         for r in frac_rows:
             space.add(r)
-        assert_unit_pivots(space, Fraction(1))
-    for n in (3, 5, 8, 12):
-        cyc_rows = [{j: CycScalar(n, [rng.randint(-2, 2) for _ in range(3)]) / rng.randint(1, 3)
-                     for j in range(4)} for _ in range(5)]
-        space = linalg.RowSpace()
-        for r in cyc_rows:
-            space.add(r)
-        assert_unit_pivots(space, CycScalar.one(n))
+        assert_primitive_pivots(space)
 
 
-def test_pivot_row_leading_with_a_non_int_one_is_kept_as_it_is(monkeypatch):
-    # No inverse and no products: each entry of the pivot row is the row's own.
-    def refuse(self):
-        raise AssertionError("inverse taken for a lead of 1")
-
-    monkeypatch.setattr(CycScalar, "inverse", refuse)
-    for one, rest in ((Fraction(1), [Fraction(-2, 3), Fraction(5)]),
-                      (CycScalar.one(5), [CycScalar(5, [1, -1, 2, 0]), CycScalar(5, [0, 0, 0, 3])])):
-        row = {"a": one, "b": rest[0], "c": rest[1]}
-        space = linalg.RowSpace()
-        assert space.add(row)
-        key, pivot = space.pivots[0]
-        assert key == "a" and pivot == row
-        assert all(pivot[k] is row[k] for k in row)
-        assert not space.add({"a": one * 2, "b": rest[0] * 2, "c": rest[1] * 2})
-    monkeypatch.undo()
+def test_a_primitive_int_row_is_kept_as_it_is_and_others_are_cleared():
     space = linalg.RowSpace()
-    space.add({"a": CycScalar(5, [2]), "b": CycScalar(5, [0, 4])})  # a lead of 2 still scales
-    assert space.pivots[0][1] == {"a": CycScalar.one(5), "b": CycScalar(5, [0, 2])}
+    row = {"a": 3, "b": -2, "c": 5}
+    assert space.add(row)
+    assert space.pivots[0] == ("a", row) and all(space.pivots[0][1][k] is row[k] for k in row)
+    assert not space.add({"a": -6, "b": 4, "c": -10})
     space = linalg.RowSpace()
-    space.add({"a": 1, "b": 2})  # an int lead of 1 still yields Fractions
-    assert all(type(c) is Fraction for c in space.pivots[0][1].values())
+    space.add({"a": -6, "b": 4, "c": 0, "d": 10})  # content 2 and a negative lead
+    assert space.pivots == [("a", {"a": 3, "b": -2, "d": -5})]
+    space = linalg.RowSpace()
+    space.add({"a": Fraction(-1, 2), "b": Fraction(2, 3)})  # cleared by 6, then made primitive
+    assert space.pivots == [("a", {"a": 3, "b": -4})]
+    assert all(type(c) is int for c in space.pivots[0][1].values())
+
+
+def test_cyclotomic_rows_are_refused():
+    with pytest.raises(AttributeError):
+        linalg.RowSpace().add({0: CycScalar.zeta_power(5, 1), 1: CycScalar.one(5)})
 
 
 def test_rowspace_matches_reference_elimination():
@@ -253,7 +271,9 @@ def test_rowspace_matches_reference_elimination():
         new, ref = linalg.RowSpace(), ReferenceRowSpace()
         for r in rows:
             assert new.add(r) == ref.add(r)
-        assert new.pivots == ref.pivots
+        assert [key for key, _ in new.pivots] == [key for key, _ in ref.pivots]
+        for (_, row), (_, ref_row) in zip(new.pivots, ref.pivots):
+            assert_proportional(row, ref_row)
         assert sparse_rank(rows) == ref.rank
         for target in other:
             assert sparse_in_span(rows, target) == ref.contains(target)
@@ -262,6 +282,55 @@ def test_rowspace_matches_reference_elimination():
             ref_other.add(r)
         assert linalg.spans_equal(rows, other) == (
             ref.rank == ref_other.rank and all(ref.contains(r) for r in other))
+
+
+def random_rational_rows(rng, width, count, draw):
+    """Sparse rows, about half of them combinations of earlier rows."""
+    rows = []
+    for _ in range(count):
+        if len(rows) >= 2 and rng.random() < 0.5:
+            a, b = rng.sample(rows, 2)
+            ca, cb = draw(rng), draw(rng)
+            row = {k: a.get(k, 0) * ca + b.get(k, 0) * cb for k in a.keys() | b.keys()}
+        else:
+            row = {k: draw(rng) for k in rng.sample(range(width), rng.randint(1, width))}
+        keys = list(row)
+        rng.shuffle(keys)
+        rows.append({k: row[k] for k in keys})
+    return rows
+
+
+def big_int(rng):
+    return rng.choice([-1, 1]) * rng.randint(1, 2 ** 80) if rng.random() < 0.3 else rng.randint(-5, 5)
+
+
+def big_fraction(rng):
+    return Fraction(big_int(rng), rng.choice([1, 2, 3, 7, 2 ** 70 + 1]))
+
+
+@pytest.mark.parametrize("draw", [big_int, big_fraction], ids=["int", "fraction"])
+def test_int_elimination_matches_the_field_elimination(draw):
+    # Dependent rows, negative leads and entries past 2^64: every add, rank,
+    # contains and spans_equal result agrees with the elimination over Q.
+    rng = random.Random(2027)
+    for _ in range(120):
+        width = rng.randint(1, 7)
+        rows = random_rational_rows(rng, width, rng.randint(1, width + 3), draw)
+        targets = random_rational_rows(rng, width, 4, draw) + rows[-2:]
+        new, ref = linalg.RowSpace(), replaced_code.RowSpace()
+        for r in rows:
+            assert new.add(r) == ref.add(r)
+            assert new.rank == ref.rank and new.width == ref.width
+        assert_primitive_pivots(new)
+        for (key, row), (ref_key, ref_row) in zip(new.pivots, ref.pivots):
+            assert key == ref_key
+            assert_proportional(row, ref_row)
+        for t in targets:
+            assert new.contains(t) == ref.contains(t)
+            assert bool(new.residual(t)) == bool(ref.residual(t))
+        assert linalg.spans_equal(rows, targets) == replaced_code.spans_equal(rows, targets)
+        assert linalg.spans_equal(targets, rows) == replaced_code.spans_equal(targets, rows)
+        assert linalg.spans_equal(rows, rows[::-1])
 
 
 # ---------------------------------------------------------------------------
@@ -300,7 +369,9 @@ def as_mapping(rng, dense, zero):
     return dict(items)
 
 
-def assert_sparse_matches_dense(rng, width, draw, zero, one):
+def assert_sparse_matches_dense(rng, width, draw, zero, elimination):
+    """``elimination`` is ``linalg`` or the ``replaced_code`` reference; both
+    provide ``RowSpace`` and ``spans_equal``."""
     rows = random_dense_rows(rng, width, rng.randint(1, width + 3), draw, zero)
     targets = random_dense_rows(rng, width, 3, draw, zero)
     # combinations of the rows are in the span; the sparse check must say so
@@ -308,31 +379,33 @@ def assert_sparse_matches_dense(rng, width, draw, zero, one):
         a, b = rng.choice(rows), rng.choice(rows)
         ca, cb = draw(rng), draw(rng)
         targets.append([x * ca + y * cb for x, y in zip(a, b)])
-    dense, sparse = RowSpace(width), linalg.RowSpace()
+    dense, sparse = RowSpace(width), elimination.RowSpace()
     for r in rows:
         assert sparse.add(as_mapping(rng, r, zero)) == dense.add(r)
         assert sparse.rank == dense.rank
         assert sparse.width <= width
-    assert_unit_pivots(sparse, one)
+    if elimination is linalg:
+        assert_primitive_pivots(sparse)
     for t in targets:
         assert sparse.contains(as_mapping(rng, t, zero)) == dense.contains(t)
-    assert linalg.spans_equal([as_mapping(rng, r, zero) for r in rows],
-                              [as_mapping(rng, t, zero) for t in targets]) == spans_equal(rows, targets)
+    assert elimination.spans_equal([as_mapping(rng, r, zero) for r in rows],
+                                   [as_mapping(rng, t, zero) for t in targets]) == spans_equal(rows, targets)
     shuffled = rows[:]
     rng.shuffle(shuffled)
-    assert linalg.spans_equal([as_mapping(rng, r, zero) for r in rows],
-                              [as_mapping(rng, r, zero) for r in shuffled])
+    assert elimination.spans_equal([as_mapping(rng, r, zero) for r in rows],
+                                   [as_mapping(rng, r, zero) for r in shuffled])
 
 
 def test_sparse_matches_dense_over_fractions():
     rng = random.Random(2024)
     for _ in range(150):
-        assert_sparse_matches_dense(rng, rng.randint(1, 7), random_fraction, Fraction(0), Fraction(1))
+        assert_sparse_matches_dense(rng, rng.randint(1, 7), random_fraction, Fraction(0), linalg)
 
 
 @pytest.mark.parametrize("n", range(3, 13))
 def test_sparse_matches_dense_over_cyclotomics(n):
+    # On the elimination over any field-like scalar; linalg takes rational rows only.
     rng = random.Random(700 + n)
     for _ in range(12):
         assert_sparse_matches_dense(rng, rng.randint(1, 5), random_cyclotomic(n),
-                                    CycScalar.zero(n), CycScalar.one(n))
+                                    CycScalar.zero(n), replaced_code)

@@ -20,10 +20,12 @@ from quiverdu.rewrite import (
     enumerate_basis,
     is_zero_in_quotient,
     normal_form,
+    coded_shape,
     normal_shapes,
     term_order_greater,
 )
 from quiverdu.skewgroup import GRADED_DOWN_UP
+from replaced_code import normal_shape, word_shape
 
 
 def rand_params(n, rng, nonzero_beta=True):
@@ -462,3 +464,28 @@ def test_perturbed_rule_leaves_an_overlap_unresolved(n):
                                                                         **dict(rest)}))
     expected = [(1, 0)] + ([(2 * n - 1, 2 * n - 2)] if n > 1 else [])
     assert unresolved_overlaps(tuple(rules), n, params) == expected
+
+
+def test_coded_shape_matches_the_letter_parser():
+    # Every u/d word up to length 8, each letter coded as a random arrow
+    # code of its family (below n for d): the shape, or ValueError, agrees
+    # with the letter parser that coded_shape replaced.
+    rng = random.Random(5)
+    for n in (1, 2, 5):
+        for length in range(9):
+            for letters in itertools.product("ud", repeat=length):
+                word = tuple(n + rng.randrange(n) if x == "u" else rng.randrange(n) for x in letters)
+                try:
+                    expected = word_shape("".join(letters))
+                except ValueError:
+                    with pytest.raises(ValueError):
+                        coded_shape(n, word)
+                else:
+                    assert coded_shape(n, word) == expected
+
+
+def test_coded_shape_reads_basis_paths_as_normal_shape():
+    sys_ = ensure_confluent(build_system(PRESET_QDU, rand_params(3, random.Random(8))))
+    tables = rewrite._tables(sys_)
+    for p in enumerate_basis(sys_, 7):
+        assert coded_shape(3, tables.encode(p)) == normal_shape(p)

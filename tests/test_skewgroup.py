@@ -19,7 +19,6 @@ from quiverdu.rewrite import (
     build_system,
     ensure_confluent,
     normal_form,
-    normal_shape,
     normal_shapes,
 )
 from quiverdu.skewgroup import (
@@ -31,6 +30,7 @@ from quiverdu.skewgroup import (
     r_monomial_product,
     verify_quotient_match,
 )
+from replaced_code import normal_shape
 
 
 def _monomial_to_path(m: RMonomial):

@@ -30,7 +30,7 @@ import pytest
 from quiverdu import skewgroup
 from quiverdu.core import Element, Parameters
 from quiverdu.cyclotomic import CycScalar, cyclotomic_polynomial
-from quiverdu.rewrite import PRESET_QDU, build_system, ensure_confluent, normal_product, normal_shape
+from quiverdu.rewrite import PRESET_QDU, build_system, ensure_confluent, normal_product
 from quiverdu.skewgroup import (
     _UNIT,
     GRADED_DOWN_UP,
@@ -38,6 +38,7 @@ from quiverdu.skewgroup import (
     r_monomial_product,
     verify_quotient_match,
 )
+from replaced_code import normal_shape
 from test_skewgroup import (
     _monomial_to_path,
     decode,

@@ -251,21 +251,47 @@ def test_pwd_probe_zero_beta_counterexample():
 
 def test_property_report_fails_on_a_dependent_monomial(monkeypatch):
     # At vertex 1 the monomial y = d_0 u_0 comes back as 2 e_1, a multiple of
-    # the monomial 1 before it; the other vertices stay free.
+    # the monomial 1 before it; the other vertices stay free.  The monomials
+    # are coded products, so the dependent one is injected there: the word
+    # of d_0 u_0 (arrow codes 0 and n + 0) starts at vertex 1 only.
     params = Parameters.of(3, [1, 2, 0], [1, -1, 3], [0, 1, 2])
-    y1 = Element.from_path(path_from_word(3, 1, "du"))
-    real = structure.normal_product
+    y1 = (0, 3)
+    real = structure._normal_times
     replaced = []
 
-    def product(sys, a, b):
-        if b == y1 and not replaced:
-            replaced.append(a)
-            return a.scale(2)
-        return real(sys, a, b)
+    def product(tables, comb, e, word):
+        if word == y1 and not replaced:
+            replaced.append((e, comb))
+            return e, {w: 2 * c for w, c in comb.items()}
+        return real(tables, comb, e, word)
 
-    monkeypatch.setattr(structure, "normal_product", product)
+    monkeypatch.setattr(structure, "_normal_times", product)
     report = property_report(params)
-    assert replaced == [Element.from_path(path_from_word(3, 1, ""))]
+    assert replaced == [(0, {(): 1})]
+    assert [w["ok"] for w in report.witnesses] == [True, False, True]
+    assert report.checks_passed is False
+
+
+def test_property_report_fails_on_a_monomial_dependent_on_the_newest_pivot(monkeypatch):
+    # At vertex 1 the last monomial x^4 comes back as x^3 y, the monomial
+    # added just before it, so only the newest pivot row reduces it to zero.
+    # x = u_1 d_1 is the word of arrow codes n + 1 and 1 from vertex 1.
+    params = Parameters.of(3, [1, 2, 0], [1, -1, 3], [0, 1, 2])
+    x1 = (4, 1)
+    real = structure._normal_times
+    x_steps, last = [], []
+
+    def product(tables, comb, e, word):
+        if word == x1:
+            x_steps.append(word)
+            if len(x_steps) == 4:
+                return last[-1]
+        last.append(real(tables, comb, e, word))
+        return last[-1]
+
+    monkeypatch.setattr(structure, "_normal_times", product)
+    report = property_report(params)
+    assert len(x_steps) == 4
     assert [w["ok"] for w in report.witnesses] == [True, False, True]
     assert report.checks_passed is False
 
