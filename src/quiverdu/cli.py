@@ -70,19 +70,19 @@ class AlgebraConfig:
     alpha: list[str]
     beta: list[str]
     gamma: list[str]
+    params: Parameters  # the validated Fractions that the strings print
 
     def to_parameters(self) -> Parameters:
-        return Parameters.of(self.n, self.alpha, self.beta, self.gamma)
+        return self.params
 
 
-def _rational_str(value, field: str, index: int) -> str:
+def _rational(value, field: str, index: int) -> Fraction:
     if isinstance(value, bool) or not isinstance(value, (int, str)):
         raise ConfigError(f"{field}[{index}]: expected a rational string or integer")
     try:
-        frac = Fraction(str(value))
+        return Fraction(str(value))
     except (ValueError, ZeroDivisionError) as exc:
         raise ConfigError(f"{field}[{index}]: {exc}") from exc
-    return str(frac)
 
 
 def parse_config(text: str) -> AlgebraConfig:
@@ -101,8 +101,9 @@ def parse_config(text: str) -> AlgebraConfig:
             raise ConfigError(f"field '{field}': expected an array")
         if len(raw[field]) != n:
             raise ConfigError(f"field '{field}': length mismatch (expected {n}, got {len(raw[field])})")
-        vectors[field] = [_rational_str(v, field, i) for i, v in enumerate(raw[field])]
-    return AlgebraConfig(n, vectors["alpha"], vectors["beta"], vectors["gamma"])
+        vectors[field] = tuple(_rational(v, field, i) for i, v in enumerate(raw[field]))
+    params = Parameters(n, vectors["alpha"], vectors["beta"], vectors["gamma"])
+    return AlgebraConfig(n, *([str(x) for x in vec] for vec in vectors.values()), params)
 
 
 def load_config(path: str) -> AlgebraConfig:
@@ -329,6 +330,8 @@ def _cmd_verify(args) -> tuple[str, dict]:
     if what == "nakayama":
         if not params.beta_all_nonzero():
             raise ConfigError("verify nakayama requires all beta_i nonzero")
+        if not params.gamma_is_zero():
+            raise ConfigError("verify nakayama requires gamma = 0")
         ok, findings = _nakayama_findings(params)
         return ("pass" if ok else "fail"), findings
     if what == "pwd":

@@ -12,14 +12,16 @@ instance by resolving all overlap ambiguities.
 
 ``build_system`` returns one shared system per preset and parameter set
 (module-level ``lru_cache``s), so every caller reads one normal-form memo,
-one confluence verdict and one forbidden-factor automaton.  One set of
-int-coded rule tables per system (``_RuleTables``, an arrow coded by its
-rank) serves normal forms, overlap resolution, basis enumeration and the
-automaton, which is built on first use; Paths and Elements are built from
-int words only for results.  Inside the kernel a combination is int
-numerators over a power D^e of the system's denominator, summed by
-``_add_scaled``; inputs are encoded with ``Combination.coded`` and results
-decoded with ``Element.from_coded`` (``core``'s int-coded form).
+one confluence verdict and one forbidden-factor automaton.  A preset is
+built straight into int-coded rule specs (an arrow coded by its rank);
+its ``RewriteRule``s are decoded only when ``rules`` is read.  One set of
+rule tables per system (``_RuleTables``, built from the specs) serves
+normal forms, overlap resolution, basis enumeration and the automaton,
+which is built on first use; Paths and Elements are built from int words
+only for results.  Inside the kernel a combination is int numerators
+over a power D^e of the system's denominator, summed by ``_add_scaled``;
+inputs are encoded with ``Combination.coded`` and results decoded with
+``Element.from_coded`` (``core``'s int-coded form).
 ``normal_product`` takes a product to normal form by multiplying the left
 factor's normal form by the right factor's words, so the product's paths
 are never built.
@@ -29,7 +31,7 @@ from __future__ import annotations
 
 import random
 import re
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from math import lcm
@@ -41,7 +43,6 @@ from .core import (
     Path,
     canonical_path_key,
     down,
-    path_from_arrows,
     up,
 )
 
@@ -81,18 +82,35 @@ class RewriteRule:
         return Element.from_path(self.lhs) - self.rhs
 
 
-@dataclass
 class ReductionSystem:
-    n: int
-    rules: tuple[RewriteRule, ...]
-    preset: str
-    params: Parameters | None = None
-    _verified: bool = field(default=False, repr=False)
-    _tables: _RuleTables | None = field(default=None, repr=False, compare=False)
+    """Rules as specs ``(source, lhs, ((rhs word, coefficient), ...))`` on int-coded words.
+
+    ``RewriteRule``s passed in are encoded; the presets pass specs instead,
+    and ``rules`` is then decoded from them on first read.
+    """
+
+    def __init__(self, n: int, rules: tuple[RewriteRule, ...] | None, preset: str,
+                 params: Parameters | None = None, specs: tuple | None = None):
+        self.n, self.preset, self.params = n, preset, params
+        self._rules = None if rules is None else tuple(rules)
+        code = lambda p: tuple(_arrow_rank(a, n) for a in p.arrows)
+        self.specs = specs if rules is None else tuple(
+            (r.lhs.source, code(r.lhs), tuple((code(q), c) for q, c in r.rhs.terms.items()))
+            for r in rules)
+        self._verified, self._tables = False, None
 
     @property
     def verified(self) -> bool:
         return self._verified
+
+    @property
+    def rules(self) -> tuple[RewriteRule, ...]:
+        if self._rules is None:
+            path = _tables(self).path
+            self._rules = tuple(
+                RewriteRule(path(s, lhs), Element._from_sums(self.n, {path(s, w): c for w, c in rhs}))
+                for s, lhs, rhs in self.specs)
+        return self._rules
 
     def relation_elements(self) -> list[Element]:
         return [r.as_relation() for r in self.rules]
@@ -113,48 +131,32 @@ def build_system(preset: str, params: Parameters | None = None, n: int | None = 
     raise ValueError(f"unknown preset {preset!r}")
 
 
-def _qdu_rules(params: Parameters) -> tuple[RewriteRule, ...]:
+def _qdu_specs(params: Parameters) -> tuple:
+    """The quiver down-up rules as specs (d_k coded k, u_k coded n + k), zero terms dropped."""
     n = params.n
-    rules = []
+    nonzero = lambda *terms: tuple(t for t in terms if t[1])
+    specs = []
     for i in range(n):
         a, b, g = params.alpha[i], params.beta[i], params.gamma[i]
-        u_i, u_i1 = up(i, n), up(i + 1, n)
-        d_i, d_i1 = down(i, n), down(i + 1, n)
-        u_prev, d_prev = up(i - 1, n), down(i - 1, n)
-        # The three rhs paths are distinct, so each rhs is one term map
-        # (``_from_sums`` drops the zero coefficients).
-        # d_{i-1} u_{i-1} u_i -> a u_i d_i u_i + b u_i u_{i+1} d_{i+1} + g u_i
-        lhs1 = path_from_arrows(n, (d_prev, u_prev, u_i))
-        rhs1 = Element._from_sums(n, {
-            path_from_arrows(n, (u_i, d_i, u_i)): a,
-            path_from_arrows(n, (u_i, u_i1, d_i1)): b,
-            path_from_arrows(n, (u_i,)): g,
-        })
-        # d_i d_{i-1} u_{i-1} -> a d_i u_i d_i + b u_{i+1} d_{i+1} d_i + g d_i
-        lhs2 = path_from_arrows(n, (d_i, d_prev, u_prev))
-        rhs2 = Element._from_sums(n, {
-            path_from_arrows(n, (d_i, u_i, d_i)): a,
-            path_from_arrows(n, (u_i1, d_i1, d_i)): b,
-            path_from_arrows(n, (d_i,)): g,
-        })
-        rules.append(RewriteRule(lhs1, rhs1))
-        rules.append(RewriteRule(lhs2, rhs2))
-    return tuple(rules)
+        h, j = (i - 1) % n, (i + 1) % n
+        uh, ui, uj = n + h, n + i, n + j
+        # d_{i-1} u_{i-1} u_i -> a u_i d_i u_i + b u_i u_{i+1} d_{i+1} + g u_i, from i
+        specs.append((i, (h, uh, ui), nonzero(((ui, i, ui), a), ((ui, uj, j), b), ((ui,), g))))
+        # d_i d_{i-1} u_{i-1} -> a d_i u_i d_i + b u_{i+1} d_{i+1} d_i + g d_i, from i + 1
+        specs.append((j, (i, h, uh), nonzero(((i, ui, i), a), ((uj, j, i), b), ((i,), g))))
+    return tuple(specs)
 
 
 @lru_cache(maxsize=16)
 def _qdu_system(params: Parameters) -> ReductionSystem:
-    return ReductionSystem(params.n, _qdu_rules(params), PRESET_QDU, params)
+    return ReductionSystem(params.n, None, PRESET_QDU, params, _qdu_specs(params))
 
 
 @lru_cache(maxsize=16)
 def _preprojective_system(n: int) -> ReductionSystem:
-    rules = []
-    for i in range(n):
-        lhs = path_from_arrows(n, (down(i, n), up(i, n)))
-        rhs = Element.from_path(path_from_arrows(n, (up(i + 1, n), down(i + 1, n))))
-        rules.append(RewriteRule(lhs, rhs))
-    return ReductionSystem(n, tuple(rules), PRESET_PREPROJECTIVE)
+    specs = tuple(((i + 1) % n, (i, n + i), (((n + (i + 1) % n, (i + 1) % n), Fraction(1)),))
+                  for i in range(n))  # d_i u_i -> u_{i+1} d_{i+1}, from i + 1
+    return ReductionSystem(n, None, PRESET_PREPROJECTIVE, specs=specs)
 
 
 # ---------------------------------------------------------------------------
@@ -162,7 +164,7 @@ def _preprojective_system(n: int) -> ReductionSystem:
 # ---------------------------------------------------------------------------
 
 class _RuleTables:
-    """A system's rules on int-coded words, and its product memos.
+    """A system's rules on int-coded words, built from its specs, and its product memos.
 
     A word is a tuple of arrow codes, an arrow's code being its
     ``_arrow_rank``; a combination is a dict word -> nonzero numerator
@@ -174,44 +176,57 @@ class _RuleTables:
     Fraction.  D = 1 when every coefficient is integral, and also for a
     coefficient type without ``denominator``, whose values are then kept
     as given; every exponent is then 0, and the kernel takes no gcd, so
-    such values need only ``+``, ``*`` and a zero test.  ``rules`` holds
-    each rule as ``(lhs, rhs terms)`` in rule order; ``by_last`` maps an
+    such values need only ``+``, ``*`` and a zero test.  As in
+    ``RewriteRule``, each rhs word must end where its lhs does and come
+    before it in the term order.  ``rules`` holds each rule as ``(lhs, rhs
+    terms)`` in rule order, ``sources`` its source; ``by_last`` maps an
     arrow code to the rules whose leading word ends with it, as ``(lhs,
-    len(lhs), rhs terms)``.  ``memo`` maps ``w + (a,)`` to its normal form ``(e,
-    combination)`` for each normal word w whose product with the arrow a
-    is reducible; a nonempty word determines its source.  ``nf`` maps a
-    ``Path`` to its normal form ``(e, {Path: numerator})``.  ``paths``
-    maps ``(source, word)`` to its decoded ``Path``, so each word is
-    decoded and validated once and every result shares one ``Path`` per
-    word; ``words`` maps each decoded ``Path`` back to its word.  The
-    automaton is built on first use.
+    len(lhs), rhs terms)``.  ``memo`` maps ``w + (a,)`` to its normal form
+    ``(e, combination)`` for each normal word w whose product with the
+    arrow a is reducible.  ``nf`` maps a ``Path`` to its normal form ``(e,
+    {Path: numerator})``.  ``paths`` maps ``(source, word)`` to its decoded
+    ``Path``, so each word is decoded and validated once; ``words`` maps
+    each decoded ``Path`` back to its word.  The automaton is built on
+    first use.
     """
 
-    __slots__ = ("n", "arrows", "denominator", "rule_exp", "rules", "by_last", "memo", "nf",
-                 "paths", "words", "_automaton")
+    __slots__ = ("n", "arrows", "denominator", "rule_exp", "rules", "sources", "by_last", "memo",
+                 "nf", "paths", "words", "_automaton")
 
-    def __init__(self, sys: ReductionSystem):
-        n = self.n = sys.n
+    def __init__(self, n: int, specs: tuple):
+        self.n = n
         self.arrows = tuple(down(i, n) for i in range(n)) + tuple(up(i, n) for i in range(n))
-        coeffs = [c for rule in sys.rules for c in rule.rhs.terms.values()]
+        coeffs = [c for _, _, rhs in specs for _, c in rhs]
         if all(hasattr(c, "denominator") for c in coeffs):
             D = lcm(*(c.denominator for c in coeffs))
             scale = lambda c: c.numerator * (D // c.denominator)
         else:
             D, scale = 1, lambda c: c
         self.denominator, self.rule_exp = D, int(D != 1)
-        self.memo: dict = {}
-        self.nf: dict = {}
-        self.paths: dict = {}
-        self.words: dict = {}
+        self.memo, self.nf, self.paths, self.words = {}, {}, {}, {}
         self._automaton = None
+        ends = [(a.source(n), a.target(n)) for a in self.arrows]
+
+        def end(at, word):  # the vertex word ends at from at; None if its arrows do not compose
+            for k in word:
+                at = ends[k][1] if ends[k][0] == at else None
+            return at
+
         rules, by_last = [], {}
-        for rule in sys.rules:
-            lhs = self.encode(rule.lhs)
-            rhs = tuple((self.encode(q), scale(c)) for q, c in rule.rhs.terms.items())
+        for source, lhs, rhs in specs:
+            target = end(source, lhs)
+            if target is None:
+                raise ValueError("rule lhs is not a path from its source")
+            for r, _ in rhs:
+                if end(source, r) != target:
+                    raise ValueError("rule rhs term has wrong source/target")
+                if (len(r), lhs) >= (len(lhs), r):  # degree-lex: longer, or smaller codes, is larger
+                    raise ValueError("rule is not oriented by the term order")
+            rhs = tuple((r, scale(c)) for r, c in rhs)
             rules.append((lhs, rhs))
             by_last.setdefault(lhs[-1], []).append((lhs, len(lhs), rhs))
         self.rules, self.by_last = tuple(rules), by_last
+        self.sources = tuple(source for source, _, _ in specs)
 
     def automaton(self):
         """The forbidden-factor automaton (``_build_automaton``), built once."""
@@ -240,7 +255,7 @@ class _RuleTables:
 
 def _tables(sys: ReductionSystem) -> _RuleTables:
     if sys._tables is None:
-        sys._tables = _RuleTables(sys)
+        sys._tables = _RuleTables(sys.n, sys.specs)
     return sys._tables
 
 
@@ -472,7 +487,9 @@ def check_confluence(sys: ReductionSystem) -> ConfluenceReport:
     taken to normal form and compared.  Inclusion ambiguities cannot occur
     here (all leading words of a preset have equal length and are distinct)
     but are checked for anyway.  Each reduction is ``prefix + rhs word +
-    suffix`` on int-coded words; Paths are built only for the report.
+    suffix`` on the tables' int-coded words.  A difference is zero-tested
+    on its numerators and decoded only if nonzero, so a confluent system
+    decodes none (and polynomial coefficients resolve too).
     """
     tables = _tables(sys)
     overlaps: list[Overlap] = []
@@ -485,9 +502,10 @@ def check_confluence(sys: ReductionSystem) -> ConfluenceReport:
             for r, c in rhs:
                 pe, part = _normal_word(tables, prefix + r + suffix)
                 e = _add_scaled(diff, e, part, pe + tables.rule_exp, sign * c, tables.denominator)
-        source = sys.rules[i].lhs.source
-        overlaps.append(Overlap(tables.path(source, word), i, j,
-                                tables.element(source, tables.denominator ** e, diff)))
+        source = tables.sources[i]
+        difference = (tables.element(source, tables.denominator ** e, diff) if any(diff.values())
+                      else Element.zero(sys.n))
+        overlaps.append(Overlap(tables.path(source, word), i, j, difference))
 
     rules = tables.rules
     for i, (a1, rhs1) in enumerate(rules):
@@ -531,34 +549,23 @@ def certify_confluence_over_parameters(n: int, random_trials: int = 5, seed: int
     seeded randomized sweep (which always includes a beta-zero, gamma
     nonzero instance) supplements it.
     """
-    grid_values = [Fraction(0), Fraction(1), Fraction(-1, 2)]
-    failures = []
-    count = 0
-    per_instance = None
-    for a in grid_values:
-        for b in grid_values:
-            for g in grid_values:
-                params = Parameters.of(n, [a] * n, [b] * n, [g] * n)
-                report = check_confluence(build_system(PRESET_QDU, params))
-                count += 1
-                per_instance = len(report.overlaps)
-                if not report.confluent:
-                    failures.append((params, report))
+    grid = [Fraction(0), Fraction(1), Fraction(-1, 2)]
+    vectors = [([a] * n, [b] * n, [g] * n) for a in grid for b in grid for g in grid]
     rng = random.Random(seed)
     rand = lambda: Fraction(rng.randint(-9, 9), rng.randint(1, 9))
     for t in range(random_trials):
-        alpha = [rand() for _ in range(n)]
-        beta = [rand() for _ in range(n)]
-        gamma = [rand() for _ in range(n)]
+        alpha, beta, gamma = ([rand() for _ in range(n)] for _ in range(3))
         if t == 0:
-            beta[0] = Fraction(0)
-            gamma[0] = Fraction(3, 2)
-        params = Parameters.of(n, alpha, beta, gamma)
+            beta[0], gamma[0] = Fraction(0), Fraction(3, 2)
+        vectors.append((alpha, beta, gamma))
+    failures = []
+    for vector in vectors:
+        params = Parameters.of(n, *vector)
         report = check_confluence(build_system(PRESET_QDU, params))
-        count += 1
         if not report.confluent:
             failures.append((params, report))
-    return GridCertificate(n, count, per_instance or 0, not failures, failures)
+    # Every instance has the same leading words, so the same overlaps.
+    return GridCertificate(n, len(vectors), len(report.overlaps), not failures, failures)
 
 
 # ---------------------------------------------------------------------------

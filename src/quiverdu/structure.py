@@ -16,7 +16,7 @@ too.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
 
 from .core import (
@@ -39,6 +39,7 @@ from .rewrite import (
     _RuleTables,
     _add_scaled,
     _normal_times,
+    _qdu_system,
     _tables,
     basis_from,
     build_system,
@@ -522,12 +523,14 @@ def pwd_probe_H(params: Parameters, degree_bound: int = 5, trials: int = 200,
     pool holds the normal words of degree <= ``degree_bound`` from one
     vertex to another, and a factor is a combination of distinct pool
     words, so it is its own normal form: the coded factor a is NF(a) as
-    it is drawn.  Each trial's zero test is ``_product_vanishes``; only a
+    it is drawn.  Each trial's zero test is ``_product_vanishes``, which
+    tests the top degree in gr H = H(alpha, beta, 0) (its lemma); only a
     zero product's factors are decoded, for ``failures``.
     """
     n = params.n
     sys = ensure_confluent(build_system(PRESET_QDU, params))
     tables = _tables(sys)
+    graded = _graded_tables(params, tables)
     pools: dict[tuple[int, int], list[tuple]] = {}
     for v in range(n):
         for paths in basis_from(sys, v, degree_bound):
@@ -545,7 +548,7 @@ def pwd_probe_H(params: Parameters, degree_bound: int = 5, trials: int = 200,
         a = _coded_combination(pool_a, rng)
         b = _coded_combination(pool_b, rng)
         tested += 1
-        if _product_vanishes(tables, a, b):
+        if _product_vanishes(tables, graded, a, b):
             failures.append((t, str(tables.element(i, 6, a)), str(tables.element(k, 6, b))))
     counterexample = None
     if not beta_ok:
@@ -558,29 +561,36 @@ def pwd_probe_H(params: Parameters, degree_bound: int = 5, trials: int = 200,
     return PwdHReport(trials, tested, seed, beta_ok, ok, failures, counterexample)
 
 
-def _product_vanishes(tables: _RuleTables, a: dict[tuple, int], b: dict[tuple, int]) -> bool:
-    """Whether NF(a·b) = 0, for combinations a, b of normal words (numerators only).
+def _graded_tables(params: Parameters, tables: _RuleTables) -> _RuleTables:
+    """The tables of gr H = H(alpha, beta, 0), unchecked (the lemma compares kernel steps)."""
+    zero = (Fraction(0),) * params.n
+    return tables if params.gamma_is_zero() else _tables(_qdu_system(replace(params, gamma=zero)))
 
-    Top-degree lemma: no QDU rule has a right-hand-side word longer than
-    its leading word, so reduction never raises degree, and NF is linear.
-    With D_a and D_b the top word lengths of a and b, a product w·q of a
-    word w of a and a word q of b that are not both of top length has
-    degree below D_a + D_b, and so has its normal form.  So the
-    degree-(D_a + D_b) part of NF(a·b) is that of NF(a_top·b_top), where
-    a_top and b_top are the top-degree parts of a and b.  A nonzero top
-    part means a nonzero product.  A vanishing one decides nothing (a
-    gamma term can leave a lower degree), so only then is the full
-    product taken; when a and b are their own top parts, the product
-    already taken is the full one.
+
+def _product_vanishes(tables: _RuleTables, graded: _RuleTables, a: dict[tuple, int],
+                      b: dict[tuple, int]) -> bool:
+    """Whether NF(a·b) = 0 in H, for combinations a, b of normal words (numerators only).
+
+    Top-degree lemma: each rule's alpha and beta words have the degree of
+    its leading word, its gamma word is two degrees lower, and no rule
+    raises degree.  ``graded`` (gr H = H(alpha, beta, 0)) has the same
+    leading words, so each kernel step, projected onto the top degree, is
+    the same step in its tables.  So with D_a, D_b the top word lengths of
+    a and b and a_top, b_top their top-degree parts, the degree-(D_a + D_b)
+    part of NF_H(a_top·b_top) is NF_gr(a_top·b_top) as rationals, term by
+    term; and it is that of NF_H(a·b), as a pair of words not both of top
+    length has a lower degree.  A nonzero one means a nonzero product.  A
+    vanishing one decides nothing (a gamma term can leave a lower degree),
+    so only then is the full product taken in H; when gamma = 0 (``graded``
+    is ``tables``) and a, b are their own top parts, it is already taken.
     """
     top_a, top_b = max(map(len, a)), max(map(len, b))
     a_top = {w: c for w, c in a.items() if len(w) == top_a}
     b_top = {q: c for q, c in b.items() if len(q) == top_b}
-    product = _coded_times(tables, a_top, b_top)
-    top = top_a + top_b
-    if any(c for w, c in product.items() if len(w) == top):
+    product = _coded_times(graded, a_top, b_top)
+    if any(product.values()):
         return False
-    if len(a_top) < len(a) or len(b_top) < len(b):
+    if graded is not tables or len(a_top) < len(a) or len(b_top) < len(b):
         product = _coded_times(tables, a, b)
     return not any(product.values())
 

@@ -136,6 +136,21 @@ def test_verify_superpotential_and_nakayama(tmp_path, capsys):
     assert report["findings"]["derived"]["preserves_relations"] is True
 
 
+def test_verify_nakayama_refuses_nonzero_gamma(tmp_path, capsys):
+    # The candidate maps are diagonal on arrows, so they are checked against
+    # the homogeneous relations only: like ``verify superpotential``, and like
+    # ``report``, which has a Nakayama section only when gamma = 0.
+    for n, alpha, beta, gamma in ((3, ["1"] * 3, ["2", "-2", "2"], ["1", "0", "0"]),
+                                  (1, ["1"], ["2"], ["3"])):
+        cfg = write_config(tmp_path, n=n, alpha=alpha, beta=beta, gamma=gamma)
+        assert main(["verify", "nakayama", cfg, "--json"]) == 2
+        assert "verify nakayama requires gamma = 0" in capsys.readouterr().err
+        cfg = write_config(tmp_path, n=n, alpha=alpha, beta=beta, gamma=["0"] * n)
+        code, report = run_json(capsys, ["verify", "nakayama", cfg, "--json"])
+        assert code == 0 and report["findings"]["printed"] == {
+            "expected_to_pass": True, "preserves_relations": True}
+
+
 def test_verify_noetherian(tmp_path, capsys):
     cfg = write_config(tmp_path, alpha=["1", "1", "1"], beta=["0", "1", "1"], gamma=["1", "0", "0"])
     code, report = run_json(capsys, ["verify", "noetherian", cfg, "--json"])

@@ -38,7 +38,7 @@ import pytest
 from quiverdu import linalg, rewrite, skewgroup
 from quiverdu.cli import main
 from quiverdu.cyclotomic import CycScalar
-from quiverdu.core import Element, Parameters, add_into, path_from_word
+from quiverdu.core import Parameters, add_into, path_from_word
 from quiverdu.rewrite import PRESET_QDU, build_system, dimension_matrices, normal_shapes
 from quiverdu.skewgroup import (
     _UNIT,
@@ -420,11 +420,10 @@ def fresh_r_products():
 def r_with_extra_term(word: str):
     """R's rule tables with ``word`` added to the rhs of d u u -> -u u d."""
     sys = build_system(PRESET_QDU, GRADED_DOWN_UP)
-    first, second = sys.rules
-    assert "".join(a.family for a in first.lhs.arrows) == "duu"
-    extra = Element.from_path(path_from_word(1, 0, word))
-    tampered = rewrite.RewriteRule(first.lhs, first.rhs + extra)
-    return rewrite._RuleTables(rewrite.ReductionSystem(1, (tampered, second), PRESET_QDU))
+    (source, lhs, rhs), second = sys.specs
+    assert "".join(a.family for a in sys.rules[0].lhs.arrows) == "duu"
+    extra = rewrite._tables(sys).encode(path_from_word(1, 0, word))
+    return rewrite._RuleTables(1, ((source, lhs, rhs + ((extra, Fraction(1)),)), second))
 
 
 def test_rule_with_a_term_of_another_weight_is_refused(fresh_r_products, monkeypatch):

@@ -3,7 +3,10 @@
 A fixed corpus of ``main([..., "--json"])`` calls is run and the SHA-256
 of each stdout and each exit code is compared with the values committed
 in ``golden_json.json``.  Refactors of the algebra must leave every
-verdict and every byte of the reports unchanged.
+verdict and every byte of the reports unchanged.  The commands that need
+no decoded rule (``nf``, ``verify pwd``, ``confluence``, ``basis``,
+``hilbert --check`` and ``verify skewgroup``) must also give their bytes
+with ``RewriteRule`` refused and every system built afresh.
 
 To re-record after an intended output change:
 
@@ -19,7 +22,9 @@ import json
 import sys
 from pathlib import Path
 
+from quiverdu import rewrite, skewgroup
 from quiverdu.cli import main
+from quiverdu.rewrite import RewriteRule
 
 GOLDEN = Path(__file__).with_name("golden_json.json")
 
@@ -104,9 +109,11 @@ def write_configs(directory: Path) -> dict[str, str]:
     return paths
 
 
-def run_corpus(directory: Path) -> dict[str, dict]:
+def run_corpus(directory: Path, keep=lambda label: True) -> dict[str, dict]:
     results = {}
     for label, argv in corpus(write_configs(directory)):
+        if not keep(label):
+            continue
         out, err = io.StringIO(), io.StringIO()
         with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
             code = main(argv + ["--json"])
@@ -121,6 +128,24 @@ def test_json_outputs_are_byte_identical(tmp_path):
     assert sorted(got) == sorted(expected)
     changed = [label for label in expected if got[label] != expected[label]]
     assert not changed, f"outputs changed: {changed}"
+
+
+def built_from_tables(label: str) -> bool:
+    return (label.startswith("skewgroup/")
+            or label.split("/")[1] in ("nf0", "nf1", "pwd", "confluence", "basis", "hilbert"))
+
+
+def test_commands_on_rule_tables_build_no_rewrite_rule(tmp_path, monkeypatch):
+    def refuse(rule):
+        raise AssertionError(f"a RewriteRule was built: {rule.lhs}")
+
+    monkeypatch.setattr(RewriteRule, "__post_init__", refuse)
+    for cache in (rewrite._qdu_system, rewrite._preprojective_system, skewgroup.r_monomial_product):
+        cache.cache_clear()
+    expected = json.loads(GOLDEN.read_text(encoding="utf-8"))
+    got = run_corpus(tmp_path, built_from_tables)
+    assert len(got) == len(CONFIGS) * 6 + 2
+    assert got == {label: expected[label] for label in got}
 
 
 if __name__ == "__main__":

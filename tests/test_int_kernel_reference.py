@@ -24,7 +24,7 @@ from quiverdu.rewrite import (
     ReductionSystem,
     RewriteRule,
     _arrow_rank,
-    _qdu_rules,
+    _qdu_specs,
     check_confluence,
     normal_form,
 )
@@ -181,7 +181,7 @@ def random_element(rng: random.Random, n: int) -> Element:
 
 
 def private_system(params: Parameters) -> ReductionSystem:
-    return ReductionSystem(params.n, _qdu_rules(params), PRESET_QDU, params)
+    return ReductionSystem(params.n, None, PRESET_QDU, params, _qdu_specs(params))
 
 
 @pytest.mark.parametrize("n", range(1, 6))

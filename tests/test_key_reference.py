@@ -20,7 +20,7 @@ from types import SimpleNamespace
 import pytest
 
 from quiverdu.core import DOWN, UP, Arrow, Element, Parameters, Path, path_from_word
-from quiverdu.rewrite import PRESET_QDU, ReductionSystem, _qdu_rules, _tables, build_system, normal_form
+from quiverdu.rewrite import PRESET_QDU, ReductionSystem, _qdu_specs, _tables, build_system, normal_form
 
 
 def reference_post_init(self) -> None:
@@ -119,7 +119,7 @@ def test_equal_fields_mean_equal_objects():
 
 def test_decode_memo_returns_one_path_per_word():
     params = Parameters.of(3, [1, 2, 3], [4, 5, 6], [7, 8, 9])
-    tables = _tables(ReductionSystem(3, _qdu_rules(params), PRESET_QDU, params))
+    tables = _tables(ReductionSystem(3, None, PRESET_QDU, params, _qdu_specs(params)))
     word = (3, 0, 3)  # u_0 d_0 u_0 from vertex 0; d_i is coded i and u_i is n + i
     p = tables.path(0, word)
     assert tables.path(0, word) is p

@@ -24,11 +24,18 @@ parts first and takes the full product only when that part vanishes
 coded loop that took the full product in every trial is kept verbatim up
 to its name as ``full_product_pwd_probe_H``; the two must give the same
 report and leave their generators in the same state.
+
+That top-degree test now runs in the associated graded system gr H =
+H(alpha, beta, 0) (``structure._graded_tables``), whose rules are H's
+without their gamma words.  The top-degree part of each product in H
+must equal the product in gr H, compared as rationals, and a graded
+system that drops beta instead of gamma must be caught.
 """
 
 from __future__ import annotations
 
 import random
+from dataclasses import replace
 from fractions import Fraction
 
 import pytest
@@ -43,7 +50,8 @@ from quiverdu.rewrite import (
     PRESET_QDU,
     _add_scaled,
     _normal_times,
-    _qdu_rules,
+    _qdu_specs,
+    _qdu_system,
     basis_from,
     build_system,
     enumerate_basis,
@@ -613,7 +621,7 @@ def test_top_degree_probe_matches_full_product_probe_where_products_vanish(n):
 
 
 def gamma_pair(params: Parameters, i: int):
-    """Coded a = d_{i-1} u_{i-1} - alpha_i u_i d_i, z = a - gamma_i e_i and b = u_i.
+    """H's and gr H's tables, coded a = d_{i-1} u_{i-1} - alpha_i u_i d_i, z = a - gamma_i e_i, b = u_i.
 
     Numerators over the lcm of the denominators of alpha_i and gamma_i.
     """
@@ -624,7 +632,8 @@ def gamma_pair(params: Parameters, i: int):
     word = lambda text: tables.encode(path_from_word(n, i, text))
     a = {w: c for w, c in ((word("du"), den), (word("ud"), -alpha * den)) if c}
     z = {**a, (): -gamma * den}
-    return tables, {w: int(c) for w, c in a.items()}, {w: int(c) for w, c in z.items()}, {word("u"): 1}
+    return (tables, structure._graded_tables(params, tables), {w: int(c) for w, c in a.items()},
+            {w: int(c) for w, c in z.items()}, {word("u"): 1})
 
 
 def check_gamma_pair_step(product_vanishes) -> None:
@@ -640,29 +649,29 @@ def check_gamma_pair_step(product_vanishes) -> None:
             beta = [Fraction(rng.choice((-2, -1, 1, 3)), rng.randint(1, 3)) for _ in range(n)]
             gamma = [Fraction(rng.choice((-2, -1, 1, 3)), rng.randint(1, 3)) for _ in range(n)]
             beta[i] = Fraction(0)
-            tables, a, z, b = gamma_pair(Parameters.of(n, alpha, beta, gamma), i)
+            tables, graded, a, z, b = gamma_pair(Parameters.of(n, alpha, beta, gamma), i)
             product = _coded_times(tables, a, b)
             assert not any(c for w, c in product.items() if len(w) == 3)
             assert {w for w, c in product.items() if c} == set(b)
-            assert not product_vanishes(tables, a, b), (n, i)
+            assert not product_vanishes(tables, graded, a, b), (n, i)
             assert not any(_coded_times(tables, z, b).values())
-            assert product_vanishes(tables, z, b), (n, i)
+            assert product_vanishes(tables, graded, z, b), (n, i)
 
 
 def test_vanishing_top_part_is_not_a_zero_product():
     check_gamma_pair_step(_product_vanishes)
 
 
-def top_part_only(tables, a, b) -> bool:
+def top_part_only(tables, graded, a, b) -> bool:
     """A mutant: a vanishing top part counts as a zero product."""
     top_a, top_b = max(map(len, a)), max(map(len, b))
-    product = _coded_times(tables, {w: c for w, c in a.items() if len(w) == top_a},
+    product = _coded_times(graded, {w: c for w, c in a.items() if len(w) == top_a},
                            {q: c for q, c in b.items() if len(q) == top_b})
     return not any(c for w, c in product.items() if len(w) == top_a + top_b)
 
 
-def lower_degrees_too(tables, a, b) -> bool:
-    """A mutant: any nonzero numerator of NF(a_top·b_top) counts as a nonzero product."""
+def lower_degrees_too(tables, graded, a, b) -> bool:
+    """A mutant: any nonzero numerator of NF_H(a_top·b_top) counts as a nonzero product."""
     top_a, top_b = max(map(len, a)), max(map(len, b))
     product = _coded_times(tables, {w: c for w, c in a.items() if len(w) == top_a},
                            {q: c for q, c in b.items() if len(q) == top_b})
@@ -682,11 +691,66 @@ def test_counting_a_vanishing_top_part_as_zero_is_caught(monkeypatch):
     assert got != full_product_pwd_probe_H(params, degree_bound=4, trials=200, seed=0)
 
 
+def graded_regimes(n: int) -> list[Parameters]:
+    """gamma_i != 0 throughout; some alpha_i = 0 in the first config, some beta_i = 0 in the second."""
+    rng = random.Random(29_000 + n)
+    entry = lambda: Fraction(rng.choice((-3, -2, -1, 1, 2, 5)), rng.randint(1, 3))
+    configs = []
+    for zeroed in (0, 1):
+        vectors = [[entry() for _ in range(n)] for _ in range(3)]
+        for k in rng.sample(range(n), max(1, n // 2)):
+            vectors[zeroed][k] = Fraction(0)
+        configs.append(Parameters.of(n, *vectors))
+    return configs
+
+
+def check_top_parts_are_graded_products(params: Parameters, max_degree: int = 5) -> int:
+    """For normal words w, q of degree <= ``max_degree`` with q starting where w ends: the
+    degree-|wq| part of NF_H(w·q) equals NF_gr(w·q), as rationals.  Returns the pairs checked."""
+    n = params.n
+    sys_ = ensure_confluent(build_system(PRESET_QDU, params))
+    tables = _tables(sys_)
+    graded = structure._graded_tables(params, tables)
+    assert graded is not tables
+    D, G = tables.denominator, graded.denominator
+    words = [(v, p.target, tables.encode(p)) for v in range(n)
+             for paths in basis_from(sys_, v, max_degree) for p in paths]
+    checked = 0
+    for v, k, w in words:
+        for _, _, q in (x for x in words if x[0] == k):
+            e, full = _normal_times(tables, {w: 1}, 0, q)
+            ge, top = _normal_times(graded, {w: 1}, 0, q)
+            want = {x: Fraction(c, D ** e) for x, c in full.items() if len(x) == len(w) + len(q)}
+            assert {x: Fraction(c, G ** ge) for x, c in top.items()} == want, (params, v, w, q)
+            checked += 1
+    return checked
+
+
+@pytest.mark.parametrize("n", range(1, 6))
+def test_top_degree_part_is_the_graded_product(n):
+    assert sum(check_top_parts_are_graded_products(p) for p in graded_regimes(n)) > 0
+
+
+def drop_beta(params: Parameters, tables):
+    """A mutant: the graded tables drop beta instead of gamma."""
+    return _tables(_qdu_system(replace(params, beta=(Fraction(0),) * params.n)))
+
+
+def test_graded_tables_that_drop_beta_are_caught(monkeypatch):
+    monkeypatch.setattr(structure, "_graded_tables", drop_beta)
+    with pytest.raises(AssertionError):
+        check_top_parts_are_graded_products(graded_regimes(2)[0], max_degree=2)
+
+
 @pytest.mark.parametrize("n", range(1, 13))
 def test_no_rule_raises_degree(n):
-    # The hypothesis of the top-degree lemma, with zero entries included.
+    # The hypotheses of the top-degree lemma, with zero entries included: no
+    # rhs word is longer than its leading word, the shorter ones are gamma
+    # words two degrees lower, and gr H's rules are H's without them.
     rng = random.Random(24_300 + n)
     for trial in range(8):
         params = random_params(rng, n, integral=trial % 2 == 0, zero_beta=trial % 3 == 0)
-        for rule in _qdu_rules(params):
-            assert all(len(q.arrows) <= len(rule.lhs.arrows) for q in rule.rhs.terms), (params, rule)
+        graded = _qdu_specs(replace(params, gamma=(Fraction(0),) * n))
+        for (source, lhs, rhs), top in zip(_qdu_specs(params), graded, strict=True):
+            assert all(len(w) == len(lhs) or len(w) == len(lhs) - 2 for w, _ in rhs), (params, lhs)
+            assert top == (source, lhs, tuple(t for t in rhs if len(t[0]) == len(lhs)))

@@ -10,6 +10,7 @@ from quiverdu.rewrite import (
     PRESET_PREPROJECTIVE,
     PRESET_QDU,
     ReductionSystem,
+    RewriteRule,
     basis_from,
     build_system,
     certify_confluence_over_parameters,
@@ -194,6 +195,31 @@ def test_checker_detects_non_confluence():
         ensure_confluent(sys)
     with pytest.raises(ValueError):
         is_zero_in_quotient(sys, Element.from_path(path_from_word(n, 0, "d")))
+
+
+def test_check_confluence_decodes_only_unresolved_differences(monkeypatch):
+    decoded = []
+    from_coded = Element.from_coded.__func__
+
+    def counting(cls, n, den, nums):
+        decoded.append(dict(nums))
+        return from_coded(cls, n, den, nums)
+
+    monkeypatch.setattr(Element, "from_coded", classmethod(counting))
+    params = Parameters.of(3, [2, 3, 5], [7, 11, 13], [1, 0, 4])
+    report = check_confluence(ReductionSystem(3, None, PRESET_QDU, params, rewrite._qdu_specs(params)))
+    assert report.confluent and len(report.overlaps) == 3 and decoded == []
+    # alpha_0 + 1 in the first rule only: the two overlaps that reduce by
+    # rule 0 no longer resolve (test_perturbed_rule_leaves_an_overlap_unresolved),
+    # and only their differences are decoded.
+    first, *rest = build_system(PRESET_QDU, params).rules
+    (word, c), *others = first.rhs.terms.items()
+    perturbed = RewriteRule(first.lhs, Element(3, {word: c + 1, **dict(others)}))
+    report = check_confluence(ReductionSystem(3, (perturbed, *rest), "custom"))
+    bad = [o for o in report.overlaps if not o.resolves]
+    assert [(o.left_rule, o.right_rule) for o in bad] == [(1, 0), (5, 4)]
+    assert len(report.overlaps) == 3
+    assert [{p for p, c in nums.items() if c} for nums in decoded] == [set(o.difference.terms) for o in bad]
 
 
 def test_grid_certificate_small():
@@ -417,10 +443,16 @@ def symbolic_params(n: int) -> Parameters:
     return Parameters(n, *(tuple(Poly.var((name, i)) for i in range(n)) for name in "abg"))
 
 
-def unresolved_overlaps(rules, n, params) -> list:
-    """The overlaps of ``rules`` whose difference is not zero, resolved as
+def symbolic_system(n: int, specs=None) -> ReductionSystem:
+    """A private quiver down-up system over ``symbolic_params(n)``, or with the given specs."""
+    params = symbolic_params(n)
+    return ReductionSystem(n, None, PRESET_QDU, params, specs or rewrite._qdu_specs(params))
+
+
+def unresolved_overlaps(sys_: ReductionSystem) -> list:
+    """The overlaps of ``sys_`` whose difference is not zero, resolved as
     ``check_confluence`` does, on coded words and without decoding."""
-    tables = rewrite._tables(ReductionSystem(n, rules, PRESET_QDU, params))
+    n, tables = sys_.n, rewrite._tables(sys_)
     assert tables.denominator == 1 and tables.rule_exp == 0
     found, unresolved = 0, []
     for i, (a1, rhs1) in enumerate(tables.rules):
@@ -445,25 +477,24 @@ def unresolved_overlaps(rules, n, params) -> list:
 
 @pytest.mark.parametrize("n", [1, 2, 3, 4])
 def test_overlaps_resolve_over_polynomial_coefficients(n):
-    params = symbolic_params(n)
-    rules = rewrite._qdu_rules(params)
-    assert all(isinstance(c, Poly) for rule in rules for c in rule.rhs.terms.values())
-    assert not hasattr(rules[0].rhs.terms[next(iter(rules[0].rhs.terms))], "denominator")
-    assert unresolved_overlaps(rules, n, params) == []
+    sys_ = symbolic_system(n)
+    assert all(isinstance(c, Poly) for _, _, rhs in sys_.specs for _, c in rhs)
+    assert not hasattr(sys_.specs[0][2][0][1], "denominator")
+    assert unresolved_overlaps(sys_) == []
+    # check_confluence zero-tests each difference before decoding it, so it
+    # certifies the polynomial system too.
+    assert check_confluence(sys_).confluent
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 4])
 def test_perturbed_rule_leaves_an_overlap_unresolved(n):
     # alpha_0 + eps in the first rule only: the rules no longer come from
     # one parameter vector, and the overlaps that reduce by rule 0 see it.
-    params = symbolic_params(n)
-    rules = list(rewrite._qdu_rules(params))
-    first, *rest = rules[0].rhs.terms.items()
-    eps = Poly.var(("eps", 0))
-    rules[0] = rewrite.RewriteRule(rules[0].lhs, Element._from_sums(n, {first[0]: first[1] + eps,
-                                                                        **dict(rest)}))
+    specs = list(rewrite._qdu_specs(symbolic_params(n)))
+    source, lhs, ((first, c), *rest) = specs[0]
+    specs[0] = (source, lhs, ((first, c + Poly.var(("eps", 0))), *rest))
     expected = [(1, 0)] + ([(2 * n - 1, 2 * n - 2)] if n > 1 else [])
-    assert unresolved_overlaps(tuple(rules), n, params) == expected
+    assert unresolved_overlaps(symbolic_system(n, tuple(specs))) == expected
 
 
 def test_coded_shape_matches_the_letter_parser():

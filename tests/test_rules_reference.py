@@ -1,11 +1,16 @@
-"""Differential test of the quiver down-up rule builder.
+"""Differential test of the rule builders.
 
-``rewrite._qdu_rules`` builds each rule's right-hand side as one term map.
-The reference is the builder it replaced, kept here verbatim as
-``reference_qdu_rules``: it sums three single-path Elements with ``+``.
-Both must give equal rule tuples, and the int-coded rule tables built from
-them must be equal too, term order included, for n = 1..6 on random
-parameters and on vectors with zero entries.
+``rewrite`` builds the quiver down-up and preprojective rules straight
+into int-coded specs (``_qdu_specs``) and decodes ``ReductionSystem.rules``
+only when a caller reads it.  The references are the ``Path``-level
+builders this replaced, kept verbatim in ``replaced_code``
+(``_qdu_rules``, ``preprojective_system``), and the builder before them,
+kept here as ``reference_qdu_rules``: it summed three single-path
+Elements with ``+``.  The decoded rules must equal the references' (same
+Paths, same term order, same Fractions), and the tables built from the
+specs must equal those that ``replaced_code.rule_tables`` builds from the
+reference rules, for n = 1..12 with random zero entries and for
+polynomial coefficients at n = 1..4.
 """
 
 import random
@@ -13,9 +18,21 @@ from fractions import Fraction
 
 import pytest
 
-from quiverdu.core import Element, Parameters, down, path_from_arrows, up
-from quiverdu.rewrite import PRESET_QDU, ReductionSystem, RewriteRule, _qdu_rules, _tables, build_system
+from quiverdu.core import Element, Parameters, down, path_from_arrows, path_from_word, up
+from quiverdu.rewrite import (
+    PRESET_QDU,
+    ReductionSystem,
+    RewriteRule,
+    _preprojective_system,
+    _qdu_specs,
+    _arrow_rank,
+    _RuleTables,
+    _tables,
+    build_system,
+)
 from quiverdu.skewgroup import GRADED_DOWN_UP
+from replaced_code import _qdu_rules, preprojective_system, rule_tables
+from test_rewrite import symbolic_params
 
 
 def reference_qdu_rules(params: Parameters) -> tuple[RewriteRule, ...]:
@@ -63,31 +80,80 @@ def param_cases(n: int):
             yield random_params(rng, n, zero_share)
 
 
-def assert_same_rules(params: Parameters) -> None:
-    got, expected = _qdu_rules(params), reference_qdu_rules(params)
-    assert got == expected
-    for rule, ref in zip(got, expected):
+def assert_same_tables(sys_: ReductionSystem, reference: ReductionSystem) -> None:
+    tables = _tables(sys_)
+    rules, by_last, denominator, rule_exp = rule_tables(reference)
+    assert tables.rules == rules
+    assert list(tables.by_last.items()) == list(by_last.items())
+    assert (tables.denominator, tables.rule_exp) == (denominator, rule_exp)
+    assert tables.sources == tuple(r.lhs.source for r in reference.rules)
+
+
+def assert_same_rules(params: Parameters, summed: bool = True) -> None:
+    # A private system: the decoded rules are read before the tables exist.
+    sys_ = ReductionSystem(params.n, None, PRESET_QDU, params, _qdu_specs(params))
+    expected = _qdu_rules(params)
+    assert sys_.rules == expected
+    if summed:
+        assert expected == reference_qdu_rules(params)
+    for rule, ref in zip(sys_.rules, expected, strict=True):
         assert list(rule.rhs.terms.items()) == list(ref.rhs.terms.items())
-        assert all(type(c) is Fraction for c in rule.rhs.terms.values())
-    tables = _tables(ReductionSystem(params.n, got, PRESET_QDU, params))
-    reference = _tables(ReductionSystem(params.n, expected, PRESET_QDU, params))
-    assert tables.rules == reference.rules
-    assert tables.by_last == reference.by_last
+        assert all(type(c) is type(r) for c, r in zip(rule.rhs.terms.values(), ref.rhs.terms.values()))
+    assert_same_tables(sys_, ReductionSystem(params.n, expected, PRESET_QDU, params))
 
 
-@pytest.mark.parametrize("n", range(1, 7))
-def test_rules_match_the_summed_builder(n):
+@pytest.mark.parametrize("n", range(1, 13))
+def test_rules_match_the_path_builders(n):
     for params in param_cases(n):
         assert_same_rules(params)
 
 
+@pytest.mark.parametrize("n", range(1, 5))
+def test_rules_match_the_path_builder_over_polynomials(n):
+    assert_same_rules(symbolic_params(n), summed=False)
+
+
+@pytest.mark.parametrize("n", range(1, 13))
+def test_preprojective_rules_match_the_path_builder(n):
+    sys_, reference = _preprojective_system.__wrapped__(n), preprojective_system(n)
+    assert sys_.rules == reference.rules
+    assert all(type(c) is Fraction for rule in sys_.rules for c in rule.rhs.terms.values())
+    assert_same_tables(sys_, reference)
+
+
 def test_zero_entries_are_dropped():
     params = Parameters.of(2, [0, 3], [5, 0], [0, 0])
-    rules = _qdu_rules(params)
-    assert [len(r.rhs.terms) for r in rules] == [1, 1, 1, 1]
+    assert [len(rhs) for _, _, rhs in _qdu_specs(params)] == [1, 1, 1, 1]
     assert_same_rules(params)
 
 
 def test_graded_system_rules_match():
     sys_ = build_system(PRESET_QDU, GRADED_DOWN_UP)
     assert sys_.rules == reference_qdu_rules(sys_.params)
+
+
+def test_tables_refuse_what_rewrite_rule_refuses():
+    # lhs d_2 u_2 u_0 from vertex 0 (to 1), and u_0 d_0 from 0 (to 0).
+    n = 3
+    code = lambda p: tuple(_arrow_rank(a, n) for a in p.arrows)
+    cases = [
+        ("duu", path_from_word(n, 1, "udu"), "wrong source/target"),  # another source
+        ("duu", path_from_word(n, 0, "ud"), "wrong source/target"),   # another target
+        ("ud", path_from_word(n, 0, "du"), "not oriented"),           # same length, larger
+        ("ud", path_from_word(n, 0, "ud"), "not oriented"),           # the lhs itself
+        ("ud", path_from_word(n, 0, "udud"), "not oriented"),         # longer
+    ]
+    for lhs_word, q, message in cases:
+        lhs = path_from_word(n, 0, lhs_word)
+        with pytest.raises(ValueError, match=message):
+            RewriteRule(lhs, Element.from_path(q))
+        with pytest.raises(ValueError, match=message):
+            _RuleTables(n, ((0, code(lhs), ((code(q), Fraction(1)),)),))
+    # A leading word that is no path from its source is refused, rhs or not.
+    for rhs in ((), ((code(path_from_word(n, 0, "u")), 1),)):
+        with pytest.raises(ValueError, match="lhs is not a path"):
+            _RuleTables(n, ((1, code(path_from_word(n, 0, "duu")), rhs),))
+    # An rhs word that is oriented and has the lhs's ends is accepted.
+    lhs, q = path_from_word(n, 0, "duu"), path_from_word(n, 0, "uud")
+    RewriteRule(lhs, Element.from_path(q))
+    assert _RuleTables(n, ((0, code(lhs), ((code(q), 1),)),)).rules == ((code(lhs), ((code(q), 1),)),)
