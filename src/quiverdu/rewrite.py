@@ -13,18 +13,17 @@ instance by resolving all overlap ambiguities.
 ``build_system`` returns one shared system per preset and parameter set
 (module-level ``lru_cache``s), so every caller reads one normal-form memo,
 one confluence verdict and one forbidden-factor automaton.  A preset is
-built straight into int-coded rule specs (an arrow coded by its rank);
-its ``RewriteRule``s are decoded only when ``rules`` is read.  One set of
-rule tables per system (``_RuleTables``, built from the specs) serves
-normal forms, overlap resolution, basis enumeration and the automaton,
-which is built on first use; Paths and Elements are built from int words
-only for results.  Inside the kernel a combination is int numerators
-over a power D^e of the system's denominator, summed by ``_add_scaled``;
-inputs are encoded with ``Combination.coded`` and results decoded with
-``Element.from_coded`` (``core``'s int-coded form).
-``normal_product`` takes a product to normal form by multiplying the left
-factor's normal form by the right factor's words, so the product's paths
-are never built.
+built straight into rule specs on tuples of arrow codes (an arrow coded
+by its rank), and its ``RewriteRule``s are decoded only when ``rules`` is
+read.  One set of rule tables per system (``_RuleTables``) serves normal
+forms, overlap resolution, basis enumeration and the automaton.  There a
+word is one int, its codes packed behind a sentinel bit (``_pack_word``),
+and Paths and Elements are built from words only for results.  Inside
+the kernel a combination is int numerators over a power D^e of the
+system's denominator, summed by ``_add_scaled``; inputs are encoded with
+``Combination.coded`` and results decoded with ``Element.from_coded``.
+``normal_product`` multiplies the left factor's normal form by the right
+factor's words, so the product's paths are never built.
 """
 
 from __future__ import annotations
@@ -41,7 +40,6 @@ from .core import (
     Element,
     Parameters,
     Path,
-    canonical_path_key,
     down,
     up,
 )
@@ -83,7 +81,7 @@ class RewriteRule:
 
 
 class ReductionSystem:
-    """Rules as specs ``(source, lhs, ((rhs word, coefficient), ...))`` on int-coded words.
+    """Rules as specs ``(source, lhs, ((rhs word, coefficient), ...))``, words as tuples of codes.
 
     ``RewriteRule``s passed in are encoded; the presets pass specs instead,
     and ``rules`` is then decoded from them on first read.
@@ -106,7 +104,8 @@ class ReductionSystem:
     @property
     def rules(self) -> tuple[RewriteRule, ...]:
         if self._rules is None:
-            path = _tables(self).path
+            tables = _tables(self)
+            path = lambda s, w: tables.path(s, _pack_word(w, tables.bits))
             self._rules = tuple(
                 RewriteRule(path(s, lhs), Element._from_sums(self.n, {path(s, w): c for w, c in rhs}))
                 for s, lhs, rhs in self.specs)
@@ -166,35 +165,33 @@ def _preprojective_system(n: int) -> ReductionSystem:
 class _RuleTables:
     """A system's rules on int-coded words, built from its specs, and its product memos.
 
-    A word is a tuple of arrow codes, an arrow's code being its
-    ``_arrow_rank``; a combination is a dict word -> nonzero numerator
-    whose words all start at one vertex (a word may be empty), read over
-    one power D^e of the system's denominator D and passed with its
-    exponent e.  D is the lcm of the denominators of the rule
-    coefficients, so each right-hand-side coefficient c is stored as the
-    int D*c (exponent ``rule_exp`` = 1) and the kernel never builds a
-    Fraction.  D = 1 when every coefficient is integral, and also for a
-    coefficient type without ``denominator``, whose values are then kept
-    as given; every exponent is then 0, and the kernel takes no gcd, so
-    such values need only ``+``, ``*`` and a zero test.  As in
-    ``RewriteRule``, each rhs word must end where its lhs does and come
-    before it in the term order.  ``rules`` holds each rule as ``(lhs, rhs
-    terms)`` in rule order, ``sources`` its source; ``by_last`` maps an
-    arrow code to the rules whose leading word ends with it, as ``(lhs,
-    len(lhs), rhs terms)``.  ``memo`` maps ``w + (a,)`` to its normal form
-    ``(e, combination)`` for each normal word w whose product with the
-    arrow a is reducible.  ``nf`` maps a ``Path`` to its normal form ``(e,
-    {Path: numerator})``.  ``paths`` maps ``(source, word)`` to its decoded
-    ``Path``, so each word is decoded and validated once; ``words`` maps
-    each decoded ``Path`` back to its word.  The automaton is built on
-    first use.
+    An arrow's code is its ``_arrow_rank``.  A word is one int: the
+    sentinel 1, then ``bits`` bits per code, so the empty word is 1,
+    appending a is ``(w << bits) | a``, k arrows take bit length
+    k * bits + 1, and words of one length compare as their codes do.  A
+    combination maps words from one vertex to nonzero int numerators over
+    a power D^e (passed as e) of the lcm D of the rule coefficients'
+    denominators, each rhs coefficient c stored as D*c (``rule_exp`` = 1).
+    D = 1 when every coefficient is integral, and also for coefficients
+    without ``denominator``, kept as given: with every exponent 0 the
+    kernel takes no gcd, and they need only ``+``, ``*`` and a zero test.
+    The specs are checked as ``RewriteRule`` checks rules.  ``rules``
+    holds each as ``(lhs, rhs terms)``, ``sources`` its source; ``by_last``
+    maps an arrow code to the rules whose leading word ends with it, as
+    ``(M, L, k * bits, rhs terms)`` for k arrows, M = 2^(k * bits) - 1 and
+    L = lhs & M: wa ends with it iff ``wa & M == L and wa > M`` (at least
+    k arrows).  ``memo`` maps each reducible w·a, w normal, to its normal
+    form ``(e, combination)``; ``nf`` maps a ``Path`` to ``(e, {Path:
+    numerator})``; ``paths`` maps ``(source, word)`` to its ``Path``,
+    decoded and validated once, and ``words`` maps it back.
     """
 
-    __slots__ = ("n", "arrows", "denominator", "rule_exp", "rules", "sources", "by_last", "memo",
-                 "nf", "paths", "words", "_automaton")
+    __slots__ = ("n", "bits", "arrows", "denominator", "rule_exp", "rules", "sources", "by_last",
+                 "memo", "nf", "paths", "words", "_automaton")
 
     def __init__(self, n: int, specs: tuple):
         self.n = n
+        b = self.bits = _word_bits(n)
         self.arrows = tuple(down(i, n) for i in range(n)) + tuple(up(i, n) for i in range(n))
         coeffs = [c for _, _, rhs in specs for _, c in rhs]
         if all(hasattr(c, "denominator") for c in coeffs):
@@ -203,8 +200,7 @@ class _RuleTables:
         else:
             D, scale = 1, lambda c: c
         self.denominator, self.rule_exp = D, int(D != 1)
-        self.memo, self.nf, self.paths, self.words = {}, {}, {}, {}
-        self._automaton = None
+        self.memo, self.nf, self.paths, self.words, self._automaton = {}, {}, {}, {}, None
         ends = [(a.source(n), a.target(n)) for a in self.arrows]
 
         def end(at, word):  # the vertex word ends at from at; None if its arrows do not compose
@@ -222,9 +218,10 @@ class _RuleTables:
                     raise ValueError("rule rhs term has wrong source/target")
                 if (len(r), lhs) >= (len(lhs), r):  # degree-lex: longer, or smaller codes, is larger
                     raise ValueError("rule is not oriented by the term order")
-            rhs = tuple((r, scale(c)) for r, c in rhs)
-            rules.append((lhs, rhs))
-            by_last.setdefault(lhs[-1], []).append((lhs, len(lhs), rhs))
+            rhs = tuple((_pack_word(r, b), scale(c)) for r, c in rhs)
+            word, k = _pack_word(lhs, b), len(lhs) * b
+            rules.append((word, rhs))
+            by_last.setdefault(lhs[-1], []).append(((1 << k) - 1, word ^ (1 << k), k, rhs))
         self.rules, self.by_last = tuple(rules), by_last
         self.sources = tuple(source for source, _, _ in specs)
 
@@ -234,23 +231,58 @@ class _RuleTables:
             self._automaton = _build_automaton(self)
         return self._automaton
 
-    def encode(self, path: Path) -> tuple:
+    def encode(self, path: Path) -> int:
         word = self.words.get(path)
         if word is None:
-            word = tuple(_arrow_rank(a, self.n) for a in path.arrows)
+            word = _pack_word((_arrow_rank(a, self.n) for a in path.arrows), self.bits)
         return word
 
-    def path(self, source: int, word: tuple) -> Path:
+    def path(self, source: int, word: int) -> Path:
         key = (source, word)
         p = self.paths.get(key)
         if p is None:
-            p = self.paths[key] = Path(self.n, source, tuple(self.arrows[k] for k in word))
+            arrows = tuple(self.arrows[k] for k in _unpack_word(word, self.bits))
+            p = self.paths[key] = Path(self.n, source, arrows)
             self.words[p] = word
         return p
+
+    def target(self, source: int, word: int) -> int:
+        """The vertex where ``word`` from ``source`` ends."""
+        return source if word == 1 else self.arrows[word & ((1 << self.bits) - 1)].target(self.n)
 
     def element(self, source: int, den: int, comb: dict) -> Element:
         """The Element of a combination of words from ``source`` over ``den``."""
         return Element.from_coded(self.n, den, {self.path(source, w): c for w, c in comb.items()})
+
+
+def _word_bits(n: int) -> int:
+    """Bits per arrow code in a word over n vertices: the codes are 0, ..., 2n - 1."""
+    return max(1, (2 * n - 1).bit_length())
+
+
+def _pack_word(codes, bits: int) -> int:
+    """The word of a sequence of arrow codes: the sentinel 1, then ``bits`` bits per code."""
+    word = 1
+    for a in codes:
+        word = (word << bits) | a
+    return word
+
+
+def _unpack_word(word: int, bits: int) -> tuple[int, ...]:
+    """The arrow codes of a word, first to last (``_pack_word``'s inverse)."""
+    mask = (1 << bits) - 1
+    return tuple((word >> s) & mask for s in range(word.bit_length() - 1 - bits, -1, -bits))
+
+
+def _suffix(word: int, k: int, bits: int) -> int:
+    """The word of the last k arrows of ``word`` (which has at least k)."""
+    return (word & ((1 << k * bits) - 1)) | (1 << k * bits)
+
+
+def _concat(x: int, y: int) -> int:
+    """The word x followed by y."""
+    k = y.bit_length() - 1
+    return (x << k) | (y ^ (1 << k))
 
 
 def _tables(sys: ReductionSystem) -> _RuleTables:
@@ -263,8 +295,7 @@ def _add_scaled(out: dict, oe: int, part: dict, pe: int, c, D: int) -> int:
     """out/D^oe += c * part/D^pe, on combinations; returns out's new exponent.
 
     The larger exponent wins: ``out`` is multiplied through in place when
-    ``part``'s is larger, ``c`` is scaled otherwise, so no term moves and
-    zero sums are left in.
+    ``part``'s is larger, ``c`` is scaled otherwise; zero sums are left in.
     """
     if pe != oe:
         if pe > oe:
@@ -280,25 +311,31 @@ def _add_scaled(out: dict, oe: int, part: dict, pe: int, c, D: int) -> int:
     return oe
 
 
-def _times_word(tables: _RuleTables, comb: dict, e: int, word: tuple):
+def _times_word(tables: _RuleTables, comb: dict, e: int, word: int):
     """Generator returning the normal form ``(e, combination)`` of ``comb``/D^e times ``word``.
 
     ``comb`` is normal.  One arrow at a time: a product w·a of a normal
     word can only be reducible at a leading word that ends with a, so one
-    suffix comparison per rule ending in a decides it.  A reducible
-    product missing from the memo is yielded as ``(w + (a,), rule)``, and
-    its normal form is sent back.
+    masked suffix test per rule ending in a decides it; if none ends in a,
+    the combination is only re-keyed.  A reducible product missing from
+    the memo is yielded as ``(w·a, rule)``, and its normal form sent back.
     """
-    by_last, memo, D = tables.by_last, tables.memo, tables.denominator
-    for a in word:
+    by_last, memo, D, b = tables.by_last, tables.memo, tables.denominator, tables.bits
+    mask = (1 << b) - 1
+    for shift in range(word.bit_length() - 1 - b, -1, -b):  # word's codes, first to last
+        a = (word >> shift) & mask
+        rules = by_last.get(a)
+        if rules is None:
+            comb = {(w << b) | a: c for w, c in comb.items()}
+            continue
         out: dict = {}
         oe = e
         for w, c in comb.items():
-            wa = w + (a,)
+            wa = (w << b) | a
             hit = memo.get(wa)
             if hit is None:
-                for rule in by_last.get(a, ()):
-                    if wa[-rule[1]:] == rule[0]:
+                for rule in rules:
+                    if wa & rule[0] == rule[1] and wa > rule[0]:
                         hit = yield wa, rule
                         break
                 else:
@@ -313,16 +350,12 @@ def _times_word(tables: _RuleTables, comb: dict, e: int, word: tuple):
     return e, comb
 
 
-def _reduce_end(tables: _RuleTables, wa: tuple, rule: tuple):
-    """Generator returning the normal form of wa, reducible only at its end, by ``rule``.
-
-    The prefix before the lhs is normal, so it is multiplied by each rhs
-    word in turn.  D is divided out of the result while it divides every
-    numerator, and the result goes into the memo.
-    """
-    _, k, rhs = rule
+def _reduce_end(tables: _RuleTables, wa: int, rule: tuple):
+    """Generator returning the normal form of wa, reducible only at its end, by ``rule``: the
+    normal prefix before the lhs times each rhs word, divided by D while D divides it all."""
+    _, _, shift, rhs = rule
     D, rule_exp = tables.denominator, tables.rule_exp
-    prefix = {wa[:-k]: 1}
+    prefix = {wa >> shift: 1}
     out: dict = {}
     e = 0
     for r, c in rhs:
@@ -336,13 +369,12 @@ def _reduce_end(tables: _RuleTables, wa: tuple, rule: tuple):
     return entry
 
 
-def _normal_times(tables: _RuleTables, comb: dict, e: int, word: tuple) -> tuple[int, dict]:
+def _normal_times(tables: _RuleTables, comb: dict, e: int, word: int) -> tuple[int, dict]:
     """Normal form ``(e, combination)`` of the normal ``comb``/D^e times an int-coded word.
 
     Each pending reduction is a generator on an explicit stack, so the
-    Python call depth stays constant however long the word is.  Every
-    reduction a generator waits on is of a smaller word in the term
-    order, so the stack never waits on itself.  ``comb`` is only read.
+    call depth stays constant; each waits only on smaller words in the
+    term order, so never on itself.  ``comb`` is only read.
     """
     stack = [_times_word(tables, comb, e, word)]
     sent = None
@@ -359,17 +391,14 @@ def _normal_times(tables: _RuleTables, comb: dict, e: int, word: tuple) -> tuple
             sent = None
 
 
-def _normal_word(tables: _RuleTables, word: tuple) -> tuple[int, dict]:
+def _normal_word(tables: _RuleTables, word: int) -> tuple[int, dict]:
     """Normal form ``(e, combination)`` of an int-coded word."""
-    return _normal_times(tables, {(): 1}, 0, word)
+    return _normal_times(tables, {1: 1}, 0, word)
 
 
 def _path_nf(tables: _RuleTables, path: Path) -> tuple[int, dict]:
-    """Normal form ``(e, {Path: numerator})`` of a path, memoized per system.
-
-    The path is built up from its source one arrow at a time, keeping the
-    product normal (right multiplication on normal words).
-    """
+    """Normal form ``(e, {Path: numerator})`` of a path, memoized per system: the path
+    is built up from its source one arrow at a time, keeping the product normal."""
     hit = tables.nf.get(path)
     if hit is None:
         e, comb = _normal_word(tables, tables.encode(path))
@@ -395,10 +424,9 @@ def _coded_nf(tables: _RuleTables, a: Element) -> tuple[int, int, dict]:
 def normal_form(sys: ReductionSystem, a: Element) -> Element:
     """Reduce every term until no leading word occurs as a factor.
 
-    Terminates because each replacement is strictly smaller in the term
-    order; the result is linear in the input.  The terms' normal forms
-    are summed in ints over L * D^e, L the lcm of the input's
-    denominators, and decoded once.
+    Each replacement is strictly smaller in the term order.  The terms'
+    normal forms are summed in ints over L * D^e, L the lcm of the
+    input's denominators, and decoded once.
     """
     if a.n != sys.n:
         raise ValueError("element over wrong quiver size")
@@ -410,17 +438,12 @@ def normal_form(sys: ReductionSystem, a: Element) -> Element:
 def normal_product(sys: ReductionSystem, a: Element, b: Element) -> Element:
     """NF(a·b), equal to ``normal_form(sys, a * b)``, without building a·b.
 
-    NF(a·b) = NF(NF(a)·b), and a normal word times one arrow is normal
-    except at a leading word ending in that arrow, so NF(a)·q for a
-    word q of ``b`` is reduced one arrow of q at a time from the right
-    (``_times_word``; Bergman's diamond lemma makes the result the
-    normal form, whatever order the reductions take).  The prefix that
-    NF(a) contributes is never re-read and no product path is built.
-    ``a``'s terms go through the per-path memo, so ``a`` need not be
-    normal.  NF(a) is grouped by source and target, each group is
+    NF(a·b) = NF(NF(a)·b), so NF(a)·q for a word q of ``b`` is reduced one
+    arrow of q at a time from the right (``_times_word``; Bergman's
+    diamond lemma makes the result the normal form).  NF(a), from the
+    per-path memo, is grouped by source and target, each group is
     multiplied by the words of ``b`` that start at its target, and the
-    parts are summed per source in ints over L_a * L_b * D^e and decoded
-    once.
+    parts are summed per source over L_a * L_b * D^e and decoded once.
     """
     if a.n != sys.n or b.n != sys.n:
         raise ValueError("element over wrong quiver size")
@@ -461,11 +484,11 @@ class Overlap:
     word: Path
     left_rule: int
     right_rule: int
-    difference: Element
+    difference: Element | dict  # {word: numerator} on coefficients without ``denominator``
 
     @property
     def resolves(self) -> bool:
-        return self.difference.is_zero()
+        return not self.difference
 
 
 @dataclass
@@ -486,12 +509,12 @@ def check_confluence(sys: ReductionSystem) -> ConfluenceReport:
     prefix of another; both one-step reductions of the superposed word are
     taken to normal form and compared.  Inclusion ambiguities cannot occur
     here (all leading words of a preset have equal length and are distinct)
-    but are checked for anyway.  Each reduction is ``prefix + rhs word +
-    suffix`` on the tables' int-coded words.  A difference is zero-tested
-    on its numerators and decoded only if nonzero, so a confluent system
-    decodes none (and polynomial coefficients resolve too).
+    but are checked for anyway.  Each reduction is prefix·rhs word·suffix
+    on int-coded words.  A difference is decoded only if it is nonzero and
+    its coefficients have a ``denominator``; else it stays coded.
     """
     tables = _tables(sys)
+    b, D = tables.bits, tables.denominator
     overlaps: list[Overlap] = []
 
     def resolve(i, j, word, left, right):
@@ -500,23 +523,28 @@ def check_confluence(sys: ReductionSystem) -> ConfluenceReport:
         e = 0
         for (prefix, rhs, suffix), sign in ((left, 1), (right, -1)):
             for r, c in rhs:
-                pe, part = _normal_word(tables, prefix + r + suffix)
-                e = _add_scaled(diff, e, part, pe + tables.rule_exp, sign * c, tables.denominator)
+                pe, part = _normal_word(tables, _concat(_concat(prefix, r), suffix))
+                e = _add_scaled(diff, e, part, pe + tables.rule_exp, sign * c, D)
         source = tables.sources[i]
-        difference = (tables.element(source, tables.denominator ** e, diff) if any(diff.values())
-                      else Element.zero(sys.n))
+        difference = {w: c for w, c in diff.items() if c}
+        if all(hasattr(c, "denominator") for c in difference.values()):
+            difference = tables.element(source, D ** e, difference) if difference else Element.zero(sys.n)
         overlaps.append(Overlap(tables.path(source, word), i, j, difference))
 
     rules = tables.rules
     for i, (a1, rhs1) in enumerate(rules):
+        m1 = (a1.bit_length() - 1) // b
         for j, (a2, rhs2) in enumerate(rules):
-            for k in range(1, min(len(a1), len(a2))):
-                if a1[len(a1) - k:] == a2[:k]:
-                    resolve(i, j, a1 + a2[k:], ((), rhs1, a2[k:]), (a1[:len(a1) - k], rhs2, ()))
-            if i != j and len(a2) < len(a1):
-                for pos in range(len(a1) - len(a2) + 1):
-                    if a1[pos:pos + len(a2)] == a2:
-                        resolve(i, j, a1, ((), rhs1, ()), (a1[:pos], rhs2, a1[pos + len(a2):]))
+            m2 = (a2.bit_length() - 1) // b
+            for k in range(1, min(m1, m2)):
+                if _suffix(a1, k, b) == a2 >> (m2 - k) * b:
+                    tail = _suffix(a2, m2 - k, b)
+                    resolve(i, j, _concat(a1, tail), (1, rhs1, tail), (a1 >> k * b, rhs2, 1))
+            if i != j and m2 < m1:
+                for pos in range(m1 - m2 + 1):
+                    if _suffix(a1 >> (m1 - m2 - pos) * b, m2, b) == a2:
+                        resolve(i, j, a1, (1, rhs1, 1),
+                                (a1 >> (m1 - pos) * b, rhs2, _suffix(a1, m1 - m2 - pos, b)))
     report = ConfluenceReport(sys.n, sys.preset, overlaps)
     if report.confluent:
         sys._verified = True
@@ -575,33 +603,30 @@ def certify_confluence_over_parameters(n: int, random_trials: int = 5, seed: int
 def enumerate_basis(sys: ReductionSystem, degree: int) -> list[Path]:
     """All degree-k paths containing no leading word as a factor.
 
-    Walks the forbidden-factor automaton on int-coded words; Paths are
-    built only for the result.
+    The words of ``basis_from`` for each source in turn, in
+    ``canonical_path_key`` order; Paths are built only for the result.
     """
     if degree < 0:
         raise ValueError("degree must be nonnegative")
     tables = _tables(sys)
-    transitions, _ = tables.automaton()
-    layer = [(v, v, ()) for v in range(sys.n)]
-    for _ in range(degree):
-        layer = [(v, tid, w + (a,)) for v, sid, w in layer for a, tid in transitions[sid]]
-    return sorted((tables.path(v, w) for v, _, w in layer), key=canonical_path_key)
+    return [tables.path(v, w) for v in range(sys.n) for w in basis_from(sys, v, degree)[degree]]
 
 
-def basis_from(sys: ReductionSystem, source: int, max_degree: int) -> list[list[Path]]:
-    """The normal paths from ``source`` of each degree 0, ..., ``max_degree``.
+def basis_from(sys: ReductionSystem, source: int, max_degree: int) -> list[list[int]]:
+    """The int-coded normal words from ``source`` of each degree 0, ..., ``max_degree``.
 
-    One automaton walk serves every degree; entry k lists the paths of
-    ``enumerate_basis(sys, k)`` that start at ``source``, in the same order.
+    One automaton walk serves every degree, and it keeps each degree's
+    words in ``canonical_path_key`` order (``_build_automaton``).
     """
     tables = _tables(sys)
     transitions, _ = tables.automaton()
-    layer = [(source, ())]  # state v < n is vertex v with no live suffix
+    b = tables.bits
+    layer = [(source, 1)]  # state v < n is vertex v with no live suffix
     by_degree = []
     for k in range(max_degree + 1):
         if k:
-            layer = [(tid, w + (a,)) for sid, w in layer for a, tid in transitions[sid]]
-        by_degree.append(sorted((tables.path(source, w) for _, w in layer), key=canonical_path_key))
+            layer = [(tid, (w << b) | a) for sid, w in layer for a, tid in transitions[sid]]
+        by_degree.append([w for _, w in layer])
     return by_degree
 
 
@@ -609,25 +634,26 @@ def _build_automaton(tables: _RuleTables):
     """Forbidden-factor automaton: states are (vertex, live suffix).
 
     The live suffix is the longest suffix of the word read so far that is
-    a proper prefix of a leading word; state v < n is (v, ()).  An arrow
-    is refused where it completes a leading word, by the kernel's suffix
-    test.  Returns each state's (arrow code, next state) pairs and vertex.
+    a proper prefix of a leading word; state v < n is (v, the empty word).
+    An arrow is refused where the kernel's suffix test finds a leading
+    word.  Returns each state's (arrow code, next state) pairs, u_v before
+    d_{v-1} (so a walk keeps ``canonical_path_key`` order), and vertex.
     """
-    n = tables.n
-    forbidden = [lhs for lhs, _ in tables.rules]
-    live = max(map(len, forbidden), default=1) - 1
-    prefixes = {f[:k] for f in forbidden for k in range(1, len(f))}
-    keys = [(v, ()) for v in range(n)]
+    n, b = tables.n, tables.bits
+    lengths = [((lhs.bit_length() - 1) // b, lhs) for lhs, _ in tables.rules]
+    live = max((m for m, _ in lengths), default=1) - 1
+    prefixes = {lhs >> (m - k) * b for m, lhs in lengths for k in range(1, m)}
+    keys = [(v, 1) for v in range(n)]
     states = {key: sid for sid, key in enumerate(keys)}
     transitions: list[list[tuple[int, int]]] = []
     for v, suf in keys:  # keys grows while it is walked
         outs = []
         for a in (n + v, (v - 1) % n):  # the codes of u_v and d_{v-1}
-            w = suf + (a,)
-            if any(w[-k:] == lhs for lhs, k, _ in tables.by_last.get(a, ())):
+            w = (suf << b) | a
+            if any(w & M == L and w > M for M, L, _, _ in tables.by_last.get(a, ())):
                 continue
-            new_suf = next((w[-k:] for k in range(min(len(w), live), 0, -1)
-                            if w[-k:] in prefixes), ())
+            new_suf = next((_suffix(w, k, b) for k in range(min((w.bit_length() - 1) // b, live), 0, -1)
+                            if _suffix(w, k, b) in prefixes), 1)
             key = (tables.arrows[a].target(n), new_suf)
             if key not in states:
                 states[key] = len(keys)
@@ -688,14 +714,15 @@ def normal_shapes(degree: int) -> list[tuple[int, int, int]]:
 _SHAPE = re.compile(r"(u*)((?:du)*)(d*)")
 
 
-def coded_shape(n: int, word: tuple) -> tuple[int, int, int]:
+def coded_shape(n: int, word: int) -> tuple[int, int, int]:
     """The (a, j, c) of a normal int-coded word u^a (du)^j d^c; ValueError otherwise.
 
     An arrow code below n is a d, any other a u (``_arrow_rank``).
     """
-    match = _SHAPE.fullmatch("".join("d" if x < n else "u" for x in word))
+    letters = "".join(["d" if x < n else "u" for x in _unpack_word(word, _word_bits(n))])
+    match = _SHAPE.fullmatch(letters)
     if match is None:
-        raise ValueError(f"not a normal word: {word}")
+        raise ValueError(f"not a normal word: {letters}")
     return len(match[1]), len(match[2]) // 2, len(match[3])
 
 

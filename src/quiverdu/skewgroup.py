@@ -83,13 +83,14 @@ def _word_weight(word: str) -> int:
 
 
 # R's rewriting kernel runs on int-coded words; at n = 1 the arrow code
-# (``rewrite._arrow_rank``) of d is 0 and that of u is 1.
-def _codes(word: str) -> tuple[int, ...]:
-    return tuple(int(x == "u") for x in word)
+# (``rewrite._arrow_rank``) of d is 0 and that of u is 1, one bit each
+# after the sentinel 1, so a word is its letters written in binary.
+def _codes(word: str) -> int:
+    return int("1" + word.replace("d", "0").replace("u", "1"), 2)
 
 
-def _letters(codes: tuple[int, ...]) -> str:
-    return "".join("du"[x] for x in codes)
+def _letters(word: int) -> str:
+    return bin(word)[3:].replace("0", "d").replace("1", "u")
 
 
 def _r_tables():

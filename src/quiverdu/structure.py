@@ -341,7 +341,7 @@ def _subalgebra_monomials(tables: _RuleTables, i: int):
     n = tables.n
     gen_x = tables.encode(path_from_word(n, i, "ud"))
     gen_y = tables.encode(path_from_word(n, i, "du"))
-    xe, x_power = 0, {(): 1}  # e_i
+    xe, x_power = 0, {1: 1}  # e_i
     for a in range(SUBALGEBRA_DEGREE + 1):
         if a:
             xe, x_power = _normal_times(tables, x_power, xe, gen_x)
@@ -430,10 +430,10 @@ def noetherian_chain_check(params: Parameters, i: int | None = None, s_max: int 
     Also checks the annihilation U g u_m = 0 for every vertex m and the
     support pattern of the spanning products (u-runs are mn or mn+1).
 
-    The generators U^m g and the basis words are int-coded once; each
-    spanning product is one ``_normal_times`` call, its support is read
-    on the coded words (``coded_shape``), and it is added to the int
-    ``RowSpace`` as it is, over its power of D.
+    The generators U^m g are int-coded once and the basis words come
+    coded (``basis_from``); each spanning product is one ``_normal_times``
+    call, its support is read on the coded words (``coded_shape``), and
+    it is added to the int ``RowSpace`` as it is, over its power of D.
     """
     n = params.n
     if i is None:
@@ -463,8 +463,7 @@ def noetherian_chain_check(params: Parameters, i: int | None = None, s_max: int 
 
     tables = _tables(sys)
     coded = [{tables.encode(p): c for p, c in gen.coded()[1].items()} for gen in generators]
-    basis_by_degree = [[tables.encode(b) for b in paths]
-                       for paths in basis_from(sys, i, degree_bound - n - 2)]
+    basis_by_degree = basis_from(sys, i, degree_bound - n - 2)
     support_ok = True
     # One elimination kept across s: I_s grows from I_{s-1}, so each
     # spanning product is added once.
@@ -521,21 +520,20 @@ def pwd_probe_H(params: Parameters, degree_bound: int = 5, trials: int = 200,
 
     The trials run on int-coded words (``rewrite._RuleTables``).  A corner
     pool holds the normal words of degree <= ``degree_bound`` from one
-    vertex to another, and a factor is a combination of distinct pool
-    words, so it is its own normal form: the coded factor a is NF(a) as
-    it is drawn.  Each trial's zero test is ``_product_vanishes``, which
-    tests the top degree in gr H = H(alpha, beta, 0) (its lemma); only a
-    zero product's factors are decoded, for ``failures``.
+    vertex to another, as ``basis_from`` walks them; a factor, distinct
+    pool words, is its own normal form.  Each trial's zero test is
+    ``_product_vanishes`` (top degree first, in gr H = H(alpha, beta, 0));
+    only a zero product's factors are decoded, for ``failures``.
     """
     n = params.n
     sys = ensure_confluent(build_system(PRESET_QDU, params))
     tables = _tables(sys)
     graded = _graded_tables(params, tables)
-    pools: dict[tuple[int, int], list[tuple]] = {}
+    pools: dict[tuple[int, int], list[int]] = {}
     for v in range(n):
-        for paths in basis_from(sys, v, degree_bound):
-            for p in paths:
-                pools.setdefault((v, p.target), []).append(tables.encode(p))
+        for words in basis_from(sys, v, degree_bound):
+            for w in words:
+                pools.setdefault((v, tables.target(v, w)), []).append(w)
     rng = Sampler(seed)
     beta_ok = params.beta_all_nonzero()
     failures = []
@@ -567,26 +565,25 @@ def _graded_tables(params: Parameters, tables: _RuleTables) -> _RuleTables:
     return tables if params.gamma_is_zero() else _tables(_qdu_system(replace(params, gamma=zero)))
 
 
-def _product_vanishes(tables: _RuleTables, graded: _RuleTables, a: dict[tuple, int],
-                      b: dict[tuple, int]) -> bool:
+def _product_vanishes(tables: _RuleTables, graded: _RuleTables, a: dict[int, int],
+                      b: dict[int, int]) -> bool:
     """Whether NF(a·b) = 0 in H, for combinations a, b of normal words (numerators only).
 
     Top-degree lemma: each rule's alpha and beta words have the degree of
     its leading word, its gamma word is two degrees lower, and no rule
     raises degree.  ``graded`` (gr H = H(alpha, beta, 0)) has the same
     leading words, so each kernel step, projected onto the top degree, is
-    the same step in its tables.  So with D_a, D_b the top word lengths of
-    a and b and a_top, b_top their top-degree parts, the degree-(D_a + D_b)
-    part of NF_H(a_top·b_top) is NF_gr(a_top·b_top) as rationals, term by
-    term; and it is that of NF_H(a·b), as a pair of words not both of top
-    length has a lower degree.  A nonzero one means a nonzero product.  A
-    vanishing one decides nothing (a gamma term can leave a lower degree),
-    so only then is the full product taken in H; when gamma = 0 (``graded``
-    is ``tables``) and a, b are their own top parts, it is already taken.
+    the same step in its tables.  So with a_top, b_top the parts of a, b
+    of top length D_a, D_b (words of one length have one bit length), the
+    degree-(D_a + D_b) part of NF_H(a·b), which no pair of words not both
+    of top length reaches, is NF_gr(a_top·b_top) as rationals.  A nonzero
+    one means a nonzero product; only a vanishing one (a gamma term can
+    leave a lower degree) takes the full product in H, already taken when
+    gamma = 0 and a, b are their own top parts.
     """
-    top_a, top_b = max(map(len, a)), max(map(len, b))
-    a_top = {w: c for w, c in a.items() if len(w) == top_a}
-    b_top = {q: c for q, c in b.items() if len(q) == top_b}
+    top_a, top_b = max(w.bit_length() for w in a), max(q.bit_length() for q in b)
+    a_top = {w: c for w, c in a.items() if w.bit_length() == top_a}
+    b_top = {q: c for q, c in b.items() if q.bit_length() == top_b}
     product = _coded_times(graded, a_top, b_top)
     if any(product.values()):
         return False
@@ -595,7 +592,7 @@ def _product_vanishes(tables: _RuleTables, graded: _RuleTables, a: dict[tuple, i
     return not any(product.values())
 
 
-def _coded_times(tables: _RuleTables, a: dict[tuple, int], b: dict[tuple, int]) -> dict[tuple, int]:
+def _coded_times(tables: _RuleTables, a: dict[int, int], b: dict[int, int]) -> dict[int, int]:
     """NF(a·b) for combinations a, b of normal words, up to a power of D; zero sums left in.
 
     The sum over the words q of b of c_q NF(a·q), each taken one arrow of
@@ -611,7 +608,7 @@ def _coded_times(tables: _RuleTables, a: dict[tuple, int], b: dict[tuple, int]) 
     return product
 
 
-def _coded_combination(pool: list[tuple], rng: Sampler) -> dict[tuple, int]:
+def _coded_combination(pool: list[int], rng: Sampler) -> dict[int, int]:
     """1 to 3 distinct words of ``pool`` with random nonzero coefficients, coded.
 
     Each coefficient c/q with q in {1, 2, 3} is the numerator c * (6 / q)

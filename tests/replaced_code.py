@@ -10,7 +10,11 @@ on int-coded words.  ``_qdu_rules`` and ``preprojective_system`` are the
 rule builders of ``rewrite`` before the presets were built straight into
 int-coded specs: they build every rule as ``Path``s and ``Element``s, which
 ``ReductionSystem`` then encodes.  ``rule_tables`` is the table builder of
-``rewrite._RuleTables`` that read those decoded rules.
+``rewrite._RuleTables`` that read those decoded rules.  ``_times_word``,
+``_reduce_end``, ``_normal_times`` and ``coded_shape`` are the normal-form
+kernel and the shape reader on tuple words, before words were packed into
+ints; ``TupleTables`` holds what that kernel read of ``_RuleTables``, and
+``tuple_tables`` reads packed tables back in tuple form.
 """
 
 from __future__ import annotations
@@ -20,7 +24,16 @@ from fractions import Fraction
 from math import lcm
 
 from quiverdu.core import Element, Parameters, Path, down, path_from_arrows, up
-from quiverdu.rewrite import PRESET_PREPROJECTIVE, ReductionSystem, RewriteRule, _arrow_rank
+from quiverdu.rewrite import (
+    _SHAPE,
+    PRESET_PREPROJECTIVE,
+    ReductionSystem,
+    RewriteRule,
+    _add_scaled,
+    _arrow_rank,
+    _RuleTables,
+    _unpack_word,
+)
 
 
 class RowSpace:
@@ -159,3 +172,118 @@ def rule_tables(sys: ReductionSystem) -> tuple:
         rules.append((lhs, rhs))
         by_last.setdefault(lhs[-1], []).append((lhs, len(lhs), rhs))
     return tuple(rules), by_last, D, int(D != 1)
+
+
+def tuple_tables(tables: _RuleTables) -> tuple:
+    """``(rules, by_last)`` of packed tables with every word read back as a tuple of codes."""
+    b = tables.bits
+    terms = lambda rhs: tuple((_unpack_word(r, b), c) for r, c in rhs)
+    rules = tuple((_unpack_word(lhs, b), terms(rhs)) for lhs, rhs in tables.rules)
+    by_last = {a: [(_unpack_word(L | (M + 1), b), k // b, terms(rhs)) for M, L, k, rhs in entries]
+               for a, entries in tables.by_last.items()}
+    return rules, by_last
+
+
+class TupleTables:
+    """What the tuple kernel read of ``_RuleTables``: ``rule_tables``' fields and an empty memo.
+
+    Built from a system, or, with ``tables=``, from packed tables read back by ``tuple_tables``.
+    """
+
+    def __init__(self, sys: ReductionSystem | None = None, tables: _RuleTables | None = None):
+        if tables is None:
+            self.rules, self.by_last, self.denominator, self.rule_exp = rule_tables(sys)
+        else:
+            self.rules, self.by_last = tuple_tables(tables)
+            self.denominator, self.rule_exp = tables.denominator, tables.rule_exp
+        self.memo: dict = {}
+
+
+def _times_word(tables: TupleTables, comb: dict, e: int, word: tuple):
+    """Generator returning the normal form ``(e, combination)`` of ``comb``/D^e times ``word``.
+
+    ``comb`` is normal.  One arrow at a time: a product w·a of a normal
+    word can only be reducible at a leading word that ends with a, so one
+    suffix comparison per rule ending in a decides it.  A reducible
+    product missing from the memo is yielded as ``(w + (a,), rule)``, and
+    its normal form is sent back.
+    """
+    by_last, memo, D = tables.by_last, tables.memo, tables.denominator
+    for a in word:
+        out: dict = {}
+        oe = e
+        for w, c in comb.items():
+            wa = w + (a,)
+            hit = memo.get(wa)
+            if hit is None:
+                for rule in by_last.get(a, ()):
+                    if wa[-rule[1]:] == rule[0]:
+                        hit = yield wa, rule
+                        break
+                else:
+                    if oe != e:
+                        c *= D ** (oe - e)
+                    old = out.get(wa)
+                    out[wa] = c if old is None else old + c
+                    continue
+            oe = _add_scaled(out, oe, hit[1], e + hit[0], c, D)
+        comb = {v: c for v, c in out.items() if c}
+        e = oe
+    return e, comb
+
+
+def _reduce_end(tables: TupleTables, wa: tuple, rule: tuple):
+    """Generator returning the normal form of wa, reducible only at its end, by ``rule``.
+
+    The prefix before the lhs is normal, so it is multiplied by each rhs
+    word in turn.  D is divided out of the result while it divides every
+    numerator, and the result goes into the memo.
+    """
+    _, k, rhs = rule
+    D, rule_exp = tables.denominator, tables.rule_exp
+    prefix = {wa[:-k]: 1}
+    out: dict = {}
+    e = 0
+    for r, c in rhs:
+        pe, part = yield from _times_word(tables, prefix, 0, r)
+        e = _add_scaled(out, e, part, pe + rule_exp, c, D)
+    nf = {v: cv for v, cv in out.items() if cv}
+    while e and all(cv % D == 0 for cv in nf.values()):
+        nf = {v: cv // D for v, cv in nf.items()}
+        e -= 1
+    tables.memo[wa] = entry = (e, nf)
+    return entry
+
+
+def _normal_times(tables: TupleTables, comb: dict, e: int, word: tuple) -> tuple[int, dict]:
+    """Normal form ``(e, combination)`` of the normal ``comb``/D^e times an int-coded word.
+
+    Each pending reduction is a generator on an explicit stack, so the
+    Python call depth stays constant however long the word is.  Every
+    reduction a generator waits on is of a smaller word in the term
+    order, so the stack never waits on itself.  ``comb`` is only read.
+    """
+    stack = [_times_word(tables, comb, e, word)]
+    sent = None
+    while True:
+        try:
+            wa, rule = stack[-1].send(sent)
+        except StopIteration as done:
+            stack.pop()
+            if not stack:
+                return done.value
+            sent = done.value
+        else:
+            stack.append(_reduce_end(tables, wa, rule))
+            sent = None
+
+
+def coded_shape(n: int, word: tuple) -> tuple[int, int, int]:
+    """The (a, j, c) of a normal int-coded word u^a (du)^j d^c; ValueError otherwise.
+
+    An arrow code below n is a d, any other a u (``_arrow_rank``).
+    """
+    match = _SHAPE.fullmatch("".join("d" if x < n else "u" for x in word))
+    if match is None:
+        raise ValueError(f"not a normal word: {word}")
+    return len(match[1]), len(match[2]) // 2, len(match[3])

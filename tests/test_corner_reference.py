@@ -422,7 +422,7 @@ def r_with_extra_term(word: str):
     sys = build_system(PRESET_QDU, GRADED_DOWN_UP)
     (source, lhs, rhs), second = sys.specs
     assert "".join(a.family for a in sys.rules[0].lhs.arrows) == "duu"
-    extra = rewrite._tables(sys).encode(path_from_word(1, 0, word))
+    extra = rewrite._unpack_word(rewrite._tables(sys).encode(path_from_word(1, 0, word)), 1)
     return rewrite._RuleTables(1, ((source, lhs, rhs + ((extra, Fraction(1)),)), second))
 
 

@@ -19,7 +19,8 @@ import pytest
 
 from quiverdu import linalg
 from quiverdu.core import Element, Parameters, path_from_word, trivial_path
-from quiverdu.rewrite import PRESET_QDU, basis_from, build_system, ensure_confluent, normal_product
+from quiverdu.rewrite import (PRESET_QDU, _tables, basis_from, build_system, ensure_confluent,
+                              normal_product)
 from quiverdu.structure import (
     SUBALGEBRA_DEGREE,
     ChainReport,
@@ -127,7 +128,8 @@ def reference_noetherian_chain_check(params: Parameters, i: int | None = None, s
         acc = normal_product(sys, acc, u_cycle)
         generators.append(normal_product(sys, acc, g))
 
-    basis_by_degree = basis_from(sys, i, degree_bound - n - 2)
+    basis_by_degree = [[_tables(sys).path(i, w) for w in words]
+                       for words in basis_from(sys, i, degree_bound - n - 2)]
     support_ok = True
     # One elimination kept across s: I_s grows from I_{s-1}, so each
     # spanning product is added once.

@@ -20,7 +20,8 @@ from types import SimpleNamespace
 import pytest
 
 from quiverdu.core import DOWN, UP, Arrow, Element, Parameters, Path, path_from_word
-from quiverdu.rewrite import PRESET_QDU, ReductionSystem, _qdu_specs, _tables, build_system, normal_form
+from quiverdu.rewrite import (PRESET_QDU, ReductionSystem, _pack_word, _qdu_specs, _tables, _word_bits,
+                              build_system, normal_form)
 
 
 def reference_post_init(self) -> None:
@@ -120,11 +121,11 @@ def test_equal_fields_mean_equal_objects():
 def test_decode_memo_returns_one_path_per_word():
     params = Parameters.of(3, [1, 2, 3], [4, 5, 6], [7, 8, 9])
     tables = _tables(ReductionSystem(3, None, PRESET_QDU, params, _qdu_specs(params)))
-    word = (3, 0, 3)  # u_0 d_0 u_0 from vertex 0; d_i is coded i and u_i is n + i
+    word = _pack_word((3, 0, 3), _word_bits(3))  # u_0 d_0 u_0 from vertex 0; d_i is coded i, u_i n + i
     p = tables.path(0, word)
     assert tables.path(0, word) is p
     assert p == path_from_word(3, 0, "udu")
-    assert tables.path(1, ()) is tables.path(1, ()) and tables.path(1, ()) != tables.path(2, ())
+    assert tables.path(1, 1) is tables.path(1, 1) and tables.path(1, 1) != tables.path(2, 1)
 
 
 def test_normal_forms_share_decoded_paths():

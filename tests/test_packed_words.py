@@ -1,0 +1,340 @@
+"""Packed int words against the tuple words they replaced.
+
+``rewrite`` codes a word as one int: the sentinel 1, then ``bits`` bits per
+arrow code (``_pack_word``).  These tests cover the packing itself (round
+trip, length, same-length order and the masked suffix test with its length
+guard, past 64 bits too), and compare the kernel on packed words with the
+tuple kernel kept verbatim in ``replaced_code``: normal forms, memo entries
+(unpacked) and the domain probe, chain and freeness reports.  The probe's
+corner pools, now read from ``basis_from``'s coded words, are pinned to the
+pools built from sorted Paths before.
+"""
+
+from __future__ import annotations
+
+import contextlib
+import io
+import itertools
+import json
+import random
+from dataclasses import replace
+from fractions import Fraction
+
+import pytest
+
+from quiverdu import rewrite, skewgroup, structure
+from quiverdu.cli import main
+from quiverdu.core import (Element, Parameters, canonical_path_key, path_from_word,
+                           trivial_path)
+from quiverdu.rewrite import (
+    PRESET_PREPROJECTIVE,
+    PRESET_QDU,
+    ReductionSystem,
+    _normal_word,
+    _pack_word,
+    _qdu_specs,
+    _qdu_system,
+    _tables,
+    _unpack_word,
+    _word_bits,
+    basis_from,
+    build_system,
+    normal_form,
+)
+from quiverdu.skewgroup import GRADED_DOWN_UP
+from quiverdu.structure import noetherian_chain_check, property_report, pwd_probe_H
+import replaced_code
+from replaced_code import TupleTables
+from test_golden_json import CONFIGS
+from test_product_reference import run_probe, top_degree_regimes
+from test_rewrite import Poly, symbolic_system
+
+BITS = {1: 1, 2: 2, 3: 3, 12: 5, 40: 7}
+
+
+def random_codes(rng: random.Random, n: int, length: int) -> tuple[int, ...]:
+    return tuple(rng.randrange(2 * n) for _ in range(length))
+
+
+@pytest.mark.parametrize("n", sorted(BITS))
+def test_round_trip_length_and_order(n):
+    b = _word_bits(n)
+    assert b == BITS[n]
+    rng = random.Random(30_000 + n)
+    assert _pack_word((), b) == 1 and _unpack_word(1, b) == ()
+    for length in range(65):
+        words = []
+        for _ in range(6):
+            codes = random_codes(rng, n, length)
+            word = _pack_word(codes, b)
+            assert _unpack_word(word, b) == codes
+            assert (word.bit_length() - 1) // b == length
+            assert word.bit_length() == length * b + 1
+            words.append((word, codes))
+        # Among words of one length the numeric order is the lexicographic one.
+        for (w1, c1), (w2, c2) in itertools.combinations(words, 2):
+            assert (w1 < w2) == (c1 < c2) and (w1 == w2) == (c1 == c2)
+    assert max(_pack_word(random_codes(rng, n, 64), b) for _ in range(3)).bit_length() > 64
+
+
+@pytest.mark.parametrize("n", sorted(BITS))
+def test_suffix_test_is_the_tuple_suffix_comparison(n):
+    # Every by_last entry of the QDU tables against random words w·a, some
+    # ending in the leading word and some shorter than it: the masked test
+    # with its length guard agrees with the tuple comparison.
+    params = Parameters.of(n, [1] * n, [2] * n, [3] * n)
+    tables = _tables(ReductionSystem(n, None, PRESET_QDU, params, _qdu_specs(params)))
+    b = tables.bits
+    rng = random.Random(30_100 + n)
+    hits = 0
+    for a, entries in tables.by_last.items():
+        for M, L, k, _ in entries:
+            lhs = _unpack_word(L | (M + 1), b)
+            assert lhs[-1] == a and k == len(lhs) * b
+            for length in range(65):
+                codes = random_codes(rng, n, length) + (a,)
+                if rng.random() < 0.5 and len(codes) >= len(lhs):
+                    codes = codes[:len(codes) - len(lhs)] + lhs
+                wa = _pack_word(codes, b)
+                ends = codes[len(codes) - len(lhs):] == lhs and len(codes) >= len(lhs)
+                assert (wa & M == L and wa > M) == ends, (codes, lhs)
+                hits += ends
+    assert hits > 0
+
+
+def test_length_guard_keeps_a_short_normal_word():
+    # At n = 2, d_0 u_0 (codes 0, 2; 0b1_00_10 = 18) has the low bits of
+    # the leading word d_1 d_0 u_0 (codes 1, 0, 2; low bits 0b01_00_10 = 18),
+    # but is one arrow shorter and normal: without the guard the kernel
+    # would rewrite it.
+    params = Parameters.of(2, [1, 2], [3, 5], [7, 11])
+    sys_ = ReductionSystem(2, None, PRESET_QDU, params, _qdu_specs(params))
+    tables = _tables(sys_)
+    word = _pack_word((0, 2), 2)
+    (M, L, _, _), = [entry for entry in tables.by_last[2] if entry[1] == 18]
+    assert word == 18 and word & M == L and not word > M
+    assert _normal_word(tables, word) == (0, {word: 1})
+    path = path_from_word(2, 1, "du")
+    assert normal_form(sys_, Element.from_path(path)) == Element.from_path(path)
+    assert not tables.memo
+
+
+# ---------------------------------------------------------------------------
+# The kernel against the tuple kernel
+# ---------------------------------------------------------------------------
+
+def random_params(rng: random.Random, n: int) -> Parameters:
+    """Entries with denominators 1, 2, 3 and 7 (so D != 1), about a quarter zero."""
+    entry = lambda: Fraction(0) if rng.random() < 0.25 else \
+        Fraction(rng.choice((-3, -2, -1, 1, 2, 5)), rng.choice((1, 2, 3, 7)))
+    return Parameters.of(n, *([entry() for _ in range(n)] for _ in range(3)))
+
+
+def letter_codes(n: int, source: int, letters) -> tuple[int, ...]:
+    """The codes of the path from ``source`` spelled by u/d letters: u_v is n + v, d_{v-1} is v - 1."""
+    codes, at = [], source
+    for x in letters:
+        if x == "u":
+            codes.append(n + at)
+            at = (at + 1) % n
+        else:
+            at = (at - 1) % n
+            codes.append(at)
+    return tuple(codes)
+
+
+def random_path_codes(rng: random.Random, n: int, source: int, length: int) -> tuple[int, ...]:
+    return letter_codes(n, source, rng.choices("ud", k=length))
+
+
+def value(c):
+    return ("poly", tuple(sorted(c.terms.items()))) if isinstance(c, Poly) else c
+
+
+def unpacked(comb: dict, b: int) -> list:
+    return [(_unpack_word(w, b), value(c)) for w, c in comb.items()]
+
+
+def tuple_form(comb: dict) -> list:
+    return [(w, value(c)) for w, c in comb.items()]
+
+
+def assert_kernels_agree(sys_: ReductionSystem, rng: random.Random, words: int = 40,
+                         max_len: int = 9) -> None:
+    """Normal forms of random paths, and of normal forms times random paths, in
+    both kernels; then the two memos, entry by entry and in order."""
+    n, tables, ref = sys_.n, _tables(sys_), TupleTables(sys_)
+    b = tables.bits
+    for _ in range(words):
+        source = rng.randrange(n)
+        codes = random_path_codes(rng, n, source, rng.randrange(max_len + 1))
+        e, comb = rewrite._normal_times(tables, {1: 1}, 0, _pack_word(codes, b))
+        re_, rcomb = replaced_code._normal_times(ref, {(): 1}, 0, codes)
+        assert (e, unpacked(comb, b)) == (re_, tuple_form(rcomb)), codes
+        # The normal form times a path from where the first path ends.
+        target = tables.target(source, _pack_word(codes, b))
+        more = random_path_codes(rng, n, target, rng.randrange(1, 5))
+        got = rewrite._normal_times(tables, comb, e, _pack_word(more, b))
+        want = replaced_code._normal_times(ref, rcomb, re_, more)
+        assert (got[0], unpacked(got[1], b)) == (want[0], tuple_form(want[1])), (codes, more)
+    memo = [(_unpack_word(w, b), e, unpacked(comb, b)) for w, (e, comb) in tables.memo.items()]
+    assert memo == [(w, e, tuple_form(comb)) for w, (e, comb) in ref.memo.items()]
+    assert memo
+
+
+@pytest.mark.parametrize("n", range(1, 7))
+def test_kernel_matches_tuple_kernel_on_rational_parameters(n):
+    rng = random.Random(30_200 + n)
+    denominators = []
+    for _ in range(4):
+        params = random_params(rng, n)
+        sys_ = ReductionSystem(n, None, PRESET_QDU, params, _qdu_specs(params))
+        assert_kernels_agree(sys_, rng)
+        denominators.append(_tables(sys_).denominator)
+    assert any(D != 1 for D in denominators)
+
+
+@pytest.mark.parametrize("n", range(1, 5))
+def test_kernel_matches_tuple_kernel_over_polynomials(n):
+    assert_kernels_agree(symbolic_system(n), random.Random(30_300 + n), words=15, max_len=7)
+
+
+@pytest.mark.parametrize("n", range(1, 7))
+def test_kernel_matches_tuple_kernel_on_preprojective_rules(n):
+    sys_ = rewrite._preprojective_system.__wrapped__(n)
+    assert sys_.preset == PRESET_PREPROJECTIVE
+    assert_kernels_agree(sys_, random.Random(30_400 + n))
+
+
+def test_kernel_matches_tuple_kernel_on_the_skew_group_ring():
+    # R = the graded down-up algebra: n = 1, one bit per code, so skewgroup
+    # reads a word's letters off its binary digits.
+    sys_ = ReductionSystem(1, None, PRESET_QDU, GRADED_DOWN_UP, _qdu_specs(GRADED_DOWN_UP))
+    assert _tables(sys_).bits == 1
+    for length in range(9):
+        for letters in itertools.product("du", repeat=length):
+            word = "".join(letters)
+            packed = _pack_word(letter_codes(1, 0, word), 1)
+            assert skewgroup._codes(word) == packed and skewgroup._letters(packed) == word
+    assert_kernels_agree(sys_, random.Random(30_500), words=60, max_len=12)
+
+
+def via_tuple_kernel(monkeypatch) -> None:
+    """Route ``structure``'s products through the tuple kernel, on tables read back as tuples."""
+    refs: dict = {}  # packed tables -> their TupleTables, with its own memo
+
+    def normal_times(tables, comb, e, word):
+        ref = refs.get(tables)
+        if ref is None:
+            ref = refs[tables] = TupleTables(tables=tables)
+        b = tables.bits
+        pe, out = replaced_code._normal_times(ref, {_unpack_word(w, b): c for w, c in comb.items()},
+                                              e, _unpack_word(word, b))
+        return pe, {_pack_word(w, b): c for w, c in out.items()}
+
+    monkeypatch.setattr(structure, "_normal_times", normal_times)
+
+
+@pytest.mark.parametrize("n", range(1, 5))
+def test_reports_match_the_tuple_kernel(n, monkeypatch):
+    # The probe (report and generator end state), and the freeness witness
+    # or, with beta_0 = 0, the chain.
+    def reports(params):
+        kwargs = {"degree_bound": 4, "trials": 60, "seed": 30_600 + n}
+        return (run_probe(pwd_probe_H, monkeypatch, params, **kwargs),
+                property_report(params) if params.beta_all_nonzero()
+                else noetherian_chain_check(params, s_max=2))
+
+    for params in top_degree_regimes(n):
+        want = reports(params)
+        with monkeypatch.context() as m:
+            via_tuple_kernel(m)
+            assert reports(params) == want, params
+
+
+# ---------------------------------------------------------------------------
+# The probe's pools, built without Paths
+# ---------------------------------------------------------------------------
+
+def path_basis(sys_: ReductionSystem, v: int, degree: int) -> list[list[int]]:
+    """``basis_from`` as it was: the normal paths from v of each degree up to ``degree`` (a
+    brute force over all paths against the specs' leading words), sorted by
+    ``canonical_path_key``, here encoded."""
+    n, tables = sys_.n, _tables(sys_)
+    forbidden = [lhs for _, lhs, _ in sys_.specs]
+    by_degree = []
+    for k in range(degree + 1):
+        paths = []
+        for letters in itertools.product("ud", repeat=k):
+            codes = letter_codes(n, v, letters)
+            if not any(codes[i:i + len(f)] == f for f in forbidden for i in range(k)):
+                paths.append(tables.path(v, _pack_word(codes, tables.bits)))
+        by_degree.append([tables.encode(p) for p in sorted(paths, key=canonical_path_key)])
+    return by_degree
+
+
+def path_pools(sys_: ReductionSystem, degree: int) -> dict:
+    """The pools as they were built: from ``path_basis``, keyed by each Path's target."""
+    tables, pools = _tables(sys_), {}
+    for v in range(sys_.n):
+        for words in path_basis(sys_, v, degree):
+            for w in words:
+                pools.setdefault((v, tables.path(v, w).target), []).append(w)
+    return pools
+
+
+def coded_pools(sys_: ReductionSystem, degree: int) -> dict:
+    """The pools as ``pwd_probe_H`` builds them."""
+    tables, pools = _tables(sys_), {}
+    for v in range(sys_.n):
+        for words in basis_from(sys_, v, degree):
+            for w in words:
+                pools.setdefault((v, tables.target(v, w)), []).append(w)
+    return pools
+
+
+@pytest.mark.parametrize("n", range(1, 9))
+def test_pools_equal_the_path_built_pools(n):
+    params = Parameters.of(n, [1] * n, [Fraction(-3, 2)] * n, [2] * n)
+    sys_ = build_system(PRESET_QDU, params)
+    for degree in range(7):
+        assert coded_pools(sys_, degree) == path_pools(sys_, degree), degree
+    assert basis_from(sys_, 0, 0) == [[1]] and _tables(sys_).path(0, 1) == trivial_path(n, 0)
+
+
+@pytest.mark.parametrize("n", range(1, 4))
+def test_probe_is_unchanged_by_coded_pools(n, monkeypatch):
+    # The probe with its pools read from sorted Paths (as before) gives the
+    # same report and leaves its generator in the same state.
+    for params in top_degree_regimes(n):
+        for degree in (0, 3, 5):
+            kwargs = {"degree_bound": degree, "trials": 50, "seed": 30_700 + degree}
+            want = run_probe(pwd_probe_H, monkeypatch, params, **kwargs)
+            with monkeypatch.context() as m:
+                m.setattr(structure, "basis_from", path_basis)
+                assert run_probe(pwd_probe_H, monkeypatch, params, **kwargs) == want, params
+
+
+# ---------------------------------------------------------------------------
+# No tuple word is left in the kernel's tables
+# ---------------------------------------------------------------------------
+
+def test_kernel_tables_hold_int_words_after_cli_commands(tmp_path):
+    n, alpha, beta, gamma = CONFIGS["gamma"]
+    cfg = tmp_path / "gamma.json"
+    cfg.write_text(json.dumps({"n": n, "alpha": alpha, "beta": beta, "gamma": gamma}), encoding="utf-8")
+    rewrite._qdu_system.cache_clear()
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert main(["nf", str(cfg), "1 * d2.d1.d0.u0.u1.u2", "--json"]) == 0
+        assert main(["verify", "pwd", str(cfg), "--trials", "15", "--max-degree", "3", "--json"]) == 0
+        assert main(["report", str(cfg), "--trials", "10", "--json"]) == 0
+    params = Parameters.of(n, alpha, beta, gamma)
+    graded = _qdu_system(replace(params, gamma=(Fraction(0),) * n))
+    for sys_ in (build_system(PRESET_QDU, params), graded):
+        tables = _tables(sys_)
+        assert tables.memo and (tables.paths or sys_ is graded)  # gr H's words are never decoded
+        for word, (e, comb) in tables.memo.items():
+            assert type(word) is int and type(e) is int and all(type(w) is int for w in comb)
+        assert all(type(s) is int and type(w) is int for s, w in tables.paths)
+        assert all(type(w) is int for w in tables.words.values())
+        assert all(type(lhs) is int and all(type(r) is int for r, _ in rhs) for lhs, rhs in tables.rules)

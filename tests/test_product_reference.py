@@ -547,11 +547,11 @@ def full_product_pwd_probe_H(params: Parameters, degree_bound: int = 5, trials: 
     sys = ensure_confluent(build_system(PRESET_QDU, params))
     tables = _tables(sys)
     D = tables.denominator
-    pools: dict[tuple[int, int], list[tuple]] = {}
+    pools: dict[tuple[int, int], list[int]] = {}
     for v in range(n):
-        for paths in basis_from(sys, v, degree_bound):
-            for p in paths:
-                pools.setdefault((v, p.target), []).append(tables.encode(p))
+        for words in basis_from(sys, v, degree_bound):
+            for w in words:
+                pools.setdefault((v, tables.path(v, w).target), []).append(w)
     rng = random.Random(seed)
     beta_ok = params.beta_all_nonzero()
     failures = []
@@ -580,6 +580,11 @@ def full_product_pwd_probe_H(params: Parameters, degree_bound: int = 5, trials: 
             counterexample = (str(a), str(b))
     ok = (not failures and tested > 0) if beta_ok else (counterexample is not None)
     return PwdHReport(trials, tested, seed, beta_ok, ok, failures, counterexample)
+
+
+def length(tables, word: int) -> int:
+    """The number of arrows of a packed word."""
+    return (word.bit_length() - 1) // tables.bits
 
 
 def top_degree_regimes(n: int) -> list[Parameters]:
@@ -631,7 +636,7 @@ def gamma_pair(params: Parameters, i: int):
     den = alpha.denominator * gamma.denominator
     word = lambda text: tables.encode(path_from_word(n, i, text))
     a = {w: c for w, c in ((word("du"), den), (word("ud"), -alpha * den)) if c}
-    z = {**a, (): -gamma * den}
+    z = {**a, 1: -gamma * den}  # the empty word is 1
     return (tables, structure._graded_tables(params, tables), {w: int(c) for w, c in a.items()},
             {w: int(c) for w, c in z.items()}, {word("u"): 1})
 
@@ -651,7 +656,7 @@ def check_gamma_pair_step(product_vanishes) -> None:
             beta[i] = Fraction(0)
             tables, graded, a, z, b = gamma_pair(Parameters.of(n, alpha, beta, gamma), i)
             product = _coded_times(tables, a, b)
-            assert not any(c for w, c in product.items() if len(w) == 3)
+            assert not any(c for w, c in product.items() if length(tables, w) == 3)
             assert {w for w, c in product.items() if c} == set(b)
             assert not product_vanishes(tables, graded, a, b), (n, i)
             assert not any(_coded_times(tables, z, b).values())
@@ -664,17 +669,19 @@ def test_vanishing_top_part_is_not_a_zero_product():
 
 def top_part_only(tables, graded, a, b) -> bool:
     """A mutant: a vanishing top part counts as a zero product."""
-    top_a, top_b = max(map(len, a)), max(map(len, b))
-    product = _coded_times(graded, {w: c for w, c in a.items() if len(w) == top_a},
-                           {q: c for q, c in b.items() if len(q) == top_b})
-    return not any(c for w, c in product.items() if len(w) == top_a + top_b)
+    size = lambda w: length(tables, w)
+    top_a, top_b = max(map(size, a)), max(map(size, b))
+    product = _coded_times(graded, {w: c for w, c in a.items() if size(w) == top_a},
+                           {q: c for q, c in b.items() if size(q) == top_b})
+    return not any(c for w, c in product.items() if size(w) == top_a + top_b)
 
 
 def lower_degrees_too(tables, graded, a, b) -> bool:
     """A mutant: any nonzero numerator of NF_H(a_top·b_top) counts as a nonzero product."""
-    top_a, top_b = max(map(len, a)), max(map(len, b))
-    product = _coded_times(tables, {w: c for w, c in a.items() if len(w) == top_a},
-                           {q: c for q, c in b.items() if len(q) == top_b})
+    size = lambda w: length(tables, w)
+    top_a, top_b = max(map(size, a)), max(map(size, b))
+    product = _coded_times(tables, {w: c for w, c in a.items() if size(w) == top_a},
+                           {q: c for q, c in b.items() if size(q) == top_b})
     return not any(product.values()) and not any(_coded_times(tables, a, b).values())
 
 
@@ -713,14 +720,15 @@ def check_top_parts_are_graded_products(params: Parameters, max_degree: int = 5)
     graded = structure._graded_tables(params, tables)
     assert graded is not tables
     D, G = tables.denominator, graded.denominator
-    words = [(v, p.target, tables.encode(p)) for v in range(n)
-             for paths in basis_from(sys_, v, max_degree) for p in paths]
+    words = [(v, tables.path(v, w).target, w) for v in range(n)
+             for by_degree in basis_from(sys_, v, max_degree) for w in by_degree]
     checked = 0
     for v, k, w in words:
         for _, _, q in (x for x in words if x[0] == k):
             e, full = _normal_times(tables, {w: 1}, 0, q)
             ge, top = _normal_times(graded, {w: 1}, 0, q)
-            want = {x: Fraction(c, D ** e) for x, c in full.items() if len(x) == len(w) + len(q)}
+            degree = length(tables, w) + length(tables, q)
+            want = {x: Fraction(c, D ** e) for x, c in full.items() if length(tables, x) == degree}
             assert {x: Fraction(c, G ** ge) for x, c in top.items()} == want, (params, v, w, q)
             checked += 1
     return checked

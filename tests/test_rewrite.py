@@ -11,6 +11,8 @@ from quiverdu.rewrite import (
     PRESET_QDU,
     ReductionSystem,
     RewriteRule,
+    _pack_word,
+    _word_bits,
     basis_from,
     build_system,
     certify_confluence_over_parameters,
@@ -26,7 +28,7 @@ from quiverdu.rewrite import (
     term_order_greater,
 )
 from quiverdu.skewgroup import GRADED_DOWN_UP
-from replaced_code import normal_shape, word_shape
+from replaced_code import normal_shape, tuple_tables, word_shape
 
 
 def rand_params(n, rng, nonzero_beta=True):
@@ -288,12 +290,14 @@ def test_basis_from_is_enumerate_basis_at_one_source():
     for n in (1, 2, 3, 4):
         systems.append(build_system(PRESET_QDU, Parameters.of(n, [1] * n, [2] * n, [3] * n)))
     for sys in systems:
+        tables = rewrite._tables(sys)
         for v in range(sys.n):
             by_degree = basis_from(sys, v, 7)
             assert len(by_degree) == 8
-            for k, paths in enumerate(by_degree):
-                assert paths == [p for p in enumerate_basis(sys, k) if p.source == v]
-        assert basis_from(sys, 0, 0) == [[trivial_path(sys.n, 0)]]
+            for k, words in enumerate(by_degree):
+                assert [tables.path(v, w) for w in words] == [p for p in enumerate_basis(sys, k)
+                                                              if p.source == v]
+        assert basis_from(sys, 0, 0) == [[1]] and tables.path(0, 1) == trivial_path(sys.n, 0)
         assert basis_from(sys, 0, -1) == []
 
 
@@ -451,12 +455,14 @@ def symbolic_system(n: int, specs=None) -> ReductionSystem:
 
 def unresolved_overlaps(sys_: ReductionSystem) -> list:
     """The overlaps of ``sys_`` whose difference is not zero, resolved as
-    ``check_confluence`` does, on coded words and without decoding."""
+    ``check_confluence`` does, without decoding: found on the rules read
+    back as tuples, and each word reduced packed by the kernel."""
     n, tables = sys_.n, rewrite._tables(sys_)
     assert tables.denominator == 1 and tables.rule_exp == 0
+    rules, _ = tuple_tables(tables)
     found, unresolved = 0, []
-    for i, (a1, rhs1) in enumerate(tables.rules):
-        for j, (a2, rhs2) in enumerate(tables.rules):
+    for i, (a1, rhs1) in enumerate(rules):
+        for j, (a2, rhs2) in enumerate(rules):
             for k in range(1, min(len(a1), len(a2))):
                 if a1[len(a1) - k:] != a2[:k]:
                     continue
@@ -465,7 +471,7 @@ def unresolved_overlaps(sys_: ReductionSystem) -> list:
                 sides = ((((), rhs1, a2[k:]), 1), ((a1[:-k], rhs2, ()), -1))
                 for (prefix, rhs, suffix), sign in sides:
                     for r, c in rhs:
-                        pe, part = rewrite._normal_word(tables, prefix + r + suffix)
+                        pe, part = rewrite._normal_word(tables, _pack_word(prefix + r + suffix, tables.bits))
                         e = rewrite._add_scaled(diff, e, part, pe, sign * c, 1)
                 assert e == 0
                 if any(diff.values()):
@@ -494,7 +500,15 @@ def test_perturbed_rule_leaves_an_overlap_unresolved(n):
     source, lhs, ((first, c), *rest) = specs[0]
     specs[0] = (source, lhs, ((first, c + Poly.var(("eps", 0))), *rest))
     expected = [(1, 0)] + ([(2 * n - 1, 2 * n - 2)] if n > 1 else [])
-    assert unresolved_overlaps(symbolic_system(n, tuple(specs))) == expected
+    sys_ = symbolic_system(n, tuple(specs))
+    assert unresolved_overlaps(sys_) == expected
+    # check_confluence reports them too, each difference kept as
+    # {word: nonzero polynomial}, since no Element holds a Poly.
+    bad = [o for o in check_confluence(sys_).overlaps if not o.resolves]
+    assert [(o.left_rule, o.right_rule) for o in bad] == expected
+    for o in bad:
+        assert o.difference and all(type(w) is int and isinstance(c, Poly) and c
+                                    for w, c in o.difference.items())
 
 
 def test_coded_shape_matches_the_letter_parser():
@@ -505,7 +519,8 @@ def test_coded_shape_matches_the_letter_parser():
     for n in (1, 2, 5):
         for length in range(9):
             for letters in itertools.product("ud", repeat=length):
-                word = tuple(n + rng.randrange(n) if x == "u" else rng.randrange(n) for x in letters)
+                codes = (n + rng.randrange(n) if x == "u" else rng.randrange(n) for x in letters)
+                word = _pack_word(codes, _word_bits(n))
                 try:
                     expected = word_shape("".join(letters))
                 except ValueError:

@@ -5,7 +5,7 @@ import pytest
 
 from quiverdu import structure
 from quiverdu.core import Arrow, Element, Parameters, down, path_from_word, trivial_path, up
-from quiverdu.rewrite import PRESET_QDU, build_system, enumerate_basis, normal_form
+from quiverdu.rewrite import PRESET_QDU, _pack_word, _word_bits, build_system, enumerate_basis, normal_form
 from quiverdu.structure import (
     balanced_twist_weights,
     build_superpotential,
@@ -255,7 +255,7 @@ def test_property_report_fails_on_a_dependent_monomial(monkeypatch):
     # are coded products, so the dependent one is injected there: the word
     # of d_0 u_0 (arrow codes 0 and n + 0) starts at vertex 1 only.
     params = Parameters.of(3, [1, 2, 0], [1, -1, 3], [0, 1, 2])
-    y1 = (0, 3)
+    y1 = _pack_word((0, 3), _word_bits(3))
     real = structure._normal_times
     replaced = []
 
@@ -267,7 +267,7 @@ def test_property_report_fails_on_a_dependent_monomial(monkeypatch):
 
     monkeypatch.setattr(structure, "_normal_times", product)
     report = property_report(params)
-    assert replaced == [(0, {(): 1})]
+    assert replaced == [(0, {1: 1})]  # e_1: the empty word is 1
     assert [w["ok"] for w in report.witnesses] == [True, False, True]
     assert report.checks_passed is False
 
@@ -277,7 +277,7 @@ def test_property_report_fails_on_a_monomial_dependent_on_the_newest_pivot(monke
     # added just before it, so only the newest pivot row reduces it to zero.
     # x = u_1 d_1 is the word of arrow codes n + 1 and 1 from vertex 1.
     params = Parameters.of(3, [1, 2, 0], [1, -1, 3], [0, 1, 2])
-    x1 = (4, 1)
+    x1 = _pack_word((4, 1), _word_bits(3))
     real = structure._normal_times
     x_steps, last = [], []
 
