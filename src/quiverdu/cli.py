@@ -140,8 +140,8 @@ def _superpotential_findings(params: Parameters) -> tuple[bool, dict]:
     for name, weights in (("printed", paper_twist_weights(params)),
                           ("balanced", balanced_twist_weights(params))):
         built = build_superpotential(params, weights)
-        invariance = check_twist_invariance(built.omega, weights)
-        span_ok = check_derivation_quotient(built.omega, params)
+        invariance = check_twist_invariance(built, weights)
+        span_ok = check_derivation_quotient(built, params)
         sections[name] = {
             "orbits_closed": built.all_orbits_closed,
             "twist_invariant": invariance.invariant,

@@ -32,7 +32,7 @@ import random
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, lcm
-from typing import Callable, Iterable, Mapping
+from typing import Iterable, Mapping
 
 # Exact base scalars: always reduced, positive denominator, 0 == 0/1.
 Scalar = Fraction
@@ -182,6 +182,17 @@ class Path:
                 at = i
         object.__setattr__(self, "_target", at)
         object.__setattr__(self, "_hash", hash((n, self.source, self.arrows)))
+
+    @classmethod
+    def _trusted(cls, n: int, source: int, arrows: tuple[Arrow, ...], target: int) -> "Path":
+        """A path known to run from ``source`` to ``target``: unchecked, with the same hash."""
+        self = object.__new__(cls)  # attribute by attribute, so instances keep sharing dict keys
+        object.__setattr__(self, "n", n)
+        object.__setattr__(self, "source", source)
+        object.__setattr__(self, "arrows", arrows)
+        object.__setattr__(self, "_target", target)
+        object.__setattr__(self, "_hash", hash((n, source, arrows)))
+        return self
 
     def __hash__(self) -> int:
         return self._hash
@@ -458,27 +469,6 @@ def multiply(a: Element, b: Element) -> Element:
             r = Path(a.n, p.source, p.arrows + q.arrows)
             old = sums.get(r)
             sums[r] = cp * cq if old is None else old + cp * cq
-    return Element._from_sums(a.n, sums)
-
-
-def map_element(a: Element, vertex_map: Callable[[int], int],
-                arrow_map: Callable[[Arrow], tuple[Fraction, Arrow]]) -> Element:
-    """Apply a graded linear map given on vertices and arrows multiplicatively.
-
-    ``arrow_map`` returns (scalar, image arrow).  The images must compose;
-    a well-formed quiver map guarantees this.
-    """
-    sums: dict[Path, Fraction] = {}
-    for p, c in a.terms.items():
-        coeff = c
-        arrows = []
-        for arr in p.arrows:
-            s, img = arrow_map(arr)
-            coeff *= Fraction(s)
-            arrows.append(img)
-        q = Path(a.n, vertex_map(p.source) % a.n, tuple(arrows))
-        old = sums.get(q)
-        sums[q] = coeff if old is None else old + coeff
     return Element._from_sums(a.n, sums)
 
 

@@ -28,25 +28,21 @@ linear arithmetic is the shared kernel, and only their products and the
 maps below live here.
 
 All products run on R in the int-coded form of ``core`` (``(den,
-{(v, a, b): int})``, ``Combination.coded``), with ``core.add_into`` for
-sums.  The shift table keeps its images and cross factors in this form
-only; ``sigma``, ``sigma_inverse``, ``sigma_power`` and
-``_ShiftTable.cross`` decode to ``BaseElement`` on return, and so does
-the public ``*`` of ``BaseElement``.  ``gwa_multiply`` codes each operand
-coefficient once, sums the parts for each X-exponent over a common
-denominator raised to the lcm only when needed, and decodes each output
-term to one ``Fraction``.  ``pwd_probe_gwa`` draws its factors coded,
-from ``core.Sampler`` over X-degrees tabled once per (n, degree bound), and
-tests the coded product of their top X-degree parts, and the full
-product only when that part vanishes; it decodes only the factors of a
-failing trial, to print them.  ``theta`` builds each path's image coded,
-one generator at a time, and decodes it once.  Zero sums are dropped where the
-``BaseElement`` operations drop them, so every decoded value has the same
-key order as the ``Fraction`` computation.
+{(v, a, b): int})``), summed by ``core.add_into``, with zero sums dropped
+where the ``BaseElement`` operations drop them, so decoded values keep the
+``Fraction`` computation's key order.  The ``sigma`` functions,
+``_ShiftTable.cross``, ``BaseElement``'s ``*`` and ``gwa_multiply``
+decode on return.  ``pwd_probe_gwa`` draws coded factors (``core.Sampler``)
+and multiplies their top X-degree parts, the full factors only when that
+part vanishes; it decodes a failing trial's factors, to print them.
 
 The algebra maps are theta(u_i) = X_i^-, theta(d_i) = X_i^+ and its
-inverse theta_prime with theta_prime(x_i) = u_i d_i and
-theta_prime(y_i) = d_{i-1} u_{i-1}.
+inverse theta_prime with theta_prime(x_i) = u_i d_i and theta_prime(y_i) =
+d_{i-1} u_{i-1}, on the packed words of ``rewrite``: the shift table
+memoizes theta of each (source, word), one generator at a time, and
+theta_prime sends x_v^a y_v^b e_v X^m to the normal form of one word.
+``verify_gwa`` reads the relations as int rows keyed by (source, word)
+and compares coded values; ``theta`` and ``theta_prime`` decode once.
 """
 
 from __future__ import annotations
@@ -55,9 +51,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 
-from .core import (NONZERO_NUMERATORS, Combination, Element, Parameters, Path, Sampler, add_into,
-                   path_from_word, reduced, trivial_path)
-from .rewrite import PRESET_QDU, build_system, normal_form, normal_product
+from .core import NONZERO_NUMERATORS, Combination, Element, Parameters, Sampler, add_into, reduced
+from .rewrite import PRESET_QDU, _codec, _normal_word, _RuleTables, _tables, _word_bits, build_system
 
 
 class BaseElement(Combination):
@@ -180,6 +175,7 @@ class _ShiftTable:
         self._images = {0: tuple(((1, {(v, 1, 0): 1}), (1, {(v, 0, 1): 1})) for v in range(n))}
         self._monomials: dict[tuple[int, int, int, int], tuple[int, dict]] = {}
         self._cross: dict[tuple[int, int], tuple[int, dict, dict]] = {}
+        self.bits, self.theta = _word_bits(n), {}  # theta of each (source, packed word) asked for
 
     def images(self, m: int) -> tuple[tuple[tuple[int, dict], tuple[int, dict]], ...]:
         """(sigma^m(x_v), sigma^m(y_v)) for every vertex v."""
@@ -351,53 +347,75 @@ def _coded_multiply(table: _ShiftTable, a: dict, b: dict) -> dict[int, list]:
     return sums
 
 
-def theta(params: Parameters, a: Element) -> GwaElement:
-    """u_i -> X_i^-, d_i -> X_i^+, extended multiplicatively and linearly.
+def _theta_word(table: _ShiftTable, source: int, word: int) -> dict[int, tuple[int, dict]]:
+    """theta of the path ``word`` (packed as in ``rewrite``) from ``source``, coded and
+    memoized: theta(w a) = theta(w) theta(a), reduced, empty X-degrees dropped."""
+    memo, b, n = table.theta, table.bits, table.params.n
+    w, codes = word, []
+    while w != 1 and (source, w) not in memo:  # back to the longest prefix with an image
+        codes.append(w & ((1 << b) - 1))
+        w >>= b
+    image = memo.get((source, w)) or {0: (1, {(source, 0, 0): 1})}
+    for a in reversed(codes):  # d_a = e_{a+1} X^+, u_{a-n} = e_{a-n} X^-
+        generator = {1: (1, {((a + 1) % n, 0, 0): 1})} if a < n else {-1: (1, {(a - n, 0, 0): 1})}
+        w, product = (w << b) | a, _coded_multiply(table, image, generator)
+        image = memo[(source, w)] = {m: reduced(den, nums) for m, (den, nums) in product.items() if nums}
+    return image
 
-    Each path's image is built coded, one generator at a time, and
-    decoded once.
-    """
+
+def _coded_theta(table: _ShiftTable, den: int, row: dict) -> dict[int, list]:
+    """theta of an int row ``{(source, word): numerator}`` over ``den``, as {m: [den,
+    numerators]}, summed as ``GwaElement.combine`` sums (so in its key order)."""
+    sums: dict[int, list] = {}
+    for (source, word), c in row.items():
+        for m, (d, nums) in _theta_word(table, source, word).items():
+            add_into(sums.setdefault(m, [1, {}]), den * d, nums, c, strip=True)
+    return sums
+
+
+def _canonical(coded: dict) -> dict[int, tuple[int, dict]]:
+    """A coded GWA value reduced, without zero sums or empty X-degrees: one form per value."""
+    return {m: reduced(den, nz) for m, (den, nums) in coded.items()
+            if (nz := {k: c for k, c in nums.items() if c})}
+
+
+def theta(params: Parameters, a: Element) -> GwaElement:
+    """u_i -> X_i^-, d_i -> X_i^+, extended multiplicatively and linearly; the paths'
+    images come from the shift table's memo (``_theta_word``), summed coded, decoded once."""
     if not params.beta_all_nonzero():
         raise ValueError("theta requires all beta_i nonzero")
-    table = _shift_table(params)
-    n = params.n
-    parts = []
-    for p, c in a.terms.items():
-        acc = {0: (1, {(p.source, 0, 0): 1})}
-        for arrow in p.arrows:
-            # X_i^- = e_i X^- and X_i^+ = e_{i+1} X^+
-            img = {-1: (1, {(arrow.index, 0, 0): 1})} if arrow.family == "u" else \
-                {1: (1, {((arrow.index + 1) % n, 0, 0): 1})}
-            acc = {m: reduced(den, nums)
-                   for m, (den, nums) in _coded_multiply(table, acc, img).items() if nums}
-        parts.append((_decode_gwa(n, acc), c))
-    return GwaElement.combine(n, parts)
+    return _decode_gwa(params.n, _coded_theta(_shift_table(params), *_codec(params.n).row(a)))
+
+
+def _coded_theta_prime(tables: _RuleTables, coded: dict) -> list:
+    """theta_prime of a coded GWA value {m: (den, numerators)} in normal form, as [den,
+    {(source, word): numerator}] with zero sums left in.  x_v^a y_v^b e_v X^m goes to the
+    normal form of one word: (u_v d_v)^a (d_{v-1} u_{v-1})^b at v, then |m| d's or u's."""
+    n, bits = tables.n, tables.bits
+    acc: list = [1, {}]
+    for m, (den, nums) in coded.items():
+        for (v, a, b), c in nums.items():
+            h, word, at = (v - 1) % n, 1, v
+            for code in (n + v, v) * a + (h, n + h) * b:
+                word = (word << bits) | code
+            for _ in range(abs(m)):
+                code = (at - 1) % n if m > 0 else n + at  # d_{at-1} or u_at, from at
+                at, word = code if m > 0 else (at + 1) % n, (word << bits) | code
+            e, comb = _normal_word(tables, word)
+            add_into(acc, den * tables.denominator ** e, {(v, w): x for w, x in comb.items()}, c)
+    return acc
 
 
 def theta_prime(params: Parameters, t: GwaElement) -> Element:
     """x_i -> u_i d_i, y_i -> d_{i-1} u_{i-1}, X^- -> sum u_i, X^+ -> sum d_i.
 
-    The image is returned in normal form for the quiver down-up system.
+    The image is in normal form for the quiver down-up system, summed coded
+    (``_coded_theta_prime``) and decoded once.
     """
     if not params.beta_all_nonzero():
         raise ValueError("theta_prime requires all beta_i nonzero")
-    n = params.n
-    sys = build_system(PRESET_QDU, params)
-    parts = []
-    for m, r in t.terms.items():
-        # x_v^a y_v^b e_v is the loop (u_v d_v)^a (d_{v-1} u_{v-1})^b at v.
-        img = normal_form(sys, Element(n, {path_from_word(n, v, "ud" * a + "du" * b): c
-                                           for (v, a, b), c in r.terms.items()}))
-        step = Element(n, {path_from_word(n, v, "d" if m > 0 else "u"): Fraction(1) for v in range(n)})
-        for _ in range(abs(m)):
-            img = normal_product(sys, img, step)
-        parts.append((img, 1))
-    return Element.combine(n, parts)
-
-
-def path_x_weight(p: Path) -> int:
-    """Stored X-exponent of theta(p): one +1 per d arrow, -1 per u arrow."""
-    return sum(1 if a.family == "d" else -1 for a in p.arrows)
+    tables = _tables(build_system(PRESET_QDU, params))
+    return tables.decode(*_coded_theta_prime(tables, {m: r.coded() for m, r in t.terms.items()}))
 
 
 # ---------------------------------------------------------------------------
@@ -506,31 +524,24 @@ class GwaVerifyReport:
 
 
 def verify_gwa(params: Parameters, trials: int = 200, seed: int = 0) -> GwaVerifyReport:
+    """theta kills every relation; theta_prime o theta fixes each e_i and arrow, whose
+    theta has the one X-degree of its grading; theta o theta_prime fixes e_i x_i,
+    e_i y_i, X_i^- and X_i^+; then the domain probe.  On coded values only: int rows
+    keyed by (source, packed word) for H, {m: (den, numerators)} for T."""
     n = params.n
-    rules = build_system(PRESET_QDU, params).rules
-    relations_killed = all(theta(params, rule.as_relation()).is_zero() for rule in rules)
-    roundtrip_arrows = True
-    grading_ok = True
+    table = _gwa_table(params)
+    tables = _tables(build_system(PRESET_QDU, params))
+    relations_killed = not any(_canonical(_coded_theta(table, 1, row)) for row in tables.relation_rows())
+    roundtrip_arrows = grading_ok = roundtrip_base = True
+    b = table.bits
     for i in range(n):
-        for word, src in (("u", i), ("d", (i + 1) % n)):
-            p = path_from_word(n, src, word)
-            img = theta(params, Element.from_path(p))
-            if theta_prime(params, img) != Element.from_path(p):
-                roundtrip_arrows = False
-            if set(img.x_degrees()) != {path_x_weight(p)}:
-                grading_ok = False
-        e_i = Element.from_path(trivial_path(n, i))
-        if theta_prime(params, theta(params, e_i)) != e_i:
-            roundtrip_arrows = False
-    roundtrip_base = True
-    for i in range(n):
-        for gen in (
-            GwaElement.from_base(BaseElement.x(n, i)),
-            GwaElement.from_base(BaseElement.y(n, i)),
-            GwaElement.x_minus(n, i),
-            GwaElement.x_plus(n, i),
-        ):
-            if theta(params, theta_prime(params, gen)) != gen:
-                roundtrip_base = False
+        for word, source, weight in (((1 << b) | (n + i), i, -1), ((1 << b) | i, (i + 1) % n, 1), (1, i, 0)):
+            image = _theta_word(table, source, word)  # u_i, d_i, e_i
+            den, row = _coded_theta_prime(tables, image)
+            roundtrip_arrows &= {k: c for k, c in row.items() if c} == {(source, word): den}
+            grading_ok &= set(image) == {weight}
+        for gen in ({0: (1, {(i, 1, 0): 1})}, {0: (1, {(i, 0, 1): 1})},  # x_i, y_i
+                    {-1: (1, {(i, 0, 0): 1})}, {1: (1, {((i + 1) % n, 0, 0): 1})}):  # X_i^-, X_i^+
+            roundtrip_base &= _canonical(_coded_theta(table, *_coded_theta_prime(tables, gen))) == gen
     pwd = pwd_probe_gwa(params, trials=trials, seed=seed)
     return GwaVerifyReport(relations_killed, roundtrip_arrows, roundtrip_base, grading_ok, pwd)

@@ -111,9 +111,6 @@ class ReductionSystem:
                 for s, lhs, rhs in self.specs)
         return self._rules
 
-    def relation_elements(self) -> list[Element]:
-        return [r.as_relation() for r in self.rules]
-
 
 def build_system(preset: str, params: Parameters | None = None, n: int | None = None) -> ReductionSystem:
     """The one shared reduction system of a preset (and parameters or n)."""
@@ -183,7 +180,8 @@ class _RuleTables:
     k arrows).  ``memo`` maps each reducible w·a, w normal, to its normal
     form ``(e, combination)``; ``nf`` maps a ``Path`` to ``(e, {Path:
     numerator})``; ``paths`` maps ``(source, word)`` to its ``Path``,
-    decoded and validated once, and ``words`` maps it back.
+    built once without walking its arrows again, and ``words`` maps it back.
+    ``row``, ``decode`` and ``relation_rows`` code rows keyed by (source, word).
     """
 
     __slots__ = ("n", "bits", "arrows", "denominator", "rule_exp", "rules", "sources", "by_last",
@@ -242,7 +240,7 @@ class _RuleTables:
         p = self.paths.get(key)
         if p is None:
             arrows = tuple(self.arrows[k] for k in _unpack_word(word, self.bits))
-            p = self.paths[key] = Path(self.n, source, arrows)
+            p = self.paths[key] = Path._trusted(self.n, source, arrows, self.target(source, word))
             self.words[p] = word
         return p
 
@@ -253,6 +251,20 @@ class _RuleTables:
     def element(self, source: int, den: int, comb: dict) -> Element:
         """The Element of a combination of words from ``source`` over ``den``."""
         return Element.from_coded(self.n, den, {self.path(source, w): c for w, c in comb.items()})
+
+    def decode(self, den: int, row: dict) -> Element:
+        """The Element of a row ``{(source, word): coefficient}`` over ``den``."""
+        return Element.from_coded(self.n, den, {self.path(s, w): c for (s, w), c in row.items()})
+
+    def row(self, a: Element) -> tuple[int, dict]:
+        """``(den, row)``: ``a`` as an int row ``{(source, word): numerator}`` over den."""
+        den, nums = a.coded()
+        return den, {(p.source, self.encode(p)): c for p, c in nums.items()}
+
+    def relation_rows(self) -> list[dict]:
+        """Each rule's relation lhs - rhs, times D, as a row ``{(source, word): int}``."""
+        return [{(s, lhs): self.denominator, **{(s, r): -c for r, c in rhs}}
+                for s, (lhs, rhs) in zip(self.sources, self.rules)]
 
 
 def _word_bits(n: int) -> int:
@@ -289,6 +301,12 @@ def _tables(sys: ReductionSystem) -> _RuleTables:
     if sys._tables is None:
         sys._tables = _RuleTables(sys.n, sys.specs)
     return sys._tables
+
+
+@lru_cache(maxsize=16)
+def _codec(n: int) -> _RuleTables:
+    """Tables without rules over n vertices: they code words as every system over n does."""
+    return _RuleTables(n, ())
 
 
 def _add_scaled(out: dict, oe: int, part: dict, pe: int, c, D: int) -> int:

@@ -12,42 +12,28 @@ twist orbit closed with scalar 1 for arbitrary nonzero beta.  Twist
 weights are diagonal maps (``DiagonalMapSpec``) with the identity
 relabeling; Nakayama candidates and isomorphism witnesses are diagonal maps
 too.
+
+These checks run on int rows keyed by (source, packed word), the words of
+``rewrite``: Omega, its twists and cyclic derivatives, the defining
+relations (``_RuleTables.relation_rows``) and their images under a
+diagonal map, which is a map of arrow codes.  Only what a report prints
+is decoded: closure scalars, per-relation scalars and a twist defect.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
+from functools import cached_property
 from fractions import Fraction
+from math import lcm
 
-from .core import (
-    NONZERO_NUMERATORS,
-    Arrow,
-    Element,
-    Parameters,
-    Path,
-    Sampler,
-    down,
-    map_element,
-    path_from_arrows,
-    path_from_word,
-    trivial_path,
-    up,
-)
+from .core import (NONZERO_NUMERATORS, Arrow, Element, Parameters, Path, Sampler, add_into, path_from_word,
+                   trivial_path)
 from .linalg import RowSpace, spans_equal
-from .rewrite import (
-    PRESET_QDU,
-    _RuleTables,
-    _add_scaled,
-    _normal_times,
-    _qdu_system,
-    _tables,
-    basis_from,
-    build_system,
-    coded_shape,
-    ensure_confluent,
-    normal_form,  # noqa: F401 - perfbench's tracer test checks this binding is wrapped
-    normal_product,
-)
+from .rewrite import (PRESET_QDU, _add_scaled, _arrow_rank, _codec, _normal_times, _pack_word, _qdu_system,
+                      _RuleTables, _suffix, _tables, _unpack_word, basis_from, build_system, coded_shape,
+                      ensure_confluent, normal_product,
+                      normal_form)  # noqa: F401 - perfbench's tracer test checks this binding is wrapped
 
 # ---------------------------------------------------------------------------
 # Named path constructors
@@ -86,49 +72,60 @@ def balanced_twist_weights(params: Parameters) -> DiagonalMapSpec:
     return DiagonalMapSpec(n, False, 0, uw, dw)
 
 
-def _twist_term(weights: DiagonalMapSpec, p: Path, coeff: Fraction, degree: int) -> tuple[Path, Fraction]:
-    if p.source != p.target:
-        raise ValueError("twist is defined on cycles only")
-    last = p.arrows[-1]
-    sign = Fraction(1) if degree % 2 else Fraction(-1)  # (-1)^{d+1}
-    moved = Path(p.n, last.source(p.n), (last,) + p.arrows[:-1])
-    weight, _ = weights.arrow_image(last)
-    return moved, coeff * sign * weight
+def _twister(weights: DiagonalMapSpec, degree: int):
+    """``(Q, twist)``: ``twist`` sends an int row of degree-``degree`` cycles to Q times
+    its twist, Q the lcm of the weights' denominators.  a_1...a_d goes to
+    (-1)^{d+1} w(a_d) a_d a_1...a_{d-1}: on packed words the last code moves
+    to the front, and the source becomes that arrow's."""
+    n, codec = weights.n, _codec(weights.n)
+    b, arrows = codec.bits, codec.arrows
+    Q = lcm(*(q for _, q, _ in weights.code_images))
+    scalars = [(1 if degree % 2 else -1) * p * (Q // q) for p, q, _ in weights.code_images]
+    k = (degree - 1) * b
+
+    def twist(row: dict) -> dict:
+        out: dict = {}
+        for (source, word), c in row.items():
+            a = word & ((1 << b) - 1)
+            if word == 1 or arrows[a].target(n) != source:
+                raise ValueError("twist is defined on cycles only")
+            key = (arrows[a].source(n), (((1 << b) | a) << k) | ((word >> b) ^ (1 << k)))
+            out[key] = out.get(key, 0) + c * scalars[a]
+        return out
+    return Q, twist
 
 
-def twist_element(weights: DiagonalMapSpec, a: Element, degree: int) -> Element:
-    terms: dict[Path, Fraction] = {}
-    for p, c in a.terms.items():
-        q, cq = _twist_term(weights, p, c, degree)
-        terms[q] = terms.get(q, Fraction(0)) + cq
-    return Element(a.n, terms)
-
-
-def _compact_form(weights: DiagonalMapSpec, p: Path) -> tuple[Element, Fraction]:
-    """Sum of the distinct signed twists of p; also the orbit-closure scalar.
-
-    The orbit is followed for one full rotation period (deg p steps);
-    exact repeats are summed once.  The closure scalar is the factor by
-    which the final twist differs from the starting term.
-    """
-    d = p.length
-    seen: set[tuple[Path, Fraction]] = set()
-    terms: dict[Path, Fraction] = {}
-    cur = (p, Fraction(1))
-    for _ in range(d):
-        if cur not in seen:
-            seen.add(cur)
-            terms[cur[0]] = terms.get(cur[0], Fraction(0)) + cur[1]
-        cur = _twist_term(weights, cur[0], cur[1], d)
-    if cur[0] != p:
+def _compact_form(Q: int, twist, key: tuple[int, int], degree: int) -> tuple[dict, Fraction]:
+    """The sum of the distinct signed twists of one word, as an int row over
+    Q^(degree - 1), and the orbit-closure scalar: the factor by which the
+    twist after one full rotation (deg steps) differs from the word."""
+    seen, terms, row = set(), {}, {key: 1}  # row: the j-th twist, over Q^j
+    for j in range(degree):
+        ((cur, c),) = row.items()
+        term = (cur, c * Q ** (degree - 1 - j))
+        if term not in seen:  # exact repeats are summed once
+            seen.add(term)
+            terms[cur] = terms.get(cur, 0) + term[1]
+        row = twist(row)
+    ((cur, c),) = row.items()
+    if cur != key:
         raise AssertionError("twist orbit did not return to the starting word")
-    return Element(p.n, terms), cur[1]
+    return {k: v for k, v in terms.items() if v}, Fraction(c, Q ** degree)
 
 
 @dataclass
 class SuperpotentialResult:
-    omega: Element
+    """Omega as an int row ``{(source, packed word): numerator}`` over ``den``, and
+    each orbit's closure scalar; ``omega`` decodes the row."""
+
+    n: int
+    den: int
+    words: dict
     closure_scalars: dict[tuple[str, int], Fraction]
+
+    @property
+    def omega(self) -> Element:
+        return _codec(self.n).decode(self.den, self.words)
 
     @property
     def all_orbits_closed(self) -> bool:
@@ -136,22 +133,28 @@ class SuperpotentialResult:
 
 
 def build_superpotential(params: Parameters, weights: DiagonalMapSpec) -> SuperpotentialResult:
-    """Expand the compact-form potential and report orbit closure."""
+    """Expand the compact-form potential on packed words and report orbit closure."""
     n = params.n
-    parts: list[tuple[Element, Fraction]] = []
+    Q, twist = _twister(weights, 4)
+    acc: list = [1, {}]
     closures: dict[tuple[str, int], Fraction] = {}
     for i in range(n):
-        # d_i d_{i-1} u_{i-1} u_i, a cycle at vertex i+1
-        square = path_from_arrows(n, (down(i, n), down(i - 1, n), up(i - 1, n), up(i, n)))
-        form, closure = _compact_form(weights, square)
-        closures[("dduu", i)] = closure
-        parts.append((form, 1))
-        # d_i u_i d_i u_i, weighted by -alpha_i
-        zigzag = path_from_arrows(n, (down(i, n), up(i, n), down(i, n), up(i, n)))
-        form, closure = _compact_form(weights, zigzag)
-        closures[("dudu", i)] = closure
-        parts.append((form, -params.alpha[i]))
-    return SuperpotentialResult(Element.combine(n, parts), closures)
+        h = (i - 1) % n
+        # d_i d_{i-1} u_{i-1} u_i, and d_i u_i d_i u_i weighted by -alpha_i: cycles at i+1
+        for family, codes, c in (("dduu", (i, h, n + h, n + i), Fraction(1)),
+                                 ("dudu", (i, n + i, i, n + i), -params.alpha[i])):
+            key = ((i + 1) % n, _pack_word(codes, _codec(n).bits))
+            form, closures[(family, i)] = _compact_form(Q, twist, key, 4)
+            add_into(acc, Q ** 3 * c.denominator, form, c.numerator)
+    den, words = acc
+    return SuperpotentialResult(n, den, {k: c for k, c in words.items() if c}, closures)
+
+
+def _omega_row(omega: Element | SuperpotentialResult) -> tuple[int, int, dict]:
+    """(n, den, int row): Omega as built, or as an Element."""
+    if isinstance(omega, SuperpotentialResult):
+        return omega.n, omega.den, omega.words
+    return omega.n, *_codec(omega.n).row(omega)
 
 
 @dataclass
@@ -160,40 +163,49 @@ class TwistInvarianceReport:
     defect: Element
 
 
-def check_twist_invariance(omega: Element, weights: DiagonalMapSpec) -> TwistInvarianceReport:
-    if omega.is_zero():
-        return TwistInvarianceReport(True, omega)
-    degrees = omega.degrees()
-    if len(degrees) != 1:
+def check_twist_invariance(omega: Element | SuperpotentialResult,
+                           weights: DiagonalMapSpec) -> TwistInvarianceReport:
+    """Whether twist(Omega) = Omega, on int rows; only the defect is decoded."""
+    n, den, row = _omega_row(omega)
+    degrees = {(w.bit_length() - 1) // _codec(n).bits for _, w in row}
+    if len(degrees) > 1:
         raise ValueError("twist invariance needs a homogeneous element")
-    (d,) = degrees
-    defect = twist_element(weights, omega, d) - omega
-    return TwistInvarianceReport(defect.is_zero(), defect)
+    Q, twist = _twister(weights, max(degrees, default=1))
+    defect = twist(row)
+    for key, c in row.items():
+        defect[key] = defect.get(key, 0) - Q * c
+    defect = {k: c for k, c in defect.items() if c}
+    return TwistInvarianceReport(not defect, _codec(n).decode(den * Q, defect))
+
+
+def _cyclic_derivatives(n: int, row: dict) -> dict[int, dict]:
+    """{arrow code a: the derivative of a row by a}: c a w goes to c w, from a's target."""
+    codec, out = _codec(n), {}
+    b = codec.bits
+    for (_, word), c in row.items():
+        k = (word.bit_length() - 1) // b - 1  # arrows after the first
+        if k >= 0:
+            first = (word >> k * b) & ((1 << b) - 1)
+            derivative = out.setdefault(first, {})
+            key = (codec.arrows[first].target(n), _suffix(word, k, b))
+            derivative[key] = derivative.get(key, 0) + c
+    return out
 
 
 def cyclic_derivative(omega: Element, a: Arrow) -> Element:
     """Delete a leading arrow equal to ``a``; zero on other terms."""
-    terms: dict[Path, Fraction] = {}
-    for p, c in omega.terms.items():
-        if p.arrows and p.arrows[0] == a:
-            q = Path(p.n, p.arrows[0].target(p.n), p.arrows[1:])
-            terms[q] = terms.get(q, Fraction(0)) + c
-    return Element(omega.n, terms)
+    den, row = _codec(omega.n).row(omega)
+    return _codec(omega.n).decode(den, _cyclic_derivatives(omega.n, row).get(_arrow_rank(a, omega.n), {}))
 
 
-def check_derivation_quotient(omega: Element, params: Parameters) -> bool:
-    """span{d_a Omega : a in Q_1} == span{defining relations}, exactly.
-
-    Both spans live in the degree-3 homogeneous component of the free
-    path algebra; gamma must be zero.
-    """
+def check_derivation_quotient(omega: Element | SuperpotentialResult, params: Parameters) -> bool:
+    """span{d_a Omega : a in Q_1} == span{defining relations}, exactly, as int rows in the
+    degree-3 component of the free path algebra; gamma must be zero."""
     if not params.gamma_is_zero():
         raise ValueError("derivation-quotient comparison requires gamma = 0")
-    n = params.n
-    arrows = [up(i, n) for i in range(n)] + [down(i, n) for i in range(n)]
-    derivatives = [cyclic_derivative(omega, a) for a in arrows]
-    relations = build_system(PRESET_QDU, params).relation_elements()
-    return spans_equal([d.coded()[1] for d in derivatives], [r.coded()[1] for r in relations])
+    n, _, row = _omega_row(omega)
+    relations = _tables(build_system(PRESET_QDU, params)).relation_rows()
+    return spans_equal(list(_cyclic_derivatives(n, row).values()), relations)
 
 
 # ---------------------------------------------------------------------------
@@ -207,7 +219,8 @@ class DiagonalMapSpec:
     The vertex map is v -> shift + v, which sends u_i -> u_{shift+i} and
     d_i -> d_{shift+i}, or with ``reflect`` v -> shift - v, which sends
     u_i -> d_{shift-i-1} and d_i -> u_{shift-i-1}.  The images of u_i and
-    d_i are scaled by u_scalars[i] and d_scalars[i].
+    d_i are scaled by u_scalars[i] and d_scalars[i].  On packed words it
+    is a map of arrow codes (``code_images``, ``map_row``).
     """
 
     n: int
@@ -233,8 +246,30 @@ class DiagonalMapSpec:
         idx = (self.shift - a.index - 1) % self.n
         return scalar, Arrow("d" if a.family == "u" else "u", idx)
 
+    @cached_property
+    def code_images(self) -> tuple[tuple[int, int, int], ...]:
+        """(numerator, denominator, image code) of each arrow code's scalar and image."""
+        n = self.n
+        images = [self.arrow_image(Arrow("d", k) if k < n else Arrow("u", k - n)) for k in range(2 * n)]
+        return tuple((Fraction(s).numerator, Fraction(s).denominator, _arrow_rank(a, n)) for s, a in images)
+
+    def map_row(self, row: dict) -> tuple[int, dict]:
+        """(L, L times the image of an int row {(source, packed word): numerator}), ints."""
+        images, b = self.code_images, _codec(self.n).bits
+        terms = []
+        for (source, word), c in row.items():
+            den, image = 1, 1
+            for code in _unpack_word(word, b):
+                p, q, code = images[code]
+                c, den, image = c * p, den * q, (image << b) | code
+            terms.append(((self.vertex_image(source), image), c, den))
+        L = lcm(*(den for _, _, den in terms))
+        return L, {key: c * (L // den) for key, c, den in terms}  # the map is injective on paths
+
     def apply(self, a: Element) -> Element:
-        return map_element(a, self.vertex_image, self.arrow_image)
+        den, row = _codec(self.n).row(a)
+        L, image = self.map_row(row)
+        return _codec(self.n).decode(den * L, image)
 
 
 def paper_nakayama(params: Parameters) -> DiagonalMapSpec:
@@ -271,37 +306,30 @@ def check_diagonal_map(spec: DiagonalMapSpec, src: Parameters, tgt: Parameters) 
     the defining relations of H(tgt) (filtered degree <= 3 when gamma != 0).
 
     When an image is exactly a scalar multiple of a single target
-    relation, that scalar is reported.
+    relation, that scalar is reported.  The relations are rows on packed
+    words (``_RuleTables.relation_rows``, each times its system's D), and
+    so are their images (``DiagonalMapSpec.map_row``); only the scalars
+    are built as Fractions.
     """
-    src_rels = build_system(PRESET_QDU, src).relation_elements()
-    tgt_rels = build_system(PRESET_QDU, tgt).relation_elements()
-    images = [spec.apply(r) for r in src_rels]
+    src_tables = _tables(build_system(PRESET_QDU, src))
+    tgt_tables = _tables(build_system(PRESET_QDU, tgt))
+    tgt_rows = tgt_tables.relation_rows()
     target = RowSpace()
-    for rel in tgt_rels:
-        target.add(rel.coded()[1])
+    for rel in tgt_rows:
+        target.add(rel)
     details = []
-    ok = True
-    for idx, img in enumerate(images):
-        member = target.contains(img.coded()[1])
-        ok = ok and member
-        scalar = None
-        proportional_to = None
-        for jdx, rel in enumerate(tgt_rels):
-            common = next((p for p in rel.terms if p in img.terms), None)
-            if common is None:
-                continue
-            c = img.terms[common] / rel.terms[common]
-            if rel.scale(c) == img:
-                scalar = c
+    for idx, row in enumerate(src_tables.relation_rows()):
+        L, img = spec.map_row(row)  # L * D_src times the image
+        scalar = proportional_to = None
+        for jdx, rel in enumerate(tgt_rows):
+            k = next(iter(rel))
+            if rel.keys() == img.keys() and all(img[key] * rel[k] == c * img[k] for key, c in rel.items()):
+                scalar = Fraction(img[k] * tgt_tables.denominator, L * src_tables.denominator * rel[k])
                 proportional_to = jdx
                 break
-        details.append({
-            "relation": idx,
-            "in_span": member,
-            "proportional_to": proportional_to,
-            "scalar": scalar,
-        })
-    return DiagonalMapReport(ok, details)
+        details.append({"relation": idx, "in_span": target.contains(img),
+                        "proportional_to": proportional_to, "scalar": scalar})
+    return DiagonalMapReport(all(d["in_span"] for d in details), details)
 
 
 # ---------------------------------------------------------------------------

@@ -6,7 +6,9 @@ in ``golden_json.json``.  Refactors of the algebra must leave every
 verdict and every byte of the reports unchanged.  The commands that need
 no decoded rule (``nf``, ``verify pwd``, ``confluence``, ``basis``,
 ``hilbert --check`` and ``verify skewgroup``) must also give their bytes
-with ``RewriteRule`` refused and every system built afresh.
+with ``RewriteRule`` refused and every system built afresh, and so must
+the relation checks (``report``, ``verify gwa``, ``superpotential``,
+``nakayama`` and ``iso``), which read the rules as packed words.
 
 To re-record after an intended output change:
 
@@ -24,7 +26,8 @@ from pathlib import Path
 
 from quiverdu import rewrite, skewgroup
 from quiverdu.cli import main
-from quiverdu.rewrite import RewriteRule
+from quiverdu.core import Parameters
+from quiverdu.rewrite import PRESET_QDU, RewriteRule, build_system
 
 GOLDEN = Path(__file__).with_name("golden_json.json")
 
@@ -135,10 +138,11 @@ def built_from_tables(label: str) -> bool:
             or label.split("/")[1] in ("nf0", "nf1", "pwd", "confluence", "basis", "hilbert"))
 
 
-def test_commands_on_rule_tables_build_no_rewrite_rule(tmp_path, monkeypatch):
-    def refuse(rule):
-        raise AssertionError(f"a RewriteRule was built: {rule.lhs}")
+def refuse(rule):
+    raise AssertionError(f"a RewriteRule was built: {rule.lhs}")
 
+
+def test_commands_on_rule_tables_build_no_rewrite_rule(tmp_path, monkeypatch):
     monkeypatch.setattr(RewriteRule, "__post_init__", refuse)
     for cache in (rewrite._qdu_system, rewrite._preprojective_system, skewgroup.r_monomial_product):
         cache.cache_clear()
@@ -146,6 +150,23 @@ def test_commands_on_rule_tables_build_no_rewrite_rule(tmp_path, monkeypatch):
     got = run_corpus(tmp_path, built_from_tables)
     assert len(got) == len(CONFIGS) * 6 + 2
     assert got == {label: expected[label] for label in got}
+
+
+def test_no_check_decodes_the_rules(tmp_path, monkeypatch):
+    # The relation checks (GWA, superpotential, Nakayama, iso witnesses) read
+    # the rules as packed words too: every other command of the corpus gives
+    # its bytes with RewriteRule refused, and a report leaves its system's
+    # rules undecoded.
+    monkeypatch.setattr(RewriteRule, "__post_init__", refuse)
+    for cache in (rewrite._qdu_system, rewrite._preprojective_system, skewgroup.r_monomial_product):
+        cache.cache_clear()
+    expected = json.loads(GOLDEN.read_text(encoding="utf-8"))
+    got = run_corpus(tmp_path, lambda label: not built_from_tables(label) and not label.endswith("/report"))
+    assert got == {label: expected[label] for label in got}
+    for name, (n, alpha, beta, gamma) in CONFIGS.items():
+        label = f"{name}/report"
+        assert run_corpus(tmp_path, lambda other: other == label) == {label: expected[label]}
+        assert build_system(PRESET_QDU, Parameters.of(n, alpha, beta, gamma))._rules is None
 
 
 if __name__ == "__main__":

@@ -9,7 +9,6 @@ from quiverdu.gwa import (
     BaseElement,
     GwaElement,
     gwa_multiply,
-    path_x_weight,
     pwd_probe_gwa,
     sigma,
     sigma_inverse,
@@ -234,7 +233,7 @@ def test_grading_intertwined():
         path = path_from_word(3, src, word)
         img = theta(p, Element.from_path(path))
         assert not img.is_zero()
-        assert set(img.x_degrees()) == {path_x_weight(path)}
+        assert set(img.x_degrees()) == {word.count("d") - word.count("u")}  # +1 per d, -1 per u
 
 
 def test_pwd_probe_trivial_and_random():
@@ -301,17 +300,20 @@ def test_verify_gwa_degenerate_n():
 
 
 def test_verify_gwa_fails_when_theta_misses_one_relation(monkeypatch):
-    # Every relation but the first still maps to zero, so a check that
-    # needed only one of them to vanish would pass.
+    # theta of one relation's leading word is off by X_0^+ = e_1 X^+, while
+    # every other relation still maps to zero, so a check that needed only
+    # some of them to vanish would pass.  The round trips read no word of
+    # length 3, so they still pass.
     params = params_n3()
-    first = build_system(PRESET_QDU, params).rules[0].as_relation()
-    real = gwa.theta
+    tables = gwa._tables(build_system(PRESET_QDU, params))
+    real = gwa._theta_word
+    for leading in zip(tables.sources, (lhs for lhs, _ in tables.rules)):
 
-    def theta_missing_one(p, a):
-        image = real(p, a)
-        return image + GwaElement.x_plus(p.n, 0) if a == first else image
+        def theta_missing_one(table, source, word, leading=leading):
+            image = real(table, source, word)
+            return {**image, 1: (1, {(1, 0, 0): 1})} if (source, word) == leading else image
 
-    monkeypatch.setattr(gwa, "theta", theta_missing_one)
-    report = verify_gwa(params, trials=20)
-    assert not report.relations_killed and not report.ok
-    assert report.roundtrip_arrows and report.roundtrip_base and report.grading_ok and report.pwd.ok
+        monkeypatch.setattr(gwa, "_theta_word", theta_missing_one)
+        report = verify_gwa(params, trials=20)
+        assert not report.relations_killed and not report.ok
+        assert report.roundtrip_arrows and report.roundtrip_base and report.grading_ok and report.pwd.ok

@@ -3,7 +3,7 @@ from fractions import Fraction
 
 import pytest
 
-from quiverdu.core import Arrow, Element, Parameters, map_element, path_from_word
+from quiverdu.core import Arrow, Element, Parameters, Path, path_from_word
 from quiverdu.iso import (
     REFLECTION,
     ROTATION,
@@ -228,6 +228,18 @@ def test_composite_coherence():
         wr = IsoWitness(4, REFLECTION, 2, lam)
         assert wr.predicted_params(p) == reflected
         assert verify_witness(wr, p, reflected)
+
+
+def map_element(a, vertex_map, arrow_map):
+    """The graded map given on vertices and arrows (scalar, image), applied path by path."""
+    sums = {}
+    for p, c in a.terms.items():
+        images = [arrow_map(arr) for arr in p.arrows]
+        for s, _ in images:
+            c *= Fraction(s)
+        q = Path(a.n, vertex_map(p.source) % a.n, tuple(img for _, img in images))
+        sums[q] = sums.get(q, 0) + c
+    return Element(a.n, sums)
 
 
 # The generator map of IsoWitness before it became a DiagonalMapSpec, kept

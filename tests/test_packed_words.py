@@ -338,3 +338,22 @@ def test_kernel_tables_hold_int_words_after_cli_commands(tmp_path):
         assert all(type(s) is int and type(w) is int for s, w in tables.paths)
         assert all(type(w) is int for w in tables.words.values())
         assert all(type(lhs) is int and all(type(r) is int for r, _ in rhs) for lhs, rhs in tables.rules)
+
+
+@pytest.mark.parametrize("n", range(1, 7))
+def test_decoded_paths_equal_validated_paths(n):
+    # _RuleTables.path builds a kernel word's Path without walking its arrows
+    # again; it must equal the Path the validating constructor builds from the
+    # same codes, with the same hash and target, for every normal word.
+    from quiverdu.core import Path, down, up
+
+    sys_ = build_system(PRESET_QDU, Parameters.of(n, [1] * n, [2] * n, [1] * n))
+    tables = _tables(sys_)
+    for v in range(n):
+        for words in basis_from(sys_, v, 6):
+            for w in words:
+                decoded = tables.path(v, w)
+                codes = _unpack_word(w, _word_bits(n))
+                checked = Path(n, v, tuple(down(k, n) if k < n else up(k - n, n) for k in codes))
+                assert decoded == checked and hash(decoded) == hash(checked)
+                assert decoded.target == checked.target == tables.target(v, w)

@@ -51,12 +51,13 @@ def test_first_twist_matches_weight_of_moved_arrow():
     params = Parameters.of(3, [0, 0, 0], [-1, -1, -1], [0, 0, 0])
     weights = paper_twist_weights(params)
     # first twist of d_0 d_2 u_2 u_0 is -beta_2 * (u_0 d_0 d_2 u_2)
-    from quiverdu.structure import _twist_term
+    from quiverdu.rewrite import _codec
     p = path_from_word(3, 1, "dduu")  # d_0 d_2 u_2 u_0
     assert str(p) == "d0.d2.u2.u0"
-    q, c = _twist_term(weights, p, Fraction(1), 4)
-    assert str(q) == "u0.d0.d2.u2"
-    assert c == -params.beta[2]
+    Q, twist = structure._twister(weights, 4)
+    ((key, c),) = twist({(1, _codec(3).encode(p)): 1}).items()
+    assert str(_codec(3).path(*key)) == "u0.d0.d2.u2" and key[0] == 0
+    assert Fraction(c, Q) == -params.beta[2]
 
 
 def test_closure_scalars():
