@@ -470,6 +470,8 @@ def noetherian_chain_check(params: Parameters, i: int | None = None, s_max: int 
             raise ValueError("no beta_i = 0; the chain construction requires one")
     if params.beta[i] != 0:
         raise ValueError(f"beta_{i} must be zero")
+    if s_max < 1:
+        raise ValueError("s_max must be at least 1: the chain has no inclusion to check")
     target_degree = (s_max + 1) * n + 2
     if degree_bound is None:
         degree_bound = target_degree

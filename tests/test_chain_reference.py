@@ -1,9 +1,9 @@
 """Differential test of the one-elimination chain check.
 
 The reference is the loop that ``noetherian_chain_check`` replaced, kept
-here verbatim with the dense ``_vectorize`` and ``in_span`` it ran on: at
-each s it vectorizes every spanning row found so far together with
-U^{s+1} g and eliminates them from scratch, and it tests the annihilation
+here verbatim but for its dense elimination, now the oracle's ``in_span``:
+at each s it eliminates every spanning row found so far together with
+U^{s+1} g from scratch, and it tests the annihilation
 with g_with_one, where the identity stands in for e_i.  The new check adds
 each product, int-coded, to one sparse ``RowSpace`` kept across s; both
 must give the same ``ChainReport``.
@@ -16,7 +16,7 @@ from fractions import Fraction
 
 import pytest
 
-from quiverdu.core import Element, Parameters, canonical_path_key, path_from_word, trivial_path
+from quiverdu.core import Element, Parameters, path_from_word, trivial_path
 from quiverdu.rewrite import (
     PRESET_QDU,
     build_system,
@@ -31,21 +31,9 @@ from quiverdu.structure import (
     noetherian_chain_check,
     up_cycle_path,
 )
-from replaced_code import normal_shape
-from test_linalg import in_span
+from oracle import in_span, shape
+from test_oracle import names
 from test_structure import x_path
-
-
-def _vectorize(elements: list[Element]) -> list[list[Fraction]]:
-    support = sorted({p for e in elements for p in e.terms}, key=canonical_path_key)
-    index = {p: pos for pos, p in enumerate(support)}
-    rows = []
-    for e in elements:
-        row = [Fraction(0)] * len(support)
-        for p, c in e.terms.items():
-            row[index[p]] = c
-        rows.append(row)
-    return rows
 
 
 def reference_noetherian_chain_check(params: Parameters, i: int | None = None, s_max: int = 3,
@@ -104,7 +92,7 @@ def reference_noetherian_chain_check(params: Parameters, i: int | None = None, s
                 if product.is_zero():
                     continue
                 for p in product.terms:
-                    a_run, j_pairs, c_run = normal_shape(p)
+                    a_run, j_pairs, c_run = shape(names(p))
                     if a_run == m * n:
                         if params.gamma[i] == 0 and j_pairs == 0:
                             support_ok = False
@@ -114,9 +102,7 @@ def reference_noetherian_chain_check(params: Parameters, i: int | None = None, s
                     else:
                         support_ok = False
                 span_rows.append(product)
-        g_next = generators[s]
-        vecs = _vectorize(span_rows + [g_next])
-        strict.append((s, not in_span(vecs[:-1], vecs[-1])))
+        strict.append((s, not in_span([e.terms for e in span_rows], generators[s].terms)))
     return ChainReport(i, s_max, str(g), str(up_cycle_path(n, i)), annihilation_ok,
                        strict, support_ok)
 

@@ -18,8 +18,8 @@ mutants act on that builder, so every check downstream reads them.
 ``corner_dimensions`` now counts each corner's rows by weight class.  The
 path it replaced, one coded smash product per (i, m) and a ``RowSpace``
 rank over ``CycScalar`` rows, is kept here as ``rank_corner_dimensions``
-(verbatim up to the elimination over any field-like scalar, now
-``replaced_code.RowSpace`` since ``linalg`` takes rational rows only, the flat coded keys
+(verbatim up to the elimination over any field-like scalar, now the
+oracle's dense ``rank`` since ``linalg`` takes rational rows only, the flat coded keys
 (monomial, group exponent, power of x), and canonical forms taken through
 ``test_skewgroup``'s ``decode`` and ``encode``), and the caps built from
 canonical idempotent forms as ``canonical_coded_caps``.  The triple
@@ -52,8 +52,7 @@ from quiverdu.skewgroup import (
     corner_dimensions,
     monomial_weight,
 )
-import replaced_code
-from test_linalg import RowSpace  # the dense elimination the corner loop ran on
+from oracle import rank
 from test_skewgroup import (
     decode,
     decoded_idempotents,
@@ -72,23 +71,10 @@ def reference_corner_dimensions(n, k, fs):
     idem = [decode(n, f) for f in fs]
     dims = [[0] * n for _ in range(n)]
     monomials = monomials_of_degree(k)
-    coords = {(m, j): pos for pos, (m, j) in enumerate(
-        ((m, j) for m in monomials for j in range(n)))}
     for i in range(n):
         for jv in range(n):
-            space = RowSpace(len(coords))
-            rank_count = 0
-            for m in monomials:
-                for t in range(n):
-                    prod = smash_product(n, idem[i], monomial(n, m, t), idem[jv])
-                    if not prod:
-                        continue
-                    row = [CycScalar.zero(n)] * len(coords)
-                    for key, c in prod.items():
-                        row[coords[key]] = c
-                    if space.add(row):
-                        rank_count += 1
-            dims[i][jv] = rank_count
+            rows = [smash_product(n, idem[i], monomial(n, m, t), idem[jv]) for m in monomials for t in range(n)]
+            dims[i][jv] = rank(rows, CycScalar.zero(n))
     return dims
 
 
@@ -312,23 +298,21 @@ def rank_corner_dimensions(n: int, k: int, idem: list) -> list[list[int]]:
     """
     fs = [encode(decode(n, f)) for f in idem]
     # The row of m # f_a scaled by f_a's coded denominator, a nonzero
-    # scale that keeps the rank: f_a's coefficient at g^0 is 1/n, so the
-    # row leads with the CycScalar 1, and the elimination over Q(zeta_n)
-    # keeps such a pivot row as it is, with no inverse and no product.
-    rows = [[(t, CycScalar.from_power_counts(n, v)) for (_, t), v in _grouped(f).items()]
-            for _, f in fs]
+    # scale that keeps the rank.
+    coded_rows = [[(t, CycScalar.from_power_counts(n, v)) for (_, t), v in _grouped(f).items()]
+                  for _, f in fs]
     monomials = normal_shapes(k)
     dims = []
     for i in range(n):
-        spaces = [replaced_code.RowSpace() for _ in range(n)]
+        rows = [[] for _ in range(n)]
         for m in monomials:
             left = _coded_product(n, fs[i], _monomial(m))
             a = (i + monomial_weight(m)) % n
             den, f = fs[a]
             if not _agree(n, left, (den, {(m, t, e): c for (_, t, e), c in f.items()})):
                 raise AssertionError(f"f_i (m # 1) != m # f_(i+w(m)) at i={i}, m={m}")
-            spaces[a].add({(m, t): c for t, c in rows[a]})
-        dims.append([space.rank for space in spaces])
+            rows[a].append({(m, t): c for t, c in coded_rows[a]})
+        dims.append([rank(corner, CycScalar.zero(n)) for corner in rows])
     return dims
 
 

@@ -5,9 +5,9 @@ on int-coded words and ``noetherian_chain_check`` takes its spanning
 products the same way; both eliminate in the fraction-free int
 ``linalg.RowSpace``.  The loops they replaced, which took every product
 as an ``Element`` through ``normal_product`` and eliminated in
-``Fraction``s, are kept here verbatim (on ``replaced_code``'s
-elimination and shape parser) as ``reference_property_report`` and
-``reference_noetherian_chain_check``; both must give the same reports.
+``Fraction``s, are kept here as ``reference_property_report`` and
+``reference_noetherian_chain_check``, with the oracle's dense elimination
+and shape reader; both must give the same reports.
 """
 
 from __future__ import annotations
@@ -35,7 +35,8 @@ from quiverdu.structure import (
     property_report,
     up_cycle_path,
 )
-from replaced_code import RowSpace, normal_shape
+from oracle import in_span, rank, shape
+from test_oracle import names
 
 
 def reference_property_report(params: Parameters) -> PropertyReport:
@@ -62,8 +63,7 @@ def reference_property_report(params: Parameters) -> PropertyReport:
                 monomials.append(x_power)
                 for _ in range(SUBALGEBRA_DEGREE - a):
                     monomials.append(normal_product(sys, monomials[-1], gen_y))
-            space = RowSpace()
-            independent = all(space.add(m.terms) for m in monomials)
+            independent = rank([m.terms for m in monomials]) == len(monomials)
             checks = checks and independent
             witnesses.append({"vertex": i, "kind": "free-subalgebra", "ok": independent})
     else:
@@ -133,7 +133,7 @@ def reference_noetherian_chain_check(params: Parameters, i: int | None = None, s
     support_ok = True
     # One elimination kept across s: I_s grows from I_{s-1}, so each
     # spanning product is added once.
-    space = RowSpace()
+    rows = []
     strict = []
     for s in range(1, s_max + 1):
         m = s
@@ -145,7 +145,7 @@ def reference_noetherian_chain_check(params: Parameters, i: int | None = None, s
                 if product.is_zero():
                     continue
                 for p in product.terms:
-                    a_run, j_pairs, c_run = normal_shape(p)
+                    a_run, j_pairs, c_run = shape(names(p))
                     if a_run == m * n:
                         if params.gamma[i] == 0 and j_pairs == 0:
                             support_ok = False
@@ -154,8 +154,8 @@ def reference_noetherian_chain_check(params: Parameters, i: int | None = None, s
                             support_ok = False
                     else:
                         support_ok = False
-                space.add(product.terms)
-        strict.append((s, not space.contains(generators[s].terms)))
+                rows.append(product.terms)
+        strict.append((s, not in_span(rows, generators[s].terms)))
     return ChainReport(i, s_max, str(g), str(up_cycle_path(n, i)), annihilation_ok,
                        strict, support_ok)
 

@@ -12,7 +12,8 @@ from hypothesis import strategies as st
 from quiverdu.core import Element, Parameters, format_element, parse_element, path_from_word
 from quiverdu.gwa import BaseElement, GwaElement, theta, theta_prime
 from quiverdu.rewrite import PRESET_QDU, _tables, build_system, normal_form
-from replaced_code import normal_shape
+from oracle import shape
+from test_oracle import names
 
 # Enough cases to hit cancellations and size mismatches, few enough to stay fast.
 kernel_settings = settings(max_examples=60, deadline=None)
@@ -168,7 +169,7 @@ def test_normal_form_of_products_is_associative(a, b, c):
 @given(elements(3, max_len=8))
 def test_normal_form_words_have_the_normal_shape(a):
     for p in normal_form(build_system(PRESET_QDU, SYSTEM_PARAMS), a).terms:
-        normal_shape(p)
+        shape(names(p))
 
 
 def test_long_word_reduces_at_constant_call_depth():
@@ -179,7 +180,7 @@ def test_long_word_reduces_at_constant_call_depth():
     nf = normal_form(sys_, Element.from_path(path_from_word(1, 0, "d" * 600 + "u")))
     assert nf
     for p in nf.terms:
-        normal_shape(p)
+        shape(names(p))
     assert sys.getrecursionlimit() == limit
 
 

@@ -1,15 +1,14 @@
-"""Packed int words against the tuple words they replaced.
+"""Packed int words, and the kernel on them against the oracle.
 
 ``rewrite`` codes a word as one int: the sentinel 1, then ``bits`` bits per
 arrow code (``_pack_word``).  These tests cover the packing itself (round
 trip, length, same-length order and the masked suffix test with its length
-guard, past 64 bits too), and compare the kernel on packed words with the
-tuple kernel kept verbatim in ``replaced_code``: normal forms, memo entries
-(unpacked) and the domain probe, chain and freeness reports.  The probe's
+guard, past 64 bits too), and compare the kernel on packed words with
+``oracle``: normal forms, every memo entry, and the domain probe, chain and
+freeness reports with the oracle in place of the kernel.  The probe's
 corner pools, now read from ``basis_from``'s coded words, are pinned to the
 pools built from sorted Paths before.
 """
-
 from __future__ import annotations
 
 import contextlib
@@ -43,11 +42,11 @@ from quiverdu.rewrite import (
 )
 from quiverdu.skewgroup import GRADED_DOWN_UP
 from quiverdu.structure import noetherian_chain_check, property_report, pwd_probe_H
-import replaced_code
-from replaced_code import TupleTables
+import oracle
 from test_golden_json import CONFIGS
+from test_oracle import reducer_of, word_names
 from test_product_reference import run_probe, top_degree_regimes
-from test_rewrite import Poly, symbolic_system
+from test_rewrite import Poly, symbolic_params, symbolic_system
 
 BITS = {1: 1, 2: 2, 3: 3, 12: 5, 40: 7}
 
@@ -120,7 +119,7 @@ def test_length_guard_keeps_a_short_normal_word():
 
 
 # ---------------------------------------------------------------------------
-# The kernel against the tuple kernel
+# The kernel against the oracle
 # ---------------------------------------------------------------------------
 
 def random_params(rng: random.Random, n: int) -> Parameters:
@@ -147,66 +146,77 @@ def random_path_codes(rng: random.Random, n: int, source: int, length: int) -> t
     return letter_codes(n, source, rng.choices("ud", k=length))
 
 
-def value(c):
-    return ("poly", tuple(sorted(c.terms.items()))) if isinstance(c, Poly) else c
+def oracle_value(c):
+    """A coefficient as the oracle and the kernel can both give it: a ``Poly``'s terms, or a Fraction
+    for a constant."""
+    if isinstance(c, Poly) and set(c.terms) - {()}:
+        return tuple(sorted(c.terms.items()))
+    return Fraction(c.terms.get((), 0) if isinstance(c, Poly) else c)
 
 
-def unpacked(comb: dict, b: int) -> list:
-    return [(_unpack_word(w, b), value(c)) for w, c in comb.items()]
+def kernel_terms(tables, e: int, comb: dict) -> dict:
+    """A kernel combination over D^e as {arrow names: coefficient}."""
+    D, n = tables.denominator, tables.n
+    return {word_names(n, w): oracle_value(c if D == 1 else Fraction(c, D ** e)) for w, c in comb.items()}
 
 
-def tuple_form(comb: dict) -> list:
-    return [(w, value(c)) for w, c in comb.items()]
+def oracle_terms(reducer, word: tuple) -> dict:
+    return {w: oracle_value(c) for w, c in reducer.normal_form(word).items()}
 
 
-def assert_kernels_agree(sys_: ReductionSystem, rng: random.Random, words: int = 40,
-                         max_len: int = 9) -> None:
-    """Normal forms of random paths, and of normal forms times random paths, in
-    both kernels; then the two memos, entry by entry and in order."""
-    n, tables, ref = sys_.n, _tables(sys_), TupleTables(sys_)
+def assert_kernel_matches_oracle(sys_: ReductionSystem, rng: random.Random, words: int = 40,
+                                 max_len: int = 9) -> None:
+    """Normal forms of random paths, and of normal forms times random paths, against
+    the oracle; then every memo entry, which must be the normal form of its word."""
+    n, tables, reducer = sys_.n, _tables(sys_), reducer_of(sys_)
     b = tables.bits
+    to_names = lambda codes: word_names(n, _pack_word(codes, b))
     for _ in range(words):
         source = rng.randrange(n)
         codes = random_path_codes(rng, n, source, rng.randrange(max_len + 1))
         e, comb = rewrite._normal_times(tables, {1: 1}, 0, _pack_word(codes, b))
-        re_, rcomb = replaced_code._normal_times(ref, {(): 1}, 0, codes)
-        assert (e, unpacked(comb, b)) == (re_, tuple_form(rcomb)), codes
+        assert kernel_terms(tables, e, comb) == oracle_terms(reducer, to_names(codes)), codes
         # The normal form times a path from where the first path ends.
         target = tables.target(source, _pack_word(codes, b))
         more = random_path_codes(rng, n, target, rng.randrange(1, 5))
         got = rewrite._normal_times(tables, comb, e, _pack_word(more, b))
-        want = replaced_code._normal_times(ref, rcomb, re_, more)
-        assert (got[0], unpacked(got[1], b)) == (want[0], tuple_form(want[1])), (codes, more)
-    memo = [(_unpack_word(w, b), e, unpacked(comb, b)) for w, (e, comb) in tables.memo.items()]
-    assert memo == [(w, e, tuple_form(comb)) for w, (e, comb) in ref.memo.items()]
-    assert memo
+        assert kernel_terms(tables, *got) == oracle_terms(reducer, to_names(codes + more)), (codes, more)
+    assert tables.memo
+    for word, (e, comb) in tables.memo.items():
+        assert kernel_terms(tables, e, comb) == oracle_terms(reducer, word_names(n, word)), word
 
 
 @pytest.mark.parametrize("n", range(1, 7))
-def test_kernel_matches_tuple_kernel_on_rational_parameters(n):
+def test_kernel_matches_the_oracle_on_rational_parameters(n):
     rng = random.Random(30_200 + n)
     denominators = []
     for _ in range(4):
         params = random_params(rng, n)
         sys_ = ReductionSystem(n, None, PRESET_QDU, params, _qdu_specs(params))
-        assert_kernels_agree(sys_, rng)
+        assert_kernel_matches_oracle(sys_, rng)
         denominators.append(_tables(sys_).denominator)
     assert any(D != 1 for D in denominators)
 
 
 @pytest.mark.parametrize("n", range(1, 5))
-def test_kernel_matches_tuple_kernel_over_polynomials(n):
-    assert_kernels_agree(symbolic_system(n), random.Random(30_300 + n), words=15, max_len=7)
+def test_kernel_matches_the_oracle_over_polynomials(n):
+    # All-Poly coefficients, then beta = 1 as ints beside Poly alpha and
+    # gamma: ints mix in as constants, and the tables take all as given.
+    params = symbolic_params(n)
+    mixed = Parameters(n, params.alpha, (1,) * n, params.gamma)
+    for sys_ in (symbolic_system(n), ReductionSystem(n, None, PRESET_QDU, mixed, _qdu_specs(mixed))):
+        assert _tables(sys_).denominator == 1
+        assert_kernel_matches_oracle(sys_, random.Random(30_300 + n), words=15, max_len=7)
 
 
 @pytest.mark.parametrize("n", range(1, 7))
-def test_kernel_matches_tuple_kernel_on_preprojective_rules(n):
+def test_kernel_matches_the_oracle_on_preprojective_rules(n):
     sys_ = rewrite._preprojective_system.__wrapped__(n)
     assert sys_.preset == PRESET_PREPROJECTIVE
-    assert_kernels_agree(sys_, random.Random(30_400 + n))
+    assert_kernel_matches_oracle(sys_, random.Random(30_400 + n))
 
 
-def test_kernel_matches_tuple_kernel_on_the_skew_group_ring():
+def test_kernel_matches_the_oracle_on_the_skew_group_ring():
     # R = the graded down-up algebra: n = 1, one bit per code, so skewgroup
     # reads a word's letters off its binary digits.
     sys_ = ReductionSystem(1, None, PRESET_QDU, GRADED_DOWN_UP, _qdu_specs(GRADED_DOWN_UP))
@@ -216,27 +226,34 @@ def test_kernel_matches_tuple_kernel_on_the_skew_group_ring():
             word = "".join(letters)
             packed = _pack_word(letter_codes(1, 0, word), 1)
             assert skewgroup._codes(word) == packed and skewgroup._letters(packed) == word
-    assert_kernels_agree(sys_, random.Random(30_500), words=60, max_len=12)
+    assert_kernel_matches_oracle(sys_, random.Random(30_500), words=60, max_len=12)
 
 
-def via_tuple_kernel(monkeypatch) -> None:
-    """Route ``structure``'s products through the tuple kernel, on tables read back as tuples."""
-    refs: dict = {}  # packed tables -> their TupleTables, with its own memo
+def via_oracle(monkeypatch) -> None:
+    """Route ``structure``'s products through the oracle, on the rules of the tables it passes."""
+    reducers: dict = {}  # tables -> the oracle's reducer for their rules
 
     def normal_times(tables, comb, e, word):
-        ref = refs.get(tables)
-        if ref is None:
-            ref = refs[tables] = TupleTables(tables=tables)
-        b = tables.bits
-        pe, out = replaced_code._normal_times(ref, {_unpack_word(w, b): c for w, c in comb.items()},
-                                              e, _unpack_word(word, b))
-        return pe, {_pack_word(w, b): c for w, c in out.items()}
+        n, D = tables.n, tables.denominator
+        reducer = reducers.get(tables)
+        if reducer is None:
+            reducer = reducers[tables] = oracle.Reducer({
+                word_names(n, lhs): {word_names(n, r): Fraction(c, D) for r, c in rhs} for lhs, rhs in tables.rules})
+        out: dict = {}
+        for w, c in comb.items():
+            for v, cv in reducer.normal_form(word_names(n, w) + word_names(n, word)).items():
+                out[v] = out.get(v, 0) + Fraction(c, D ** e) * cv
+        pe = 0
+        while any((c * D ** pe).denominator != 1 for c in out.values()):
+            pe += 1
+        code = lambda name: int(name[1:]) + (n if name[0] == "u" else 0)
+        return pe, {_pack_word(map(code, v), tables.bits): int(c * D ** pe) for v, c in out.items() if c}
 
     monkeypatch.setattr(structure, "_normal_times", normal_times)
 
 
 @pytest.mark.parametrize("n", range(1, 5))
-def test_reports_match_the_tuple_kernel(n, monkeypatch):
+def test_reports_match_the_oracle(n, monkeypatch):
     # The probe (report and generator end state), and the freeness witness
     # or, with beta_0 = 0, the chain.
     def reports(params):
@@ -248,7 +265,7 @@ def test_reports_match_the_tuple_kernel(n, monkeypatch):
     for params in top_degree_regimes(n):
         want = reports(params)
         with monkeypatch.context() as m:
-            via_tuple_kernel(m)
+            via_oracle(m)
             assert reports(params) == want, params
 
 

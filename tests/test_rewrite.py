@@ -28,7 +28,7 @@ from quiverdu.rewrite import (
     term_order_greater,
 )
 from quiverdu.skewgroup import GRADED_DOWN_UP
-from replaced_code import normal_shape, tuple_tables, word_shape
+from oracle import shape
 
 
 def rand_params(n, rng, nonzero_beta=True):
@@ -459,7 +459,8 @@ def unresolved_overlaps(sys_: ReductionSystem) -> list:
     back as tuples, and each word reduced packed by the kernel."""
     n, tables = sys_.n, rewrite._tables(sys_)
     assert tables.denominator == 1 and tables.rule_exp == 0
-    rules, _ = tuple_tables(tables)
+    codes = lambda word: rewrite._unpack_word(word, tables.bits)
+    rules = [(codes(lhs), tuple((codes(r), c) for r, c in rhs)) for lhs, rhs in tables.rules]
     found, unresolved = 0, []
     for i, (a1, rhs1) in enumerate(rules):
         for j, (a2, rhs2) in enumerate(rules):
@@ -514,7 +515,7 @@ def test_perturbed_rule_leaves_an_overlap_unresolved(n):
 def test_coded_shape_matches_the_letter_parser():
     # Every u/d word up to length 8, each letter coded as a random arrow
     # code of its family (below n for d): the shape, or ValueError, agrees
-    # with the letter parser that coded_shape replaced.
+    # with the oracle's letter reader.
     rng = random.Random(5)
     for n in (1, 2, 5):
         for length in range(9):
@@ -522,7 +523,7 @@ def test_coded_shape_matches_the_letter_parser():
                 codes = (n + rng.randrange(n) if x == "u" else rng.randrange(n) for x in letters)
                 word = _pack_word(codes, _word_bits(n))
                 try:
-                    expected = word_shape("".join(letters))
+                    expected = shape(letters)
                 except ValueError:
                     with pytest.raises(ValueError):
                         coded_shape(n, word)
@@ -534,4 +535,4 @@ def test_coded_shape_reads_basis_paths_as_normal_shape():
     sys_ = ensure_confluent(build_system(PRESET_QDU, rand_params(3, random.Random(8))))
     tables = rewrite._tables(sys_)
     for p in enumerate_basis(sys_, 7):
-        assert coded_shape(3, tables.encode(p)) == normal_shape(p)
+        assert coded_shape(3, tables.encode(p)) == shape(tuple(str(a) for a in p.arrows))

@@ -30,7 +30,8 @@ from quiverdu.skewgroup import (
     r_monomial_product,
     verify_quotient_match,
 )
-from replaced_code import normal_shape
+from oracle import shape
+from test_oracle import names
 
 
 def _monomial_to_path(m: RMonomial):
@@ -208,7 +209,7 @@ def rewritten_product(m1, m2):
     sys = ensure_confluent(build_system(PRESET_QDU, GRADED_DOWN_UP))
     prod = Element.from_path(_monomial_to_path(m1)) * Element.from_path(_monomial_to_path(m2))
     nf = normal_form(sys, prod)
-    return tuple(sorted(((normal_shape(p), c) for p, c in nf.terms.items())))
+    return tuple(sorted(((shape(names(p)), c) for p, c in nf.terms.items())))
 
 
 def test_unit_monomial_products_match_rewriting():

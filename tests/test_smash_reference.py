@@ -38,7 +38,8 @@ from quiverdu.skewgroup import (
     r_monomial_product,
     verify_quotient_match,
 )
-from replaced_code import normal_shape
+from oracle import shape
+from test_oracle import names
 from test_skewgroup import (
     _monomial_to_path,
     decode,
@@ -219,7 +220,7 @@ def element_r_monomial_product(m1: RMonomial, m2: RMonomial) -> tuple[tuple[RMon
     sys = ensure_confluent(build_system(PRESET_QDU, GRADED_DOWN_UP))
     nf = normal_product(sys, Element.from_path(_monomial_to_path(m1)),
                         Element.from_path(_monomial_to_path(m2)))
-    return tuple(sorted((normal_shape(p), int(c)) for p, c in nf.terms.items()))
+    return tuple(sorted((shape(names(p)), int(c)) for p, c in nf.terms.items()))
 
 
 def test_coded_monomial_products_match_element_path():

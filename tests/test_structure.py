@@ -236,6 +236,17 @@ def test_noetherian_chain_requires_zero_beta():
         noetherian_chain_check(params, i=0, s_max=1)
 
 
+def test_noetherian_chain_refuses_an_empty_chain():
+    # With s_max < 1 there is no inclusion I_s < I_{s+1} to check, so a
+    # report would pass with nothing checked.
+    params = Parameters.of(3, [1, 1, 1], [0, 2, 3], [1, 1, 1])
+    for s_max in (0, -1, -3):
+        with pytest.raises(ValueError, match="s_max must be at least 1"):
+            noetherian_chain_check(params, s_max=s_max)
+    report = noetherian_chain_check(params, s_max=1)
+    assert report.ok and [s for s, _ in report.strict_inclusions] == [1]
+
+
 def test_pwd_probe_nonzero_beta():
     params = Parameters.of(3, [1, -2, "1/2"], [3, "2/3", -1], [1, 0, "1/5"])
     report = pwd_probe_H(params, degree_bound=4, trials=60, seed=13)
