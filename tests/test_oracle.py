@@ -5,8 +5,9 @@ left multiplication, where ``rewrite`` multiplies on the right; a confluent
 system has one normal form, so both must agree term by term.  Covered:
 the decoded rules of both presets, normal forms of random elements on
 random parameters (zero entries, gamma != 0, denominators up to 10007,
-words up to degree 14), the overlap ambiguities of ``check_confluence``,
-and the oracle's own independence from the package.
+words up to degree 14) and in confluent systems beyond the presets, the
+overlap ambiguities of ``check_confluence``, and the oracle's own
+independence from the package.
 """
 
 import ast
@@ -298,6 +299,42 @@ def test_normal_form_matches_the_oracle_to_degree_14(n):
             got = normal_form(sys_, a)
             assert as_terms(got) == oracle_nf(reducer, a), (params, a)
             assert all(type(c) is Fraction for c in got.terms.values())
+
+
+def custom_relations(n: int, rules: list) -> list:
+    """(lhs path, rhs Element) of each (source, lhs word, {rhs word: coefficient}) of ``rules``."""
+    return [(path_from_word(n, v, lhs), Element(n, {path_from_word(n, v, w): Fraction(c) for w, c in rhs.items()}))
+            for v, lhs, rhs in rules]
+
+
+# Confluent systems that are neither preset, with rational coefficients
+# (D != 1): an inclusion ambiguity that resolves (d(du) -> r du -> r^2 u
+# agrees with ddu -> r^2 u), and du -> c ud + r e_v at each vertex, with
+# the constant term absent at one vertex and a denominator 10007 at another.
+CUSTOM_SYSTEMS = {
+    "inclusion": (1, [(0, "ddu", {"u": "1/4"}), (0, "du", {"u": "-1/2"})]),
+    "weyl": (1, [(0, "du", {"ud": "2/3", "": "-1/2"})]),
+    "weyl-three-vertices": (3, [(0, "du", {"ud": "2/3", "": "-1/2"}), (1, "du", {"ud": -1}),
+                                (2, "du", {"ud": "5/7", "": "3/10007"})]),
+}
+
+
+@pytest.mark.parametrize("name", list(CUSTOM_SYSTEMS))
+def test_normal_form_matches_the_oracle_beyond_the_presets(name):
+    n, rules = CUSTOM_SYSTEMS[name]
+    pairs = custom_relations(n, rules)
+    sys_ = ReductionSystem(n, tuple(RewriteRule(lhs, rhs) for lhs, rhs in pairs), "custom")
+    assert check_confluence(sys_).confluent
+    assert _tables(sys_).denominator != 1
+    # The oracle orients the same relations on its own.
+    reducer = oracle.Reducer(oracle.oriented([(names(lhs), {names(q): c for q, c in rhs.terms.items()})
+                                              for lhs, rhs in pairs], n))
+    rng = random.Random(15_200 + n)
+    for _ in range(40):
+        a = random_element(rng, n)
+        got = normal_form(sys_, a)
+        assert as_terms(got) == oracle_nf(reducer, a), a
+        assert all(type(c) is Fraction for c in got.terms.values())
 
 
 # ---------------------------------------------------------------------------
