@@ -18,6 +18,7 @@ from fractions import Fraction
 import oracle
 from quiverdu.core import Element, Parameters, path_from_word
 from quiverdu.rewrite import PRESET_QDU, ReductionSystem, _qdu_specs, normal_form
+from test_oracle import names
 
 CASES = [
     (Parameters.of(3, ["2", "1/2", "5"], ["7", "-3/2", "13"], ["1", "2", "1/3"]), 20),
@@ -34,10 +35,10 @@ def main() -> int:
         start = time.perf_counter()
         nf = normal_form(ReductionSystem(n, None, PRESET_QDU, params, _qdu_specs(params)), Element.from_path(path))
         kernel_s = time.perf_counter() - start
-        got = {tuple(str(a) for a in p.arrows): c for p, c in nf.terms.items()}
+        got = {names(p): c for p, c in nf.terms.items()}
         start = time.perf_counter()
         rules = oracle.oriented(oracle.qdu_relations(n, params.alpha, params.beta, params.gamma), n)
-        want = oracle.Reducer(rules).normal_form(tuple(str(a) for a in path.arrows))
+        want = oracle.Reducer(rules).normal_form(names(path))
         oracle_s = time.perf_counter() - start
         same = got == {w: Fraction(c) for w, c in want.items()} and bool(got)
         ok = ok and same

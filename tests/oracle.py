@@ -65,10 +65,14 @@ def preprojective_relations(n: int) -> list[tuple[tuple, dict]]:
     return [((d(i, n), u(i, n)), {(u(i + 1, n), d(i + 1, n)): Fraction(1)}) for i in range(n)]
 
 
+def code(name: str, n: int) -> int:
+    """An arrow's place in d_0 > ... > d_{n-1} > u_0 > ... > u_{n-1}: d_k is k, u_k is n + k."""
+    return int(name[1:]) + (n if name[0] == "u" else 0)
+
+
 def order_key(word: tuple, n: int) -> tuple:
-    """Larger key, larger word: degree first, then d_0 > ... > d_{n-1} > u_0 > ... > u_{n-1}."""
-    code = lambda name: int(name[1:]) + (n if name[0] == "u" else 0)
-    return len(word), tuple(-code(name) for name in word)
+    """Larger key, larger word: degree first, then the arrows' places from the left."""
+    return len(word), tuple(-code(name, n) for name in word)
 
 
 def oriented(relations, n: int) -> dict[tuple, dict]:

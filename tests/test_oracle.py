@@ -95,7 +95,13 @@ def test_oracle_elimination_over_fractions_and_cyclotomics():
 # ---------------------------------------------------------------------------
 
 def names(path) -> tuple:
+    """The arrow names of a Path, as the oracle writes a word."""
     return tuple(str(a) for a in path.arrows)
+
+
+def packed(n: int, word: tuple) -> int:
+    """The packed word of arrow names: d_k has code k and u_k code n + k, their places in the order."""
+    return rewrite._pack_word([oracle.code(name, n) for name in word], rewrite._word_bits(n))
 
 
 def word_names(n: int, word: int) -> tuple:
@@ -136,10 +142,20 @@ def decoded_rules(sys_: ReductionSystem) -> dict:
     return {names(r.lhs): {names(q): c for q, c in r.rhs.terms.items()} for r in sys_.rules}
 
 
-def random_params(rng: random.Random, n: int, zero_share: float, denominators=(1, 2, 3, 4)) -> Parameters:
-    entry = lambda: 0 if rng.random() < zero_share else \
-        Fraction(rng.randint(-9, 9) or 1, rng.choice(denominators))
-    return Parameters.of(n, *([entry() for _ in range(n)] for _ in range(3)))
+DENOMINATORS = (1, 2, 3, 7, 10007)
+
+
+def random_params(rng: random.Random, n: int, zero_share: float = 0.25, denominators=DENOMINATORS,
+                  nonzero_gamma: bool = False) -> Parameters:
+    """Entries k/q, k in -9..9 nonzero and q drawn from ``denominators`` (1 if there are none),
+    each zero with probability ``zero_share``; with ``nonzero_gamma``, a zero gamma gets one
+    entry +-1/q."""
+    over = lambda: rng.choice(denominators) if denominators else 1
+    entry = lambda: Fraction(0) if rng.random() < zero_share else Fraction(rng.randint(-9, 9) or 1, over())
+    alpha, beta, gamma = ([entry() for _ in range(n)] for _ in range(3))
+    if nonzero_gamma and not any(gamma):
+        gamma[rng.randrange(n)] = Fraction(rng.choice((-1, 1)), over())
+    return Parameters.of(n, alpha, beta, gamma)
 
 
 def param_cases(n: int):
@@ -149,7 +165,7 @@ def param_cases(n: int):
     yield Parameters.of(n, [0] * n, [-1] * n, [0] * n)
     for zero_share in (0.0, 0.3, 0.6):
         for _ in range(8):
-            yield random_params(rng, n, zero_share)
+            yield random_params(rng, n, zero_share, (1, 2, 3, 4))
 
 
 def assert_rules_are_the_relations(sys_: ReductionSystem) -> None:
@@ -268,9 +284,6 @@ def test_normal_form_matches_the_oracle(case):
     assert as_terms(normal_form(sys_, a)) == oracle_nf(reducer_of(sys_), a)
 
 
-DENOMINATORS = (1, 2, 3, 7, 10007)
-
-
 def random_element(rng: random.Random, n: int) -> Element:
     terms = {}
     for _ in range(rng.randint(1, 4)):
@@ -284,16 +297,19 @@ def random_element(rng: random.Random, n: int) -> Element:
     return Element(n, terms)
 
 
+DRAWS_PER_N = 64
+
+
 @pytest.mark.parametrize("n", range(1, 6))
 def test_normal_form_matches_the_oracle_to_degree_14(n):
-    # Entries with denominators up to 10007, a quarter of them zero, gamma != 0.
+    # Entries with denominators up to 10007 (integral in every eighth draw),
+    # a quarter of them zero, gamma != 0: the overlaps of each system, and
+    # the normal forms of two random elements.
     rng = random.Random(15_000 + n)
-    for draw in range(24):
-        params = random_params(rng, n, 0.25, (1,) if draw % 8 == 0 else DENOMINATORS)
-        if not any(params.gamma):
-            params = Parameters.of(n, params.alpha, params.beta, [1] + list(params.gamma[1:]))
+    for draw in range(DRAWS_PER_N):
+        params = random_params(rng, n, 0.25, () if draw % 8 == 0 else DENOMINATORS, nonzero_gamma=True)
         sys_ = ReductionSystem(n, None, PRESET_QDU, params, _qdu_specs(params))
-        reducer = reducer_of(sys_)
+        reducer = assert_overlaps_resolve(sys_)
         for _ in range(2):
             a = random_element(rng, n)
             got = normal_form(sys_, a)
@@ -309,9 +325,13 @@ def custom_relations(n: int, rules: list) -> list:
 
 # Confluent systems that are neither preset, with rational coefficients
 # (D != 1): an inclusion ambiguity that resolves (d(du) -> r du -> r^2 u
-# agrees with ddu -> r^2 u), and du -> c ud + r e_v at each vertex, with
-# the constant term absent at one vertex and a denominator 10007 at another.
+# agrees with ddu -> r^2 u); du -> c ud + r e_v at each vertex, with the
+# constant term absent at one vertex and a denominator 10007 at another;
+# and uu -> u/2 at n = 1, whose leading word is all u (each code 2^b - 1),
+# so the one-arrow word u packs to the suffix mask of uu and only the
+# length guard keeps it from being rewritten.
 CUSTOM_SYSTEMS = {
+    "u-squared": (1, [(0, "uu", {"u": "1/2"})]),
     "inclusion": (1, [(0, "ddu", {"u": "1/4"}), (0, "du", {"u": "-1/2"})]),
     "weyl": (1, [(0, "du", {"ud": "2/3", "": "-1/2"})]),
     "weyl-three-vertices": (3, [(0, "du", {"ud": "2/3", "": "-1/2"}), (1, "du", {"ud": -1}),
@@ -353,7 +373,9 @@ def definition_overlaps(rules: list) -> list:
     return out
 
 
-def assert_overlaps_resolve(sys_: ReductionSystem) -> None:
+def assert_overlaps_resolve(sys_: ReductionSystem) -> oracle.Reducer:
+    """The overlaps of ``check_confluence`` against the definition, each resolving, and the
+    normal forms of their words against the oracle; returns the oracle's reducer."""
     report = check_confluence(sys_)
     assert [(names(o.word), o.left_rule, o.right_rule) for o in report.overlaps] == \
         definition_overlaps([names(r.lhs) for r in sys_.rules])
@@ -362,6 +384,7 @@ def assert_overlaps_resolve(sys_: ReductionSystem) -> None:
     for o in report.overlaps:
         word = Element.from_path(o.word)
         assert as_terms(normal_form(sys_, word)) == oracle_nf(reducer, word)
+    return reducer
 
 
 def test_confluence_grid_overlaps_match_the_definitions(monkeypatch):
@@ -382,10 +405,7 @@ def test_confluence_grid_overlaps_match_the_definitions(monkeypatch):
 
 @pytest.mark.parametrize("n", range(1, 6))
 def test_overlaps_match_the_definitions(n):
-    rng = random.Random(15_100 + n)
-    for _ in range(6):
-        params = random_params(rng, n, 0.25, DENOMINATORS)
-        assert_overlaps_resolve(ReductionSystem(n, None, PRESET_QDU, params, _qdu_specs(params)))
+    # Random QDU systems: test_normal_form_matches_the_oracle_to_degree_14.
     assert_overlaps_resolve(_preprojective_system.__wrapped__(n))
     assert_overlaps_resolve(build_system(PRESET_QDU, GRADED_DOWN_UP))
 

@@ -44,7 +44,7 @@ from quiverdu.skewgroup import GRADED_DOWN_UP
 from quiverdu.structure import noetherian_chain_check, property_report, pwd_probe_H
 import oracle
 from test_golden_json import CONFIGS
-from test_oracle import reducer_of, word_names
+from test_oracle import packed, random_params, reducer_of, word_names
 from test_product_reference import run_probe, top_degree_regimes
 from test_rewrite import Poly, symbolic_params, symbolic_system
 
@@ -122,13 +122,6 @@ def test_length_guard_keeps_a_short_normal_word():
 # The kernel against the oracle
 # ---------------------------------------------------------------------------
 
-def random_params(rng: random.Random, n: int) -> Parameters:
-    """Entries with denominators 1, 2, 3 and 7 (so D != 1), about a quarter zero."""
-    entry = lambda: Fraction(0) if rng.random() < 0.25 else \
-        Fraction(rng.choice((-3, -2, -1, 1, 2, 5)), rng.choice((1, 2, 3, 7)))
-    return Parameters.of(n, *([entry() for _ in range(n)] for _ in range(3)))
-
-
 def letter_codes(n: int, source: int, letters) -> tuple[int, ...]:
     """The codes of the path from ``source`` spelled by u/d letters: u_v is n + v, d_{v-1} is v - 1."""
     codes, at = [], source
@@ -191,7 +184,7 @@ def test_kernel_matches_the_oracle_on_rational_parameters(n):
     rng = random.Random(30_200 + n)
     denominators = []
     for _ in range(4):
-        params = random_params(rng, n)
+        params = random_params(rng, n, 0.25, (1, 2, 3, 7))
         sys_ = ReductionSystem(n, None, PRESET_QDU, params, _qdu_specs(params))
         assert_kernel_matches_oracle(sys_, rng)
         denominators.append(_tables(sys_).denominator)
@@ -246,8 +239,7 @@ def via_oracle(monkeypatch) -> None:
         pe = 0
         while any((c * D ** pe).denominator != 1 for c in out.values()):
             pe += 1
-        code = lambda name: int(name[1:]) + (n if name[0] == "u" else 0)
-        return pe, {_pack_word(map(code, v), tables.bits): int(c * D ** pe) for v, c in out.items() if c}
+        return pe, {packed(n, v): int(c * D ** pe) for v, c in out.items() if c}
 
     monkeypatch.setattr(structure, "_normal_times", normal_times)
 

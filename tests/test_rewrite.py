@@ -532,7 +532,8 @@ def test_coded_shape_matches_the_letter_parser():
 
 
 def test_coded_shape_reads_basis_paths_as_normal_shape():
+    from test_oracle import names  # here, since test_oracle imports this module
     sys_ = ensure_confluent(build_system(PRESET_QDU, rand_params(3, random.Random(8))))
     tables = rewrite._tables(sys_)
     for p in enumerate_basis(sys_, 7):
-        assert coded_shape(3, tables.encode(p)) == shape(tuple(str(a) for a in p.arrows))
+        assert coded_shape(3, tables.encode(p)) == shape(names(p))

@@ -2,7 +2,7 @@
 
     python3 tools/mutants.py rewrite:_times_word linalg:RowSpace.add \\
         --tests tests/test_rewrite.py tests/test_linalg.py \\
-        --out MUTANTS_32.json --label change [--repo DIR] [--jobs 2]
+        --out MUTANTS_32.json --label change [--repo DIR]
 
     python3 tools/mutants.py --compare parent change --out MUTANTS_32.json
 
@@ -13,9 +13,9 @@ included: a comparison swapped (``==``/``!=``, ``<``/``<=``, ``>``/``>=``,
 dropped, ``all``/``any`` swapped, or an int constant 0..4 raised by one.
 The module is written back from the mutated syntax tree into a copy of
 the repository's ``src/`` and ``tests/``, and the selected tests run there
-with ``pytest -x`` and a fixed Hypothesis seed.  A mutant is ``killed``
-when they fail, ``timeout`` when they overrun three times the unmutated
-run, and ``survived`` when they pass.  A site in the allowlist
+with ``pytest -x`` and a fixed Hypothesis seed, one mutant after another.
+A mutant is ``killed`` when they fail, ``timeout`` when they overrun three
+times the unmutated run, and ``survived`` when they pass.  A site in the allowlist
 (``tools/equivalent_mutants.json``: ``key`` and a one-line ``reason``) is
 an equivalent mutant: it is not run and reads ``equivalent``.
 
@@ -32,13 +32,11 @@ import ast
 import copy
 import json
 import os
-import queue
 import shutil
 import subprocess
 import sys
 import tempfile
 import time
-from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 ALLOWLIST = Path(__file__).with_name("equivalent_mutants.json")
@@ -159,8 +157,8 @@ def run_tests(work: Path, tests: list[str], timeout: float) -> tuple[str, float]
     return status, time.perf_counter() - start
 
 
-def workspace(root: Path, base: Path, k: int) -> Path:
-    work = base / f"w{k}"
+def workspace(root: Path, base: Path) -> Path:
+    work = base / "work"
     for part in ("src", "tests"):
         shutil.copytree(root / part, work / part, ignore=shutil.ignore_patterns("__pycache__"))
     shutil.copy(root / "pyproject.toml", work)
@@ -173,36 +171,24 @@ def run(args) -> dict:
     allow = {entry["key"] for entry in json.loads(ALLOWLIST.read_text(encoding="utf-8"))}
     base = Path(tempfile.mkdtemp(prefix="mutants-", dir=args.workdir))
     try:
-        works = [workspace(root, base, k) for k in range(args.jobs)]
+        work = workspace(root, base)
         # The unmutated modules, written back from their syntax trees, must pass.
         for module in {m["module"] for m in mutants}:
             source = module_file(root, module).read_text(encoding="utf-8")
-            module_file(works[0], module).write_text(ast.unparse(ast.parse(source)), encoding="utf-8")
-        status, baseline = run_tests(works[0], args.tests, timeout=3600)
+            module_file(work, module).write_text(ast.unparse(ast.parse(source)), encoding="utf-8")
+        status, baseline = run_tests(work, args.tests, timeout=3600)
         if status != "survived":
             raise SystemExit("the selected tests fail without a mutant")
-        for module in {m["module"] for m in mutants}:
-            shutil.copy(module_file(root, module), module_file(works[0], module))
-        free: queue.Queue = queue.Queue()
-        for work in works:
-            free.put(work)
-
-        def one(mutant):
+        for mutant in mutants:
             if mutant["key"] in allow:
-                return "equivalent", 0.0
-            work = free.get()
-            target = module_file(work, mutant["module"])
-            try:
+                status, seconds = "equivalent", 0.0
+            else:
+                target = module_file(work, mutant["module"])
                 target.write_text(mutated_source(root, mutant), encoding="utf-8")
-                return run_tests(work, args.tests, timeout=3 * baseline + 10)
-            finally:
+                status, seconds = run_tests(work, args.tests, timeout=3 * baseline + 10)
                 shutil.copy(module_file(root, mutant["module"]), target)
-                free.put(work)
-
-        with ThreadPoolExecutor(args.jobs) as pool:
-            for mutant, (status, seconds) in zip(mutants, pool.map(one, mutants)):
-                mutant["status"] = status
-                print(f"{status:10} {seconds:6.1f} s  {mutant['key']}", flush=True)
+            mutant["status"] = status
+            print(f"{status:10} {seconds:6.1f} s  {mutant['key']}", flush=True)
     finally:
         shutil.rmtree(base, ignore_errors=True)
     for mutant in mutants:
@@ -233,7 +219,6 @@ def main(argv=None) -> int:
     parser.add_argument("--out", required=True, help="JSON file; results merge under --label")
     parser.add_argument("--label", default="change")
     parser.add_argument("--repo", default=".", help="checkout whose src/ and tests/ are copied")
-    parser.add_argument("--jobs", type=int, default=1)
     parser.add_argument("--workdir", default=None, help="where the copies go (default: system temp)")
     parser.add_argument("--compare", nargs=2, metavar=("BEFORE", "AFTER"))
     args = parser.parse_args(argv)
