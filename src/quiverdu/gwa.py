@@ -24,17 +24,18 @@ substitution per term pair instead of m.
 
 ``BaseElement`` (monomial (v, a, b) -> rational) and ``GwaElement``
 (exponent m -> coefficient r_m in R) are ``core.Combination``s: their
-linear arithmetic is the shared kernel, and only their products and the
-maps below live here.
+linear arithmetic is the shared kernel, and only their printing lives
+here.  ``theta`` returns and ``theta_prime`` takes a ``GwaElement``, and a
+failing probe trial prints its factors as ``GwaElement``s; everything else
+stays coded.
 
 All products run on R in the int-coded form of ``core`` (``(den,
 {(v, a, b): int})``), summed by ``core.add_into``, with zero sums dropped
-where the ``BaseElement`` operations drop them, so decoded values keep the
-``Fraction`` computation's key order.  The ``sigma`` functions,
-``_ShiftTable.cross``, ``BaseElement``'s ``*`` and ``gwa_multiply``
-decode on return.  ``pwd_probe_gwa`` draws coded factors (``core.Sampler``)
-and multiplies their top X-degree parts, the full factors only when that
-part vanishes; it decodes a failing trial's factors, to print them.
+where a ``Fraction`` product of ``BaseElement``s would drop them, so a
+decoded value keeps that computation's key order.  ``pwd_probe_gwa`` draws coded
+factors (``core.Sampler``) and multiplies their top X-degree parts, the
+full factors only when that part vanishes; it decodes a failing trial's
+factors, to print them.
 
 The algebra maps are theta(u_i) = X_i^-, theta(d_i) = X_i^+ and its
 inverse theta_prime with theta_prime(x_i) = u_i d_i and theta_prime(y_i) =
@@ -67,25 +68,6 @@ class BaseElement(Combination):
             raise ValueError("bad base monomial")
         return key, Fraction(coeff)
 
-    @classmethod
-    def e(cls, n: int, v: int) -> "BaseElement":
-        return cls(n, {(v % n, 0, 0): Fraction(1)})
-
-    @classmethod
-    def x(cls, n: int, i: int) -> "BaseElement":
-        return cls(n, {(i % n, 1, 0): Fraction(1)})
-
-    @classmethod
-    def y(cls, n: int, i: int) -> "BaseElement":
-        return cls(n, {(i % n, 0, 1): Fraction(1)})
-
-    @classmethod
-    def one(cls, n: int) -> "BaseElement":
-        return cls(n, {(v, 0, 0): Fraction(1) for v in range(n)})
-
-    def _product(self, other: "BaseElement") -> "BaseElement":
-        return BaseElement.from_coded(self.n, *_product(self.coded(), other.coded()))
-
     def __str__(self) -> str:
         if not self.terms:
             return "0"
@@ -103,24 +85,11 @@ class BaseElement(Combination):
         return " + ".join(bits)
 
 
-def sigma(params: Parameters, b: BaseElement) -> BaseElement:
-    """The shift substitution extended multiplicatively to R."""
-    return _shift_table(params).apply(b, 1)
-
-
-def sigma_inverse(params: Parameters, b: BaseElement) -> BaseElement:
-    return _shift_table(params).apply(b, -1)
-
-
-def sigma_power(params: Parameters, b: BaseElement, m: int) -> BaseElement:
-    return _shift_table(params).apply(b, m)
-
-
 # ---------------------------------------------------------------------------
 # Products on coded values of R.  Every loop below visits terms in the
-# order of the BaseElement operation it replaces, and zero sums are
-# stripped where that operation strips them, so decoded values keep
-# BaseElement's key order.
+# order of the Fraction product it replaced (every pair of terms at one
+# vertex, summed as Combination.combine sums), and zero sums are stripped
+# where that product strips them, so decoded values keep its key order.
 # ---------------------------------------------------------------------------
 
 def _decode_gwa(n: int, coded: dict) -> GwaElement:
@@ -148,7 +117,7 @@ def _by_vertex(nums: dict) -> dict[int, list[tuple[int, int, int]]]:
 
 def _times(left: tuple[int, dict], den: int, at: dict) -> tuple[int, dict]:
     """left times the value with denominator ``den`` and terms ``at`` (by vertex),
-    as ``BaseElement._product``."""
+    the e_v being orthogonal idempotents."""
     d, nums = left
     sums: dict[tuple[int, int, int], int] = {}
     for (v, a, b), c in nums.items():
@@ -233,12 +202,6 @@ class _ShiftTable:
         d, out = acc
         return s[0] * d, {k: c for k, c in out.items() if c}
 
-    def apply(self, b: BaseElement, m: int) -> BaseElement:
-        if m == 0:
-            return b
-        self.images(m)  # refuses m < 0 without sigma^-1, also for b = 0
-        return BaseElement.from_coded(self.params.n, *self.shift(b.coded(), m))
-
     def coded_cross(self, m1: int, m2: int) -> tuple[int, dict, dict]:
         """(den, numerators, numerators by vertex) of ``cross(m1, m2)``."""
         key = (m1, m2)
@@ -252,10 +215,6 @@ class _ShiftTable:
                 den, nums = 1, {(v, 0, 0): 1 for v in range(self.params.n)}
             out = self._cross[key] = (den, nums, _by_vertex(nums))
         return out
-
-    def cross(self, m1: int, m2: int) -> BaseElement:
-        """Coefficient from contracting X^{m1} X^{m2} into X^{m1+m2}."""
-        return BaseElement.from_coded(self.params.n, *self.coded_cross(m1, m2)[:2])
 
     def _x_total(self, m: int) -> tuple[int, dict]:
         """sigma^m(x), x = sum_v x_v."""
@@ -278,28 +237,6 @@ class GwaElement(Combination):
             raise ValueError("coefficient over wrong n")
         return m, r
 
-    @classmethod
-    def from_base(cls, r: BaseElement) -> "GwaElement":
-        return cls(r.n, {0: r})
-
-    @classmethod
-    def x_minus(cls, n: int, i: int | None = None) -> "GwaElement":
-        r = BaseElement.one(n) if i is None else BaseElement.e(n, i)
-        return cls(n, {-1: r})
-
-    @classmethod
-    def x_plus(cls, n: int, i: int | None = None) -> "GwaElement":
-        r = BaseElement.one(n) if i is None else BaseElement.e(n, i + 1)
-        return cls(n, {1: r})
-
-    def x_degrees(self) -> list[int]:
-        return sorted(self.terms)
-
-    def top_x_degree(self) -> int:
-        if not self.terms:
-            raise ValueError("zero element has no top degree")
-        return max(self.terms)
-
     def __str__(self) -> str:
         if not self.terms:
             return "0"
@@ -312,11 +249,6 @@ class GwaElement(Combination):
                 gen = "X+" if m > 0 else "X-"
                 bits.append(f"({r})*{gen}^{abs(m)}")
         return " + ".join(bits)
-
-
-def gwa_multiply(params: Parameters, a: GwaElement, b: GwaElement) -> GwaElement:
-    coded = [{m: r.coded() for m, r in x.terms.items()} for x in (a, b)]
-    return _decode_gwa(params.n, _coded_multiply(_gwa_table(params), *coded))
 
 
 def _gwa_table(params: Parameters) -> _ShiftTable:

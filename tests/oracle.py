@@ -1,4 +1,4 @@
-"""A test oracle for rewriting and elimination, written from the definitions.
+"""A test oracle for rewriting, elimination and the GWA model, written from the definitions.
 
 It imports nothing from ``quiverdu`` and no test module, so a mistake in
 the package cannot be copied into it; ``tests/test_oracle.py`` enforces
@@ -22,6 +22,14 @@ zero test (``Fraction``, int, the tests' ``Poly``).
 - ``rank``, ``in_span`` and ``spans_equal`` are dense Gaussian elimination
   over any field-like scalar (``Fraction``, or the ``CycScalar`` values a
   test passes in with their ``zero``).
+- ``Gwa`` is the generalized Weyl algebra T = R[X^+, X^-; sigma] of one
+  parameter vector: R = sum_v k[x_v, y_v] e_v multiplied vertex by vertex,
+  sigma and sigma^-1 substituted from their defining formulas, T's product
+  taken one generator at a time from X^+- r = sigma^+-1(r) X^+-,
+  X^- X^+ = x and X^+ X^- = sigma(x) alone, theta (u_i -> e_i X^-,
+  d_i -> e_{i+1} X^+) on arrow-name words, and theta' (x_i -> u_i d_i,
+  y_i -> d_{i-1} u_{i-1}, X^- -> sum u_i, X^+ -> sum d_i) reduced by
+  ``Reducer``.
 """
 
 from __future__ import annotations
@@ -191,3 +199,173 @@ def in_span(rows: list, target, zero=Fraction(0)) -> bool:
 def spans_equal(rows_a: list, rows_b: list, zero=Fraction(0)) -> bool:
     both = rank(rows_a + rows_b, zero)
     return rank(rows_a, zero) == both == rank(rows_b, zero)
+
+
+# ---------------------------------------------------------------------------
+# The generalized Weyl algebra T = R[X^+, X^-; sigma]
+# ---------------------------------------------------------------------------
+
+def _add(out: dict, key, c) -> None:
+    out[key] = out[key] + c if key in out else c
+
+
+class Gwa:
+    """T over R = sum_v k[x_v, y_v] e_v for one parameter vector, from the definitions.
+
+    An element of R is {(v, a, b): c} for the sum of c x_v^a y_v^b e_v; an
+    element of T is {m: r}, r in R, for the sum of r X^m with X^m = (X^+)^m
+    for m > 0 and (X^-)^{-m} for m < 0.  Zero coefficients and empty r are
+    dropped.  sigma^-1 needs every beta_v nonzero.
+    """
+
+    def __init__(self, n: int, alpha, beta, gamma):
+        self.n = n
+        self.alpha, self.beta, self.gamma = ([Fraction(c) for c in vec] for vec in (alpha, beta, gamma))
+        self.reducer = Reducer(oriented(qdu_relations(n, self.alpha, self.beta, self.gamma), n))
+        self.memo: dict = {}  # (monomial, +-1) -> its image under sigma^+-1
+
+    # R ------------------------------------------------------------------
+
+    def e(self, v: int) -> dict:
+        return {(v % self.n, 0, 0): Fraction(1)}
+
+    def x(self, v: int) -> dict:
+        return {(v % self.n, 1, 0): Fraction(1)}
+
+    def y(self, v: int) -> dict:
+        return {(v % self.n, 0, 1): Fraction(1)}
+
+    def x_total(self) -> dict:
+        """x = sum_v x_v."""
+        return {(v, 1, 0): Fraction(1) for v in range(self.n)}
+
+    def combine(self, parts) -> dict:
+        """The sum of c r over the pairs (r, c), r in R."""
+        out: dict = {}
+        for r, c in parts:
+            for k, rc in r.items():
+                _add(out, k, c * rc)
+        return nonzero(out.items())
+
+    def r_times(self, r: dict, s: dict) -> dict:
+        """r s in R: the e_v are orthogonal idempotents, and each k[x_v, y_v] is commutative."""
+        out: dict = {}
+        for (v, a, b), c in r.items():
+            for (w, a2, b2), c2 in s.items():
+                if v == w:
+                    _add(out, (v, a + a2, b + b2), c * c2)
+        return nonzero(out.items())
+
+    def _images(self, v: int, sign: int) -> tuple[dict, dict, dict]:
+        """(e_v, x_v, y_v) under sigma (sign 1) or sigma^-1 (sign -1).
+
+        sigma: e_v -> e_{v+1}, x_v -> y_{v+1}, y_v -> alpha_v y_{v+1} + beta_v x_{v+1} + gamma_v e_{v+1}.
+        Solving the last for x_{v+1} and shifting: sigma^-1 sends e_v -> e_{v-1}, y_v -> x_{v-1} and
+        x_v -> (y_{v-1} - alpha_{v-1} x_{v-1} - gamma_{v-1} e_{v-1}) / beta_{v-1}.
+        """
+        n = self.n
+        if sign > 0:
+            w = (v + 1) % n
+            y_image = self.combine([(self.y(w), self.alpha[v]), (self.x(w), self.beta[v]),
+                                    (self.e(w), self.gamma[v])])
+            return self.e(w), self.y(w), y_image
+        w = (v - 1) % n
+        if not self.beta[w]:
+            raise ValueError("sigma is not invertible: some beta_v = 0")
+        inv = 1 / self.beta[w]
+        x_image = self.combine([(self.y(w), inv), (self.x(w), -self.alpha[w] * inv),
+                                (self.e(w), -self.gamma[w] * inv)])
+        return self.e(w), x_image, self.x(w)
+
+    def _substituted(self, monomial: tuple, sign: int) -> dict:
+        """sigma^sign(x_v^a y_v^b e_v) = sigma^sign(e_v) sigma^sign(x_v)^a sigma^sign(y_v)^b, memoized."""
+        key = (monomial, sign)
+        if key not in self.memo:
+            v, a, b = monomial
+            e_image, x_image, y_image = self._images(v, sign)
+            image = e_image
+            for factor in [x_image] * a + [y_image] * b:
+                image = self.r_times(image, factor)
+            self.memo[key] = image
+        return self.memo[key]
+
+    def sigma(self, r: dict, m: int = 1) -> dict:
+        """sigma^m(r): |m| substitutions of the images of e_v, x_v and y_v into each monomial."""
+        for _ in range(abs(m)):
+            r = self.combine((self._substituted(k, 1 if m > 0 else -1), c) for k, c in r.items())
+        return r
+
+    # T ------------------------------------------------------------------
+
+    def t_sum(self, parts) -> dict:
+        """The sum of c t over the pairs (t, c), t in T."""
+        out: dict = {}
+        for t, c in parts:
+            for m, r in t.items():
+                at = out.setdefault(m, {})
+                for k, rc in r.items():
+                    _add(at, k, c * rc)
+        return {m: p for m, r in out.items() if (p := nonzero(r.items()))}
+
+    def times_base(self, t: dict, s: dict) -> dict:
+        """t s for s in R: X^+- s = sigma^+-1(s) X^+-, so r X^m s = r sigma^m(s) X^m."""
+        return {m: p for m, r in t.items() if (p := self.r_times(r, self.sigma(s, m)))}
+
+    def times_generator(self, t: dict, sign: int) -> dict:
+        """t X^+ (sign 1) or t X^- (sign -1), one term r X^m at a time.
+
+        Where m and sign agree (or m = 0) the powers add.  Otherwise one X^-+ meets the
+        generator: for m < 0, X^m X^+ = (X^-)^{-m-1} x = sigma^{m+1}(x) X^{m+1} by X^- X^+ = x;
+        for m > 0, X^m X^- = (X^+)^{m-1} sigma(x) = sigma^{m-1}(sigma(x)) X^{m-1} by X^+ X^- = sigma(x).
+        """
+        parts = []
+        for m, r in t.items():
+            if m * sign >= 0:
+                parts.append(({m + sign: r}, 1))
+            elif m < 0:
+                parts.append(({m + 1: self.r_times(r, self.sigma(self.x_total(), m + 1))}, 1))
+            else:
+                parts.append(({m - 1: self.r_times(r, self.sigma(self.sigma(self.x_total()), m - 1))}, 1))
+        return self.t_sum(parts)
+
+    def times(self, a: dict, b: dict) -> dict:
+        """a b in T: each term s X^k of b multiplies a as s, then as |k| generators, one at a time."""
+        parts = []
+        for k, s in b.items():
+            t = self.times_base(a, s)
+            for _ in range(abs(k)):
+                t = self.times_generator(t, 1 if k > 0 else -1)
+            parts.append((t, 1))
+        return self.t_sum(parts)
+
+    # theta and theta' ----------------------------------------------------
+
+    def theta_word(self, source: int, word: tuple) -> dict:
+        """theta of a path from ``source``: e_source times the images u_i -> e_i X^-, d_i -> e_{i+1} X^+."""
+        t = {0: self.e(source)}
+        for name in word:
+            i = int(name[1:])
+            t = self.times(t, {-1: self.e(i)} if name[0] == "u" else {1: self.e(i + 1)})
+        return t
+
+    def theta(self, a: dict) -> dict:
+        """theta of {(source, word): c}, linearly."""
+        return self.t_sum((self.theta_word(source, word), c) for (source, word), c in a.items())
+
+    def theta_prime(self, t: dict) -> dict:
+        """theta'(t) as {(source, normal word): c}: x_v -> u_v d_v, y_v -> d_{v-1} u_{v-1},
+        X^- -> sum_i u_i and X^+ -> sum_i d_i, each image reduced by ``reducer``.
+
+        The image of x_v^a y_v^b e_v is a loop at v; after it, of sum_i u_i only u_at leaves the
+        vertex ``at`` reached, and of sum_i d_i only d_{at-1}, so each term of t is one path.
+        """
+        n, out = self.n, {}
+        for m, r in t.items():
+            for (v, a, b), c in r.items():
+                word, at = (u(v, n), d(v, n)) * a + (d(v - 1, n), u(v - 1, n)) * b, v
+                for _ in range(abs(m)):
+                    word += (u(at, n),) if m < 0 else (d(at - 1, n),)
+                    at = at + 1 if m < 0 else at - 1
+                for w, cw in self.reducer.normal_form(word).items():
+                    _add(out, (v, w), c * cw)
+        return nonzero(out.items())

@@ -13,7 +13,8 @@ from quiverdu.core import Element, Parameters, format_element, parse_element, pa
 from quiverdu.gwa import BaseElement, GwaElement, theta, theta_prime
 from quiverdu.rewrite import PRESET_QDU, _tables, build_system, normal_form
 from oracle import shape
-from test_oracle import names
+from test_gwa_reference import as_oracle, oracle_of
+from test_oracle import as_terms, names, oracle_nf
 
 # Enough cases to hit cancellations and size mismatches, few enough to stay fast.
 kernel_settings = settings(max_examples=60, deadline=None)
@@ -200,6 +201,9 @@ def gwa_params_and_element(draw):
 @kernel_settings
 @given(gwa_params_and_element())
 def test_theta_prime_inverts_theta(case):
+    # theta(a) is the oracle's, and theta_prime(theta(a)) the oracle's normal form of a.
     params, a = case
-    sys_ = build_system(PRESET_QDU, params)
-    assert theta_prime(params, theta(params, a)) == normal_form(sys_, a)
+    image = theta(params, a)
+    t = oracle_of(params)
+    assert as_oracle(image) == t.theta(as_terms(a))
+    assert as_terms(theta_prime(params, image)) == oracle_nf(t.reducer, a)

@@ -7,7 +7,11 @@ the decoded rules of both presets, normal forms of random elements on
 random parameters (zero entries, gamma != 0, denominators up to 10007,
 words up to degree 14) and in confluent systems beyond the presets, the
 overlap ambiguities of ``check_confluence``, and the oracle's own
-independence from the package.
+independence from the package.  ``oracle.Gwa`` is checked here on the
+paper's identities alone (X^- X^+ = x, X^+ X^- = sigma(x), sigma^-1 the
+inverse of sigma, theta and theta' inverse on generators, theta killing
+every relation, associativity) and on values worked by hand;
+``test_gwa_reference.py`` compares the package's GWA kernel with it.
 """
 
 import ast
@@ -88,6 +92,66 @@ def test_oracle_elimination_over_fractions_and_cyclotomics():
     assert oracle.rank([{0: one, 1: z}, {0: z, 1: z * z}], zero) == 1
     assert oracle.rank([{0: one, 1: zero}, {0: zero, 1: z}], zero) == 2
     assert oracle.in_span([{0: one, 1: z}], {0: z, 1: z * z}, zero)
+
+
+def gwa_cases():
+    """One oracle T per n = 1..4: random alpha and gamma (zeros among them), random nonzero beta."""
+    rng = random.Random(3300)
+    entry = lambda: Fraction(rng.randint(-9, 9), rng.choice((1, 2, 3, 7)))
+    for n in range(1, 5):
+        beta = [Fraction(rng.randint(1, 9) * rng.choice((-1, 1)), rng.choice((1, 2, 3, 7))) for _ in range(n)]
+        yield oracle.Gwa(n, [entry() * rng.randint(0, 1) for _ in range(n)], beta,
+                         [entry() * rng.randint(0, 1) for _ in range(n)])
+
+
+@pytest.mark.parametrize("t", gwa_cases(), ids=lambda t: f"n{t.n}")
+def test_oracle_gwa_identities(t):
+    n = t.n
+    one = t.combine((t.e(v), 1) for v in range(n))
+    x_minus, x_plus = {-1: one}, {1: one}
+    assert t.times(x_minus, x_plus) == {0: t.x_total()}
+    assert t.times(x_plus, x_minus) == {0: t.sigma(t.x_total())}
+    for v in range(n):
+        for g in (t.e(v), t.x(v), t.y(v)):
+            assert t.sigma(t.sigma(g, -1)) == g and t.sigma(t.sigma(g), -1) == g
+            assert t.times(x_plus, {0: g}) == t.times({0: t.sigma(g)}, x_plus)
+        for arrow, source in ((oracle.u(v, n), v), (oracle.d(v, n), (v + 1) % n)):
+            assert t.theta_prime(t.theta({(source, (arrow,)): 1})) == {(source, (arrow,)): 1}
+        for g in ({0: t.x(v)}, {0: t.y(v)}, {-1: t.e(v)}, {1: t.e(v + 1)}):  # x_v, y_v, X_v^-, X_v^+
+            assert t.theta(t.theta_prime(g)) == g
+    # theta is well defined on H: every relation maps to zero.
+    for left, right in oracle.qdu_relations(n, t.alpha, t.beta, t.gamma):
+        source = (int(left[0][1:]) + (left[0][0] == "d")) % n  # u_k leaves k, d_k leaves k + 1
+        relation = {(source, left): 1, **{(source, w): -c for w, c in right.items()}}
+        assert t.theta({(source, left): 1}) and t.theta(relation) == {}
+
+
+def test_oracle_gwa_on_known_values():
+    # n = 2, alpha = (2, 0), beta = (3, -1), gamma = (1/2, 5).
+    t = oracle.Gwa(2, [2, 0], [3, -1], [Fraction(1, 2), 5])
+    assert t.sigma(t.y(0)) == {(1, 0, 1): 2, (1, 1, 0): 3, (1, 0, 0): Fraction(1, 2)}
+    assert t.sigma(t.x(1)) == {(0, 0, 1): 1} and t.sigma(t.e(1)) == {(0, 0, 0): 1}
+    # sigma^-1(x_1) = (y_0 - 2 x_0 - 1/2 e_0) / 3
+    assert t.sigma(t.x(1), -1) == {(0, 0, 1): Fraction(1, 3), (0, 1, 0): Fraction(-2, 3),
+                                   (0, 0, 0): Fraction(-1, 6)}
+    # X_0^+ X_0^- = e_1 X^+ e_0 X^- = y_1, and X^+ y_0 = sigma(y_0) X^+.
+    assert t.times({1: t.e(1)}, {-1: t.e(0)}) == {0: t.y(1)}
+    assert t.times({1: t.e(1)}, {0: t.y(0)}) == {1: t.sigma(t.y(0))}
+    # (X^+)^2 (X^-)^2 = sigma(sigma(x)) sigma(x), at n = 1 with beta = 1: sigma swaps x and y.
+    s = oracle.Gwa(1, [0], [1], [0])
+    assert s.times({2: s.e(0)}, {-2: s.e(0)}) == {0: {(0, 1, 1): 1}}
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.data())
+def test_oracle_gwa_product_is_associative(data):
+    t = data.draw(st.sampled_from(list(gwa_cases())))
+    n = t.n
+    monomials = st.tuples(st.integers(0, n - 1), st.integers(0, 2), st.integers(0, 2))
+    base = st.dictionaries(monomials, st.builds(Fraction, st.integers(-3, 3).filter(bool), st.integers(1, 3)),
+                           min_size=1, max_size=2)
+    a, b, c = (data.draw(st.dictionaries(st.integers(-2, 2), base, max_size=2)) for _ in range(3))
+    assert t.times(t.times(a, b), c) == t.times(a, t.times(b, c))
 
 
 # ---------------------------------------------------------------------------

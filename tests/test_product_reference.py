@@ -9,8 +9,9 @@ The references are the product-then-``normal_form`` bodies that
 ``normal_product`` replaced, kept here verbatim up to their names:
 ``pwd_probe_H`` (as ``reference_pwd_probe_H``), ``property_report``
 (as ``reference_property_report``, whose subalgebra loop rebuilt
-e_i x^a y^b from scratch for every (a, b)) and ``theta_prime`` (as
-``reference_theta_prime``).  Each must give the same report or element.
+e_i x^a y^b from scratch for every (a, b)).  Each must give the same
+report.  ``theta_prime``, which reduces one word per term, is compared
+with ``oracle.Gwa.theta_prime``.
 
 ``pwd_probe_H`` now draws, multiplies and zero-tests on int-coded words.
 Its ``normal_product`` body, which drew ``Element``s with
@@ -43,7 +44,7 @@ import pytest
 from quiverdu import core, gwa, structure
 from quiverdu.core import (NONZERO_NUMERATORS, Element, Parameters, Path, Sampler, path_from_word,
                            trivial_path)
-from quiverdu.gwa import BaseElement, GwaElement, theta_prime
+from quiverdu.gwa import theta_prime
 from quiverdu.linalg import RowSpace
 from quiverdu.rewrite import (
     PRESET_PREPROJECTIVE,
@@ -73,6 +74,8 @@ from quiverdu.structure import (
     property_report,
     pwd_probe_H,
 )
+from test_gwa_reference import as_gwa_element, as_oracle, oracle_of
+from test_oracle import as_terms
 
 
 def reference_pwd_probe_H(params: Parameters, degree_bound: int = 5, trials: int = 200,
@@ -216,28 +219,6 @@ def reference_property_report(params: Parameters) -> PropertyReport:
                 "dependence_zero": dependence,
             })
     return PropertyReport(flag, flag, flag, flag, witnesses, checks)
-
-
-def reference_theta_prime(params: Parameters, t: GwaElement) -> Element:
-    """x_i -> u_i d_i, y_i -> d_{i-1} u_{i-1}, X^- -> sum u_i, X^+ -> sum d_i.
-
-    The image is returned in normal form for the quiver down-up system.
-    """
-    if not params.beta_all_nonzero():
-        raise ValueError("theta_prime requires all beta_i nonzero")
-    n = params.n
-    u_total = Element(n, {path_from_word(n, i, "u"): Fraction(1) for i in range(n)})
-    d_total = Element(n, {path_from_word(n, (i + 1) % n, "d"): Fraction(1) for i in range(n)})
-    parts = []
-    for m, r in t.terms.items():
-        # x_v^a y_v^b e_v is the loop (u_v d_v)^a (d_{v-1} u_{v-1})^b at v.
-        base_img = Element(n, {path_from_word(n, v, "ud" * a + "du" * b): c
-                               for (v, a, b), c in r.terms.items()})
-        shift = Element.identity(n)
-        for _ in range(abs(m)):
-            shift = shift * (d_total if m > 0 else u_total)
-        parts.append((base_img * shift, 1))
-    return normal_form(build_system(PRESET_QDU, params), Element.combine(n, parts))
 
 
 # ---------------------------------------------------------------------------
@@ -419,13 +400,12 @@ def test_theta_prime_matches_reference(params):
     for _ in range(15):
         terms = {}
         for _ in range(rng.randint(1, 3)):
-            base = BaseElement(n, {(rng.randrange(n), rng.randint(0, 2), rng.randint(0, 2)):
-                                   Fraction(rng.randint(-5, 5), rng.randint(1, 3))
-                                   for _ in range(rng.randint(1, 2))})
-            if base:
+            base = {(rng.randrange(n), rng.randint(0, 2), rng.randint(0, 2)):
+                    Fraction(rng.randint(-5, 5), rng.randint(1, 3)) for _ in range(rng.randint(1, 2))}
+            if any(base.values()):
                 terms[rng.randint(-4, 4)] = base
-        t = GwaElement(n, terms)
-        assert theta_prime(params, t) == reference_theta_prime(params, t)
+        t = as_gwa_element(n, terms)
+        assert as_terms(theta_prime(params, t)) == oracle_of(params).theta_prime(as_oracle(t))
 
 
 # ---------------------------------------------------------------------------
@@ -446,7 +426,7 @@ def test_checks_do_not_build_path_algebra_products(monkeypatch):
     assert property_report(generic).checks_passed
     assert property_report(zero_beta).checks_passed
     assert noetherian_chain_check(zero_beta, s_max=2).ok
-    t = GwaElement(3, {2: BaseElement(3, {(0, 1, 1): 1}), -1: BaseElement.e(3, 2)})
+    t = as_gwa_element(3, {2: {(0, 1, 1): 1}, -1: {(2, 0, 0): 1}})
     assert not theta_prime(generic, t).is_zero()
     assert gwa.verify_gwa(generic, trials=5).ok
 

@@ -15,7 +15,7 @@ import pytest
 from quiverdu import gwa
 from quiverdu.core import Sampler
 from quiverdu.gwa import pwd_probe_gwa
-from test_gwa_reference import PROBE_PARAMS, full_product_pwd_probe_gwa
+from test_gwa_reference import PROBE_PARAMS, oracle_pwd_probe_gwa
 
 
 def draws(rng, below) -> list:
@@ -77,8 +77,7 @@ def test_gwa_probe_ends_in_the_reference_state(params, monkeypatch):
     monkeypatch.setattr(gwa, "Sampler", recording(Sampler))
     for degree_bound in (0, 2, 5):
         got = pwd_probe_gwa(params, degree_bound=degree_bound, trials=60, seed=degree_bound)
-        ref = full_product_pwd_probe_gwa(params, degree_bound=degree_bound, trials=60,
-                                         seed=degree_bound)
+        ref = oracle_pwd_probe_gwa(params, degree_bound=degree_bound, trials=60, seed=degree_bound)
         assert got == ref
         sampler, reference = made[-2:]
         assert type(sampler).__mro__[1] is Sampler
