@@ -158,6 +158,12 @@ def test_pwd_probe_deterministic_under_seed():
     assert r1 == r2
 
 
+def test_default_seed_is_zero():
+    p = params_n3()
+    assert pwd_probe_gwa(p, trials=5) == pwd_probe_gwa(p, trials=5, seed=0)
+    assert verify_gwa(p, trials=5).pwd == verify_gwa(p, trials=5, seed=0).pwd
+
+
 def test_verify_gwa_full():
     rng = random.Random(59)
     for _ in range(2):

@@ -330,6 +330,26 @@ def test_theta_prime_with_x_and_y_swapped_fails_the_base_round_trip(monkeypatch)
     assert not report.roundtrip_base and report.relations_killed and report.roundtrip_arrows
 
 
+# x_0, y_0, X_0^- and X_0^+ = e_1 X^+, coded as verify_gwa writes them.
+GENERATORS_AT_0 = [{0: (1, {(0, 1, 0): 1})}, {0: (1, {(0, 0, 1): 1})}, {-1: (1, {(0, 0, 0): 1})},
+                   {1: (1, {(1, 0, 0): 1})}]
+
+
+@pytest.mark.parametrize("broken", GENERATORS_AT_0)
+def test_theta_prime_wrong_on_one_generator_fails_the_base_round_trip(broken, monkeypatch):
+    # theta' doubles the image of this one generator only, so the base round
+    # trip must take exactly the paper's generators to see it (theta o theta'
+    # fixes every other element).
+    real = gwa._coded_theta_prime
+
+    def doubled(tables, coded):
+        den, row = real(tables, coded)
+        return [den, {k: 2 * c for k, c in row.items()} if coded == broken else row]
+
+    monkeypatch.setattr(gwa, "_coded_theta_prime", doubled)
+    report = verify_gwa(GENERIC, trials=1)
+    assert not report.roundtrip_base and report.relations_killed
+
 def test_an_arrow_image_with_a_second_x_degree_fails_the_grading(monkeypatch):
     real = gwa._theta_word
 
