@@ -7,7 +7,7 @@ from quiverdu import gwa
 from quiverdu.core import Element, Parameters, path_from_word
 from quiverdu.gwa import pwd_probe_gwa, theta, theta_prime, verify_gwa
 from quiverdu.rewrite import PRESET_QDU, build_system, normal_form
-from test_gwa_reference import as_gwa_element, oracle_of
+from test_gwa_reference import as_gwa_element, coded, coded_t, decoded, decoded_t, kernel_sigma, oracle_of
 
 
 def params_n3():
@@ -30,6 +30,110 @@ def rand_base(n, rng, deg=2, nterms=3):
         b = rng.randint(0, deg - a if deg >= a else 0)
         terms[(v, a, b)] = Fraction(rng.randint(-5, 5), rng.randint(1, 3))
     return {k: c for k, c in terms.items() if c}
+
+
+def kernel_times(params, a, b):
+    """a * b in T by the coded kernel, on {m: {(v, a, b): Fraction}}."""
+    return decoded_t(gwa._coded_multiply(gwa._gwa_table(params), coded_t(a), coded_t(b)))
+
+
+def e(v):
+    return {(v, 0, 0): Fraction(1)}
+
+
+def one(n):
+    return {(v, 0, 0): Fraction(1) for v in range(n)}
+
+
+# Known answers below are worked by hand from sigma's definition at params_n3:
+# sigma(e_v) = e_{v+1}, sigma(x_v) = y_{v+1},
+# sigma(y_v) = alpha_v y_{v+1} + beta_v x_{v+1} + gamma_v e_{v+1}.
+
+def test_sigma_on_generators():
+    p = params_n3()
+    # 2 y_1 + x_1 + 1/2 e_1
+    assert kernel_sigma(p, {(0, 0, 1): Fraction(1)}, 1) == {
+        (1, 0, 1): Fraction(2), (1, 1, 0): Fraction(1), (1, 0, 0): Fraction(1, 2)}
+    assert kernel_sigma(p, e(2), 1) == e(0)
+    assert kernel_sigma(p, {(0, 1, 0): Fraction(1)}, 1) == {(1, 0, 1): Fraction(1)}
+
+
+def test_sigma_inverse_formula():
+    # sigma^-1(y_{w+1}) = x_w, beta_w sigma^-1(x_{w+1}) = y_w - alpha_w x_w - gamma_w e_w
+    p = params_n3()
+    assert kernel_sigma(p, {(1, 0, 1): Fraction(1)}, -1) == {(0, 1, 0): Fraction(1)}
+    assert kernel_sigma(p, {(1, 1, 0): Fraction(1)}, -1) == {
+        (0, 0, 1): Fraction(1), (0, 1, 0): Fraction(-2), (0, 0, 0): Fraction(-1, 2)}
+    # w = 2: (y_2 - 1/3 x_2 - e_2) / (3/2)
+    assert kernel_sigma(p, {(0, 1, 0): Fraction(1)}, -1) == {
+        (2, 0, 1): Fraction(2, 3), (2, 1, 0): Fraction(-2, 9), (2, 0, 0): Fraction(-2, 3)}
+
+
+def test_sigma_roundtrip_and_homomorphism():
+    rng = random.Random(41)
+    p = rand_params(3, rng)
+    times = lambda r, s: decoded(gwa._product(coded(r), coded(s)))
+    for _ in range(20):
+        b, c = rand_base(3, rng), rand_base(3, rng)
+        assert kernel_sigma(p, kernel_sigma(p, b, 1), -1) == b
+        assert kernel_sigma(p, kernel_sigma(p, b, -2), 2) == b
+        assert kernel_sigma(p, times(b, c), 1) == times(kernel_sigma(p, b, 1), kernel_sigma(p, c, 1))
+    # idempotents are permuted cyclically
+    for i in range(3):
+        assert kernel_sigma(p, e(i), 1) == e((i + 1) % 3)
+
+
+def test_sigma_power_zero_returns_argument():
+    # sigma^0 is the identity, also where sigma has no inverse.
+    for p in (params_n3(), Parameters.of(2, [1, 1], [0, 1], [0, 0])):
+        gwa._shift_table.cache_clear()
+        table = gwa._shift_table(p)
+        assert table.images(0) == tuple(((1, {(v, 1, 0): 1}), (1, {(v, 0, 1): 1})) for v in range(p.n))
+        assert table.monomial(0, 0, 2, 1) == (1, {(0, 2, 1): 1})
+        assert table.monomial(0, p.n - 1, 0, 0) == (1, {(p.n - 1, 0, 0): 1})
+
+
+def test_gwa_multiply_needs_nonzero_beta():
+    for beta in ([1, 0, 1], [0, 1, 1]):
+        with pytest.raises(ValueError, match="requires all beta_i nonzero"):
+            gwa._gwa_table(Parameters.of(3, [1, 1, 1], beta, [0, 0, 0]))
+
+
+def test_gwa_contractions():
+    p = params_n3()
+    n = 3
+    # X^- X^+ = x and X^+ X^- = sigma(x)
+    assert kernel_times(p, {-1: one(n)}, {1: one(n)}) == {0: {(v, 1, 0): Fraction(1) for v in range(n)}}
+    assert kernel_times(p, {1: one(n)}, {-1: one(n)}) == {0: {(v, 0, 1): Fraction(1) for v in range(n)}}
+    # X_0^+ = e_1 X^+ and X_0^- = e_0 X^-: X_0^+ X_0^- = y_1, X_0^- X_0^+ = x_0
+    assert kernel_times(p, {1: e(1)}, {-1: e(0)}) == {0: {(1, 0, 1): Fraction(1)}}
+    assert kernel_times(p, {-1: e(0)}, {1: e(1)}) == {0: {(0, 1, 0): Fraction(1)}}
+
+
+def test_gwa_skew_commutation():
+    p = params_n3()
+    n = 3
+    # X^+ y_0 = sigma(y_0) X^+ and X^- y_1 = sigma^-1(y_1) X^- = x_0 X^-
+    assert kernel_times(p, {1: one(n)}, {0: {(0, 0, 1): Fraction(1)}}) == {
+        1: {(1, 0, 1): Fraction(2), (1, 1, 0): Fraction(1), (1, 0, 0): Fraction(1, 2)}}
+    assert kernel_times(p, {-1: one(n)}, {0: {(1, 0, 1): Fraction(1)}}) == {-1: {(0, 1, 0): Fraction(1)}}
+
+
+def test_gwa_associative():
+    rng = random.Random(43)
+    p = rand_params(3, rng)
+
+    def rand_gwa():
+        terms = {}
+        for _ in range(2):
+            b = rand_base(3, rng, deg=1, nterms=2)
+            if b:
+                terms[rng.randint(-2, 2)] = b
+        return terms
+
+    for _ in range(10):
+        a, b, c = rand_gwa(), rand_gwa(), rand_gwa()
+        assert kernel_times(p, kernel_times(p, a, b), c) == kernel_times(p, a, kernel_times(p, b, c))
 
 
 def test_gwa_caches_are_bounded_lru_caches():
