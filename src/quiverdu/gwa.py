@@ -30,9 +30,7 @@ failing probe trial prints its factors as ``GwaElement``s; everything else
 stays coded.
 
 All products run on R in the int-coded form of ``core`` (``(den,
-{(v, a, b): int})``), summed by ``core.add_into``, with zero sums dropped
-where a ``Fraction`` product of ``BaseElement``s would drop them, so a
-decoded value keeps that computation's key order.  ``pwd_probe_gwa`` draws coded
+{(v, a, b): int})``), summed by ``core.add_into``.  ``pwd_probe_gwa`` draws coded
 factors (``core.Sampler``) and multiplies their top X-degree parts, the
 full factors only when that part vanishes; it decodes a failing trial's
 factors, to print them.
@@ -86,10 +84,9 @@ class BaseElement(Combination):
 
 
 # ---------------------------------------------------------------------------
-# Products on coded values of R.  Every loop below visits terms in the
-# order of the Fraction product it replaced (every pair of terms at one
-# vertex, summed as Combination.combine sums), and zero sums are stripped
-# where that product strips them, so decoded values keep its key order.
+# Products on coded values of R and T.  The T product strips a sum that
+# cancels to zero in place, so a key that cancels and comes back is placed
+# after the keys that stayed.
 # ---------------------------------------------------------------------------
 
 def _decode_gwa(n: int, coded: dict) -> GwaElement:
@@ -99,7 +96,7 @@ def _decode_gwa(n: int, coded: dict) -> GwaElement:
 
 def _rational(parts) -> tuple[int, dict]:
     """The sum of c * x over the parts ``(x, c)``, x coded and c rational,
-    as ``BaseElement.combine``; stripped and reduced."""
+    stripped and reduced."""
     acc = [1, {}]
     for (d, nums), c in parts:
         c = Fraction(c)
@@ -297,7 +294,7 @@ def _theta_word(table: _ShiftTable, source: int, word: int) -> dict[int, tuple[i
 
 def _coded_theta(table: _ShiftTable, den: int, row: dict) -> dict[int, list]:
     """theta of an int row ``{(source, word): numerator}`` over ``den``, as {m: [den,
-    numerators]}, summed as ``GwaElement.combine`` sums (so in its key order)."""
+    numerators]}, with sums that cancel to zero stripped."""
     sums: dict[int, list] = {}
     for (source, word), c in row.items():
         for m, (d, nums) in _theta_word(table, source, word).items():

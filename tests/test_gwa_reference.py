@@ -97,9 +97,9 @@ def parameters(draw, beta=RATIONALS):
 
 
 def base_elements(n, max_size=4):
-    """Elements of R of degree <= 3."""
-    monomials = st.tuples(st.integers(0, n - 1), st.integers(0, 3), st.integers(0, 3)).filter(
-        lambda t: t[1] + t[2] <= 3)
+    """Elements of R of degree <= 4."""
+    monomials = st.tuples(st.integers(0, n - 1), st.integers(0, 4), st.integers(0, 4)).filter(
+        lambda t: t[1] + t[2] <= 4)
     return st.dictionaries(monomials, RATIONALS, max_size=max_size)
 
 
@@ -113,12 +113,12 @@ def sigma_cases(draw, beta=RATIONALS, powers=st.integers(-5, 5)):
     return params, draw(base_elements(params.n)), draw(powers)
 
 
-@settings(max_examples=150, deadline=None)
+@settings(max_examples=200, deadline=None)
 @given(sigma_cases())
 @example((Parameters.of(2, [Fraction(2, 7), 0], [Fraction(-3, 5), Fraction(9, 4)], [0, 0]),
           {(0, 2, 1): Fraction(5, 7), (1, 0, 3): -3, (0, 0, 0): 1}, -4))
 @example((Parameters.of(3, [0, 2, 1], [Fraction(-1, 2), 1, Fraction(3, 4)], [1, 0, -1]),
-          {(0, 2, 1): 1, (1, 0, 3): Fraction(3, 4), (2, 0, 0): -1}, -5))
+          {(0, 2, 2): 1, (1, 0, 3): Fraction(3, 4), (2, 0, 0): -1}, -5))
 def test_shift_matches_the_oracle(case):
     # One shift table per parameter set is shared across calls, so the
     # draws hit both fresh and already-filled tables.
@@ -182,8 +182,7 @@ def test_coded_gwa_multiply_strips_cancelled_sums_in_place():
     # n = 1, alpha = gamma = 0, beta = 1: sigma swaps x and y.  The parts at
     # X^0 are x y + e, then -x y (from X^-1 * X^1), then x y (from X^1 *
     # X^-1).  The sum strips x y when it cancels, so x y comes back after
-    # e, as a sum of Fraction-valued elements orders it; a sum that kept the
-    # zero would leave it first.
+    # e; a sum that kept the zero would leave it first.
     params = Parameters.of(1, [0], [1], [0])
     e = {(0, 0, 0): Fraction(1)}
     a = {0: e, -1: e, 1: e}
@@ -327,9 +326,9 @@ PROBE_PARAMS = [
 @pytest.mark.parametrize("params", PROBE_PARAMS)
 def test_top_parts_first_matches_full_product_probe(params):
     for degree_bound in (1, 2, 3, 4, 5):
-        for seed in (degree_bound, 7):
-            got = pwd_probe_gwa(params, degree_bound=degree_bound, trials=60, seed=seed)
-            assert got.ok and got == oracle_pwd_probe_gwa(params, degree_bound=degree_bound, trials=60,
+        for seed in (0, degree_bound, 7):
+            got = pwd_probe_gwa(params, degree_bound=degree_bound, trials=80, seed=seed)
+            assert got.ok and got == oracle_pwd_probe_gwa(params, degree_bound=degree_bound, trials=80,
                                                            seed=seed)
 
 
