@@ -31,9 +31,14 @@ stays coded.
 
 All products run on R in the int-coded form of ``core`` (``(den,
 {(v, a, b): int})``), summed by ``core.add_into``.  ``pwd_probe_gwa`` draws coded
-factors (``core.Sampler``) and multiplies their top X-degree parts, the
-full factors only when that part vanishes; it decodes a failing trial's
-factors, to print them.
+factors (``core.Sampler``) and decides each trial by the domain lemma for
+GWAs (V. Bavula, St. Petersburg Math. J. 4, 1993): for a in e_i T e_k and b
+in e_k T e_j with tops r X^{m1} and s X^{m2}, the top part of ab is
+r sigma^{m1}(s) cross(m1, m2) X^{m1 + m2}, whose first two factors are
+nonzero in the domain e_i R = k[x_i, y_i] because sigma is an automorphism.
+So the top part is nonzero exactly when cross(m1, m2) has an
+e_i-component, which the shift table keeps by vertex.  Only a failing
+trial takes the full product, and decodes its factors to print them.
 
 The algebra maps are theta(u_i) = X_i^-, theta(d_i) = X_i^+ and its
 inverse theta_prime with theta_prime(x_i) = u_i d_i and theta_prime(y_i) =
@@ -402,18 +407,18 @@ def _random_corner_element(params: Parameters, i: int, k: int, rng: Sampler,
 
 def pwd_probe_gwa(params: Parameters, degree_bound: int = 3, trials: int = 200,
                   seed: int = 0) -> GwaPwdReport:
-    """Sample sandwiched products in T and assert none vanishes.
+    """Sample sandwiched products in T and assert none vanishes, nor drops its top X-degree.
 
-    Also asserts the top X-degree of a product is the sum of the top
-    X-degrees of the factors.  T is Z-graded by X-degree, so the product's
-    part at max(a) + max(b) is the product of the parts of a and b at
-    max(a) and max(b) alone; a trial passes when that part is nonzero, and
-    only a failing trial takes the full product, to tell a zero product
-    from a dropped top degree.  Factors and products stay coded; a failing
-    trial's factors are decoded to print them.  A trial with a corner that
-    has no X-degree within ``degree_bound`` tests nothing; both factors are
-    still drawn, so later trials draw as before.  The probe passes only if
-    some trial was tested.
+    Each trial is decided by the domain lemma (V. Bavula, St. Petersburg Math. J. 4, 1993).
+    The tops r X^{m1} of a in e_i T e_k and s X^{m2} of b multiply to r sigma^{m1}(s)
+    cross(m1, m2) X^{m1 + m2}.  r and s are drawn nonzero, sigma^{m1}(s) != 0 as sigma is an
+    automorphism (``_gwa_table`` refuses a zero beta), and both lie in the domain e_i R =
+    k[x_i, y_i].  So the top part is nonzero exactly when cross(m1, m2) has an e_i-component:
+    a lookup in the table's cached cross factors, by vertex.  Only a failing trial takes the
+    full product, to tell a zero product from a dropped top degree, and decodes its factors
+    to print them.  A trial with a corner that has no X-degree within ``degree_bound`` tests
+    nothing; both factors are still drawn, so later trials draw as before.  Every tested
+    product is decided exactly; the probe passes only if some trial was tested.
     """
     table = _gwa_table(params)
     rng = Sampler(seed)
@@ -428,7 +433,7 @@ def pwd_probe_gwa(params: Parameters, degree_bound: int = 3, trials: int = 200,
             continue
         tested += 1
         top_a, top_b = max(a), max(b)
-        if _coded_multiply(table, {top_a: a[top_a]}, {top_b: b[top_b]}):
+        if i in table.coded_cross(top_a, top_b)[2]:
             continue
         if any(nums for _, nums in _coded_multiply(table, a, b).values()):
             kind = "top degree dropped"

@@ -16,13 +16,11 @@ import time
 import oracle
 from quiverdu import gwa
 from quiverdu.core import Element, Parameters, path_from_word
-from test_gwa_reference import as_oracle, coded, decoded
+from test_gwa_reference import N9, as_oracle, coded, decoded
 from test_oracle import names
 
 CASES = [
-    Parameters.of(9, ["1", "2", "3", "1/2", "0", "-1", "2", "1", "5"],
-                  ["2", "3", "-3/2", "1", "7", "-1", "2", "1/3", "4"],
-                  ["1", "0", "2", "1", "1/2", "3", "1", "0", "2"]),
+    N9,
     Parameters.of(12, ["2", "1/2", "5", "-1", "3", "0", "1", "-2", "1/3", "4", "-1/2", "7"],
                   ["7", "-3/2", "13", "2", "-1", "3", "1/2", "5", "-2", "4", "-1/3", "6"], ["0"] * 12),
 ]

@@ -13,6 +13,13 @@ oracle's {m: {(v, a, b): Fraction}} and to one change it shares with the
 kernel: a corner with no X-degree within the bound draws None.  It is the
 reference for the draws' values, key order and random state, and
 ``oracle_pwd_probe_gwa`` multiplies its draws with the oracle.
+
+The probe decides each trial by the domain lemma, a lookup of the
+e_i-component of a cross factor.  ``product_pwd_probe_gwa`` keeps the
+top-part product that lookup replaced, to compare the two on every drawn
+trial; the lemma's hypothesis (every cross factor has every vertex) is
+checked against the oracle, and a sigma that is not injective must make
+the probe fail.
 """
 
 import json
@@ -27,7 +34,7 @@ from hypothesis import strategies as st
 
 import oracle
 from quiverdu import cli, gwa
-from quiverdu.core import Element, Parameters, path_from_word
+from quiverdu.core import Element, Parameters, Sampler, path_from_word
 from quiverdu.gwa import (BaseElement, GwaElement, GwaPwdReport, _coded_multiply, _gwa_table,
                           _shift_table, pwd_probe_gwa, theta)
 from test_oracle import names
@@ -398,3 +405,141 @@ def test_top_parts_first_classifies_failures_as_full_product(params, opposite_cr
                                            seed=degree_bound, vanishing=lambda m1, m2: m1 * m2 < 0)
         kinds.update(kind for _, kind, _, _ in got.failures)
     assert kinds == {"zero product", "top degree dropped"}
+
+
+# ---------------------------------------------------------------------------
+# The domain lemma that decides each probe trial
+# ---------------------------------------------------------------------------
+
+# The generic n = 9 config of the CI's GWA step: gamma != 0, and the
+# corners with residue 4 or 5 have no X-degree within bound 3.
+N9 = Parameters.of(9, ["1", "2", "3", "1/2", "0", "-1", "2", "1", "5"],
+                   ["2", "3", "-3/2", "1", "7", "-1", "2", "1/3", "4"],
+                   ["1", "0", "2", "1", "1/2", "3", "1", "0", "2"])
+
+
+def product_pwd_probe_gwa(params: Parameters, degree_bound: int, trials: int, seed: int,
+                          disagreements: list) -> GwaPwdReport:
+    """``pwd_probe_gwa`` as it was before the domain lemma: each trial multiplies the top
+    X-degree parts of its factors, and the full factors when that part vanishes.  A tested
+    trial whose lemma lookup, ``i in coded_cross(top_a, top_b)[2]``, disagrees with that
+    product is appended to ``disagreements``."""
+    table, rng, n = _gwa_table(params), Sampler(seed), params.n
+    failures, tested = [], 0
+    for t in range(trials):
+        i, k, j = rng.below(n), rng.below(n), rng.below(n)
+        a = gwa._random_corner_element(params, i, k, rng, degree_bound)
+        b = gwa._random_corner_element(params, k, j, rng, degree_bound)
+        if a is None or b is None:
+            continue
+        tested += 1
+        top_a, top_b = max(a), max(b)
+        top = bool(_coded_multiply(table, {top_a: a[top_a]}, {top_b: b[top_b]}))
+        if top != (i in table.coded_cross(top_a, top_b)[2]):
+            disagreements.append((t, top_a, top_b))
+        if top:
+            continue
+        if any(nums for _, nums in _coded_multiply(table, a, b).values()):
+            kind = "top degree dropped"
+        else:
+            kind = "zero product"
+        failures.append((t, kind, str(gwa._decode_gwa(n, a)), str(gwa._decode_gwa(n, b))))
+    return GwaPwdReport(trials, tested, seed, failures)
+
+
+@pytest.fixture
+def vertex_one_vanishes(monkeypatch):
+    """The e_1-component of cross(m1, m2) is 0 whenever m1 and m2 have opposite signs, and
+    only that one: a lookup at a vertex other than the product's would miss it."""
+    genuine = gwa._ShiftTable.coded_cross
+
+    def coded_cross(self, m1, m2):
+        den, nums, at = genuine(self, m1, m2)
+        if m1 * m2 < 0:
+            nums = {key: c for key, c in nums.items() if key[0] != 1 % self.params.n}
+            at = {v: terms for v, terms in at.items() if v != 1 % self.params.n}
+        return den, nums, at
+
+    monkeypatch.setattr(gwa._ShiftTable, "coded_cross", coded_cross)
+    _shift_table.cache_clear()
+    yield
+    _shift_table.cache_clear()
+
+
+@pytest.fixture(params=["genuine", "broken_cross", "opposite_crosses_vanish", "vertex_one_vanishes"])
+def cross_factors(request):
+    """The genuine shift tables, and each fixture above that breaks cross factors."""
+    if request.param != "genuine":
+        request.getfixturevalue(request.param)
+    return request.param
+
+
+@pytest.mark.parametrize("params", PROBE_PARAMS + [N9], ids=lambda p: f"n{p.n}")
+def test_lemma_lookup_decides_each_trial_as_the_top_product(params, cross_factors):
+    # Every drawn trial, at bounds 0..5 and many seeds: the lookup's verdict is
+    # the top parts' product's, and the reports are equal.
+    failed = 0
+    for degree_bound in range(6):
+        for seed in range(12):
+            disagreements = []
+            got = pwd_probe_gwa(params, degree_bound=degree_bound, trials=40, seed=seed)
+            assert got == product_pwd_probe_gwa(params, degree_bound, 40, seed, disagreements)
+            assert disagreements == []
+            failed += len(got.failures)
+    assert (failed > 0) == (cross_factors != "genuine")
+
+
+def lemma_configs(n: int) -> list[Parameters]:
+    """Random beta != 0 configs at n: with gamma = 0, and with alpha and gamma entrywise."""
+    rng = random.Random(3400 + n)
+    rational = lambda: Fraction(rng.choice([x for x in range(-9, 10) if x]), rng.randint(1, 7))
+    maybe = lambda: [rational() * rng.randint(0, 1) for _ in range(n)]
+    return [Parameters.of(n, maybe(), [rational() for _ in range(n)], [0] * n),
+            Parameters.of(n, maybe(), [rational() for _ in range(n)], maybe())]
+
+
+def crosses_missing_a_vertex(params: Parameters, power: int = 5) -> list[tuple[int, int]]:
+    """The (m1, m2) with |m1|, |m2| <= ``power`` whose cross factor lacks an e_i-component."""
+    table = _gwa_table(params)
+    return [(m1, m2) for m1 in range(-power, power + 1) for m2 in range(-power, power + 1)
+            if set(table.coded_cross(m1, m2)[2]) != set(range(params.n))]
+
+
+@pytest.mark.parametrize("n", range(1, 7))
+def test_every_cross_factor_has_every_vertex(n):
+    # The lemma's hypothesis: with every beta_i != 0, cross(m1, m2) has a
+    # nonzero e_i-component at every vertex i, in the kernel's table and in
+    # the oracle's X^{m1} X^{m2}.
+    for params in lemma_configs(n):
+        assert crosses_missing_a_vertex(params) == []
+        t = oracle_of(params)
+        one = t.combine((t.e(v), 1) for v in range(n))
+        for m1 in range(-5, 6):
+            for m2 in range(-5, 6):
+                cross = t.times({m1: one}, {m2: one})[m1 + m2]
+                assert {v for (v, _, _), c in cross.items() if c} == set(range(n)), (m1, m2)
+
+
+@pytest.fixture
+def sigma_kills_x0(monkeypatch):
+    """sigma(x_0) = 0, so sigma is not injective, with every shift table rebuilt: sigma^{m+1}
+    = sigma^m o sigma sends x_0 to 0 at each step up."""
+    genuine = gwa._ShiftTable._step
+
+    def step(self, m, sign):
+        out = genuine(self, m, sign)
+        return (((1, {}), out[0][1]),) + out[1:] if sign > 0 else out
+
+    monkeypatch.setattr(gwa._ShiftTable, "_step", step)
+    _shift_table.cache_clear()
+    yield
+    _shift_table.cache_clear()
+
+
+@pytest.mark.parametrize("params", PROBE_PARAMS + [N9], ids=lambda p: f"n{p.n}")
+def test_probe_fails_when_sigma_is_not_injective(params, sigma_kills_x0):
+    # With sigma(x_0) = 0 the lemma's hypothesis fails: sigma(x) has no
+    # e_1-component, nor has cross(1, -1) = sigma(x).  The probe must say so.
+    assert (1, -1) in crosses_missing_a_vertex(params)
+    report = pwd_probe_gwa(params, degree_bound=3, trials=200, seed=0)
+    assert not report.ok and report.failures
