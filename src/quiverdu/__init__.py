@@ -7,7 +7,6 @@ from .core import (
     Path,
     Scalar,
     adjacency_matrix,
-    compose,
     down,
     format_element,
     multiply,

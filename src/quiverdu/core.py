@@ -448,15 +448,6 @@ class Element(Combination):
         return f"Element({self.n}, {format_element(self)!r})"
 
 
-def compose(p: Path, q: Path) -> Element:
-    """Concatenation product of two paths: zero on source/target mismatch."""
-    if p.n != q.n:
-        raise ValueError("mismatched quiver sizes")
-    if p.target != q.source:
-        return Element.zero(p.n)
-    return Element.from_path(Path(p.n, p.source, p.arrows + q.arrows))
-
-
 def multiply(a: Element, b: Element) -> Element:
     """Bilinear extension of path concatenation."""
     if a.n != b.n:

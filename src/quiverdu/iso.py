@@ -31,7 +31,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .core import Parameters
-from .rewrite import PRESET_QDU, _add_scaled, _normal_word, _tables, build_system, ensure_confluent
+from .rewrite import PRESET_QDU, _normal_sum, _tables, build_system, ensure_confluent
 from .structure import DiagonalMapSpec
 
 ROTATION = "rotation"
@@ -120,10 +120,10 @@ def verify_witness(w: IsoWitness, src: Parameters, tgt: Parameters) -> bool:
     target = _tables(ensure_confluent(build_system(PRESET_QDU, tgt)))
     spec = w.spec
     for row in _tables(build_system(PRESET_QDU, src)).relation_rows():
-        image, e = {}, 0
-        for (_, word), c in spec.map_row(row)[1].items():
-            pe, part = _normal_word(target, word)
-            e = _add_scaled(image, e, part, pe, c, target.denominator)
+        # The relation's image: each word goes to one target word, times a scalar.
+        terms = [(word, c) for (_, word), c in spec.map_row(row)[1].items()]
+        # The relation is killed iff the image's normal form in the target is 0.
+        _, image = _normal_sum(target, terms)
         if any(image.values()):
             return False
     return True

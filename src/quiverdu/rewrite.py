@@ -20,10 +20,11 @@ forms, overlap resolution, basis enumeration and the automaton.  There a
 word is one int, its codes packed behind a sentinel bit (``_pack_word``),
 and Paths and Elements are built from words only for results.  Inside
 the kernel a combination is int numerators over a power D^e of the
-system's denominator, summed by ``_add_scaled``; inputs are encoded with
-``Combination.coded`` and results decoded with ``Element.from_coded``.
-``normal_product`` multiplies the left factor's normal form by the right
-factor's words, so the product's paths are never built.
+system's denominator, summed by ``_add_scaled``.  Every normal form of a
+sum, NF(sum of c * x·w) for a normal x, goes through ``_normal_sum``: it
+reduces x·w one arrow of w at a time (NF(a·b) = NF(NF(a)·b)), so no
+product is built as paths.  ``normal_form`` codes its input once
+(``_RuleTables.row``) and decodes its result once (``Element.from_coded``).
 """
 
 from __future__ import annotations
@@ -160,7 +161,7 @@ def _preprojective_system(n: int) -> ReductionSystem:
 # ---------------------------------------------------------------------------
 
 class _RuleTables:
-    """A system's rules on int-coded words, built from its specs, and its product memos.
+    """A system's rules on int-coded words, built from its specs, and its product memo.
 
     An arrow's code is its ``_arrow_rank``.  A word is one int: the
     sentinel 1, then ``bits`` bits per code, so the empty word is 1,
@@ -178,14 +179,14 @@ class _RuleTables:
     ``(M, L, k * bits, rhs terms)`` for k arrows, M = 2^(k * bits) - 1 and
     L = lhs & M: wa ends with it iff ``wa & M == L and wa > M`` (at least
     k arrows).  ``memo`` maps each reducible w·a, w normal, to its normal
-    form ``(e, combination)``; ``nf`` maps a ``Path`` to ``(e, {Path:
-    numerator})``; ``paths`` maps ``(source, word)`` to its ``Path``,
-    built once without walking its arrows again, and ``words`` maps it back.
+    form ``(e, combination)``; ``paths`` maps ``(source, word)`` to its
+    ``Path``, built once without walking its arrows again, and ``words``
+    maps it back.
     ``row``, ``decode`` and ``relation_rows`` code rows keyed by (source, word).
     """
 
     __slots__ = ("n", "bits", "arrows", "denominator", "rule_exp", "rules", "sources", "by_last",
-                 "memo", "nf", "paths", "words", "_automaton")
+                 "memo", "paths", "words", "_automaton")
 
     def __init__(self, n: int, specs: tuple):
         self.n = n
@@ -198,7 +199,7 @@ class _RuleTables:
         else:
             D, scale = 1, lambda c: c
         self.denominator, self.rule_exp = D, int(D != 1)
-        self.memo, self.nf, self.paths, self.words, self._automaton = {}, {}, {}, {}, None
+        self.memo, self.paths, self.words, self._automaton = {}, {}, {}, None
         ends = [(a.source(n), a.target(n)) for a in self.arrows]
 
         def end(at, word):  # the vertex word ends at from at; None if its arrows do not compose
@@ -414,76 +415,44 @@ def _normal_word(tables: _RuleTables, word: int) -> tuple[int, dict]:
     return _normal_times(tables, {1: 1}, 0, word)
 
 
-def _path_nf(tables: _RuleTables, path: Path) -> tuple[int, dict]:
-    """Normal form ``(e, {Path: numerator})`` of a path, memoized per system: the path
-    is built up from its source one arrow at a time, keeping the product normal."""
-    hit = tables.nf.get(path)
-    if hit is None:
-        e, comb = _normal_word(tables, tables.encode(path))
-        hit = tables.nf[path] = (e, {tables.path(path.source, w): c for w, c in comb.items()})
-    return hit
+def _normal_sum(tables: _RuleTables, terms, comb: dict | None = None, e: int = 0) -> tuple[int, dict]:
+    """Normal form ``(e, combination)`` of the sum of c * (comb/D^e)·word over ``terms``' (word, c).
 
-
-def _coded_nf(tables: _RuleTables, a: Element) -> tuple[int, int, dict]:
-    """``(L, e, {Path: numerator})``: the normal form of ``a`` over L * D^e.
-
-    L is the lcm of ``a``'s denominators; zero sums are left in.
+    ``comb`` is normal, the empty word by default, and ends where every
+    word starts.  NF(x·w) = NF(NF(x)·w), so each comb·word is reduced one
+    arrow of the word at a time from the right (``_normal_times``;
+    Bergman's diamond lemma makes the result the normal form), and the
+    parts are summed over the largest power of D; zero sums are left in.
     """
+    if comb is None:
+        comb = {1: 1}
     D = tables.denominator
-    L, nums = a.coded()
-    sums: dict = {}
-    e = 0
-    for p, c in nums.items():
-        pe, part = _path_nf(tables, p)
-        e = _add_scaled(sums, e, part, pe, c, D)
-    return L, e, sums
+    out: dict = {}
+    oe = 0
+    for word, c in terms:
+        pe, part = _normal_times(tables, comb, e, word)
+        oe = _add_scaled(out, oe, part, pe, c, D)
+    return oe, out
 
 
 def normal_form(sys: ReductionSystem, a: Element) -> Element:
     """Reduce every term until no leading word occurs as a factor.
 
-    Each replacement is strictly smaller in the term order.  The terms'
-    normal forms are summed in ints over L * D^e, L the lcm of the
-    input's denominators, and decoded once.
+    Each replacement is strictly smaller in the term order.  The input is
+    coded once (``_RuleTables.row``), each source's words are summed by
+    ``_normal_sum`` over L * D^e (L the input's lcm), and decoded at once.
     """
     if a.n != sys.n:
         raise ValueError("element over wrong quiver size")
     tables = _tables(sys)
-    L, e, sums = _coded_nf(tables, a)
-    return Element.from_coded(sys.n, L * tables.denominator ** e, sums)
-
-
-def normal_product(sys: ReductionSystem, a: Element, b: Element) -> Element:
-    """NF(a·b), equal to ``normal_form(sys, a * b)``, without building a·b.
-
-    NF(a·b) = NF(NF(a)·b), so NF(a)·q for a word q of ``b`` is reduced one
-    arrow of q at a time from the right (``_times_word``; Bergman's
-    diamond lemma makes the result the normal form).  NF(a), from the
-    per-path memo, is grouped by source and target, each group is
-    multiplied by the words of ``b`` that start at its target, and the
-    parts are summed per source over L_a * L_b * D^e and decoded once.
-    """
-    if a.n != sys.n or b.n != sys.n:
-        raise ValueError("element over wrong quiver size")
-    tables = _tables(sys)
-    D = tables.denominator
-    La, ea, left = _coded_nf(tables, a)
-    groups: dict = {}
-    for p, c in left.items():
-        if c:
-            groups.setdefault((p.source, p.target), {})[tables.encode(p)] = c
-    Lb, nums = b.coded()
-    right: dict = {}
-    for q, c in nums.items():
-        right.setdefault(q.source, []).append((tables.encode(q), c))
-    out: dict = {}
-    for (source, target), comb in groups.items():
-        for word, c in right.get(target, ()):
-            pe, part = _normal_times(tables, comb, ea, word)
-            acc = out.setdefault(source, [0, {}])
-            acc[0] = _add_scaled(acc[1], acc[0], part, pe, c, D)
-    return Element.combine(sys.n, ((tables.element(source, La * Lb * D ** e, sums), 1)
-                                   for source, (e, sums) in out.items()))
+    L, row = tables.row(a)
+    by_source: dict = {}
+    for (source, word), c in row.items():
+        by_source.setdefault(source, []).append((word, c))
+    sums = [(source, *_normal_sum(tables, terms)) for source, terms in by_source.items()]
+    top, D = max((e for _, e, _ in sums), default=0), tables.denominator
+    return Element.from_coded(sys.n, L * D ** top, {tables.path(source, w): c * D ** (top - e)
+                                                    for source, e, comb in sums for w, c in comb.items()})
 
 
 def is_zero_in_quotient(sys: ReductionSystem, a: Element) -> bool:
@@ -537,12 +506,12 @@ def check_confluence(sys: ReductionSystem) -> ConfluenceReport:
 
     def resolve(i, j, word, left, right):
         # left and right are (prefix, rhs terms, suffix) one-step reductions of word.
-        diff: dict = {}
-        e = 0
-        for (prefix, rhs, suffix), sign in ((left, 1), (right, -1)):
-            for r, c in rhs:
-                pe, part = _normal_word(tables, _concat(_concat(prefix, r), suffix))
-                e = _add_scaled(diff, e, part, pe + tables.rule_exp, sign * c, D)
+        e, diff = _normal_sum(tables, (
+            (_concat(_concat(prefix, r), suffix), sign * c)
+            for (prefix, rhs, suffix), sign in ((left, 1), (right, -1))
+            for r, c in rhs))
+        # Each rhs coefficient c is stored as D * c: the sum is over D^(e + rule_exp).
+        e += tables.rule_exp
         source = tables.sources[i]
         difference = {w: c for w, c in diff.items() if c}
         if all(hasattr(c, "denominator") for c in difference.values()):

@@ -30,9 +30,9 @@ from math import lcm
 from .core import (NONZERO_NUMERATORS, Arrow, Element, Parameters, Path, Sampler, add_into, path_from_word,
                    trivial_path)
 from .linalg import RowSpace, spans_equal
-from .rewrite import (PRESET_QDU, _add_scaled, _arrow_rank, _codec, _normal_times, _pack_word, _qdu_system,
+from .rewrite import (PRESET_QDU, _arrow_rank, _codec, _normal_sum, _normal_times, _pack_word, _qdu_system,
                       _RuleTables, _suffix, _tables, _unpack_word, basis_from, build_system, coded_shape,
-                      ensure_confluent, normal_product,
+                      ensure_confluent,
                       normal_form)  # noqa: F401 - perfbench's tracer test checks this binding is wrapped
 
 # ---------------------------------------------------------------------------
@@ -336,6 +336,16 @@ def check_diagonal_map(spec: DiagonalMapSpec, src: Parameters, tgt: Parameters) 
 # Property report (noetherian / PWD / polynomial subalgebra)
 # ---------------------------------------------------------------------------
 
+def _words(tables: _RuleTables, x: Element) -> dict[int, int]:
+    """x's numerators over the lcm of its denominators, by word; x has one source."""
+    return {w: c for (_, w), c in tables.row(x)[1].items()}
+
+
+def _product_is_zero(tables: _RuleTables, a: Element, b: Element) -> bool:
+    """Whether NF(a·b) = 0, for a of normal words that all end where b's words start."""
+    return not any(_normal_sum(tables, _words(tables, b).items(), _words(tables, a))[1].values())
+
+
 def _zero_divisor(params: Parameters, i: int) -> Element:
     """a_i = d_{i-1} u_{i-1} - alpha_i u_i d_i - gamma_i e_i at vertex i.
 
@@ -393,10 +403,10 @@ def property_report(params: Parameters) -> PropertyReport:
     n = params.n
     sys = ensure_confluent(build_system(PRESET_QDU, params))
     flag = params.beta_all_nonzero()
+    tables = _tables(sys)
     witnesses: list[dict] = []
     checks = True
     if flag:
-        tables = _tables(sys)
         for i in range(n):
             space = RowSpace()
             independent = all(space.add(m) for m in _subalgebra_monomials(tables, i))
@@ -409,9 +419,9 @@ def property_report(params: Parameters) -> PropertyReport:
             a = _zero_divisor(params, i)
             b = Element.from_path(path_from_word(n, i, "u"))
             d_i = Element.from_path(path_from_word(n, (i + 1) % n, "d"))
-            left_zero = normal_product(sys, a, b).is_zero()
-            right_zero = normal_product(sys, d_i, a).is_zero()
-            dependence = normal_product(sys, a, Element.from_path(path_from_word(n, i, "ud"))).is_zero()
+            left_zero = _product_is_zero(tables, a, b)
+            right_zero = _product_is_zero(tables, d_i, a)
+            dependence = _product_is_zero(tables, a, Element.from_path(path_from_word(n, i, "ud")))
             checks = checks and left_zero and right_zero and dependence
             witnesses.append({
                 "vertex": i,
@@ -455,13 +465,13 @@ def noetherian_chain_check(params: Parameters, i: int | None = None, s_max: int 
     normal forms of U^m g b over basis monomials b from i.  The span for
     U^m g takes b up to degree ``degree_bound`` - mn - 2, so the basis is
     enumerated up to ``degree_bound`` - n - 2 only (the bound at m = 1).
-    Also checks the annihilation U g u_m = 0 for every vertex m and the
-    support pattern of the spanning products (u-runs are mn or mn+1).
-
-    The generators U^m g are int-coded once and the basis words come
-    coded (``basis_from``); each spanning product is one ``_normal_times``
-    call, its support is read on the coded words (``coded_shape``), and
-    it is added to the int ``RowSpace`` as it is, over its power of D.
+    Also checks the annihilation U g u_i = 0 (U g ends at i, so no other
+    u_m composes with it) and the support pattern of the spanning products
+    (u-runs are mn or mn+1).  Nothing is decoded: g is coded once, U g,
+    U^m and U^m g are ``_normal_sum``s, the basis words come coded
+    (``basis_from``), each spanning product is one ``_normal_times`` call,
+    its support is read on the coded words (``coded_shape``), and it is
+    added to the int ``RowSpace`` as it is, over its power of D.
     """
     n = params.n
     if i is None:
@@ -478,21 +488,21 @@ def noetherian_chain_check(params: Parameters, i: int | None = None, s_max: int 
     if degree_bound < target_degree:
         raise ValueError("degree bound too small for the requested s_max")
     sys = ensure_confluent(build_system(PRESET_QDU, params))
-    u_cycle = Element.from_path(up_cycle_path(n, i))
-    g = -_zero_divisor(params, i)
-    u_g = normal_product(sys, u_cycle, g)
-    annihilation_ok = all(
-        normal_product(sys, u_g, Element.from_path(path_from_word(n, m, "u"))).is_zero()
-        for m in range(n)
-    )
-    generators = []
-    acc = Element.from_path(trivial_path(n, i))
-    for _ in range(s_max + 1):
-        acc = normal_product(sys, acc, u_cycle)
-        generators.append(normal_product(sys, acc, g))
-
     tables = _tables(sys)
-    coded = [{tables.encode(p): c for p, c in gen.coded()[1].items()} for gen in generators]
+    u_cycle = tables.encode(up_cycle_path(n, i))
+    g = -_zero_divisor(params, i)
+    g_terms = _words(tables, g).items()
+    ue, u_g = _normal_sum(tables, g_terms, {u_cycle: 1})
+    # U g ends at i, so u_i is the one u_m whose product with it is not 0 as paths.
+    u_i = tables.encode(path_from_word(n, i, "u"))
+    annihilation_ok = not any(_normal_sum(tables, [(u_i, 1)], u_g, ue)[1].values())
+    coded, acc, e = [], {1: 1}, 0  # coded[m - 1] = U^m g; acc = U^m, from e_i
+    for _ in range(s_max + 1):
+        e, acc = _normal_sum(tables, [(u_cycle, 1)], acc, e)
+        coded.append({w: c for w, c in _normal_sum(tables, g_terms, acc, e)[1].items() if c})
+
+    # The spanning products and the span read a generator's numerators
+    # only: both are blind to its scale, so its power of D is dropped.
     basis_by_degree = basis_from(sys, i, degree_bound - n - 2)
     support_ok = True
     # One elimination kept across s: I_s grows from I_{s-1}, so each
@@ -583,7 +593,7 @@ def pwd_probe_H(params: Parameters, degree_bound: int = 5, trials: int = 200,
         bad = next(k for k in range(n) if params.beta[k] == 0)
         a = _zero_divisor(params, bad)
         b = Element.from_path(path_from_word(n, bad, "u"))
-        if normal_product(sys, a, b).is_zero():
+        if _product_is_zero(tables, a, b):
             counterexample = (str(a), str(b))
     ok = (not failures and tested > 0) if beta_ok else (counterexample is not None)
     return PwdHReport(trials, tested, seed, beta_ok, ok, failures, counterexample)
@@ -609,33 +619,17 @@ def _product_vanishes(tables: _RuleTables, graded: _RuleTables, a: dict[int, int
     of top length reaches, is NF_gr(a_top·b_top) as rationals.  A nonzero
     one means a nonzero product; only a vanishing one (a gamma term can
     leave a lower degree) takes the full product in H, already taken when
-    gamma = 0 and a, b are their own top parts.
+    gamma = 0 and a, b are their own top parts.  Each product is one ``_normal_sum``.
     """
     top_a, top_b = max(w.bit_length() for w in a), max(q.bit_length() for q in b)
     a_top = {w: c for w, c in a.items() if w.bit_length() == top_a}
     b_top = {q: c for q, c in b.items() if q.bit_length() == top_b}
-    product = _coded_times(graded, a_top, b_top)
+    product = _normal_sum(graded, b_top.items(), a_top)[1]
     if any(product.values()):
         return False
     if graded is not tables or len(a_top) < len(a) or len(b_top) < len(b):
-        product = _coded_times(tables, a, b)
+        product = _normal_sum(tables, b.items(), a)[1]
     return not any(product.values())
-
-
-def _coded_times(tables: _RuleTables, a: dict[int, int], b: dict[int, int]) -> dict[int, int]:
-    """NF(a·b) for combinations a, b of normal words, up to a power of D; zero sums left in.
-
-    The sum over the words q of b of c_q NF(a·q), each taken one arrow of
-    q at a time from the right as in ``normal_product`` (Bergman's diamond
-    lemma makes the result the normal form).
-    """
-    D = tables.denominator
-    product: dict = {}
-    e = 0
-    for q, c in b.items():
-        pe, part = _normal_times(tables, a, 0, q)
-        e = _add_scaled(product, e, part, pe, c, D)
-    return product
 
 
 def _coded_combination(pool: list[int], rng: Sampler) -> dict[int, int]:

@@ -9,7 +9,6 @@ from quiverdu.core import (
     Path,
     add_into,
     adjacency_matrix,
-    compose,
     down,
     format_element,
     multiply,
@@ -49,17 +48,17 @@ def test_path_composability_enforced():
 
 def test_compose_identity_and_mismatch():
     n = 3
-    e0 = trivial_path(n, 0)
-    u0 = path_from_arrows(n, (up(0, n),))
-    assert compose(e0, u0) == Element.from_path(u0)
-    assert compose(u0, e0).is_zero()  # u_0 ends at vertex 1
+    e0 = Element.from_path(trivial_path(n, 0))
+    u0 = Element.from_path(path_from_arrows(n, (up(0, n),)))
+    assert e0 * u0 == u0
+    assert (u0 * e0).is_zero()  # u_0 ends at vertex 1
 
 
 def test_compose_d0_d2_for_n3():
     n = 3
     d0 = path_from_arrows(n, (down(0, n),))
     d2 = path_from_arrows(n, (down(2, n),))
-    prod = compose(d0, d2)
+    prod = Element.from_path(d0) * Element.from_path(d2)
     (p,) = prod.terms
     assert p.source == 1 and p.target == 2 and p.length == 2
 

@@ -4,10 +4,11 @@
 on int-coded words and ``noetherian_chain_check`` takes its spanning
 products the same way; both eliminate in the fraction-free int
 ``linalg.RowSpace``.  The loops they replaced, which took every product
-as an ``Element`` through ``normal_product`` and eliminated in
-``Fraction``s, are kept here as ``reference_property_report`` and
-``reference_noetherian_chain_check``, with the oracle's dense elimination
-and shape reader; both must give the same reports.
+as an ``Element`` and eliminated in ``Fraction``s, are kept here as
+``reference_property_report`` and ``reference_noetherian_chain_check``,
+each product now by its definition, ``normal_form(sys, a * b)``, with
+the oracle's dense elimination and shape reader; both must give the
+same reports.
 """
 
 from __future__ import annotations
@@ -19,8 +20,7 @@ import pytest
 
 from quiverdu import linalg
 from quiverdu.core import Element, Parameters, path_from_word, trivial_path
-from quiverdu.rewrite import (PRESET_QDU, _tables, basis_from, build_system, ensure_confluent,
-                              normal_product)
+from quiverdu.rewrite import PRESET_QDU, _tables, basis_from, build_system, ensure_confluent, normal_form
 from quiverdu.structure import (
     SUBALGEBRA_DEGREE,
     ChainReport,
@@ -59,10 +59,10 @@ def reference_property_report(params: Parameters) -> PropertyReport:
             x_power = Element.from_path(trivial_path(n, i))
             for a in range(SUBALGEBRA_DEGREE + 1):
                 if a:
-                    x_power = normal_product(sys, x_power, gen_x)
+                    x_power = normal_form(sys, x_power * gen_x)
                 monomials.append(x_power)
                 for _ in range(SUBALGEBRA_DEGREE - a):
-                    monomials.append(normal_product(sys, monomials[-1], gen_y))
+                    monomials.append(normal_form(sys, monomials[-1] * gen_y))
             independent = rank([m.terms for m in monomials]) == len(monomials)
             checks = checks and independent
             witnesses.append({"vertex": i, "kind": "free-subalgebra", "ok": independent})
@@ -73,9 +73,9 @@ def reference_property_report(params: Parameters) -> PropertyReport:
             a = _zero_divisor(params, i)
             b = Element.from_path(path_from_word(n, i, "u"))
             d_i = Element.from_path(path_from_word(n, (i + 1) % n, "d"))
-            left_zero = normal_product(sys, a, b).is_zero()
-            right_zero = normal_product(sys, d_i, a).is_zero()
-            dependence = normal_product(sys, a, Element.from_path(path_from_word(n, i, "ud"))).is_zero()
+            left_zero = normal_form(sys, a * b).is_zero()
+            right_zero = normal_form(sys, d_i * a).is_zero()
+            dependence = normal_form(sys, a * Element.from_path(path_from_word(n, i, "ud"))).is_zero()
             checks = checks and left_zero and right_zero and dependence
             witnesses.append({
                 "vertex": i,
@@ -117,16 +117,16 @@ def reference_noetherian_chain_check(params: Parameters, i: int | None = None, s
     sys = ensure_confluent(build_system(PRESET_QDU, params))
     u_cycle = Element.from_path(up_cycle_path(n, i))
     g = -_zero_divisor(params, i)
-    u_g = normal_product(sys, u_cycle, g)
+    u_g = normal_form(sys, u_cycle * g)
     annihilation_ok = all(
-        normal_product(sys, u_g, Element.from_path(path_from_word(n, m, "u"))).is_zero()
+        normal_form(sys, u_g * Element.from_path(path_from_word(n, m, "u"))).is_zero()
         for m in range(n)
     )
     generators = []
     acc = Element.from_path(trivial_path(n, i))
     for _ in range(s_max + 1):
-        acc = normal_product(sys, acc, u_cycle)
-        generators.append(normal_product(sys, acc, g))
+        acc = normal_form(sys, acc * u_cycle)
+        generators.append(normal_form(sys, acc * g))
 
     basis_by_degree = [[_tables(sys).path(i, w) for w in words]
                        for words in basis_from(sys, i, degree_bound - n - 2)]
@@ -141,7 +141,7 @@ def reference_noetherian_chain_check(params: Parameters, i: int | None = None, s
         max_b = degree_bound - m * n - 2
         for k in range(max_b + 1):
             for b in basis_by_degree[k]:
-                product = normal_product(sys, g_m, Element.from_path(b))
+                product = normal_form(sys, g_m * Element.from_path(b))
                 if product.is_zero():
                     continue
                 for p in product.terms:

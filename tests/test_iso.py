@@ -105,6 +105,14 @@ def test_identity_witness():
     assert verify_witness(identity_witness(3), p, p)
 
 
+def test_verify_witness_refuses_mismatched_sizes():
+    # Each size on its own: the witness's, or the target's, differing from the source's.
+    p = Parameters.of(3, [1, 2, 3], [1, 1, 1], [0, 0, 0])
+    q = Parameters.of(4, [1, 2, 3, 4], [1, 1, 1, 1], [0, 0, 0, 0])
+    assert not verify_witness(identity_witness(4), p, p)
+    assert not verify_witness(identity_witness(3), p, q)
+
+
 def test_solve_ratio_system():
     cons = [RatioConstraint(1, 0, Fraction(2)), RatioConstraint(2, 1, Fraction(3))]
     lam = solve_ratio_system(cons, 3)

@@ -143,17 +143,16 @@ def test_normal_form_leaves_memo_values_unchanged(params, p, q):
     first = normal_form(sys_, Element.from_path(p))
     snapshot = dict(first.terms)
     tables = _tables(sys_)
-    coded, per_path = coded_snapshot(tables.memo), coded_snapshot(tables.nf)
+    coded = coded_snapshot(tables.memo)
     handed_out = [first.terms]
     for c in (3, 1):
         handed_out.append(normal_form(sys_, Element.from_path(p).scale(c) + q).terms)
         assert first.terms == snapshot
         assert normal_form(sys_, Element.from_path(p)) == first
-    for table, before in ((tables.memo, coded), (tables.nf, per_path)):
-        for key, (e, comb, copy) in before.items():
-            assert table[key][0] == e and table[key][1] is comb and comb == copy
-        held = {id(comb) for _, comb in table.values()}
-        assert not any(id(terms) in held for terms in handed_out)
+    for key, (e, comb, copy) in coded.items():
+        assert tables.memo[key][0] == e and tables.memo[key][1] is comb and comb == copy
+    held = {id(comb) for _, comb in tables.memo.values()}
+    assert not any(id(terms) in held for terms in handed_out)
 
 
 @kernel_settings

@@ -1,12 +1,16 @@
-"""Differential test of ``normal_product`` and of the checks that use it.
+"""Differential test of ``rewrite._normal_sum`` and of the checks that use it.
 
-``rewrite.normal_product(sys, a, b)`` returns NF(a·b) by multiplying the
-normal form of ``a`` by the words of ``b`` one arrow at a time; it never
-builds the product's paths.  It must equal ``normal_form(sys, a * b)`` as
-an ``Element`` for any ``a``, normal or not.
+``_normal_sum(tables, terms, comb, e)`` returns the normal form of the
+sum of c * (comb/D^e)·w over the ``(w, c)`` of ``terms``, for a normal
+comb ending where every w starts, one arrow of w at a time; it never
+builds a product's paths.  ``coded_product`` drives it as the checks do,
+on NF(a) split by source and target, and must equal both
+``normal_form(sys, a * b)`` (the definition) and ``oracle``'s normal form
+of a·b for any ``a``, normal or not.  ``normal_form`` itself, which sums
+each source's words with ``_normal_sum``, is compared with the oracle too.
 
-The references are the product-then-``normal_form`` bodies that
-``normal_product`` replaced, kept here verbatim up to their names:
+The references are the product-then-``normal_form`` bodies that the
+coded checks replaced, kept here verbatim up to their names:
 ``pwd_probe_H`` (as ``reference_pwd_probe_H``), ``property_report``
 (as ``reference_property_report``, whose subalgebra loop rebuilt
 e_i x^a y^b from scratch for every (a, b)).  Each must give the same
@@ -14,10 +18,10 @@ report.  ``theta_prime``, which reduces one word per term, is compared
 with ``oracle.Gwa.theta_prime``.
 
 ``pwd_probe_H`` now draws, multiplies and zero-tests on int-coded words.
-Its ``normal_product`` body, which drew ``Element``s with
-``_random_combination`` and decoded every product, is kept as
-``normal_product_pwd_probe_H``; the two must give the same report and
-leave their random generators in the same state.
+Its earlier body, which drew ``Element``s with ``_random_combination``
+and decoded every product, is kept as ``normal_product_pwd_probe_H``
+(each product now ``normal_form(sys, a * b)``); the two must give the
+same report and leave their random generators in the same state.
 
 ``pwd_probe_H`` now zero-tests the product of the factors' top-degree
 parts first and takes the full product only when that part vanishes
@@ -50,6 +54,7 @@ from quiverdu.rewrite import (
     PRESET_PREPROJECTIVE,
     PRESET_QDU,
     _add_scaled,
+    _normal_sum,
     _normal_times,
     _qdu_specs,
     _qdu_system,
@@ -59,7 +64,6 @@ from quiverdu.rewrite import (
     ensure_confluent,
     is_zero_in_quotient,
     normal_form,
-    normal_product,
     _tables,
 )
 from quiverdu.structure import (
@@ -67,7 +71,6 @@ from quiverdu.structure import (
     PropertyReport,
     PwdHReport,
     _coded_combination,
-    _coded_times,
     _product_vanishes,
     _zero_divisor,
     noetherian_chain_check,
@@ -75,7 +78,7 @@ from quiverdu.structure import (
     pwd_probe_H,
 )
 from test_gwa_reference import as_gwa_element, as_oracle, oracle_of
-from test_oracle import as_terms
+from test_oracle import as_terms, oracle_nf, reducer_of
 
 
 def reference_pwd_probe_H(params: Parameters, degree_bound: int = 5, trials: int = 200,
@@ -145,7 +148,7 @@ def normal_product_pwd_probe_H(params: Parameters, degree_bound: int = 5, trials
             continue
         a = _random_combination(pool_a, rng)
         b = _random_combination(pool_b, rng)
-        product = normal_product(sys, a, b)
+        product = normal_form(sys, a * b)
         tested += 1
         if product.is_zero():
             failures.append((t, str(a), str(b)))
@@ -154,7 +157,7 @@ def normal_product_pwd_probe_H(params: Parameters, degree_bound: int = 5, trials
         bad = next(k for k in range(n) if params.beta[k] == 0)
         a = _zero_divisor(params, bad)
         b = Element.from_path(path_from_word(n, bad, "u"))
-        if normal_product(sys, a, b).is_zero():
+        if normal_form(sys, a * b).is_zero():
             counterexample = (str(a), str(b))
     ok = (not failures and tested > 0) if beta_ok else (counterexample is not None)
     return PwdHReport(trials, tested, seed, beta_ok, ok, failures, counterexample)
@@ -222,7 +225,7 @@ def reference_property_report(params: Parameters) -> PropertyReport:
 
 
 # ---------------------------------------------------------------------------
-# normal_product against normal_form of the built product
+# _normal_sum against normal_form of the built product and the oracle
 # ---------------------------------------------------------------------------
 
 def random_params(rng: random.Random, n: int, integral: bool, zero_beta: bool = False) -> Parameters:
@@ -254,23 +257,49 @@ def systems(rng: random.Random, n: int):
         yield build_system(PRESET_QDU, random_params(rng, n, integral))
 
 
+def coded_product(sys_, a: Element, b: Element) -> Element:
+    """NF(a·b) through ``_normal_sum``, without building a·b.
+
+    NF(a) (``normal_form``) is split by source and target; each part is
+    the normal ``comb`` of one ``_normal_sum`` with the words of b that
+    start at its target as ``terms``.  The parts are decoded and added.
+    """
+    tables = _tables(sys_)
+    La, left = tables.row(normal_form(sys_, a))
+    Lb, right = tables.row(b)
+    groups: dict = {}
+    for (source, w), c in left.items():
+        groups.setdefault((source, tables.target(source, w)), {})[w] = c
+    parts = []
+    for (source, target), comb in groups.items():
+        terms = [(q, c) for (v, q), c in right.items() if v == target]
+        e, nf = _normal_sum(tables, terms, comb)
+        parts.append((tables.element(source, La * Lb * tables.denominator ** e, nf), 1))
+    return Element.combine(a.n, parts)
+
+
 def assert_same_product(sys_, a: Element, b: Element) -> Element:
-    got = normal_product(sys_, a, b)
+    """``coded_product`` and ``normal_form`` of a·b agree with each other and with the oracle."""
+    got = coded_product(sys_, a, b)
     assert got == normal_form(sys_, a * b), (sys_.preset, sys_.params, a, b)
+    assert as_terms(got) == oracle_nf(reducer_of(sys_), a * b), (sys_.preset, sys_.params, a, b)
     assert all(type(c) is Fraction for c in got.terms.values())
     return got
 
 
 @pytest.mark.parametrize("n", range(1, 7))
-def test_normal_product_matches_normal_form_of_product(n):
+def test_normal_sum_matches_normal_form_of_product(n):
     rng = random.Random(18_000 + n)
     for sys_ in systems(rng, n):
         integral = sys_.params is None or all(
             c.denominator == 1 for c in sys_.params.alpha + sys_.params.beta + sys_.params.gamma)
         assert (_tables(sys_).denominator == 1) == integral
+        reducer = reducer_of(sys_)
         for _ in range(25):
             # a is not normal in general and has terms at several sources.
-            assert_same_product(sys_, random_element(rng, n), random_element(rng, n))
+            a = random_element(rng, n)
+            assert as_terms(normal_form(sys_, a)) == oracle_nf(reducer, a), (sys_.params, a)
+            assert_same_product(sys_, a, random_element(rng, n))
         # a normal a, as the checks pass it.
         basis = [p for k in range(6) for p in enumerate_basis(sys_, k)]
         for _ in range(10):
@@ -280,7 +309,7 @@ def test_normal_product_matches_normal_form_of_product(n):
 
 
 @pytest.mark.parametrize("n", range(1, 7))
-def test_normal_product_rational_rules_have_a_denominator(n):
+def test_normal_sum_rational_rules_have_a_denominator(n):
     rng = random.Random(18_100 + n)
     params = random_params(rng, n, integral=False)
     params = Parameters.of(n, params.alpha, [Fraction(2, 3)] + list(params.beta[1:]), params.gamma)
@@ -288,11 +317,19 @@ def test_normal_product_rational_rules_have_a_denominator(n):
     a = Element.from_path(path_from_word(n, 0, "d" * 3 + "u" * 3), Fraction(5, 7))
     b = Element.from_path(path_from_word(n, 0, "du"), Fraction(-1, 2))
     assert_same_product(sys_, a, b)
-    assert sys_._tables.denominator % 3 == 0
+    tables = sys_._tables
+    assert tables.denominator % 3 == 0
+    # A comb over D^e with e > 0, times more words: the exponent is honoured.
+    e, comb = _normal_sum(tables, [(tables.encode(next(iter(a.terms))), 1)])
+    assert e > 0
+    word = tables.encode(next(iter(b.terms)))
+    pe, nf = _normal_sum(tables, [(word, 3), (word, -1)], comb, e)
+    want = normal_form(sys_, a.scale(Fraction(7, 5)) * b.scale(-4))
+    assert tables.element(0, tables.denominator ** pe, nf) == want
 
 
 @pytest.mark.parametrize("n", range(1, 7))
-def test_normal_product_endpoint_mismatch_is_zero(n):
+def test_normal_sum_endpoint_mismatch_is_zero(n):
     rng = random.Random(18_200 + n)
     for sys_ in systems(rng, n):
         for _ in range(10):
@@ -311,45 +348,73 @@ def test_normal_product_endpoint_mismatch_is_zero(n):
 
 
 @pytest.mark.parametrize("n", range(1, 7))
-def test_normal_product_with_trivial_paths(n):
+def test_normal_sum_with_trivial_paths(n):
     rng = random.Random(18_300 + n)
     for sys_ in systems(rng, n):
+        tables = _tables(sys_)
         for _ in range(10):
             x = random_element(rng, n)
             e_v = Element.from_path(trivial_path(n, rng.randrange(n)), Fraction(3, 2))
             for a, b in ((e_v, x), (x, e_v), (Element.identity(n), x), (x, Element.identity(n)),
                          (e_v, e_v)):
                 assert_same_product(sys_, a, b)
-            assert normal_product(sys_, Element.identity(n), x) == normal_form(sys_, x)
-            assert normal_product(sys_, x, Element.identity(n)) == normal_form(sys_, x)
+            assert coded_product(sys_, Element.identity(n), x) == normal_form(sys_, x)
+            assert coded_product(sys_, x, Element.identity(n)) == normal_form(sys_, x)
+            # The default comb is the empty word: the sum of the terms' own normal forms.
+            for v in range(n):
+                part = Element(n, {p: c for p, c in x.terms.items() if p.source == v})
+                den, row = tables.row(part)
+                e, nf = _normal_sum(tables, [(w, c) for (_, w), c in row.items()])
+                assert tables.element(v, den * tables.denominator ** e, nf) == normal_form(sys_, part)
 
 
-def test_normal_product_of_zero_and_wrong_size():
+def test_normal_sum_of_zero_and_wrong_size():
     sys_ = build_system(PRESET_QDU, Parameters.of(3, [1, 2, 0], [1, -1, 2], [0, 1, 0]))
     x = Element.from_path(path_from_word(3, 0, "dud"))
-    assert normal_product(sys_, Element.zero(3), x).is_zero()
-    assert normal_product(sys_, x, Element.zero(3)).is_zero()
+    assert normal_form(sys_, Element.zero(3)).is_zero()
+    assert coded_product(sys_, Element.zero(3), x).is_zero()
+    assert coded_product(sys_, x, Element.zero(3)).is_zero()
+    tables = _tables(sys_)
+    assert _normal_sum(tables, []) == (0, {})
+    assert _normal_sum(tables, [], {tables.encode(next(iter(x.terms))): 1}) == (0, {})
     with pytest.raises(ValueError):
-        normal_product(sys_, Element.identity(2), Element.identity(3))
+        normal_form(sys_, Element.identity(2))
     with pytest.raises(ValueError):
-        normal_product(sys_, Element.identity(3), Element.identity(2))
+        Element.identity(2) * Element.identity(3)
 
 
-def test_normal_product_leaves_its_operands_and_memos_unchanged():
+def test_normal_sum_leaves_zero_sums_in():
+    sys_ = build_system(PRESET_QDU, Parameters.of(3, [2, Fraction(1, 2), 5], [7, Fraction(-3, 2), 13],
+                                                  [1, 2, Fraction(1, 3)]))
+    tables = _tables(sys_)
+    word = tables.encode(path_from_word(3, 0, "dduu"))
+    e, nf = _normal_sum(tables, [(word, 2), (word, -2)])
+    assert nf and not any(nf.values())
+    assert set(nf) == set(_normal_sum(tables, [(word, 1)])[1])
+
+
+def test_normal_sum_leaves_its_operands_and_memo_unchanged():
     sys_ = build_system(PRESET_QDU, Parameters.of(3, [2, Fraction(1, 2), 5], [7, Fraction(-3, 2), 13],
                                                   [1, 2, Fraction(1, 3)]))
     rng = random.Random(18_400)
+    tables = sys_._tables
     for _ in range(20):
         a, b = random_element(rng, 3), random_element(rng, 3)
         a_terms, b_terms = dict(a.terms), dict(b.terms)
-        first = normal_product(sys_, a, b)
-        tables = sys_._tables
-        memo = {k: (e, dict(c)) for k, (e, c) in tables.memo.items()}
-        per_path = {k: (e, dict(c)) for k, (e, c) in tables.nf.items()}
-        assert normal_product(sys_, a, b) == first
+        first = coded_product(sys_, a, b)
+        memo = {k: (e, comb, dict(comb)) for k, (e, comb) in tables.memo.items()}
+        assert coded_product(sys_, a, b) == first
         assert a.terms == a_terms and b.terms == b_terms
-        assert {k: (e, dict(c)) for k, (e, c) in tables.memo.items()} == memo
-        assert {k: (e, dict(c)) for k, (e, c) in tables.nf.items()} == per_path
+        assert all(tables.memo[k][0] == e and tables.memo[k][1] is comb and comb == copy
+                   for k, (e, comb, copy) in memo.items())
+    # The comb and the terms passed in are only read.
+    comb = {tables.encode(path_from_word(3, 0, text)): c for text, c in (("ud", 2), ("du", -1), ("", 3))}
+    terms = [(tables.encode(path_from_word(3, 0, text)), 5) for text in ("dduu", "ud", "")]
+    comb_copy, terms_copy = dict(comb), list(terms)
+    e, nf = _normal_sum(tables, terms, comb)
+    assert comb == comb_copy and terms == terms_copy
+    a, b = tables.element(0, 1, comb), tables.element(0, 1, dict(terms))
+    assert tables.element(0, tables.denominator ** e, nf) == normal_form(sys_, a * b)
 
 
 # ---------------------------------------------------------------------------
@@ -432,7 +497,7 @@ def test_checks_do_not_build_path_algebra_products(monkeypatch):
 
 
 # ---------------------------------------------------------------------------
-# The coded probe against its normal_product body
+# The coded probe against its Element body
 # ---------------------------------------------------------------------------
 
 def probe_regimes(n: int) -> list[Parameters]:
@@ -518,9 +583,9 @@ def full_product_pwd_probe_H(params: Parameters, degree_bound: int = 5, trials: 
     vertex to another, and a factor is a combination of distinct pool
     words, so it is its own normal form: the coded factor a is NF(a) as
     it is drawn.  NF(a·b) is then the sum over the words q of b of
-    c_q NF(a·q), each taken one arrow of q at a time from the right as in
-    ``normal_product`` (Bergman's diamond lemma makes the result the normal
-    form).  The product is zero exactly when every numerator of that sum
+    c_q NF(a·q), each taken one arrow of q at a time from the right as
+    ``rewrite._normal_sum`` does (Bergman's diamond lemma makes the result
+    the normal form).  The product is zero exactly when every numerator of that sum
     is, and only a zero product's factors are decoded, for ``failures``.
     """
     n = params.n
@@ -556,10 +621,15 @@ def full_product_pwd_probe_H(params: Parameters, degree_bound: int = 5, trials: 
         bad = next(k for k in range(n) if params.beta[k] == 0)
         a = _zero_divisor(params, bad)
         b = Element.from_path(path_from_word(n, bad, "u"))
-        if normal_product(sys, a, b).is_zero():
+        if normal_form(sys, a * b).is_zero():
             counterexample = (str(a), str(b))
     ok = (not failures and tested > 0) if beta_ok else (counterexample is not None)
     return PwdHReport(trials, tested, seed, beta_ok, ok, failures, counterexample)
+
+
+def coded_times(tables, a: dict, b: dict) -> dict:
+    """NF(a·b) for combinations a, b of normal words, up to a power of D; zero sums left in."""
+    return _normal_sum(tables, b.items(), a)[1]
 
 
 def length(tables, word: int) -> int:
@@ -635,11 +705,11 @@ def check_gamma_pair_step(product_vanishes) -> None:
             gamma = [Fraction(rng.choice((-2, -1, 1, 3)), rng.randint(1, 3)) for _ in range(n)]
             beta[i] = Fraction(0)
             tables, graded, a, z, b = gamma_pair(Parameters.of(n, alpha, beta, gamma), i)
-            product = _coded_times(tables, a, b)
+            product = coded_times(tables, a, b)
             assert not any(c for w, c in product.items() if length(tables, w) == 3)
             assert {w for w, c in product.items() if c} == set(b)
             assert not product_vanishes(tables, graded, a, b), (n, i)
-            assert not any(_coded_times(tables, z, b).values())
+            assert not any(coded_times(tables, z, b).values())
             assert product_vanishes(tables, graded, z, b), (n, i)
 
 
@@ -651,7 +721,7 @@ def top_part_only(tables, graded, a, b) -> bool:
     """A mutant: a vanishing top part counts as a zero product."""
     size = lambda w: length(tables, w)
     top_a, top_b = max(map(size, a)), max(map(size, b))
-    product = _coded_times(graded, {w: c for w, c in a.items() if size(w) == top_a},
+    product = coded_times(graded, {w: c for w, c in a.items() if size(w) == top_a},
                            {q: c for q, c in b.items() if size(q) == top_b})
     return not any(c for w, c in product.items() if size(w) == top_a + top_b)
 
@@ -660,9 +730,9 @@ def lower_degrees_too(tables, graded, a, b) -> bool:
     """A mutant: any nonzero numerator of NF_H(a_top·b_top) counts as a nonzero product."""
     size = lambda w: length(tables, w)
     top_a, top_b = max(map(size, a)), max(map(size, b))
-    product = _coded_times(tables, {w: c for w, c in a.items() if size(w) == top_a},
+    product = coded_times(tables, {w: c for w, c in a.items() if size(w) == top_a},
                            {q: c for q, c in b.items() if size(q) == top_b})
-    return not any(product.values()) and not any(_coded_times(tables, a, b).values())
+    return not any(product.values()) and not any(coded_times(tables, a, b).values())
 
 
 def test_counting_a_vanishing_top_part_as_zero_is_caught(monkeypatch):

@@ -17,8 +17,9 @@ give the reference's value for every n, also where a
 coefficient vanishes in Q(zeta_n) without vanishing in the group algebra.
 
 ``r_monomial_product`` multiplies int-coded words in the rewriting
-kernel; the ``Element``/``normal_product`` path it replaced is kept here
-verbatim as ``element_r_monomial_product`` (without its cache).
+kernel; the ``Element`` path it replaced is kept here as
+``element_r_monomial_product`` (without its cache), its product taken
+by the definition, ``normal_form(sys, a * b)``.
 """
 
 import random
@@ -30,7 +31,7 @@ import pytest
 from quiverdu import skewgroup
 from quiverdu.core import Element, Parameters
 from quiverdu.cyclotomic import CycScalar, cyclotomic_polynomial
-from quiverdu.rewrite import PRESET_QDU, build_system, ensure_confluent, normal_product
+from quiverdu.rewrite import PRESET_QDU, build_system, ensure_confluent, normal_form
 from quiverdu.skewgroup import (
     _UNIT,
     GRADED_DOWN_UP,
@@ -218,8 +219,8 @@ def element_r_monomial_product(m1: RMonomial, m2: RMonomial) -> tuple[tuple[RMon
     if m2 == _UNIT:
         return ((m1, 1),)
     sys = ensure_confluent(build_system(PRESET_QDU, GRADED_DOWN_UP))
-    nf = normal_product(sys, Element.from_path(_monomial_to_path(m1)),
-                        Element.from_path(_monomial_to_path(m2)))
+    nf = normal_form(sys, Element.from_path(_monomial_to_path(m1))
+                     * Element.from_path(_monomial_to_path(m2)))
     return tuple(sorted((shape(names(p)), int(c)) for p, c in nf.terms.items()))
 
 

@@ -247,6 +247,29 @@ def test_noetherian_chain_refuses_an_empty_chain():
     assert report.ok and [s for s, _ in report.strict_inclusions] == [1]
 
 
+@pytest.mark.parametrize("n", range(1, 5))
+def test_a_wrong_zero_divisor_fails_the_chain_and_the_witnesses(n, monkeypatch):
+    # Doubling the gamma term of a_0 leaves a_0 u_0 = -gamma_0 u_0 != 0, so
+    # the annihilation U g u_0 = 0 fails with g = -a_0, and so do the
+    # zero-divisor witness and the probe's counterexample.
+    params = Parameters.of(n, [2] + [1] * (n - 1), [0] + [1] * (n - 1), [Fraction(3, 2)] + [0] * (n - 1))
+    genuine = structure._zero_divisor
+    assert noetherian_chain_check(params, s_max=2).ok and property_report(params).checks_passed
+
+    def doubled(params, i):
+        return genuine(params, i) - Element.from_path(trivial_path(params.n, i), params.gamma[i])
+
+    monkeypatch.setattr(structure, "_zero_divisor", doubled)
+    chain = noetherian_chain_check(params, s_max=2)
+    assert not chain.annihilation_ok and not chain.ok
+    report = property_report(params)
+    (witness,) = report.witnesses
+    assert witness["kind"] == "zero-divisor" and not witness["product_zero"]
+    assert not report.checks_passed
+    probe = pwd_probe_H(params, degree_bound=3, trials=20, seed=17)
+    assert probe.counterexample is None and not probe.ok
+
+
 def test_pwd_probe_nonzero_beta():
     params = Parameters.of(3, [1, -2, "1/2"], [3, "2/3", -1], [1, 0, "1/5"])
     report = pwd_probe_H(params, degree_bound=4, trials=60, seed=13)
