@@ -52,7 +52,7 @@ from .structure import (
     paper_nakayama,
     paper_twist_weights,
     property_report,
-    pwd_probe_H,
+    pwd_proof_H,
 )
 
 EXIT_PASS = 0
@@ -189,20 +189,33 @@ def _chain_findings(report) -> dict:
     }
 
 
-_UNTESTED_NOTE = "no product was tested: every trial drew an empty corner"
-
-
 def _pwd_findings(report) -> dict:
     out = {
-        "trials": report.trials,
         "beta_nonzero": report.beta_nonzero,
-        "zero_products": len(report.failures),
+        "zero_products": int(report.counterexample is not None),
     }
+    if report.gwa is not None:
+        out.update(_proof_findings(report.gwa))
     if report.counterexample is not None:
         out["counterexample"] = {"left": report.counterexample[0], "right": report.counterexample[1]}
-    if report.beta_nonzero and report.tested == 0:
-        out["note"] = _UNTESTED_NOTE
     return out
+
+
+def _gwa_findings(report) -> dict:
+    return {
+        "relations_killed": report.relations_killed,
+        "roundtrip_arrows": report.roundtrip_arrows,
+        "roundtrip_base": report.roundtrip_base,
+        "grading": report.grading_ok,
+        **_proof_findings(report),
+    }
+
+
+def _proof_findings(report) -> dict:
+    return {
+        "theta_prime_is_homomorphism": report.homomorphism.ok,
+        "sigma_is_automorphism": report.automorphism.ok,
+    }
 
 
 def _skewgroup_findings(report) -> dict:
@@ -309,16 +322,8 @@ def _cmd_verify(args) -> tuple[str, dict]:
     if what == "gwa":
         if not params.beta_all_nonzero():
             raise ConfigError("verify gwa requires all beta_i nonzero")
-        report = verify_gwa(params, trials=args.trials, seed=args.seed)
-        findings = {
-            "relations_killed": report.relations_killed,
-            "roundtrip_arrows": report.roundtrip_arrows,
-            "roundtrip_base": report.roundtrip_base,
-            "grading": report.grading_ok,
-            "pwd": {"trials": report.pwd.trials, "failures": len(report.pwd.failures)},
-        }
-        if report.pwd.tested == 0:
-            findings["pwd"]["note"] = _UNTESTED_NOTE
+        report = verify_gwa(params)
+        findings = {**_gwa_findings(report), "pwd": {"failures": report.pwd_failures}}
         return ("pass" if report.ok else "fail"), findings
     if what == "superpotential":
         if not params.beta_all_nonzero():
@@ -335,9 +340,7 @@ def _cmd_verify(args) -> tuple[str, dict]:
         ok, findings = _nakayama_findings(params)
         return ("pass" if ok else "fail"), findings
     if what == "pwd":
-        degree_bound = 5 if args.max_degree is None else args.max_degree
-        report = pwd_probe_H(params, degree_bound=degree_bound,
-                             trials=args.trials, seed=args.seed)
+        report = pwd_proof_H(params)
         return ("pass" if report.ok else "fail"), _pwd_findings(report)
     if what == "noetherian":
         bad = next((i for i in range(params.n) if params.beta[i] == 0), None)
@@ -402,16 +405,8 @@ def _cmd_report(args) -> tuple[str, dict]:
     oks.append(props.checks_passed)
 
     if params.beta_all_nonzero():
-        gwa = verify_gwa(params, trials=min(args.trials, 100), seed=args.seed)
-        sections["gwa"] = {
-            "relations_killed": gwa.relations_killed,
-            "roundtrip_arrows": gwa.roundtrip_arrows,
-            "roundtrip_base": gwa.roundtrip_base,
-            "grading": gwa.grading_ok,
-            "pwd_failures": len(gwa.pwd.failures),
-        }
-        if gwa.pwd.tested == 0:
-            sections["gwa"]["pwd_note"] = _UNTESTED_NOTE
+        gwa = verify_gwa(params)
+        sections["gwa"] = _gwa_findings(gwa)
         oks.append(gwa.ok)
         if params.gamma_is_zero():
             sp_ok, sp = _superpotential_findings(params)
@@ -424,7 +419,7 @@ def _cmd_report(args) -> tuple[str, dict]:
         chain = noetherian_chain_check(params, s_max=2)
         sections["noetherian_chain"] = _chain_findings(chain)
         oks.append(chain.ok)
-    pwd = pwd_probe_H(params, degree_bound=4, trials=min(args.trials, 100), seed=args.seed)
+    pwd = pwd_proof_H(params)
     sections["pwd"] = _pwd_findings(pwd)
     oks.append(pwd.ok)
 
@@ -443,8 +438,9 @@ def _cmd_report(args) -> tuple[str, dict]:
 def _int_at_least(lowest: int):
     """An argparse type: an integer no smaller than ``lowest``.
 
-    A degree below 0 or a trial count below 1 would check nothing and
-    still yield a pass, so such values are refused at the command line.
+    A degree below 0 would check nothing and still yield a pass, so it is
+    refused at the command line; so is a trial count below 1, although no
+    check reads ``--trials`` any more.
     """
     def parse(text: str) -> int:
         try:
@@ -466,7 +462,8 @@ def _build_parser() -> argparse.ArgumentParser:
     def common(p):
         p.add_argument("config", help="path to the algebra config JSON")
         p.add_argument("--json", action="store_true", help="machine-readable output")
-        p.add_argument("--seed", type=int, default=0, help="seed for randomized probes")
+        p.add_argument("--seed", type=int, default=0,
+                       help="echoed in the report; no check reads it (pwd and gwa are proved, not sampled)")
 
     p_nf = sub.add_parser("nf", help="normal form of an element")
     common(p_nf)
@@ -495,14 +492,17 @@ def _build_parser() -> argparse.ArgumentParser:
     p_ver.add_argument("what", choices=[
         "gwa", "superpotential", "nakayama", "pwd", "noetherian", "properties", "skewgroup"])
     common(p_ver)
-    p_ver.add_argument("--trials", type=_int_at_least(1), default=200)
-    p_ver.add_argument("--max-degree", type=_int_at_least(0), default=None)
+    p_ver.add_argument("--trials", type=_int_at_least(1), default=200,
+                       help="accepted and ignored: pwd and gwa are proved, not sampled")
+    p_ver.add_argument("--max-degree", type=_int_at_least(0), default=None,
+                       help="skewgroup: degree bound (default 4); pwd no longer reads it")
     p_ver.add_argument("--n", type=_int_at_least(2), default=None,
                        help="skewgroup: group order override (alpha=gamma=0 assumed)")
 
     p_rep = sub.add_parser("report", help="full verification suite for one config")
     common(p_rep)
-    p_rep.add_argument("--trials", type=_int_at_least(1), default=100)
+    p_rep.add_argument("--trials", type=_int_at_least(1), default=100,
+                       help="accepted and ignored: pwd and gwa are proved, not sampled")
     return parser
 
 

@@ -15,20 +15,15 @@ form alone.
 
 Beside it sits the int-coded form of a rational combination, ``(den,
 {key: int})``: int numerators over one positive denominator.  The GWA
-product, the normal-form kernel and the domain probes run on it and build
+product, the normal-form kernel and the proof checks run on it and build
 ``Fraction``s only at the public boundary.  ``Combination.coded`` encodes
 over the lcm of the denominators, ``Combination.from_coded`` decodes,
 ``add_into`` adds in place, lifting the denominator to the lcm only when
 needed, and ``reduced`` divides out a common factor.
-
-``Sampler`` is the random generator of the sampled domain probes: a
-``random.Random`` whose small draws make fewer Python calls for the same
-generator bits.
 """
 
 from __future__ import annotations
 
-import random
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, lcm
@@ -39,75 +34,6 @@ Scalar = Fraction
 
 UP = "u"
 DOWN = "d"
-
-# Numerators of the random coefficients c/q (q = 1, 2, 3) of the sampled
-# piecewise-domain probes.
-NONZERO_NUMERATORS = tuple(x for x in range(-5, 6) if x)
-
-
-class Sampler(random.Random):
-    """The random generator of the sampled piecewise-domain probes.
-
-    ``below(n)`` is ``randrange(n)``; ``randint``, ``choice`` and
-    ``sample`` are ``random.Random``'s, on int arguments.  Each inlines
-    the rejection loop of CPython's ``_randbelow_with_getrandbits``
-    (k = n.bit_length() bits for a range of n, redrawn while >= n), so it
-    makes the same ``getrandbits`` calls and values and the generator
-    state match ``random.Random(seed)`` call for call; only the method
-    layers ``randint -> randrange -> _randbelow`` in between are skipped.
-    ``sample`` is inlined only for k <= 5 and a list or tuple population
-    of at most 21 items, without ``counts``: CPython's pool branch.  Any
-    other call goes to ``random.Random.sample``.  Everything else is
-    ``random.Random``'s.
-    """
-
-    def below(self, n: int) -> int:
-        """Uniform in range(n), n > 0."""
-        k = n.bit_length()
-        r = self.getrandbits(k)
-        while r >= n:
-            r = self.getrandbits(k)
-        return r
-
-    def randint(self, a: int, b: int) -> int:
-        n = b - a + 1
-        if n <= 0:
-            raise ValueError(f"empty range for randint({a}, {b})")
-        k = n.bit_length()
-        r = self.getrandbits(k)
-        while r >= n:
-            r = self.getrandbits(k)
-        return a + r
-
-    def choice(self, seq):
-        n = len(seq)
-        if not n:
-            raise IndexError("Cannot choose from an empty sequence")
-        k = n.bit_length()
-        r = self.getrandbits(k)
-        while r >= n:
-            r = self.getrandbits(k)
-        return seq[r]
-
-    def sample(self, population, k, *, counts=None):
-        n = len(population)
-        if (k > 5 or k < 0 or k > n or n > 21 or counts is not None
-                or type(population) not in (list, tuple)):
-            return super().sample(population, k, counts=counts)
-        if k == 1:  # the pool branch's one draw, without the copy
-            return [population[self.below(n)]]
-        # CPython's pool branch: each pick is replaced by the last unpicked item.
-        getrandbits = self.getrandbits
-        result = []
-        pool = list(population)
-        for m in range(n, n - k, -1):
-            bits = m.bit_length()
-            j = getrandbits(bits)
-            while j >= m:
-                j = getrandbits(bits)
-            result.append(pool[j])
-            pool[j] = pool[m - 1]
-        return result
 
 
 @dataclass(frozen=True)

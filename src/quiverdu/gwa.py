@@ -25,20 +25,11 @@ substitution per term pair instead of m.
 ``BaseElement`` (monomial (v, a, b) -> rational) and ``GwaElement``
 (exponent m -> coefficient r_m in R) are ``core.Combination``s: their
 linear arithmetic is the shared kernel, and only their printing lives
-here.  ``theta`` returns and ``theta_prime`` takes a ``GwaElement``, and a
-failing probe trial prints its factors as ``GwaElement``s; everything else
-stays coded.
+here.  ``theta`` returns and ``theta_prime`` takes a ``GwaElement``;
+everything else stays coded.
 
 All products run on R in the int-coded form of ``core`` (``(den,
-{(v, a, b): int})``), summed by ``core.add_into``.  ``pwd_probe_gwa`` draws coded
-factors (``core.Sampler``) and decides each trial by the domain lemma for
-GWAs (V. Bavula, St. Petersburg Math. J. 4, 1993): for a in e_i T e_k and b
-in e_k T e_j with tops r X^{m1} and s X^{m2}, the top part of ab is
-r sigma^{m1}(s) cross(m1, m2) X^{m1 + m2}, whose first two factors are
-nonzero in the domain e_i R = k[x_i, y_i] because sigma is an automorphism.
-So the top part is nonzero exactly when cross(m1, m2) has an
-e_i-component, which the shift table keeps by vertex.  Only a failing
-trial takes the full product, and decodes its factors to print them.
+{(v, a, b): int})``), summed by ``core.add_into``.
 
 The algebra maps are theta(u_i) = X_i^-, theta(d_i) = X_i^+ and its
 inverse theta_prime with theta_prime(x_i) = u_i d_i and theta_prime(y_i) =
@@ -47,6 +38,14 @@ memoizes theta of each (source, word), one generator at a time, and
 theta_prime sends x_v^a y_v^b e_v X^m to the normal form of one word.
 ``verify_gwa`` reads the relations as int rows keyed by (source, word)
 and compares coded values; ``theta`` and ``theta_prime`` decode once.
+
+``verify_gwa`` proves H = T and that both are piecewise domains by a
+fixed number of exact checks (its docstring states the argument): the
+relation kill, the two round trips, T's 9n^2 + 6n + 3 defining identities
+on theta_prime's images (``theta_prime_is_homomorphism``) and sigma o
+sigma^-1 = id on the 3n generators of R (``sigma_is_automorphism``).  The
+two identity checks keep their results on the shift table, so a report
+computes each once.
 """
 
 from __future__ import annotations
@@ -55,8 +54,9 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 
-from .core import NONZERO_NUMERATORS, Combination, Element, Parameters, Sampler, add_into, reduced
-from .rewrite import PRESET_QDU, _codec, _normal_word, _RuleTables, _tables, _word_bits, build_system
+from .core import Combination, Element, Parameters, add_into, reduced
+from .rewrite import (PRESET_QDU, _codec, _normal_sum, _normal_word, _RuleTables, _tables, _word_bits,
+                      build_system)
 
 
 class BaseElement(Combination):
@@ -147,6 +147,7 @@ class _ShiftTable:
         self._monomials: dict[tuple[int, int, int, int], tuple[int, dict]] = {}
         self._cross: dict[tuple[int, int], tuple[int, dict, dict]] = {}
         self.bits, self.theta = _word_bits(n), {}  # theta of each (source, packed word) asked for
+        self.proofs: dict[str, object] = {}  # the proof checks' results, by name
 
     def images(self, m: int) -> tuple[tuple[tuple[int, dict], tuple[int, dict]], ...]:
         """(sigma^m(x_v), sigma^m(y_v)) for every vertex v."""
@@ -353,94 +354,98 @@ def theta_prime(params: Parameters, t: GwaElement) -> Element:
 
 
 # ---------------------------------------------------------------------------
-# Verification reports
+# The isomorphism H = T and the piecewise-domain proof
 # ---------------------------------------------------------------------------
 
-@dataclass
-class GwaPwdReport:
-    trials: int
-    tested: int
-    seed: int
-    failures: list
+@dataclass(frozen=True)
+class IdentityCheck:
+    """The identities of one exact check: how many were checked and the names of those that failed."""
+
+    checked: int
+    failed: tuple[str, ...]
 
     @property
     def ok(self) -> bool:
-        return not self.failures and self.tested > 0
+        return not self.failed
 
 
-@lru_cache(maxsize=16)
-def _x_degrees(n: int, degree_bound: int) -> tuple[tuple[int, ...], ...]:
-    """The X-degrees m with |m| <= ``degree_bound``, grouped by m mod n."""
-    return tuple(tuple(m for m in range(-degree_bound, degree_bound + 1) if m % n == residue)
-                 for residue in range(n))
+def _h_product(tables: _RuleTables, left: list, right: list) -> list:
+    """The product in H of two rows ``[den, {(source, word): numerator}]`` of normal words, as
+    such a row with zero sums left in; a pair whose words do not compose adds nothing."""
+    by_source: dict[int, list] = {}
+    for (source, word), c in right[1].items():
+        by_source.setdefault(source, []).append((word, c))
+    acc: list = [1, {}]
+    for (source, word), c in left[1].items():
+        terms = by_source.get(tables.target(source, word))
+        if terms:
+            e, comb = _normal_sum(tables, terms, {word: c})
+            add_into(acc, left[0] * right[0] * tables.denominator ** e,
+                     {(source, w): x for w, x in comb.items()})
+    return acc
 
 
-def _random_corner_element(params: Parameters, i: int, k: int, rng: Sampler,
-                           degree_bound: int) -> dict[int, tuple[int, dict]] | None:
-    """Nonzero random element of e_i T e_k with bounded degrees, coded.
+def _value(row: list) -> tuple[int, dict]:
+    """A row ``[den, numerators]`` reduced and without zero sums: one form per value."""
+    return reduced(row[0], {k: c for k, c in row[1].items() if c})
 
-    Each coefficient c/q with q in {1, 2, 3} is the numerator c * (6 / q)
-    over 6.  ``rng`` may be any ``random.Random``: the draws are the same.
-    None when no X-degree m = i - k mod n has |m| <= ``degree_bound``: the
-    corner has no element within the bound.
+
+def _theta_prime_identities(table: _ShiftTable) -> IdentityCheck:
+    """The 9n^2 + 6n + 3 relations of T's presentation, on theta_prime's images in H.
+
+    theta_prime(r) theta_prime(s) = theta_prime(rs) for every pair of R's generators
+    e_v, x_v, y_v; theta_prime(1) = sum e_v; theta_prime(X^-) theta_prime(X^+) =
+    theta_prime(x) and theta_prime(X^+) theta_prime(X^-) = theta_prime(sigma(x)); and
+    theta_prime(X^+-) theta_prime(r) = theta_prime(sigma^{+-1}(r) X^+-) for each generator r.
     """
-    n = params.n
-    terms: dict[int, tuple[int, dict]] = {}
-    residue = (i - k) % n
-    choices = _x_degrees(n, degree_bound)[residue]
-    for m in rng.sample(choices, k=min(len(choices), rng.randint(1, 2))):
-        poly: dict[tuple[int, int, int], int] = {}
-        for _ in range(rng.randint(1, 2)):
-            a = rng.randint(0, max(0, degree_bound - 1))
-            b = rng.randint(0, max(0, degree_bound - 1 - a))
-            c = rng.choice(NONZERO_NUMERATORS) * (6 // rng.randint(1, 3))
-            poly[(i, a, b)] = poly.get((i, a, b), 0) + c
-        poly = {key: c for key, c in poly.items() if c}
-        if poly:
-            terms[m] = (6, poly)
-    if not choices:
-        return None
-    if not terms:
-        terms[residue if residue <= degree_bound else residue - n] = (1, {(i, 0, 0): 1})
-    return terms
+    n = table.params.n
+    tables = _tables(build_system(PRESET_QDU, table.params))
+    image = lambda t: _coded_theta_prime(tables, t)
+    one = (1, {(v, 0, 0): 1 for v in range(n)})
+    x = (1, {(v, 1, 0): 1 for v in range(n)})
+    gens = [(f"{name}{v}", (v, a, b)) for v in range(n) for name, a, b in (("e", 0, 0), ("x", 1, 0), ("y", 0, 1))]
+    of = {label: image({0: (1, {g: 1})}) for label, g in gens}
+    x_minus, x_plus = image({-1: one}), image({1: one})
+    identities = []  # (name, left value, right value)
+    for lr, (v, a, b) in gens:
+        for ls, (w, a2, b2) in gens:
+            rs = {0: (1, {(v, a + a2, b + b2): 1})} if v == w else {}
+            identities.append((f"{lr} {ls}", _h_product(tables, of[lr], of[ls]), image(rs)))
+    identities.append(("1", image({0: one}), [1, {(v, 1): 1 for v in range(n)}]))
+    identities.append(("X- X+", _h_product(tables, x_minus, x_plus), image({0: x})))
+    identities.append(("X+ X-", _h_product(tables, x_plus, x_minus), image({0: table.shift(x, 1)})))
+    for sign, label, x_sign in ((1, "X+", x_plus), (-1, "X-", x_minus)):
+        for lr, g in gens:
+            identities.append((f"{label} {lr}", _h_product(tables, x_sign, of[lr]),
+                               image({sign: table.shift((1, {g: 1}), sign)})))
+    failed = tuple(name for name, left, right in identities if _value(left) != _value(right))
+    return IdentityCheck(len(identities), failed)
 
 
-def pwd_probe_gwa(params: Parameters, degree_bound: int = 3, trials: int = 200,
-                  seed: int = 0) -> GwaPwdReport:
-    """Sample sandwiched products in T and assert none vanishes, nor drops its top X-degree.
-
-    Each trial is decided by the domain lemma (V. Bavula, St. Petersburg Math. J. 4, 1993).
-    The tops r X^{m1} of a in e_i T e_k and s X^{m2} of b multiply to r sigma^{m1}(s)
-    cross(m1, m2) X^{m1 + m2}.  r and s are drawn nonzero, sigma^{m1}(s) != 0 as sigma is an
-    automorphism (``_gwa_table`` refuses a zero beta), and both lie in the domain e_i R =
-    k[x_i, y_i].  So the top part is nonzero exactly when cross(m1, m2) has an e_i-component:
-    a lookup in the table's cached cross factors, by vertex.  Only a failing trial takes the
-    full product, to tell a zero product from a dropped top degree, and decodes its factors
-    to print them.  A trial with a corner that has no X-degree within ``degree_bound`` tests
-    nothing; both factors are still drawn, so later trials draw as before.  Every tested
-    product is decided exactly; the probe passes only if some trial was tested.
-    """
+def theta_prime_is_homomorphism(params: Parameters) -> IdentityCheck:
+    """Whether theta_prime: T -> H is an algebra map (``_theta_prime_identities``), computed
+    once per shift table."""
     table = _gwa_table(params)
-    rng = Sampler(seed)
-    n = params.n
-    failures = []
-    tested = 0
-    for t in range(trials):
-        i, k, j = rng.below(n), rng.below(n), rng.below(n)
-        a = _random_corner_element(params, i, k, rng, degree_bound)
-        b = _random_corner_element(params, k, j, rng, degree_bound)
-        if a is None or b is None:
-            continue
-        tested += 1
-        top_a, top_b = max(a), max(b)
-        if i in table.coded_cross(top_a, top_b)[2]:
-            continue
-        if any(nums for _, nums in _coded_multiply(table, a, b).values()):
-            kind = "top degree dropped"
-        else:
-            kind = "zero product"
-        failures.append((t, kind, str(_decode_gwa(n, a)), str(_decode_gwa(n, b))))
-    return GwaPwdReport(trials, tested, seed, failures)
+    if "theta_prime" not in table.proofs:
+        table.proofs["theta_prime"] = _theta_prime_identities(table)
+    return table.proofs["theta_prime"]
+
+
+def sigma_is_automorphism(params: Parameters) -> IdentityCheck:
+    """Whether sigma o sigma^-1 and sigma^-1 o sigma fix e_v, x_v and y_v, for every v:
+    6n identities, computed once per shift table.  Both maps are algebra maps (the table
+    multiplies generator images), so they are then inverse on all of R."""
+    table = _gwa_table(params)
+    if "sigma" not in table.proofs:
+        failed = []
+        for v in range(table.params.n):
+            for name, g in (("e", (v, 0, 0)), ("x", (v, 1, 0)), ("y", (v, 0, 1))):
+                gen = (1, {g: 1})
+                for label, first, then in (("sigma sigma^-1", -1, 1), ("sigma^-1 sigma", 1, -1)):
+                    if reduced(*table.shift(table.shift(gen, first), then)) != gen:
+                        failed.append(f"{label} {name}{v}")
+        table.proofs["sigma"] = IdentityCheck(6 * table.params.n, tuple(failed))
+    return table.proofs["sigma"]
 
 
 @dataclass
@@ -449,19 +454,48 @@ class GwaVerifyReport:
     roundtrip_arrows: bool
     roundtrip_base: bool
     grading_ok: bool
-    pwd: GwaPwdReport
+    homomorphism: IdentityCheck
+    automorphism: IdentityCheck
+
+    @property
+    def proves_pwd(self) -> bool:
+        """H = T and sigma is an automorphism: the proof of ``verify_gwa``'s docstring."""
+        return (self.relations_killed and self.roundtrip_arrows and self.roundtrip_base
+                and self.homomorphism.ok and self.automorphism.ok)
+
+    @property
+    def pwd_failures(self) -> int:
+        """The number of failed identities of the two proof checks."""
+        return len(self.homomorphism.failed) + len(self.automorphism.failed)
 
     @property
     def ok(self) -> bool:
-        return (self.relations_killed and self.roundtrip_arrows
-                and self.roundtrip_base and self.grading_ok and self.pwd.ok)
+        return self.proves_pwd and self.grading_ok
 
 
-def verify_gwa(params: Parameters, trials: int = 200, seed: int = 0) -> GwaVerifyReport:
-    """theta kills every relation; theta_prime o theta fixes each e_i and arrow, whose
-    theta has the one X-degree of its grading; theta o theta_prime fixes e_i x_i,
-    e_i y_i, X_i^- and X_i^+; then the domain probe.  On coded values only: int rows
-    keyed by (source, packed word) for H, {m: (den, numerators)} for T."""
+def verify_gwa(params: Parameters) -> GwaVerifyReport:
+    """Prove H = T and that both are piecewise domains, by a fixed number of exact checks.
+
+    theta kills every relation, so theta: H -> T is an algebra map.  theta_prime o theta
+    fixes each e_i and arrow, whose theta has the one X-degree of its grading, and theta o
+    theta_prime fixes e_i x_i, e_i y_i, X_i^- and X_i^+.  theta_prime is an algebra map when
+    the images of T's generators satisfy T's defining relations in H
+    (``theta_prime_is_homomorphism``), since theta_prime sends x_v^a y_v^b e_v X^m to the
+    product of its generators' images.  Then theta_prime o theta = id_H and theta o
+    theta_prime = id_T, as both fix generators, so theta is an isomorphism.
+
+    T is a piecewise domain (V. Bavula, *Generalized Weyl algebras and their
+    representations*, St. Petersburg Math. J. 4, 1993).  For a in e_i T e_k and b in
+    e_k T e_j with top parts r X^{m1} and s X^{m2}, the top part of ab is r sigma^{m1}(s)
+    cross(m1, m2) X^{m1 + m2}, where cross(m1, m2) is a product of shifts sigma^j(x).  The
+    e_i-component of sigma^j(x) is sigma^j(x_{i-j}), nonzero because sigma is injective
+    (``sigma_is_automorphism``).  r and sigma^{m1}(s) are nonzero too, and all three lie
+    in the domain e_i R = k[x_i, y_i], so the top part of ab is nonzero.  So T is a
+    piecewise domain, and so is H, which is isomorphic to it.
+
+    On coded values only: int rows keyed by (source, packed word) for H, {m: (den,
+    numerators)} for T.
+    """
     n = params.n
     table = _gwa_table(params)
     tables = _tables(build_system(PRESET_QDU, params))
@@ -477,5 +511,5 @@ def verify_gwa(params: Parameters, trials: int = 200, seed: int = 0) -> GwaVerif
         for gen in ({0: (1, {(i, 1, 0): 1})}, {0: (1, {(i, 0, 1): 1})},  # x_i, y_i
                     {-1: (1, {(i, 0, 0): 1})}, {1: (1, {((i + 1) % n, 0, 0): 1})}):  # X_i^-, X_i^+
             roundtrip_base &= _canonical(_coded_theta(table, *_coded_theta_prime(tables, gen))) == gen
-    pwd = pwd_probe_gwa(params, trials=trials, seed=seed)
-    return GwaVerifyReport(relations_killed, roundtrip_arrows, roundtrip_base, grading_ok, pwd)
+    return GwaVerifyReport(relations_killed, roundtrip_arrows, roundtrip_base, grading_ok,
+                           theta_prime_is_homomorphism(params), sigma_is_automorphism(params))

@@ -1,5 +1,5 @@
-"""Superpotential and diagonal-map verification, property reports, and the
-non-noetherian ascending chain.
+"""Superpotential and diagonal-map verification, property reports, the
+non-noetherian ascending chain, and the piecewise-domain verdict on H.
 
 The degree-4 potential is Omega = sum_i [d_i d_{i-1} u_{i-1} u_i]
 - alpha_i [d_i u_i d_i u_i], where [p] is the compact form: the sum of the
@@ -18,6 +18,10 @@ These checks run on int rows keyed by (source, packed word), the words of
 relations (``_RuleTables.relation_rows``) and their images under a
 diagonal map, which is a map of arrow codes.  Only what a report prints
 is decoded: closure scalars, per-relation scalars and a twist defect.
+
+``pwd_proof_H`` decides whether H is a piecewise domain without sampling:
+with every beta_i nonzero it reads the proof of ``gwa.verify_gwa``, and
+with some beta_i = 0 it exhibits a zero-divisor pair.
 """
 
 from __future__ import annotations
@@ -27,8 +31,8 @@ from functools import cached_property
 from fractions import Fraction
 from math import lcm
 
-from .core import (NONZERO_NUMERATORS, Arrow, Element, Parameters, Path, Sampler, add_into, path_from_word,
-                   trivial_path)
+from .core import Arrow, Element, Parameters, Path, add_into, path_from_word, trivial_path
+from .gwa import GwaVerifyReport, verify_gwa
 from .linalg import RowSpace, spans_equal
 from .rewrite import (PRESET_QDU, _arrow_rank, _codec, _normal_sum, _normal_times, _pack_word, _qdu_system,
                       _RuleTables, _suffix, _tables, _unpack_word, basis_from, build_system, coded_shape,
@@ -535,109 +539,46 @@ def noetherian_chain_check(params: Parameters, i: int | None = None, s_max: int 
 
 
 # ---------------------------------------------------------------------------
-# Piecewise-domain probe on H itself
+# Piecewise domain: the proof, or a zero-divisor pair
 # ---------------------------------------------------------------------------
 
 @dataclass
-class PwdHReport:
-    trials: int
-    tested: int
-    seed: int
+class PwdProof:
+    """The piecewise-domain verdict on H: ``gwa`` holds the proof when every beta_i is
+    nonzero, and ``counterexample`` the zero-divisor pair (left, right) otherwise."""
+
     beta_nonzero: bool
-    ok: bool
-    failures: list
+    gwa: GwaVerifyReport | None
     counterexample: tuple[str, str] | None
 
+    @property
+    def ok(self) -> bool:
+        return self.gwa.proves_pwd if self.beta_nonzero else self.counterexample is not None
 
-def pwd_probe_H(params: Parameters, degree_bound: int = 5, trials: int = 200,
-                seed: int = 0) -> PwdHReport:
-    """Sample sandwiched products in H and test whether any vanishes.
 
-    With all beta_i nonzero every product must be nonzero, and at least
-    one product must have been tested (a trial whose corner pool is empty
-    tests nothing); with some beta_i = 0 the deterministic zero-divisor
-    pair is exhibited as well.
+def pwd_proof_H(params: Parameters) -> PwdProof:
+    """Decide whether H is a piecewise domain, exactly.
 
-    The trials run on int-coded words (``rewrite._RuleTables``).  A corner
-    pool holds the normal words of degree <= ``degree_bound`` from one
-    vertex to another, as ``basis_from`` walks them; a factor, distinct
-    pool words, is its own normal form.  Each trial's zero test is
-    ``_product_vanishes`` (top degree first, in gr H = H(alpha, beta, 0));
-    only a zero product's factors are decoded, for ``failures``.
+    With every beta_i nonzero it reads ``gwa.verify_gwa``, whose docstring states the
+    proof: H = T, and T is a piecewise domain because sigma is injective.  With some
+    beta_i = 0 the first such i gives the pair a_i, u_i (``_zero_divisor``), whose product
+    is taken to normal form and must vanish.
     """
     n = params.n
-    sys = ensure_confluent(build_system(PRESET_QDU, params))
-    tables = _tables(sys)
-    graded = _graded_tables(params, tables)
-    pools: dict[tuple[int, int], list[int]] = {}
-    for v in range(n):
-        for words in basis_from(sys, v, degree_bound):
-            for w in words:
-                pools.setdefault((v, tables.target(v, w)), []).append(w)
-    rng = Sampler(seed)
-    beta_ok = params.beta_all_nonzero()
-    failures = []
-    tested = 0
-    for t in range(trials):
-        i, k, j = rng.below(n), rng.below(n), rng.below(n)
-        pool_a, pool_b = pools.get((i, k), []), pools.get((k, j), [])
-        if not pool_a or not pool_b:
-            continue
-        a = _coded_combination(pool_a, rng)
-        b = _coded_combination(pool_b, rng)
-        tested += 1
-        if _product_vanishes(tables, graded, a, b):
-            failures.append((t, str(tables.element(i, 6, a)), str(tables.element(k, 6, b))))
-    counterexample = None
-    if not beta_ok:
-        bad = next(k for k in range(n) if params.beta[k] == 0)
-        a = _zero_divisor(params, bad)
-        b = Element.from_path(path_from_word(n, bad, "u"))
-        if _product_is_zero(tables, a, b):
-            counterexample = (str(a), str(b))
-    ok = (not failures and tested > 0) if beta_ok else (counterexample is not None)
-    return PwdHReport(trials, tested, seed, beta_ok, ok, failures, counterexample)
+    tables = _tables(ensure_confluent(build_system(PRESET_QDU, params)))
+    if params.beta_all_nonzero():
+        return PwdProof(True, verify_gwa(params), None)
+    bad = next(k for k in range(n) if params.beta[k] == 0)
+    a = _zero_divisor(params, bad)
+    b = Element.from_path(path_from_word(n, bad, "u"))
+    return PwdProof(False, None, (str(a), str(b)) if _product_is_zero(tables, a, b) else None)
 
 
 def _graded_tables(params: Parameters, tables: _RuleTables) -> _RuleTables:
-    """The tables of gr H = H(alpha, beta, 0), unchecked (the lemma compares kernel steps)."""
+    """The tables of gr H = H(alpha, beta, 0), unchecked: H's rules without their gamma words.
+
+    No check reads gr H since the domain probe gave way to the proof; the
+    tests pin its top-degree lemma for the gamma != 0 route through gr H.
+    """
     zero = (Fraction(0),) * params.n
     return tables if params.gamma_is_zero() else _tables(_qdu_system(replace(params, gamma=zero)))
-
-
-def _product_vanishes(tables: _RuleTables, graded: _RuleTables, a: dict[int, int],
-                      b: dict[int, int]) -> bool:
-    """Whether NF(a·b) = 0 in H, for combinations a, b of normal words (numerators only).
-
-    Top-degree lemma: each rule's alpha and beta words have the degree of
-    its leading word, its gamma word is two degrees lower, and no rule
-    raises degree.  ``graded`` (gr H = H(alpha, beta, 0)) has the same
-    leading words, so each kernel step, projected onto the top degree, is
-    the same step in its tables.  So with a_top, b_top the parts of a, b
-    of top length D_a, D_b (words of one length have one bit length), the
-    degree-(D_a + D_b) part of NF_H(a·b), which no pair of words not both
-    of top length reaches, is NF_gr(a_top·b_top) as rationals.  A nonzero
-    one means a nonzero product; only a vanishing one (a gamma term can
-    leave a lower degree) takes the full product in H, already taken when
-    gamma = 0 and a, b are their own top parts.  Each product is one ``_normal_sum``.
-    """
-    top_a, top_b = max(w.bit_length() for w in a), max(q.bit_length() for q in b)
-    a_top = {w: c for w, c in a.items() if w.bit_length() == top_a}
-    b_top = {q: c for q, c in b.items() if q.bit_length() == top_b}
-    product = _normal_sum(graded, b_top.items(), a_top)[1]
-    if any(product.values()):
-        return False
-    if graded is not tables or len(a_top) < len(a) or len(b_top) < len(b):
-        product = _normal_sum(tables, b.items(), a)[1]
-    return not any(product.values())
-
-
-def _coded_combination(pool: list[int], rng: Sampler) -> dict[int, int]:
-    """1 to 3 distinct words of ``pool`` with random nonzero coefficients, coded.
-
-    Each coefficient c/q with q in {1, 2, 3} is the numerator c * (6 / q)
-    over 6; c is drawn before q, word by word in sampled order.
-    """
-    size = rng.randint(1, min(3, len(pool)))
-    return {w: rng.choice(NONZERO_NUMERATORS) * (6 // rng.randint(1, 3))
-            for w in rng.sample(pool, size)}

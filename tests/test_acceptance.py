@@ -41,7 +41,7 @@ from quiverdu.structure import (
     noetherian_chain_check,
     paper_nakayama,
     paper_twist_weights,
-    pwd_probe_H,
+    pwd_proof_H,
 )
 from test_hilbert_reference import preprojective_series, qdu_series
 from test_iso import transform_params
@@ -125,21 +125,24 @@ def test_criterion_05_gwa():
     rng = random.Random(205)
     for trial in range(5):
         params = _random_params(3, rng)
-        report = verify_gwa(params, trials=200, seed=500 + trial)
+        report = verify_gwa(params)
         assert report.relations_killed
         assert report.roundtrip_arrows
         assert report.roundtrip_base
-        assert report.pwd.ok, report.pwd.failures
+        assert report.homomorphism.ok, report.homomorphism.failed
+        assert report.automorphism.ok, report.automorphism.failed
+        assert report.proves_pwd and report.ok
     _announce(5, "theta kills both relation families, the round trips are the "
-                 "identity, and 200-trial GWA sandwich probes find no zero products "
+                 "identity, theta_prime satisfies T's 102 defining identities and "
+                 "sigma o sigma^-1 fixes the generators, so H = T is a piecewise domain "
                  "(n=3, 5 random nonzero-beta parameter sets)")
 
 
 def test_criterion_06_pwd_on_H():
     rng = random.Random(206)
     params = _random_params(3, rng)
-    probe = pwd_probe_H(params, degree_bound=5, trials=200, seed=206)
-    assert probe.beta_nonzero and probe.ok and not probe.failures
+    proof = pwd_proof_H(params)
+    assert proof.beta_nonzero and proof.ok and proof.gwa.proves_pwd
     bad = Parameters.of(3, [_any_fraction(rng) for _ in range(3)],
                         [0, _nonzero_fraction(rng), _nonzero_fraction(rng)],
                         [_any_fraction(rng) for _ in range(3)])
@@ -153,9 +156,9 @@ def test_criterion_06_pwd_on_H():
     assert is_zero_in_quotient(sys_, a * b)
     d0 = Element.from_path(path_from_word(3, 1, "d"))
     assert is_zero_in_quotient(sys_, d0 * a)
-    probe_bad = pwd_probe_H(bad, degree_bound=4, trials=50, seed=206)
-    assert probe_bad.counterexample is not None
-    _announce(6, "200 sandwiched products of degree <= 5 nonzero with beta nonzero; "
+    proof_bad = pwd_proof_H(bad)
+    assert proof_bad.ok and proof_bad.counterexample == (str(a), str(b))
+    _announce(6, "H is a piecewise domain by the proof with beta nonzero; "
                  "with beta_0 = 0 the documented pair multiplies to 0")
 
 

@@ -115,9 +115,41 @@ def test_verify_properties_beta_zero(tmp_path, capsys):
 
 def test_verify_gwa(tmp_path, capsys):
     cfg = write_config(tmp_path, alpha=["1", "2", "3"], beta=["1", "2", "3"], gamma=["1", "1", "1"])
-    code, report = run_json(capsys, ["verify", "gwa", cfg, "--trials", "20", "--json"])
+    code, report = run_json(capsys, ["verify", "gwa", cfg, "--json"])
     assert code == 0
-    assert report["findings"]["pwd"]["failures"] == 0
+    assert report["findings"] == {
+        "relations_killed": True, "roundtrip_arrows": True, "roundtrip_base": True, "grading": True,
+        "theta_prime_is_homomorphism": True, "sigma_is_automorphism": True, "pwd": {"failures": 0}}
+
+
+def test_pwd_sections_read_the_proof(tmp_path, capsys):
+    proof = {"theta_prime_is_homomorphism": True, "sigma_is_automorphism": True}
+    cfg = write_config(tmp_path, alpha=["1", "2", "3"], beta=["1", "2", "3"], gamma=["1", "1", "1"])
+    code, report = run_json(capsys, ["verify", "pwd", cfg, "--json"])
+    assert code == 0 and report["findings"] == {"beta_nonzero": True, "zero_products": 0, **proof}
+    code, report = run_json(capsys, ["report", cfg, "--json"])
+    assert code == 0 and report["findings"]["pwd"] == {"beta_nonzero": True, "zero_products": 0, **proof}
+    assert report["findings"]["gwa"] == {"relations_killed": True, "roundtrip_arrows": True,
+                                         "roundtrip_base": True, "grading": True, **proof}
+
+
+def test_failed_proof_identities_are_counted(tmp_path, capsys, monkeypatch):
+    from quiverdu import gwa
+
+    cfg = write_config(tmp_path, alpha=["1", "2", "3"], beta=["1", "2", "3"], gamma=["1", "1", "1"])
+    monkeypatch.setattr(gwa, "_theta_prime_identities",
+                        lambda table: gwa.IdentityCheck(102, ("X+ y2", "X- x0")))
+    gwa._shift_table.cache_clear()
+    try:
+        code, report = run_json(capsys, ["verify", "gwa", cfg, "--json"])
+        assert code == 1 and report["findings"]["pwd"] == {"failures": 2}
+        assert report["findings"]["theta_prime_is_homomorphism"] is False
+        code, report = run_json(capsys, ["verify", "pwd", cfg, "--json"])
+        assert code == 1 and report["findings"]["theta_prime_is_homomorphism"] is False
+        code, report = run_json(capsys, ["report", cfg, "--json"])
+        assert code == 1 and report["findings"]["gwa"]["theta_prime_is_homomorphism"] is False
+    finally:
+        gwa._shift_table.cache_clear()
 
 
 def test_verify_gwa_rejects_zero_beta(tmp_path, capsys):
@@ -180,7 +212,10 @@ def test_report_beta_zero(tmp_path, capsys):
     code, report = run_json(capsys, ["report", cfg, "--trials", "10", "--json"])
     assert code == 0
     assert "noetherian_chain" in report["findings"]
-    assert "counterexample" in report["findings"]["pwd"]
+    assert "gwa" not in report["findings"]
+    assert report["findings"]["pwd"] == {
+        "beta_nonzero": False, "zero_products": 1,
+        "counterexample": {"left": "-1 @0 + -1 * u0.d0 + 1 * d2.u2", "right": "1 * u0"}}
 
 
 def test_json_determinism(tmp_path, capsys):
@@ -207,41 +242,29 @@ def test_max_degree_zero_is_honoured(tmp_path, capsys):
     code, report = run_json(capsys, ["verify", "skewgroup", cfg, "--max-degree", "0", "--json"])
     assert code == 0
     assert report["findings"]["max_degree"] == 0
-    code, report = run_json(capsys, ["verify", "pwd", cfg, "--max-degree", "0",
-                                     "--trials", "5", "--json"])
-    assert code == 0 and report["verdict"] == "pass"
 
 
-def test_pwd_with_no_product_tested_is_not_a_pass(tmp_path, capsys):
-    # At degree 0 only e_i e_i products exist; the one trial of seed 0 draws
-    # a corner with an empty pool, the one trial of seed 2 does not.
-    cfg = write_config(tmp_path)
-    argv = ["verify", "pwd", cfg, "--max-degree", "0", "--trials", "1", "--json"]
-    code, report = run_json(capsys, argv + ["--seed", "0"])
-    assert code == 1 and report["verdict"] == "fail"
-    assert "note" in report["findings"]
-    code, report = run_json(capsys, argv + ["--seed", "2"])
-    assert code == 0 and report["verdict"] == "pass"
-    assert "note" not in report["findings"]
+@pytest.mark.parametrize("what", ["pwd", "gwa"])
+def test_sampling_flags_are_accepted_and_read_by_no_check(tmp_path, capsys, what):
+    # --trials, --seed and verify's --max-degree stay accepted, since scripts
+    # pass them, but the proof reads none of them: only the echoed seed moves.
+    cfg = write_config(tmp_path, alpha=["2", "1/2", "5"], beta=["7", "-3/2", "13"], gamma=["1", "2", "1/3"])
+    code, plain = run_json(capsys, ["verify", what, cfg, "--json"])
+    extra = ["--trials", "1", "--seed", "9"] + (["--max-degree", "0"] if what == "pwd" else [])
+    code2, flagged = run_json(capsys, ["verify", what, cfg, *extra, "--json"])
+    assert code == code2 == 0 and flagged["seed"] == 9
+    assert flagged["findings"] == plain["findings"]
 
 
-def test_gwa_with_no_product_tested_says_why(tmp_path, capsys):
-    # At n = 12 with the default degree bound 3, the corners whose residue
-    # is 4 to 8 mod 12 have no X-degree in [-3, 3]: the one trial of seed 0
-    # draws such a corner and tests nothing, the one trial of seed 2 does not.
-    n = 12
-    cfg = write_config(tmp_path, n=n, alpha=["1"] * n, beta=["2"] * n, gamma=["1"] * n)
-    argv = ["verify", "gwa", cfg, "--trials", "1", "--json"]
-    code, report = run_json(capsys, argv + ["--seed", "0"])
-    assert code == 1 and report["verdict"] == "fail"
-    assert report["findings"]["pwd"] == {"trials": 1, "failures": 0, "note": cli._UNTESTED_NOTE}
-    code, report = run_json(capsys, argv + ["--seed", "2"])
-    assert code == 0 and report["verdict"] == "pass"
-    assert report["findings"]["pwd"] == {"trials": 1, "failures": 0}
-    code, report = run_json(capsys, ["report", cfg, "--trials", "1", "--seed", "0", "--json"])
-    assert code == 1 and report["findings"]["gwa"]["pwd_note"] == cli._UNTESTED_NOTE
-    code, report = run_json(capsys, ["report", cfg, "--trials", "1", "--seed", "2", "--json"])
-    assert "pwd_note" not in report["findings"]["gwa"]
+def test_help_says_the_sampling_flags_are_not_read(capsys):
+    texts = {}
+    for command in ("verify", "report"):
+        with pytest.raises(SystemExit):
+            main([command, "--help"])
+        texts[command] = text = " ".join(capsys.readouterr().out.split())
+        assert "--trials TRIALS accepted and ignored: pwd and gwa are proved, not sampled" in text
+        assert "--seed SEED echoed in the report; no check reads it (pwd and gwa are proved" in text
+    assert "skewgroup: degree bound (default 4); pwd no longer reads it" in texts["verify"]
 
 
 def test_internal_check_failure_is_fail_verdict(tmp_path, capsys, monkeypatch):

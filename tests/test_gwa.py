@@ -1,11 +1,12 @@
 import random
+from dataclasses import replace
 from fractions import Fraction
 
 import pytest
 
 from quiverdu import gwa
 from quiverdu.core import Element, Parameters, path_from_word
-from quiverdu.gwa import pwd_probe_gwa, theta, theta_prime, verify_gwa
+from quiverdu.gwa import sigma_is_automorphism, theta, theta_prime, theta_prime_is_homomorphism, verify_gwa
 from quiverdu.rewrite import PRESET_QDU, build_system, normal_form
 from test_gwa_reference import as_gwa_element, coded, coded_t, decoded, decoded_t, kernel_sigma, oracle_of
 
@@ -217,62 +218,11 @@ def test_grading_intertwined():
         assert set(img.terms) == {word.count("d") - word.count("u")}  # +1 per d, -1 per u
 
 
-def test_pwd_probe_trivial_and_random():
-    p = params_n3()
-    report = pwd_probe_gwa(p, degree_bound=3, trials=50, seed=11)
-    assert report.ok, report.failures
-
-
-@pytest.mark.parametrize("n", range(1, 13))
-def test_corner_draws_stay_within_the_degree_bound(n):
-    # A corner (i, k) whose residue i - k mod n has no X-degree within the
-    # bound draws None; every other draw is nonzero, with every term there.
-    params = Parameters.of(n, [1] * n, [2] * n, [0] * n)
-    for degree_bound in range(5):
-        rng = random.Random(degree_bound)
-        for i in range(n):
-            for k in range(n):
-                degrees = [m for m in range(-degree_bound, degree_bound + 1)
-                           if m % n == (i - k) % n]
-                for _ in range(4):
-                    drawn = gwa._random_corner_element(params, i, k, rng, degree_bound)
-                    if not degrees:
-                        assert drawn is None
-                        continue
-                    assert drawn and set(drawn) <= set(degrees), (i, k, degree_bound)
-
-
-def test_pwd_probe_counts_untested_trials():
-    # n = 9 with bound 3: residues 4 and 5 have no X-degree in [-3, 3], so
-    # some trials test nothing; with bound 0 only i = k = j is tested, and
-    # a probe that tests nothing does not pass.
-    n = 9
-    p = Parameters.of(n, [1, 2, 3, "1/2", 0, -1, 2, 1, 5], [2, 3, "-3/2", 1, 7, -1, 2, "1/3", 4],
-                      [1, 0, 2, 1, "1/2", 3, 1, 0, 2])
-    report = pwd_probe_gwa(p, trials=200, seed=0)
-    assert 0 < report.tested < report.trials and report.ok
-    empty = pwd_probe_gwa(p, degree_bound=0, trials=2, seed=0)
-    assert (empty.tested, empty.failures, empty.ok) == (0, [], False)
-
-
-def test_pwd_probe_deterministic_under_seed():
-    p = params_n3()
-    r1 = pwd_probe_gwa(p, trials=20, seed=5)
-    r2 = pwd_probe_gwa(p, trials=20, seed=5)
-    assert r1 == r2
-
-
-def test_default_seed_is_zero():
-    p = params_n3()
-    assert pwd_probe_gwa(p, trials=5) == pwd_probe_gwa(p, trials=5, seed=0)
-    assert verify_gwa(p, trials=5).pwd == verify_gwa(p, trials=5, seed=0).pwd
-
-
 def test_verify_gwa_full():
     rng = random.Random(59)
     for _ in range(2):
         p = rand_params(3, rng)
-        report = verify_gwa(p, trials=30, seed=7)
+        report = verify_gwa(p)
         assert report.ok
 
 
@@ -280,7 +230,7 @@ def test_verify_gwa_degenerate_n():
     rng = random.Random(61)
     for n in (1, 2):
         p = rand_params(n, rng)
-        report = verify_gwa(p, trials=20, seed=3)
+        report = verify_gwa(p)
         assert report.ok
 
 
@@ -299,6 +249,90 @@ def test_verify_gwa_fails_when_theta_misses_one_relation(monkeypatch):
             return {**image, 1: (1, {(1, 0, 0): 1})} if (source, word) == leading else image
 
         monkeypatch.setattr(gwa, "_theta_word", theta_missing_one)
-        report = verify_gwa(params, trials=20)
-        assert not report.relations_killed and not report.ok
-        assert report.roundtrip_arrows and report.roundtrip_base and report.grading_ok and report.pwd.ok
+        report = verify_gwa(params)
+        assert not report.relations_killed and not report.ok and not report.proves_pwd
+        assert report.roundtrip_arrows and report.roundtrip_base and report.grading_ok
+        assert report.homomorphism.ok and report.automorphism.ok and report.pwd_failures == 0
+
+
+# ---------------------------------------------------------------------------
+# The proof: theta_prime is an algebra map and sigma an automorphism
+# ---------------------------------------------------------------------------
+
+def proof_configs(n):
+    """Random beta != 0 configs at n, one with gamma = 0 and one with gamma entrywise nonzero."""
+    rng = random.Random(3600 + n)
+    nz = lambda: Fraction(rng.choice([x for x in range(-9, 10) if x]), rng.randint(1, 7))
+    alpha = [nz() * rng.randint(0, 1) for _ in range(n)]
+    return [Parameters.of(n, alpha, [nz() for _ in range(n)], [0] * n),
+            Parameters.of(n, alpha, [nz() for _ in range(n)], [nz() for _ in range(n)])]
+
+
+@pytest.mark.parametrize("n", range(1, 9))
+def test_proof_identities_hold(n):
+    for params in proof_configs(n):
+        gwa._shift_table.cache_clear()
+        homomorphism = theta_prime_is_homomorphism(params)
+        automorphism = sigma_is_automorphism(params)
+        assert homomorphism == gwa.IdentityCheck(9 * n * n + 6 * n + 3, ())
+        assert automorphism == gwa.IdentityCheck(6 * n, ())
+        report = verify_gwa(params)
+        assert report.ok and report.proves_pwd and report.pwd_failures == 0
+
+
+def test_proof_results_live_on_the_shift_table():
+    # Computed once per table, so a report reads each check once, and
+    # computed again after cache_clear, so a cold start is cold.
+    p = params_n3()
+    gwa._shift_table.cache_clear()
+    first = theta_prime_is_homomorphism(p)
+    assert theta_prime_is_homomorphism(p) is first and verify_gwa(p).homomorphism is first
+    assert gwa._shift_table(p).proofs == {"theta_prime": first, "sigma": sigma_is_automorphism(p)}
+    gwa._shift_table.cache_clear()
+    again = theta_prime_is_homomorphism(p)
+    assert again == first and again is not first
+
+
+def test_proof_checks_refuse_zero_beta():
+    p = Parameters.of(3, [1, 1, 1], [1, 0, 1], [0, 0, 0])
+    for check in (theta_prime_is_homomorphism, sigma_is_automorphism, verify_gwa):
+        with pytest.raises(ValueError, match="requires all beta_i nonzero"):
+            check(p)
+
+
+@pytest.fixture(params=["alpha", "gamma"])
+def sigma_with_entry_2_changed(request, monkeypatch):
+    """sigma built with alpha_2 (or gamma_2) raised by 1, while H keeps the true one."""
+    genuine = gwa._ShiftTable._step
+    field = request.param
+
+    def step(self, m, sign):
+        real = self.params
+        vector = list(getattr(real, field))
+        vector[2] += 1
+        self.params = replace(real, **{field: tuple(vector)})
+        try:
+            return genuine(self, m, sign)
+        finally:
+            self.params = real
+
+    monkeypatch.setattr(gwa._ShiftTable, "_step", step)
+    gwa._shift_table.cache_clear()
+    yield field
+    gwa._shift_table.cache_clear()
+
+
+@pytest.mark.parametrize("n", range(3, 6))
+def test_theta_prime_identities_catch_a_changed_sigma(n, sigma_with_entry_2_changed):
+    # sigma(y_2) = alpha_2 y_3 + beta_2 x_3 + gamma_2 e_3, so X^+ y_2 =
+    # sigma(y_2) X^+ fails in H; sigma^-1 is changed alike, so sigma stays
+    # an automorphism, and X^- r = sigma^-1(r) X^- fails where x_3 (x_0 at
+    # n = 3) is involved.
+    for params in proof_configs(n):
+        gwa._shift_table.cache_clear()
+        report = verify_gwa(params)
+        assert not report.homomorphism.ok and not report.ok and not report.proves_pwd
+        assert "X+ y2" in report.homomorphism.failed
+        assert f"X- x{3 % n}" in report.homomorphism.failed
+        assert report.automorphism.ok
+        assert report.pwd_failures == len(report.homomorphism.failed)

@@ -4,22 +4,17 @@
 and multiplies in T one generator at a time, from X^+- r = sigma^+-1(r)
 X^+-, X^- X^+ = x and X^+ X^- = sigma(x) alone.  The kernel's shift table
 (generator images stepped by m, cached monomial images and cross
-factors), its coded product, theta and the domain probe must give the
-same values, on random parameters with denominators and gamma = 0 or not.
+factors), its coded product and theta must give the same values, on
+random parameters with denominators and gamma = 0 or not.
 
-``reference_random_corner_element`` is the ``Fraction`` corner draw that
-the int-coded one replaced, kept up to its name, to returning the
-oracle's {m: {(v, a, b): Fraction}} and to one change it shares with the
-kernel: a corner with no X-degree within the bound draws None.  It is the
-reference for the draws' values, key order and random state, and
-``oracle_pwd_probe_gwa`` multiplies its draws with the oracle.
-
-The probe decides each trial by the domain lemma, a lookup of the
-e_i-component of a cross factor.  ``product_pwd_probe_gwa`` keeps the
-top-part product that lookup replaced, to compare the two on every drawn
-trial; the lemma's hypothesis (every cross factor has every vertex) is
-checked against the oracle, and a sigma that is not injective must make
-the probe fail.
+T is a piecewise domain by the proof of ``verify_gwa``, which replaced a
+domain probe of sampled products.  ``reference_random_corner_element``
+keeps that probe's draws, on ``random.Random``, and ``sampled_failures``
+multiplies them with the oracle: wherever the proof holds, no drawn
+product vanishes or drops its top degree.  What the proof derives from
+sigma's injectivity (every cross factor has every vertex) is checked
+against the oracle, and a sigma that is not injective must fail
+``sigma_is_automorphism``.
 """
 
 import json
@@ -34,9 +29,9 @@ from hypothesis import strategies as st
 
 import oracle
 from quiverdu import cli, gwa
-from quiverdu.core import Element, Parameters, Sampler, path_from_word
-from quiverdu.gwa import (BaseElement, GwaElement, GwaPwdReport, _coded_multiply, _gwa_table,
-                          _shift_table, pwd_probe_gwa, theta)
+from quiverdu.core import Element, Parameters, path_from_word
+from quiverdu.gwa import (BaseElement, GwaElement, _coded_multiply, _gwa_table, _shift_table,
+                          sigma_is_automorphism, theta, verify_gwa)
 from test_oracle import names
 
 
@@ -243,12 +238,13 @@ def test_coded_theta_refuses_zero_beta():
 
 
 # ---------------------------------------------------------------------------
-# The corner draw and the domain probe
+# The sampled products of the deleted domain probe, against the proof
 # ---------------------------------------------------------------------------
 
 def reference_random_corner_element(params: Parameters, i: int, k: int, rng: random.Random,
                                     degree_bound: int) -> dict | None:
-    """Nonzero random element of e_i T e_k with bounded degrees."""
+    """Nonzero random element of e_i T e_k with bounded degrees: the draw of the domain probe
+    that the proof replaced.  None when no X-degree m = i - k mod n has |m| <= ``degree_bound``."""
     n = params.n
     terms: dict[int, dict] = {}
     residue = (i - k) % n
@@ -270,40 +266,17 @@ def reference_random_corner_element(params: Parameters, i: int, k: int, rng: ran
     return terms
 
 
-@pytest.mark.parametrize("n", range(1, 7))
-def test_coded_corner_draw_matches_reference(n):
-    params = Parameters.of(n, [1] * n, [2] * n, [0] * n)
-    for degree_bound in range(1, 6):
-        for seed in range(8):
-            rng, ref_rng = random.Random(seed), random.Random(seed)
-            for _ in range(6):
-                i, k = rng.randrange(n), rng.randrange(n)
-                ref_rng.randrange(n), ref_rng.randrange(n)
-                drawn = gwa._random_corner_element(params, i, k, rng, degree_bound)
-                ref = reference_random_corner_element(params, i, k, ref_rng, degree_bound)
-                assert (drawn is None) == (ref is None)
-                if drawn is not None:
-                    for den, nums in drawn.values():
-                        assert den > 0 and nums and all(nums.values())
-                    # the same values, with the same key order in every term map
-                    assert [(m, list(decoded(r).items())) for m, r in drawn.items()] == \
-                        [(m, list(r.items())) for m, r in ref.items()]
-                assert rng.getstate() == ref_rng.getstate()
+def sampled_failures(params: Parameters, degree_bound: int = 3, trials: int = 200,
+                     seed: int = 0) -> tuple[int, list]:
+    """(tested, failures) of the sampled probe, each product taken whole by the oracle.
 
-
-def oracle_pwd_probe_gwa(params: Parameters, degree_bound: int = 3, trials: int = 200, seed: int = 0,
-                         vanishing=lambda m1, m2: False) -> GwaPwdReport:
-    """The probe from its specification: the reference draws, each product taken whole by the
-    oracle, with the parts r X^{m1} s X^{m2} where ``vanishing(m1, m2)`` left out.
-
-    A trial fails as a zero product, or as a dropped top degree when the product's top X-degree
-    is not the sum of the factors'; a trial with a corner that has no X-degree within the bound
-    tests nothing.
+    A trial fails as a zero product, or as a dropped top degree when the product's top
+    X-degree is not the sum of the factors'; a trial with a corner that has no X-degree
+    within the bound tests nothing.
     """
     t, n = oracle_of(params), params.n
     rng = random.Random(seed)
-    failures = []
-    tested = 0
+    failures, tested = [], 0
     for trial in range(trials):
         i, k, j = (rng.randrange(n) for _ in range(3))
         a = reference_random_corner_element(params, i, k, rng, degree_bound)
@@ -311,16 +284,12 @@ def oracle_pwd_probe_gwa(params: Parameters, degree_bound: int = 3, trials: int 
         if a is None or b is None:
             continue
         tested += 1
-        product = t.t_sum((t.times({m1: r}, {m2: s}), 1) for m1, r in a.items() for m2, s in b.items()
-                          if not vanishing(m1, m2))
+        product = t.times(a, b)
         if not product:
-            kind = "zero product"
+            failures.append((trial, "zero product"))
         elif max(product) != max(a) + max(b):
-            kind = "top degree dropped"
-        else:
-            continue
-        failures.append((trial, kind, str(as_gwa_element(n, a)), str(as_gwa_element(n, b))))
-    return GwaPwdReport(trials, tested, seed, failures)
+            failures.append((trial, "top degree dropped"))
+    return tested, failures
 
 
 PROBE_PARAMS = [
@@ -329,88 +298,6 @@ PROBE_PARAMS = [
     Parameters.of(4, [0] * 4, [-1] * 4, [0] * 4),
 ]
 
-
-@pytest.mark.parametrize("params", PROBE_PARAMS)
-def test_top_parts_first_matches_full_product_probe(params):
-    for degree_bound in (1, 2, 3, 4, 5):
-        for seed in (0, degree_bound, 7):
-            got = pwd_probe_gwa(params, degree_bound=degree_bound, trials=80, seed=seed)
-            assert got.ok and got == oracle_pwd_probe_gwa(params, degree_bound=degree_bound, trials=80,
-                                                           seed=seed)
-
-
-# theta multiplies by X^{+-1} only, so a broken cross(3, -2) is seen by the
-# probe alone, never by the relation and round-trip checks.
-BROKEN = (3, -2)
-GENERIC3 = {"n": 3, "alpha": ["2", "1/2", "5"], "beta": ["7", "-3/2", "13"],
-            "gamma": ["1", "2", "1/3"]}
-
-
-@pytest.fixture
-def broken_cross(monkeypatch):
-    """cross(3, -2) = 0, and so every cross(3 + k, -2 - k) built on it, with every shift table rebuilt."""
-    genuine = gwa._ShiftTable.coded_cross
-
-    def coded_cross(self, m1, m2):
-        return (1, {}, {}) if (m1, m2) == BROKEN else genuine(self, m1, m2)
-
-    monkeypatch.setattr(gwa._ShiftTable, "coded_cross", coded_cross)
-    _shift_table.cache_clear()
-    yield
-    _shift_table.cache_clear()
-
-
-def test_probe_reports_a_broken_cross_factor(broken_cross):
-    params = Parameters.of(3, GENERIC3["alpha"], GENERIC3["beta"], GENERIC3["gamma"])
-    report = pwd_probe_gwa(params, trials=200, seed=4)
-    assert not report.ok and report.failures
-    assert {kind for _, kind, _, _ in report.failures} <= {"zero product", "top degree dropped"}
-    # Same trials, kinds and printed factors as the oracle's probe with the
-    # same parts left out; the printed factors are the reference draws.
-    assert report == oracle_pwd_probe_gwa(params, trials=200, seed=4,
-                                          vanishing=lambda m1, m2: m1 >= 3 and m1 + m2 == 1)
-
-
-def test_verify_gwa_fails_on_a_broken_cross_factor(broken_cross, tmp_path, capsys):
-    cfg = tmp_path / "generic3.json"
-    cfg.write_text(json.dumps(GENERIC3), encoding="utf-8")
-    code = cli.main(["verify", "gwa", str(cfg), "--json"])
-    findings = json.loads(capsys.readouterr().out)["findings"]
-    assert code == 1
-    assert findings["relations_killed"] and findings["roundtrip_base"]
-    assert findings["pwd"]["failures"] > 0
-
-
-@pytest.fixture
-def opposite_crosses_vanish(monkeypatch):
-    """cross(m1, m2) = 0 whenever m1 and m2 have opposite signs, tables rebuilt."""
-    genuine = gwa._ShiftTable.coded_cross
-    monkeypatch.setattr(gwa._ShiftTable, "coded_cross",
-                        lambda self, m1, m2: (1, {}, {}) if m1 * m2 < 0 else genuine(self, m1, m2))
-    _shift_table.cache_clear()
-    yield
-    _shift_table.cache_clear()
-
-
-@pytest.mark.parametrize("params", PROBE_PARAMS)
-def test_top_parts_first_classifies_failures_as_full_product(params, opposite_crosses_vanish):
-    # A top pair of opposite signs vanishes: the trial fails, as a zero
-    # product when every pair has opposite signs and as a dropped top
-    # degree when a lower pair survives.  The probe multiplies the top
-    # parts first and the whole factors only when those vanish.
-    kinds = set()
-    for degree_bound in (1, 2, 3, 4):
-        got = pwd_probe_gwa(params, degree_bound=degree_bound, trials=100, seed=degree_bound)
-        assert got == oracle_pwd_probe_gwa(params, degree_bound=degree_bound, trials=100,
-                                           seed=degree_bound, vanishing=lambda m1, m2: m1 * m2 < 0)
-        kinds.update(kind for _, kind, _, _ in got.failures)
-    assert kinds == {"zero product", "top degree dropped"}
-
-
-# ---------------------------------------------------------------------------
-# The domain lemma that decides each probe trial
-# ---------------------------------------------------------------------------
-
 # The generic n = 9 config of the CI's GWA step: gamma != 0, and the
 # corners with residue 4 or 5 have no X-degree within bound 3.
 N9 = Parameters.of(9, ["1", "2", "3", "1/2", "0", "-1", "2", "1", "5"],
@@ -418,75 +305,19 @@ N9 = Parameters.of(9, ["1", "2", "3", "1/2", "0", "-1", "2", "1", "5"],
                    ["1", "0", "2", "1", "1/2", "3", "1", "0", "2"])
 
 
-def product_pwd_probe_gwa(params: Parameters, degree_bound: int, trials: int, seed: int,
-                          disagreements: list) -> GwaPwdReport:
-    """``pwd_probe_gwa`` as it was before the domain lemma: each trial multiplies the top
-    X-degree parts of its factors, and the full factors when that part vanishes.  A tested
-    trial whose lemma lookup, ``i in coded_cross(top_a, top_b)[2]``, disagrees with that
-    product is appended to ``disagreements``."""
-    table, rng, n = _gwa_table(params), Sampler(seed), params.n
-    failures, tested = [], 0
-    for t in range(trials):
-        i, k, j = rng.below(n), rng.below(n), rng.below(n)
-        a = gwa._random_corner_element(params, i, k, rng, degree_bound)
-        b = gwa._random_corner_element(params, k, j, rng, degree_bound)
-        if a is None or b is None:
-            continue
-        tested += 1
-        top_a, top_b = max(a), max(b)
-        top = bool(_coded_multiply(table, {top_a: a[top_a]}, {top_b: b[top_b]}))
-        if top != (i in table.coded_cross(top_a, top_b)[2]):
-            disagreements.append((t, top_a, top_b))
-        if top:
-            continue
-        if any(nums for _, nums in _coded_multiply(table, a, b).values()):
-            kind = "top degree dropped"
-        else:
-            kind = "zero product"
-        failures.append((t, kind, str(gwa._decode_gwa(n, a)), str(gwa._decode_gwa(n, b))))
-    return GwaPwdReport(trials, tested, seed, failures)
-
-
-@pytest.fixture
-def vertex_one_vanishes(monkeypatch):
-    """The e_1-component of cross(m1, m2) is 0 whenever m1 and m2 have opposite signs, and
-    only that one: a lookup at a vertex other than the product's would miss it."""
-    genuine = gwa._ShiftTable.coded_cross
-
-    def coded_cross(self, m1, m2):
-        den, nums, at = genuine(self, m1, m2)
-        if m1 * m2 < 0:
-            nums = {key: c for key, c in nums.items() if key[0] != 1 % self.params.n}
-            at = {v: terms for v, terms in at.items() if v != 1 % self.params.n}
-        return den, nums, at
-
-    monkeypatch.setattr(gwa._ShiftTable, "coded_cross", coded_cross)
-    _shift_table.cache_clear()
-    yield
-    _shift_table.cache_clear()
-
-
-@pytest.fixture(params=["genuine", "broken_cross", "opposite_crosses_vanish", "vertex_one_vanishes"])
-def cross_factors(request):
-    """The genuine shift tables, and each fixture above that breaks cross factors."""
-    if request.param != "genuine":
-        request.getfixturevalue(request.param)
-    return request.param
-
-
 @pytest.mark.parametrize("params", PROBE_PARAMS + [N9], ids=lambda p: f"n{p.n}")
-def test_lemma_lookup_decides_each_trial_as_the_top_product(params, cross_factors):
-    # Every drawn trial, at bounds 0..5 and many seeds: the lookup's verdict is
-    # the top parts' product's, and the reports are equal.
-    failed = 0
+def test_sampled_products_in_T_are_nonzero_where_the_proof_holds(params):
+    # The old draws at bounds 0..5 and many seeds: the proof holds, and no
+    # drawn product in T, taken by the oracle, vanishes or drops its top degree.
+    _shift_table.cache_clear()
+    assert verify_gwa(params).proves_pwd
+    tested = 0
     for degree_bound in range(6):
-        for seed in range(12):
-            disagreements = []
-            got = pwd_probe_gwa(params, degree_bound=degree_bound, trials=40, seed=seed)
-            assert got == product_pwd_probe_gwa(params, degree_bound, 40, seed, disagreements)
-            assert disagreements == []
-            failed += len(got.failures)
-    assert (failed > 0) == (cross_factors != "genuine")
+        for seed in range(6):
+            count, failures = sampled_failures(params, degree_bound, trials=40, seed=seed)
+            assert failures == [], (degree_bound, seed)
+            tested += count
+    assert tested > 0
 
 
 def lemma_configs(n: int) -> list[Parameters]:
@@ -498,6 +329,33 @@ def lemma_configs(n: int) -> list[Parameters]:
             Parameters.of(n, maybe(), [rational() for _ in range(n)], maybe())]
 
 
+@pytest.mark.parametrize("n", range(1, 7))
+def test_sampled_products_on_random_configs(n):
+    for params in lemma_configs(n):
+        _shift_table.cache_clear()
+        assert verify_gwa(params).proves_pwd
+        assert sampled_failures(params, degree_bound=3, trials=60, seed=n)[1] == []
+
+
+def test_sampled_products_catch_a_sigma_that_is_not_injective(monkeypatch):
+    # The differential can fail: with the oracle's sigma(x_0) = 0, X^+ X^- =
+    # sigma(x) has no e_1-component, and some drawn products vanish or drop
+    # their top degree.
+    genuine = oracle.Gwa._images
+
+    def images(self, v, sign):
+        e, x, y = genuine(self, v, sign)
+        return (e, {}, y) if sign > 0 and v == 0 else (e, x, y)
+
+    monkeypatch.setattr(oracle.Gwa, "_images", images)
+    oracle_of.cache_clear()
+    try:
+        failures = sampled_failures(PROBE_PARAMS[1], degree_bound=3, trials=200, seed=0)[1]
+    finally:
+        oracle_of.cache_clear()
+    assert {kind for _, kind in failures} == {"zero product", "top degree dropped"}
+
+
 def crosses_missing_a_vertex(params: Parameters, power: int = 5) -> list[tuple[int, int]]:
     """The (m1, m2) with |m1|, |m2| <= ``power`` whose cross factor lacks an e_i-component."""
     table = _gwa_table(params)
@@ -507,9 +365,9 @@ def crosses_missing_a_vertex(params: Parameters, power: int = 5) -> list[tuple[i
 
 @pytest.mark.parametrize("n", range(1, 7))
 def test_every_cross_factor_has_every_vertex(n):
-    # The lemma's hypothesis: with every beta_i != 0, cross(m1, m2) has a
-    # nonzero e_i-component at every vertex i, in the kernel's table and in
-    # the oracle's X^{m1} X^{m2}.
+    # What the proof derives from sigma's injectivity: with every beta_i != 0,
+    # cross(m1, m2) has a nonzero e_i-component at every vertex i, in the
+    # kernel's table and in the oracle's X^{m1} X^{m2}.
     for params in lemma_configs(n):
         assert crosses_missing_a_vertex(params) == []
         t = oracle_of(params)
@@ -537,9 +395,20 @@ def sigma_kills_x0(monkeypatch):
 
 
 @pytest.mark.parametrize("params", PROBE_PARAMS + [N9], ids=lambda p: f"n{p.n}")
-def test_probe_fails_when_sigma_is_not_injective(params, sigma_kills_x0):
+def test_proof_fails_when_sigma_is_not_injective(params, sigma_kills_x0, tmp_path, capsys):
     # With sigma(x_0) = 0 the lemma's hypothesis fails: sigma(x) has no
-    # e_1-component, nor has cross(1, -1) = sigma(x).  The probe must say so.
+    # e_1-component, nor has cross(1, -1) = sigma(x).  sigma o sigma^-1 sends
+    # y_1 = sigma(x_0) to 0, so sigma_is_automorphism must fail.
     assert (1, -1) in crosses_missing_a_vertex(params)
-    report = pwd_probe_gwa(params, degree_bound=3, trials=200, seed=0)
-    assert not report.ok and report.failures
+    automorphism = sigma_is_automorphism(params)
+    assert not automorphism.ok and f"sigma sigma^-1 y{1 % params.n}" in automorphism.failed
+    report = verify_gwa(params)
+    assert not report.proves_pwd and not report.ok and report.pwd_failures > 0
+    cfg = tmp_path / "config.json"
+    cfg.write_text(json.dumps({"n": params.n, "alpha": [str(x) for x in params.alpha],
+                               "beta": [str(x) for x in params.beta],
+                               "gamma": [str(x) for x in params.gamma]}), encoding="utf-8")
+    for argv in (["verify", "gwa"], ["verify", "pwd"]):
+        code = cli.main([*argv, str(cfg), "--json"])
+        findings = json.loads(capsys.readouterr().out)["findings"]
+        assert code == 1 and findings["sigma_is_automorphism"] is False

@@ -4,9 +4,9 @@
 arrow code (``_pack_word``).  These tests cover the packing itself (round
 trip, length, same-length order and the masked suffix test with its length
 guard, past 64 bits too), and compare the kernel on packed words with
-``oracle``: normal forms, every memo entry, and the domain probe, chain and
-freeness reports with the oracle in place of the kernel.  The probe's
-corner pools, now read from ``basis_from``'s coded words, are pinned to the
+``oracle``: normal forms, every memo entry, and the chain and freeness
+reports with the oracle in place of the kernel.  The corner pools of
+normal words read from ``basis_from``'s coded words are pinned to the
 pools built from sorted Paths before.
 """
 from __future__ import annotations
@@ -16,7 +16,6 @@ import io
 import itertools
 import json
 import random
-from dataclasses import replace
 from fractions import Fraction
 
 import pytest
@@ -32,7 +31,6 @@ from quiverdu.rewrite import (
     _normal_word,
     _pack_word,
     _qdu_specs,
-    _qdu_system,
     _tables,
     _unpack_word,
     _word_bits,
@@ -41,11 +39,10 @@ from quiverdu.rewrite import (
     normal_form,
 )
 from quiverdu.skewgroup import GRADED_DOWN_UP
-from quiverdu.structure import noetherian_chain_check, property_report, pwd_probe_H
+from quiverdu.structure import noetherian_chain_check, property_report
 import oracle
 from test_golden_json import CONFIGS
 from test_oracle import packed, random_params, reducer_of, word_names
-from test_product_reference import run_probe, top_degree_regimes
 from test_rewrite import Poly, symbolic_params, symbolic_system
 
 BITS = {1: 1, 2: 2, 3: 3, 12: 5, 40: 7}
@@ -244,17 +241,23 @@ def via_oracle(monkeypatch) -> None:
     monkeypatch.setattr(structure, "_normal_times", normal_times)
 
 
+def report_regimes(n: int) -> list[Parameters]:
+    """beta all nonzero or beta_0 = 0, each with gamma = 0 and gamma != 0; alpha_0 = 0."""
+    alpha = [Fraction(0)] + [Fraction(2 * i + 1, i + 2) for i in range(1, n)]
+    beta = [Fraction(-3, i + 1) if i % 2 else Fraction(i + 2) for i in range(n)]
+    gamma = [Fraction(i + 1, 3) for i in range(n)]
+    zero = [0] * n
+    return [Parameters.of(n, alpha, b, g) for b in (beta, [0] + beta[1:]) for g in (zero, gamma)]
+
+
 @pytest.mark.parametrize("n", range(1, 5))
 def test_reports_match_the_oracle(n, monkeypatch):
-    # The probe (report and generator end state), and the freeness witness
-    # or, with beta_0 = 0, the chain.
+    # The freeness witness or, with beta_0 = 0, the chain.
     def reports(params):
-        kwargs = {"degree_bound": 4, "trials": 60, "seed": 30_600 + n}
-        return (run_probe(pwd_probe_H, monkeypatch, params, **kwargs),
-                property_report(params) if params.beta_all_nonzero()
+        return (property_report(params) if params.beta_all_nonzero()
                 else noetherian_chain_check(params, s_max=2))
 
-    for params in top_degree_regimes(n):
+    for params in report_regimes(n):
         want = reports(params)
         with monkeypatch.context() as m:
             via_oracle(m)
@@ -262,7 +265,7 @@ def test_reports_match_the_oracle(n, monkeypatch):
 
 
 # ---------------------------------------------------------------------------
-# The probe's pools, built without Paths
+# Corner pools of normal words, built without Paths
 # ---------------------------------------------------------------------------
 
 def path_basis(sys_: ReductionSystem, v: int, degree: int) -> list[list[int]]:
@@ -293,7 +296,7 @@ def path_pools(sys_: ReductionSystem, degree: int) -> dict:
 
 
 def coded_pools(sys_: ReductionSystem, degree: int) -> dict:
-    """The pools as ``pwd_probe_H`` builds them."""
+    """The normal words by (source, target), read from ``basis_from``'s coded words."""
     tables, pools = _tables(sys_), {}
     for v in range(sys_.n):
         for words in basis_from(sys_, v, degree):
@@ -311,19 +314,6 @@ def test_pools_equal_the_path_built_pools(n):
     assert basis_from(sys_, 0, 0) == [[1]] and _tables(sys_).path(0, 1) == trivial_path(n, 0)
 
 
-@pytest.mark.parametrize("n", range(1, 4))
-def test_probe_is_unchanged_by_coded_pools(n, monkeypatch):
-    # The probe with its pools read from sorted Paths (as before) gives the
-    # same report and leaves its generator in the same state.
-    for params in top_degree_regimes(n):
-        for degree in (0, 3, 5):
-            kwargs = {"degree_bound": degree, "trials": 50, "seed": 30_700 + degree}
-            want = run_probe(pwd_probe_H, monkeypatch, params, **kwargs)
-            with monkeypatch.context() as m:
-                m.setattr(structure, "basis_from", path_basis)
-                assert run_probe(pwd_probe_H, monkeypatch, params, **kwargs) == want, params
-
-
 # ---------------------------------------------------------------------------
 # No tuple word is left in the kernel's tables
 # ---------------------------------------------------------------------------
@@ -338,10 +328,9 @@ def test_kernel_tables_hold_int_words_after_cli_commands(tmp_path):
         assert main(["verify", "pwd", str(cfg), "--trials", "15", "--max-degree", "3", "--json"]) == 0
         assert main(["report", str(cfg), "--trials", "10", "--json"]) == 0
     params = Parameters.of(n, alpha, beta, gamma)
-    graded = _qdu_system(replace(params, gamma=(Fraction(0),) * n))
-    for sys_ in (build_system(PRESET_QDU, params), graded):
+    for sys_ in (build_system(PRESET_QDU, params),):
         tables = _tables(sys_)
-        assert tables.memo and (tables.paths or sys_ is graded)  # gr H's words are never decoded
+        assert tables.memo and tables.paths
         for word, (e, comb) in tables.memo.items():
             assert type(word) is int and type(e) is int and all(type(w) is int for w in comb)
         assert all(type(s) is int and type(w) is int for s, w in tables.paths)

@@ -11,30 +11,23 @@ each source's words with ``_normal_sum``, is compared with the oracle too.
 
 The references are the product-then-``normal_form`` bodies that the
 coded checks replaced, kept here verbatim up to their names:
-``pwd_probe_H`` (as ``reference_pwd_probe_H``), ``property_report``
-(as ``reference_property_report``, whose subalgebra loop rebuilt
-e_i x^a y^b from scratch for every (a, b)).  Each must give the same
-report.  ``theta_prime``, which reduces one word per term, is compared
-with ``oracle.Gwa.theta_prime``.
+``property_report`` (as ``reference_property_report``, whose subalgebra
+loop rebuilt e_i x^a y^b from scratch for every (a, b)) and the
+zero-divisor pair of ``pwd_proof_H`` (as ``reference_counterexample``).
+Each must give the same report.  ``theta_prime``, which reduces one word
+per term, is compared with ``oracle.Gwa.theta_prime``.
 
-``pwd_probe_H`` now draws, multiplies and zero-tests on int-coded words.
-Its earlier body, which drew ``Element``s with ``_random_combination``
-and decoded every product, is kept as ``normal_product_pwd_probe_H``
-(each product now ``normal_form(sys, a * b)``); the two must give the
-same report and leave their random generators in the same state.
+H is a piecewise domain by the proof of ``gwa.verify_gwa``, which
+replaced a domain probe of sampled products in H.  ``sampled_products``
+keeps that probe's draws, on ``random.Random``, and takes each drawn
+product with ``oracle.Reducer``: wherever the proof holds, none vanishes.
 
-``pwd_probe_H`` now zero-tests the product of the factors' top-degree
-parts first and takes the full product only when that part vanishes
-(``structure._product_vanishes``), drawing from ``core.Sampler``.  The
-coded loop that took the full product in every trial is kept verbatim up
-to its name as ``full_product_pwd_probe_H``; the two must give the same
-report and leave their generators in the same state.
-
-That top-degree test now runs in the associated graded system gr H =
-H(alpha, beta, 0) (``structure._graded_tables``), whose rules are H's
-without their gamma words.  The top-degree part of each product in H
-must equal the product in gr H, compared as rationals, and a graded
-system that drops beta instead of gamma must be caught.
+The associated graded system gr H = H(alpha, beta, 0)
+(``structure._graded_tables``), whose rules are H's without their gamma
+words, is kept for the gamma != 0 route through gr H: the top-degree part
+of each product in H must equal the product in gr H, compared as
+rationals, and a graded system that drops beta instead of gamma must be
+caught.
 """
 
 from __future__ import annotations
@@ -46,14 +39,12 @@ from fractions import Fraction
 import pytest
 
 from quiverdu import core, gwa, structure
-from quiverdu.core import (NONZERO_NUMERATORS, Element, Parameters, Path, Sampler, path_from_word,
-                           trivial_path)
+from quiverdu.core import Element, Parameters, path_from_word, trivial_path
 from quiverdu.gwa import theta_prime
 from quiverdu.linalg import RowSpace
 from quiverdu.rewrite import (
     PRESET_PREPROJECTIVE,
     PRESET_QDU,
-    _add_scaled,
     _normal_sum,
     _normal_times,
     _qdu_specs,
@@ -69,107 +60,23 @@ from quiverdu.rewrite import (
 from quiverdu.structure import (
     SUBALGEBRA_DEGREE,
     PropertyReport,
-    PwdHReport,
-    _coded_combination,
-    _product_vanishes,
     _zero_divisor,
     noetherian_chain_check,
     property_report,
-    pwd_probe_H,
+    pwd_proof_H,
 )
 from test_gwa_reference import as_gwa_element, as_oracle, oracle_of
-from test_oracle import as_terms, oracle_nf, reducer_of
+from test_oracle import as_terms, oracle_nf, reducer_of, word_names
 
 
-def reference_pwd_probe_H(params: Parameters, degree_bound: int = 5, trials: int = 200,
-                          seed: int = 0) -> PwdHReport:
-    """Sample sandwiched products in H and test whether any vanishes.
-
-    With all beta_i nonzero every product must be nonzero, and at least
-    one product must have been tested (a trial whose corner pool is empty
-    tests nothing); with some beta_i = 0 the deterministic zero-divisor
-    pair is exhibited as well.
-    """
+def reference_counterexample(params: Parameters) -> tuple[str, str] | None:
+    """The zero-divisor pair a_i, u_i of the first beta_i = 0, if NF(a_i * u_i) = 0."""
     n = params.n
     sys = ensure_confluent(build_system(PRESET_QDU, params))
-    pools: dict[tuple[int, int], list[Path]] = {}
-    for k in range(degree_bound + 1):
-        for p in enumerate_basis(sys, k):
-            pools.setdefault((p.source, p.target), []).append(p)
-    rng = random.Random(seed)
-    beta_ok = params.beta_all_nonzero()
-    failures = []
-    tested = 0
-    for t in range(trials):
-        i, k, j = (rng.randrange(n) for _ in range(3))
-        pool_a, pool_b = pools.get((i, k), []), pools.get((k, j), [])
-        if not pool_a or not pool_b:
-            continue
-        a = _random_combination(pool_a, rng)
-        b = _random_combination(pool_b, rng)
-        product = normal_form(sys, a * b)
-        tested += 1
-        if product.is_zero():
-            failures.append((t, str(a), str(b)))
-    counterexample = None
-    if not beta_ok:
-        bad = next(k for k in range(n) if params.beta[k] == 0)
-        a = _zero_divisor(params, bad)
-        b = Element.from_path(path_from_word(n, bad, "u"))
-        if is_zero_in_quotient(sys, a * b):
-            counterexample = (str(a), str(b))
-    ok = (not failures and tested > 0) if beta_ok else (counterexample is not None)
-    return PwdHReport(trials, tested, seed, beta_ok, ok, failures, counterexample)
-
-
-def normal_product_pwd_probe_H(params: Parameters, degree_bound: int = 5, trials: int = 200,
-                               seed: int = 0) -> PwdHReport:
-    """Sample sandwiched products in H and test whether any vanishes.
-
-    With all beta_i nonzero every product must be nonzero, and at least
-    one product must have been tested (a trial whose corner pool is empty
-    tests nothing); with some beta_i = 0 the deterministic zero-divisor
-    pair is exhibited as well.
-    """
-    n = params.n
-    sys = ensure_confluent(build_system(PRESET_QDU, params))
-    pools: dict[tuple[int, int], list[Path]] = {}
-    for k in range(degree_bound + 1):
-        for p in enumerate_basis(sys, k):
-            pools.setdefault((p.source, p.target), []).append(p)
-    rng = random.Random(seed)
-    beta_ok = params.beta_all_nonzero()
-    failures = []
-    tested = 0
-    for t in range(trials):
-        i, k, j = (rng.randrange(n) for _ in range(3))
-        pool_a, pool_b = pools.get((i, k), []), pools.get((k, j), [])
-        if not pool_a or not pool_b:
-            continue
-        a = _random_combination(pool_a, rng)
-        b = _random_combination(pool_b, rng)
-        product = normal_form(sys, a * b)
-        tested += 1
-        if product.is_zero():
-            failures.append((t, str(a), str(b)))
-    counterexample = None
-    if not beta_ok:
-        bad = next(k for k in range(n) if params.beta[k] == 0)
-        a = _zero_divisor(params, bad)
-        b = Element.from_path(path_from_word(n, bad, "u"))
-        if normal_form(sys, a * b).is_zero():
-            counterexample = (str(a), str(b))
-    ok = (not failures and tested > 0) if beta_ok else (counterexample is not None)
-    return PwdHReport(trials, tested, seed, beta_ok, ok, failures, counterexample)
-
-
-def _random_combination(pool: list[Path], rng: random.Random) -> Element:
-    size = rng.randint(1, min(3, len(pool)))
-    chosen = rng.sample(pool, size)
-    terms = {}
-    for p in chosen:
-        terms[p] = Fraction(rng.choice(NONZERO_NUMERATORS), rng.randint(1, 3))
-    return Element(pool[0].n, terms)
+    bad = next(k for k in range(n) if params.beta[k] == 0)
+    a = _zero_divisor(params, bad)
+    b = Element.from_path(path_from_word(n, bad, "u"))
+    return (str(a), str(b)) if is_zero_in_quotient(sys, a * b) else None
 
 
 def reference_property_report(params: Parameters) -> PropertyReport:
@@ -436,11 +343,18 @@ REGIMES = [
 ]
 
 
+def assert_pwd_matches_reference(params: Parameters) -> None:
+    got = pwd_proof_H(params)
+    assert got.beta_nonzero == params.beta_all_nonzero() and got.ok
+    if got.beta_nonzero:
+        assert got.counterexample is None and got.gwa.proves_pwd
+    else:
+        assert got.gwa is None and got.counterexample == reference_counterexample(params) is not None
+
+
 @pytest.mark.parametrize("params", REGIMES)
-def test_pwd_probe_H_matches_reference(params):
-    for seed, degree_bound in ((0, 5), (3, 4), (11, 3), (29, 6)):
-        got = pwd_probe_H(params, degree_bound=degree_bound, trials=60, seed=seed)
-        assert got == reference_pwd_probe_H(params, degree_bound=degree_bound, trials=60, seed=seed)
+def test_pwd_proof_H_matches_reference(params):
+    assert_pwd_matches_reference(params)
 
 
 @pytest.mark.parametrize("params", REGIMES)
@@ -454,8 +368,7 @@ def test_checks_match_references_on_random_parameters(seed):
     n = rng.randint(1, 4)
     params = random_params(rng, n, integral=seed % 2 == 0, zero_beta=seed % 3 == 0)
     assert property_report(params) == reference_property_report(params)
-    got = pwd_probe_H(params, degree_bound=4, trials=40, seed=seed)
-    assert got == reference_pwd_probe_H(params, degree_bound=4, trials=40, seed=seed)
+    assert_pwd_matches_reference(params)
 
 
 @pytest.mark.parametrize("params", [p for p in REGIMES if p.beta_all_nonzero()])
@@ -486,266 +399,103 @@ def test_checks_do_not_build_path_algebra_products(monkeypatch):
         Element.identity(2) * Element.identity(2)
     generic = REGIMES[1]
     zero_beta = REGIMES[2]
-    assert pwd_probe_H(generic, degree_bound=4, trials=30, seed=1).ok
-    assert pwd_probe_H(zero_beta, degree_bound=4, trials=30, seed=1).ok
+    assert pwd_proof_H(generic).ok
+    assert pwd_proof_H(zero_beta).ok
     assert property_report(generic).checks_passed
     assert property_report(zero_beta).checks_passed
     assert noetherian_chain_check(zero_beta, s_max=2).ok
     t = as_gwa_element(3, {2: {(0, 1, 1): 1}, -1: {(2, 0, 0): 1}})
     assert not theta_prime(generic, t).is_zero()
-    assert gwa.verify_gwa(generic, trials=5).ok
+    assert gwa.verify_gwa(generic).ok
 
 
 # ---------------------------------------------------------------------------
-# The coded probe against its Element body
+# The sampled products of the deleted domain probe, against the proof
 # ---------------------------------------------------------------------------
 
-def probe_regimes(n: int) -> list[Parameters]:
-    """Rational parameters: beta nonzero with gamma = 0; beta_{n-1} = 0; gamma != 0."""
-    alpha = [Fraction(2 * i + 1, i + 2) for i in range(n)]
-    beta = [Fraction(-3, i + 1) if i % 2 else Fraction(i + 2) for i in range(n)]
-    gamma = [Fraction(i + 1, 3) for i in range(n)]
-    zero = [0] * n
-    return [
-        Parameters.of(n, alpha, beta, zero),
-        Parameters.of(n, alpha, beta[:-1] + [0], gamma),
-        Parameters.of(n, alpha, beta, gamma),
-    ]
+def draw_combination(pool: list[int], rng: random.Random) -> dict[int, int]:
+    """1 to 3 distinct words of ``pool``, each with a numerator c * (6 / q) over 6 for c/q,
+    c in -5..5 without 0 and q in 1..3; c is drawn before q, word by word in sampled order."""
+    size = rng.randint(1, min(3, len(pool)))
+    return {w: rng.choice([x for x in range(-5, 6) if x]) * (6 // rng.randint(1, 3))
+            for w in rng.sample(pool, size)}
 
 
-def run_probe(probe, monkeypatch, params: Parameters, **kwargs):
-    """The probe's report and the state its one random generator ends in.
+def sampled_products(params: Parameters, degree_bound: int, trials: int, seed: int) -> tuple[int, list]:
+    """(tested, trials whose product vanishes) of the domain probe's draws in H.
 
-    The references draw from a ``random.Random``, ``pwd_probe_H`` from a
-    ``core.Sampler``; either is recorded.
-    """
-    made = []
-
-    def recording(base):
-        class Recording(base):
-            def __init__(self, seed):
-                super().__init__(seed)
-                made.append(self)
-        return Recording
-
-    with monkeypatch.context() as m:
-        m.setattr(random, "Random", recording(random.Random))
-        m.setattr(structure, "Sampler", recording(Sampler))
-        report = probe(params, **kwargs)
-    (rng,) = made
-    return report, rng.getstate()
-
-
-@pytest.mark.parametrize("n", range(1, 6))
-def test_coded_pwd_probe_H_matches_normal_product_probe(n, monkeypatch):
-    for params in probe_regimes(n):
-        for degree_bound in range(6):
-            kwargs = {"degree_bound": degree_bound, "trials": 50, "seed": 19_000 + 10 * n + degree_bound}
-            got = run_probe(pwd_probe_H, monkeypatch, params, **kwargs)
-            assert got == run_probe(normal_product_pwd_probe_H, monkeypatch, params, **kwargs), \
-                (params, degree_bound)
-            assert got[0].tested > 0
-
-
-@pytest.mark.parametrize("n", range(1, 4))
-def test_coded_pwd_probe_H_failures_match_where_products_vanish(n, monkeypatch):
-    # With alpha = beta = gamma = 0 many random products vanish, so the
-    # failure strings of the decoded factors are compared for real.
-    params = Parameters.of(n, [0] * n, [0] * n, [0] * n)
-    failures = 0
-    for degree_bound in range(1, 6):
-        for seed in range(3):
-            kwargs = {"degree_bound": degree_bound, "trials": 200, "seed": seed}
-            got = run_probe(pwd_probe_H, monkeypatch, params, **kwargs)
-            assert got == run_probe(normal_product_pwd_probe_H, monkeypatch, params, **kwargs), \
-                (degree_bound, seed)
-            failures += len(got[0].failures)
-    assert failures > 0
-    if n == 1:
-        assert len(pwd_probe_H(params, degree_bound=3, trials=200, seed=0).failures) == 29
-
-
-# ---------------------------------------------------------------------------
-# The top-degree test against the full product in every trial
-# ---------------------------------------------------------------------------
-
-def full_product_pwd_probe_H(params: Parameters, degree_bound: int = 5, trials: int = 200,
-                             seed: int = 0) -> PwdHReport:
-    """Sample sandwiched products in H and test whether any vanishes.
-
-    With all beta_i nonzero every product must be nonzero, and at least
-    one product must have been tested (a trial whose corner pool is empty
-    tests nothing); with some beta_i = 0 the deterministic zero-divisor
-    pair is exhibited as well.
-
-    The trials run on int-coded words (``rewrite._RuleTables``).  A corner
-    pool holds the normal words of degree <= ``degree_bound`` from one
-    vertex to another, and a factor is a combination of distinct pool
-    words, so it is its own normal form: the coded factor a is NF(a) as
-    it is drawn.  NF(a·b) is then the sum over the words q of b of
-    c_q NF(a·q), each taken one arrow of q at a time from the right as
-    ``rewrite._normal_sum`` does (Bergman's diamond lemma makes the result
-    the normal form).  The product is zero exactly when every numerator of that sum
-    is, and only a zero product's factors are decoded, for ``failures``.
+    A corner pool holds the normal words of degree <= ``degree_bound`` from one vertex to
+    another; a trial draws its corners (i, k, j) uniformly and tests nothing when a pool is
+    empty.  Each product a·b is the sum of the oracle's normal forms of its word pairs.
     """
     n = params.n
     sys = ensure_confluent(build_system(PRESET_QDU, params))
-    tables = _tables(sys)
-    D = tables.denominator
+    tables, reducer = _tables(sys), reducer_of(sys)
     pools: dict[tuple[int, int], list[int]] = {}
     for v in range(n):
         for words in basis_from(sys, v, degree_bound):
             for w in words:
-                pools.setdefault((v, tables.path(v, w).target), []).append(w)
+                pools.setdefault((v, tables.target(v, w)), []).append(w)
     rng = random.Random(seed)
-    beta_ok = params.beta_all_nonzero()
-    failures = []
-    tested = 0
+    tested, zero = 0, []
     for t in range(trials):
-        i, k, j = (rng.randrange(n) for _ in range(3))
+        i, k, j = rng.randrange(n), rng.randrange(n), rng.randrange(n)
         pool_a, pool_b = pools.get((i, k), []), pools.get((k, j), [])
         if not pool_a or not pool_b:
             continue
-        a = _coded_combination(pool_a, rng)
-        b = _coded_combination(pool_b, rng)
-        product: dict = {}
-        e = 0
-        for q, c in b.items():
-            pe, part = _normal_times(tables, a, 0, q)
-            e = _add_scaled(product, e, part, pe, c, D)
+        a, b = draw_combination(pool_a, rng), draw_combination(pool_b, rng)
         tested += 1
+        product: dict = {}
+        for w, c in a.items():
+            for q, c2 in b.items():
+                for x, cx in reducer.normal_form(word_names(n, w) + word_names(n, q)).items():
+                    product[x] = product.get(x, 0) + c * c2 * cx
         if not any(product.values()):
-            failures.append((t, str(tables.element(i, 6, a)), str(tables.element(k, 6, b))))
-    counterexample = None
-    if not beta_ok:
-        bad = next(k for k in range(n) if params.beta[k] == 0)
-        a = _zero_divisor(params, bad)
-        b = Element.from_path(path_from_word(n, bad, "u"))
-        if normal_form(sys, a * b).is_zero():
-            counterexample = (str(a), str(b))
-    ok = (not failures and tested > 0) if beta_ok else (counterexample is not None)
-    return PwdHReport(trials, tested, seed, beta_ok, ok, failures, counterexample)
+            zero.append(t)
+    return tested, zero
 
 
-def coded_times(tables, a: dict, b: dict) -> dict:
-    """NF(a·b) for combinations a, b of normal words, up to a power of D; zero sums left in."""
-    return _normal_sum(tables, b.items(), a)[1]
+def probe_regimes(n: int) -> list[Parameters]:
+    """Rational parameters, beta nonzero: gamma = 0, gamma != 0, and alpha_0 = 0 with gamma != 0."""
+    alpha = [Fraction(2 * i + 1, i + 2) for i in range(n)]
+    beta = [Fraction(-3, i + 1) if i % 2 else Fraction(i + 2) for i in range(n)]
+    gamma = [Fraction(i + 1, 3) for i in range(n)]
+    return [Parameters.of(n, alpha, beta, [0] * n), Parameters.of(n, alpha, beta, gamma),
+            Parameters.of(n, [0] + alpha[1:], beta, gamma)]
 
+
+@pytest.mark.parametrize("n", range(1, 5))
+def test_sampled_products_in_H_are_nonzero_where_the_proof_holds(n):
+    tested = 0
+    for params in probe_regimes(n):
+        assert pwd_proof_H(params).ok
+        for degree_bound in range(5):
+            count, zero = sampled_products(params, degree_bound, trials=40, seed=19_000 + 10 * n + degree_bound)
+            assert zero == [], (params, degree_bound)
+            tested += count
+    assert tested > 0
+
+
+@pytest.mark.parametrize("n", range(1, 4))
+def test_sampled_products_vanish_where_no_proof_applies(n):
+    # alpha = beta = gamma = 0: the sampled draws find zero products, and the
+    # proof is not run; the zero-divisor pair stands in for it.
+    params = Parameters.of(n, [0] * n, [0] * n, [0] * n)
+    report = pwd_proof_H(params)
+    assert report.ok and report.gwa is None and report.counterexample is not None
+    zero = [t for degree_bound in range(1, 6) for t in sampled_products(params, degree_bound, 200, 0)[1]]
+    assert zero
+    if n == 1:
+        assert len(sampled_products(params, 3, 200, 0)[1]) == 29
+
+
+# ---------------------------------------------------------------------------
+# The associated graded system gr H
+# ---------------------------------------------------------------------------
 
 def length(tables, word: int) -> int:
     """The number of arrows of a packed word."""
     return (word.bit_length() - 1) // tables.bits
-
-
-def top_degree_regimes(n: int) -> list[Parameters]:
-    """beta all nonzero or beta_0 = 0, each with gamma = 0 and gamma != 0; alpha_0 = 0.
-
-    With alpha_0 = beta_0 = 0 the top part of d_{n-1} u_{n-1} · u_0 vanishes
-    (it reduces to gamma_0 u_0), so the fallback is taken often.
-    """
-    alpha = [Fraction(0)] + [Fraction(2 * i + 1, i + 2) for i in range(1, n)]
-    beta = [Fraction(-3, i + 1) if i % 2 else Fraction(i + 2) for i in range(n)]
-    gamma = [Fraction(i + 1, 3) for i in range(n)]
-    zero = [0] * n
-    return [Parameters.of(n, alpha, b, g) for b in (beta, [0] + beta[1:]) for g in (zero, gamma)]
-
-
-@pytest.mark.parametrize("n", range(1, 5))
-def test_top_degree_probe_matches_full_product_probe(n, monkeypatch):
-    for params in top_degree_regimes(n):
-        for degree_bound in range(6):
-            for seed in (0, 24_000 + n, 24_100 + degree_bound):
-                kwargs = {"degree_bound": degree_bound, "trials": 40, "seed": seed}
-                got = run_probe(pwd_probe_H, monkeypatch, params, **kwargs)
-                assert got == run_probe(full_product_pwd_probe_H, monkeypatch, params, **kwargs), \
-                    (params, degree_bound, seed)
-
-
-@pytest.mark.parametrize("n", range(1, 4))
-def test_top_degree_probe_matches_full_product_probe_where_products_vanish(n):
-    # alpha = beta = gamma = 0: many products vanish, so failures are compared.
-    params = Parameters.of(n, [0] * n, [0] * n, [0] * n)
-    failures = 0
-    for degree_bound in range(6):
-        for seed in range(3):
-            got = pwd_probe_H(params, degree_bound=degree_bound, trials=100, seed=seed)
-            assert got == full_product_pwd_probe_H(params, degree_bound=degree_bound, trials=100,
-                                                   seed=seed)
-            failures += len(got.failures)
-    assert failures > 0
-
-
-def gamma_pair(params: Parameters, i: int):
-    """H's and gr H's tables, coded a = d_{i-1} u_{i-1} - alpha_i u_i d_i, z = a - gamma_i e_i, b = u_i.
-
-    Numerators over the lcm of the denominators of alpha_i and gamma_i.
-    """
-    n = params.n
-    tables = _tables(ensure_confluent(build_system(PRESET_QDU, params)))
-    alpha, gamma = params.alpha[i], params.gamma[i]
-    den = alpha.denominator * gamma.denominator
-    word = lambda text: tables.encode(path_from_word(n, i, text))
-    a = {w: c for w, c in ((word("du"), den), (word("ud"), -alpha * den)) if c}
-    z = {**a, 1: -gamma * den}  # the empty word is 1
-    return (tables, structure._graded_tables(params, tables), {w: int(c) for w, c in a.items()},
-            {w: int(c) for w, c in z.items()}, {word("u"): 1})
-
-
-def check_gamma_pair_step(product_vanishes) -> None:
-    """With beta_i = 0 and gamma_i != 0, a·b = gamma_i u_i: its top part is 0, the product is not.
-
-    And z·b = 0 although NF(z_top·b) = a·b is not: the top parts' lower
-    degrees decide nothing either.
-    """
-    rng = random.Random(24_200)
-    for n in range(1, 5):
-        for i in range(n):
-            alpha = [Fraction(rng.randint(-4, 4), rng.randint(1, 3)) for _ in range(n)]
-            beta = [Fraction(rng.choice((-2, -1, 1, 3)), rng.randint(1, 3)) for _ in range(n)]
-            gamma = [Fraction(rng.choice((-2, -1, 1, 3)), rng.randint(1, 3)) for _ in range(n)]
-            beta[i] = Fraction(0)
-            tables, graded, a, z, b = gamma_pair(Parameters.of(n, alpha, beta, gamma), i)
-            product = coded_times(tables, a, b)
-            assert not any(c for w, c in product.items() if length(tables, w) == 3)
-            assert {w for w, c in product.items() if c} == set(b)
-            assert not product_vanishes(tables, graded, a, b), (n, i)
-            assert not any(coded_times(tables, z, b).values())
-            assert product_vanishes(tables, graded, z, b), (n, i)
-
-
-def test_vanishing_top_part_is_not_a_zero_product():
-    check_gamma_pair_step(_product_vanishes)
-
-
-def top_part_only(tables, graded, a, b) -> bool:
-    """A mutant: a vanishing top part counts as a zero product."""
-    size = lambda w: length(tables, w)
-    top_a, top_b = max(map(size, a)), max(map(size, b))
-    product = coded_times(graded, {w: c for w, c in a.items() if size(w) == top_a},
-                           {q: c for q, c in b.items() if size(q) == top_b})
-    return not any(c for w, c in product.items() if size(w) == top_a + top_b)
-
-
-def lower_degrees_too(tables, graded, a, b) -> bool:
-    """A mutant: any nonzero numerator of NF_H(a_top·b_top) counts as a nonzero product."""
-    size = lambda w: length(tables, w)
-    top_a, top_b = max(map(size, a)), max(map(size, b))
-    product = coded_times(tables, {w: c for w, c in a.items() if size(w) == top_a},
-                           {q: c for q, c in b.items() if size(q) == top_b})
-    return not any(product.values()) and not any(coded_times(tables, a, b).values())
-
-
-def test_counting_a_vanishing_top_part_as_zero_is_caught(monkeypatch):
-    with pytest.raises(AssertionError):
-        check_gamma_pair_step(top_part_only)
-    with pytest.raises(AssertionError):
-        check_gamma_pair_step(lower_degrees_too)
-    # The probe with the mutant step reports zero products the full product does not.
-    monkeypatch.setattr(structure, "_product_vanishes", top_part_only)
-    params = top_degree_regimes(3)[3]
-    got = pwd_probe_H(params, degree_bound=4, trials=200, seed=0)
-    assert got.failures
-    assert got != full_product_pwd_probe_H(params, degree_bound=4, trials=200, seed=0)
 
 
 def graded_regimes(n: int) -> list[Parameters]:

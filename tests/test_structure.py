@@ -1,4 +1,5 @@
 import random
+from dataclasses import replace
 from fractions import Fraction
 
 import pytest
@@ -19,7 +20,7 @@ from quiverdu.structure import (
     paper_nakayama,
     paper_twist_weights,
     property_report,
-    pwd_probe_H,
+    pwd_proof_H,
     up_cycle_path,
 )
 
@@ -266,22 +267,43 @@ def test_a_wrong_zero_divisor_fails_the_chain_and_the_witnesses(n, monkeypatch):
     (witness,) = report.witnesses
     assert witness["kind"] == "zero-divisor" and not witness["product_zero"]
     assert not report.checks_passed
-    probe = pwd_probe_H(params, degree_bound=3, trials=20, seed=17)
-    assert probe.counterexample is None and not probe.ok
+    proof = pwd_proof_H(params)
+    assert proof.counterexample is None and not proof.ok
 
 
-def test_pwd_probe_nonzero_beta():
-    params = Parameters.of(3, [1, -2, "1/2"], [3, "2/3", -1], [1, 0, "1/5"])
-    report = pwd_probe_H(params, degree_bound=4, trials=60, seed=13)
-    assert report.beta_nonzero and report.ok and not report.failures
-
-
-def test_pwd_probe_zero_beta_counterexample():
-    params = Parameters.of(3, [2, 1, 1], [0, 1, 1], [1, 0, 0])
-    report = pwd_probe_H(params, degree_bound=3, trials=20, seed=17)
-    assert not report.beta_nonzero
-    assert report.counterexample is not None
+def test_chain_default_s_max_is_three():
+    # The default is read, not passed: the CLI always passes s_max = 2.
+    params = Parameters.of(3, [1, 1, 1], [0, 2, 3], [1, 1, 1])
+    report = noetherian_chain_check(params)
+    assert report.s_max == 3 and [s for s, _ in report.strict_inclusions] == [1, 2, 3]
     assert report.ok
+
+
+def test_pwd_proof_nonzero_beta():
+    params = Parameters.of(3, [1, -2, "1/2"], [3, "2/3", -1], [1, 0, "1/5"])
+    report = pwd_proof_H(params)
+    assert report.beta_nonzero and report.ok and report.counterexample is None
+    assert report.gwa.proves_pwd and report.gwa.homomorphism.checked == 9 * 9 + 6 * 3 + 3
+
+
+def test_pwd_proof_zero_beta_counterexample():
+    # beta_1 = 0 and beta_2 = 0: the pair comes from the first, i = 1.
+    params = Parameters.of(3, [2, 1, 1], [1, 0, 0], [1, 0, 0])
+    report = pwd_proof_H(params)
+    assert not report.beta_nonzero and report.gwa is None
+    assert report.counterexample == ("-1 * u1.d1 + 1 * d0.u0", "1 * u1")
+    assert report.ok
+
+
+def test_pwd_proof_fails_when_the_proof_fails(monkeypatch):
+    # The verdict with every beta_i nonzero is the proof's, not a constant.
+    from quiverdu import gwa
+
+    params = Parameters.of(3, [1, -2, "1/2"], [3, "2/3", -1], [1, 0, "1/5"])
+    failed = gwa.IdentityCheck(1, ("X+ y2",))
+    monkeypatch.setattr(structure, "verify_gwa", lambda p: replace(gwa.verify_gwa(p), homomorphism=failed))
+    report = pwd_proof_H(params)
+    assert report.beta_nonzero and not report.ok and not report.gwa.proves_pwd
 
 
 def test_property_report_fails_on_a_dependent_monomial(monkeypatch):
