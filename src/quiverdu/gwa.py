@@ -403,7 +403,8 @@ def _theta_prime_identities(table: _ShiftTable) -> IdentityCheck:
     image = lambda t: _coded_theta_prime(tables, t)
     one = (1, {(v, 0, 0): 1 for v in range(n)})
     x = (1, {(v, 1, 0): 1 for v in range(n)})
-    gens = [(f"{name}{v}", (v, a, b)) for v in range(n) for name, a, b in (("e", 0, 0), ("x", 1, 0), ("y", 0, 1))]
+    gens = [(f"{name}{v}", (v, a, b)) for v in range(n)
+            for name, a, b in (("e", 0, 0), ("x", 1, 0), ("y", 0, 1))]
     of = {label: image({0: (1, {g: 1})}) for label, g in gens}
     x_minus, x_plus = image({-1: one}), image({1: one})
     identities = []  # (name, left value, right value)

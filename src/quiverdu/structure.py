@@ -565,13 +565,13 @@ def pwd_proof_H(params: Parameters) -> PwdProof:
     is taken to normal form and must vanish.
     """
     n = params.n
-    tables = _tables(ensure_confluent(build_system(PRESET_QDU, params)))
+    sys = ensure_confluent(build_system(PRESET_QDU, params))
     if params.beta_all_nonzero():
         return PwdProof(True, verify_gwa(params), None)
     bad = next(k for k in range(n) if params.beta[k] == 0)
     a = _zero_divisor(params, bad)
     b = Element.from_path(path_from_word(n, bad, "u"))
-    return PwdProof(False, None, (str(a), str(b)) if _product_is_zero(tables, a, b) else None)
+    return PwdProof(False, None, (str(a), str(b)) if _product_is_zero(_tables(sys), a, b) else None)
 
 
 def _graded_tables(params: Parameters, tables: _RuleTables) -> _RuleTables:

@@ -336,3 +336,60 @@ def test_theta_prime_identities_catch_a_changed_sigma(n, sigma_with_entry_2_chan
         assert f"X- x{3 % n}" in report.homomorphism.failed
         assert report.automorphism.ok
         assert report.pwd_failures == len(report.homomorphism.failed)
+
+
+@pytest.fixture
+def sigma_inverse_negated(monkeypatch):
+    """sigma^-1 sends x_v and y_v to minus their true images, with every shift table rebuilt."""
+    genuine = gwa._ShiftTable._step
+
+    def step(self, m, sign):
+        out = genuine(self, m, sign)
+        if sign > 0:
+            return out
+        negate = lambda r: (r[0], {k: -c for k, c in r[1].items()})
+        return tuple((negate(x), negate(y)) for x, y in out)
+
+    monkeypatch.setattr(gwa._ShiftTable, "_step", step)
+    gwa._shift_table.cache_clear()
+    yield
+    gwa._shift_table.cache_clear()
+
+
+@pytest.mark.parametrize("n", [1, 3, 4])
+def test_sigma_check_names_each_generator_it_fails_on(n, sigma_inverse_negated):
+    # With alpha = gamma = 0 both compositions send x_v to -x_v and y_v to
+    # -y_v, while x_v^2, x_v y_v and y_v^2 are fixed and e_v is untouched:
+    # exactly the 4n checks on x_v and y_v fail, so each check reads its own
+    # generator.
+    params = Parameters.of(n, [0] * n, [Fraction(k + 2, 3) * (-1) ** k for k in range(n)], [0] * n)
+    automorphism = sigma_is_automorphism(params)
+    assert automorphism.checked == 6 * n
+    assert set(automorphism.failed) == {f"{order} {g}{v}" for order in ("sigma sigma^-1", "sigma^-1 sigma")
+                                        for g in "xy" for v in range(n)}
+
+
+@pytest.mark.parametrize("kind, exponents, factor, fails, holds", [
+    ("e", (0, 0), 2, {"e0 e0", "e1 x1", "y2 e2", "1"}, {"x0 x0", "x1 y1", "y2 y2", "X- X+", "X+ x0"}),
+    ("x", (1, 0), -1, {"x0 y0", "y1 x1", "X- X+"}, {"e0 e0", "x0 x0", "y2 y2", "X- y1"}),
+    ("y", (0, 1), -1, {"x0 y0", "y1 x1", "X+ X-"}, {"e0 e0", "x0 x0", "y2 y2", "X+ x0"}),
+])
+def test_theta_prime_identities_read_each_generator(monkeypatch, kind, exponents, factor, fails, holds):
+    # theta_prime scaled by ``factor`` on the elements of R whose monomials are
+    # all e_v (or all x_v, or all y_v): the identities that multiply such a
+    # generator by another fail, those without it hold.
+    real = gwa._coded_theta_prime
+
+    def scaled(tables, coded):
+        den, row = real(tables, coded)
+        if all(m == 0 and all((a, b) == exponents for (_, a, b) in nums) for m, (_, nums) in coded.items()):
+            row = {k: factor * c for k, c in row.items()}
+        return [den, row]
+
+    monkeypatch.setattr(gwa, "_coded_theta_prime", scaled)
+    gwa._shift_table.cache_clear()
+    try:
+        failed = set(theta_prime_is_homomorphism(params_n3()).failed)
+    finally:
+        gwa._shift_table.cache_clear()
+    assert fails <= failed and not holds & failed, kind

@@ -399,9 +399,13 @@ def test_proof_fails_when_sigma_is_not_injective(params, sigma_kills_x0, tmp_pat
     # With sigma(x_0) = 0 the lemma's hypothesis fails: sigma(x) has no
     # e_1-component, nor has cross(1, -1) = sigma(x).  sigma o sigma^-1 sends
     # y_1 = sigma(x_0) to 0, so sigma_is_automorphism must fail.
+    # Only x_0, x_1 and y_1 can fail, so each failure names its generator.
     assert (1, -1) in crosses_missing_a_vertex(params)
     automorphism = sigma_is_automorphism(params)
-    assert not automorphism.ok and f"sigma sigma^-1 y{1 % params.n}" in automorphism.failed
+    one = 1 % params.n
+    assert not automorphism.ok and automorphism.checked == 6 * params.n
+    assert {"sigma^-1 sigma x0", f"sigma sigma^-1 y{one}"} <= set(automorphism.failed)
+    assert {name.split()[-1] for name in automorphism.failed} <= {"x0", f"x{one}", f"y{one}"}
     report = verify_gwa(params)
     assert not report.proves_pwd and not report.ok and report.pwd_failures > 0
     cfg = tmp_path / "config.json"

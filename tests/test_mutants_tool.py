@@ -1,0 +1,122 @@
+"""``tools/mutants.py --compare`` on a toy module: matching across moved lines, and removed kills.
+
+Each test writes a module ``quiverdu/toy.py`` into a scratch checkout, once
+as the parent and once as the change, enumerates the mutants of both with
+the tool itself and compares invented statuses: the comparison reads the
+statuses and the change's source only, so no test suite is run.
+"""
+
+from __future__ import annotations
+
+import importlib.util
+from pathlib import Path
+
+import pytest
+
+TOOL = Path(__file__).resolve().parent.parent / "tools" / "mutants.py"
+spec = importlib.util.spec_from_file_location("mutants_tool", TOOL)
+mutants = importlib.util.module_from_spec(spec)
+spec.loader.exec_module(mutants)
+
+PARENT = '''
+def toy(a, b):
+    if a == 0:
+        return b
+    c = a < b
+    d = b > 1
+    return c and d
+'''
+
+# A docstring moves every line, and the two independent assignments swap.
+MOVED = '''
+def toy(a, b):
+    """A docstring of three lines,
+    so every site sits two lines lower.
+    """
+    if a == 0:
+        return b
+    d = b > 1
+    c = a < b
+    return c and d
+'''
+
+# The test ``b > 1`` and the ``and`` that read it are gone.
+DELETED = '''
+def toy(a, b):
+    if a == 0:
+        return b
+    c = a < b
+    return c
+'''
+
+
+def checkout(root: Path, source: str) -> Path:
+    (root / "src" / "quiverdu").mkdir(parents=True)
+    (root / "src" / "quiverdu" / "toy.py").write_text(source, encoding="utf-8")
+    (root / "tests").mkdir()
+    (root / "tests" / "test_toy.py").write_text("def test_toy_without_d():\n    pass\n", encoding="utf-8")
+    return root
+
+
+def run(root: Path, status) -> dict:
+    """A label as ``run`` writes it, with the status ``status(mutant)`` for each mutant."""
+    found = mutants.enumerate_mutants(root, ["toy:toy"])
+    for m in found:
+        m["status"] = status(m)
+        del m["index"], m["module"]
+    return {"tests": [], "functions": ["toy:toy"], "baseline_s": 0.0, "mutants": found}
+
+
+def killed(m):
+    return "killed"
+
+
+def test_moved_lines_and_swapped_statements_keep_every_match(tmp_path, capsys):
+    parent = run(checkout(tmp_path / "parent", PARENT), killed)
+    root = checkout(tmp_path / "change", MOVED)
+    change = run(root, killed)
+    assert len(parent["mutants"]) == len(change["mutants"]) >= 6
+    # The line keys differ everywhere, yet every mutant is matched.
+    assert not {m["key"] for m in parent["mutants"]} & {m["key"] for m in change["mutants"]}
+    assert mutants.compare({"parent": parent, "change": change}, "parent", "change", root) == 0
+    assert "killed by parent only" not in capsys.readouterr().out
+
+
+def test_a_kill_lost_on_a_site_that_still_exists_exits_1(tmp_path, capsys):
+    parent = run(checkout(tmp_path / "parent", PARENT), killed)
+    root = checkout(tmp_path / "change", MOVED)
+    change = run(root, lambda m: "survived" if m["original"] == "a < b" else "killed")
+    assert mutants.compare({"parent": parent, "change": change}, "parent", "change", root) == 1
+    assert "killed by parent only: toy:toy +3 | a < b -> a <= b" in capsys.readouterr().out
+
+
+def test_a_removed_kill_exits_1_unless_listed_with_its_covering_test(tmp_path, capsys):
+    parent = run(checkout(tmp_path / "parent", PARENT), killed)
+    root = checkout(tmp_path / "change", DELETED)
+    change = run(root, killed)
+    results = {"parent": parent, "change": change}
+    gone = [m["key"] for m in parent["mutants"] if m["original"] in ("b > 1", "c and d")]
+    assert len(gone) == 3  # b > 1 swapped and raised, c and d swapped
+    assert mutants.compare(results, "parent", "change", root) == 1
+    out = capsys.readouterr().out
+    assert all(f"removed, not listed: {key}" in out for key in gone)
+    assert "killed by parent only" not in out
+    # Listed with a test that is not in the checkout: still 1.
+    results["removed"] = [{"key": key, "test": "tests/test_toy.py::test_missing"} for key in gone]
+    assert mutants.compare(results, "parent", "change", root) == 1
+    capsys.readouterr()
+    # Listed with the test that covers it: 0.
+    results["removed"] = [{"key": key, "test": "tests/test_toy.py::test_toy_without_d"} for key in gone]
+    assert mutants.compare(results, "parent", "change", root) == 0
+    out = capsys.readouterr().out
+    assert all(f"removed, covered by tests/test_toy.py::test_toy_without_d: {key}" in out for key in gone)
+
+
+@pytest.mark.parametrize("deleted_function", [True, False])
+def test_a_function_missing_from_the_change_reads_as_removed(tmp_path, deleted_function):
+    parent = run(checkout(tmp_path / "parent", PARENT), killed)
+    root = checkout(tmp_path / "change", "def other():\n    return 1\n" if deleted_function else PARENT)
+    change = {"tests": [], "functions": [], "baseline_s": 0.0, "mutants": []}
+    # The function gone: every kill is removed.  Present but not run: every kill is lost.
+    assert all(mutants.gone(root, m) == deleted_function for m in parent["mutants"])
+    assert mutants.compare({"parent": parent, "change": change}, "parent", "change", root) == 1

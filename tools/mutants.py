@@ -4,7 +4,7 @@
         --tests tests/test_rewrite.py tests/test_linalg.py \\
         --out MUTANTS_32.json --label change [--repo DIR]
 
-    python3 tools/mutants.py --compare parent change --out MUTANTS_32.json
+    python3 tools/mutants.py --compare parent change --out MUTANTS_32.json [--repo DIR]
 
 A function is named ``module:qualname`` (``quiverdu.`` may be left off).
 Each mutant changes one site of one function, default arguments
@@ -19,10 +19,17 @@ times the unmutated run, and ``survived`` when they pass.  A site in the allowli
 (``tools/equivalent_mutants.json``: ``key`` and a one-line ``reason``) is
 an equivalent mutant: it is not run and reads ``equivalent``.
 
-Results go under ``--label`` in the output file, so two test suites can be
-run over the same sites side by side; ``--compare A B`` lists, per
-function, every mutant that A's tests kill and B's do not, and exits 1 if
-there is one.  A run costs one test run per mutant, so it is not a CI step.
+Results go under ``--label`` in the output file, so two test suites, or
+a parent and a change, can be run over the same sites side by side.
+``--compare A B`` matches A's mutants with B's by function, operator,
+original and mutant text, and the ordinal of that tuple in source order,
+so a mutant keeps its identity when lines move.  It lists every mutant
+that A's tests kill and B's do not, and exits 1 if there is one.  A killed
+mutant of A with no match in B is ``removed`` when its function, or its
+original text in that function, no longer exists in ``--repo``'s source;
+it still exits 1 unless the file's ``removed`` list names its key with
+the ``test`` (``path::name``, present in ``--repo``) that now covers the
+behaviour.  A run costs one test run per mutant, so it is not a CI step.
 """
 
 from __future__ import annotations
@@ -197,19 +204,65 @@ def run(args) -> dict:
             "mutants": mutants}
 
 
-def compare(results: dict, before: str, after: str) -> int:
-    """Print each mutant that ``before``'s tests kill and ``after``'s do not; 1 if any."""
-    status = {label: {m["key"]: m["status"] for m in results[label]["mutants"]} for label in (before, after)}
-    lost = [key for key, s in status[before].items()
-            if s in KILLED and status[after].get(key) not in KILLED]
+def identities(mutants: list[dict]) -> dict:
+    """{(function, operator, original, mutant, ordinal): mutant}, the ordinal counting the
+    earlier mutants with the same first four in source order (the order they are stored in)."""
+    seen: dict = {}
+    out = {}
+    for m in mutants:
+        base = (m["function"], m["operator"], m["original"], m["mutant"])
+        seen[base] = seen.get(base, -1) + 1
+        out[base + (seen[base],)] = m
+    return out
+
+
+def gone(root: Path, mutant: dict) -> bool:
+    """Whether the mutant's function, or its original text in that function, is missing from root."""
+    module, qualname = mutant["function"].split(":")
+    path = module_file(root, module)
+    if not path.exists():
+        return True
+    scope = ast.parse(path.read_text(encoding="utf-8"))
+    for name in qualname.split("."):
+        scope = next((node for node in ast.iter_child_nodes(scope)
+                      if isinstance(node, (ast.FunctionDef, ast.ClassDef)) and node.name == name), None)
+        if scope is None:
+            return True
+    return mutant["original"] not in ast.unparse(scope)
+
+
+def covering_test(root: Path, test: str) -> bool:
+    """Whether ``path::name`` names a test function defined in root."""
+    path, _, name = test.partition("::")
+    file = root / path
+    return bool(name) and file.exists() and f"def {name}(" in file.read_text(encoding="utf-8")
+
+
+def compare(results: dict, before: str, after: str, root: Path = Path(".")) -> int:
+    """Print each mutant that ``before``'s tests kill and ``after``'s do not; 1 if any, or if a
+    removed kill is not listed with a covering test in the file's ``removed`` list."""
+    mutants = {label: identities(results[label]["mutants"]) for label in (before, after)}
+    listed = {entry["key"]: entry["test"] for entry in results.get("removed", [])
+              if covering_test(root, entry.get("test", ""))}
+    lost, removed = [], []
+    for identity, m in mutants[before].items():
+        if m["status"] not in KILLED:
+            continue
+        match = mutants[after].get(identity)
+        if match is None and gone(root, m):
+            removed.append(m["key"])
+        elif match is None or match["status"] not in KILLED:
+            lost.append(m["key"])
     for function in results[before]["functions"]:
         name = function.removeprefix("quiverdu.")
-        killed = {label: sum(1 for k, s in status[label].items() if k.startswith(name + " +") and s in KILLED)
+        killed = {label: sum(1 for m in mutants[label].values() if m["function"] == name and m["status"] in KILLED)
                   for label in (before, after)}
         print(f"{name}: killed {killed[before]} by {before}, {killed[after]} by {after}")
     for key in lost:
         print(f"killed by {before} only: {key}")
-    return 1 if lost else 0
+    for key in removed:
+        print(f"removed, covered by {listed[key]}: {key}" if key in listed else f"removed, not listed: {key}")
+    return 1 if lost or any(key not in listed for key in removed) else 0
 
 
 def main(argv=None) -> int:
@@ -225,7 +278,7 @@ def main(argv=None) -> int:
     out = Path(args.out)
     results = json.loads(out.read_text(encoding="utf-8")) if out.exists() else {}
     if args.compare:
-        return compare(results, *args.compare)
+        return compare(results, *args.compare, root=Path(args.repo).resolve())
     results[args.label] = run(args)
     out.write_text(json.dumps(results, indent=1) + "\n", encoding="utf-8")
     survived = [m["key"] for m in results[args.label]["mutants"] if m["status"] == "survived"]
