@@ -11,7 +11,11 @@ T is a piecewise domain by the proof of ``verify_gwa``, which replaced a
 domain probe of sampled products.  ``reference_random_corner_element``
 keeps that probe's draws, on ``random.Random``, and ``sampled_failures``
 multiplies them with the oracle: wherever the proof holds, no drawn
-product vanishes or drops its top degree.  What the proof derives from
+product vanishes or drops its top degree.  The kernel's product takes the
+same draws: the domain lemma (the top part of a b vanishes exactly when
+cross(top a, top b) lacks a's vertex) decides each one, and with cross
+factors or sigma broken it fails on the same trials as the oracle's
+product broken alike.  What the proof derives from
 sigma's injectivity (every cross factor has every vertex) is checked
 against the oracle, and a sigma that is not injective must fail
 ``sigma_is_automorphism``.
@@ -266,29 +270,48 @@ def reference_random_corner_element(params: Parameters, i: int, k: int, rng: ran
     return terms
 
 
-def sampled_failures(params: Parameters, degree_bound: int = 3, trials: int = 200,
-                     seed: int = 0) -> tuple[int, list]:
-    """(tested, failures) of the sampled probe, each product taken whole by the oracle.
-
-    A trial fails as a zero product, or as a dropped top degree when the product's top
-    X-degree is not the sum of the factors'; a trial with a corner that has no X-degree
-    within the bound tests nothing.
-    """
-    t, n = oracle_of(params), params.n
-    rng = random.Random(seed)
-    failures, tested = [], 0
+def sampled_trials(params: Parameters, degree_bound: int, trials: int, seed: int):
+    """(trial, i, a, b) for each tested trial of the probe's draws, a in e_i T e_k and b in
+    e_k T e_j; a trial with a corner that has no X-degree within the bound tests nothing."""
+    rng, n = random.Random(seed), params.n
     for trial in range(trials):
         i, k, j = (rng.randrange(n) for _ in range(3))
         a = reference_random_corner_element(params, i, k, rng, degree_bound)
         b = reference_random_corner_element(params, k, j, rng, degree_bound)
-        if a is None or b is None:
-            continue
+        if a is not None and b is not None:
+            yield trial, i, a, b
+
+
+def failure_kind(a: dict, b: dict, product: dict) -> str | None:
+    """How the product a b fails: it vanishes, or its top X-degree is not the sum of the factors'."""
+    if not product:
+        return "zero product"
+    return "top degree dropped" if max(product) != max(a) + max(b) else None
+
+
+def kernel_times(params: Parameters):
+    """The kernel's product in T, on the oracle's dicts."""
+    table = _gwa_table(params)
+    return lambda a, b: decoded_t(_coded_multiply(table, coded_t(a), coded_t(b)))
+
+
+def oracle_times_without(params: Parameters, vanishing):
+    """The oracle's product in T with the parts X^{m1} X^{m2} that ``vanishing`` names left out."""
+    t = oracle_of(params)
+    return lambda a, b: t.t_sum((t.times({m1: r}, {m2: s}), 1) for m1, r in a.items()
+                                for m2, s in b.items() if not vanishing(m1, m2))
+
+
+def sampled_failures(params: Parameters, degree_bound: int = 3, trials: int = 200,
+                     seed: int = 0, times=None) -> tuple[int, list]:
+    """(tested, failures) of the sampled probe, each product taken whole by ``times``, the
+    oracle's product unless given: a trial fails as a zero product or a dropped top degree."""
+    times = times or oracle_of(params).times
+    failures, tested = [], 0
+    for trial, _, a, b in sampled_trials(params, degree_bound, trials, seed):
         tested += 1
-        product = t.times(a, b)
-        if not product:
-            failures.append((trial, "zero product"))
-        elif max(product) != max(a) + max(b):
-            failures.append((trial, "top degree dropped"))
+        if kind := failure_kind(a, b, times(a, b)):
+            failures.append((trial, kind))
     return tested, failures
 
 
@@ -337,10 +360,9 @@ def test_sampled_products_on_random_configs(n):
         assert sampled_failures(params, degree_bound=3, trials=60, seed=n)[1] == []
 
 
-def test_sampled_products_catch_a_sigma_that_is_not_injective(monkeypatch):
-    # The differential can fail: with the oracle's sigma(x_0) = 0, X^+ X^- =
-    # sigma(x) has no e_1-component, and some drawn products vanish or drop
-    # their top degree.
+@pytest.fixture
+def oracle_sigma_kills_x0(monkeypatch):
+    """The oracle's sigma(x_0) = 0."""
     genuine = oracle.Gwa._images
 
     def images(self, v, sign):
@@ -349,11 +371,156 @@ def test_sampled_products_catch_a_sigma_that_is_not_injective(monkeypatch):
 
     monkeypatch.setattr(oracle.Gwa, "_images", images)
     oracle_of.cache_clear()
-    try:
-        failures = sampled_failures(PROBE_PARAMS[1], degree_bound=3, trials=200, seed=0)[1]
-    finally:
-        oracle_of.cache_clear()
+    yield
+    oracle_of.cache_clear()
+
+
+def test_sampled_products_catch_a_sigma_that_is_not_injective(oracle_sigma_kills_x0):
+    # The differential can fail: with the oracle's sigma(x_0) = 0, X^+ X^- =
+    # sigma(x) has no e_1-component, and some drawn products vanish or drop
+    # their top degree.
+    failures = sampled_failures(PROBE_PARAMS[1], degree_bound=3, trials=200, seed=0)[1]
     assert {kind for _, kind in failures} == {"zero product", "top degree dropped"}
+
+
+def test_kernel_sampled_products_fail_as_the_oracle_when_sigma_is_not_injective(
+        oracle_sigma_kills_x0, sigma_kills_x0):
+    # The same sigma(x_0) = 0 in the kernel's shift table and in the oracle:
+    # the kernel's drawn products fail on the same trials in the same way.
+    params = PROBE_PARAMS[1]
+    got = sampled_failures(params, degree_bound=3, trials=200, seed=0, times=kernel_times(params))
+    assert got[1] and got == sampled_failures(params, degree_bound=3, trials=200, seed=0)
+
+
+# ---------------------------------------------------------------------------
+# Broken cross factors: the kernel's product and the domain lemma
+# ---------------------------------------------------------------------------
+
+GENERIC3 = {"n": 3, "alpha": ["2", "1/2", "5"], "beta": ["7", "-3/2", "13"],
+            "gamma": ["1", "2", "1/3"]}
+
+
+def patch_cross(monkeypatch, vanishes):
+    """Every shift table rebuilt with cross(m1, m2) = 0 where ``vanishes(m1, m2)``, and so
+    with every cross factor that the table builds on those."""
+    genuine = gwa._ShiftTable.coded_cross
+    monkeypatch.setattr(gwa._ShiftTable, "coded_cross", lambda self, m1, m2: (
+        (1, {}, {}) if vanishes(m1, m2) else genuine(self, m1, m2)))
+    _shift_table.cache_clear()
+
+
+@pytest.fixture
+def broken_cross(monkeypatch):
+    """cross(3, -2) = 0, and so every cross(3 + k, -2 - k) built on it.  theta multiplies by
+    X^{+-1} only, so the proof never reads it."""
+    patch_cross(monkeypatch, lambda m1, m2: (m1, m2) == (3, -2))
+    yield
+    _shift_table.cache_clear()
+
+
+@pytest.fixture
+def opposite_crosses_vanish(monkeypatch):
+    """cross(m1, m2) = 0 whenever m1 and m2 have opposite signs."""
+    patch_cross(monkeypatch, lambda m1, m2: m1 * m2 < 0)
+    yield
+    _shift_table.cache_clear()
+
+
+@pytest.fixture
+def vertex_one_vanishes(monkeypatch):
+    """The e_1-component of cross(m1, m2) is 0 whenever m1 and m2 have opposite signs, and
+    only that one: a lookup at a vertex other than the product's would miss it."""
+    genuine = gwa._ShiftTable.coded_cross
+
+    def coded_cross(self, m1, m2):
+        den, nums, at = genuine(self, m1, m2)
+        if m1 * m2 < 0:
+            nums = {key: c for key, c in nums.items() if key[0] != 1 % self.params.n}
+            at = {v: terms for v, terms in at.items() if v != 1 % self.params.n}
+        return den, nums, at
+
+    monkeypatch.setattr(gwa._ShiftTable, "coded_cross", coded_cross)
+    _shift_table.cache_clear()
+    yield
+    _shift_table.cache_clear()
+
+
+@pytest.fixture(params=["genuine", "broken_cross", "opposite_crosses_vanish", "vertex_one_vanishes"])
+def cross_factors(request):
+    """The genuine shift tables, and each fixture above that breaks cross factors."""
+    if request.param != "genuine":
+        request.getfixturevalue(request.param)
+    return request.param
+
+
+@pytest.mark.parametrize("params", PROBE_PARAMS + [N9], ids=lambda p: f"n{p.n}")
+def test_lemma_lookup_decides_each_trial_as_the_top_product(params, cross_factors):
+    # The lemma the proof rests on, in the kernel's T: for a in e_i T e_k and
+    # b in e_k T e_j, the top part of a b is a_top sigma^{ma}(b_top)
+    # cross(ma, mb), nonzero exactly when cross(ma, mb) has an e_i-component.
+    # Every drawn trial at bounds 0..5 and many seeds, with genuine or broken
+    # cross factors; broken ones make some drawn products fail.
+    table, times = _gwa_table(params), kernel_times(params)
+    failed = 0
+    for degree_bound in range(6):
+        for seed in range(12):
+            for trial, i, a, b in sampled_trials(params, degree_bound, 40, seed):
+                top_a, top_b = max(a), max(b)
+                top = _coded_multiply(table, {top_a: coded(a[top_a])}, {top_b: coded(b[top_b])})
+                assert bool(top) == (i in table.coded_cross(top_a, top_b)[2]), (degree_bound, seed, trial)
+                failed += failure_kind(a, b, times(a, b)) is not None
+    assert (failed > 0) == (cross_factors != "genuine")
+
+
+def test_kernel_products_see_a_broken_cross_factor(broken_cross):
+    # Same failed trials and kinds as the oracle's products with the parts
+    # that build on cross(3, -2) left out.
+    params = Parameters.of(3, GENERIC3["alpha"], GENERIC3["beta"], GENERIC3["gamma"])
+    tested, failures = sampled_failures(params, trials=200, seed=4, times=kernel_times(params))
+    assert failures and {kind for _, kind in failures} <= {"zero product", "top degree dropped"}
+    vanishing = lambda m1, m2: m1 >= 3 and m1 + m2 == 1
+    assert (tested, failures) == sampled_failures(params, trials=200, seed=4,
+                                                  times=oracle_times_without(params, vanishing))
+
+
+@pytest.mark.parametrize("params", PROBE_PARAMS)
+def test_kernel_failures_classify_as_the_oracle(params, opposite_crosses_vanish):
+    # A top pair of opposite signs vanishes: the trial fails, as a zero
+    # product when every pair has opposite signs and as a dropped top degree
+    # when a lower pair survives; the kernel's product fails on the same
+    # trials in the same way as the oracle's with those pairs left out.
+    kinds = set()
+    for degree_bound in (1, 2, 3, 4):
+        got = sampled_failures(params, degree_bound, trials=100, seed=degree_bound,
+                               times=kernel_times(params))
+        assert got == sampled_failures(params, degree_bound, trials=100, seed=degree_bound,
+                                       times=oracle_times_without(params, lambda m1, m2: m1 * m2 < 0))
+        kinds.update(kind for _, kind in got[1])
+    assert kinds == {"zero product", "top degree dropped"}
+
+
+@pytest.mark.parametrize("params", PROBE_PARAMS)
+def test_kernel_sampled_products_match_the_oracle(params):
+    # The genuine tables: every drawn product, taken by the kernel and by the
+    # oracle, is the same element, and none fails.
+    times, t = kernel_times(params), oracle_of(params)
+    for degree_bound in (1, 2, 3, 4, 5):
+        for seed in (0, degree_bound, 7):
+            for trial, _, a, b in sampled_trials(params, degree_bound, 80, seed):
+                product = times(a, b)
+                assert product == t.times(a, b), (degree_bound, seed, trial)
+                assert failure_kind(a, b, product) is None
+
+
+def test_verify_gwa_fails_on_a_broken_cross_factor(opposite_crosses_vanish, tmp_path, capsys):
+    # theta(X^+ X^-) reads cross(1, -1) = sigma(x): with it broken the
+    # relations no longer die in T, and the proof fails.
+    cfg = tmp_path / "generic3.json"
+    cfg.write_text(json.dumps(GENERIC3), encoding="utf-8")
+    code = cli.main(["verify", "gwa", str(cfg), "--json"])
+    findings = json.loads(capsys.readouterr().out)["findings"]
+    assert code == 1
+    assert not findings["relations_killed"]
 
 
 def crosses_missing_a_vertex(params: Parameters, power: int = 5) -> list[tuple[int, int]]:
