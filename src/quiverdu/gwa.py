@@ -44,8 +44,8 @@ fixed number of exact checks (its docstring states the argument): the
 relation kill, the two round trips, T's 9n^2 + 6n + 3 defining identities
 on theta_prime's images (``theta_prime_is_homomorphism``) and sigma o
 sigma^-1 = id on the 3n generators of R (``sigma_is_automorphism``).  The
-two identity checks keep their results on the shift table, so a report
-computes each once.
+two identity checks and ``verify_gwa``'s report keep their results on the
+shift table, so a report computes each once.
 """
 
 from __future__ import annotations
@@ -495,10 +495,13 @@ def verify_gwa(params: Parameters) -> GwaVerifyReport:
     piecewise domain, and so is H, which is isomorphic to it.
 
     On coded values only: int rows keyed by (source, packed word) for H, {m: (den,
-    numerators)} for T.
+    numerators)} for T.  The report is kept on the shift table, so ``report``'s ``gwa``
+    and ``pwd`` sections read one report.
     """
     n = params.n
     table = _gwa_table(params)
+    if "verify_gwa" in table.proofs:
+        return table.proofs["verify_gwa"]
     tables = _tables(build_system(PRESET_QDU, params))
     relations_killed = not any(_canonical(_coded_theta(table, 1, row)) for row in tables.relation_rows())
     roundtrip_arrows = grading_ok = roundtrip_base = True
@@ -512,5 +515,7 @@ def verify_gwa(params: Parameters) -> GwaVerifyReport:
         for gen in ({0: (1, {(i, 1, 0): 1})}, {0: (1, {(i, 0, 1): 1})},  # x_i, y_i
                     {-1: (1, {(i, 0, 0): 1})}, {1: (1, {((i + 1) % n, 0, 0): 1})}):  # X_i^-, X_i^+
             roundtrip_base &= _canonical(_coded_theta(table, *_coded_theta_prime(tables, gen))) == gen
-    return GwaVerifyReport(relations_killed, roundtrip_arrows, roundtrip_base, grading_ok,
-                           theta_prime_is_homomorphism(params), sigma_is_automorphism(params))
+    report = table.proofs["verify_gwa"] = GwaVerifyReport(
+        relations_killed, roundtrip_arrows, roundtrip_base, grading_ok,
+        theta_prime_is_homomorphism(params), sigma_is_automorphism(params))
+    return report

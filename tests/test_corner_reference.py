@@ -104,6 +104,17 @@ def tamper_idempotents(monkeypatch, tamper):
                         lambda n, i: tamper(n, i, genuine(n, i)))
 
 
+def f2_rewritten(n, i, f):
+    """f_2 plus (1 + x + ... + x^(n-1)) # 1 / n: the same value, another coded form."""
+    if i != 2:
+        return f
+    den, terms = f
+    out = dict(terms)
+    for k in range(n):
+        out[(_UNIT, 0, k)] = out.get((_UNIT, 0, k), 0) + 1
+    return den, out
+
+
 def shift_exponents(monkeypatch, where=lambda i, t: True):
     """f_i built with x^(it + 1) / n in place of x^(it) / n at each g^t with ``where(i, t)``."""
     tamper_idempotents(monkeypatch, lambda n, i, f: (f[0], {
@@ -262,8 +273,9 @@ def zeta_shift_off_by_one_in_products_only(monkeypatch):
     (shift_exponents, "idempotent orthogonality failed at (0,0)"),
     (lambda mp: tamper_idempotents(mp, lambda n, i, f: f if i < n - 1 else (1, {})),
      "idempotents do not sum to the identity"),
+    (lambda mp: tamper_idempotents(mp, f2_rewritten), "phi_1(f_k) != f_(k+1) at k=1"),
 ], ids=["zeta-shift", "zeta-shift-in-products", "weight-sign", "left-factor",
-        "tampered-exponent", "zero-idempotent"])
+        "tampered-exponent", "zero-idempotent", "f2-rewritten"])
 def test_corrupted_corner_rows_give_fail_exit_1(mutate, message, tmp_path, capsys, monkeypatch):
     path = tmp_path / "config.json"
     path.write_text(json.dumps({"n": 3, "alpha": ["0"] * 3, "beta": ["-1"] * 3,
@@ -341,13 +353,14 @@ def test_weight_count_equals_elimination_ranks(n):
 
 
 def test_count_takes_no_product_per_monomial(monkeypatch):
-    # Three generator checks per i, however many monomials are counted.
+    # Three generator checks at vertex 0, however many monomials are
+    # counted and whatever n is: the twist carries them to every vertex.
     n, calls = 4, []
     genuine = skewgroup._coded_product
     monkeypatch.setattr(skewgroup, "_coded_product",
                         lambda *args: calls.append(args) or genuine(*args))
     idem = build_idempotents(n)
-    for k, products in ((0, n), (1, 3 * n), (12, 3 * n)):
+    for k, products in ((0, 1), (1, 3), (12, 3)):
         calls.clear()
         corner_dimensions(n, k, idem)
         assert len(calls) == products, k

@@ -8,6 +8,7 @@ from quiverdu import gwa
 from quiverdu.core import Element, Parameters, path_from_word
 from quiverdu.gwa import sigma_is_automorphism, theta, theta_prime, theta_prime_is_homomorphism, verify_gwa
 from quiverdu.rewrite import PRESET_QDU, build_system, normal_form
+from quiverdu.structure import pwd_proof_H
 from test_gwa_reference import as_gwa_element, coded, coded_t, decoded, decoded_t, kernel_sigma, oracle_of
 
 
@@ -242,17 +243,21 @@ def test_verify_gwa_fails_when_theta_misses_one_relation(monkeypatch):
     params = params_n3()
     tables = gwa._tables(build_system(PRESET_QDU, params))
     real = gwa._theta_word
-    for leading in zip(tables.sources, (lhs for lhs, _ in tables.rules)):
+    try:
+        for leading in zip(tables.sources, (lhs for lhs, _ in tables.rules)):
 
-        def theta_missing_one(table, source, word, leading=leading):
-            image = real(table, source, word)
-            return {**image, 1: (1, {(1, 0, 0): 1})} if (source, word) == leading else image
+            def theta_missing_one(table, source, word, leading=leading):
+                image = real(table, source, word)
+                return {**image, 1: (1, {(1, 0, 0): 1})} if (source, word) == leading else image
 
-        monkeypatch.setattr(gwa, "_theta_word", theta_missing_one)
-        report = verify_gwa(params)
-        assert not report.relations_killed and not report.ok and not report.proves_pwd
-        assert report.roundtrip_arrows and report.roundtrip_base and report.grading_ok
-        assert report.homomorphism.ok and report.automorphism.ok and report.pwd_failures == 0
+            monkeypatch.setattr(gwa, "_theta_word", theta_missing_one)
+            gwa._shift_table.cache_clear()  # the report is kept on the shift table
+            report = verify_gwa(params)
+            assert not report.relations_killed and not report.ok and not report.proves_pwd
+            assert report.roundtrip_arrows and report.roundtrip_base and report.grading_ok
+            assert report.homomorphism.ok and report.automorphism.ok and report.pwd_failures == 0
+    finally:
+        gwa._shift_table.cache_clear()
 
 
 # ---------------------------------------------------------------------------
@@ -283,14 +288,19 @@ def test_proof_identities_hold(n):
 def test_proof_results_live_on_the_shift_table():
     # Computed once per table, so a report reads each check once, and
     # computed again after cache_clear, so a cold start is cold.
+    # So does verify_gwa's report, which report's pwd section reads again.
     p = params_n3()
     gwa._shift_table.cache_clear()
     first = theta_prime_is_homomorphism(p)
-    assert theta_prime_is_homomorphism(p) is first and verify_gwa(p).homomorphism is first
-    assert gwa._shift_table(p).proofs == {"theta_prime": first, "sigma": sigma_is_automorphism(p)}
+    report = verify_gwa(p)
+    assert theta_prime_is_homomorphism(p) is first and report.homomorphism is first
+    assert verify_gwa(p) is report and pwd_proof_H(p).gwa is report
+    assert gwa._shift_table(p).proofs == {"theta_prime": first, "sigma": sigma_is_automorphism(p),
+                                          "verify_gwa": report}
     gwa._shift_table.cache_clear()
-    again = theta_prime_is_homomorphism(p)
+    again, report_again = theta_prime_is_homomorphism(p), verify_gwa(p)
     assert again == first and again is not first
+    assert report_again == report and report_again is not report
 
 
 def test_proof_checks_refuse_zero_beta():

@@ -9,6 +9,7 @@ statuses and the change's source only, so no test suite is run.
 from __future__ import annotations
 
 import importlib.util
+import json
 from pathlib import Path
 
 import pytest
@@ -80,6 +81,34 @@ def test_moved_lines_and_swapped_statements_keep_every_match(tmp_path, capsys):
     assert not {m["key"] for m in parent["mutants"]} & {m["key"] for m in change["mutants"]}
     assert mutants.compare({"parent": parent, "change": change}, "parent", "change", root) == 0
     assert "killed by parent only" not in capsys.readouterr().out
+
+
+def test_an_allowlisted_mutant_on_a_moved_line_reads_equivalent(tmp_path):
+    # The entry is made from the parent's mutant; in the change its line
+    # key differs, yet it is the one mutant that reads equivalent.
+    (site,) = [m for m in mutants.enumerate_mutants(checkout(tmp_path / "parent", PARENT), ["toy:toy"])
+               if m["original"] == "a < b" and m["operator"] == "comparison"]
+    entry = {"function": site["function"], "operator": site["operator"], "original": site["original"],
+             "mutant": site["mutant"], "ordinal": 0, "reason": "a toy entry"}
+    change = mutants.enumerate_mutants(checkout(tmp_path / "change", MOVED), ["toy:toy"])
+    mutants.mark_equivalent(change, [entry])
+    (marked,) = [m for m in change if m.get("status") == "equivalent"]
+    assert (marked["original"], marked["mutant"]) == ("a < b", "a <= b")
+    assert marked["key"] != site["key"]
+
+
+def test_the_allowlist_names_mutants_that_exist():
+    # Every entry names one mutant of the current source by its identity.
+    entries = json.loads(mutants.ALLOWLIST.read_text(encoding="utf-8"))
+    root = TOOL.parent.parent
+    for function in {entry["function"] for entry in entries}:
+        found = mutants.enumerate_mutants(root, [function])
+        mutants.mark_equivalent(found, entries)
+        marked = {tuple(identity) for identity, m in mutants.identities(found).items()
+                  if m.get("status") == "equivalent"}
+        named = {tuple(entry[field] for field in mutants.IDENTITY) for entry in entries
+                 if entry["function"] == function}
+        assert marked == named, function
 
 
 def test_a_kill_lost_on_a_site_that_still_exists_exits_1(tmp_path, capsys):

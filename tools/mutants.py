@@ -15,9 +15,11 @@ The module is written back from the mutated syntax tree into a copy of
 the repository's ``src/`` and ``tests/``, and the selected tests run there
 with ``pytest -x`` and a fixed Hypothesis seed, one mutant after another.
 A mutant is ``killed`` when they fail, ``timeout`` when they overrun three
-times the unmutated run, and ``survived`` when they pass.  A site in the allowlist
-(``tools/equivalent_mutants.json``: ``key`` and a one-line ``reason``) is
-an equivalent mutant: it is not run and reads ``equivalent``.
+times the unmutated run, and ``survived`` when they pass.  A mutant in the
+allowlist (``tools/equivalent_mutants.json``: its identity, the fields of
+``IDENTITY`` that ``--compare`` below matches by, and a one-line ``reason``)
+is an equivalent mutant: it is not run and reads ``equivalent``, wherever
+its line has moved.
 
 Results go under ``--label`` in the output file, so two test suites, or
 a parent and a change, can be run over the same sites side by side.
@@ -47,6 +49,8 @@ import time
 from pathlib import Path
 
 ALLOWLIST = Path(__file__).with_name("equivalent_mutants.json")
+# The fields of a mutant's identity, in the order of ``identities``' tuples.
+IDENTITY = ("function", "operator", "original", "mutant", "ordinal")
 KILLED = ("killed", "timeout")
 SWAPS = {ast.Eq: ast.NotEq, ast.NotEq: ast.Eq, ast.Lt: ast.LtE, ast.LtE: ast.Lt,
          ast.Gt: ast.GtE, ast.GtE: ast.Gt, ast.Is: ast.IsNot, ast.IsNot: ast.Is,
@@ -175,7 +179,7 @@ def workspace(root: Path, base: Path) -> Path:
 def run(args) -> dict:
     root = Path(args.repo).resolve()
     mutants = enumerate_mutants(root, args.functions)
-    allow = {entry["key"] for entry in json.loads(ALLOWLIST.read_text(encoding="utf-8"))}
+    mark_equivalent(mutants, json.loads(ALLOWLIST.read_text(encoding="utf-8")))
     base = Path(tempfile.mkdtemp(prefix="mutants-", dir=args.workdir))
     try:
         work = workspace(root, base)
@@ -187,7 +191,7 @@ def run(args) -> dict:
         if status != "survived":
             raise SystemExit("the selected tests fail without a mutant")
         for mutant in mutants:
-            if mutant["key"] in allow:
+            if mutant.get("status") == "equivalent":
                 status, seconds = "equivalent", 0.0
             else:
                 target = module_file(work, mutant["module"])
@@ -214,6 +218,14 @@ def identities(mutants: list[dict]) -> dict:
         seen[base] = seen.get(base, -1) + 1
         out[base + (seen[base],)] = m
     return out
+
+
+def mark_equivalent(mutants: list[dict], allowlist: list[dict]) -> None:
+    """Give each mutant whose identity an allowlist entry names the status ``equivalent``."""
+    allow = {tuple(entry[field] for field in IDENTITY) for entry in allowlist}
+    for identity, m in identities(mutants).items():
+        if identity in allow:
+            m["status"] = "equivalent"
 
 
 def gone(root: Path, mutant: dict) -> bool:
