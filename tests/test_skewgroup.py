@@ -12,7 +12,7 @@ import pytest
 
 from quiverdu import cyclotomic, skewgroup
 from quiverdu.cli import main
-from quiverdu.core import Element, path_from_word
+from quiverdu.core import Element, Parameters, path_from_word
 from quiverdu.cyclotomic import CycScalar, cyclotomic_polynomial
 from quiverdu.rewrite import (
     PRESET_QDU,
@@ -365,6 +365,19 @@ def test_verify_quotient_match():
         assert report.relation_kill[1] is False
         assert report.dimensions_ok, report.dimension_mismatch
         assert report.ok
+    assert verify_quotient_match(3).max_degree == 4
+
+
+def test_verify_quotient_match_refuses_other_parameters():
+    assert verify_quotient_match(3, Parameters.of(3, [0] * 3, [-1] * 3, [0] * 3), max_degree=1).ok
+    for alpha, gamma in (([0, 2, 0], [0] * 3), ([0] * 3, [0, 0, 1]), ([1] * 3, [0] * 3)):
+        with pytest.raises(ValueError, match="needs alpha = gamma = 0"):
+            verify_quotient_match(3, Parameters.of(3, alpha, [-1] * 3, gamma))
+    with pytest.raises(ValueError, match="parameter length disagrees with n"):
+        verify_quotient_match(4, Parameters.of(3, [0] * 3, [-1] * 3, [0] * 3))
+    for n in (1, 13):
+        with pytest.raises(ValueError):
+            verify_quotient_match(n)
 
 
 def corrupt_one_relation_side(monkeypatch):

@@ -26,6 +26,7 @@ import random
 
 import pytest
 
+from quiverdu import skewgroup
 from quiverdu.skewgroup import (
     _UNIT,
     _agree,
@@ -150,3 +151,23 @@ def test_each_idempotent_check_fails_on_its_own_tamper(tamper, message, monkeypa
     for n in (3, 4, 7):
         with pytest.raises(AssertionError, match=message):
             build_idempotents(n)
+
+
+@pytest.mark.parametrize("broken", ["U", "D"])
+def test_one_broken_cap_form_fails_the_forms_check(broken, monkeypatch):
+    # Only the other form of U_0, (u#1) f_1, or of D_0, f_1 (d#1), is
+    # doubled: the caps must still be reported as disagreeing.
+    n = 3
+    fs = build_idempotents(n)
+    genuine = skewgroup._coded_product
+    pair = (_monomial(U), fs[1]) if broken == "U" else (fs[1], _monomial(D))
+
+    def product(n_, a, b):
+        den, terms = genuine(n_, a, b)
+        return (den, {key: 2 * c for key, c in terms.items()}) if (a, b) == pair else (den, terms)
+
+    monkeypatch.setattr(skewgroup, "_coded_product", product)
+    assert not _coded_caps(n, fs)[2]
+    report = verify_quotient_match(n, max_degree=1)
+    assert not report.generator_forms_agree and not report.ok
+    assert report.relation_kill == {1: False, -1: True} and report.dimensions_ok
