@@ -104,7 +104,7 @@ def test_the_allowlist_names_mutants_that_exist():
     for function in {entry["function"] for entry in entries}:
         found = mutants.enumerate_mutants(root, [function])
         mutants.mark_equivalent(found, entries)
-        marked = {tuple(identity) for identity, m in mutants.identities(found).items()
+        marked = {identity for identity, m in mutants.identities(found).items()
                   if m.get("status") == "equivalent"}
         named = {tuple(entry[field] for field in mutants.IDENTITY) for entry in entries
                  if entry["function"] == function}

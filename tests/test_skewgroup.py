@@ -408,7 +408,7 @@ def corrupt_one_relation_side(monkeypatch):
 
 
 def test_one_corrupted_relation_side_fails_the_relation_check(monkeypatch):
-    # The other 2n - 1 pairs still agree.
+    # The other pair at vertex 0 still agrees; vertex i's pairs are the twists of vertex 0's.
     du_last = corrupt_one_relation_side(monkeypatch)
     report = verify_quotient_match(3, max_degree=1)
     assert du_last, "the corrupted side was never formed"
