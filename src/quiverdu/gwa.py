@@ -32,25 +32,19 @@ All products run on R in the int-coded form of ``core`` (``(den,
 {(v, a, b): int})``), summed by ``core.add_into``.
 
 The algebra maps are theta(u_i) = X_i^-, theta(d_i) = X_i^+ and its
-inverse theta_prime with theta_prime(x_i) = u_i d_i and theta_prime(y_i) =
-d_{i-1} u_{i-1}, on the packed words of ``rewrite``: the shift table
-memoizes theta of each (source, word), one generator at a time, and
-theta_prime sends x_v^a y_v^b e_v X^m to the normal form of one word.
-``verify_gwa`` reads the relations as int rows keyed by (source, word)
-and compares coded values; ``theta`` and ``theta_prime`` decode once.
-
-``verify_gwa`` proves H = T and that both are piecewise domains by a
-fixed number of exact checks (its docstring states the argument): the
-relation kill, the two round trips, T's 9n^2 + 6n + 3 defining identities
-on theta_prime's images (``theta_prime_is_homomorphism``) and sigma o
-sigma^-1 = id on the 3n generators of R (``sigma_is_automorphism``).  The
-two identity checks and ``verify_gwa``'s report keep their results on the
-shift table, so a report computes each once.
+inverse theta_prime(x_i) = u_i d_i, theta_prime(y_i) = d_{i-1} u_{i-1}, on
+the packed words of ``rewrite``: the shift table memoizes theta of each
+(source, word), and theta_prime sends x_v^a y_v^b e_v X^m to the normal
+form of one word.  The checks compare coded values; ``theta`` and
+``theta_prime`` decode once.  ``verify_gwa`` proves H = T and that both
+are piecewise domains (its docstring states the argument) from three
+checks, each kept on the shift table: ``theta_checks``,
+``theta_prime_is_homomorphism`` and ``sigma_is_automorphism``.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import astuple, dataclass
 from fractions import Fraction
 from functools import lru_cache
 
@@ -391,12 +385,18 @@ def _value(row: list) -> tuple[int, dict]:
 
 
 def _theta_prime_identities(table: _ShiftTable) -> IdentityCheck:
-    """The 9n^2 + 6n + 3 relations of T's presentation, on theta_prime's images in H.
+    """T's presentation on theta_prime's images in H: 10n + 3 identities.
 
-    theta_prime(r) theta_prime(s) = theta_prime(rs) for every pair of R's generators
-    e_v, x_v, y_v; theta_prime(1) = sum e_v; theta_prime(X^-) theta_prime(X^+) =
-    theta_prime(x) and theta_prime(X^+) theta_prime(X^-) = theta_prime(sigma(x)); and
-    theta_prime(X^+-) theta_prime(r) = theta_prime(sigma^{+-1}(r) X^+-) for each generator r.
+    R = sum_v k[x_v, y_v] e_v is presented by orthogonal idempotents e_v that sum to 1,
+    x_v = e_v x_v e_v, y_v = e_v y_v e_v and x_v y_v = y_v x_v.  The e_v of H are such
+    idempotents, so R's relations hold on the images when theta_prime(e_v) = e_v, every
+    path of theta_prime(x_v) and of theta_prime(y_v) runs from v to v (``x0 at 0``), and
+    theta_prime(x_v) and theta_prime(y_v) commute (``x0 y0``).  T adds X^+- with X^- X^+ =
+    x, X^+ X^- = sigma(x) and X^+- r = sigma^+-1(r) X^+-, which holds for every r once it
+    holds for R's generators, since sigma^+-1 is an algebra map: so theta_prime(1) = sum
+    e_v, the two X-relations and theta_prime(X^+-) theta_prime(r) = theta_prime(sigma^+-1(r)
+    X^+-) for each generator r (``X+ y2``).  Images at two vertices multiply to zero by
+    their endpoints, so no such pair is multiplied out.
     """
     n = table.params.n
     tables = _tables(build_system(PRESET_QDU, table.params))
@@ -408,10 +408,14 @@ def _theta_prime_identities(table: _ShiftTable) -> IdentityCheck:
     of = {label: image({0: (1, {g: 1})}) for label, g in gens}
     x_minus, x_plus = image({-1: one}), image({1: one})
     identities = []  # (name, left value, right value)
-    for lr, (v, a, b) in gens:
-        for ls, (w, a2, b2) in gens:
-            rs = {0: (1, {(v, a + a2, b + b2): 1})} if v == w else {}
-            identities.append((f"{lr} {ls}", _h_product(tables, of[lr], of[ls]), image(rs)))
+    for v in range(n):
+        identities.append((f"e{v}", of[f"e{v}"], [1, {(v, 1): 1}]))
+        for label in (f"x{v}", f"y{v}"):  # the row against its paths from v to v
+            den, row = of[label]
+            identities.append((f"{label} at {v}", of[label],
+                               [den, {k: c for k, c in row.items() if k[0] == v == tables.target(*k)}]))
+        identities.append((f"x{v} y{v}", _h_product(tables, of[f"x{v}"], of[f"y{v}"]),
+                           _h_product(tables, of[f"y{v}"], of[f"x{v}"])))
     identities.append(("1", image({0: one}), [1, {(v, 1): 1 for v in range(n)}]))
     identities.append(("X- X+", _h_product(tables, x_minus, x_plus), image({0: x})))
     identities.append(("X+ X-", _h_product(tables, x_plus, x_minus), image({0: table.shift(x, 1)})))
@@ -449,12 +453,46 @@ def sigma_is_automorphism(params: Parameters) -> IdentityCheck:
     return table.proofs["sigma"]
 
 
-@dataclass
-class GwaVerifyReport:
+@dataclass(frozen=True)
+class ThetaCheck:
+    """theta's checks: the relation kill, the two round trips and the grading."""
+
     relations_killed: bool
     roundtrip_arrows: bool
     roundtrip_base: bool
     grading_ok: bool
+
+
+def _theta_checks(table: _ShiftTable, tables: _RuleTables) -> ThetaCheck:
+    """Whether theta into T (``table``) kills every relation of H (``tables``),
+    theta_prime o theta fixes e_i, u_i and d_i (whose theta has the one X-degree of its
+    grading) and theta o theta_prime fixes x_i, y_i, X_i^- and X_i^+."""
+    n = tables.n
+    relations_killed = not any(_canonical(_coded_theta(table, 1, row)) for row in tables.relation_rows())
+    roundtrip_arrows = grading_ok = roundtrip_base = True
+    b = table.bits
+    for i in range(n):
+        for word, source, weight in (((1 << b) | (n + i), i, -1), ((1 << b) | i, (i + 1) % n, 1), (1, i, 0)):
+            image = _theta_word(table, source, word)  # u_i, d_i, e_i
+            den, row = _coded_theta_prime(tables, image)
+            roundtrip_arrows &= {k: c for k, c in row.items() if c} == {(source, word): den}
+            grading_ok &= set(image) == {weight}
+        for gen in ({0: (1, {(i, 1, 0): 1})}, {0: (1, {(i, 0, 1): 1})},  # x_i, y_i
+                    {-1: (1, {(i, 0, 0): 1})}, {1: (1, {((i + 1) % n, 0, 0): 1})}):  # X_i^-, X_i^+
+            roundtrip_base &= _canonical(_coded_theta(table, *_coded_theta_prime(tables, gen))) == gen
+    return ThetaCheck(relations_killed, roundtrip_arrows, roundtrip_base, grading_ok)
+
+
+def theta_checks(params: Parameters) -> ThetaCheck:
+    """theta's checks (``_theta_checks``), computed once per shift table."""
+    table = _gwa_table(params)
+    if "theta" not in table.proofs:
+        table.proofs["theta"] = _theta_checks(table, _tables(build_system(PRESET_QDU, params)))
+    return table.proofs["theta"]
+
+
+@dataclass(frozen=True)
+class GwaVerifyReport(ThetaCheck):
     homomorphism: IdentityCheck
     automorphism: IdentityCheck
 
@@ -479,8 +517,8 @@ def verify_gwa(params: Parameters) -> GwaVerifyReport:
 
     theta kills every relation, so theta: H -> T is an algebra map.  theta_prime o theta
     fixes each e_i and arrow, whose theta has the one X-degree of its grading, and theta o
-    theta_prime fixes e_i x_i, e_i y_i, X_i^- and X_i^+.  theta_prime is an algebra map when
-    the images of T's generators satisfy T's defining relations in H
+    theta_prime fixes e_i x_i, e_i y_i, X_i^- and X_i^+ (``theta_checks``).  theta_prime is
+    an algebra map when the images of T's generators satisfy T's defining relations in H
     (``theta_prime_is_homomorphism``), since theta_prime sends x_v^a y_v^b e_v X^m to the
     product of its generators' images.  Then theta_prime o theta = id_H and theta o
     theta_prime = id_T, as both fix generators, so theta is an isomorphism.
@@ -494,28 +532,14 @@ def verify_gwa(params: Parameters) -> GwaVerifyReport:
     in the domain e_i R = k[x_i, y_i], so the top part of ab is nonzero.  So T is a
     piecewise domain, and so is H, which is isomorphic to it.
 
+    No check rests on the confluence of H's rules, so none calls ``ensure_confluent``:
+    T's values have one canonical form, and each check in H compares reductions of both
+    sides, which equal them in H.  So equal forms prove equality in H, and rules that
+    were not confluent could only give a false fail.
+
     On coded values only: int rows keyed by (source, packed word) for H, {m: (den,
-    numerators)} for T.  The report is kept on the shift table, so ``report``'s ``gwa``
-    and ``pwd`` sections read one report.
+    numerators)} for T.  The three checks keep their results on the shift table, so a
+    ``report`` computes each once.
     """
-    n = params.n
-    table = _gwa_table(params)
-    if "verify_gwa" in table.proofs:
-        return table.proofs["verify_gwa"]
-    tables = _tables(build_system(PRESET_QDU, params))
-    relations_killed = not any(_canonical(_coded_theta(table, 1, row)) for row in tables.relation_rows())
-    roundtrip_arrows = grading_ok = roundtrip_base = True
-    b = table.bits
-    for i in range(n):
-        for word, source, weight in (((1 << b) | (n + i), i, -1), ((1 << b) | i, (i + 1) % n, 1), (1, i, 0)):
-            image = _theta_word(table, source, word)  # u_i, d_i, e_i
-            den, row = _coded_theta_prime(tables, image)
-            roundtrip_arrows &= {k: c for k, c in row.items() if c} == {(source, word): den}
-            grading_ok &= set(image) == {weight}
-        for gen in ({0: (1, {(i, 1, 0): 1})}, {0: (1, {(i, 0, 1): 1})},  # x_i, y_i
-                    {-1: (1, {(i, 0, 0): 1})}, {1: (1, {((i + 1) % n, 0, 0): 1})}):  # X_i^-, X_i^+
-            roundtrip_base &= _canonical(_coded_theta(table, *_coded_theta_prime(tables, gen))) == gen
-    report = table.proofs["verify_gwa"] = GwaVerifyReport(
-        relations_killed, roundtrip_arrows, roundtrip_base, grading_ok,
-        theta_prime_is_homomorphism(params), sigma_is_automorphism(params))
-    return report
+    return GwaVerifyReport(*astuple(theta_checks(params)), theta_prime_is_homomorphism(params),
+                           sigma_is_automorphism(params))

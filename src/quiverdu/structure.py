@@ -21,7 +21,9 @@ is decoded: closure scalars, per-relation scalars and a twist defect.
 
 ``pwd_proof_H`` decides whether H is a piecewise domain without sampling:
 with every beta_i nonzero it reads the proof of ``gwa.verify_gwa``, and
-with some beta_i = 0 it exhibits a zero-divisor pair.
+with some beta_i = 0 it exhibits a zero-divisor pair.  ``property_report``
+reads the freeness of k[u_i d_i, d_{i-1} u_{i-1}] from the same proof's
+theta checks, in every degree, with no elimination.
 """
 
 from __future__ import annotations
@@ -32,7 +34,7 @@ from fractions import Fraction
 from math import lcm
 
 from .core import Arrow, Element, Parameters, Path, add_into, path_from_word, trivial_path
-from .gwa import GwaVerifyReport, verify_gwa
+from .gwa import GwaVerifyReport, theta_checks, verify_gwa
 from .linalg import RowSpace, spans_equal
 from .rewrite import (PRESET_QDU, _arrow_rank, _codec, _normal_sum, _normal_times, _pack_word, _qdu_system,
                       _RuleTables, _suffix, _tables, _unpack_word, basis_from, build_system, coded_shape,
@@ -373,70 +375,43 @@ class PropertyReport:
     checks_passed: bool
 
 
-SUBALGEBRA_DEGREE = 4
-
-
-def _subalgebra_monomials(tables: _RuleTables, i: int):
-    """x^a y^b at vertex i for a + b <= ``SUBALGEBRA_DEGREE``, x = u_i d_i and
-    y = d_{i-1} u_{i-1}, as coded combinations over a power of D, each one
-    ``_normal_times`` step from one before it.  Every word starts at i."""
-    n = tables.n
-    gen_x = tables.encode(path_from_word(n, i, "ud"))
-    gen_y = tables.encode(path_from_word(n, i, "du"))
-    xe, x_power = 0, {1: 1}  # e_i
-    for a in range(SUBALGEBRA_DEGREE + 1):
-        if a:
-            xe, x_power = _normal_times(tables, x_power, xe, gen_x)
-        e, monomial = xe, x_power
-        yield monomial
-        for _ in range(SUBALGEBRA_DEGREE - a):
-            e, monomial = _normal_times(tables, monomial, e, gen_y)
-            yield monomial
-
-
 def property_report(params: Parameters) -> PropertyReport:
     """Flags follow the beta criterion; every flag is backed by a witness.
 
-    With all beta_i nonzero the subalgebra k[u_i d_i, d_{i-1} u_{i-1}] is
-    certified free up to degree ``SUBALGEBRA_DEGREE``: the monomials x^a y^b
-    at vertex i are built on int-coded words (``_subalgebra_monomials``)
-    and added as they come to one int ``RowSpace``, up to the first
-    dependent one.  With a zero beta_i the zero-divisor pair and the
-    algebraic dependence are certified instead.
+    With all beta_i nonzero the subalgebra k[u_i d_i, d_{i-1} u_{i-1}] is free in every
+    degree, read from theta (``gwa.theta_checks``): theta kills the relations and sends
+    u_i d_i to x_i e_i and d_{i-1} u_{i-1} to y_i e_i, so the monomials x^a y^b go to
+    distinct monomials of R.  With a zero beta_i the zero-divisor pair and the algebraic
+    dependence are certified instead.
     """
     n = params.n
-    sys = ensure_confluent(build_system(PRESET_QDU, params))
-    flag = params.beta_all_nonzero()
-    tables = _tables(sys)
-    witnesses: list[dict] = []
-    checks = True
-    if flag:
-        for i in range(n):
-            space = RowSpace()
-            independent = all(space.add(m) for m in _subalgebra_monomials(tables, i))
-            checks = checks and independent
-            witnesses.append({"vertex": i, "kind": "free-subalgebra", "ok": independent})
-    else:
-        for i in range(n):
-            if params.beta[i] != 0:
-                continue
-            a = _zero_divisor(params, i)
-            b = Element.from_path(path_from_word(n, i, "u"))
-            d_i = Element.from_path(path_from_word(n, (i + 1) % n, "d"))
-            left_zero = _product_is_zero(tables, a, b)
-            right_zero = _product_is_zero(tables, d_i, a)
-            dependence = _product_is_zero(tables, a, Element.from_path(path_from_word(n, i, "ud")))
-            checks = checks and left_zero and right_zero and dependence
-            witnesses.append({
-                "vertex": i,
-                "kind": "zero-divisor",
-                "left": str(a),
-                "right": str(b),
-                "product_zero": left_zero,
-                "mirror_zero": right_zero,
-                "dependence_zero": dependence,
-            })
-    return PropertyReport(flag, flag, flag, flag, witnesses, checks)
+    if params.beta_all_nonzero():
+        theta = theta_checks(params)
+        free = theta.relations_killed and theta.roundtrip_base
+        witnesses = [{"vertex": i, "kind": "free-subalgebra", "ok": free} for i in range(n)]
+        return PropertyReport(True, True, True, True, witnesses, free)
+    tables = _tables(ensure_confluent(build_system(PRESET_QDU, params)))
+    witnesses, checks = [], True
+    for i in range(n):
+        if params.beta[i] != 0:
+            continue
+        a = _zero_divisor(params, i)
+        b = Element.from_path(path_from_word(n, i, "u"))
+        d_i = Element.from_path(path_from_word(n, (i + 1) % n, "d"))
+        left_zero = _product_is_zero(tables, a, b)
+        right_zero = _product_is_zero(tables, d_i, a)
+        dependence = _product_is_zero(tables, a, Element.from_path(path_from_word(n, i, "ud")))
+        checks = checks and left_zero and right_zero and dependence
+        witnesses.append({
+            "vertex": i,
+            "kind": "zero-divisor",
+            "left": str(a),
+            "right": str(b),
+            "product_zero": left_zero,
+            "mirror_zero": right_zero,
+            "dependence_zero": dependence,
+        })
+    return PropertyReport(False, False, False, False, witnesses, checks)
 
 
 # ---------------------------------------------------------------------------

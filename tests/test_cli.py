@@ -138,7 +138,7 @@ def test_failed_proof_identities_are_counted(tmp_path, capsys, monkeypatch):
 
     cfg = write_config(tmp_path, alpha=["1", "2", "3"], beta=["1", "2", "3"], gamma=["1", "1", "1"])
     monkeypatch.setattr(gwa, "_theta_prime_identities",
-                        lambda table: gwa.IdentityCheck(102, ("X+ y2", "X- x0")))
+                        lambda table: gwa.IdentityCheck(33, ("X+ y2", "X- x0")))
     gwa._shift_table.cache_clear()
     try:
         code, report = run_json(capsys, ["verify", "gwa", cfg, "--json"])

@@ -4,11 +4,12 @@ from fractions import Fraction
 
 import pytest
 
-from quiverdu import gwa
+from quiverdu import gwa, rewrite
 from quiverdu.core import Element, Parameters, path_from_word
-from quiverdu.gwa import sigma_is_automorphism, theta, theta_prime, theta_prime_is_homomorphism, verify_gwa
+from quiverdu.gwa import (sigma_is_automorphism, theta, theta_checks, theta_prime, theta_prime_is_homomorphism,
+                          verify_gwa)
 from quiverdu.rewrite import PRESET_QDU, build_system, normal_form
-from quiverdu.structure import pwd_proof_H
+from quiverdu.structure import property_report, pwd_proof_H
 from test_gwa_reference import as_gwa_element, coded, coded_t, decoded, decoded_t, kernel_sigma, oracle_of
 
 
@@ -279,28 +280,55 @@ def test_proof_identities_hold(n):
         gwa._shift_table.cache_clear()
         homomorphism = theta_prime_is_homomorphism(params)
         automorphism = sigma_is_automorphism(params)
-        assert homomorphism == gwa.IdentityCheck(9 * n * n + 6 * n + 3, ())
+        # 3n support checks, n commutations, "1", the two X-relations and 6n X^+- r.
+        assert homomorphism == gwa.IdentityCheck(10 * n + 3, ())
         assert automorphism == gwa.IdentityCheck(6 * n, ())
+        assert theta_checks(params) == gwa.ThetaCheck(True, True, True, True)
         report = verify_gwa(params)
         assert report.ok and report.proves_pwd and report.pwd_failures == 0
 
 
-def test_proof_results_live_on_the_shift_table():
+def test_proof_results_live_on_the_shift_table(monkeypatch):
     # Computed once per table, so a report reads each check once, and
-    # computed again after cache_clear, so a cold start is cold.
-    # So does verify_gwa's report, which report's pwd section reads again.
+    # computed again after cache_clear, so a cold start is cold.  The
+    # properties, gwa and pwd sections of a report all read theta's checks.
     p = params_n3()
     gwa._shift_table.cache_clear()
+    theta = theta_checks(p)
+    assert property_report(p).checks_passed
     first = theta_prime_is_homomorphism(p)
     report = verify_gwa(p)
     assert theta_prime_is_homomorphism(p) is first and report.homomorphism is first
-    assert verify_gwa(p) is report and pwd_proof_H(p).gwa is report
-    assert gwa._shift_table(p).proofs == {"theta_prime": first, "sigma": sigma_is_automorphism(p),
-                                          "verify_gwa": report}
+    assert theta_checks(p) is theta and report.relations_killed and report.roundtrip_base
+    assert verify_gwa(p) == report and pwd_proof_H(p).gwa == report
+    assert gwa._shift_table(p).proofs == {"theta": theta, "theta_prime": first,
+                                          "sigma": sigma_is_automorphism(p)}
+    computed = []
+    for name in ("_theta_checks", "_theta_prime_identities"):
+        real = getattr(gwa, name)
+        monkeypatch.setattr(gwa, name, lambda *args, real=real, name=name: computed.append(name) or real(*args))
+    property_report(p), verify_gwa(p), pwd_proof_H(p)
+    assert computed == []
     gwa._shift_table.cache_clear()
     again, report_again = theta_prime_is_homomorphism(p), verify_gwa(p)
+    assert computed == ["_theta_prime_identities", "_theta_checks"]
     assert again == first and again is not first
-    assert report_again == report and report_again is not report
+    assert report_again == report and theta_checks(p) == theta and theta_checks(p) is not theta
+
+
+def test_verify_gwa_does_not_rest_on_confluence():
+    # Every check compares reductions of both sides, so a pass proves the
+    # identities in H whether or not the rules were shown confluent; the
+    # freeness witness reads the same checks.
+    p = params_n3()
+    rewrite._qdu_system.cache_clear()
+    gwa._shift_table.cache_clear()
+    try:
+        assert verify_gwa(p).ok and property_report(p).checks_passed
+        assert not build_system(PRESET_QDU, p).verified
+    finally:
+        rewrite._qdu_system.cache_clear()
+        gwa._shift_table.cache_clear()
 
 
 def test_proof_checks_refuse_zero_beta():
@@ -380,14 +408,15 @@ def test_sigma_check_names_each_generator_it_fails_on(n, sigma_inverse_negated):
 
 
 @pytest.mark.parametrize("kind, exponents, factor, fails, holds", [
-    ("e", (0, 0), 2, {"e0 e0", "e1 x1", "y2 e2", "1"}, {"x0 x0", "x1 y1", "y2 y2", "X- X+", "X+ x0"}),
-    ("x", (1, 0), -1, {"x0 y0", "y1 x1", "X- X+"}, {"e0 e0", "x0 x0", "y2 y2", "X- y1"}),
-    ("y", (0, 1), -1, {"x0 y0", "y1 x1", "X+ X-"}, {"e0 e0", "x0 x0", "y2 y2", "X+ x0"}),
+    ("e", (0, 0), 2, {"e0", "e1", "1", "X+ e0", "X- e2"}, {"x0 y0", "x1 at 1", "y2 at 2", "X- X+", "X+ x0"}),
+    ("x", (1, 0), -1, {"X- X+", "X+ x0", "X- x1"}, {"e0", "x0 at 0", "x0 y0", "y2 at 2", "X- y1", "X+ X-"}),
+    ("y", (0, 1), -1, {"X+ X-", "X+ y0", "X- y1"}, {"e0", "y0 at 0", "x0 y0", "x2 at 2", "X+ x0", "X- X+"}),
 ])
 def test_theta_prime_identities_read_each_generator(monkeypatch, kind, exponents, factor, fails, holds):
     # theta_prime scaled by ``factor`` on the elements of R whose monomials are
     # all e_v (or all x_v, or all y_v): the identities that multiply such a
-    # generator by another fail, those without it hold.
+    # generator by an X fail, and so does e_v's own check; the others hold.
+    # x_v y_v = y_v x_v holds, since both sides are scaled alike.
     real = gwa._coded_theta_prime
 
     def scaled(tables, coded):
@@ -399,7 +428,47 @@ def test_theta_prime_identities_read_each_generator(monkeypatch, kind, exponents
     monkeypatch.setattr(gwa, "_coded_theta_prime", scaled)
     gwa._shift_table.cache_clear()
     try:
+        homomorphism = theta_prime_is_homomorphism(params_n3())
+    finally:
+        gwa._shift_table.cache_clear()
+    assert homomorphism.checked == 33
+    assert fails <= set(homomorphism.failed) and not holds & set(homomorphism.failed), kind
+
+
+def one_generator_changed(monkeypatch, generator, value):
+    """theta_prime reading the coded GWA ``value`` in place of the one generator
+    ``(v, a, b)`` of R, on every shift table built while it is patched."""
+    real = gwa._coded_theta_prime
+    target = {0: (1, {generator: 1})}
+    monkeypatch.setattr(gwa, "_coded_theta_prime",
+                        lambda tables, coded: real(tables, value if coded == target else coded))
+    gwa._shift_table.cache_clear()
+
+
+@pytest.mark.parametrize("value, moved", [
+    ({0: (1, {(1, 1, 0): 1, (2, 0, 0): 1})}, "x_1 + e_2: a path from vertex 2"),
+    ({0: (1, {(1, 1, 0): 1}), -1: (1, {(1, 0, 0): 1})}, "x_1 + u_1: a path from 1 to 2"),
+])
+def test_support_check_names_a_path_moved_off_its_vertex(monkeypatch, value, moved):
+    # theta'(x_1) gains a path that does not run from 1 to 1, so it is no
+    # longer in e_1 H e_1, and the support check of x_1 names it.
+    one_generator_changed(monkeypatch, (1, 1, 0), value)
+    try:
+        report = verify_gwa(params_n3())
+    finally:
+        gwa._shift_table.cache_clear()
+    assert "x1 at 1" in report.homomorphism.failed, moved
+    assert {"x0 at 0", "y1 at 1", "x2 at 2", "e1"}.isdisjoint(report.homomorphism.failed)
+    assert not report.proves_pwd and not report.ok
+
+
+def test_commutation_is_checked_at_each_vertex(monkeypatch):
+    # theta'(y_0) gains the up-cycle u_0 u_1 u_2 = theta'(e_0 X^-3), a loop at
+    # 0 that does not commute with theta'(x_0): the support holds, and
+    # x_0 y_0 = y_0 x_0 fails at vertex 0 only.
+    one_generator_changed(monkeypatch, (0, 0, 1), {0: (1, {(0, 0, 1): 1}), -3: (1, {(0, 0, 0): 1})})
+    try:
         failed = set(theta_prime_is_homomorphism(params_n3()).failed)
     finally:
         gwa._shift_table.cache_clear()
-    assert fails <= failed and not holds & failed, kind
+    assert "x0 y0" in failed and not {"x1 y1", "x2 y2", "y0 at 0", "e0"} & failed

@@ -1,15 +1,15 @@
-"""Differential tests of the int-coded freeness and chain witnesses.
+"""Differential tests of the freeness and chain witnesses.
 
-``property_report`` builds the monomials x^a y^b of its freeness witness
-on int-coded words and ``noetherian_chain_check`` takes its spanning
-products the same way; both eliminate in the fraction-free int
-``linalg.RowSpace``.  The loops they replaced, which took every product
-as an ``Element`` and eliminated in ``Fraction``s, are kept here as
-``reference_property_report`` and ``reference_noetherian_chain_check``,
-each product now by its definition, ``normal_form(sys, a * b)``, with
-the oracle's dense elimination and shape reader; both must give the
-same reports.
-"""
+``property_report`` reads the freeness of k[u_i d_i, d_{i-1} u_{i-1}]
+from theta (``gwa.theta_checks``) in every degree, and
+``noetherian_chain_check`` takes its spanning products on int-coded
+words and eliminates in the fraction-free int ``linalg.RowSpace``.  The
+loops they replaced, which took every product as an ``Element`` and
+eliminated in ``Fraction``s, are kept here as ``reference_property_report``
+(the freeness monomials x^a y^b to degree 4) and
+``reference_noetherian_chain_check``, each product now by its definition,
+``normal_form(sys, a * b)``, with the oracle's dense elimination and shape
+reader; both must give the same reports."""
 
 from __future__ import annotations
 
@@ -22,7 +22,6 @@ from quiverdu import linalg
 from quiverdu.core import Element, Parameters, path_from_word, trivial_path
 from quiverdu.rewrite import PRESET_QDU, _tables, basis_from, build_system, ensure_confluent, normal_form
 from quiverdu.structure import (
-    SUBALGEBRA_DEGREE,
     ChainReport,
     PropertyReport,
     _zero_divisor,
@@ -37,6 +36,11 @@ from quiverdu.structure import (
 )
 from oracle import in_span, rank, shape
 from test_oracle import names
+
+
+# The degree to which the references certify freeness by elimination;
+# ``property_report`` reads freeness in every degree from theta.
+SUBALGEBRA_DEGREE = 4
 
 
 def reference_property_report(params: Parameters) -> PropertyReport:
@@ -176,9 +180,11 @@ def draw_params(rng, n, zero_beta, zero_gamma):
 REGIMES = [(zero_beta, zero_gamma) for zero_beta in (False, True) for zero_gamma in (False, True)]
 
 
-@pytest.mark.parametrize("n", range(1, 6))
+@pytest.mark.parametrize("n", range(1, 7))
 @pytest.mark.parametrize("zero_beta, zero_gamma", REGIMES)
 def test_property_report_matches_the_element_loop(n, zero_beta, zero_gamma):
+    # With beta != 0 the witness read from theta must give the verdict of the
+    # degree-4 elimination; with a zero beta_i the zero-divisor witnesses.
     rng = random.Random(31 * n + 2 * zero_beta + zero_gamma)
     for _ in range(3):
         zeros = {rng.randrange(n)} if zero_beta else set()

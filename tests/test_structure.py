@@ -1,10 +1,12 @@
+import json
 import random
 from dataclasses import replace
 from fractions import Fraction
 
 import pytest
 
-from quiverdu import structure
+from quiverdu import gwa, structure
+from quiverdu.cli import main
 from quiverdu.core import Arrow, Element, Parameters, down, path_from_word, trivial_path, up
 from quiverdu.rewrite import PRESET_QDU, _pack_word, _word_bits, build_system, enumerate_basis, normal_form
 from quiverdu.structure import (
@@ -283,7 +285,7 @@ def test_pwd_proof_nonzero_beta():
     params = Parameters.of(3, [1, -2, "1/2"], [3, "2/3", -1], [1, 0, "1/5"])
     report = pwd_proof_H(params)
     assert report.beta_nonzero and report.ok and report.counterexample is None
-    assert report.gwa.proves_pwd and report.gwa.homomorphism.checked == 9 * 9 + 6 * 3 + 3
+    assert report.gwa.proves_pwd and report.gwa.homomorphism.checked == 10 * 3 + 3
 
 
 def test_pwd_proof_zero_beta_counterexample():
@@ -297,8 +299,6 @@ def test_pwd_proof_zero_beta_counterexample():
 
 def test_pwd_proof_fails_when_the_proof_fails(monkeypatch):
     # The verdict with every beta_i nonzero is the proof's, not a constant.
-    from quiverdu import gwa
-
     params = Parameters.of(3, [1, -2, "1/2"], [3, "2/3", -1], [1, 0, "1/5"])
     failed = gwa.IdentityCheck(1, ("X+ y2",))
     monkeypatch.setattr(structure, "verify_gwa", lambda p: replace(gwa.verify_gwa(p), homomorphism=failed))
@@ -306,51 +306,44 @@ def test_pwd_proof_fails_when_the_proof_fails(monkeypatch):
     assert report.beta_nonzero and not report.ok and not report.gwa.proves_pwd
 
 
-def test_property_report_fails_on_a_dependent_monomial(monkeypatch):
-    # At vertex 1 the monomial y = d_0 u_0 comes back as 2 e_1, a multiple of
-    # the monomial 1 before it; the other vertices stay free.  The monomials
-    # are coded products, so the dependent one is injected there: the word
-    # of d_0 u_0 (arrow codes 0 and n + 0) starts at vertex 1 only.
+@pytest.mark.parametrize("tamper, failing", [("relation", "relations_killed"), ("u1 d1", "roundtrip_base")])
+def test_properties_fail_when_theta_fails(tamper, failing, monkeypatch, tmp_path, capsys):
+    # The freeness witness rests on theta killing every relation and sending
+    # u_i d_i to x_i e_i: a theta off by X_0^+ = e_1 X^+ on one relation's
+    # leading word, or one that doubles u_1 d_1 (so theta o theta_prime moves
+    # x_1), fails it at every vertex, in verify properties and in report.
     params = Parameters.of(3, [1, 2, 0], [1, -1, 3], [0, 1, 2])
-    y1 = _pack_word((0, 3), _word_bits(3))
-    real = structure._normal_times
-    replaced = []
+    tables = gwa._tables(build_system(PRESET_QDU, params))
+    changed = {"relation": (tables.sources[0], tables.rules[0][0]),
+               "u1 d1": (1, _pack_word((4, 1), _word_bits(3)))}[tamper]  # u_1 d_1: codes n + 1, 1
+    real = gwa._theta_word
 
-    def product(tables, comb, e, word):
-        if word == y1 and not replaced:
-            replaced.append((e, comb))
-            return e, {w: 2 * c for w, c in comb.items()}
-        return real(tables, comb, e, word)
+    def wrong(table, source, word):
+        image = real(table, source, word)
+        if (source, word) != changed:
+            return image
+        if tamper == "relation":
+            return {**image, 1: (1, {(1, 0, 0): 1})}
+        return {m: (den, {k: 2 * c for k, c in nums.items()}) for m, (den, nums) in image.items()}
 
-    monkeypatch.setattr(structure, "_normal_times", product)
-    report = property_report(params)
-    assert replaced == [(0, {1: 1})]  # e_1: the empty word is 1
-    assert [w["ok"] for w in report.witnesses] == [True, False, True]
-    assert report.checks_passed is False
-
-
-def test_property_report_fails_on_a_monomial_dependent_on_the_newest_pivot(monkeypatch):
-    # At vertex 1 the last monomial x^4 comes back as x^3 y, the monomial
-    # added just before it, so only the newest pivot row reduces it to zero.
-    # x = u_1 d_1 is the word of arrow codes n + 1 and 1 from vertex 1.
-    params = Parameters.of(3, [1, 2, 0], [1, -1, 3], [0, 1, 2])
-    x1 = _pack_word((4, 1), _word_bits(3))
-    real = structure._normal_times
-    x_steps, last = [], []
-
-    def product(tables, comb, e, word):
-        if word == x1:
-            x_steps.append(word)
-            if len(x_steps) == 4:
-                return last[-1]
-        last.append(real(tables, comb, e, word))
-        return last[-1]
-
-    monkeypatch.setattr(structure, "_normal_times", product)
-    report = property_report(params)
-    assert len(x_steps) == 4
-    assert [w["ok"] for w in report.witnesses] == [True, False, True]
-    assert report.checks_passed is False
+    monkeypatch.setattr(gwa, "_theta_word", wrong)
+    gwa._shift_table.cache_clear()
+    cfg = tmp_path / "config.json"
+    cfg.write_text(json.dumps({"n": 3, "alpha": ["1", "2", "0"], "beta": ["1", "-1", "3"],
+                               "gamma": ["0", "1", "2"]}), encoding="utf-8")
+    try:
+        assert not getattr(gwa.theta_checks(params), failing)
+        report = property_report(params)
+        assert not report.checks_passed and [w["ok"] for w in report.witnesses] == [False] * 3
+        assert report.polynomial_subalgebra  # the flag is the beta criterion; the witness fails
+        assert main(["verify", "properties", str(cfg), "--json"]) == 1
+        out = json.loads(capsys.readouterr().out)
+        assert out["verdict"] == "fail"
+        assert [w["ok"] for w in out["findings"]["witnesses"]] == [False] * 3
+        assert main(["report", str(cfg), "--json"]) == 1
+        assert json.loads(capsys.readouterr().out)["findings"]["properties"]["checks_passed"] is False
+    finally:
+        gwa._shift_table.cache_clear()
 
 
 @pytest.mark.parametrize("alpha, beta, gamma, s_max", [
