@@ -535,14 +535,18 @@ def pwd_proof_H(params: Parameters) -> PwdProof:
     """Decide whether H is a piecewise domain, exactly.
 
     With every beta_i nonzero it reads ``gwa.verify_gwa``, whose docstring states the
-    proof: H = T, and T is a piecewise domain because sigma is injective.  With some
-    beta_i = 0 the first such i gives the pair a_i, u_i (``_zero_divisor``), whose product
-    is taken to normal form and must vanish.
+    proof: H = T, and T is a piecewise domain because sigma is injective.  That proof
+    compares reductions of both sides of each identity, so it rests on no confluence
+    check.  With some beta_i = 0 the first such i gives the pair a_i, u_i
+    (``_zero_divisor``), whose product is taken to normal form and must vanish.  That
+    refutation does rest on confluence: a_i and u_i are nonzero in H only because their
+    words are normal, and normal words name distinct elements of H only when normal
+    forms are unique.
     """
     n = params.n
-    sys = ensure_confluent(build_system(PRESET_QDU, params))
     if params.beta_all_nonzero():
         return PwdProof(True, verify_gwa(params), None)
+    sys = ensure_confluent(build_system(PRESET_QDU, params))
     bad = next(k for k in range(n) if params.beta[k] == 0)
     a = _zero_divisor(params, bad)
     b = Element.from_path(path_from_word(n, bad, "u"))

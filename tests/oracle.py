@@ -19,6 +19,15 @@ zero test (``Fraction``, int, the tests' ``Poly``).
   normal form of a confluent system.
 - ``shape`` reads the (a, j, c) of a normal word u^a (du)^j d^c off its
   letters.
+- ``path_target`` is the definition of a path: a sequence of the quiver's
+  arrows in which each starts where the previous one ended.
+- ``normal_words`` lists the words that contain no leading word, a basis
+  of the quotient by the diamond lemma; ``normal_word_counts`` counts them
+  by source, target and degree, and ``inverse_series`` expands D(t)^-1 for
+  the ``denominator`` of the Hilbert series the paper states.
+- ``chain`` and ``property_witnesses`` take the non-noetherian chain
+  I_s = sum_{m<=s} U^m g A and the freeness or zero-divisor witnesses from
+  their definitions, with ``Reducer`` and the elimination below.
 - ``rank``, ``in_span`` and ``spans_equal`` are dense Gaussian elimination
   over any field-like scalar (``Fraction``, or the ``CycScalar`` values a
   test passes in with their ``zero``).
@@ -107,10 +116,14 @@ class Reducer:
 
     def normal_form(self, word: tuple) -> dict:
         """NF(word) as {word: coefficient}."""
+        return self.times(word, {(): 1})
+
+    def times(self, word: tuple, comb: dict) -> dict:
+        """NF(word · comb) for a combination ``comb`` of normal words."""
         limit = sys.getrecursionlimit()  # each pending reduction is a Python call
         sys.setrecursionlimit(max(limit, 100_000))
         try:
-            return self._times(word, {(): 1})
+            return self._times(word, comb)
         finally:
             sys.setrecursionlimit(limit)
 
@@ -140,6 +153,42 @@ class Reducer:
             else:
                 self.memo[key] = {aw: 1}
         return self.memo[key]
+
+
+def arrow_ends(name: str, n: int) -> tuple[int, int]:
+    """(source, target) of an arrow: u_i : i -> i+1 and d_i : i+1 -> i."""
+    i = int(name[1:])
+    return (i, (i + 1) % n) if name[0] == "u" else ((i + 1) % n, i)
+
+
+def path_target(n: int, source: int, word: tuple) -> int | None:
+    """Where a path from ``source`` ends; None if ``word`` is no path of the quiver on n vertices.
+
+    A path is a sequence of the quiver's arrows in which each starts where the previous one ended.
+    """
+    arrows = {f"{family}{i}" for family in "ud" for i in range(n)}
+    at = source if 0 <= source < n else None
+    for name in word:
+        if at is None or name not in arrows or arrow_ends(name, n)[0] != at:
+            return None
+        at = arrow_ends(name, n)[1]
+    return at
+
+
+def normal_words(rules: dict, n: int, source: int, max_degree: int) -> list[list[tuple]]:
+    """The normal words from ``source`` of each degree up to ``max_degree``: the paths with no
+    leading word of ``rules`` as a factor.  A prefix of a normal word is normal, so each degree
+    extends the last by one arrow and drops a word that ends in a leading word."""
+    by_degree = [[()]]
+    for _ in range(max_degree):
+        longer = []
+        for w in by_degree[-1]:
+            at = arrow_ends(w[-1], n)[1] if w else source
+            for v in (w + (u(at, n),), w + (d(at - 1, n),)):
+                if not any(v[-len(lhs):] == lhs for lhs in rules):
+                    longer.append(v)
+        by_degree.append(longer)
+    return by_degree
 
 
 def shape(word: tuple) -> tuple[int, int, int]:
@@ -199,6 +248,48 @@ def in_span(rows: list, target, zero=Fraction(0)) -> bool:
 def spans_equal(rows_a: list, rows_b: list, zero=Fraction(0)) -> bool:
     both = rank(rows_a + rows_b, zero)
     return rank(rows_a, zero) == both == rank(rows_b, zero)
+
+
+# ---------------------------------------------------------------------------
+# Hilbert series: normal words counted, and D(t)^-1 expanded
+# ---------------------------------------------------------------------------
+
+def normal_word_counts(rules: dict, n: int, max_degree: int) -> list[list[list[int]]]:
+    """[H_0, ..., H_max_degree], (H_k)_{ij} the number of normal words of degree k from i to j."""
+    counts = [[[0] * n for _ in range(n)] for _ in range(max_degree + 1)]
+    for i in range(n):
+        for k, words in enumerate(normal_words(rules, n, i, max_degree)):
+            for w in words:
+                counts[k][i][arrow_ends(w[-1], n)[1] if w else i] += 1
+    return counts
+
+
+def _mat_times(a: list, b: list) -> list:
+    return [[sum(x * y for x, y in zip(row, col)) for col in zip(*b)] for row in a]
+
+
+def denominator(n: int, preset: str) -> dict[int, list]:
+    """{power of t: integer matrix} of D(t): I - Mt + Mt^3 - It^4 for the quiver down-up algebra
+    ("qdu"), I - Mt + It^2 for the preprojective algebra, M[i][j] the number of arrows i -> j."""
+    eye = [[int(i == j) for j in range(n)] for i in range(n)]
+    m = [[0] * n for _ in range(n)]
+    for name in [f"{family}{i}" for family in "ud" for i in range(n)]:
+        source, target = arrow_ends(name, n)
+        m[source][target] += 1
+    minus_m, minus_eye = [[-x for x in row] for row in m], [[-x for x in row] for row in eye]
+    return {0: eye, 1: minus_m, 3: m, 4: minus_eye} if preset == "qdu" else {0: eye, 1: minus_m, 2: eye}
+
+
+def inverse_series(denominator: dict, order: int) -> list[list]:
+    """[H_0, ..., H_order] of D(t)^-1 for D_0 = I: H_0 = I and H_k = -sum_{j>=1} D_j H_{k-j}."""
+    series = [denominator[0]]
+    for k in range(1, order + 1):
+        h = [[0] * len(row) for row in denominator[0]]
+        for j, dj in denominator.items():
+            if 1 <= j <= k:
+                h = [[x - y for x, y in zip(hr, pr)] for hr, pr in zip(h, _mat_times(dj, series[k - j]))]
+        series.append(h)
+    return series
 
 
 # ---------------------------------------------------------------------------
@@ -369,3 +460,77 @@ class Gwa:
                 for w, cw in self.reducer.normal_form(word).items():
                     _add(out, (v, w), c * cw)
         return nonzero(out.items())
+
+
+# ---------------------------------------------------------------------------
+# The non-noetherian chain and the property witnesses
+# ---------------------------------------------------------------------------
+
+def _times(reducer: Reducer, left: tuple, comb: dict, right: tuple = ()) -> dict:
+    """NF(left · comb · right) for a combination ``comb`` of words and a normal word ``right``."""
+    out: dict = {}
+    for w, c in comb.items():
+        for v, cv in reducer.times(left + w, {right: 1}).items():
+            _add(out, v, c * cv)
+    return nonzero(out.items())
+
+
+def up_cycle(n: int, i: int) -> tuple:
+    """U = u_i u_{i+1} ... u_{i-1}, the up-cycle at i."""
+    return tuple(u(i + k, n) for k in range(n))
+
+
+def chain_generator(n: int, alpha, gamma, i: int) -> dict:
+    """g = alpha_i u_i d_i + gamma_i e_i - d_{i-1} u_{i-1}."""
+    return nonzero([((u(i, n), d(i, n)), alpha[i]), ((), gamma[i]), ((d(i - 1, n), u(i - 1, n)), -1)])
+
+
+def chain(n: int, alpha, beta, gamma, i: int, s_max: int, degree_bound: int | None = None):
+    """(annihilation, [(s, strict)], support) of the chain I_s = sum_{m<=s} U^m g A at a vertex i
+    with beta_i = 0, U the up-cycle and g the generator above:
+
+    - annihilation: NF(U g u_i) = 0;
+    - strict, for s = 1..s_max: NF(U^{s+1} g) is not in the span of the NF(U^m g b), m <= s, b a
+      normal word from i of degree at most ``degree_bound`` - mn - 2 (default (s_max + 1)n + 2);
+    - support: every word u^a (du)^j d^c of those products has a = mn and, if gamma_i = 0, j > 0,
+      or a = mn + 1 and c > 0.
+    """
+    rules = oriented(qdu_relations(n, alpha, beta, gamma), n)
+    reducer = Reducer(rules)
+    bound = (s_max + 1) * n + 2 if degree_bound is None else degree_bound
+    up, g = up_cycle(n, i), chain_generator(n, alpha, gamma, i)
+    annihilation = not _times(reducer, up, g, (u(i, n),))
+    # products[b] = NF(U^s g b) = NF(U NF(U^(s-1) g b)), for the b that I_s reads
+    products = {b: _times(reducer, (), g, b) for words in normal_words(rules, n, i, bound - n - 2) for b in words}
+    rows, strict, support = [], [], True
+    for s in range(1, s_max + 1):
+        products = {b: reducer.times(up, p) for b, p in products.items() if len(b) <= bound - s * n - 2}
+        for product in products.values():
+            for w in product:
+                a, j, c = shape(w)
+                support = support and (a == s * n and (j > 0 or gamma[i] != 0) or a == s * n + 1 and c > 0)
+            if product:
+                rows.append(product)
+        strict.append((s, not in_span(rows, _times(reducer, up * (s + 1), g))))
+    return annihilation, strict, support
+
+
+def property_witnesses(n: int, alpha, beta, gamma, degree: int = 4) -> list[dict]:
+    """With every beta_i nonzero, at each vertex i: whether the monomials (u_i d_i)^a (d_{i-1} u_{i-1})^b,
+    a + b <= ``degree``, have independent normal forms.  Otherwise, at each i with beta_i = 0 and
+    a_i = d_{i-1} u_{i-1} - alpha_i u_i d_i - gamma_i e_i: whether a_i u_i, d_i a_i and a_i u_i d_i
+    reduce to 0 (a_i = -g, with g the chain's generator)."""
+    reducer = Reducer(oriented(qdu_relations(n, alpha, beta, gamma), n))
+    witnesses = []
+    for i in range(n):
+        x, y = (u(i, n), d(i, n)), (d(i - 1, n), u(i - 1, n))
+        if all(beta[k] != 0 for k in range(n)):
+            monomials = [reducer.normal_form(x * a + y * b) for a in range(degree + 1) for b in range(degree + 1 - a)]
+            witnesses.append({"vertex": i, "kind": "free-subalgebra", "ok": rank(monomials) == len(monomials)})
+        elif beta[i] == 0:
+            a_i = {w: -c for w, c in chain_generator(n, alpha, gamma, i).items()}
+            witnesses.append({"vertex": i, "kind": "zero-divisor",
+                              "product_zero": not _times(reducer, (), a_i, (u(i, n),)),
+                              "mirror_zero": not _times(reducer, (d(i, n),), a_i),
+                              "dependence_zero": not _times(reducer, (), a_i, x)})
+    return witnesses

@@ -152,9 +152,33 @@ def test_failed_proof_identities_are_counted(tmp_path, capsys, monkeypatch):
         gwa._shift_table.cache_clear()
 
 
-def test_verify_gwa_rejects_zero_beta(tmp_path, capsys):
-    cfg = write_config(tmp_path, beta=["0", "1", "1"])
-    assert main(["verify", "gwa", cfg, "--json"]) == 2
+BETA0, GAMMA, ALPHA = {"beta": ["0", "1", "1"]}, {"gamma": ["1", "0", "0"]}, {"alpha": ["1", "0", "0"]}
+
+
+@pytest.mark.parametrize("what, config, extra, message", [
+    ("gwa", BETA0, [], "verify gwa requires all beta_i nonzero"),
+    ("superpotential", BETA0, [], "verify superpotential requires all beta_i nonzero"),
+    ("superpotential", GAMMA, [], "verify superpotential requires gamma = 0"),
+    ("nakayama", BETA0, [], "verify nakayama requires all beta_i nonzero"),
+    ("nakayama", GAMMA, [], "verify nakayama requires gamma = 0"),
+    ("noetherian", {}, [], "verify noetherian requires some beta_i = 0"),
+    ("skewgroup", ALPHA, [], "verify skewgroup requires alpha = gamma = 0 (or pass --n)"),
+    ("skewgroup", ALPHA, ["--n", "13"], "n capped at 12 for cyclotomic checks"),
+])
+def test_verify_refusals(tmp_path, capsys, what, config, extra, message):
+    cfg = write_config(tmp_path, **config)
+    assert main(["verify", what, cfg, "--json", *extra]) == 2
+    captured = capsys.readouterr()
+    assert (captured.out, captured.err) == ("", f"error: {message}\n")
+
+
+def test_verify_skewgroup_refuses_n_1_as_an_argument(tmp_path, capsys):
+    cfg = write_config(tmp_path, **ALPHA)
+    with pytest.raises(SystemExit) as raised:
+        main(["verify", "skewgroup", cfg, "--json", "--n", "1"])
+    err = capsys.readouterr().err
+    assert raised.value.code == 2 and err.startswith("usage: quiverdu verify ")
+    assert err.endswith("\nquiverdu verify: error: argument --n: must be at least 2, got 1\n")
 
 
 def test_verify_superpotential_and_nakayama(tmp_path, capsys):

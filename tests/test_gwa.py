@@ -331,6 +331,24 @@ def test_verify_gwa_does_not_rest_on_confluence():
         gwa._shift_table.cache_clear()
 
 
+def test_pwd_proof_checks_confluence_only_to_refute(monkeypatch):
+    # With every beta_i nonzero the proof reads verify_gwa and checks no
+    # confluence; with beta_0 = 0 the zero-divisor pair is nonzero in H only
+    # if normal forms are unique, so that branch checks confluence.
+    checked = []
+    check_confluence = rewrite.check_confluence
+    monkeypatch.setattr(rewrite, "check_confluence", lambda sys_: checked.append(sys_.params) or check_confluence(sys_))
+    p, zero = params_n3(), Parameters.of(3, [1, 1, 1], [0, 2, 3], [1, 1, 1])
+    rewrite._qdu_system.cache_clear()
+    gwa._shift_table.cache_clear()
+    try:
+        assert pwd_proof_H(p).ok and not build_system(PRESET_QDU, p).verified and not checked
+        assert pwd_proof_H(zero).ok and checked == [zero]
+    finally:
+        rewrite._qdu_system.cache_clear()
+        gwa._shift_table.cache_clear()
+
+
 def test_proof_checks_refuse_zero_beta():
     p = Parameters.of(3, [1, 1, 1], [1, 0, 1], [0, 0, 0])
     for check in (theta_prime_is_homomorphism, sigma_is_automorphism, verify_gwa):

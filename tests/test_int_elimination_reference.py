@@ -1,15 +1,14 @@
-"""Differential tests of the freeness and chain witnesses.
+"""Differential tests of the chain and freeness witnesses against the oracle.
 
-``property_report`` reads the freeness of k[u_i d_i, d_{i-1} u_{i-1}]
-from theta (``gwa.theta_checks``) in every degree, and
-``noetherian_chain_check`` takes its spanning products on int-coded
-words and eliminates in the fraction-free int ``linalg.RowSpace``.  The
-loops they replaced, which took every product as an ``Element`` and
-eliminated in ``Fraction``s, are kept here as ``reference_property_report``
-(the freeness monomials x^a y^b to degree 4) and
-``reference_noetherian_chain_check``, each product now by its definition,
-``normal_form(sys, a * b)``, with the oracle's dense elimination and shape
-reader; both must give the same reports."""
+``noetherian_chain_check`` takes its spanning products on int-coded words
+and eliminates in the fraction-free int ``linalg.RowSpace``;
+``property_report`` reads the freeness of k[u_i d_i, d_{i-1} u_{i-1}] from
+theta (``gwa.theta_checks``) in every degree.  ``oracle.chain`` and
+``oracle.property_witnesses`` compute both from the definitions, with the
+oracle's normal forms, normal words and dense elimination, and share no
+code with the package: the chain's strict inclusions, support pattern and
+annihilation, the degree-4 freeness elimination and the zero-divisor
+products must agree with the reports."""
 
 from __future__ import annotations
 
@@ -18,12 +17,10 @@ from fractions import Fraction
 
 import pytest
 
-from quiverdu import linalg
-from quiverdu.core import Element, Parameters, path_from_word, trivial_path
-from quiverdu.rewrite import PRESET_QDU, _tables, basis_from, build_system, ensure_confluent, normal_form
+import oracle
+from quiverdu import linalg, structure
+from quiverdu.core import Element, Parameters
 from quiverdu.structure import (
-    ChainReport,
-    PropertyReport,
     _zero_divisor,
     balanced_twist_weights,
     build_superpotential,
@@ -34,134 +31,7 @@ from quiverdu.structure import (
     property_report,
     up_cycle_path,
 )
-from oracle import in_span, rank, shape
 from test_oracle import names
-
-
-# The degree to which the references certify freeness by elimination;
-# ``property_report`` reads freeness in every degree from theta.
-SUBALGEBRA_DEGREE = 4
-
-
-def reference_property_report(params: Parameters) -> PropertyReport:
-    """Flags follow the beta criterion; every flag is backed by a witness.
-
-    With all beta_i nonzero the subalgebra k[u_i d_i, d_{i-1} u_{i-1}] is
-    certified free up to degree ``SUBALGEBRA_DEGREE``; with a zero beta_i the
-    zero-divisor pair and the algebraic dependence are certified instead.
-    """
-    n = params.n
-    sys = ensure_confluent(build_system(PRESET_QDU, params))
-    flag = params.beta_all_nonzero()
-    witnesses: list[dict] = []
-    checks = True
-    if flag:
-        for i in range(n):
-            gen_x = Element.from_path(path_from_word(n, i, "ud"))        # u_i d_i
-            gen_y = Element.from_path(path_from_word(n, i, "du"))        # d_{i-1} u_{i-1}
-            monomials = []
-            x_power = Element.from_path(trivial_path(n, i))
-            for a in range(SUBALGEBRA_DEGREE + 1):
-                if a:
-                    x_power = normal_form(sys, x_power * gen_x)
-                monomials.append(x_power)
-                for _ in range(SUBALGEBRA_DEGREE - a):
-                    monomials.append(normal_form(sys, monomials[-1] * gen_y))
-            independent = rank([m.terms for m in monomials]) == len(monomials)
-            checks = checks and independent
-            witnesses.append({"vertex": i, "kind": "free-subalgebra", "ok": independent})
-    else:
-        for i in range(n):
-            if params.beta[i] != 0:
-                continue
-            a = _zero_divisor(params, i)
-            b = Element.from_path(path_from_word(n, i, "u"))
-            d_i = Element.from_path(path_from_word(n, (i + 1) % n, "d"))
-            left_zero = normal_form(sys, a * b).is_zero()
-            right_zero = normal_form(sys, d_i * a).is_zero()
-            dependence = normal_form(sys, a * Element.from_path(path_from_word(n, i, "ud"))).is_zero()
-            checks = checks and left_zero and right_zero and dependence
-            witnesses.append({
-                "vertex": i,
-                "kind": "zero-divisor",
-                "left": str(a),
-                "right": str(b),
-                "product_zero": left_zero,
-                "mirror_zero": right_zero,
-                "dependence_zero": dependence,
-            })
-    return PropertyReport(flag, flag, flag, flag, witnesses, checks)
-
-
-def reference_noetherian_chain_check(params: Parameters, i: int | None = None, s_max: int = 3,
-                                     degree_bound: int | None = None) -> ChainReport:
-    """Certify the strictly ascending chain of right ideals when beta_i = 0.
-
-    With U the full up-cycle at i and g = alpha_i u_i d_i + gamma_i e_i
-    - d_{i-1} u_{i-1}, the ideals I_s = sum_{m<=s} U^m g A satisfy
-    I_s != I_{s+1}: U^{s+1} g is not in the degree-bounded span of the
-    normal forms of U^m g b over basis monomials b from i.  The span for
-    U^m g takes b up to degree ``degree_bound`` - mn - 2, so the basis is
-    enumerated up to ``degree_bound`` - n - 2 only (the bound at m = 1).
-    Also checks the annihilation U g u_m = 0 for every vertex m and the
-    support pattern of the spanning products (u-runs are mn or mn+1).
-    """
-    n = params.n
-    if i is None:
-        i = next((k for k in range(n) if params.beta[k] == 0), None)
-        if i is None:
-            raise ValueError("no beta_i = 0; the chain construction requires one")
-    if params.beta[i] != 0:
-        raise ValueError(f"beta_{i} must be zero")
-    target_degree = (s_max + 1) * n + 2
-    if degree_bound is None:
-        degree_bound = target_degree
-    if degree_bound < target_degree:
-        raise ValueError("degree bound too small for the requested s_max")
-    sys = ensure_confluent(build_system(PRESET_QDU, params))
-    u_cycle = Element.from_path(up_cycle_path(n, i))
-    g = -_zero_divisor(params, i)
-    u_g = normal_form(sys, u_cycle * g)
-    annihilation_ok = all(
-        normal_form(sys, u_g * Element.from_path(path_from_word(n, m, "u"))).is_zero()
-        for m in range(n)
-    )
-    generators = []
-    acc = Element.from_path(trivial_path(n, i))
-    for _ in range(s_max + 1):
-        acc = normal_form(sys, acc * u_cycle)
-        generators.append(normal_form(sys, acc * g))
-
-    basis_by_degree = [[_tables(sys).path(i, w) for w in words]
-                       for words in basis_from(sys, i, degree_bound - n - 2)]
-    support_ok = True
-    # One elimination kept across s: I_s grows from I_{s-1}, so each
-    # spanning product is added once.
-    rows = []
-    strict = []
-    for s in range(1, s_max + 1):
-        m = s
-        g_m = generators[m - 1]
-        max_b = degree_bound - m * n - 2
-        for k in range(max_b + 1):
-            for b in basis_by_degree[k]:
-                product = normal_form(sys, g_m * Element.from_path(b))
-                if product.is_zero():
-                    continue
-                for p in product.terms:
-                    a_run, j_pairs, c_run = shape(names(p))
-                    if a_run == m * n:
-                        if params.gamma[i] == 0 and j_pairs == 0:
-                            support_ok = False
-                    elif a_run == m * n + 1:
-                        if c_run == 0:
-                            support_ok = False
-                    else:
-                        support_ok = False
-                rows.append(product.terms)
-        strict.append((s, not in_span(rows, generators[s].terms)))
-    return ChainReport(i, s_max, str(g), str(up_cycle_path(n, i)), annihilation_ok,
-                       strict, support_ok)
 
 
 def draw_params(rng, n, zero_beta, zero_gamma):
@@ -177,38 +47,112 @@ def draw_params(rng, n, zero_beta, zero_gamma):
     return Parameters.of(n, alpha, beta, gamma)
 
 
+def vectors(params: Parameters) -> tuple:
+    return params.n, params.alpha, params.beta, params.gamma
+
+
+def chain_cases():
+    """(params, i, s_max, degree_bound); i None picks the first beta_i = 0."""
+    cases = []
+    for params, i, s_values in [
+        # n = 3, beta_0 = 0, alpha and gamma nonzero
+        (Parameters.of(3, [1, 1, 1], [0, 2, 3], [1, 1, 1]), None, (1, 2, 5)),
+        # n = 3, beta_1 = 0, gamma = 0: the support pattern needs a du pair
+        (Parameters.of(3, [2, Fraction(-1, 2), 1], [3, 0, -1], [0, 0, 0]), 1, (1, 3, 4)),
+        # n = 4, beta_2 = 0, non-integral parameters and alpha_2 = 0
+        (Parameters.of(4, [1, -1, 0, Fraction(3, 4)], [2, Fraction(-1, 2), 0, 1],
+                       [Fraction(1, 2), 0, 1, -1]), None, (2, 5)),
+        # n = 4, beta_0 = 0, gamma = 0
+        (Parameters.of(4, [1, 2, 1, 1], [0, 1, -1, 2], [0, 0, 0, 0]), 0, (1, 4)),
+    ]:
+        cases += [(params, i, s_max, None) for s_max in s_values]
+    # degree bounds above the target
+    cases += [(Parameters.of(3, [1, 1, 1], [0, 2, 3], [1, 1, 1]), None, s_max, bound)
+              for s_max, bound in ((1, 9), (2, 12))]
+    # n = 4 at the s_max = 2 of the CLI, once with a bound two above the target
+    generic4 = Parameters.of(4, [2, Fraction(1, 2), 5, -1], [7, 0, 13, 2], [1, 2, Fraction(1, 3), -1])
+    cases += [(generic4, None, 2, None), (generic4, None, 2, 16),
+              (Parameters.of(4, [1, 0, -2, 1], [1, 3, -1, 0], [0, 0, 0, 0]), None, 2, None)]
+    # random rational parameters, n = 1..5, with and without gamma
+    for n in range(1, 6):
+        for zero_gamma in (False, True):
+            rng = random.Random(53 * n + zero_gamma)
+            i = rng.randrange(n)
+            params = draw_params(rng, n, {i}, zero_gamma)
+            cases += [(params, i, s_max, None) for s_max in (1, 2, 3)]
+    return cases
+
+
+@pytest.mark.parametrize("params, i, s_max, bound", chain_cases())
+def test_chain_report_matches_the_oracle(params, i, s_max, bound, monkeypatch):
+    # The check walks the basis once, from vertex i to the bound less n + 2,
+    # the largest degree a span reads.
+    walks = []
+    basis_from = structure.basis_from
+    monkeypatch.setattr(structure, "basis_from", lambda sys_, v, k: walks.append((v, k)) or basis_from(sys_, v, k))
+    report = noetherian_chain_check(params, i=i, s_max=s_max, degree_bound=bound)
+    n, vertex = params.n, next(k for k in range(params.n) if params.beta[k] == 0) if i is None else i
+    bound = (s_max + 1) * n + 2 if bound is None else bound
+    assert (report.vertex, report.s_max, walks) == (vertex, s_max, [(vertex, bound - n - 2)])
+    expected = oracle.chain(*vectors(params), vertex, s_max, bound)
+    assert (report.annihilation_ok, report.strict_inclusions, report.support_pattern_ok) == expected
+    assert report.ok
+
+
+def test_chain_report_names_its_generator_and_up_cycle():
+    report = noetherian_chain_check(Parameters.of(3, [2, 1, 1], [1, 0, 3], [0, Fraction(1, 2), 0]), s_max=1)
+    assert (report.generator, report.up_cycle) == ("1/2 @1 + 1 * u1.d1 + -1 * d0.u0", "u1.u2.u0")
+
+
+def test_up_cycle_times_generator_is_the_definition():
+    # U g as paths, before any reduction: U's words followed by g's.
+    rng = random.Random(17)
+    for n in range(1, 6):
+        for _ in range(3):
+            params = Parameters.of(n, *([Fraction(rng.randint(-4, 4), rng.randint(1, 3))
+                                         for _ in range(n)] for _ in range(3)))
+            for i in range(n):
+                u_g = Element.from_path(up_cycle_path(n, i)) * -_zero_divisor(params, i)
+                g = oracle.chain_generator(n, params.alpha, params.gamma, i)
+                assert {names(p): c for p, c in u_g.terms.items()} == {oracle.up_cycle(n, i) + w: c
+                                                                        for w, c in g.items()}
+
+
+def assert_property_report_matches_the_oracle(params: Parameters) -> None:
+    """The report's witnesses are the oracle's, its flags "every beta_i nonzero", and it passes
+    exactly when every witness holds; a zero-divisor witness names a_i and u_i."""
+    report = property_report(params)
+    witnesses = oracle.property_witnesses(*vectors(params))
+    assert [{k: v for k, v in w.items() if k not in ("left", "right")} for w in report.witnesses] == witnesses
+    assert report.checks_passed is all(v for w in witnesses for v in w.values() if type(v) is bool)
+    flags = (report.beta_nonzero, report.noetherian, report.pwd, report.polynomial_subalgebra)
+    assert flags == (all(params.beta),) * 4
+    for w in report.witnesses:
+        if w["kind"] == "zero-divisor":
+            assert (w["left"], w["right"]) == (str(_zero_divisor(params, w["vertex"])), f"1 * u{w['vertex']}")
+
+
 REGIMES = [(zero_beta, zero_gamma) for zero_beta in (False, True) for zero_gamma in (False, True)]
 
 
 @pytest.mark.parametrize("n", range(1, 7))
 @pytest.mark.parametrize("zero_beta, zero_gamma", REGIMES)
-def test_property_report_matches_the_element_loop(n, zero_beta, zero_gamma):
+def test_property_report_matches_the_oracle(n, zero_beta, zero_gamma):
     # With beta != 0 the witness read from theta must give the verdict of the
-    # degree-4 elimination; with a zero beta_i the zero-divisor witnesses.
+    # oracle's degree-4 elimination; with a zero beta_i the zero-divisor products.
     rng = random.Random(31 * n + 2 * zero_beta + zero_gamma)
     for _ in range(3):
         zeros = {rng.randrange(n)} if zero_beta else set()
         params = draw_params(rng, n, zeros, zero_gamma)
-        assert property_report(params) == reference_property_report(params)
-
-
-@pytest.mark.parametrize("n", range(1, 6))
-@pytest.mark.parametrize("zero_gamma", [False, True])
-def test_chain_report_matches_the_element_loop(n, zero_gamma):
-    rng = random.Random(53 * n + zero_gamma)
-    i = rng.randrange(n)
-    params = draw_params(rng, n, {i}, zero_gamma)
-    for s_max in (1, 2, 3):
-        new = noetherian_chain_check(params, s_max=s_max)
-        assert new == reference_noetherian_chain_check(params, s_max=s_max)
-        assert new.vertex == i
+        assert_property_report_matches_the_oracle(params)
 
 
 def test_the_witnesses_eliminate_with_no_fraction(monkeypatch):
-    # Every row the two witnesses and the two relation-span checks add or
-    # test is int-coded, so clearing it is a no-op, and no Fraction is built
-    # inside RowSpace.residual or RowSpace.add.
-    inside = []
+    # Every row the chain and the two relation-span checks add or test is
+    # int-coded, so clearing it is a no-op, and no Fraction is built inside
+    # RowSpace.residual or RowSpace.add.  The freeness witness reads theta
+    # and eliminates nothing.
+    inside, calls = [], []
     genuine_new = Fraction.__new__
 
     def guarded_new(cls, *args, **kwargs):
@@ -220,6 +164,7 @@ def test_the_witnesses_eliminate_with_no_fraction(monkeypatch):
         def run(self, row):
             assert all(type(c) is int for c in row.values())
             inside.append(method.__name__)
+            calls.append(method.__name__)
             try:
                 return method(self, row)
             finally:
@@ -234,7 +179,7 @@ def test_the_witnesses_eliminate_with_no_fraction(monkeypatch):
     monkeypatch.setattr(Fraction, "__new__", guarded_new)
     nonzero = Parameters.of(3, [2, Fraction(1, 2), 5], [7, Fraction(-3, 2), 13], [1, 2, Fraction(1, 3)])
     beta0 = Parameters.of(3, [1, 1, 1], [0, 2, 3], [1, 1, 1])
-    assert property_report(nonzero).checks_passed
+    assert property_report(nonzero).checks_passed and not calls
     assert property_report(beta0).checks_passed
     assert noetherian_chain_check(beta0, s_max=3).ok
     with pytest.raises(ValueError):

@@ -4,72 +4,58 @@
 ``Parameters`` on its first ``__hash__``; it must equal the tuple hash
 that the generated dataclass ``__hash__`` gave: ``hash((family, index))``,
 ``hash((n, source, arrows))`` and ``hash((n, alpha, beta, gamma))``.
-``Path`` validates with inline integer arithmetic; the reference is the
-method-based loop it replaced, kept here verbatim as
-``reference_post_init`` (with the old ``target`` property as
-``reference_target``), and both must raise on exactly the same inputs with
-the same message.  Each reduction system decodes a word to one ``Path``
-that every result shares.
+``Path`` validates with inline integer arithmetic; it must accept exactly
+the paths of ``oracle.path_target``, an arrow sequence in which each arrow
+starts where the previous one ended, with the oracle's target, and its
+messages are pinned on a table.  Each reduction system decodes a word to
+one ``Path`` that every result shares.
 """
 
 import itertools
 import random
 from fractions import Fraction
-from types import SimpleNamespace
 
 import pytest
 
+import oracle
 from quiverdu.core import DOWN, UP, Arrow, Element, Parameters, Path, path_from_word
 from quiverdu.rewrite import (PRESET_QDU, ReductionSystem, _pack_word, _qdu_specs, _tables, _word_bits,
                               build_system, normal_form)
 
 
-def reference_post_init(self) -> None:
-    if self.n < 1:
-        raise ValueError("n must be positive")
-    if not 0 <= self.source < self.n:
-        raise ValueError("source vertex out of range")
-    at = self.source
-    for a in self.arrows:
-        if a.index >= self.n:
-            raise ValueError(f"arrow {a} out of range for n={self.n}")
-        if a.source(self.n) != at:
-            raise ValueError(f"arrows do not compose at vertex {at}: {a}")
-        at = a.target(self.n)
-
-
-def reference_target(self) -> int:
-    if not self.arrows:
-        return self.source
-    return self.arrows[-1].target(self.n)
-
-
-def outcome(build):
-    try:
-        return "ok", build()
-    except ValueError as exc:
-        return "raises", str(exc)
-
-
 @pytest.mark.parametrize("n", range(0, 6))
-def test_path_validation_matches_method_based_loop(n):
-    # Indices up to n, so the range check is reached; sources one past
-    # either end, so the source check is too.
+def test_path_validation_matches_the_oracle(n):
+    # Indices up to n, so an arrow outside the quiver is reached; sources one
+    # past either end, so a vertex outside it is too.
     arrows = [Arrow(family, i) for family in (UP, DOWN) for i in range(n + 1)]
     checked = 0
     for source in range(-1, n + 1):
         for length in range(4):
             for word in itertools.product(arrows, repeat=length):
-                fields = SimpleNamespace(n=n, source=source, arrows=word)
-                expected = outcome(lambda: reference_post_init(fields))
-                found = outcome(lambda: Path(n, source, word))
-                assert found[0] == expected[0], (n, source, word)
-                if found[0] == "raises":
-                    assert found[1] == expected[1], (n, source, word)
+                target = oracle.path_target(n, source, tuple(str(a) for a in word))
+                try:
+                    path = Path(n, source, word)
+                except ValueError:
+                    assert target is None, (n, source, word)
                 else:
-                    assert found[1].target == reference_target(fields), (n, source, word)
+                    assert path.target == target, (n, source, word)
                     checked += 1
     assert checked > 0 or n == 0
+
+
+@pytest.mark.parametrize("n, source, arrows, message", [
+    (0, 0, (), "n must be positive"),
+    (3, 3, (), "source vertex out of range"),
+    (3, -1, (), "source vertex out of range"),
+    (3, 0, (Arrow(UP, 0), Arrow(UP, 3)), "arrow u3 out of range for n=3"),
+    (3, 0, (Arrow(DOWN, 0), Arrow(UP, 3)), "arrows do not compose at vertex 0: d0"),
+    (3, 0, (Arrow(UP, 0), Arrow(UP, 2)), "arrows do not compose at vertex 1: u2"),
+    (2, 0, (Arrow(UP, 0), Arrow(DOWN, 1)), "arrows do not compose at vertex 1: d1"),
+])
+def test_path_messages(n, source, arrows, message):
+    with pytest.raises(ValueError) as raised:
+        Path(n, source, arrows)
+    assert str(raised.value) == message
 
 
 def random_path(rng, n):

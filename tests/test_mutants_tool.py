@@ -51,6 +51,13 @@ def toy(a, b):
 '''
 
 
+# One of each arithmetic operator, and no other site.
+ARITHMETIC = '''
+def toy(a, b):
+    return a * b + (a - b)
+'''
+
+
 def checkout(root: Path, source: str) -> Path:
     (root / "src" / "quiverdu").mkdir(parents=True)
     (root / "src" / "quiverdu" / "toy.py").write_text(source, encoding="utf-8")
@@ -70,6 +77,21 @@ def run(root: Path, status) -> dict:
 
 def killed(m):
     return "killed"
+
+
+def test_arithmetic_operators_are_mutated(tmp_path):
+    root = checkout(tmp_path, ARITHMETIC)
+    found = mutants.enumerate_mutants(root, ["toy:toy"])
+    assert [(m["operator"], m["original"], m["mutant"]) for m in found] == [
+        ("arithmetic", "a * b + (a - b)", "a * b - (a - b)"),
+        ("arithmetic", "a * b", "a + b"),
+        ("arithmetic", "a - b", "a + b"),
+    ]
+    # Written back, each mutant computes another value than toy(3, 2) = 7.
+    for m in found:
+        namespace: dict = {}
+        exec(mutants.mutated_source(root, m), namespace)
+        assert namespace["toy"](3, 2) != 7, m["key"]
 
 
 def test_moved_lines_and_swapped_statements_keep_every_match(tmp_path, capsys):

@@ -9,12 +9,8 @@ on NF(a) split by source and target, and must equal both
 of a·b for any ``a``, normal or not.  ``normal_form`` itself, which sums
 each source's words with ``_normal_sum``, is compared with the oracle too.
 
-The references are the product-then-``normal_form`` bodies that the
-coded checks replaced, kept here verbatim up to their names:
-``property_report`` (as ``reference_property_report``, whose subalgebra
-loop rebuilt e_i x^a y^b from scratch for every (a, b)) and the
-zero-divisor pair of ``pwd_proof_H`` (as ``reference_counterexample``).
-Each must give the same report.  ``theta_prime``, which reduces one word
+The zero-divisor pair of ``pwd_proof_H`` and ``property_report`` are
+compared with ``oracle.property_witnesses``.  ``theta_prime``, which reduces one word
 per term, is compared with ``oracle.Gwa.theta_prime``.
 
 H is a piecewise domain by the proof of ``gwa.verify_gwa``, which
@@ -38,10 +34,10 @@ from fractions import Fraction
 
 import pytest
 
+import oracle
 from quiverdu import core, gwa, structure
 from quiverdu.core import Element, Parameters, path_from_word, trivial_path
 from quiverdu.gwa import theta_prime
-from quiverdu.linalg import RowSpace
 from quiverdu.rewrite import (
     PRESET_PREPROJECTIVE,
     PRESET_QDU,
@@ -53,86 +49,18 @@ from quiverdu.rewrite import (
     build_system,
     enumerate_basis,
     ensure_confluent,
-    is_zero_in_quotient,
     normal_form,
     _tables,
 )
 from quiverdu.structure import (
-    PropertyReport,
     _zero_divisor,
     noetherian_chain_check,
     property_report,
     pwd_proof_H,
 )
 from test_gwa_reference import as_gwa_element, as_oracle, oracle_of
+from test_int_elimination_reference import assert_property_report_matches_the_oracle
 from test_oracle import as_terms, oracle_nf, reducer_of, word_names
-
-
-# The degree to which the references certify freeness by elimination;
-# ``property_report`` reads freeness in every degree from theta.
-SUBALGEBRA_DEGREE = 4
-
-
-def reference_counterexample(params: Parameters) -> tuple[str, str] | None:
-    """The zero-divisor pair a_i, u_i of the first beta_i = 0, if NF(a_i * u_i) = 0."""
-    n = params.n
-    sys = ensure_confluent(build_system(PRESET_QDU, params))
-    bad = next(k for k in range(n) if params.beta[k] == 0)
-    a = _zero_divisor(params, bad)
-    b = Element.from_path(path_from_word(n, bad, "u"))
-    return (str(a), str(b)) if is_zero_in_quotient(sys, a * b) else None
-
-
-def reference_property_report(params: Parameters) -> PropertyReport:
-    """Flags follow the beta criterion; every flag is backed by a witness.
-
-    With all beta_i nonzero the subalgebra k[u_i d_i, d_{i-1} u_{i-1}] is
-    certified free up to degree ``SUBALGEBRA_DEGREE``; with a zero beta_i the
-    zero-divisor pair and the algebraic dependence are certified instead.
-    """
-    n = params.n
-    sys = ensure_confluent(build_system(PRESET_QDU, params))
-    flag = params.beta_all_nonzero()
-    witnesses: list[dict] = []
-    checks = True
-    if flag:
-        for i in range(n):
-            gen_x = Element.from_path(path_from_word(n, i, "ud"))        # u_i d_i
-            gen_y = Element.from_path(path_from_word(n, i, "du"))        # d_{i-1} u_{i-1}
-            monomials = []
-            for a in range(SUBALGEBRA_DEGREE + 1):
-                for b in range(SUBALGEBRA_DEGREE + 1 - a):
-                    word = Element.from_path(trivial_path(n, i))
-                    for _ in range(a):
-                        word = word * gen_x
-                    for _ in range(b):
-                        word = word * gen_y
-                    monomials.append(normal_form(sys, word))
-            space = RowSpace()
-            independent = all(space.add(m.terms) for m in monomials)
-            checks = checks and independent
-            witnesses.append({"vertex": i, "kind": "free-subalgebra", "ok": independent})
-    else:
-        for i in range(n):
-            if params.beta[i] != 0:
-                continue
-            a = _zero_divisor(params, i)
-            b = Element.from_path(path_from_word(n, i, "u"))
-            d_i = Element.from_path(path_from_word(n, (i + 1) % n, "d"))
-            left_zero = is_zero_in_quotient(sys, a * b)
-            right_zero = is_zero_in_quotient(sys, d_i * a)
-            dependence = is_zero_in_quotient(sys, a * Element.from_path(path_from_word(n, i, "ud")))
-            checks = checks and left_zero and right_zero and dependence
-            witnesses.append({
-                "vertex": i,
-                "kind": "zero-divisor",
-                "left": str(a),
-                "right": str(b),
-                "product_zero": left_zero,
-                "mirror_zero": right_zero,
-                "dependence_zero": dependence,
-            })
-    return PropertyReport(flag, flag, flag, flag, witnesses, checks)
 
 
 # ---------------------------------------------------------------------------
@@ -329,7 +257,7 @@ def test_normal_sum_leaves_its_operands_and_memo_unchanged():
 
 
 # ---------------------------------------------------------------------------
-# The checks against their product-then-normal_form references
+# The checks against the oracle
 # ---------------------------------------------------------------------------
 
 REGIMES = [
@@ -347,32 +275,36 @@ REGIMES = [
 ]
 
 
-def assert_pwd_matches_reference(params: Parameters) -> None:
+def assert_pwd_matches_the_oracle(params: Parameters) -> None:
+    """The proof when every beta_i is nonzero; otherwise the pair a_i, u_i of the first
+    beta_i = 0, whose product the oracle takes to 0."""
     got = pwd_proof_H(params)
     assert got.beta_nonzero == params.beta_all_nonzero() and got.ok
     if got.beta_nonzero:
         assert got.counterexample is None and got.gwa.proves_pwd
     else:
-        assert got.gwa is None and got.counterexample == reference_counterexample(params) is not None
+        first = oracle.property_witnesses(params.n, params.alpha, params.beta, params.gamma)[0]
+        pair = (str(_zero_divisor(params, first["vertex"])), f"1 * u{first['vertex']}")
+        assert got.gwa is None and first["product_zero"] and got.counterexample == pair
 
 
 @pytest.mark.parametrize("params", REGIMES)
-def test_pwd_proof_H_matches_reference(params):
-    assert_pwd_matches_reference(params)
+def test_pwd_proof_H_matches_the_oracle(params):
+    assert_pwd_matches_the_oracle(params)
 
 
 @pytest.mark.parametrize("params", REGIMES)
-def test_property_report_matches_reference(params):
-    assert property_report(params) == reference_property_report(params)
+def test_property_report_matches_the_oracle(params):
+    assert_property_report_matches_the_oracle(params)
 
 
 @pytest.mark.parametrize("seed", range(6))
-def test_checks_match_references_on_random_parameters(seed):
+def test_checks_match_the_oracle_on_random_parameters(seed):
     rng = random.Random(18_500 + seed)
     n = rng.randint(1, 4)
     params = random_params(rng, n, integral=seed % 2 == 0, zero_beta=seed % 3 == 0)
-    assert property_report(params) == reference_property_report(params)
-    assert_pwd_matches_reference(params)
+    assert_property_report_matches_the_oracle(params)
+    assert_pwd_matches_the_oracle(params)
 
 
 @pytest.mark.parametrize("params", [p for p in REGIMES if p.beta_all_nonzero()])

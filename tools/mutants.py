@@ -10,7 +10,8 @@ A function is named ``module:qualname`` (``quiverdu.`` may be left off).
 Each mutant changes one site of one function, default arguments
 included: a comparison swapped (``==``/``!=``, ``<``/``<=``, ``>``/``>=``,
 ``is``/``is not``, ``in``/``not in``), ``and``/``or`` swapped, a ``not``
-dropped, ``all``/``any`` swapped, or an int constant 0..4 raised by one.
+dropped, ``all``/``any`` swapped, an arithmetic operator changed (``+``/``-``
+swapped, ``*`` made ``+``), or an int constant 0..4 raised by one.
 The module is written back from the mutated syntax tree into a copy of
 the repository's ``src/`` and ``tests/``, and the selected tests run there
 with ``pytest -x`` and a fixed Hypothesis seed, one mutant after another.
@@ -55,6 +56,7 @@ KILLED = ("killed", "timeout")
 SWAPS = {ast.Eq: ast.NotEq, ast.NotEq: ast.Eq, ast.Lt: ast.LtE, ast.LtE: ast.Lt,
          ast.Gt: ast.GtE, ast.GtE: ast.Gt, ast.Is: ast.IsNot, ast.IsNot: ast.Is,
          ast.In: ast.NotIn, ast.NotIn: ast.In}
+ARITHMETIC = {ast.Add: ast.Sub, ast.Sub: ast.Add, ast.Mult: ast.Add}
 
 
 def variants(node: ast.AST) -> list:
@@ -74,6 +76,9 @@ def variants(node: ast.AST) -> list:
         new = copy.deepcopy(node)
         new.func.id = "any" if node.func.id == "all" else "all"
         out.append(("all/any", new))
+    elif isinstance(node, ast.BinOp) and type(node.op) in ARITHMETIC:
+        out.append(("arithmetic", ast.BinOp(copy.deepcopy(node.left), ARITHMETIC[type(node.op)](),
+                                            copy.deepcopy(node.right))))
     elif isinstance(node, ast.Constant) and type(node.value) is int and 0 <= node.value <= 4:
         out.append(("constant + 1", ast.Constant(node.value + 1)))
     return out
