@@ -250,11 +250,20 @@ def _cmd_basis(args) -> tuple[str, dict]:
     preset = PRESET_PREPROJECTIVE if args.preset == "preprojective" else PRESET_QDU
     sys_ = build_system(preset, params, n=params.n)
     paths = enumerate_basis(sys_, args.degree)
+    matrix = dimension_matrix(sys_, args.degree)
+    # The automaton's words, counted by (source, target), against the
+    # count read from the leading words' letters.
+    counts = [[0] * params.n for _ in range(params.n)]
+    for p in paths:
+        counts[p.source][p.target] += 1
+    if counts != matrix:
+        raise AssertionError(f"normal words by (source, target) disagree with the "
+                             f"leading-word count at degree {args.degree}")
     return "pass", {
         "degree": args.degree,
         "preset": preset,
         "paths": [str(p) for p in paths],
-        "dimension_matrix": dimension_matrix(sys_, args.degree),
+        "dimension_matrix": matrix,
         "total": len(paths),
     }
 

@@ -7,8 +7,10 @@ M is the adjacency matrix of the doubled n-cycle.  A denominator is a plain
 map degree -> integer matrix (arbitrary precision).  Since D_0 = I, the
 truncated inverse is unique, so "H = D^{-1} through degree K" says exactly
 that the residual E_k = sum_j D_j H_{k-j} is I at k = 0 and 0 for
-k = 1..K.  ``closed_form_check`` computes E_k from the enumerated matrices;
-no series is inverted.
+k = 1..K.  ``closed_form_check`` computes E_k from the counted matrices;
+no series is inverted.  The counts are ``rewrite.dimension_matrices``:
+the normal-word shape read from the leading words' letters (its steps (a)
+and (b)), with no word walked.
 """
 
 from __future__ import annotations
@@ -104,14 +106,17 @@ class ClosedFormReport:
 
 
 def closed_form_check(params: Parameters, max_degree: int, preset: str = PRESET_QDU) -> ClosedFormReport:
-    """Enumerated dimension matrices versus the closed-form series.
+    """Counted dimension matrices versus the closed-form series.
 
-    The enumeration is the ground truth; the series D(t)^{-1} is the claim
-    under test.  The check stops at the first k where R = E_k - [k=0] I is
-    nonzero.  Below k the matrices agree with the series, so R is H_k minus
-    the series coefficient, and ``first_mismatch`` is (k, i, j, expected,
-    got) at the first nonzero entry of R.  Totals are compared against the
-    scalar closed forms as well.
+    The counts are the ground truth: ``dimension_matrices`` checks the
+    system's leading words against the preset's letter patterns and reads
+    every degree from the normal-word shape, so no automaton is walked.
+    The series D(t)^{-1} is the claim under test.  The check stops at the
+    first k where R = E_k - [k=0] I is nonzero.  Below k the matrices
+    agree with the series, so R is H_k minus the series coefficient, and
+    ``first_mismatch`` is (k, i, j, expected, got) at the first nonzero
+    entry of R.  Totals are compared against the scalar closed forms as
+    well.
     """
     n = params.n
     if preset == PRESET_QDU:

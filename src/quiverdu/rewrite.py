@@ -16,21 +16,27 @@ one confluence verdict and one forbidden-factor automaton.  A preset is
 built straight into rule specs on tuples of arrow codes (an arrow coded
 by its rank), and its ``RewriteRule``s are decoded only when ``rules`` is
 read.  One set of rule tables per system (``_RuleTables``) serves normal
-forms, overlap resolution, basis enumeration and the automaton.  There a
-word is one int, its codes packed behind a sentinel bit (``_pack_word``),
-and Paths and Elements are built from words only for results.  Inside
-the kernel a combination is int numerators over a power D^e of the
-system's denominator, summed by ``_add_scaled``.  Every normal form of a
+forms, overlap resolution and basis enumeration, whose automaton lists
+the normal words.  There a word is one int, its codes packed behind a
+sentinel bit (``_pack_word``), and Paths and Elements are built from
+words only for results.  Inside the kernel a combination is int
+numerators over a power D^e of the system's denominator, summed by
+``_add_scaled``.  Every normal form of a
 sum, NF(sum of c * x·w) for a normal x, goes through ``_normal_sum``: it
 reduces x·w one arrow of w at a time (NF(a·b) = NF(NF(a)·b)), so no
 product is built as paths.  ``normal_form`` codes its input once
 (``_RuleTables.row``) and decodes its result once (``Element.from_coded``).
+
+The dimension matrices need no rule tables: ``dimension_matrices`` checks
+the leading words' letters on the specs in O(n) and reads every degree
+from the normal-word shape (its docstring states the shape lemma).
 """
 
 from __future__ import annotations
 
 import random
 import re
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
@@ -653,34 +659,30 @@ def _build_automaton(tables: _RuleTables):
 def dimension_matrices(sys: ReductionSystem, max_degree: int) -> list[list[list[int]]]:
     """[H_0, ..., H_max_degree], (H_k)_{ij} = number of normal degree-k paths from i to j.
 
-    One transfer-matrix walk on the forbidden-factor automaton counts
-    every degree; the down-up presets are independently cross-checked
-    against the closed normal-word shape u^a (du)^j d^c at each degree.
+    Counted from the leading words' letters, with no word walked:
+
+    - (a) **Leading words** (``check_leading_words``, O(n) on ``sys.specs``):
+      the leading words of the quiver down-up preset are one ``duu`` and
+      one ``ddu`` from every vertex, and those of the preprojective preset
+      one ``du`` from every vertex, read as (source, letters).
+    - (b) **Shape lemma.** Each vertex has one u arrow and one d arrow
+      out, so a path is fixed by its source and its letters, and a word is
+      normal exactly when its letters avoid the patterns.  The strings
+      that avoid ``duu`` and ``ddu`` are u^a (du)^j d^c: after the first
+      d, a ``dd`` allows only d's, and a ``du`` must be followed by d or
+      end the word.  The strings that avoid ``du`` are u^a d^c.  Both
+      words end at i + a - c from i, so H_k is ``_closed_shape_matrix``
+      or ``_closed_preprojective_matrix`` at degree k.
+
+    A system with no letter pattern (a ``"custom"`` one) raises
+    ValueError; specs whose leading words break (a) raise AssertionError.
+    The forbidden-factor automaton of ``basis_from`` lists the same words.
     """
     if max_degree < 0:
         raise ValueError("degree must be nonnegative")
-    n = sys.n
-    transitions, vertex_of = _tables(sys).automaton()
-    # counts[i][s]: normal paths of the current degree from vertex i to state s.
-    counts = [[int(s == i) for s in range(len(transitions))] for i in range(n)]
-    matrices = []
-    for k in range(max_degree + 1):
-        if k:
-            steps = [[0] * len(transitions) for _ in range(n)]
-            for vec, nxt in zip(counts, steps):
-                for sid, cnt in enumerate(vec):
-                    for _, tid in transitions[sid]:
-                        nxt[tid] += cnt
-            counts = steps
-        matrix = [[0] * n for _ in range(n)]
-        for row, vec in zip(matrix, counts):
-            for sid, cnt in enumerate(vec):
-                row[vertex_of[sid]] += cnt
-        if sys.preset == PRESET_QDU and matrix != _closed_shape_matrix(n, k):
-            raise AssertionError(
-                f"automaton count disagrees with closed normal-word shape at degree {k}")
-        matrices.append(matrix)
-    return matrices
+    check_leading_words(sys)
+    count = _closed_shape_matrix if sys.preset == PRESET_QDU else _closed_preprojective_matrix
+    return [count(sys.n, k) for k in range(max_degree + 1)]
 
 
 def dimension_matrix(sys: ReductionSystem, degree: int) -> list[list[int]]:
@@ -696,6 +698,52 @@ def normal_shapes(degree: int) -> list[tuple[int, int, int]]:
     """Every (a, j, c) with a + 2j + c = degree, in increasing order."""
     return [(a, j, degree - a - 2 * j)
             for a in range(degree + 1) for j in range((degree - a) // 2 + 1)]
+
+
+# The leading words of each preset as letter strings from every vertex.
+_LETTER_PATTERNS = {PRESET_QDU: ("duu", "ddu"), PRESET_PREPROJECTIVE: ("du",)}
+
+
+def _path_codes(n: int, source: int, letters: str) -> tuple[int, ...]:
+    """The arrow codes of the one path from ``source`` with these letters.
+
+    ``core.path_from_word`` on codes, with no Path built: from vertex v,
+    u_v (code n + v) goes to v + 1 and d_{v-1} (code v - 1) to v - 1.
+    """
+    codes, v = [], source
+    for letter in letters:
+        if letter == "u":
+            codes.append(n + v)
+            v = (v + 1) % n
+        else:
+            v = (v - 1) % n
+            codes.append(v)
+    return tuple(codes)
+
+
+def check_leading_words(sys: ReductionSystem) -> None:
+    """Step (a) of ``dimension_matrices``: the leading words are exactly the preset's patterns.
+
+    Compares the (source, leading word) of every spec, with multiplicity,
+    against the one path per vertex and pattern, in O(n).  ValueError for
+    a preset with no letter pattern; AssertionError naming the offending
+    (source, letters) when a leading word is missing, extra or another.
+    """
+    patterns = _LETTER_PATTERNS.get(sys.preset)
+    if patterns is None:
+        raise ValueError(f"no leading-word letter pattern for preset {sys.preset!r}")
+    n = sys.n
+    expected = {(v, _path_codes(n, v, p)) for v in range(n) for p in patterns}
+    found = [(source, tuple(lhs)) for source, lhs, _ in sys.specs]
+    if len(found) == len(expected) and set(found) == expected:  # so no word repeats
+        return
+    expected, found = Counter(expected), Counter(found)
+    for offending, what in ((found - expected, "is extra to"), (expected - found, "is missing from")):
+        if offending:
+            source, lhs = next(iter(offending))
+            letters = "".join("d" if x < n else "u" for x in lhs)
+            raise AssertionError(f"leading word ({source}, {letters!r}) {what} the "
+                                 f"{sys.preset} letter patterns")
 
 
 _SHAPE = re.compile(r"(u*)((?:du)*)(d*)")
@@ -718,7 +766,18 @@ def _closed_shape_matrix(n: int, degree: int) -> list[list[int]]:
     # the matrix is circulant: row i is the offset counts shifted by i.
     # The shapes with a - c = d have a + c = s for each s = |d|, |d| + 2,
     # ..., degree, so d = degree mod 2 and there are (degree - |d|)/2 + 1.
+    return _circulant(n, ((d, (degree - abs(d)) // 2 + 1) for d in range(-degree, degree + 1, 2)))
+
+
+def _closed_preprojective_matrix(n: int, degree: int) -> list[list[int]]:
+    # u^a d^c with a + c = degree ends at i + a - c: one word per offset
+    # d = degree, degree - 2, ..., -degree.
+    return _circulant(n, ((d, 1) for d in range(-degree, degree + 1, 2)))
+
+
+def _circulant(n: int, counts) -> list[list[int]]:
+    """The n x n matrix whose (i, j) entry sums the counts of the offsets d = j - i mod n."""
     offsets = [0] * n
-    for d in range(-degree, degree + 1, 2):
-        offsets[d % n] += (degree - abs(d)) // 2 + 1
-    return [[offsets[(j - i) % n] for j in range(n)] for i in range(n)]
+    for d, count in counts:
+        offsets[d % n] += count
+    return [offsets[n - i:] + offsets[:n - i] for i in range(n)]

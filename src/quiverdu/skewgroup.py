@@ -374,7 +374,9 @@ def verify_quotient_match(n: int, params: Parameters | None = None, max_degree: 
     H(0, beta, 0), that is A - beta B = 0 for each pair (A, B) above, so
     the identities of (a) are the case beta = -1 of (b) and
     ``proof_identities_ok`` is ``relation_kill[-1]``; (c) compares
-    dim f_i B_k f_j per degree k with the quiver down-up dimension matrix.
+    dim f_i B_k f_j per degree k with the quiver down-up dimension matrix,
+    which ``rewrite.dimension_matrices`` reads from the matched system's
+    leading-word letters (no rule tables, no automaton).
     The products f_i (m # 1) f_j over the degree-k monomials m span the
     corner (``check_group_absorption``), and each is delta_{a j} m # f_j
     with a = i + w(m), so the dimension is the number of degree-k

@@ -64,6 +64,29 @@ def test_basis_command(tmp_path, capsys):
     assert report["findings"]["dimension_matrix"] == [[2, 1, 1], [1, 2, 1], [1, 1, 2]]
 
 
+@pytest.mark.parametrize("preset", ["qdu", "preprojective"])
+def test_basis_fails_when_the_letter_count_is_wrong_at_its_degree(tmp_path, capsys, monkeypatch, preset):
+    # basis counts the automaton's words by (source, target) against
+    # dimension_matrix; a count wrong at degree 3 alone fails there only.
+    for name in ("_closed_shape_matrix", "_closed_preprojective_matrix"):
+        closed = getattr(rewrite, name)
+
+        def wrong_at_three(n, degree, closed=closed):
+            m = closed(n, degree)
+            if degree == 3:
+                m[1][2] += 1
+            return m
+
+        monkeypatch.setattr(rewrite, name, wrong_at_three)
+    cfg = write_config(tmp_path)
+    code, report = run_json(capsys, ["basis", cfg, "--degree", "2", "--preset", preset, "--json"])
+    assert code == 0 and report["verdict"] == "pass"
+    code, report = run_json(capsys, ["basis", cfg, "--degree", "3", "--preset", preset, "--json"])
+    assert code == 1 and report["verdict"] == "fail"
+    assert report["findings"] == {"internal_check_failed": "normal words by (source, target) disagree "
+                                                           "with the leading-word count at degree 3"}
+
+
 def test_confluence_command_exit_zero(tmp_path, capsys):
     cfg = write_config(tmp_path, beta=["0", "1", "1"], gamma=["1", "0", "0"])
     code, report = run_json(capsys, ["confluence", cfg, "--json"])
@@ -324,9 +347,11 @@ def test_vacuous_arguments_are_refused(tmp_path, capsys, argv):
     assert "must be at least" in captured.err
 
 
-def test_report_checks_confluence_once_and_builds_each_automaton_once(tmp_path, capsys, monkeypatch):
+def test_report_checks_confluence_once_and_builds_no_automaton(tmp_path, capsys, monkeypatch):
     # Every section of a report reads the one shared system per parameter
-    # set: one confluence check, and one automaton per distinct system.
+    # set: one confluence check.  With every beta_i != 0 no chain runs, and
+    # the Hilbert counts are read from the leading words' letters, so no
+    # automaton is built.
     for cache in (rewrite._qdu_system, rewrite._preprojective_system):
         cache.cache_clear()
     checked, automata = [], []
@@ -348,4 +373,4 @@ def test_report_checks_confluence_once_and_builds_each_automaton_once(tmp_path, 
     code, report = run_json(capsys, ["report", cfg, "--json"])
     assert code == 0 and report["verdict"] == "pass"
     assert len(checked) == 1
-    assert len(automata) == len({id(t) for t in automata}) <= 2
+    assert automata == []

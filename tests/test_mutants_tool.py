@@ -58,6 +58,16 @@ def toy(a, b):
 '''
 
 
+# One of each augmented arithmetic assignment, and no other site.
+AUGMENTED = '''
+def toy(a, b):
+    a += b
+    b -= a
+    a *= b
+    return a
+'''
+
+
 def checkout(root: Path, source: str) -> Path:
     (root / "src" / "quiverdu").mkdir(parents=True)
     (root / "src" / "quiverdu" / "toy.py").write_text(source, encoding="utf-8")
@@ -92,6 +102,21 @@ def test_arithmetic_operators_are_mutated(tmp_path):
         namespace: dict = {}
         exec(mutants.mutated_source(root, m), namespace)
         assert namespace["toy"](3, 2) != 7, m["key"]
+
+
+def test_augmented_assignments_are_mutated(tmp_path):
+    root = checkout(tmp_path, AUGMENTED)
+    found = mutants.enumerate_mutants(root, ["toy:toy"])
+    assert [(m["operator"], m["original"], m["mutant"], m["line"]) for m in found] == [
+        ("arithmetic", "a += b", "a -= b", 1),
+        ("arithmetic", "b -= a", "b += a", 2),
+        ("arithmetic", "a *= b", "a += b", 3),
+    ]
+    # Written back, each mutant computes another value than toy(3, 2) = -15.
+    for m in found:
+        namespace: dict = {}
+        exec(mutants.mutated_source(root, m), namespace)
+        assert namespace["toy"](3, 2) != -15, m["key"]
 
 
 def test_moved_lines_and_swapped_statements_keep_every_match(tmp_path, capsys):

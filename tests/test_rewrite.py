@@ -365,24 +365,106 @@ def test_closed_shape_count_matches_enumeration():
                 (n, degree)
 
 
-def test_dimension_matrices_cross_checks_every_degree(monkeypatch):
-    closed = rewrite._closed_shape_matrix
+def params_with_zeros(n, rng):
+    """Random alpha, beta and gamma with a zero entry in each vector (all zero at n = 1)."""
+    vec = lambda: [rng.choice([0, 1, -2, Fraction(3, 5)]) for _ in range(n)]
+    alpha, beta, gamma = vec(), vec(), vec()
+    for v in (alpha, beta, gamma):
+        v[rng.randrange(n)] = 0
+    return Parameters.of(n, alpha, beta, gamma)
 
-    def wrong_at_four(n, degree):
-        m = closed(n, degree)
-        if degree == 4:
-            m[0][0] += 1
-        return m
 
-    monkeypatch.setattr(rewrite, "_closed_shape_matrix", wrong_at_four)
-    sys = build_system(PRESET_QDU, Parameters.of(3, [1, 2, 3], [4, 5, 6], [7, 8, 9]))
-    assert len(dimension_matrices(sys, 3)) == 4
-    with pytest.raises(AssertionError, match="at degree 4"):
-        dimension_matrices(sys, 8)
-    with pytest.raises(AssertionError, match="at degree 4"):
-        dimension_matrix(sys, 6)
-    # The preprojective preset has another normal-word shape: not cross-checked.
-    assert len(dimension_matrices(build_system(PRESET_PREPROJECTIVE, n=3), 8)) == 9
+def automaton_counts(sys, max_degree):
+    """The automaton's normal words (``basis_from``) counted by source, target and degree."""
+    tables = rewrite._tables(sys)
+    counts = [[[0] * sys.n for _ in range(sys.n)] for _ in range(max_degree + 1)]
+    for v in range(sys.n):
+        for k, words in enumerate(basis_from(sys, v, max_degree)):
+            for w in words:
+                counts[k][v][tables.target(v, w)] += 1
+    return counts
+
+
+@pytest.mark.parametrize("n", range(1, 13))
+def test_dimension_matrices_is_the_automaton_count_to_degree_30(n):
+    rng = random.Random(40 + n)
+    for sys in (build_system(PRESET_QDU, params_with_zeros(n, rng)), build_system(PRESET_PREPROJECTIVE, n=n)):
+        assert dimension_matrices(sys, 30) == automaton_counts(sys, 30), (n, sys.preset)
+
+
+def leading_codes(n, source, letters):
+    """The arrow codes of the path from ``source`` with these letters, read from core's Path."""
+    return tuple(rewrite._arrow_rank(a, n) for a in path_from_word(n, source, letters).arrows)
+
+
+def qdu_specs(n=3):
+    return list(rewrite._qdu_specs(Parameters.of(n, [1] * n, [2] * n, [3] * n)))
+
+
+def refused(specs, preset=PRESET_QDU, n=3):
+    """The AssertionError message of ``check_leading_words`` on these specs."""
+    sys = ReductionSystem(n, None, preset, specs=tuple(specs))
+    with pytest.raises(AssertionError) as exc:
+        rewrite.check_leading_words(sys)
+    with pytest.raises(AssertionError):
+        dimension_matrices(sys, 2)
+    return str(exc.value)
+
+
+def test_leading_word_check_accepts_the_presets():
+    for n in range(1, 13):
+        rng = random.Random(n)
+        for sys in (build_system(PRESET_QDU, params_with_zeros(n, rng)), build_system(PRESET_PREPROJECTIVE, n=n)):
+            rewrite.check_leading_words(sys)
+            assert sorted((s, leading_codes(n, s, w)) for s in range(n)
+                          for w in rewrite._LETTER_PATTERNS[sys.preset]) == sorted((s, l) for s, l, _ in sys.specs)
+
+
+@pytest.mark.parametrize("index, letters", [(0, "udu"), (0, "uud"), (1, "dud"), (4, "udd"), (5, "dud")])
+def test_leading_word_check_refuses_permuted_letters(index, letters):
+    specs = qdu_specs()
+    source, _, rhs = specs[index]
+    specs[index] = (source, leading_codes(3, source, letters), rhs)
+    assert refused(specs) == f"leading word ({source}, {letters!r}) is extra to the quiver-down-up letter patterns"
+
+
+def test_leading_word_check_refuses_a_missing_or_added_rule():
+    specs = qdu_specs()
+    assert refused(specs[:3] + specs[4:]) == \
+        "leading word (2, 'ddu') is missing from the quiver-down-up letter patterns"
+    extra = (0, leading_codes(3, 0, "uu"), ())
+    assert refused(specs + [extra]) == "leading word (0, 'uu') is extra to the quiver-down-up letter patterns"
+    # The same leading word twice (another rhs) is one more than the patterns allow.
+    twice = (specs[2][0], specs[2][1], ((specs[2][1][:1], Fraction(1)),))
+    assert refused(specs + [twice]) == "leading word (1, 'duu') is extra to the quiver-down-up letter patterns"
+    pre = list(build_system(PRESET_PREPROJECTIVE, n=3).specs)
+    assert refused(pre[1:], PRESET_PREPROJECTIVE) == \
+        "leading word (1, 'du') is missing from the preprojective letter patterns"
+
+
+def test_leading_word_check_refuses_a_word_from_another_source():
+    # d_2 u_2 u_0 read from vertex 1: the letters are duu, but not a path from 1.
+    specs = qdu_specs()
+    source, lhs, rhs = specs[0]
+    specs[0] = (1, lhs, rhs)
+    assert refused(specs) == "leading word (1, 'duu') is extra to the quiver-down-up letter patterns"
+
+
+def test_leading_word_check_refuses_qdu_specs_labelled_preprojective():
+    for n in (1, 2, 3, 7):
+        message = refused(qdu_specs(n), PRESET_PREPROJECTIVE, n)
+        assert message == "leading word (0, 'duu') is extra to the preprojective letter patterns"
+    pre = build_system(PRESET_PREPROJECTIVE, n=3).specs
+    assert refused(pre, PRESET_QDU) == "leading word (1, 'du') is extra to the quiver-down-up letter patterns"
+
+
+def test_dimension_matrices_needs_a_letter_pattern():
+    qdu = build_system(PRESET_QDU, Parameters.of(3, [1, 2, 3], [4, 5, 6], [7, 8, 9]))
+    custom = ReductionSystem(3, qdu.rules, "custom")
+    with pytest.raises(ValueError, match="no leading-word letter pattern for preset 'custom'"):
+        dimension_matrices(custom, 4)
+    # The same rules under the preset's name are counted.
+    assert dimension_matrices(ReductionSystem(3, qdu.rules, PRESET_QDU), 4) == dimension_matrices(qdu, 4)
 
 
 # ---------------------------------------------------------------------------

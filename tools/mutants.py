@@ -11,7 +11,8 @@ Each mutant changes one site of one function, default arguments
 included: a comparison swapped (``==``/``!=``, ``<``/``<=``, ``>``/``>=``,
 ``is``/``is not``, ``in``/``not in``), ``and``/``or`` swapped, a ``not``
 dropped, ``all``/``any`` swapped, an arithmetic operator changed (``+``/``-``
-swapped, ``*`` made ``+``), or an int constant 0..4 raised by one.
+swapped, ``*`` made ``+``; in an augmented assignment ``+=``/``-=`` swapped,
+``*=`` made ``+=``), or an int constant 0..4 raised by one.
 The module is written back from the mutated syntax tree into a copy of
 the repository's ``src/`` and ``tests/``, and the selected tests run there
 with ``pytest -x`` and a fixed Hypothesis seed, one mutant after another.
@@ -79,6 +80,9 @@ def variants(node: ast.AST) -> list:
     elif isinstance(node, ast.BinOp) and type(node.op) in ARITHMETIC:
         out.append(("arithmetic", ast.BinOp(copy.deepcopy(node.left), ARITHMETIC[type(node.op)](),
                                             copy.deepcopy(node.right))))
+    elif isinstance(node, ast.AugAssign) and type(node.op) in ARITHMETIC:
+        out.append(("arithmetic", ast.AugAssign(copy.deepcopy(node.target), ARITHMETIC[type(node.op)](),
+                                                copy.deepcopy(node.value))))
     elif isinstance(node, ast.Constant) and type(node.value) is int and 0 <= node.value <= 4:
         out.append(("constant + 1", ast.Constant(node.value + 1)))
     return out
