@@ -79,8 +79,13 @@ class AlgebraConfig:
 def _rational(value, field: str, index: int) -> Fraction:
     if isinstance(value, bool) or not isinstance(value, (int, str)):
         raise ConfigError(f"{field}[{index}]: expected a rational string or integer")
+    text = str(value)
+    # -?[0-9]+(/[0-9]+)? is read as two ints; any other text by Fraction's parser.
+    num, slash, den = text.partition("/")
     try:
-        return Fraction(str(value))
+        if text.isascii() and num.removeprefix("-").isdigit() and (den.isdigit() or not slash):
+            return Fraction(int(num), int(den) if slash else 1)
+        return Fraction(text)
     except (ValueError, ZeroDivisionError) as exc:
         raise ConfigError(f"{field}[{index}]: {exc}") from exc
 
@@ -504,7 +509,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p_ver.add_argument("--trials", type=_int_at_least(1), default=200,
                        help="accepted and ignored: pwd and gwa are proved, not sampled")
     p_ver.add_argument("--max-degree", type=_int_at_least(0), default=None,
-                       help="skewgroup: degree bound (default 4); pwd no longer reads it")
+                       help="skewgroup: accepted and echoed (default 4), since the corner "
+                            "match is proved in every degree; pwd no longer reads it")
     p_ver.add_argument("--n", type=_int_at_least(2), default=None,
                        help="skewgroup: group order override (alpha=gamma=0 assumed)")
 

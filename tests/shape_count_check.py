@@ -6,7 +6,13 @@ the normal-word shape) must equal the normal words that the
 forbidden-factor automaton lists (``basis_from``), counted by source,
 target and degree.  The quiver down-up systems draw seeded random
 parameters with a zero entry in each of alpha, beta and gamma.  The test
-suite does this to degree 30; run it as
+suite does this to degree 30.
+
+Then, for n = 2..12 and degree <= 30, the skew-group count lemma
+enumerated: the degree-k monomials u^a (du)^b d^c of R counted by
+weight class a - c mod n (``test_corner_reference.weight_class_counts``)
+must equal ``rewrite._closed_shape_matrix`` and the oracle's normal-word
+count of H(0, -1, 0).  The test suite does this to degree 12.  Run it as
 
     PYTHONPATH=src:tests python tests/shape_count_check.py
 """
@@ -15,10 +21,18 @@ import random
 import sys
 import time
 
-from quiverdu.rewrite import PRESET_PREPROJECTIVE, PRESET_QDU, build_system, dimension_matrices
+from quiverdu.rewrite import (
+    PRESET_PREPROJECTIVE,
+    PRESET_QDU,
+    _closed_shape_matrix,
+    build_system,
+    dimension_matrices,
+)
+from test_corner_reference import matched_counts, weight_class_counts
 from test_rewrite import automaton_counts, params_with_zeros
 
 MAX_DEGREE = 60
+WEIGHT_CLASS_DEGREE = 30
 
 
 def main() -> int:
@@ -31,6 +45,14 @@ def main() -> int:
             ok = ok and same
             print(f"n = {n:2}, {sys_.preset}: degree <= {MAX_DEGREE} in {time.perf_counter() - start:.3f} s: "
                   f"{'equal' if same else 'DIFFERENT'}")
+    for n in range(2, 13):
+        start = time.perf_counter()
+        expected = matched_counts(n, WEIGHT_CLASS_DEGREE)
+        same = all(weight_class_counts(n, k) == _closed_shape_matrix(n, k) == expected[k]
+                   for k in range(WEIGHT_CLASS_DEGREE + 1))
+        ok = ok and same
+        print(f"n = {n:2}, weight classes of R: degree <= {WEIGHT_CLASS_DEGREE} in "
+              f"{time.perf_counter() - start:.3f} s: {'equal' if same else 'DIFFERENT'}")
     return 0 if ok else 1
 
 

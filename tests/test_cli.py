@@ -1,4 +1,5 @@
 import json
+from fractions import Fraction
 
 import pytest
 
@@ -47,6 +48,36 @@ def test_parse_config_errors():
         parse_config('{"n":0,"alpha":[],"beta":[],"gamma":[]}')
     with pytest.raises(ConfigError, match="invalid JSON"):
         parse_config("{nope}")
+
+
+def fraction_parser(value):
+    """What every config entry went through before the int fast path: Fraction(str(value))."""
+    try:
+        return Fraction(str(value))
+    except (ValueError, ZeroDivisionError) as exc:
+        return f"alpha[1]: {exc}"
+
+
+@pytest.mark.parametrize("value", [
+    "1.5", " 2 ", "+3", "--1", "3/-4", "1/0", "1_0", "\u0663", "-7/3", "0", "-0", "007/010",
+    "1/", "/2", "-", "", "\u00b2", "3/ 4", "1e3", 5, -3, 0, 10 ** 30])
+def test_config_rationals_read_as_fraction_of_the_string(value):
+    # ASCII -?[0-9]+(/[0-9]+)? is read as two ints, everything else by
+    # Fraction's own parser: the same values and the same messages.
+    text = json.dumps({"n": 2, "alpha": ["1", value], "beta": ["1", "1"], "gamma": ["0", "0"]})
+    try:
+        got = parse_config(text).params.alpha[1]
+    except ConfigError as exc:
+        got = str(exc)
+    expected = fraction_parser(value)
+    assert got == expected and type(got) is type(expected)
+
+
+@pytest.mark.parametrize("value", [True, False, 1.5, None, [1]])
+def test_config_refuses_bools_and_other_json_values(value):
+    text = json.dumps({"n": 2, "alpha": ["1", value], "beta": ["1", "1"], "gamma": ["0", "0"]})
+    with pytest.raises(ConfigError, match=r"^alpha\[1\]: expected a rational string or integer$"):
+        parse_config(text)
 
 
 def test_nf_command(tmp_path, capsys):
@@ -311,7 +342,8 @@ def test_help_says_the_sampling_flags_are_not_read(capsys):
         texts[command] = text = " ".join(capsys.readouterr().out.split())
         assert "--trials TRIALS accepted and ignored: pwd and gwa are proved, not sampled" in text
         assert "--seed SEED echoed in the report; no check reads it (pwd and gwa are proved" in text
-    assert "skewgroup: degree bound (default 4); pwd no longer reads it" in texts["verify"]
+    assert ("skewgroup: accepted and echoed (default 4), since the corner match is proved in "
+            "every degree; pwd no longer reads it") in texts["verify"]
 
 
 def test_internal_check_failure_is_fail_verdict(tmp_path, capsys, monkeypatch):

@@ -15,9 +15,16 @@ completeness on that set; the smash-product loop of an earlier check is
 kept here verbatim as ``reference_orthogonality``.  The idempotent
 mutants act on that builder, so every check downstream reads them.
 
-``corner_dimensions`` now counts each corner's rows by weight class.  The
-path it replaced, one coded smash product per (i, m) and a ``RowSpace``
-rank over ``CycScalar`` rows, is kept here as ``rank_corner_dimensions``
+``verify_quotient_match`` counts no corner: the count lemma of
+``skewgroup``'s docstring gives every degree from the three hypotheses that
+``_check_generators`` checks.  The enumeration it replaced, the degree-k
+monomials counted by weight class, is kept here as ``corner_dimensions``
+and ``weight_class_counts`` (``skewgroup.corner_dimensions`` and
+``_weight_class_counts``, moved verbatim up to the degree-free generator
+check), and must equal ``rewrite._closed_shape_matrix`` and the oracle's
+normal-word count of H(0, -1, 0).  The path that count replaced, one
+coded smash product per (i, m) and a ``RowSpace`` rank over ``CycScalar``
+rows, is kept here as ``rank_corner_dimensions``
 (verbatim up to the elimination over any field-like scalar, now the
 oracle's dense ``rank`` since ``linalg`` takes rational rows only, the flat coded keys
 (monomial, group exponent, power of x), and canonical forms taken through
@@ -38,21 +45,21 @@ import pytest
 from quiverdu import linalg, rewrite, skewgroup
 from quiverdu.cli import main
 from quiverdu.cyclotomic import CycScalar
-from quiverdu.core import Parameters, add_into, path_from_word
-from quiverdu.rewrite import PRESET_QDU, build_system, dimension_matrices, normal_shapes
+from quiverdu.core import add_into, path_from_word
+from quiverdu.rewrite import PRESET_QDU, _closed_shape_matrix, build_system, normal_shapes
 from quiverdu.skewgroup import (
     _UNIT,
     GRADED_DOWN_UP,
     _agree,
+    _check_generators,
     _coded_product,
     _grouped,
     _monomial,
     build_idempotents,
     check_group_absorption,
-    corner_dimensions,
     monomial_weight,
 )
-from oracle import rank
+from oracle import normal_word_counts, oriented, qdu_relations, rank
 from test_skewgroup import (
     decode,
     decoded_idempotents,
@@ -183,24 +190,42 @@ def test_tampered_idempotents_give_fail_exit_1(tmp_path, capsys, monkeypatch):
     assert report["findings"] == {"internal_check_failed": "g^t f_j != zeta^(-tj) f_j at t=1, j=0"}
 
 
-def weight_class_counts(n, k):
-    """#{m of degree k : w(m) = j - i mod n} for every corner (i, j), no smash product."""
-    counts = [[0] * n for _ in range(n)]
-    for m in monomials_of_degree(k):
-        for i in range(n):
-            counts[i][(i + monomial_weight(m)) % n] += 1
-    return counts
+def weight_class_counts(n: int, k: int) -> list[list[int]]:
+    """#{m of degree k : w(m) = j - i mod n} for every (i, j); w is checked against #u - #d."""
+    by_weight = [0] * n
+    for m in normal_shapes(k):
+        w = skewgroup.monomial_weight(m)
+        if w != skewgroup._word_weight(skewgroup._monomial_word(m)):
+            raise AssertionError(f"monomial_weight(m) != #u - #d at m={m}")
+        by_weight[w % n] += 1
+    return [[by_weight[(j - i) % n] for j in range(n)] for i in range(n)]
+
+
+def corner_dimensions(n: int, k: int, fs: list) -> list[list[int]]:
+    """dim f_i B_k f_j for every corner (i, j), enumerated: the degree-k monomials by weight class.
+
+    The count lemma's hypotheses are checked first (``_check_generators``),
+    then each degree-k monomial m adds one row to corner (i, i + w(m)).
+    """
+    _check_generators(n, fs)
+    return weight_class_counts(n, k)
+
+
+def matched_counts(n: int, max_degree: int) -> list[list[list[int]]]:
+    """The oracle's normal-word count of H(0, -1, 0) by source, target and degree."""
+    return normal_word_counts(oriented(qdu_relations(n, [0] * n, [-1] * n, [0] * n), n), n, max_degree)
 
 
 def test_corner_rank_is_weight_class_count():
+    # The count lemma, enumerated: both sides count the shapes
+    # u^a (du)^b d^c of degree k with a - c = j - i mod n.
     for n in range(2, 13):
         idem = build_idempotents(n)
-        matched = Parameters.of(n, [0] * n, [-1] * n, [0] * n)
-        expected = dimension_matrices(build_system(PRESET_QDU, matched), 6)
-        for k in range(7):
+        expected = matched_counts(n, 12)
+        for k in range(13):
             counts = weight_class_counts(n, k)
             assert corner_dimensions(n, k, idem) == counts, (n, k)
-            assert [list(row) for row in expected[k]] == counts, (n, k)
+            assert counts == _closed_shape_matrix(n, k) == expected[k], (n, k)
 
 
 def flip_weight_sign(monkeypatch):
@@ -223,11 +248,12 @@ def shift_left_factors(monkeypatch, n):
 
 @pytest.mark.parametrize("n", [3, 4, 5, 6])
 def test_wrong_weight_sign_fails_left_factor_check(n, monkeypatch):
+    # The generators d and u are checked whatever degree is asked for.
     idem = build_idempotents(n)
     flip_weight_sign(monkeypatch)
-    assert corner_dimensions(n, 0, idem) == [[int(i == j) for j in range(n)] for i in range(n)]
-    with pytest.raises(AssertionError, match=r"at i=0, m=\(0, 0, 1\)"):
-        corner_dimensions(n, 1, idem)
+    for k in (0, 1):
+        with pytest.raises(AssertionError, match=r"at i=0, m=\(0, 0, 1\)"):
+            corner_dimensions(n, k, idem)
 
 
 @pytest.mark.parametrize("n", [2, 3, 5])
@@ -353,17 +379,22 @@ def test_weight_count_equals_elimination_ranks(n):
 
 
 def test_count_takes_no_product_per_monomial(monkeypatch):
-    # Three generator checks at vertex 0, however many monomials are
-    # counted and whatever n is: the twist carries them to every vertex.
-    n, calls = 4, []
+    # Three generator checks at vertex 0, whatever n is: the twist carries
+    # them to every vertex.  The whole check takes n + 14 products at any
+    # degree bound, since no degree is counted.
+    calls = []
     genuine = skewgroup._coded_product
     monkeypatch.setattr(skewgroup, "_coded_product",
                         lambda *args: calls.append(args) or genuine(*args))
-    idem = build_idempotents(n)
-    for k, products in ((0, 1), (1, 3), (12, 3)):
+    for n in (2, 4, 12):
+        idem = build_idempotents(n)
         calls.clear()
-        corner_dimensions(n, k, idem)
-        assert len(calls) == products, k
+        _check_generators(n, idem)
+        assert len(calls) == 3, n
+        for max_degree in (0, 1, 12, 30):
+            calls.clear()
+            assert skewgroup.verify_quotient_match(n, max_degree=max_degree).ok
+            assert len(calls) == n + 14, (n, max_degree)
 
 
 def test_verify_makes_no_rank_computation(monkeypatch):
@@ -386,12 +417,13 @@ def weight_u_plus_d(monkeypatch):
 ])
 def test_weight_u_plus_d_fails(n, message, monkeypatch):
     # At n = 2, +1 = -1 mod n, so the left factors agree and only the
-    # exact comparison with #u - #d sees the wrong weight.
+    # exact comparison with #u - #d on the shapes of degree at most 2 sees
+    # the wrong weight, whatever degree is asked for.
     idem = build_idempotents(n)
     weight_u_plus_d(monkeypatch)
-    assert corner_dimensions(n, 0, idem) == [[int(i == j) for j in range(n)] for i in range(n)]
-    with pytest.raises(AssertionError, match=message):
-        corner_dimensions(n, 1, idem)
+    for k in (0, 1):
+        with pytest.raises(AssertionError, match=message):
+            corner_dimensions(n, k, idem)
 
 
 def test_weight_u_plus_d_gives_fail_exit_1(tmp_path, capsys, monkeypatch):

@@ -3,6 +3,7 @@ from fractions import Fraction
 
 import pytest
 
+from quiverdu import rewrite
 from quiverdu.core import Arrow, Element, Parameters, Path, path_from_word
 from quiverdu.iso import (
     REFLECTION,
@@ -19,6 +20,7 @@ from quiverdu.iso import (
     transform_scale,
     verify_witness,
 )
+from quiverdu.rewrite import PRESET_QDU, build_system
 
 
 def transform_params(op, p, lam=None):
@@ -94,6 +96,27 @@ def test_verify_witness_rejects_perturbation():
     bad = list(lam)
     bad[1] *= 2
     assert not verify_witness(IsoWitness(3, ROTATION, 0, tuple(bad)), p, q)
+
+
+def test_verify_witness_checks_confluence_only_to_refute(monkeypatch):
+    # An image that reduces to 0 is in the ideal whatever the rules are; a
+    # nonzero normal form refutes the witness only once the target's rules
+    # are known to be confluent, so only a refutation runs the check.
+    calls = []
+    genuine = rewrite.check_confluence
+    monkeypatch.setattr(rewrite, "check_confluence", lambda sys: calls.append(sys) or genuine(sys))
+    rng = random.Random(101)
+    p = rand_graded_params(3, rng)
+    lam = rand_lambda(3, rng)
+    q = transform_scale(p, lam)
+    bad = list(lam)
+    bad[1] *= 2
+    rewrite._qdu_system.cache_clear()
+    assert verify_witness(IsoWitness(3, ROTATION, 0, lam), p, q)
+    assert verify_witness(IsoWitness(3, REFLECTION, 0, (Fraction(1),) * 3), p, transform_reflect(p))
+    assert calls == []
+    assert not verify_witness(IsoWitness(3, ROTATION, 0, tuple(bad)), p, q)
+    assert len(calls) == 1 and calls[0] is build_system(PRESET_QDU, q)
 
 
 def identity_witness(n):

@@ -196,3 +196,60 @@ def test_a_function_missing_from_the_change_reads_as_removed(tmp_path, deleted_f
     # The function gone: every kill is removed.  Present but not run: every kill is lost.
     assert all(mutants.gone(root, m) == deleted_function for m in parent["mutants"])
     assert mutants.compare({"parent": parent, "change": change}, "parent", "change", root) == 1
+
+
+# Committed records whose compare exits 1, each for a reason known when it was recorded.
+KNOWN_EXIT_1 = {
+    "MUTANTS_35.json": ("removed, not listed: structure:noetherian_chain_check +47",
+                        "the kill on a line that change deleted was recorded before --compare "
+                        "read a removed list, and the record has none"),
+}
+
+
+@pytest.mark.parametrize("record", sorted(path.name for path in TOOL.parent.parent.glob("MUTANTS_*.json")))
+def test_every_committed_mutation_record_still_compares(record, capsys):
+    # A covering test named in a record's removed list must still exist, so
+    # renaming it fails here, at the change that renames it.
+    root = TOOL.parent.parent
+    code = mutants.main(["--compare", "parent", "change", "--out", str(root / record), "--repo", str(root)])
+    out = capsys.readouterr().out
+    if record in KNOWN_EXIT_1:
+        line, _reason = KNOWN_EXIT_1[record]
+        assert code == 1 and line in out, out
+        assert "killed by parent only" not in out and out.count("not listed") == 1, out
+    else:
+        assert code == 0, out
+
+
+# The first of two ``a > 1`` sites is deleted, so the second takes its ordinal.
+TWICE = '''
+def toy(a, b):
+    c = a > 1
+    return b * (a > 1)
+'''
+
+ONCE = '''
+def toy(a, b):
+    return b * (a > 1)
+'''
+
+
+def test_a_site_matched_by_hand_is_compared_with_the_site_it_names(tmp_path, capsys):
+    # The parent's tests kill only the second site's comparison mutant; by
+    # ordinal it has no match in the change, whose one site takes ordinal 0.
+    second = lambda m: m["line"] == 2 and m["operator"] == "comparison"
+    parent = run(checkout(tmp_path / "parent", TWICE), lambda m: "killed" if second(m) else "survived")
+    root = checkout(tmp_path / "change", ONCE)
+    results = {"parent": parent, "change": run(root, killed)}
+    [key] = [m["key"] for m in parent["mutants"] if second(m)]
+    [to] = [m["key"] for m in results["change"]["mutants"] if m["operator"] == "comparison"]
+    assert mutants.compare(results, "parent", "change", root) == 1
+    assert f"killed by parent only: {key}" in capsys.readouterr().out
+    results["matched"] = [{"from": key, "to": to, "reason": "c = a > 1 was deleted"}]
+    assert mutants.compare(results, "parent", "change", root) == 0
+    assert f"matched by hand to {to}: {key}" in capsys.readouterr().out
+    # A site matched by hand that the change no longer kills is lost.
+    for m in results["change"]["mutants"]:
+        m["status"] = "survived" if m["key"] == to else m["status"]
+    assert mutants.compare(results, "parent", "change", root) == 1
+    assert f"killed by parent only: {key}" in capsys.readouterr().out

@@ -37,6 +37,7 @@ from quiverdu.rewrite import (
     basis_from,
     build_system,
     normal_form,
+    normal_shapes,
 )
 from quiverdu.skewgroup import GRADED_DOWN_UP
 from quiverdu.structure import noetherian_chain_check
@@ -208,14 +209,17 @@ def test_kernel_matches_the_oracle_on_preprojective_rules(n):
 
 def test_kernel_matches_the_oracle_on_the_skew_group_ring():
     # R = the graded down-up algebra: n = 1, one bit per code, so skewgroup
-    # reads a word's letters off its binary digits.
+    # reads a word's letters off its binary digits and packs each normal
+    # shape u^a (du)^b d^c straight from its exponents.
     sys_ = ReductionSystem(1, None, PRESET_QDU, GRADED_DOWN_UP, _qdu_specs(GRADED_DOWN_UP))
     assert _tables(sys_).bits == 1
     for length in range(9):
         for letters in itertools.product("du", repeat=length):
             word = "".join(letters)
-            packed = _pack_word(letter_codes(1, 0, word), 1)
-            assert skewgroup._codes(word) == packed and skewgroup._letters(packed) == word
+            assert skewgroup._letters(_pack_word(letter_codes(1, 0, word), 1)) == word
+        for m in normal_shapes(length):
+            word = "u" * m[0] + "du" * m[1] + "d" * m[2]
+            assert skewgroup._packed(m) == _pack_word(letter_codes(1, 0, word), 1), m
     assert_kernel_matches_oracle(sys_, random.Random(30_500), words=60, max_len=12)
 
 

@@ -10,13 +10,17 @@ from math import lcm
 
 import pytest
 
-from quiverdu import cyclotomic, skewgroup
+from quiverdu import cyclotomic, rewrite, skewgroup
 from quiverdu.cli import main
 from quiverdu.core import Element, Parameters, path_from_word
 from quiverdu.cyclotomic import CycScalar, cyclotomic_polynomial
 from quiverdu.rewrite import (
     PRESET_QDU,
+    ReductionSystem,
+    _qdu_specs,
     build_system,
+    check_confluence,
+    check_leading_words,
     ensure_confluent,
     normal_form,
     normal_shapes,
@@ -363,9 +367,11 @@ def test_verify_quotient_match():
         assert report.proof_identities_ok
         assert report.relation_kill[-1] is True
         assert report.relation_kill[1] is False
-        assert report.dimensions_ok, report.dimension_mismatch
+        assert report.dimensions_ok
         assert report.ok
     assert verify_quotient_match(3).max_degree == 4
+    with pytest.raises(ValueError, match="degree must be nonnegative"):
+        verify_quotient_match(3, max_degree=-1)
 
 
 def test_verify_quotient_match_refuses_other_parameters():
@@ -378,6 +384,81 @@ def test_verify_quotient_match_refuses_other_parameters():
     for n in (1, 13):
         with pytest.raises(ValueError):
             verify_quotient_match(n)
+
+
+def test_r_is_confluent():
+    # R's confluence is a constant of one fixed algebra; skewgroup._r_tables
+    # cites this test and builds R's tables without checking it.
+    assert check_confluence(build_system(PRESET_QDU, GRADED_DOWN_UP)).confluent
+
+
+def leading_words(specs) -> set:
+    return {(source, tuple(lhs)) for source, lhs, _ in specs}
+
+
+def assert_leading_words_fixed(qdu_specs, draws: int = 20) -> None:
+    """The leading words that ``qdu_specs`` writes pass the letter check and read no parameter.
+
+    For n = 1..12: the all-zero vector and random vectors whose entries
+    include zeros give the same (source, leading word) pairs as the matched
+    parameters alpha = gamma = 0, beta = -1, and those pass
+    ``check_leading_words``.  R is the matched vector at n = 1.
+    """
+    rng = random.Random(4_200)
+    for n in range(1, 13):
+        matched = Parameters.of(n, [0] * n, [-1] * n, [0] * n)
+        expected = leading_words(qdu_specs(matched))
+        vectors = [[0] * n] * 3 + [[rng.choice([0, 0, 1, -1, Fraction(2, 3)]) for _ in range(n)]
+                                   for _ in range(3 * draws)]
+        for alpha, beta, gamma in zip(vectors[::3], vectors[1::3], vectors[2::3]):
+            params = Parameters.of(n, alpha, beta, gamma)
+            specs = qdu_specs(params)
+            check_leading_words(ReductionSystem(n, None, PRESET_QDU, params, specs))
+            assert leading_words(specs) == expected, (n, params)
+
+
+def test_qdu_leading_words_read_no_parameter():
+    # So the skew-group check needs no matched system for its dimension side.
+    assert_leading_words_fixed(_qdu_specs)
+
+
+def test_a_permuted_leading_word_in_the_qdu_specs_is_refused():
+    def permuted(params):
+        # The first rule's leading word with its first two arrows swapped: letters udu.
+        specs = list(_qdu_specs(params))
+        source, lhs, rhs = specs[0]
+        specs[0] = (source, (lhs[1], lhs[0]) + lhs[2:], rhs)
+        return tuple(specs)
+
+    with pytest.raises(AssertionError, match="is extra to the quiver-down-up letter patterns"):
+        assert_leading_words_fixed(permuted, draws=1)
+
+
+def test_verify_builds_no_matched_system_and_counts_no_degree(monkeypatch):
+    # The count lemma replaces the matched system's dimension matrices: the
+    # check builds no Parameters, no system but R, runs no confluence check
+    # and reads the normal shapes of degree at most 2 only, at any degree bound.
+    built, shapes = [], []
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("called from verify_quotient_match")
+
+    genuine_system, genuine_shapes = rewrite._qdu_system, skewgroup.normal_shapes
+    monkeypatch.setattr(Parameters, "of", refuse)
+    monkeypatch.setattr(Parameters, "__post_init__", refuse)
+    for name in ("check_confluence", "dimension_matrices", "check_leading_words", "_closed_shape_matrix"):
+        for module in (rewrite, skewgroup):
+            monkeypatch.setattr(module, name, refuse, raising=False)
+    monkeypatch.setattr(rewrite, "_qdu_system", lambda params: built.append(params) or genuine_system(params))
+    monkeypatch.setattr(skewgroup, "normal_shapes", lambda k: shapes.append(k) or genuine_shapes(k))
+    for n in (2, 5, 12):
+        for max_degree in (0, 4, 30):
+            built.clear()
+            shapes.clear()
+            report = verify_quotient_match(n, max_degree=max_degree)
+            assert report.ok and report.max_degree == max_degree
+            assert built and all(params is GRADED_DOWN_UP for params in built), n
+            assert shapes == [0, 1, 2], (n, max_degree)
 
 
 def corrupt_one_relation_side(monkeypatch):

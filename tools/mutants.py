@@ -33,7 +33,12 @@ mutant of A with no match in B is ``removed`` when its function, or its
 original text in that function, no longer exists in ``--repo``'s source;
 it still exits 1 unless the file's ``removed`` list names its key with
 the ``test`` (``path::name``, present in ``--repo``) that now covers the
-behaviour.  A run costs one test run per mutant, so it is not a CI step.
+behaviour.  A site can keep its meaning while its text changes, or
+while deleting an earlier site with the same tuple shifts its ordinal;
+the file's ``matched`` list may then map a key of A to the key of B's
+mutant at that site (``from``, ``to``, ``reason``), and that pair is
+compared in place of the ordinal match.  A run costs one test run per
+mutant, so it is not a CI step.
 """
 
 from __future__ import annotations
@@ -265,11 +270,17 @@ def compare(results: dict, before: str, after: str, root: Path = Path(".")) -> i
     mutants = {label: identities(results[label]["mutants"]) for label in (before, after)}
     listed = {entry["key"]: entry["test"] for entry in results.get("removed", [])
               if covering_test(root, entry.get("test", ""))}
+    matched = {entry["from"]: entry["to"] for entry in results.get("matched", [])}
+    after_keys = {m["key"]: m for m in results[after]["mutants"]}
     lost, removed = [], []
     for identity, m in mutants[before].items():
         if m["status"] not in KILLED:
             continue
-        match = mutants[after].get(identity)
+        if m["key"] in matched:
+            match = after_keys.get(matched[m["key"]])
+            print(f"matched by hand to {matched[m['key']]}: {m['key']}")
+        else:
+            match = mutants[after].get(identity)
         if match is None and gone(root, m):
             removed.append(m["key"])
         elif match is None or match["status"] not in KILLED:
