@@ -24,7 +24,6 @@ from .rewrite import (
     dimension_matrix,
     enumerate_basis,
     ensure_confluent,
-    is_zero_in_quotient,
     normal_form,
 )
 

@@ -18,9 +18,11 @@ sigma^m is applied through cached images of e_v, x_v and y_v
 image is an affine combination of e_w, x_w, y_w with w = v + m, built once
 per m from the images at m -+ 1 by sigma's definition.  This is exact
 because sigma^m is an algebra map, so its value on x_v^a y_v^b e_v is
-sigma^m(x_v)^a sigma^m(y_v)^b; the table caches those monomial images and
-the cross factors of X^{m1} X^{m2} too, so a product costs one
-substitution per term pair instead of m.
+sigma^m(x_v)^a sigma^m(y_v)^b; the table caches those monomial images, so
+a shift costs one substitution per term instead of m.  No product of two
+elements of T is taken: theta multiplies by one generator at a time, and
+the one factor that step can add, a vertex component of sigma^k(x)
+(``_ShiftTable.cross``), is a cached image too.
 
 ``BaseElement`` (monomial (v, a, b) -> rational) and ``GwaElement``
 (exponent m -> coefficient r_m in R) are ``core.Combination``s: their
@@ -83,9 +85,7 @@ class BaseElement(Combination):
 
 
 # ---------------------------------------------------------------------------
-# Products on coded values of R and T.  The T product strips a sum that
-# cancels to zero in place, so a key that cancels and comes back is placed
-# after the keys that stayed.
+# Products on coded values of R
 # ---------------------------------------------------------------------------
 
 def _decode_gwa(n: int, coded: dict) -> GwaElement:
@@ -104,34 +104,23 @@ def _rational(parts) -> tuple[int, dict]:
     return reduced(den, {k: c for k, c in out.items() if c})
 
 
-def _by_vertex(nums: dict) -> dict[int, list[tuple[int, int, int]]]:
+def _product(left: tuple[int, dict], right: tuple[int, dict]) -> tuple[int, dict]:
+    """left times right, reduced, the e_v being orthogonal idempotents."""
     at: dict[int, list[tuple[int, int, int]]] = {}
-    for (w, a, b), c in nums.items():
+    for (w, a, b), c in right[1].items():
         at.setdefault(w, []).append((a, b, c))
-    return at
-
-
-def _times(left: tuple[int, dict], den: int, at: dict) -> tuple[int, dict]:
-    """left times the value with denominator ``den`` and terms ``at`` (by vertex),
-    the e_v being orthogonal idempotents."""
-    d, nums = left
     sums: dict[tuple[int, int, int], int] = {}
-    for (v, a, b), c in nums.items():
+    for (v, a, b), c in left[1].items():
         for a2, b2, c2 in at.get(v, ()):
             key = (v, a + a2, b + b2)
             old = sums.get(key)
             sums[key] = c * c2 if old is None else old + c * c2
-    return d * den, {k: c for k, c in sums.items() if c}
-
-
-def _product(left: tuple[int, dict], right: tuple[int, dict]) -> tuple[int, dict]:
-    return reduced(*_times(left, right[0], _by_vertex(right[1])))
+    return reduced(left[0] * right[0], {k: c for k, c in sums.items() if c})
 
 
 class _ShiftTable:
     """sigma^m for one parameter set, int-coded: the images of x_v and y_v
-    for each m used, the monomial images built from them and the cross
-    factors (each with its terms grouped by vertex)."""
+    for each m used and the monomial images built from them."""
 
     def __init__(self, params: Parameters):
         self.params = params
@@ -139,7 +128,6 @@ class _ShiftTable:
         n = params.n
         self._images = {0: tuple(((1, {(v, 1, 0): 1}), (1, {(v, 0, 1): 1})) for v in range(n))}
         self._monomials: dict[tuple[int, int, int, int], tuple[int, dict]] = {}
-        self._cross: dict[tuple[int, int], tuple[int, dict, dict]] = {}
         self.bits, self.theta = _word_bits(n), {}  # theta of each (source, packed word) asked for
         self.proofs: dict[str, object] = {}  # the proof checks' results, by name
 
@@ -199,23 +187,16 @@ class _ShiftTable:
         d, out = acc
         return s[0] * d, {k: c for k, c in out.items() if c}
 
-    def coded_cross(self, m1: int, m2: int) -> tuple[int, dict, dict]:
-        """(den, numerators, numerators by vertex) of ``cross(m1, m2)``."""
-        key = (m1, m2)
-        out = self._cross.get(key)
-        if out is None:
-            if m1 > 0 > m2:
-                den, nums = _product(self._x_total(m1), self.coded_cross(m1 - 1, m2 + 1)[:2])
-            elif m1 < 0 < m2:
-                den, nums = _product(self._x_total(m1 + 1), self.coded_cross(m1 + 1, m2 - 1)[:2])
-            else:
-                den, nums = 1, {(v, 0, 0): 1 for v in range(self.params.n)}
-            out = self._cross[key] = (den, nums, _by_vertex(nums))
-        return out
-
-    def _x_total(self, m: int) -> tuple[int, dict]:
-        """sigma^m(x), x = sum_v x_v."""
-        return _rational([(xs, 1) for xs, _ in self.images(m)])
+    def cross(self, m: int, s: int, at: int) -> tuple[int, dict] | None:
+        """The e_at-component of cross(m, s) for s = +-1, where X^m X^s = cross(m, s) X^{m+s};
+        None where cross(m, s) = 1, that is where m and s do not have opposite signs.
+        X^+ X^- = sigma(x) and X^- X^+ = x, moved left past X^{m-+1}, give cross(m, -1) =
+        sigma^m(x) for m > 0 and cross(m, 1) = sigma^{m+1}(x) for m < 0: sigma^k(x) with
+        k = max(m, m + s), whose e_at-component is sigma^k(x_{at-k})."""
+        if m * s >= 0:
+            return None
+        k = max(m, m + s)
+        return self.images(k)[(at - k) % self.params.n][0]
 
 
 @lru_cache(maxsize=16)
@@ -254,41 +235,33 @@ def _gwa_table(params: Parameters) -> _ShiftTable:
     return _shift_table(params)
 
 
-def _coded_multiply(table: _ShiftTable, a: dict, b: dict) -> dict[int, list]:
-    """a * b on coded GWA values {m: (den, numerators)}, as {m: [den, numerators]}.
-
-    The part of r X^{m1} times s X^{m2} is r sigma^{m1}(s) cross(m1, m2) at
-    m1 + m2; an m whose parts cancel keeps its entry with no numerators.
-    """
-    sums: dict[int, list] = {}
-    for m1, r in a.items():
-        for m2, s in b.items():
-            if m1:
-                s = table.shift(s, m1)
-            den, nums, at = table.coded_cross(m1, m2)
-            den, nums = _times(_times(r, s[0], _by_vertex(s[1])), den, at)
-            if nums:
-                acc = sums.get(m1 + m2)
-                if acc is None:
-                    sums[m1 + m2] = [den, nums]
-                else:
-                    add_into(acc, den, nums, strip=True)
-    return sums
-
-
 def _theta_word(table: _ShiftTable, source: int, word: int) -> dict[int, tuple[int, dict]]:
     """theta of the path ``word`` (packed as in ``rewrite``) from ``source``, coded and
-    memoized: theta(w a) = theta(w) theta(a), reduced, empty X-degrees dropped."""
+    memoized: theta(w a) = theta(w) theta(a), reduced, empty X-degrees dropped.
+
+    theta of a path is one term r X^m, and theta(a) is a generator e_v X^s with s = +-1, so
+    theta(w a) = r sigma^m(e_v) X^m X^s = r e_{v+m} cross(m, s) X^{m+s}: r's terms at vertex
+    v + m times that vertex's component of the cross factor (``_ShiftTable.cross``).
+    """
     memo, b, n = table.theta, table.bits, table.params.n
     w, codes = word, []
     while w != 1 and (source, w) not in memo:  # back to the longest prefix with an image
         codes.append(w & ((1 << b) - 1))
         w >>= b
-    image = memo.get((source, w)) or {0: (1, {(source, 0, 0): 1})}
-    for a in reversed(codes):  # d_a = e_{a+1} X^+, u_{a-n} = e_{a-n} X^-
-        generator = {1: (1, {((a + 1) % n, 0, 0): 1})} if a < n else {-1: (1, {(a - n, 0, 0): 1})}
-        w, product = (w << b) | a, _coded_multiply(table, image, generator)
-        image = memo[(source, w)] = {m: reduced(den, nums) for m, (den, nums) in product.items() if nums}
+    image = memo[(source, w)] if w != 1 else {0: (1, {(source, 0, 0): 1})}
+    for a in reversed(codes):  # d_a = e_{a+1} X^+, u_{a-n} = e_{a-n} X^-, the vertex read mod n
+        v, s = (a + 1, 1) if a < n else (a, -1)
+        step = {}
+        for m, (den, nums) in image.items():  # one term, or none for a word that is no path
+            at = (v + m) % n
+            r = (den, {key: c for key, c in nums.items() if key[0] == at})
+            factor = table.cross(m, s, at)
+            if factor is not None:
+                r = _product(r, factor)
+            if r[1]:
+                step[m + s] = r
+        w = (w << b) | a
+        image = memo[(source, w)] = step
     return image
 
 

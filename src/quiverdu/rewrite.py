@@ -461,13 +461,6 @@ def normal_form(sys: ReductionSystem, a: Element) -> Element:
                                                     for source, e, comb in sums for w, c in comb.items()})
 
 
-def is_zero_in_quotient(sys: ReductionSystem, a: Element) -> bool:
-    """Membership test via normal forms; requires a verified system."""
-    if not sys.verified:
-        raise ValueError("reduction system has not been verified confluent")
-    return normal_form(sys, a).is_zero()
-
-
 # ---------------------------------------------------------------------------
 # Confluence via overlap ambiguities
 # ---------------------------------------------------------------------------

@@ -10,7 +10,7 @@ from quiverdu.gwa import (sigma_is_automorphism, theta, theta_checks, theta_prim
                           verify_gwa)
 from quiverdu.rewrite import PRESET_QDU, build_system, normal_form
 from quiverdu.structure import property_report, pwd_proof_H
-from test_gwa_reference import as_gwa_element, coded, coded_t, decoded, decoded_t, kernel_sigma, oracle_of
+from test_gwa_reference import as_gwa_element, as_oracle, coded, decoded, kernel_sigma, oracle_of
 
 
 def params_n3():
@@ -35,17 +35,13 @@ def rand_base(n, rng, deg=2, nterms=3):
     return {k: c for k, c in terms.items() if c}
 
 
-def kernel_times(params, a, b):
-    """a * b in T by the coded kernel, on {m: {(v, a, b): Fraction}}."""
-    return decoded_t(gwa._coded_multiply(gwa._gwa_table(params), coded_t(a), coded_t(b)))
+def theta_of(params, source, word):
+    """theta of the path ``word`` from ``source``, on {m: {(v, a, b): Fraction}}."""
+    return as_oracle(theta(params, Element.from_path(path_from_word(params.n, source, word))))
 
 
 def e(v):
     return {(v, 0, 0): Fraction(1)}
-
-
-def one(n):
-    return {(v, 0, 0): Fraction(1) for v in range(n)}
 
 
 # Known answers below are worked by hand from sigma's definition at params_n3:
@@ -103,40 +99,38 @@ def test_gwa_multiply_needs_nonzero_beta():
 
 
 def test_gwa_contractions():
+    # X^- X^+ = x and X^+ X^- = sigma(x), on theta's generators X_i^- = e_i X^-
+    # and X_i^+ = e_{i+1} X^+: theta(u_v d_v) = X_v^- X_v^+ = x_v and
+    # theta(d_{v-1} u_{v-1}) = X_{v-1}^+ X_{v-1}^- = y_v = sigma(x_{v-1}).
     p = params_n3()
-    n = 3
-    # X^- X^+ = x and X^+ X^- = sigma(x)
-    assert kernel_times(p, {-1: one(n)}, {1: one(n)}) == {0: {(v, 1, 0): Fraction(1) for v in range(n)}}
-    assert kernel_times(p, {1: one(n)}, {-1: one(n)}) == {0: {(v, 0, 1): Fraction(1) for v in range(n)}}
-    # X_0^+ = e_1 X^+ and X_0^- = e_0 X^-: X_0^+ X_0^- = y_1, X_0^- X_0^+ = x_0
-    assert kernel_times(p, {1: e(1)}, {-1: e(0)}) == {0: {(1, 0, 1): Fraction(1)}}
-    assert kernel_times(p, {-1: e(0)}, {1: e(1)}) == {0: {(0, 1, 0): Fraction(1)}}
+    for v in range(3):
+        assert theta_of(p, v, "ud") == {0: {(v, 1, 0): 1}}
+        assert theta_of(p, v, "du") == {0: {(v, 0, 1): 1}}
 
 
 def test_gwa_skew_commutation():
     p = params_n3()
-    n = 3
-    # X^+ y_0 = sigma(y_0) X^+ and X^- y_1 = sigma^-1(y_1) X^- = x_0 X^-
-    assert kernel_times(p, {1: one(n)}, {0: {(0, 0, 1): Fraction(1)}}) == {
-        1: {(1, 0, 1): Fraction(2), (1, 1, 0): Fraction(1), (1, 0, 0): Fraction(1, 2)}}
-    assert kernel_times(p, {-1: one(n)}, {0: {(1, 0, 1): Fraction(1)}}) == {-1: {(0, 1, 0): Fraction(1)}}
+    # X^+ y_0 = sigma(y_0) X^+: theta(d_0 d_2 u_2) from 1 = X_0^+ y_0 =
+    # (2 y_1 + x_1 + 1/2 e_1) X^+; and X^- y_1 = sigma^-1(y_1) X^- = x_0 X^-:
+    # theta(u_0 d_0 u_0) from 0 = X_0^- y_1.
+    assert theta_of(p, 1, "ddu") == {1: {(1, 0, 1): 2, (1, 1, 0): 1, (1, 0, 0): Fraction(1, 2)}}
+    assert theta_of(p, 0, "udu") == {-1: {(0, 1, 0): 1}}
 
 
 def test_gwa_associative():
+    # theta of a path is one product in T however it is bracketed: theta of
+    # the concatenation a b c against the oracle's (ta tb) tc and ta (tb tc).
     rng = random.Random(43)
     p = rand_params(3, rng)
-
-    def rand_gwa():
-        terms = {}
-        for _ in range(2):
-            b = rand_base(3, rng, deg=1, nterms=2)
-            if b:
-                terms[rng.randint(-2, 2)] = b
-        return terms
-
+    t = oracle_of(p)
     for _ in range(10):
-        a, b, c = rand_gwa(), rand_gwa(), rand_gwa()
-        assert kernel_times(p, kernel_times(p, a, b), c) == kernel_times(p, a, kernel_times(p, b, c))
+        source = rng.randrange(3)
+        words = ["".join(rng.choice("ud") for _ in range(rng.randint(0, 3))) for _ in range(3)]
+        starts = [source]
+        for word in words:
+            starts.append(path_from_word(3, starts[-1], word).target)
+        a, b, c = (theta_of(p, start, word) for start, word in zip(starts, words))
+        assert t.times(t.times(a, b), c) == theta_of(p, source, "".join(words)) == t.times(a, t.times(b, c))
 
 
 def test_gwa_caches_are_bounded_lru_caches():

@@ -3,24 +3,23 @@
 ``oracle.Gwa`` substitutes sigma's defining formulas into each monomial
 and multiplies in T one generator at a time, from X^+- r = sigma^+-1(r)
 X^+-, X^- X^+ = x and X^+ X^- = sigma(x) alone.  The kernel's shift table
-(generator images stepped by m, cached monomial images and cross
-factors), its coded product and theta must give the same values, on
-random parameters with denominators and gamma = 0 or not.
+(generator images stepped by m, cached monomial images, and the vertex
+components of the cross factors cross(m, +-1) that theta reads) and theta
+must give the same values, on random parameters with denominators and
+gamma = 0 or not.  The kernel multiplies no two elements of T.
 
 T is a piecewise domain by the proof of ``verify_gwa``, which replaced a
 domain probe of sampled products.  ``reference_random_corner_element``
 keeps that probe's draws, on ``random.Random``, and ``sampled_failures``
 multiplies them with the oracle: wherever the proof holds, no drawn
-product vanishes or drops its top degree.  The kernel's product takes the
-same draws: the domain lemma (the top part of a b vanishes exactly when
-cross(top a, top b) lacks a's vertex) decides each one, and with cross
-factors or sigma broken it fails on the same trials as the oracle's
-product broken alike.  What the proof derives from
-sigma's injectivity (every cross factor has every vertex) is checked
-against the oracle, and a sigma that is not injective must fail
-``sigma_is_automorphism``.
+product vanishes or drops its top degree (``tests/gwa_oracle_check.py``
+also checks each top part against the proof's formula).  What the proof
+derives from sigma's injectivity (sigma^m(x) has every vertex) is checked
+against the oracle, a broken cross factor must fail theta's relation kill,
+and a sigma that is not injective must fail ``sigma_is_automorphism``.
 """
 
+import itertools
 import json
 import random
 from fractions import Fraction
@@ -34,8 +33,8 @@ from hypothesis import strategies as st
 import oracle
 from quiverdu import cli, gwa
 from quiverdu.core import Element, Parameters, path_from_word
-from quiverdu.gwa import (BaseElement, GwaElement, _coded_multiply, _gwa_table, _shift_table,
-                          sigma_is_automorphism, theta, verify_gwa)
+from quiverdu.gwa import (BaseElement, GwaElement, _gwa_table, _shift_table, sigma_is_automorphism, theta,
+                          verify_gwa)
 from test_oracle import names
 
 
@@ -60,14 +59,6 @@ def decoded(value: tuple[int, dict]) -> dict:
     return {k: Fraction(c, den) for k, c in nums.items() if c}
 
 
-def coded_t(t: dict) -> dict:
-    return {m: coded(r) for m, r in t.items()}
-
-
-def decoded_t(t: dict) -> dict:
-    return {m: r for m, value in t.items() if (r := decoded(value))}
-
-
 def as_oracle(t: GwaElement) -> dict:
     return {m: dict(r.terms) for m, r in t.terms.items()}
 
@@ -84,7 +75,7 @@ def kernel_sigma(params: Parameters, r: dict, m: int) -> dict:
 
 
 # ---------------------------------------------------------------------------
-# sigma^m, the cross factors and the product
+# sigma^m and the cross factors that theta reads
 # ---------------------------------------------------------------------------
 
 # Denominators up to 7 and numerators other than +-1, so 1/beta has
@@ -107,10 +98,6 @@ def base_elements(n, max_size=4):
     monomials = st.tuples(st.integers(0, n - 1), st.integers(0, 4), st.integers(0, 4)).filter(
         lambda t: t[1] + t[2] <= 4)
     return st.dictionaries(monomials, RATIONALS, max_size=max_size)
-
-
-def gwa_elements(n):
-    return st.dictionaries(st.integers(-3, 3), base_elements(n, max_size=3).filter(bool), max_size=3)
 
 
 @st.composite
@@ -165,49 +152,18 @@ def test_shift_matches_the_oracle_on_a_grid(n):
 
 
 @settings(max_examples=80, deadline=None)
-@given(parameters(), st.integers(-5, 5), st.integers(-5, 5))
-def test_coded_cross_matches_the_oracle(params, m1, m2):
-    # X^{m1} X^{m2} = cross(m1, m2) X^{m1 + m2}.
-    t = oracle_of(params)
+@given(parameters(), st.integers(-5, 5), st.sampled_from([-1, 1]))
+def test_coded_cross_matches_the_oracle(params, m, s):
+    # X^m X^s = cross(m, s) X^{m+s}: at each vertex the table's component of
+    # cross(m, s) is the oracle's, and it is None exactly where the factor is 1.
+    t, table = oracle_of(params), _shift_table(params)
     one = t.combine((t.e(v), 1) for v in range(params.n))
-    den, nums, at = _shift_table(params).coded_cross(m1, m2)
-    assert t.times({m1: one}, {m2: one}) == {m1 + m2: decoded((den, nums))}
-    assert at == {v: [(a, b, c) for (w, a, b), c in nums.items() if w == v] for v in {w for w, _, _ in nums}}
-
-
-@settings(max_examples=150, deadline=None)
-@given(st.data())
-def test_coded_multiply_matches_the_oracle(data):
-    params = data.draw(parameters())
-    a, b = data.draw(gwa_elements(params.n)), data.draw(gwa_elements(params.n))
-    product = _coded_multiply(_gwa_table(params), coded_t(a), coded_t(b))
-    assert decoded_t(product) == oracle_of(params).times(a, b)
-
-
-def test_coded_gwa_multiply_strips_cancelled_sums_in_place():
-    # n = 1, alpha = gamma = 0, beta = 1: sigma swaps x and y.  The parts at
-    # X^0 are x y + e, then -x y (from X^-1 * X^1), then x y (from X^1 *
-    # X^-1).  The sum strips x y when it cancels, so x y comes back after
-    # e; a sum that kept the zero would leave it first.
-    params = Parameters.of(1, [0], [1], [0])
-    e = {(0, 0, 0): Fraction(1)}
-    a = {0: e, -1: e, 1: e}
-    b = {0: {(0, 1, 1): Fraction(1), (0, 0, 0): Fraction(1)}, 1: {(0, 1, 0): Fraction(-1)},
-         -1: {(0, 0, 1): Fraction(1)}}
-    product = _coded_multiply(_gwa_table(params), coded_t(a), coded_t(b))
-    assert list(product[0][1]) == [(0, 0, 0), (0, 1, 1)]
-    assert decoded_t(product) == oracle_of(params).times(a, b)
-
-
-def test_coded_gwa_multiply_sums_parts_over_different_denominators():
-    # The parts at X^0 are x/3 and, from X^1 * X^-1, y/5: the sum must
-    # bring x/3 to the common denominator 15 before adding y/5.
-    params = Parameters.of(1, [Fraction(1, 2)], [Fraction(3, 2)], [Fraction(-2, 7)])
-    e = {(0, 0, 0): Fraction(1)}
-    a, b = {0: e, 1: e}, {0: {(0, 1, 0): Fraction(1, 3)}, -1: {(0, 0, 0): Fraction(1, 5)}}
-    product = _coded_multiply(_gwa_table(params), coded_t(a), coded_t(b))
-    assert decoded_t(product)[0] == {(0, 1, 0): Fraction(1, 3), (0, 0, 1): Fraction(1, 5)}
-    assert decoded_t(product) == oracle_of(params).times(a, b)
+    cross = t.times({m: one}, {s: one})[m + s]
+    for at in range(params.n):
+        factor = table.cross(m, s, at)
+        assert (factor is None) == (m * s >= 0)
+        component = {k: c for k, c in cross.items() if k[0] == at}
+        assert (t.e(at) if factor is None else decoded(factor)) == component, at
 
 
 # ---------------------------------------------------------------------------
@@ -233,6 +189,22 @@ def test_coded_theta_matches_generator_at_a_time_reference(n):
         for a in (Element(n, terms), *(rule.as_relation() for rule in
                                         gwa.build_system(gwa.PRESET_QDU, params).rules)):
             assert as_oracle(theta(params, a)) == t.theta({(p.source, names(p)): c for p, c in a.terms.items()})
+
+
+@pytest.mark.parametrize("n", range(1, 7))
+def test_theta_of_every_path_to_degree_5_matches_the_oracle(n):
+    # Every path from every vertex, in the order that reads each word's
+    # image off the memo of its prefix, with gamma = 0 and with gamma and
+    # alpha entrywise (zeros drawn among them).
+    for params in lemma_configs(n):
+        _shift_table.cache_clear()
+        t = oracle_of(params)
+        for source in range(n):
+            for k in range(6):
+                for letters in itertools.product("ud", repeat=k):
+                    path = path_from_word(n, source, "".join(letters))
+                    image = t.theta_word(source, names(path))
+                    assert as_oracle(theta(params, Element.from_path(path))) == image, (source, letters)
 
 
 def test_coded_theta_refuses_zero_beta():
@@ -289,28 +261,14 @@ def failure_kind(a: dict, b: dict, product: dict) -> str | None:
     return "top degree dropped" if max(product) != max(a) + max(b) else None
 
 
-def kernel_times(params: Parameters):
-    """The kernel's product in T, on the oracle's dicts."""
-    table = _gwa_table(params)
-    return lambda a, b: decoded_t(_coded_multiply(table, coded_t(a), coded_t(b)))
-
-
-def oracle_times_without(params: Parameters, vanishing):
-    """The oracle's product in T with the parts X^{m1} X^{m2} that ``vanishing`` names left out."""
-    t = oracle_of(params)
-    return lambda a, b: t.t_sum((t.times({m1: r}, {m2: s}), 1) for m1, r in a.items()
-                                for m2, s in b.items() if not vanishing(m1, m2))
-
-
 def sampled_failures(params: Parameters, degree_bound: int = 3, trials: int = 200,
-                     seed: int = 0, times=None) -> tuple[int, list]:
-    """(tested, failures) of the sampled probe, each product taken whole by ``times``, the
-    oracle's product unless given: a trial fails as a zero product or a dropped top degree."""
-    times = times or oracle_of(params).times
+                     seed: int = 0) -> tuple[int, list]:
+    """(tested, failures) of the sampled probe, each product taken whole by the oracle: a
+    trial fails as a zero product or a dropped top degree."""
     failures, tested = [], 0
     for trial, _, a, b in sampled_trials(params, degree_bound, trials, seed):
         tested += 1
-        if kind := failure_kind(a, b, times(a, b)):
+        if kind := failure_kind(a, b, oracle_of(params).times(a, b)):
             failures.append((trial, kind))
     return tested, failures
 
@@ -383,166 +341,66 @@ def test_sampled_products_catch_a_sigma_that_is_not_injective(oracle_sigma_kills
     assert {kind for _, kind in failures} == {"zero product", "top degree dropped"}
 
 
-def test_kernel_sampled_products_fail_as_the_oracle_when_sigma_is_not_injective(
-        oracle_sigma_kills_x0, sigma_kills_x0):
-    # The same sigma(x_0) = 0 in the kernel's shift table and in the oracle:
-    # the kernel's drawn products fail on the same trials in the same way.
-    params = PROBE_PARAMS[1]
-    got = sampled_failures(params, degree_bound=3, trials=200, seed=0, times=kernel_times(params))
-    assert got[1] and got == sampled_failures(params, degree_bound=3, trials=200, seed=0)
-
-
 # ---------------------------------------------------------------------------
-# Broken cross factors: the kernel's product and the domain lemma
+# Broken cross factors and a sigma that is not injective
 # ---------------------------------------------------------------------------
 
 GENERIC3 = {"n": 3, "alpha": ["2", "1/2", "5"], "beta": ["7", "-3/2", "13"],
             "gamma": ["1", "2", "1/3"]}
 
 
-def patch_cross(monkeypatch, vanishes):
-    """Every shift table rebuilt with cross(m1, m2) = 0 where ``vanishes(m1, m2)``, and so
-    with every cross factor that the table builds on those."""
-    genuine = gwa._ShiftTable.coded_cross
-    monkeypatch.setattr(gwa._ShiftTable, "coded_cross", lambda self, m1, m2: (
-        (1, {}, {}) if vanishes(m1, m2) else genuine(self, m1, m2)))
-    _shift_table.cache_clear()
-
-
 @pytest.fixture
-def broken_cross(monkeypatch):
-    """cross(3, -2) = 0, and so every cross(3 + k, -2 - k) built on it.  theta multiplies by
-    X^{+-1} only, so the proof never reads it."""
-    patch_cross(monkeypatch, lambda m1, m2: (m1, m2) == (3, -2))
-    yield
-    _shift_table.cache_clear()
-
-
-@pytest.fixture
-def opposite_crosses_vanish(monkeypatch):
-    """cross(m1, m2) = 0 whenever m1 and m2 have opposite signs."""
-    patch_cross(monkeypatch, lambda m1, m2: m1 * m2 < 0)
-    yield
-    _shift_table.cache_clear()
-
-
-@pytest.fixture
-def vertex_one_vanishes(monkeypatch):
-    """The e_1-component of cross(m1, m2) is 0 whenever m1 and m2 have opposite signs, and
-    only that one: a lookup at a vertex other than the product's would miss it."""
-    genuine = gwa._ShiftTable.coded_cross
-
-    def coded_cross(self, m1, m2):
-        den, nums, at = genuine(self, m1, m2)
-        if m1 * m2 < 0:
-            nums = {key: c for key, c in nums.items() if key[0] != 1 % self.params.n}
-            at = {v: terms for v, terms in at.items() if v != 1 % self.params.n}
-        return den, nums, at
-
-    monkeypatch.setattr(gwa._ShiftTable, "coded_cross", coded_cross)
+def sigma_x_factor_vanishes(monkeypatch):
+    """cross(1, -1) = sigma(x), the factor of X^+ X^-, is 0 at every vertex where theta
+    reads it; sigma itself, and so every other check, is untouched."""
+    genuine = gwa._ShiftTable.cross
+    monkeypatch.setattr(gwa._ShiftTable, "cross", lambda self, m, s, at: (
+        (1, {}) if (m, s) == (1, -1) else genuine(self, m, s, at)))
     _shift_table.cache_clear()
     yield
     _shift_table.cache_clear()
 
 
-@pytest.fixture(params=["genuine", "broken_cross", "opposite_crosses_vanish", "vertex_one_vanishes"])
-def cross_factors(request):
-    """The genuine shift tables, and each fixture above that breaks cross factors."""
-    if request.param != "genuine":
-        request.getfixturevalue(request.param)
-    return request.param
-
-
-@pytest.mark.parametrize("params", PROBE_PARAMS + [N9], ids=lambda p: f"n{p.n}")
-def test_lemma_lookup_decides_each_trial_as_the_top_product(params, cross_factors):
-    # The lemma the proof rests on, in the kernel's T: for a in e_i T e_k and
-    # b in e_k T e_j, the top part of a b is a_top sigma^{ma}(b_top)
-    # cross(ma, mb), nonzero exactly when cross(ma, mb) has an e_i-component.
-    # Every drawn trial at bounds 0..5 and many seeds, with genuine or broken
-    # cross factors; broken ones make some drawn products fail.
-    table, times = _gwa_table(params), kernel_times(params)
-    failed = 0
-    for degree_bound in range(6):
-        for seed in range(12):
-            for trial, i, a, b in sampled_trials(params, degree_bound, 40, seed):
-                top_a, top_b = max(a), max(b)
-                top = _coded_multiply(table, {top_a: coded(a[top_a])}, {top_b: coded(b[top_b])})
-                assert bool(top) == (i in table.coded_cross(top_a, top_b)[2]), (degree_bound, seed, trial)
-                failed += failure_kind(a, b, times(a, b)) is not None
-    assert (failed > 0) == (cross_factors != "genuine")
-
-
-def test_kernel_products_see_a_broken_cross_factor(broken_cross):
-    # Same failed trials and kinds as the oracle's products with the parts
-    # that build on cross(3, -2) left out.
-    params = Parameters.of(3, GENERIC3["alpha"], GENERIC3["beta"], GENERIC3["gamma"])
-    tested, failures = sampled_failures(params, trials=200, seed=4, times=kernel_times(params))
-    assert failures and {kind for _, kind in failures} <= {"zero product", "top degree dropped"}
-    vanishing = lambda m1, m2: m1 >= 3 and m1 + m2 == 1
-    assert (tested, failures) == sampled_failures(params, trials=200, seed=4,
-                                                  times=oracle_times_without(params, vanishing))
-
-
-@pytest.mark.parametrize("params", PROBE_PARAMS)
-def test_kernel_failures_classify_as_the_oracle(params, opposite_crosses_vanish):
-    # A top pair of opposite signs vanishes: the trial fails, as a zero
-    # product when every pair has opposite signs and as a dropped top degree
-    # when a lower pair survives; the kernel's product fails on the same
-    # trials in the same way as the oracle's with those pairs left out.
-    kinds = set()
-    for degree_bound in (1, 2, 3, 4):
-        got = sampled_failures(params, degree_bound, trials=100, seed=degree_bound,
-                               times=kernel_times(params))
-        assert got == sampled_failures(params, degree_bound, trials=100, seed=degree_bound,
-                                       times=oracle_times_without(params, lambda m1, m2: m1 * m2 < 0))
-        kinds.update(kind for _, kind in got[1])
-    assert kinds == {"zero product", "top degree dropped"}
-
-
-@pytest.mark.parametrize("params", PROBE_PARAMS)
-def test_kernel_sampled_products_match_the_oracle(params):
-    # The genuine tables: every drawn product, taken by the kernel and by the
-    # oracle, is the same element, and none fails.
-    times, t = kernel_times(params), oracle_of(params)
-    for degree_bound in (1, 2, 3, 4, 5):
-        for seed in (0, degree_bound, 7):
-            for trial, _, a, b in sampled_trials(params, degree_bound, 80, seed):
-                product = times(a, b)
-                assert product == t.times(a, b), (degree_bound, seed, trial)
-                assert failure_kind(a, b, product) is None
-
-
-def test_verify_gwa_fails_on_a_broken_cross_factor(opposite_crosses_vanish, tmp_path, capsys):
-    # theta(X^+ X^-) reads cross(1, -1) = sigma(x): with it broken the
-    # relations no longer die in T, and the proof fails.
+def test_verify_gwa_fails_on_a_broken_cross_factor(sigma_x_factor_vanishes, tmp_path, capsys):
+    # theta(d_{i-1} u_{i-1}) = X^+ X^- e_i reads cross(1, -1) = sigma(x): with
+    # it broken the relations no longer die in T, and the proof fails,
+    # while sigma and theta_prime, which read no cross factor, still pass.
     cfg = tmp_path / "generic3.json"
     cfg.write_text(json.dumps(GENERIC3), encoding="utf-8")
     code = cli.main(["verify", "gwa", str(cfg), "--json"])
     findings = json.loads(capsys.readouterr().out)["findings"]
     assert code == 1
     assert not findings["relations_killed"]
+    assert findings["sigma_is_automorphism"] and findings["theta_prime_is_homomorphism"]
 
 
-def crosses_missing_a_vertex(params: Parameters, power: int = 5) -> list[tuple[int, int]]:
-    """The (m1, m2) with |m1|, |m2| <= ``power`` whose cross factor lacks an e_i-component."""
-    table = _gwa_table(params)
-    return [(m1, m2) for m1 in range(-power, power + 1) for m2 in range(-power, power + 1)
-            if set(table.coded_cross(m1, m2)[2]) != set(range(params.n))]
+def crosses_missing_a_vertex(params: Parameters, power: int = 5) -> dict[tuple[int, int], list[int]]:
+    """The vertices at which a cross factor that theta reads, cross(m, s) with |m| <= ``power``
+    and s = +-1, has no component, by (m, s)."""
+    table, out = _gwa_table(params), {}
+    for m in range(-power, power + 1):
+        for s in (-1, 1):
+            missing = [at for at in range(params.n) if (f := table.cross(m, s, at)) is not None and not f[1]]
+            if missing:
+                out[(m, s)] = missing
+    return out
 
 
 @pytest.mark.parametrize("n", range(1, 7))
 def test_every_cross_factor_has_every_vertex(n):
     # What the proof derives from sigma's injectivity: with every beta_i != 0,
-    # cross(m1, m2) has a nonzero e_i-component at every vertex i, in the
-    # kernel's table and in the oracle's X^{m1} X^{m2}.
+    # sigma^m(x) has a nonzero component at every vertex, in the oracle and in
+    # the factors theta reads, sigma^m(x) = cross(m, -1) for m > 0 and
+    # cross(m - 1, 1) for m <= 0, for |m| <= 5.
     for params in lemma_configs(n):
-        assert crosses_missing_a_vertex(params) == []
-        t = oracle_of(params)
-        one = t.combine((t.e(v), 1) for v in range(n))
-        for m1 in range(-5, 6):
-            for m2 in range(-5, 6):
-                cross = t.times({m1: one}, {m2: one})[m1 + m2]
-                assert {v for (v, _, _), c in cross.items() if c} == set(range(n)), (m1, m2)
+        assert crosses_missing_a_vertex(params) == {}
+        table, t = _gwa_table(params), oracle_of(params)
+        for m in range(-5, 6):
+            image = t.sigma(t.x_total(), m)
+            for at in range(n):
+                component = {k: c for k, c in image.items() if k[0] == at}
+                factor = table.cross(m, -1, at) if m > 0 else table.cross(m - 1, 1, at)
+                assert component and decoded(factor) == component, (m, at)
 
 
 @pytest.fixture
@@ -567,7 +425,7 @@ def test_proof_fails_when_sigma_is_not_injective(params, sigma_kills_x0, tmp_pat
     # e_1-component, nor has cross(1, -1) = sigma(x).  sigma o sigma^-1 sends
     # y_1 = sigma(x_0) to 0, so sigma_is_automorphism must fail.
     # Only x_0, x_1 and y_1 can fail, so each failure names its generator.
-    assert (1, -1) in crosses_missing_a_vertex(params)
+    assert crosses_missing_a_vertex(params)[(1, -1)] == [1 % params.n]
     automorphism = sigma_is_automorphism(params)
     one = 1 % params.n
     assert not automorphism.ok and automorphism.checked == 6 * params.n

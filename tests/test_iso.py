@@ -20,7 +20,7 @@ from quiverdu.iso import (
     transform_scale,
     verify_witness,
 )
-from quiverdu.rewrite import PRESET_QDU, build_system
+from quiverdu.rewrite import PRESET_QDU, _normal_sum, _tables, build_system
 
 
 def transform_params(op, p, lam=None):
@@ -117,6 +117,20 @@ def test_verify_witness_checks_confluence_only_to_refute(monkeypatch):
     assert calls == []
     assert not verify_witness(IsoWitness(3, ROTATION, 0, tuple(bad)), p, q)
     assert len(calls) == 1 and calls[0] is build_system(PRESET_QDU, q)
+
+
+def test_verify_witness_refutes_an_image_with_a_cancelled_word():
+    # u_1 and u_2 doubled, into H itself: the reduced image of every relation
+    # that the map breaks keeps a word whose numerator cancelled to 0 next to
+    # one that survived, so a refutation must ask whether any word survived.
+    p = Parameters.of(3, [1, 2, 3], [1, 1, 1], [1, 1, 1])
+    w = IsoWitness(3, ROTATION, 0, (Fraction(1), Fraction(2), Fraction(2)))
+    tables = _tables(build_system(PRESET_QDU, p))
+    images = [_normal_sum(tables, [(word, c) for (_, word), c in w.spec.map_row(row)[1].items()])[1]
+              for row in tables.relation_rows()]
+    broken = [image for image in images if any(image.values())]
+    assert broken and all(0 in image.values() for image in broken)
+    assert not verify_witness(w, p, p)
 
 
 def identity_witness(n):

@@ -3,7 +3,9 @@
 Each test writes a module ``quiverdu/toy.py`` into a scratch checkout, once
 as the parent and once as the change, enumerates the mutants of both with
 the tool itself and compares invented statuses: the comparison reads the
-statuses and the change's source only, so no test suite is run.
+statuses and the change's source only, so no test suite is run.  The
+committed records are checked too: every ``MUTANTS_*.json`` still compares,
+and every ``BENCH_*.json`` has the keys the records share.
 """
 
 from __future__ import annotations
@@ -219,6 +221,16 @@ def test_every_committed_mutation_record_still_compares(record, capsys):
         assert "killed by parent only" not in out and out.count("not listed") == 1, out
     else:
         assert code == 0, out
+
+
+def test_every_committed_benchmark_record_has_the_shared_keys():
+    # Each BENCH_*.json names the two trees it compares, the command it ran,
+    # the host and the paired runs, so every record can be read like the others.
+    records = sorted(TOOL.parent.parent.glob("BENCH_*.json"))
+    keys = {"change", "parent", "command", "machine", "pairs"}
+    missing = {path.name: sorted(keys - set(json.loads(path.read_text(encoding="utf-8"))))
+               for path in records}
+    assert records and not any(missing.values()), missing
 
 
 # The first of two ``a > 1`` sites is deleted, so the second takes its ordinal.

@@ -208,6 +208,24 @@ def test_r_monomial_products():
     assert du == (((0, 1, 0), Fraction(1)),)
 
 
+def test_r_monomial_product_refuses_a_fraction_among_int_coefficients(monkeypatch):
+    # R's rules have coefficients +-1, so a product with no power of D has
+    # int coefficients only; one Fraction among ints must be refused.
+    genuine = skewgroup._normal_times
+
+    def mixed(*args):
+        e, comb = genuine(*args)
+        return e, {**comb, skewgroup._packed((1, 0, 1)): Fraction(1, 2)}
+
+    monkeypatch.setattr(skewgroup, "_normal_times", mixed)
+    r_monomial_product.cache_clear()
+    try:
+        with pytest.raises(AssertionError, match="non-int coefficient"):
+            r_monomial_product((0, 0, 1), (1, 0, 0))
+    finally:
+        r_monomial_product.cache_clear()
+
+
 def rewritten_product(m1, m2):
     """The product of two R-monomials rewritten to normal form (no shortcut)."""
     sys = ensure_confluent(build_system(PRESET_QDU, GRADED_DOWN_UP))
