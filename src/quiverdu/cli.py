@@ -256,8 +256,8 @@ def _cmd_basis(args) -> tuple[str, dict]:
     sys_ = build_system(preset, params, n=params.n)
     paths = enumerate_basis(sys_, args.degree)
     matrix = dimension_matrix(sys_, args.degree)
-    # The automaton's words, counted by (source, target), against the
-    # count read from the leading words' letters.
+    # The words spelled from the shape, counted by (source, target),
+    # against the closed count read from the leading words' letters.
     counts = [[0] * params.n for _ in range(params.n)]
     for p in paths:
         counts[p.source][p.target] += 1

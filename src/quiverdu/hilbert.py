@@ -110,7 +110,7 @@ def closed_form_check(params: Parameters, max_degree: int, preset: str = PRESET_
 
     The counts are the ground truth: ``dimension_matrices`` checks the
     system's leading words against the preset's letter patterns and reads
-    every degree from the normal-word shape, so no automaton is walked.
+    every degree from the normal-word shape, so no word is listed.
     The series D(t)^{-1} is the claim under test.  The check stops at the
     first k where R = E_k - [k=0] I is nonzero.  Below k the matrices
     agree with the series, so R is H_k minus the series coefficient, and

@@ -11,13 +11,12 @@ Every preset is confluent; ``check_confluence`` certifies this on an
 instance by resolving all overlap ambiguities.
 
 ``build_system`` returns one shared system per preset and parameter set
-(module-level ``lru_cache``s), so every caller reads one normal-form memo,
-one confluence verdict and one forbidden-factor automaton.  A preset is
-built straight into rule specs on tuples of arrow codes (an arrow coded
-by its rank), and its ``RewriteRule``s are decoded only when ``rules`` is
-read.  One set of rule tables per system (``_RuleTables``) serves normal
-forms, overlap resolution and basis enumeration, whose automaton lists
-the normal words.  There a word is one int, its codes packed behind a
+(module-level ``lru_cache``s), so every caller reads one normal-form memo
+and one confluence verdict.  A preset is built straight into rule specs
+on tuples of arrow codes (an arrow coded by its rank), and its
+``RewriteRule``s are decoded only when ``rules`` is read.  One set of
+rule tables per system (``_RuleTables``) serves normal forms and overlap
+resolution.  There a word is one int, its codes packed behind a
 sentinel bit (``_pack_word``), and Paths and Elements are built from
 words only for results.  Inside the kernel a combination is int
 numerators over a power D^e of the system's denominator, summed by
@@ -29,7 +28,8 @@ product is built as paths.  ``normal_form`` codes its input once
 
 The dimension matrices need no rule tables: ``dimension_matrices`` checks
 the leading words' letters on the specs in O(n) and reads every degree
-from the normal-word shape (its docstring states the shape lemma).
+from the normal-word shape (its docstring states the shape lemma), and
+``basis_from`` spells the normal words from that shape.
 """
 
 from __future__ import annotations
@@ -192,7 +192,7 @@ class _RuleTables:
     """
 
     __slots__ = ("n", "bits", "arrows", "denominator", "rule_exp", "rules", "sources", "by_last",
-                 "memo", "paths", "words", "_automaton")
+                 "memo", "paths", "words")
 
     def __init__(self, n: int, specs: tuple):
         self.n = n
@@ -205,7 +205,7 @@ class _RuleTables:
         else:
             D, scale = 1, lambda c: c
         self.denominator, self.rule_exp = D, int(D != 1)
-        self.memo, self.paths, self.words, self._automaton = {}, {}, {}, None
+        self.memo, self.paths, self.words = {}, {}, {}
         ends = [(a.source(n), a.target(n)) for a in self.arrows]
 
         def end(at, word):  # the vertex word ends at from at; None if its arrows do not compose
@@ -229,12 +229,6 @@ class _RuleTables:
             by_last.setdefault(lhs[-1], []).append(((1 << k) - 1, word ^ (1 << k), k, rhs))
         self.rules, self.by_last = tuple(rules), by_last
         self.sources = tuple(source for source, _, _ in specs)
-
-    def automaton(self):
-        """The forbidden-factor automaton (``_build_automaton``), built once."""
-        if self._automaton is None:
-            self._automaton = _build_automaton(self)
-        return self._automaton
 
     def encode(self, path: Path) -> int:
         word = self.words.get(path)
@@ -589,64 +583,53 @@ def certify_confluence_over_parameters(n: int, random_trials: int = 5, seed: int
 def enumerate_basis(sys: ReductionSystem, degree: int) -> list[Path]:
     """All degree-k paths containing no leading word as a factor.
 
-    The words of ``basis_from`` for each source in turn, in
+    The words of degree k alone (``_speller``), source by source, in
     ``canonical_path_key`` order; Paths are built only for the result.
     """
     if degree < 0:
         raise ValueError("degree must be nonnegative")
+    spell = _speller(sys, degree)  # the letter check, before the rule tables check orientation
     tables = _tables(sys)
-    return [tables.path(v, w) for v in range(sys.n) for w in basis_from(sys, v, degree)[degree]]
+    return [tables.path(v, w) for v in range(sys.n) for w in spell(v, degree)]
 
 
 def basis_from(sys: ReductionSystem, source: int, max_degree: int) -> list[list[int]]:
-    """The int-coded normal words from ``source`` of each degree 0, ..., ``max_degree``.
+    """The int-coded normal words from ``source`` of each degree 0, ..., ``max_degree`` (``_speller``)."""
+    spell = _speller(sys, max_degree)
+    return [spell(source, k) for k in range(max_degree + 1)]
 
-    One automaton walk serves every degree, and it keeps each degree's
-    words in ``canonical_path_key`` order (``_build_automaton``).
+
+def _speller(sys: ReductionSystem, top: int):
+    """``spell(source, k)``: the int-coded normal words of degree k <= ``top`` from ``source``.
+
+    Once ``check_leading_words`` has passed (ValueError for a ``"custom"``
+    system), the normal words are the shapes u^a (du)^j d^c (preprojective:
+    u^a d^c) of the shape lemma of ``dimension_matrices``.  Each vertex's
+    runs u^a, (du)^j and d^c are packed once (from w, d_{w-1} u_{w-1} comes
+    back to w, and d^c ends at w - c).  A word from i is u^a from i, shifted
+    once per a, or'd with (du)^j shifted past d^c and with d^c, both from
+    i + a.  With u before d, a descends, then j, in ``canonical_path_key`` order.
     """
-    tables = _tables(sys)
-    transitions, _ = tables.automaton()
-    b = tables.bits
-    layer = [(source, 1)]  # state v < n is vertex v with no live suffix
-    by_degree = []
-    for k in range(max_degree + 1):
-        if k:
-            layer = [(tid, (w << b) | a) for sid, w in layer for a, tid in transitions[sid]]
-        by_degree.append([w for _, w in layer])
-    return by_degree
+    check_leading_words(sys)
+    n, b = sys.n, _word_bits(sys.n)
+    ups, dus, downs = [[1] for _ in range(n)], [[0] for _ in range(n)], [[0] for _ in range(n)]
+    for v in range(n):
+        for k in range(top):
+            ups[v].append((ups[v][-1] << b) | (n + (v + k) % n))
+            dus[v].append((dus[v][-1] << 2 * b) | ((v - 1) % n << b) | (n + (v - 1) % n))
+            downs[v].append((downs[v][-1] << b) | (v - k - 1) % n)
+    pairs = sys.preset == PRESET_QDU
 
-
-def _build_automaton(tables: _RuleTables):
-    """Forbidden-factor automaton: states are (vertex, live suffix).
-
-    The live suffix is the longest suffix of the word read so far that is
-    a proper prefix of a leading word; state v < n is (v, the empty word).
-    An arrow is refused where the kernel's suffix test finds a leading
-    word.  Returns each state's (arrow code, next state) pairs, u_v before
-    d_{v-1} (so a walk keeps ``canonical_path_key`` order), and vertex.
-    """
-    n, b = tables.n, tables.bits
-    lengths = [((lhs.bit_length() - 1) // b, lhs) for lhs, _ in tables.rules]
-    live = max((m for m, _ in lengths), default=1) - 1
-    prefixes = {lhs >> (m - k) * b for m, lhs in lengths for k in range(1, m)}
-    keys = [(v, 1) for v in range(n)]
-    states = {key: sid for sid, key in enumerate(keys)}
-    transitions: list[list[tuple[int, int]]] = []
-    for v, suf in keys:  # keys grows while it is walked
-        outs = []
-        for a in (n + v, (v - 1) % n):  # the codes of u_v and d_{v-1}
-            w = (suf << b) | a
-            if any(w & M == L and w > M for M, L, _, _ in tables.by_last.get(a, ())):
-                continue
-            new_suf = next((_suffix(w, k, b) for k in range(min((w.bit_length() - 1) // b, live), 0, -1)
-                            if _suffix(w, k, b) in prefixes), 1)
-            key = (tables.arrows[a].target(n), new_suf)
-            if key not in states:
-                states[key] = len(keys)
-                keys.append(key)
-            outs.append((a, states[key]))
-        transitions.append(outs)
-    return transitions, [v for v, _ in keys]
+    def spell(source: int, k: int) -> list[int]:
+        words = []
+        for a in range(k, -1, -1):
+            m, w = k - a, (source + a) % n
+            head, du_run, down_run = ups[source][a] << m * b, dus[w], downs[w]
+            for j in range(m // 2 if pairs else 0, -1, -1):
+                c = m - 2 * j
+                words.append(head | (du_run[j] << c * b) | down_run[c])
+        return words
+    return spell
 
 
 def dimension_matrices(sys: ReductionSystem, max_degree: int) -> list[list[list[int]]]:
@@ -669,7 +652,7 @@ def dimension_matrices(sys: ReductionSystem, max_degree: int) -> list[list[list[
 
     A system with no letter pattern (a ``"custom"`` one) raises
     ValueError; specs whose leading words break (a) raise AssertionError.
-    The forbidden-factor automaton of ``basis_from`` lists the same words.
+    ``basis_from`` spells the words that (b) counts.
     """
     if max_degree < 0:
         raise ValueError("degree must be nonnegative")

@@ -1,12 +1,13 @@
-"""The leading-word count of the dimension matrices against the automaton, to degree 60.
+"""The normal words and the dimension matrices against the oracle, to degree 60.
 
-For n = 1..12 and both presets, ``rewrite.dimension_matrices`` (the
-leading words' letters checked on the rule specs, every degree read from
-the normal-word shape) must equal the normal words that the
-forbidden-factor automaton lists (``basis_from``), counted by source,
-target and degree.  The quiver down-up systems draw seeded random
-parameters with a zero entry in each of alpha, beta and gamma.  The test
-suite does this to degree 30.
+For n = 1..12 and both presets, ``rewrite.basis_from`` (the words spelled
+from the shape u^a (du)^j d^c, resp. u^a d^c, once the leading words'
+letters are checked) must list, in order, the words that
+``oracle.normal_words`` lists from the paper's relations, and
+``rewrite.dimension_matrices`` (the closed count) must equal those words
+counted by source, target and degree.  The quiver down-up systems draw
+seeded random parameters with a zero entry in each of alpha, beta and
+gamma.  The test suite does this to degree 20.
 
 Then, for n = 2..12 and degree <= 30, the skew-group count lemma
 enumerated: the degree-k monomials u^a (du)^b d^c of R counted by
@@ -25,11 +26,12 @@ from quiverdu.rewrite import (
     PRESET_PREPROJECTIVE,
     PRESET_QDU,
     _closed_shape_matrix,
+    basis_from,
     build_system,
     dimension_matrices,
 )
 from test_corner_reference import matched_counts, weight_class_counts
-from test_rewrite import automaton_counts, params_with_zeros
+from test_rewrite import oracle_listing, params_with_zeros
 
 MAX_DEGREE = 60
 WEIGHT_CLASS_DEGREE = 30
@@ -41,7 +43,9 @@ def main() -> int:
         rng = random.Random(60 + n)
         for sys_ in (build_system(PRESET_QDU, params_with_zeros(n, rng)), build_system(PRESET_PREPROJECTIVE, n=n)):
             start = time.perf_counter()
-            same = dimension_matrices(sys_, MAX_DEGREE) == automaton_counts(sys_, MAX_DEGREE)
+            words, counts = oracle_listing(sys_, MAX_DEGREE)
+            same = [basis_from(sys_, v, MAX_DEGREE) for v in range(n)] == words
+            same = same and dimension_matrices(sys_, MAX_DEGREE) == counts
             ok = ok and same
             print(f"n = {n:2}, {sys_.preset}: degree <= {MAX_DEGREE} in {time.perf_counter() - start:.3f} s: "
                   f"{'equal' if same else 'DIFFERENT'}")

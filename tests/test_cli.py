@@ -1,10 +1,12 @@
 import json
+import re
 from fractions import Fraction
 
 import pytest
 
 from quiverdu import cli, rewrite
 from quiverdu.cli import ConfigError, main, parse_config
+from quiverdu.core import Parameters, path_from_word
 
 
 def write_config(tmp_path, name="config.json", n=3, alpha=None, beta=None, gamma=None):
@@ -97,8 +99,8 @@ def test_basis_command(tmp_path, capsys):
 
 @pytest.mark.parametrize("preset", ["qdu", "preprojective"])
 def test_basis_fails_when_the_letter_count_is_wrong_at_its_degree(tmp_path, capsys, monkeypatch, preset):
-    # basis counts the automaton's words by (source, target) against
-    # dimension_matrix; a count wrong at degree 3 alone fails there only.
+    # basis counts the words spelled from the shape by (source, target)
+    # against dimension_matrix; a count wrong at degree 3 alone fails there only.
     for name in ("_closed_shape_matrix", "_closed_preprojective_matrix"):
         closed = getattr(rewrite, name)
 
@@ -116,6 +118,35 @@ def test_basis_fails_when_the_letter_count_is_wrong_at_its_degree(tmp_path, caps
     assert code == 1 and report["verdict"] == "fail"
     assert report["findings"] == {"internal_check_failed": "normal words by (source, target) disagree "
                                                            "with the leading-word count at degree 3"}
+
+
+@pytest.mark.parametrize("preset, system, letters, message", [
+    ("qdu", "_qdu_system", "udu", "leading word (0, 'udu') is extra to the quiver-down-up letter patterns"),
+    ("preprojective", "_preprojective_system", "ud",
+     "leading word (1, 'ud') is extra to the preprojective letter patterns"),
+])
+def test_basis_refuses_a_leading_word_with_permuted_letters(tmp_path, capsys, monkeypatch, preset, system,
+                                                             letters, message):
+    # The normal words are spelled from their shape only once the leading
+    # words' letters are checked: with the first rule's letters permuted,
+    # basis_from raises and basis fails its internal check.
+    genuine = getattr(rewrite, system)
+
+    def permuted(key):
+        sys_ = genuine(key)
+        (source, _, rhs), *rest = sys_.specs
+        codes = tuple(rewrite._arrow_rank(a, sys_.n) for a in path_from_word(sys_.n, source, letters).arrows)
+        return rewrite.ReductionSystem(sys_.n, None, sys_.preset, sys_.params, ((source, codes, rhs), *rest))
+
+    monkeypatch.setattr(rewrite, system, permuted)
+    params = Parameters.of(3, [0] * 3, [1] * 3, [0] * 3)
+    built = rewrite.build_system(rewrite.PRESET_QDU if preset == "qdu" else rewrite.PRESET_PREPROJECTIVE, params)
+    with pytest.raises(AssertionError, match=re.escape(message)):
+        rewrite.basis_from(built, 0, 2)
+    code, report = run_json(capsys, ["basis", write_config(tmp_path), "--degree", "2", "--preset", preset,
+                                     "--json"])
+    assert code == 1 and report["verdict"] == "fail"
+    assert report["findings"] == {"internal_check_failed": message}
 
 
 def test_confluence_command_exit_zero(tmp_path, capsys):
@@ -379,30 +410,32 @@ def test_vacuous_arguments_are_refused(tmp_path, capsys, argv):
     assert "must be at least" in captured.err
 
 
-def test_report_checks_confluence_once_and_builds_no_automaton(tmp_path, capsys, monkeypatch):
+def test_report_checks_confluence_once_and_lists_no_basis(tmp_path, capsys, monkeypatch):
     # Every section of a report reads the one shared system per parameter
     # set: one confluence check.  With every beta_i != 0 no chain runs, and
     # the Hilbert counts are read from the leading words' letters, so no
-    # automaton is built.
+    # normal word is spelled; basis spells some through the same hook.
     for cache in (rewrite._qdu_system, rewrite._preprojective_system):
         cache.cache_clear()
-    checked, automata = [], []
-    check, build = rewrite.check_confluence, rewrite._build_automaton
+    checked, spelled = [], []
+    check, speller = rewrite.check_confluence, rewrite._speller
 
     def counted_check(sys):
         checked.append(sys)
         return check(sys)
 
-    def counted_build(tables):
-        automata.append(tables)
-        return build(tables)
+    def counted_speller(sys, top):
+        spelled.append(top)
+        return speller(sys, top)
 
     for module in (rewrite, cli):
         monkeypatch.setattr(module, "check_confluence", counted_check)
-    monkeypatch.setattr(rewrite, "_build_automaton", counted_build)
+    monkeypatch.setattr(rewrite, "_speller", counted_speller)
     cfg = write_config(tmp_path, alpha=["2", "1/2", "5"], beta=["7", "-3/2", "13"],
                        gamma=["1", "2", "1/3"])
     code, report = run_json(capsys, ["report", cfg, "--json"])
     assert code == 0 and report["verdict"] == "pass"
     assert len(checked) == 1
-    assert automata == []
+    assert spelled == []
+    code, report = run_json(capsys, ["basis", cfg, "--degree", "2", "--json"])
+    assert code == 0 and spelled == [2]

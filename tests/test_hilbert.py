@@ -3,7 +3,7 @@
 ``oracle.normal_word_counts`` counts the normal words by source, target
 and degree, and ``oracle.inverse_series`` expands D(t)^-1 with its own
 integer matrices; neither imports the package.  ``closed_form_check``
-computes the residual sum_j D_j H_{k-j} of the automaton counts and
+computes the residual sum_j D_j H_{k-j} of the leading-word counts and
 inverts nothing, so with one count perturbed it must still report the
 first entry where the counts leave the series.
 """
@@ -83,7 +83,7 @@ def test_oracle_counts_normal_words():
 def _cases():
     """(n, preset, max_degree, perturbation): n = 1..8, both presets, K <= 14.
 
-    A perturbation (k, i, j, delta) adds delta to one automaton count;
+    A perturbation (k, i, j, delta) adds delta to one of the oracle's counts;
     None leaves the counts as enumerated.
     """
     rng = random.Random(11)

@@ -10,6 +10,7 @@ and every ``BENCH_*.json`` has the keys the records share.
 
 from __future__ import annotations
 
+import argparse
 import importlib.util
 import json
 from pathlib import Path
@@ -119,6 +120,33 @@ def test_augmented_assignments_are_mutated(tmp_path):
         namespace: dict = {}
         exec(mutants.mutated_source(root, m), namespace)
         assert namespace["toy"](3, 2) != -15, m["key"]
+
+
+def test_a_run_records_each_mutants_seconds(tmp_path, monkeypatch):
+    # Each mutant that runs keeps the seconds its test run took, rounded as
+    # baseline_s is; an equivalent one is not run and has none.  The test
+    # runs are stubbed, so no suite runs.
+    root = checkout(tmp_path / "repo", PARENT)
+    (root / "pyproject.toml").write_text("", encoding="utf-8")
+    found = mutants.enumerate_mutants(root, ["toy:toy"])
+    allowlist = tmp_path / "equivalent_mutants.json"
+    allowlist.write_text(json.dumps([{**{field: found[0][field] for field in mutants.IDENTITY[:4]},
+                                      "ordinal": 0, "reason": "a toy entry"}]), encoding="utf-8")
+    monkeypatch.setattr(mutants, "ALLOWLIST", allowlist)
+    runs = iter([("survived", 2.34)] + [("killed", 0.25 + i) for i in range(len(found))])
+    timeouts = []
+
+    def run_tests(work, tests, timeout):
+        timeouts.append(timeout)
+        return next(runs)
+
+    monkeypatch.setattr(mutants, "run_tests", run_tests)
+    args = argparse.Namespace(repo=str(root), functions=["toy:toy"], tests=[], workdir=str(tmp_path))
+    record = mutants.run(args)
+    assert record["baseline_s"] == 2.3
+    assert record["mutants"][0]["status"] == "equivalent" and "seconds" not in record["mutants"][0]
+    assert [m["seconds"] for m in record["mutants"][1:]] == [round(0.25 + i, 1) for i in range(len(found) - 1)]
+    assert timeouts == [3600] + [3 * 2.34 + 10] * (len(found) - 1)
 
 
 def test_moved_lines_and_swapped_statements_keep_every_match(tmp_path, capsys):

@@ -27,6 +27,7 @@ from quiverdu.rewrite import (
     term_order_greater,
 )
 from quiverdu.skewgroup import GRADED_DOWN_UP
+import oracle
 from oracle import shape
 
 
@@ -371,22 +372,39 @@ def params_with_zeros(n, rng):
     return Parameters.of(n, alpha, beta, gamma)
 
 
-def automaton_counts(sys, max_degree):
-    """The automaton's normal words (``basis_from``) counted by source, target and degree."""
-    tables = rewrite._tables(sys)
-    counts = [[[0] * sys.n for _ in range(sys.n)] for _ in range(max_degree + 1)]
-    for v in range(sys.n):
-        for k, words in enumerate(basis_from(sys, v, max_degree)):
-            for w in words:
-                counts[k][v][tables.target(v, w)] += 1
-    return counts
+def oracle_listing(sys, max_degree):
+    """``oracle.normal_words`` from every source of ``sys``'s preset and parameters: the words
+    packed as the kernel packs them, by source and degree, and their counts by degree, source
+    and target."""
+    n, bits = sys.n, _word_bits(sys.n)
+    if sys.preset == PRESET_PREPROJECTIVE:
+        relations = oracle.preprojective_relations(n)
+    else:
+        relations = oracle.qdu_relations(n, sys.params.alpha, sys.params.beta, sys.params.gamma)
+    rules = oracle.oriented(relations, n)
+    words, counts = [], [[[0] * n for _ in range(n)] for _ in range(max_degree + 1)]
+    for v in range(n):
+        by_degree = oracle.normal_words(rules, n, v, max_degree)
+        packed = {(): 1}  # a word's prefix is a normal word of one degree less, packed before it
+        counts[0][v][v] = 1
+        for k in range(1, max_degree + 1):
+            for w in by_degree[k]:
+                packed[w] = (packed[w[:-1]] << bits) | oracle.code(w[-1], n)
+                counts[k][v][oracle.arrow_ends(w[-1], n)[1]] += 1
+        words.append([[packed[w] for w in names] for names in by_degree])
+    return words, counts
 
 
 @pytest.mark.parametrize("n", range(1, 13))
-def test_dimension_matrices_is_the_automaton_count_to_degree_30(n):
+def test_basis_from_and_dimension_matrices_are_the_oracle_words_to_degree_20(n):
+    # The words spelled from the shape, in order, and the closed count,
+    # against the words with no leading word as a factor, listed by the
+    # oracle from the paper's relations.
     rng = random.Random(40 + n)
     for sys in (build_system(PRESET_QDU, params_with_zeros(n, rng)), build_system(PRESET_PREPROJECTIVE, n=n)):
-        assert dimension_matrices(sys, 30) == automaton_counts(sys, 30), (n, sys.preset)
+        words, counts = oracle_listing(sys, 20)
+        assert [basis_from(sys, v, 20) for v in range(n)] == words, (n, sys.preset)
+        assert dimension_matrices(sys, 20) == counts, (n, sys.preset)
 
 
 def leading_codes(n, source, letters):
@@ -462,6 +480,15 @@ def test_dimension_matrices_needs_a_letter_pattern():
         dimension_matrices(custom, 4)
     # The same rules under the preset's name are counted.
     assert dimension_matrices(ReductionSystem(3, qdu.rules, PRESET_QDU), 4) == dimension_matrices(qdu, 4)
+
+
+def test_listing_the_basis_needs_a_letter_pattern():
+    qdu = build_system(PRESET_QDU, Parameters.of(3, [1, 2, 3], [4, 5, 6], [7, 8, 9]))
+    custom = ReductionSystem(3, qdu.rules, "custom")
+    for listing in (lambda: enumerate_basis(custom, 2), lambda: basis_from(custom, 0, 2)):
+        with pytest.raises(ValueError, match="no leading-word letter pattern for preset 'custom'"):
+            listing()
+    assert enumerate_basis(ReductionSystem(3, qdu.rules, PRESET_QDU), 2) == enumerate_basis(qdu, 2)
 
 
 # ---------------------------------------------------------------------------

@@ -17,7 +17,8 @@ The module is written back from the mutated syntax tree into a copy of
 the repository's ``src/`` and ``tests/``, and the selected tests run there
 with ``pytest -x`` and a fixed Hypothesis seed, one mutant after another.
 A mutant is ``killed`` when they fail, ``timeout`` when they overrun three
-times the unmutated run, and ``survived`` when they pass.  A mutant in the
+times the unmutated run, and ``survived`` when they pass; its record
+keeps the run's ``seconds``, rounded as ``baseline_s`` is.  A mutant in the
 allowlist (``tools/equivalent_mutants.json``: its identity, the fields of
 ``IDENTITY`` that ``--compare`` below matches by, and a one-line ``reason``)
 is an equivalent mutant: it is not run and reads ``equivalent``, wherever
@@ -212,6 +213,7 @@ def run(args) -> dict:
                 target.write_text(mutated_source(root, mutant), encoding="utf-8")
                 status, seconds = run_tests(work, args.tests, timeout=3 * baseline + 10)
                 shutil.copy(module_file(root, mutant["module"]), target)
+                mutant["seconds"] = round(seconds, 1)
             mutant["status"] = status
             print(f"{status:10} {seconds:6.1f} s  {mutant['key']}", flush=True)
     finally:
