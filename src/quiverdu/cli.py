@@ -10,7 +10,13 @@ byte-identical for identical inputs and seed.
 ``main(argv)`` may be called repeatedly in one process.  The argparse
 parser is built on the first call and shared by every later one; no other
 state persists between calls apart from the algebra ``lru_cache``s of
-``rewrite``, ``gwa``, ``skewgroup`` and ``cyclotomic``.
+``rewrite``, ``gwa``, ``skewgroup`` and ``cyclotomic``.  Argv that starts
+with a command name goes straight to that command's subparser, the one the
+top-level parser would hand it to, and leftover arguments are refused by
+the top-level parser's ``error``; any other argv (empty, ``-h``,
+``--version``, an unknown command) goes to the top-level parser.  A config
+is read in one binary read, decoded as UTF-8, with ``\r\n`` and lone
+``\r`` read as ``\n`` as in text mode.
 """
 
 from __future__ import annotations
@@ -67,10 +73,12 @@ class ConfigError(Exception):
 @dataclass
 class AlgebraConfig:
     n: int
-    alpha: list[str]
-    beta: list[str]
-    gamma: list[str]
-    params: Parameters  # the validated Fractions that the strings print
+    params: Parameters  # the validated Fractions
+
+    # The vectors as the strings that print the Fractions.
+    alpha = property(lambda self: [str(x) for x in self.params.alpha])
+    beta = property(lambda self: [str(x) for x in self.params.beta])
+    gamma = property(lambda self: [str(x) for x in self.params.gamma])
 
     def to_parameters(self) -> Parameters:
         return self.params
@@ -107,16 +115,18 @@ def parse_config(text: str) -> AlgebraConfig:
         if len(raw[field]) != n:
             raise ConfigError(f"field '{field}': length mismatch (expected {n}, got {len(raw[field])})")
         vectors[field] = tuple(_rational(v, field, i) for i, v in enumerate(raw[field]))
-    params = Parameters(n, vectors["alpha"], vectors["beta"], vectors["gamma"])
-    return AlgebraConfig(n, *([str(x) for x in vec] for vec in vectors.values()), params)
+    return AlgebraConfig(n, Parameters(n, vectors["alpha"], vectors["beta"], vectors["gamma"]))
 
 
 def load_config(path: str) -> AlgebraConfig:
     try:
-        with open(path, encoding="utf-8") as fh:
-            return parse_config(fh.read())
+        with open(path, "rb", buffering=0) as fh:
+            text = fh.read().decode("utf-8")
     except OSError as exc:
         raise ConfigError(f"cannot read config {path}: {exc}") from exc
+    if "\r" in text:  # newlines as text mode reads them, so JSON errors keep their line
+        text = text.replace("\r\n", "\n").replace("\r", "\n")
+    return parse_config(text)
 
 
 # ---------------------------------------------------------------------------
@@ -468,10 +478,13 @@ def _int_at_least(lowest: int):
 
 
 def _build_parser() -> argparse.ArgumentParser:
+    """The top-level parser; its ``commands`` maps each command name to its subparser."""
     parser = argparse.ArgumentParser(prog="quiverdu",
                                      description="quiver down-up algebra toolkit")
     parser.add_argument("--version", action="version", version=__version__)
     sub = parser.add_subparsers(dest="command", required=True)
+    parser.commands = {}
+    add_parser = lambda name, help: parser.commands.setdefault(name, sub.add_parser(name, help=help))
 
     def common(p):
         p.add_argument("config", help="path to the algebra config JSON")
@@ -479,30 +492,30 @@ def _build_parser() -> argparse.ArgumentParser:
         p.add_argument("--seed", type=int, default=0,
                        help="echoed in the report; no check reads it (pwd and gwa are proved, not sampled)")
 
-    p_nf = sub.add_parser("nf", help="normal form of an element")
+    p_nf = add_parser("nf", help="normal form of an element")
     common(p_nf)
     p_nf.add_argument("element", help="element in the textual format")
 
-    p_basis = sub.add_parser("basis", help="normal-word basis at a degree")
+    p_basis = add_parser("basis", help="normal-word basis at a degree")
     common(p_basis)
     p_basis.add_argument("--degree", type=_int_at_least(0), required=True)
     p_basis.add_argument("--preset", choices=["qdu", "preprojective"], default="qdu")
 
-    p_conf = sub.add_parser("confluence", help="resolve all overlap ambiguities")
+    p_conf = add_parser("confluence", help="resolve all overlap ambiguities")
     common(p_conf)
 
-    p_hil = sub.add_parser("hilbert", help="dimension matrices and totals")
+    p_hil = add_parser("hilbert", help="dimension matrices and totals")
     common(p_hil)
     p_hil.add_argument("--max-degree", type=_int_at_least(0), default=8)
     p_hil.add_argument("--preset", choices=["qdu", "preprojective"], default="qdu")
     p_hil.add_argument("--check", action="store_true",
                        help="compare enumeration against the closed form")
 
-    p_iso = sub.add_parser("iso", help="graded isomorphism decision")
+    p_iso = add_parser("iso", help="graded isomorphism decision")
     common(p_iso)
     p_iso.add_argument("--other", required=True, help="path to the second config")
 
-    p_ver = sub.add_parser("verify", help="run one verification suite")
+    p_ver = add_parser("verify", help="run one verification suite")
     p_ver.add_argument("what", choices=[
         "gwa", "superpotential", "nakayama", "pwd", "noetherian", "properties", "skewgroup"])
     common(p_ver)
@@ -514,7 +527,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p_ver.add_argument("--n", type=_int_at_least(2), default=None,
                        help="skewgroup: group order override (alpha=gamma=0 assumed)")
 
-    p_rep = sub.add_parser("report", help="full verification suite for one config")
+    p_rep = add_parser("report", help="full verification suite for one config")
     common(p_rep)
     p_rep.add_argument("--trials", type=_int_at_least(1), default=100,
                        help="accepted and ignored: pwd and gwa are proved, not sampled")
@@ -552,7 +565,15 @@ def main(argv=None) -> int:
     global _PARSER
     if _PARSER is None:
         _PARSER = _build_parser()
-    args = _PARSER.parse_args(argv)
+    argv = sys.argv[1:] if argv is None else argv
+    sub = _PARSER.commands.get(argv[0]) if argv else None
+    if sub is None:
+        args = _PARSER.parse_args(argv)
+    else:
+        # What the top-level parser would do with this argv, minus its scan.
+        args, extra = sub.parse_known_args(argv[1:], argparse.Namespace(command=argv[0]))
+        if extra:
+            _PARSER.error(f"unrecognized arguments: {' '.join(extra)}")
     command = args.command if args.command != "verify" else f"verify {args.what}"
     try:
         verdict, findings = _DISPATCH[args.command](args)

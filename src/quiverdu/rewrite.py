@@ -83,9 +83,6 @@ class RewriteRule:
             if not term_order_greater(self.lhs, p):
                 raise ValueError("rule is not oriented by the term order")
 
-    def as_relation(self) -> Element:
-        return Element.from_path(self.lhs) - self.rhs
-
 
 class ReductionSystem:
     """Rules as specs ``(source, lhs, ((rhs word, coefficient), ...))``, words as tuples of codes.

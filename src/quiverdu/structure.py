@@ -272,11 +272,6 @@ class DiagonalMapSpec:
         L = lcm(*(den for _, _, den in terms))
         return L, {key: c * (L // den) for key, c, den in terms}  # the map is injective on paths
 
-    def apply(self, a: Element) -> Element:
-        den, row = _codec(self.n).row(a)
-        L, image = self.map_row(row)
-        return _codec(self.n).decode(den * L, image)
-
 
 def paper_nakayama(params: Parameters) -> DiagonalMapSpec:
     """u_i -> -beta_{i-1}^{-1} u_i and d_i -> -beta_{i-1}^{-1} d_i."""

@@ -1,5 +1,6 @@
 import json
 import re
+import warnings
 from fractions import Fraction
 
 import pytest
@@ -50,6 +51,10 @@ def test_parse_config_errors():
         parse_config('{"n":0,"alpha":[],"beta":[],"gamma":[]}')
     with pytest.raises(ConfigError, match="invalid JSON"):
         parse_config("{nope}")
+    with pytest.raises(ConfigError, match="^field 'gamma': expected an array$"):
+        parse_config('{"n":1,"alpha":["0"],"beta":["1"]}')
+    with pytest.raises(ConfigError, match="^field 'beta': expected an array$"):
+        parse_config('{"n":1,"alpha":["0"],"beta":"1","gamma":["0"]}')
 
 
 def fraction_parser(value):
@@ -339,6 +344,46 @@ def test_json_determinism(tmp_path, capsys):
 
 def test_missing_config_is_input_error(capsys):
     assert main(["confluence", "/nonexistent/config.json", "--json"]) == 2
+
+
+CONFIG_TEXT = '{"n": 3, "alpha": ["0", "0", "0"], "beta": ["1", "1", "1"], "gamma": ["0", "0", "0"]}'
+
+
+# name: (bytes, exit code, stderr message); the messages are those of a
+# config read in text mode with universal newlines.
+CONFIG_READS = {
+    "crlf.json": (CONFIG_TEXT.replace(", ", ",\r\n").encode(), 0, None),
+    "lone_cr.json": (b'{"n": 3,\r "alpha": ["0", "0", "0"],\r "beta": [1 1]}', 2,
+                     "invalid JSON at line 3, column 13: Expecting ',' delimiter"),
+    "crlf_cr.json": (b'{"n": 3,\r\n "alpha": ["0"],\r\n\r "beta": [1 1]}', 2,
+                     "invalid JSON at line 4, column 13: Expecting ',' delimiter"),
+    "bom.json": (b"\xef\xbb\xbf" + CONFIG_TEXT.encode(), 2,
+                 "invalid JSON at line 1, column 1: Unexpected UTF-8 BOM (decode using utf-8-sig)"),
+    "bad_byte.json": (b'{"n": 3, "alpha": ["\xff"]}', 2,
+                      "'utf-8' codec can't decode byte 0xff in position 20: invalid start byte"),
+    "cut_char.json": (b'{"n": 3, "alpha": ["\xe2\x82', 2,
+                      "'utf-8' codec can't decode bytes in position 20-21: unexpected end of data"),
+    "empty.json": (b"", 2, "invalid JSON at line 1, column 1: Expecting value"),
+    "a_directory": (None, 2, "cannot read config {path}: [Errno 21] Is a directory: {path!r}"),
+    "missing.json": (None, 2, "cannot read config {path}: [Errno 2] No such file or directory: {path!r}"),
+}
+
+
+@pytest.mark.parametrize("name", CONFIG_READS)
+def test_config_read_edge_cases(tmp_path, capsys, name):
+    content, code, message = CONFIG_READS[name]
+    path = str(tmp_path / name)
+    if content is not None:
+        (tmp_path / name).write_bytes(content)
+    elif name == "a_directory":
+        (tmp_path / name).mkdir()
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # a warning would reach stderr at the command line
+        assert main(["confluence", path]) == code
+    captured = capsys.readouterr()
+    assert captured.err == ("" if message is None else f"error: {message.format(path=path)}\n")
+    if message is None:
+        assert "verdict: pass" in captured.out
 
 
 def test_bad_element_is_input_error(tmp_path, capsys):

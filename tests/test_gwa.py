@@ -10,6 +10,7 @@ from quiverdu.gwa import (sigma_is_automorphism, theta, theta_checks, theta_prim
                           verify_gwa)
 from quiverdu.rewrite import PRESET_QDU, build_system, normal_form
 from quiverdu.structure import property_report, pwd_proof_H
+from helpers import relation
 from test_gwa_reference import as_gwa_element, as_oracle, coded, decoded, kernel_sigma, oracle_of
 
 
@@ -149,7 +150,7 @@ def test_theta_on_generators_and_relations():
     assert theta(p, du) == as_gwa_element(n, {0: {(1, 0, 1): 1}})  # y_1
     sys = build_system(PRESET_QDU, p)
     for rule in sys.rules:
-        assert theta(p, rule.as_relation()).is_zero()
+        assert theta(p, relation(rule)).is_zero()
 
 
 def test_theta_requires_nonzero_beta():

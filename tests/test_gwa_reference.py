@@ -35,6 +35,7 @@ from quiverdu import cli, gwa
 from quiverdu.core import Element, Parameters, path_from_word
 from quiverdu.gwa import (BaseElement, GwaElement, _gwa_table, _shift_table, sigma_is_automorphism, theta,
                           verify_gwa)
+from helpers import relation
 from test_oracle import names
 
 
@@ -186,7 +187,7 @@ def test_coded_theta_matches_generator_at_a_time_reference(n):
             word = "".join(rng.choice("ud") for _ in range(rng.randint(0, 9)))
             terms[path_from_word(n, rng.randrange(n), word)] = rational()
         t = oracle_of(params)
-        for a in (Element(n, terms), *(rule.as_relation() for rule in
+        for a in (Element(n, terms), *(relation(rule) for rule in
                                         gwa.build_system(gwa.PRESET_QDU, params).rules)):
             assert as_oracle(theta(params, a)) == t.theta({(p.source, names(p)): c for p, c in a.terms.items()})
 

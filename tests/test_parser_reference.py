@@ -6,9 +6,12 @@ for each argv by ``cli._build_parser``: on valid argv both must give equal
 Namespaces, and on bad argv the same ``SystemExit`` code and the same
 stderr.  The argv reaches ``main``'s parser through the real ``main``, with
 each command handler replaced by a recorder of the Namespace it gets.
-Calls in a row must not leak state into each other, the parser is built at
-most once however often ``main`` runs, and importing ``quiverdu.cli``
-builds none.
+``main`` sends argv that starts with a command name straight to that
+command's subparser and any other argv to the top-level parser, so the
+corpora hold both kinds, and each bad argv also reaches ``main`` as the
+console script passes it, through ``sys.argv``.  Calls in a row must
+not leak state into each other, the parser is built at most once however
+often ``main`` runs, and importing ``quiverdu.cli`` builds none.
 """
 
 import json
@@ -46,6 +49,10 @@ VALID = [
     ["verify", "noetherian", CFG, "--max-degree", "0"],
     ["report", CFG],
     ["report", CFG, "--trials", "5", "--json", "--seed", "9"],
+    ["hilbert", CFG, "--max-deg", "2"],
+    ["basis", CFG, "--deg=3"],
+    ["nf", CFG, "--", "-1 * d0"],
+    ["confluence", "--", CFG],
 ]
 
 # Each exits through argparse: with code 2 and a usage error on stderr, or
@@ -71,6 +78,13 @@ EXITS = [
     ["--version"],
     ["--help"],
     ["verify", "--help"],
+    ["nf", "-h"],
+    ["verify", "skewgroup", "--help"],
+    ["confluence", CFG, "--bogus"],
+    ["confluence", CFG, "extra", "--json", "more"],
+    ["nf", CFG, "1 * d0", "--version"],
+    ["--json", "nf", CFG, "1 * d0"],
+    ["ver", "pwd", CFG],
 ]
 
 
@@ -130,13 +144,33 @@ def test_defaults_are_the_documented_ones(recorded, capsys):
 
 
 @pytest.mark.parametrize("argv", EXITS, ids=lambda argv: " ".join(argv) or "(empty)")
-def test_exits_match_a_fresh_parser(argv, recorded, capsys):
+def test_exits_match_a_fresh_parser(argv, recorded, monkeypatch, capsys):
     expected = fresh_exit(argv, capsys)
     assert expected[0] in (0, 2)
     assert main_exit(argv, capsys) == expected
     # And again, now that the shared parser has already failed once.
     assert main_exit(argv, capsys) == expected
+    # And as the console script calls it, with argv None.
+    monkeypatch.setattr(sys, "argv", ["quiverdu", *argv])
+    assert main_exit(None, capsys) == expected
     assert not recorded
+
+
+def test_argv_goes_to_the_top_level_parser_only_without_a_command(recorded, monkeypatch, capsys):
+    # Argv that starts with a command name goes straight to its subparser;
+    # everything else still goes through the top-level parser.
+    cli.main(["confluence", CFG])
+    top_level = []
+    parse_args = cli._PARSER.parse_args
+    monkeypatch.setattr(cli._PARSER, "parse_args", lambda argv: top_level.append(argv) or parse_args(argv))
+    for argv in VALID:
+        cli.main(argv)
+    assert not top_level and len(recorded) == len(VALID) + 1
+    for argv in EXITS:
+        with pytest.raises(SystemExit):
+            cli.main(argv)
+    assert top_level == [argv for argv in EXITS if not argv or argv[0] not in cli._DISPATCH]
+    capsys.readouterr()
 
 
 def test_no_state_leaks_between_calls(recorded, capsys):

@@ -28,6 +28,7 @@ from quiverdu.rewrite import (
 )
 from quiverdu.skewgroup import GRADED_DOWN_UP
 import oracle
+from helpers import relation
 from oracle import shape
 
 
@@ -234,7 +235,7 @@ def test_is_zero_in_quotient():
     shared = build_system(PRESET_QDU, params)
     # A private system: the shared one may have been verified already.
     sys = ReductionSystem(shared.n, shared.rules, shared.preset, shared.params)
-    rel = next(r for r in sys.rules if str(r.lhs) == "d0.d2.u2").as_relation()
+    rel = relation(next(r for r in sys.rules if str(r.lhs) == "d0.d2.u2"))
     assert not sys.verified
     assert ensure_confluent(sys) is sys and sys.verified
     assert normal_form(sys, rel).is_zero()
