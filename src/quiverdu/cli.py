@@ -17,6 +17,15 @@ the top-level parser's ``error``; any other argv (empty, ``-h``,
 ``--version``, an unknown command) goes to the top-level parser.  A config
 is read in one binary read, decoded as UTF-8, with ``\r\n`` and lone
 ``\r`` read as ``\n`` as in text mode.
+
+``verify`` and ``report`` read one table, ``_SECTIONS``: ``report`` runs
+confluence, hilbert, preprojective and factorization_identity, then every
+``verify`` section whose requirements hold.  The two differ only in shape:
+the noetherian section's ``report`` key is ``noetherian_chain``; ``verify
+gwa`` adds ``pwd: {failures}``; ``properties`` has ``witnesses`` under
+``verify`` and ``checks_passed`` under ``report``; ``report`` echoes the
+skew-group ``max_degree`` 3 and ``verify`` 4 by default; and ``--n`` lifts
+only the skew-group requirements.
 """
 
 from __future__ import annotations
@@ -149,7 +158,34 @@ def _closed_form_findings(report: ClosedFormReport) -> dict:
     return out
 
 
-def _superpotential_findings(params: Parameters) -> tuple[bool, dict]:
+def _proof_findings(report) -> dict:
+    return {
+        "theta_prime_is_homomorphism": report.homomorphism.ok,
+        "sigma_is_automorphism": report.automorphism.ok,
+    }
+
+
+# ---------------------------------------------------------------------------
+# Sections: one row per ``verify`` target, read by ``verify`` and ``report``
+# ---------------------------------------------------------------------------
+# Each section's check takes the parameters, the ``--n`` override (None when
+# not given) and the echoed ``max_degree``, and returns its verdict, its
+# findings under ``report`` and its findings under ``verify``.  Only the
+# skew-group check reads the last two; the others drop them.
+
+def _gwa_findings(params: Parameters, *_) -> tuple[bool, dict, dict]:
+    report = verify_gwa(params)
+    findings = {
+        "relations_killed": report.relations_killed,
+        "roundtrip_arrows": report.roundtrip_arrows,
+        "roundtrip_base": report.roundtrip_base,
+        "grading": report.grading_ok,
+        **_proof_findings(report),
+    }
+    return report.ok, findings, {**findings, "pwd": {"failures": report.pwd_failures}}
+
+
+def _superpotential_findings(params: Parameters, *_) -> tuple[bool, dict, dict]:
     sections = {}
     unit_beta = all(b * b == 1 for b in params.beta)
     for name, weights in (("printed", paper_twist_weights(params)),
@@ -173,10 +209,10 @@ def _superpotential_findings(params: Parameters) -> tuple[bool, dict]:
     printed_pass = (sections["printed"]["twist_invariant"]
                     and sections["printed"]["span_matches_relations"])
     ok = balanced_ok and (printed_pass == unit_beta)
-    return ok, sections
+    return ok, sections, sections
 
 
-def _nakayama_findings(params: Parameters) -> tuple[bool, dict]:
+def _nakayama_findings(params: Parameters, *_) -> tuple[bool, dict, dict]:
     squares = {b * b for b in params.beta}
     printed_expected = len(squares) == 1
     printed = check_diagonal_map(paper_nakayama(params), params, params)
@@ -189,11 +225,25 @@ def _nakayama_findings(params: Parameters) -> tuple[bool, dict]:
         },
     }
     ok = derived.ok and (printed.ok == printed_expected)
-    return ok, findings
+    return ok, findings, findings
 
 
-def _chain_findings(report) -> dict:
-    return {
+def _pwd_findings(params: Parameters, *_) -> tuple[bool, dict, dict]:
+    report = pwd_proof_H(params)
+    findings = {
+        "beta_nonzero": report.beta_nonzero,
+        "zero_products": int(report.counterexample is not None),
+    }
+    if report.gwa is not None:
+        findings.update(_proof_findings(report.gwa))
+    if report.counterexample is not None:
+        findings["counterexample"] = {"left": report.counterexample[0], "right": report.counterexample[1]}
+    return report.ok, findings, findings
+
+
+def _noetherian_findings(params: Parameters, *_) -> tuple[bool, dict, dict]:
+    report = noetherian_chain_check(params, s_max=2)  # at the first i with beta_i = 0
+    findings = {
         "vertex": report.vertex,
         "s_max": report.s_max,
         "generator": report.generator,
@@ -202,39 +252,26 @@ def _chain_findings(report) -> dict:
         "strict_inclusions": {str(s): strict for s, strict in report.strict_inclusions},
         "support_pattern": report.support_pattern_ok,
     }
+    return report.ok, findings, findings
 
 
-def _pwd_findings(report) -> dict:
-    out = {
+def _properties_findings(params: Parameters, *_) -> tuple[bool, dict, dict]:
+    report = property_report(params)
+    findings = {
         "beta_nonzero": report.beta_nonzero,
-        "zero_products": int(report.counterexample is not None),
+        "noetherian": report.noetherian,
+        "piecewise_domain": report.pwd,
+        "polynomial_subalgebra": report.polynomial_subalgebra,
     }
-    if report.gwa is not None:
-        out.update(_proof_findings(report.gwa))
-    if report.counterexample is not None:
-        out["counterexample"] = {"left": report.counterexample[0], "right": report.counterexample[1]}
-    return out
+    return (report.checks_passed, {**findings, "checks_passed": report.checks_passed},
+            {**findings, "witnesses": report.witnesses})
 
 
-def _gwa_findings(report) -> dict:
-    return {
-        "relations_killed": report.relations_killed,
-        "roundtrip_arrows": report.roundtrip_arrows,
-        "roundtrip_base": report.roundtrip_base,
-        "grading": report.grading_ok,
-        **_proof_findings(report),
-    }
-
-
-def _proof_findings(report) -> dict:
-    return {
-        "theta_prime_is_homomorphism": report.homomorphism.ok,
-        "sigma_is_automorphism": report.automorphism.ok,
-    }
-
-
-def _skewgroup_findings(report) -> dict:
-    return {
+def _skewgroup_findings(params: Parameters, n: int | None, max_degree: int) -> tuple[bool, dict, dict]:
+    # With --n the group order alone is given: alpha = gamma = 0 is assumed.
+    report = verify_quotient_match(_group_order(params, n), params if n is None else None,
+                                   max_degree=max_degree)
+    findings = {
         "n": report.n,
         "max_degree": report.max_degree,
         "idempotents": report.idempotents_ok,
@@ -243,6 +280,39 @@ def _skewgroup_findings(report) -> dict:
         "relations_killed_by_beta": {str(c): v for c, v in sorted(report.relation_kill.items())},
         "dimensions_match": report.dimensions_ok,
     }
+    return report.ok, findings, findings
+
+
+def _group_order(params: Parameters, n: int | None) -> int:
+    return params.n if n is None else n
+
+
+# A requirement is (the refusal of ``verify {}``, its test on the parameters
+# and the ``--n`` override).  ``verify`` refuses at the first one that fails;
+# ``report``, which has no ``--n``, leaves out each section with one that
+# fails.  Only the skew-group requirements read ``--n``; the cap on n keeps
+# the wording of ``verify_quotient_match``'s own refusal.
+_BETA_NONZERO = ("verify {} requires all beta_i nonzero", lambda p, n: p.beta_all_nonzero())
+_GAMMA_ZERO = ("verify {} requires gamma = 0", lambda p, n: p.gamma_is_zero())
+_SOME_BETA_ZERO = ("verify {} requires some beta_i = 0", lambda p, n: not p.beta_all_nonzero())
+_SKEW_GROUP = (
+    ("verify {} requires alpha = gamma = 0 (or pass --n)",
+     lambda p, n: n is not None or (not any(p.alpha) and p.gamma_is_zero())),
+    ("verify {} requires n >= 2", lambda p, n: _group_order(p, n) >= 2),
+    ("n capped at 12 for cyclotomic checks", lambda p, n: _group_order(p, n) <= 12),
+)
+
+# verify target -> (its key under ``report``, its requirements, its check),
+# in the order ``verify`` lists its choices and ``report`` runs them.
+_SECTIONS = {
+    "gwa": ("gwa", (_BETA_NONZERO,), _gwa_findings),
+    "superpotential": ("superpotential", (_BETA_NONZERO, _GAMMA_ZERO), _superpotential_findings),
+    "nakayama": ("nakayama", (_BETA_NONZERO, _GAMMA_ZERO), _nakayama_findings),
+    "pwd": ("pwd", (), _pwd_findings),
+    "noetherian": ("noetherian_chain", (_SOME_BETA_ZERO,), _noetherian_findings),
+    "properties": ("properties", (), _properties_findings),
+    "skewgroup": ("skewgroup", _SKEW_GROUP, _skewgroup_findings),
+}
 
 
 # ---------------------------------------------------------------------------
@@ -340,67 +410,17 @@ def _witness_arrow_map(w) -> dict:
 
 
 def _cmd_verify(args) -> tuple[str, dict]:
-    cfg = load_config(args.config)
-    params = cfg.to_parameters()
-    what = args.what
-    if what == "gwa":
-        if not params.beta_all_nonzero():
-            raise ConfigError("verify gwa requires all beta_i nonzero")
-        report = verify_gwa(params)
-        findings = {**_gwa_findings(report), "pwd": {"failures": report.pwd_failures}}
-        return ("pass" if report.ok else "fail"), findings
-    if what == "superpotential":
-        if not params.beta_all_nonzero():
-            raise ConfigError("verify superpotential requires all beta_i nonzero")
-        if not params.gamma_is_zero():
-            raise ConfigError("verify superpotential requires gamma = 0")
-        ok, findings = _superpotential_findings(params)
-        return ("pass" if ok else "fail"), findings
-    if what == "nakayama":
-        if not params.beta_all_nonzero():
-            raise ConfigError("verify nakayama requires all beta_i nonzero")
-        if not params.gamma_is_zero():
-            raise ConfigError("verify nakayama requires gamma = 0")
-        ok, findings = _nakayama_findings(params)
-        return ("pass" if ok else "fail"), findings
-    if what == "pwd":
-        report = pwd_proof_H(params)
-        return ("pass" if report.ok else "fail"), _pwd_findings(report)
-    if what == "noetherian":
-        bad = next((i for i in range(params.n) if params.beta[i] == 0), None)
-        if bad is None:
-            raise ConfigError("verify noetherian requires some beta_i = 0")
-        report = noetherian_chain_check(params, i=bad, s_max=2)
-        return ("pass" if report.ok else "fail"), _chain_findings(report)
-    if what == "properties":
-        report = property_report(params)
-        findings = {
-            "beta_nonzero": report.beta_nonzero,
-            "noetherian": report.noetherian,
-            "piecewise_domain": report.pwd,
-            "polynomial_subalgebra": report.polynomial_subalgebra,
-            "witnesses": report.witnesses,
-        }
-        return ("pass" if report.checks_passed else "fail"), findings
-    if what == "skewgroup":
-        n = params.n if args.n is None else args.n
-        if args.n is None:
-            if any(a != 0 for a in params.alpha) or not params.gamma_is_zero():
-                raise ConfigError("verify skewgroup requires alpha = gamma = 0 (or pass --n)")
-            sk_params = params
-        else:
-            sk_params = None
-        if n < 2:
-            raise ConfigError("verify skewgroup requires n >= 2")
-        max_degree = 4 if args.max_degree is None else args.max_degree
-        report = verify_quotient_match(n, sk_params, max_degree=max_degree)
-        return ("pass" if report.ok else "fail"), _skewgroup_findings(report)
-    raise ConfigError(f"unknown verify target {what!r}")
+    params = load_config(args.config).to_parameters()
+    _, requirements, check = _SECTIONS[args.what]
+    for refusal, holds in requirements:
+        if not holds(params, args.n):
+            raise ConfigError(refusal.format(args.what))
+    ok, _, findings = check(params, args.n, 4 if args.max_degree is None else args.max_degree)
+    return ("pass" if ok else "fail"), findings
 
 
 def _cmd_report(args) -> tuple[str, dict]:
     params = load_config(args.config).to_parameters()
-    n = params.n
     sections: dict = {}
     oks: list[bool] = []
 
@@ -414,43 +434,14 @@ def _cmd_report(args) -> tuple[str, dict]:
     pre_check = closed_form_check(params, 8, preset=PRESET_PREPROJECTIVE)
     sections["preprojective"] = _closed_form_findings(pre_check)
     oks.append(pre_check.ok)
-    fact = factorization_identity(n)
+    fact = factorization_identity(params.n)
     sections["factorization_identity"] = fact
     oks.append(fact)
 
-    props = property_report(params)
-    sections["properties"] = {
-        "beta_nonzero": props.beta_nonzero,
-        "noetherian": props.noetherian,
-        "piecewise_domain": props.pwd,
-        "polynomial_subalgebra": props.polynomial_subalgebra,
-        "checks_passed": props.checks_passed,
-    }
-    oks.append(props.checks_passed)
-
-    if params.beta_all_nonzero():
-        gwa = verify_gwa(params)
-        sections["gwa"] = _gwa_findings(gwa)
-        oks.append(gwa.ok)
-        if params.gamma_is_zero():
-            sp_ok, sp = _superpotential_findings(params)
-            sections["superpotential"] = sp
-            oks.append(sp_ok)
-            nk_ok, nk = _nakayama_findings(params)
-            sections["nakayama"] = nk
-            oks.append(nk_ok)
-    else:
-        chain = noetherian_chain_check(params, s_max=2)
-        sections["noetherian_chain"] = _chain_findings(chain)
-        oks.append(chain.ok)
-    pwd = pwd_proof_H(params)
-    sections["pwd"] = _pwd_findings(pwd)
-    oks.append(pwd.ok)
-
-    if (2 <= n <= 12 and all(a == 0 for a in params.alpha) and params.gamma_is_zero()):
-        sk = verify_quotient_match(n, params, max_degree=3)
-        sections["skewgroup"] = _skewgroup_findings(sk)
-        oks.append(sk.ok)
+    for key, requirements, check in _SECTIONS.values():
+        if all(holds(params, None) for _, holds in requirements):
+            ok, sections[key], _ = check(params, None, 3)  # the skew-group bound echoed is 3
+            oks.append(ok)
 
     return ("pass" if all(oks) else "fail"), sections
 
@@ -516,8 +507,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p_iso.add_argument("--other", required=True, help="path to the second config")
 
     p_ver = add_parser("verify", help="run one verification suite")
-    p_ver.add_argument("what", choices=[
-        "gwa", "superpotential", "nakayama", "pwd", "noetherian", "properties", "skewgroup"])
+    p_ver.add_argument("what", choices=list(_SECTIONS))
     common(p_ver)
     p_ver.add_argument("--trials", type=_int_at_least(1), default=200,
                        help="accepted and ignored: pwd and gwa are proved, not sampled")

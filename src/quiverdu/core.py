@@ -187,10 +187,10 @@ class Combination:
     """A finite linear combination: a map from keys to nonzero coefficients.
 
     Subclasses fix the key type and the coefficient ring through
-    ``_entry`` and keep only their named constructors, their product and
-    their printing.  Values are immutable: every operation builds a new
-    value and never touches the operands' term maps, so results may be
-    shared.
+    ``_entry`` and keep only their named constructors, their product and,
+    for ``Element``, its printing.  Values are immutable: every operation
+    builds a new value and never touches the operands' term maps, so
+    results may be shared.
     Zero coefficients are stripped eagerly, so two values are equal iff
     their term maps are equal.
     """
@@ -363,9 +363,6 @@ class Element(Combination):
 
     def degrees(self) -> set[int]:
         return {p.length for p in self.terms}
-
-    def max_degree(self) -> int:
-        return max((p.length for p in self.terms), default=0)
 
     def __str__(self) -> str:
         return format_element(self)

@@ -67,22 +67,6 @@ class BaseElement(Combination):
             raise ValueError("bad base monomial")
         return key, Fraction(coeff)
 
-    def __str__(self) -> str:
-        if not self.terms:
-            return "0"
-        bits = []
-        for (v, a, b) in sorted(self.terms):
-            c = self.terms[(v, a, b)]
-            mono = []
-            if a:
-                mono.append(f"x{v}" + (f"^{a}" if a > 1 else ""))
-            if b:
-                mono.append(f"y{v}" + (f"^{b}" if b > 1 else ""))
-            if not mono:
-                mono.append(f"e{v}")
-            bits.append(f"{c}*{'*'.join(mono)}" if c != 1 else "*".join(mono))
-        return " + ".join(bits)
-
 
 # ---------------------------------------------------------------------------
 # Products on coded values of R
@@ -214,19 +198,6 @@ class GwaElement(Combination):
         if r.n != n:
             raise ValueError("coefficient over wrong n")
         return m, r
-
-    def __str__(self) -> str:
-        if not self.terms:
-            return "0"
-        bits = []
-        for m in sorted(self.terms):
-            r = self.terms[m]
-            if m == 0:
-                bits.append(f"({r})")
-            else:
-                gen = "X+" if m > 0 else "X-"
-                bits.append(f"({r})*{gen}^{abs(m)}")
-        return " + ".join(bits)
 
 
 def _gwa_table(params: Parameters) -> _ShiftTable:

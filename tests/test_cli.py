@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import re
 import warnings
@@ -5,9 +6,9 @@ from fractions import Fraction
 
 import pytest
 
-from quiverdu import cli, rewrite
-from quiverdu.cli import ConfigError, main, parse_config
-from quiverdu.core import Parameters, path_from_word
+from quiverdu import cli, hilbert, rewrite
+from quiverdu.cli import ConfigError, load_config, main, parse_config
+from quiverdu.core import Parameters, adjacency_matrix, path_from_word
 
 
 def write_config(tmp_path, name="config.json", n=3, alpha=None, beta=None, gamma=None):
@@ -173,6 +174,40 @@ def test_hilbert_check(tmp_path, capsys):
     assert "note" in report["findings"]
 
 
+@pytest.mark.parametrize("preset, name", [("qdu", rewrite.PRESET_QDU),
+                                          ("preprojective", rewrite.PRESET_PREPROJECTIVE)])
+def test_hilbert_without_check_lists_the_counted_matrices(tmp_path, capsys, preset, name):
+    cfg = write_config(tmp_path, alpha=["2", "1/2", "5"], beta=["7", "-3/2", "13"], gamma=["1", "2", "1/3"])
+    code, report = run_json(capsys, ["hilbert", cfg, "--max-degree", "5", "--preset", preset, "--json"])
+    matrices = rewrite.dimension_matrices(rewrite.build_system(name, load_config(cfg).params, n=3), 5)
+    assert code == 0 and report["verdict"] == "pass"
+    assert report["findings"] == {"preset": name, "max_degree": 5, "matrices": matrices,
+                                  "totals": [sum(map(sum, m)) for m in matrices]}
+
+
+def test_hilbert_check_names_the_first_mismatch(tmp_path, capsys, monkeypatch):
+    # With the sign of t^3 flipped the series has M^3 + M at degree 3 where
+    # the counts give M^3 - M: the first arrow (i, j) is off by 2.
+    original = hilbert.qdu_denominator
+
+    def flipped(n):
+        denominator = original(n)
+        denominator[3] = hilbert.mat_scale(-1, denominator[3])
+        return denominator
+
+    monkeypatch.setattr(hilbert, "qdu_denominator", flipped)
+    cfg = write_config(tmp_path)
+    code, report = run_json(capsys, ["hilbert", cfg, "--max-degree", "5", "--check", "--json"])
+    assert code == 1 and report["verdict"] == "fail"
+    m = adjacency_matrix(3)
+    i, j = next((a, b) for a in range(3) for b in range(3) if m[a][b])
+    system = rewrite.build_system(rewrite.PRESET_QDU, load_config(cfg).params)
+    got = rewrite.dimension_matrices(system, 3)[3][i][j]
+    assert report["findings"]["matrices_match"] is False
+    assert report["findings"]["first_mismatch"] == {"degree": 3, "row": i, "col": j,
+                                                    "expected": got + 2, "got": got}
+
+
 def test_iso_command(tmp_path, capsys):
     cfg1 = write_config(tmp_path, "a.json")
     cfg2 = write_config(tmp_path, "b.json", beta=["2", "1", "1/2"])
@@ -262,6 +297,47 @@ def test_verify_refusals(tmp_path, capsys, what, config, extra, message):
     assert (captured.out, captured.err) == ("", f"error: {message}\n")
 
 
+# Each requirement of the section table, a config that fails it, and the
+# refusal of ``verify``; ``report`` on that config leaves the section out.
+# ``--n`` lifts the skew-group requirement on the parameters only.
+OUT_OF_SCOPE = [
+    ("gwa", "gwa", BETA0, ["--n", "3"], "verify gwa requires all beta_i nonzero"),
+    ("superpotential", "superpotential", BETA0, [], "verify superpotential requires all beta_i nonzero"),
+    ("superpotential", "superpotential", GAMMA, ["--n", "3"], "verify superpotential requires gamma = 0"),
+    ("nakayama", "nakayama", GAMMA, [], "verify nakayama requires gamma = 0"),
+    ("noetherian", "noetherian_chain", {}, ["--n", "3"], "verify noetherian requires some beta_i = 0"),
+    ("skewgroup", "skewgroup", ALPHA, [], "verify skewgroup requires alpha = gamma = 0 (or pass --n)"),
+    ("skewgroup", "skewgroup", GAMMA, [], "verify skewgroup requires alpha = gamma = 0 (or pass --n)"),
+    ("skewgroup", "skewgroup", {"n": 1}, [], "verify skewgroup requires n >= 2"),
+    ("skewgroup", "skewgroup", {"n": 13}, [], "n capped at 12 for cyclotomic checks"),
+]
+
+
+@pytest.mark.parametrize("what, key, config, extra, message", OUT_OF_SCOPE)
+def test_a_section_out_of_scope_is_refused_by_verify_and_left_out_of_report(
+        tmp_path, capsys, what, key, config, extra, message):
+    cfg = write_config(tmp_path, **config)
+    assert main(["verify", what, cfg, "--json", *extra]) == 2
+    captured = capsys.readouterr()
+    assert (captured.out, captured.err) == ("", f"error: {message}\n")
+    code, report = run_json(capsys, ["report", cfg, "--json"])
+    assert code == 0 and key not in report["findings"]
+
+
+def test_every_section_with_requirements_has_an_out_of_scope_case():
+    assert {what for what, (_, requirements, _) in cli._SECTIONS.items() if requirements} == {
+        case[0] for case in OUT_OF_SCOPE}
+
+
+@pytest.mark.parametrize("n", [2, 12])
+def test_skewgroup_runs_at_the_edges_of_its_order(tmp_path, capsys, n):
+    cfg = write_config(tmp_path, n=n, beta=["-1"] * n)
+    code, report = run_json(capsys, ["verify", "skewgroup", cfg, "--json"])
+    assert code == 0 and report["findings"]["n"] == n and report["findings"]["max_degree"] == 4
+    code, report = run_json(capsys, ["report", cfg, "--json"])
+    assert code == 0 and report["findings"]["skewgroup"]["max_degree"] == 3
+
+
 def test_verify_skewgroup_refuses_n_1_as_an_argument(tmp_path, capsys):
     cfg = write_config(tmp_path, **ALPHA)
     with pytest.raises(SystemExit) as raised:
@@ -280,6 +356,32 @@ def test_verify_superpotential_and_nakayama(tmp_path, capsys):
     code, report = run_json(capsys, ["verify", "nakayama", cfg, "--json"])
     assert code == 0
     assert report["findings"]["derived"]["preserves_relations"] is True
+
+
+@pytest.mark.parametrize("what, name, failing_call", [
+    ("superpotential", "check_derivation_quotient", 0),  # the printed superpotential's span
+    ("superpotential", "check_derivation_quotient", 1),  # the balanced superpotential's span
+    ("nakayama", "check_diagonal_map", 1),  # the derived Nakayama map
+])
+def test_one_failed_relation_check_fails_its_section(tmp_path, capsys, monkeypatch, what, name, failing_call):
+    # With every beta_i = -1 the printed checks are expected to pass too, so
+    # each check the verdict reads must hold for the section to pass.
+    real, calls = getattr(cli, name), []
+
+    def failing(*args):
+        result = real(*args)
+        calls.append(name)
+        if len(calls) - 1 != failing_call:
+            return result
+        return False if isinstance(result, bool) else dataclasses.replace(result, ok=False)
+
+    monkeypatch.setattr(cli, name, failing)
+    cfg = write_config(tmp_path, beta=["-1"] * 3)
+    code, report = run_json(capsys, ["verify", what, cfg, "--json"])
+    assert code == 1 and report["verdict"] == "fail"
+    calls.clear()
+    code, report = run_json(capsys, ["report", cfg, "--json"])
+    assert code == 1 and report["verdict"] == "fail"
 
 
 def test_verify_nakayama_refuses_nonzero_gamma(tmp_path, capsys):

@@ -3,7 +3,7 @@ from fractions import Fraction
 
 import pytest
 
-from quiverdu import rewrite
+from quiverdu import iso, rewrite
 from quiverdu.core import Arrow, Element, Parameters, Path, path_from_word
 from quiverdu.iso import (
     REFLECTION,
@@ -353,3 +353,33 @@ def test_decide_refuses_gamma_on_one_side_only():
     for p, q in ((graded, ungraded), (ungraded, graded)):
         verdict = decide_graded_iso(p, q)
         assert verdict.kind == "unsupported" and "gamma" in verdict.detail
+
+
+# The golden corpus's iso/reflection-shift2 pair, isomorphic there: only
+# the reflection case of shift 2 solves its ratio system, so it alone
+# reaches the two re-checks.
+REFLECT_P = Parameters.of(4, [2, Fraction(-1, 3), 5, 1], [3, -2, Fraction(1, 2), 7], [0] * 4)
+REFLECT_Q = Parameters.of(4, [Fraction(1, 9), Fraction(-1, 3), Fraction(-1, 35), 150],
+                          [Fraction(1, 6), Fraction(1, 30), Fraction(-3, 7), 20], [0] * 4)
+
+
+def test_a_wrong_solved_lambda_is_refused(monkeypatch):
+    solve = iso.solve_ratio_system
+
+    def doubled_first(constraints, n):
+        solved = solve(constraints, n)
+        return solved if isinstance(solved, RatioInconsistency) else (2 * solved[0], *solved[1:])
+
+    monkeypatch.setattr(iso, "solve_ratio_system", doubled_first)
+    verdict = decide_graded_iso(REFLECT_P, REFLECT_Q)
+    assert verdict.kind == "not_isomorphic" and verdict.witness is None
+    reason = "solved lambda does not reproduce target"
+    assert [(c.orientation, c.shift) for c in verdict.cases if c.reason == reason] == [(REFLECTION, 2)]
+
+
+def test_a_witness_that_fails_the_relations_is_refused(monkeypatch):
+    monkeypatch.setattr(iso, "verify_witness", lambda w, p, q: False)
+    verdict = decide_graded_iso(REFLECT_P, REFLECT_Q)
+    assert verdict.kind == "not_isomorphic" and verdict.witness is None
+    reason = "witness failed relation verification"
+    assert [(c.orientation, c.shift) for c in verdict.cases if c.reason == reason] == [(REFLECTION, 2)]

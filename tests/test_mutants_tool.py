@@ -122,6 +122,25 @@ def test_augmented_assignments_are_mutated(tmp_path):
         assert namespace["toy"](3, 2) != -15, m["key"]
 
 
+# A module-level table of lambdas, with one comparison and no other site.
+TABLE = '''
+LIMIT = 9
+TABLE = {"small": lambda a: a < LIMIT}
+'''
+
+
+def test_a_module_level_table_is_mutated_and_can_be_removed(tmp_path):
+    root = checkout(tmp_path / "parent", TABLE)
+    found = mutants.enumerate_mutants(root, ["toy:TABLE"])
+    assert [(m["operator"], m["original"], m["mutant"], m["line"]) for m in found] == [
+        ("comparison", "a < LIMIT", "a <= LIMIT", 0)]
+    namespace: dict = {}
+    exec(mutants.mutated_source(root, found[0]), namespace)
+    assert namespace["TABLE"]["small"](9) is True
+    other = checkout(tmp_path / "change", "LIMIT = 9\n")
+    assert not mutants.gone(root, found[0]) and mutants.gone(other, found[0])
+
+
 def test_a_run_records_each_mutants_seconds(tmp_path, monkeypatch):
     # Each mutant that runs keeps the seconds its test run took, rounded as
     # baseline_s is; an equivalent one is not run and has none.  The test

@@ -6,7 +6,9 @@
 
     python3 tools/mutants.py --compare parent change --out MUTANTS_32.json [--repo DIR]
 
-A function is named ``module:qualname`` (``quiverdu.`` may be left off).
+A function is named ``module:qualname`` (``quiverdu.`` may be left off);
+a module-level assignment is named the same way, so the lambdas of a
+table are mutated too.
 Each mutant changes one site of one function, default arguments
 included: a comparison swapped (``==``/``!=``, ``<``/``<=``, ``>``/``>=``,
 ``is``/``is not``, ``in``/``not in``), ``and``/``or`` swapped, a ``not``
@@ -130,13 +132,23 @@ def module_file(root: Path, module: str) -> Path:
     return root / "src" / "quiverdu" / (module.removeprefix("quiverdu.").replace(".", "/") + ".py")
 
 
-def find_function(tree: ast.Module, qualname: str) -> ast.AST:
+def lookup(tree: ast.Module, qualname: str) -> ast.AST | None:
+    """The function, class or assignment (a table of lambdas, say) that qualname names, or None."""
     scope = tree
     for name in qualname.split("."):
         scope = next((node for node in ast.iter_child_nodes(scope)
-                      if isinstance(node, (ast.FunctionDef, ast.ClassDef)) and node.name == name), None)
+                      if isinstance(node, (ast.FunctionDef, ast.ClassDef)) and node.name == name
+                      or isinstance(node, ast.Assign)
+                      and any(isinstance(t, ast.Name) and t.id == name for t in node.targets)), None)
         if scope is None:
-            raise SystemExit(f"no function {qualname}")
+            return None
+    return scope
+
+
+def find_function(tree: ast.Module, qualname: str) -> ast.AST:
+    scope = lookup(tree, qualname)
+    if scope is None:
+        raise SystemExit(f"no function {qualname}")
     return scope
 
 
@@ -250,13 +262,8 @@ def gone(root: Path, mutant: dict) -> bool:
     path = module_file(root, module)
     if not path.exists():
         return True
-    scope = ast.parse(path.read_text(encoding="utf-8"))
-    for name in qualname.split("."):
-        scope = next((node for node in ast.iter_child_nodes(scope)
-                      if isinstance(node, (ast.FunctionDef, ast.ClassDef)) and node.name == name), None)
-        if scope is None:
-            return True
-    return mutant["original"] not in ast.unparse(scope)
+    scope = lookup(ast.parse(path.read_text(encoding="utf-8")), qualname)
+    return scope is None or mutant["original"] not in ast.unparse(scope)
 
 
 def covering_test(root: Path, test: str) -> bool:
