@@ -10,13 +10,24 @@ byte-identical for identical inputs and seed.
 ``main(argv)`` may be called repeatedly in one process.  The argparse
 parser is built on the first call and shared by every later one; no other
 state persists between calls apart from the algebra ``lru_cache``s of
-``rewrite``, ``gwa``, ``skewgroup`` and ``cyclotomic``.  Argv that starts
-with a command name goes straight to that command's subparser, the one the
-top-level parser would hand it to, and leftover arguments are refused by
-the top-level parser's ``error``; any other argv (empty, ``-h``,
-``--version``, an unknown command) goes to the top-level parser.  A config
-is read in one binary read, decoded as UTF-8, with ``\r\n`` and lone
-``\r`` read as ``\n`` as in text mode.
+``rewrite``, ``gwa``, ``skewgroup`` and ``cyclotomic``.  For well-formed
+argv ``main`` builds the Namespace itself from the command's subparser's
+declared actions (dest, type, choices, default): the first word names a
+command, every later word is an exact long option of that subparser, used
+once and followed by its value unless it stores a constant, or one of its
+positionals; no value or positional starts with ``-``; and every required
+argument is given.  Any other argv that starts with a command name
+(``-h``, an abbreviation, ``--opt=value``, ``--``, a repeated option, a
+bad type or choice, leftovers) goes to that command's subparser, the one
+the top-level parser would hand it to, and leftover arguments are refused
+by the top-level parser's ``error``; any other argv (empty, ``-h``,
+``--version``, an unknown command) goes to the top-level parser.  So
+argparse alone writes help, usage and errors.  A config is read by
+``os.open`` and ``os.read`` to end of file, decoded as UTF-8, with ``\r\n``
+and lone ``\r`` read as ``\n`` as in text mode; a read error names the path
+as ``open()``'s does.  ``--json`` output is written by ``_json_text``, which
+gives the bytes of ``json.dumps(report, sort_keys=True, indent=2)`` for
+every type a report holds and refuses any other.
 
 ``verify`` and ``report`` read one table, ``_SECTIONS``: ``report`` runs
 confluence, hilbert, preprojective and factorization_identity, then every
@@ -32,9 +43,11 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 from dataclasses import dataclass
 from fractions import Fraction
+from json.encoder import encode_basestring_ascii
 
 from . import __version__
 from .core import Arrow, Parameters, format_element, parse_element
@@ -129,10 +142,19 @@ def parse_config(text: str) -> AlgebraConfig:
 
 def load_config(path: str) -> AlgebraConfig:
     try:
-        with open(path, "rb", buffering=0) as fh:
-            text = fh.read().decode("utf-8")
+        fd = os.open(path, os.O_RDONLY)
+        try:
+            data = b""
+            while chunk := os.read(fd, 1 << 16):
+                data += chunk
+        except OSError as exc:
+            # A directory opens on Linux and fails only here, with no filename.
+            raise OSError(exc.errno, exc.strerror, path) from None
+        finally:
+            os.close(fd)
     except OSError as exc:
         raise ConfigError(f"cannot read config {path}: {exc}") from exc
+    text = data.decode("utf-8")
     if "\r" in text:  # newlines as text mode reads them, so JSON errors keep their line
         text = text.replace("\r\n", "\n").replace("\r", "\n")
     return parse_config(text)
@@ -521,7 +543,78 @@ def _build_parser() -> argparse.ArgumentParser:
     common(p_rep)
     p_rep.add_argument("--trials", type=_int_at_least(1), default=100,
                        help="accepted and ignored: pwd and gwa are proved, not sampled")
+    parser.declared = {name: _declared(sub) for name, sub in parser.commands.items()}
     return parser
+
+
+def _declared(sub: argparse.ArgumentParser):
+    """What ``_well_formed`` reads of a subparser's actions, or None if it cannot read them all.
+
+    That is its long options that store one value or a constant, by option
+    string; its positionals in order, each storing one value; the defaults
+    by dest, a string default passed through its type as argparse does; and
+    the required options.
+    """
+    plain = lambda a: isinstance(a, argparse._StoreAction) and a.nargs is None
+    options, positionals, defaults, required = {}, [], {}, set()
+    for action in sub._actions:
+        default = action.default
+        if default is not argparse.SUPPRESS:
+            defaults[action.dest] = action.type(default) if action.type and isinstance(default, str) else default
+        if not action.option_strings:
+            if not plain(action):
+                return None
+            positionals.append(action)
+        elif plain(action) or isinstance(action, argparse._StoreConstAction):
+            options.update((s, action) for s in action.option_strings if s.startswith("--"))
+            if action.required:
+                required.add(action)
+    return options, positionals, defaults, required
+
+
+def _well_formed(command: str, declared, words: list[str]) -> argparse.Namespace | None:
+    """The Namespace argparse gives ``[command, *words]``, or None to leave them to argparse.
+
+    Only argv that argparse reads plainly is answered: each word is an
+    exact long option, used once and followed by its value unless it
+    stores a constant, or the next positional; no value or positional
+    starts with ``-``; each value passes its type and choices; and every
+    positional and required option is given.
+    """
+    if declared is None:
+        return None
+    options, positionals, defaults, required = declared
+    values = dict(defaults, command=command)
+    given = set()
+    positional = iter(positionals)
+    words = iter(words)
+    for word in words:
+        if word[:1] == "-":
+            action = options.get(word)
+            if action is None or action in given:
+                return None
+            given.add(action)
+            if action.nargs == 0:
+                values[action.dest] = action.const
+                continue
+            word = next(words, "-")  # a missing value reads as "-"
+            if word[:1] == "-":
+                return None
+        else:
+            action = next(positional, None)
+            if action is None:
+                return None
+        if action.type is not None:
+            try:
+                word = action.type(word)
+            except (argparse.ArgumentTypeError, TypeError, ValueError):
+                return None
+        if action.choices is not None and word not in action.choices:
+            return None
+        values[action.dest] = word
+    if next(positional, None) is not None or not required <= given:
+        return None
+    return argparse.Namespace(**values)
 
 
 _DISPATCH = {
@@ -535,9 +628,40 @@ _DISPATCH = {
 }
 
 
+def _json_text(value, pad: str = "\n") -> str:
+    """``json.dumps(value, sort_keys=True, indent=2)`` for the types a report holds.
+
+    Those are str-keyed dicts, lists, str, int, bool and None; any other
+    type raises TypeError.  ``pad`` is the newline and indent of the
+    value's own line.
+    """
+    if isinstance(value, str):
+        return encode_basestring_ascii(value)
+    if value is None:
+        return "null"
+    if value is True:
+        return "true"
+    if value is False:
+        return "false"
+    if isinstance(value, int):
+        return int.__repr__(value)
+    inner = pad + "  "
+    if isinstance(value, dict):
+        if not value:
+            return "{}"
+        items = (encode_basestring_ascii(key) + ": " + _json_text(item, inner)
+                 for key, item in sorted(value.items()))
+        return "{" + inner + ("," + inner).join(items) + pad + "}"
+    if isinstance(value, list):
+        if not value:
+            return "[]"
+        return "[" + inner + ("," + inner).join(_json_text(item, inner) for item in value) + pad + "]"
+    raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
+
+
 def _emit(report: dict, as_json: bool) -> None:
     if as_json:
-        print(json.dumps(report, sort_keys=True, indent=2))
+        sys.stdout.write(_json_text(report) + "\n")
         return
     print(f"command: {report['command']}")
     print(f"verdict: {report['verdict']}")
@@ -560,10 +684,12 @@ def main(argv=None) -> int:
     if sub is None:
         args = _PARSER.parse_args(argv)
     else:
-        # What the top-level parser would do with this argv, minus its scan.
-        args, extra = sub.parse_known_args(argv[1:], argparse.Namespace(command=argv[0]))
-        if extra:
-            _PARSER.error(f"unrecognized arguments: {' '.join(extra)}")
+        args = _well_formed(argv[0], _PARSER.declared[argv[0]], argv[1:])
+        if args is None:
+            # What the top-level parser would do with this argv, minus its scan.
+            args, extra = sub.parse_known_args(argv[1:], argparse.Namespace(command=argv[0]))
+            if extra:
+                _PARSER.error(f"unrecognized arguments: {' '.join(extra)}")
     command = args.command if args.command != "verify" else f"verify {args.what}"
     try:
         verdict, findings = _DISPATCH[args.command](args)

@@ -5,6 +5,8 @@ import warnings
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from quiverdu import cli, hilbert, rewrite
 from quiverdu.cli import ConfigError, load_config, main, parse_config
@@ -488,6 +490,18 @@ def test_config_read_edge_cases(tmp_path, capsys, name):
         assert "verdict: pass" in captured.out
 
 
+def test_a_config_larger_than_one_read_is_read_whole(tmp_path):
+    # 15,000 entries, about 100 KiB: more than one os.read of 64 KiB.
+    n = 5000
+    path = tmp_path / "big.json"
+    path.write_text(json.dumps({"n": n, "alpha": ["1/2"] * n, "beta": ["-3"] * n, "gamma": ["0"] * n}),
+                    encoding="utf-8")
+    assert path.stat().st_size > 1 << 16
+    params = load_config(str(path)).params
+    assert (params.alpha, params.beta, params.gamma) == (
+        (Fraction(1, 2),) * n, (Fraction(-3),) * n, (Fraction(0),) * n)
+
+
 def test_bad_element_is_input_error(tmp_path, capsys):
     cfg = write_config(tmp_path)
     assert main(["nf", cfg, "totally not an element", "--json"]) == 2
@@ -586,3 +600,45 @@ def test_report_checks_confluence_once_and_lists_no_basis(tmp_path, capsys, monk
     assert spelled == []
     code, report = run_json(capsys, ["basis", cfg, "--degree", "2", "--json"])
     assert code == 0 and spelled == [2]
+
+
+# What a report holds, with the characters and sizes that json.dumps
+# escapes or spells in its own way.
+JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.integers(min_value=-10**40, max_value=10**40)
+    | st.text() | st.sampled_from(["", "\"", "\\", "\n\t\x00\x1f\x7f", "\u00e9\u2603\U0001f600", "\ud800"]),
+    lambda inner: st.lists(inner, max_size=4) | st.dictionaries(st.text(max_size=4), inner, max_size=4),
+    max_leaves=20)
+
+
+@settings(max_examples=100, deadline=None)
+@given(JSON_VALUES)
+def test_the_json_writer_gives_json_dumps_bytes(value):
+    assert cli._json_text(value) == json.dumps(value, sort_keys=True, indent=2)
+
+
+def test_the_json_writer_on_deep_nesting_and_empty_containers():
+    deep = [{"a": [], "b": {}}]
+    for depth in range(200):
+        deep = {f"k{depth}": deep, "z": [deep[0] if isinstance(deep, list) else depth, None]}
+    for value in (deep, {}, [], [{}], {"": [[]]}, -(10**30), True):
+        assert cli._json_text(value) == json.dumps(value, sort_keys=True, indent=2)
+
+
+@pytest.mark.parametrize("value", [1.5, (1, 2), {1: "a"}, {"a": {2}}, [Fraction(1, 2)]])
+def test_the_json_writer_refuses_other_types(value):
+    with pytest.raises(TypeError):
+        cli._json_text(value)
+
+
+def test_the_json_writer_gives_json_dumps_bytes_on_the_golden_reports(tmp_path, monkeypatch, capsys):
+    from test_golden_json import corpus, write_configs
+
+    reports = []
+    emit = cli._emit
+    monkeypatch.setattr(cli, "_emit", lambda report, as_json: reports.append(report) or emit(report, as_json))
+    calls = corpus(write_configs(tmp_path))
+    for _, argv in calls:
+        main(argv + ["--json"])
+        assert capsys.readouterr().out == json.dumps(reports[-1], sort_keys=True, indent=2) + "\n"
+    assert len(reports) == len(calls)

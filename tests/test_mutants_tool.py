@@ -141,6 +141,35 @@ def test_a_module_level_table_is_mutated_and_can_be_removed(tmp_path):
     assert not mutants.gone(root, found[0]) and mutants.gone(other, found[0])
 
 
+# A table row whose test is a bare call, and a lambda that returns no call.
+CALLED = '''
+TABLE = {"odd": lambda a: a.bit_count(), "small": lambda a: -a}
+'''
+
+
+def test_a_lambda_that_returns_a_call_is_negated(tmp_path):
+    root = checkout(tmp_path, CALLED)
+    found = mutants.enumerate_mutants(root, ["toy:TABLE"])
+    assert [(m["operator"], m["original"], m["mutant"]) for m in found] == [
+        ("negate call", "lambda a: a.bit_count()", "lambda a: not a.bit_count()")]
+    namespace: dict = {}
+    exec(mutants.mutated_source(root, found[0]), namespace)
+    assert namespace["TABLE"]["odd"](7) is False and namespace["TABLE"]["small"](3) == -3
+
+
+@pytest.mark.parametrize("row", ["cli:_BETA_NONZERO", "cli:_GAMMA_ZERO"])
+def test_each_requirement_that_is_a_bare_call_has_a_mutant_the_refusal_tests_kill(row, tmp_path):
+    # The section table's requirements beta_i != 0 and gamma = 0 are bare
+    # calls; negated, each must fail test_cli.py's refusal tests, run as
+    # the tool runs them on a copy of the repository.
+    root = TOOL.parent.parent
+    (mutant,) = mutants.enumerate_mutants(root, [row])
+    assert mutant["operator"] == "negate call"
+    work = mutants.workspace(root, tmp_path)
+    mutants.module_file(work, "cli").write_text(mutants.mutated_source(root, mutant), encoding="utf-8")
+    assert mutants.run_tests(work, ["tests/test_cli.py", "-k", "refus"], timeout=300)[0] == "killed"
+
+
 def test_a_run_records_each_mutants_seconds(tmp_path, monkeypatch):
     # Each mutant that runs keeps the seconds its test run took, rounded as
     # baseline_s is; an equivalent one is not run and has none.  The test

@@ -6,16 +6,22 @@ for each argv by ``cli._build_parser``: on valid argv both must give equal
 Namespaces, and on bad argv the same ``SystemExit`` code and the same
 stderr.  The argv reaches ``main``'s parser through the real ``main``, with
 each command handler replaced by a recorder of the Namespace it gets.
-``main`` sends argv that starts with a command name straight to that
-command's subparser and any other argv to the top-level parser, so the
-corpora hold both kinds, and each bad argv also reaches ``main`` as the
-console script passes it, through ``sys.argv``.  Calls in a row must
-not leak state into each other, the parser is built at most once however
-often ``main`` runs, and importing ``quiverdu.cli`` builds none.
+``main`` builds the Namespace of well-formed argv itself from the
+subparser's declared actions, sends other argv that starts with a command
+name straight to that command's subparser and any other argv to the
+top-level parser, so the corpora hold all three kinds, and each bad argv
+also reaches ``main`` as the console script passes it, through
+``sys.argv``.  Argv on the edge of the well-formed kind must reach argparse,
+the shapes perfbench sends must not, and a seeded run of random argv checks
+every Namespace ``main`` builds itself against the reference parser.  Calls
+in a row must not leak state into each other, the parser is built at most
+once however often ``main`` runs, and importing ``quiverdu.cli`` builds none.
 """
 
+import argparse
 import json
 import os
+import random
 import subprocess
 import sys
 from pathlib import Path
@@ -27,6 +33,21 @@ from quiverdu import cli
 
 CFG = "cfg.json"
 VERIFY_TARGETS = ["gwa", "superpotential", "nakayama", "pwd", "noetherian", "properties", "skewgroup"]
+
+# Valid argv on the edge of the well-formed kind, so argparse reads them: a
+# repeated option, a value or positional that starts with "-", --opt=value,
+# an abbreviation and "--".
+EDGE = [
+    ["hilbert", CFG, "--max-deg", "2"],
+    ["basis", CFG, "--deg=3"],
+    ["nf", CFG, "--", "-1 * d0"],
+    ["confluence", "--", CFG],
+    ["confluence", CFG, "--seed", "1", "--seed", "2"],
+    ["hilbert", CFG, "--check", "--check"],
+    ["confluence", CFG, "--seed", "-3"],
+    ["confluence", CFG, "--seed=4"],
+    ["verify", "skewgroup", CFG, "--max-deg", "2"],
+]
 
 VALID = [
     ["nf", CFG, "1 * d0.u0"],
@@ -49,10 +70,25 @@ VALID = [
     ["verify", "noetherian", CFG, "--max-degree", "0"],
     ["report", CFG],
     ["report", CFG, "--trials", "5", "--json", "--seed", "9"],
-    ["hilbert", CFG, "--max-deg", "2"],
-    ["basis", CFG, "--deg=3"],
-    ["nf", CFG, "--", "-1 * d0"],
-    ["confluence", "--", CFG],
+    *EDGE,
+]
+
+# Well-formed argv in the shapes perfbench sends, one or more per command:
+# ``main`` builds each Namespace itself, without argparse's parse.
+WELL_FORMED = [
+    ["nf", CFG, "1 * d0.u0", "--json"],
+    ["basis", CFG, "--degree", "3", "--preset", "preprojective", "--json"],
+    ["confluence", CFG, "--json"],
+    ["hilbert", CFG, "--check", "--max-degree", "8", "--json"],
+    ["hilbert", CFG, "--check", "--preset", "preprojective", "--max-degree", "10", "--json"],
+    ["iso", "P", "--other", "Q", "--json"],
+    ["verify", "properties", CFG, "--json"],
+    ["verify", "gwa", CFG, "--seed", "3", "--json"],
+    ["verify", "pwd", CFG, "--max-degree", "2", "--json"],
+    ["verify", "skewgroup", CFG, "--max-degree", "3", "--json"],
+    ["report", CFG, "--seed", "2", "--json"],
+    ["nf", "--json", CFG, "1 * d0"],
+    ["iso", "--other", "Q", "P"],
 ]
 
 # Each exits through argparse: with code 2 and a usage error on stderr, or
@@ -85,6 +121,16 @@ EXITS = [
     ["nf", CFG, "1 * d0", "--version"],
     ["--json", "nf", CFG, "1 * d0"],
     ["ver", "pwd", CFG],
+    ["basis", CFG, "--preset", "qdu", "--json"],
+    ["iso", CFG, "--json"],
+    ["confluence", CFG, "extra"],
+    ["nf", CFG, "1 * d0", "extra", "--json"],
+    ["hilbert", CFG, "--preset", "bogus"],
+    ["verify", "skewgroup", CFG, "--n", "x"],
+    ["confluence", CFG, "--seed"],
+    ["confluence", CFG, "--seed", "--json"],
+    ["verify", "bogus", CFG, "--json"],
+    ["confluence", CFG, "--json", "--"],
 ]
 
 
@@ -127,6 +173,89 @@ def test_valid_argv_give_equal_namespaces(recorded, capsys):
             assert cli.main(argv) == cli.EXIT_PASS
             assert recorded.pop() == expected, argv
     capsys.readouterr()
+
+
+@pytest.fixture
+def parsed_by_argparse(monkeypatch):
+    """Record each argv that reaches a subparser's own parse."""
+    cli.main(["confluence", CFG, "--json"])  # builds the shared parser
+    seen = []
+    for sub in cli._PARSER.commands.values():
+        parse = sub.parse_known_args
+        monkeypatch.setattr(sub, "parse_known_args",
+                            lambda args, namespace, parse=parse: seen.append(args) or parse(args, namespace))
+    return seen
+
+
+def test_well_formed_argv_skip_argparse_and_the_edge_reaches_it(recorded, parsed_by_argparse, capsys):
+    # A path that always declined would fail the first half; one that
+    # answered an argv of EDGE the second.
+    for argv in WELL_FORMED:
+        assert cli.main(argv) == cli.EXIT_PASS
+        assert recorded.pop() == cli._build_parser().parse_args(argv), argv
+    assert parsed_by_argparse == []
+    for argv in EDGE:
+        assert cli.main(argv) == cli.EXIT_PASS
+    assert parsed_by_argparse == [argv[1:] for argv in EDGE]
+    # Every argv of EXITS that names a command is parsed by argparse too.
+    for argv in EXITS:
+        parsed_by_argparse.clear()
+        with pytest.raises(SystemExit):
+            cli.main(argv)
+        if argv and argv[0] in cli._DISPATCH:
+            assert parsed_by_argparse[:1] == [argv[1:]], argv
+    capsys.readouterr()
+
+
+# The alphabet of the random argv: every option of every command, values
+# that pass and fail their type and choices, the verify targets,
+# positionals and the spellings that argparse alone reads.
+TOKENS = [
+    CFG, CFG, "other.json", "1 * d0", "", "extra", "gwa", "skewgroup", "bogus",
+    "--json", "--json", "--seed", "--degree", "--preset", "--max-degree", "--check",
+    "--other", "--trials", "--n",
+    "0", "1", "2", "3", "13", "x", "qdu", "preprojective",
+    "-1", "-3", "--", "-h", "--seed=4", "--max-deg", "--bogus", "--version",
+]
+
+
+def test_random_argv_answered_without_argparse_match_the_reference():
+    # 100,000 seeded argv over all seven commands; wherever main's own
+    # reading answers, its Namespace must be the one a parser built by
+    # _build_parser gives.  One reference parser serves them all.
+    rng = random.Random(47)
+    reference = cli._build_parser()
+    declared = reference.declared
+    commands = list(cli._DISPATCH)
+    answered = dict.fromkeys(commands, 0)
+    for _ in range(100_000):
+        command = rng.choice(commands)
+        words = [rng.choice(TOKENS) for _ in range(rng.randrange(1, 7))]
+        if command == "verify" and rng.random() < 0.8:
+            words.insert(0, rng.choice(VERIFY_TARGETS))
+        args = cli._well_formed(command, declared[command], words)
+        if args is not None:
+            answered[command] += 1
+            assert args == reference.parse_args([command, *words]), [command, *words]
+    # 5,917 answered: from 11 for basis (which needs --degree) to 1,434 for hilbert.
+    assert sum(answered.values()) >= 2_000 and min(answered.values()) > 0, answered
+
+
+def test_actions_it_cannot_read_are_left_to_argparse():
+    # A toy subparser with what no command declares: append and count
+    # options, a string default with a type, and then an optional positional.
+    toy = argparse.ArgumentParser()
+    toy.add_argument("path")
+    toy.add_argument("--tag", action="append")
+    toy.add_argument("--verbose", action="count")
+    toy.add_argument("--level", type=int, default="3")
+    declared = cli._declared(toy)
+    for words in (["p", "--tag", "a"], ["p", "--verbose"]):
+        assert cli._well_formed("toy", declared, words) is None, words
+    args = cli._well_formed("toy", declared, ["p"])
+    assert args == toy.parse_args(["p"], argparse.Namespace(command="toy")) and args.level == 3
+    toy.add_argument("rest", nargs="?")
+    assert cli._declared(toy) is None and cli._well_formed("toy", None, ["p"]) is None
 
 
 def test_defaults_are_the_documented_ones(recorded, capsys):

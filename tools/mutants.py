@@ -14,7 +14,9 @@ included: a comparison swapped (``==``/``!=``, ``<``/``<=``, ``>``/``>=``,
 ``is``/``is not``, ``in``/``not in``), ``and``/``or`` swapped, a ``not``
 dropped, ``all``/``any`` swapped, an arithmetic operator changed (``+``/``-``
 swapped, ``*`` made ``+``; in an augmented assignment ``+=``/``-=`` swapped,
-``*=`` made ``+=``), or an int constant 0..4 raised by one.
+``*=`` made ``+=``), an int constant 0..4 raised by one, or a call negated
+where it is the body of a lambda (``lambda p: p.f()`` made
+``lambda p: not p.f()``).
 The module is written back from the mutated syntax tree into a copy of
 the repository's ``src/`` and ``tests/``, and the selected tests run there
 with ``pytest -x`` and a fixed Hypothesis seed, one mutant after another.
@@ -93,6 +95,9 @@ def variants(node: ast.AST) -> list:
                                                 copy.deepcopy(node.value))))
     elif isinstance(node, ast.Constant) and type(node.value) is int and 0 <= node.value <= 4:
         out.append(("constant + 1", ast.Constant(node.value + 1)))
+    elif isinstance(node, ast.Lambda) and isinstance(node.body, ast.Call):
+        out.append(("negate call", ast.Lambda(copy.deepcopy(node.args),
+                                              ast.UnaryOp(ast.Not(), copy.deepcopy(node.body)))))
     return out
 
 
