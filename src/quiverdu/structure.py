@@ -198,12 +198,6 @@ def _cyclic_derivatives(n: int, row: dict) -> dict[int, dict]:
     return out
 
 
-def cyclic_derivative(omega: Element, a: Arrow) -> Element:
-    """Delete a leading arrow equal to ``a``; zero on other terms."""
-    den, row = _codec(omega.n).row(omega)
-    return _codec(omega.n).decode(den, _cyclic_derivatives(omega.n, row).get(_arrow_rank(a, omega.n), {}))
-
-
 def check_derivation_quotient(omega: Element | SuperpotentialResult, params: Parameters) -> bool:
     """span{d_a Omega : a in Q_1} == span{defining relations}, exactly, as int rows in the
     degree-3 component of the free path algebra; gamma must be zero."""

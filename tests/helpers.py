@@ -4,9 +4,9 @@
 the package live here.
 """
 
-from quiverdu.core import Element
-from quiverdu.rewrite import RewriteRule, _codec
-from quiverdu.structure import DiagonalMapSpec
+from quiverdu.core import Arrow, Element
+from quiverdu.rewrite import RewriteRule, _arrow_rank, _codec
+from quiverdu.structure import DiagonalMapSpec, _cyclic_derivatives
 
 
 def relation(rule: RewriteRule) -> Element:
@@ -19,3 +19,9 @@ def apply_map(spec: DiagonalMapSpec, a: Element) -> Element:
     den, row = _codec(spec.n).row(a)
     L, image = spec.map_row(row)
     return _codec(spec.n).decode(den * L, image)
+
+
+def cyclic_derivative(omega: Element, a: Arrow) -> Element:
+    """Delete a leading arrow equal to ``a``; zero on other terms."""
+    den, row = _codec(omega.n).row(omega)
+    return _codec(omega.n).decode(den, _cyclic_derivatives(omega.n, row).get(_arrow_rank(a, omega.n), {}))

@@ -194,20 +194,6 @@ def test_decide_documented_examples():
     assert verify_witness(verdict.witness, p, r)
 
 
-def test_decide_round_trip_random():
-    rng = random.Random(103)
-    for _ in range(10):
-        n = rng.choice([3, 4, 5])
-        p = rand_graded_params(n, rng)
-        q = p
-        for _ in range(rng.randint(1, 4)):
-            op = rng.choice(["scale", "rotate", "reflect"])
-            q = transform_params(op, q, rand_lambda(n, rng) if op == "scale" else None)
-        verdict = decide_graded_iso(p, q)
-        assert verdict.kind == "isomorphic"
-        assert verify_witness(verdict.witness, p, q)
-
-
 def test_decide_symmetric():
     rng = random.Random(107)
     for _ in range(6):
@@ -229,6 +215,8 @@ def test_decide_unsupported_cases():
     assert decide_graded_iso(p, p).kind == "unsupported"
     pz = Parameters.of(3, [0, 0, 0], [0, 1, 1], [0, 0, 0])
     assert decide_graded_iso(pz, pz).kind == "unsupported"
+    p1 = Parameters.of(3, [0, 0, 0], [1, 1, 1], [0, 0, 0])
+    assert decide_graded_iso(pz, p1).kind == decide_graded_iso(p1, pz).kind == "unsupported"
     with pytest.raises(ValueError):
         decide_graded_iso(p2, Parameters.of(3, [0] * 3, [1] * 3, [0] * 3))
 
@@ -347,6 +335,22 @@ def test_constraint_from_equation_refuses_an_unexpected_monomial(exps):
         _constraint_from_equation(_Sym(Fraction(2), exps), Fraction(1))
 
 
+def test_a_zero_lambda_is_refused():
+    p = Parameters.of(3, [1, 2, 3], [1, 2, 3], [0, 0, 0])
+    lam = (Fraction(2), Fraction(0), Fraction(3))
+    with pytest.raises(ValueError, match="nonzero"):
+        transform_scale(p, lam)
+    with pytest.raises(ValueError, match="nonzero"):
+        IsoWitness(3, ROTATION, 0, lam)
+
+
+def test_symbols_multiply_by_adding_exponents():
+    # The decision never multiplies two symbols, but _Sym is a scalar for any transform.
+    x = _Sym(Fraction(2), ((0, 1),)) * _Sym(Fraction(3), ((0, 1), (1, -1)))
+    assert x == _Sym(Fraction(6), ((0, 2), (1, -1)))
+    assert x * _Sym(Fraction(1, 6), ((0, -2), (1, 1))) == _Sym(Fraction(1))
+
+
 def test_decide_refuses_gamma_on_one_side_only():
     graded = Parameters.of(3, [1, 0, 2], [1, 2, 3], [0, 0, 0])
     ungraded = Parameters.of(3, [1, 0, 2], [1, 2, 3], [0, 1, 0])
@@ -383,3 +387,51 @@ def test_a_witness_that_fails_the_relations_is_refused(monkeypatch):
     assert verdict.kind == "not_isomorphic" and verdict.witness is None
     reason = "witness failed relation verification"
     assert [(c.orientation, c.shift) for c in verdict.cases if c.reason == reason] == [(REFLECTION, 2)]
+
+
+def nonzero(rng: random.Random) -> Fraction:
+    return Fraction(rng.choice([x for x in range(-7, 8) if x]), rng.randint(1, 5))
+
+
+def random_params(rng: random.Random, n: int, alpha_zero_share: float) -> Parameters:
+    alpha = [0 if rng.random() < alpha_zero_share else nonzero(rng) for _ in range(n)]
+    return Parameters.of(n, alpha, [nonzero(rng) for _ in range(n)], [0] * n)
+
+
+def evaluate(x, lam: tuple[Fraction, ...]) -> Fraction:
+    """The value of a scalar, symbolic or not, at a numeric lambda."""
+    if not isinstance(x, iso._Sym):
+        return x
+    value = x.coeff
+    for i, e in x.exps:
+        value *= lam[i] ** e
+    return value
+
+
+def evaluated(sym: Parameters, lam: tuple[Fraction, ...]) -> Parameters:
+    return Parameters(sym.n, *(tuple(evaluate(x, lam) for x in vec)
+                               for vec in (sym.alpha, sym.beta, sym.gamma)))
+
+
+def test_symbolic_transforms_evaluate_to_the_numeric_ones():
+    rng = random.Random(1402)
+    for n in range(3, 7):
+        symbols = tuple(iso._Sym(Fraction(1), ((i, 1),)) for i in range(n))
+        for _ in range(10):
+            p = random_params(rng, n, 0.3)
+            p = Parameters.of(n, p.alpha, p.beta, [nonzero(rng) for _ in range(n)])
+            lam = tuple(nonzero(rng) for _ in range(n))
+            scaled = transform_scale(p, symbols)
+            assert evaluated(scaled, lam) == transform_scale(p, lam)
+            k = rng.randrange(n)
+            assert evaluated(transform_rotate(scaled, k), lam) == \
+                transform_rotate(transform_scale(p, lam), k)
+            assert evaluated(transform_reflect(scaled), lam) == \
+                transform_reflect(transform_scale(p, lam))
+            for orientation in (ROTATION, REFLECTION):
+                composite = IsoWitness(n, orientation, k, symbols).predicted_params(p)
+                assert evaluated(composite, lam) == \
+                    IsoWitness(n, orientation, k, lam).predicted_params(p)
+                # The decision rotates the shift-0 composite instead.
+                unrotated = IsoWitness(n, orientation, 0, symbols).predicted_params(p)
+                assert transform_rotate(unrotated, k) == composite

@@ -11,6 +11,7 @@ and every ``BENCH_*.json`` has the keys the records share.
 from __future__ import annotations
 
 import argparse
+import ast
 import importlib.util
 import json
 from pathlib import Path
@@ -84,7 +85,7 @@ def run(root: Path, status) -> dict:
     found = mutants.enumerate_mutants(root, ["toy:toy"])
     for m in found:
         m["status"] = status(m)
-        del m["index"], m["module"]
+        del m["index"], m["module"], m["source"]
     return {"tests": [], "functions": ["toy:toy"], "baseline_s": 0.0, "mutants": found}
 
 
@@ -103,7 +104,7 @@ def test_arithmetic_operators_are_mutated(tmp_path):
     # Written back, each mutant computes another value than toy(3, 2) = 7.
     for m in found:
         namespace: dict = {}
-        exec(mutants.mutated_source(root, m), namespace)
+        exec(mutants.mutated_source(m), namespace)
         assert namespace["toy"](3, 2) != 7, m["key"]
 
 
@@ -118,7 +119,7 @@ def test_augmented_assignments_are_mutated(tmp_path):
     # Written back, each mutant computes another value than toy(3, 2) = -15.
     for m in found:
         namespace: dict = {}
-        exec(mutants.mutated_source(root, m), namespace)
+        exec(mutants.mutated_source(m), namespace)
         assert namespace["toy"](3, 2) != -15, m["key"]
 
 
@@ -135,7 +136,7 @@ def test_a_module_level_table_is_mutated_and_can_be_removed(tmp_path):
     assert [(m["operator"], m["original"], m["mutant"], m["line"]) for m in found] == [
         ("comparison", "a < LIMIT", "a <= LIMIT", 0)]
     namespace: dict = {}
-    exec(mutants.mutated_source(root, found[0]), namespace)
+    exec(mutants.mutated_source(found[0]), namespace)
     assert namespace["TABLE"]["small"](9) is True
     other = checkout(tmp_path / "change", "LIMIT = 9\n")
     assert not mutants.gone(root, found[0]) and mutants.gone(other, found[0])
@@ -153,7 +154,7 @@ def test_a_lambda_that_returns_a_call_is_negated(tmp_path):
     assert [(m["operator"], m["original"], m["mutant"]) for m in found] == [
         ("negate call", "lambda a: a.bit_count()", "lambda a: not a.bit_count()")]
     namespace: dict = {}
-    exec(mutants.mutated_source(root, found[0]), namespace)
+    exec(mutants.mutated_source(found[0]), namespace)
     assert namespace["TABLE"]["odd"](7) is False and namespace["TABLE"]["small"](3) == -3
 
 
@@ -166,7 +167,7 @@ def test_each_requirement_that_is_a_bare_call_has_a_mutant_the_refusal_tests_kil
     (mutant,) = mutants.enumerate_mutants(root, [row])
     assert mutant["operator"] == "negate call"
     work = mutants.workspace(root, tmp_path)
-    mutants.module_file(work, "cli").write_text(mutants.mutated_source(root, mutant), encoding="utf-8")
+    mutants.module_file(work, "cli").write_text(mutants.mutated_source(mutant), encoding="utf-8")
     assert mutants.run_tests(work, ["tests/test_cli.py", "-k", "refus"], timeout=300)[0] == "killed"
 
 
@@ -195,6 +196,32 @@ def test_a_run_records_each_mutants_seconds(tmp_path, monkeypatch):
     assert record["mutants"][0]["status"] == "equivalent" and "seconds" not in record["mutants"][0]
     assert [m["seconds"] for m in record["mutants"][1:]] == [round(0.25 + i, 1) for i in range(len(found) - 1)]
     assert timeouts == [3600] + [3 * 2.34 + 10] * (len(found) - 1)
+
+
+def test_a_run_writes_every_mutant_from_the_source_it_enumerated(tmp_path, monkeypatch):
+    # Both live modules are edited once the run has begun (its test runs are
+    # stubbed); every mutant is still written from the enumerated sources.
+    root = checkout(tmp_path / "repo", PARENT)
+    (root / "pyproject.toml").write_text("", encoding="utf-8")
+    (root / "src" / "quiverdu" / "other.py").write_text(ARITHMETIC, encoding="utf-8")
+    names = ["toy:toy", "other:toy"]
+    expected = mutants.enumerate_mutants(root, names)
+    written = []
+
+    def run_tests(work, tests, timeout):
+        if not written:
+            mutants.module_file(root, "toy").write_text(DELETED, encoding="utf-8")
+            mutants.module_file(root, "other").write_text(AUGMENTED, encoding="utf-8")
+        written.append({module: mutants.module_file(work, module).read_text(encoding="utf-8")
+                        for module in ("toy", "other")})
+        return ("killed" if len(written) > 1 else "survived"), 0.0
+
+    monkeypatch.setattr(mutants, "run_tests", run_tests)
+    mutants.run(argparse.Namespace(repo=str(root), functions=names, tests=[], workdir=str(tmp_path)))
+    unmutated = {module: ast.unparse(ast.parse(source))
+                 for module, source in (("toy", PARENT), ("other", ARITHMETIC))}
+    assert written[0] == unmutated
+    assert written[1:] == [{**unmutated, m["module"]: mutants.mutated_source(m)} for m in expected]
 
 
 def test_moved_lines_and_swapped_statements_keep_every_match(tmp_path, capsys):

@@ -16,7 +16,6 @@ from quiverdu.structure import (
     check_diagonal_map,
     DiagonalMapSpec,
     check_twist_invariance,
-    cyclic_derivative,
     derived_nakayama,
     noetherian_chain_check,
     paper_nakayama,
@@ -25,6 +24,7 @@ from quiverdu.structure import (
     pwd_proof_H,
     up_cycle_path,
 )
+from helpers import cyclic_derivative
 
 
 def x_path(n, m):

@@ -17,8 +17,10 @@ swapped, ``*`` made ``+``; in an augmented assignment ``+=``/``-=`` swapped,
 ``*=`` made ``+=``), an int constant 0..4 raised by one, or a call negated
 where it is the body of a lambda (``lambda p: p.f()`` made
 ``lambda p: not p.f()``).
-The module is written back from the mutated syntax tree into a copy of
-the repository's ``src/`` and ``tests/``, and the selected tests run there
+Each module is read once, when its mutants are enumerated; a mutant is
+written back from that text's mutated syntax tree into a copy of the
+repository's ``src/`` and ``tests/``, so an edit to ``--repo`` during a run
+changes no mutant, and the selected tests run there
 with ``pytest -x`` and a fixed Hypothesis seed, one mutant after another.
 A mutant is ``killed`` when they fail, ``timeout`` when they overrun three
 times the unmutated run, and ``survived`` when they pass; its record
@@ -158,12 +160,18 @@ def find_function(tree: ast.Module, qualname: str) -> ast.AST:
 
 
 def enumerate_mutants(root: Path, names: list[str]) -> list[dict]:
-    """Every mutant of every named function, with its key and a way to write it."""
-    mutants = []
+    """Every mutant of every named function, with its key and a way to write it.
+
+    Each module is read once, here, and every mutant keeps that text as its
+    ``source``: it is written from it, whatever ``root`` holds by then.
+    """
+    mutants, sources = [], {}
     for name in names:
         module, qualname = name.split(":")
         module = module.removeprefix("quiverdu.")
-        tree = ast.parse(module_file(root, module).read_text(encoding="utf-8"))
+        if module not in sources:
+            sources[module] = module_file(root, module).read_text(encoding="utf-8")
+        tree = ast.parse(sources[module])
         func = find_function(tree, qualname)
         mutator = Mutator()
         mutator.visit(copy.deepcopy(func))
@@ -175,12 +183,13 @@ def enumerate_mutants(root: Path, names: list[str]) -> list[dict]:
             mutants.append({"key": key + (f" #{seen[key]}" if seen[key] else ""),
                             "function": f"{module}:{qualname}", "operator": operator,
                             "line": line, "original": original,
-                            "mutant": mutant, "index": index, "module": module})
+                            "mutant": mutant, "index": index, "module": module,
+                            "source": sources[module]})
     return mutants
 
 
-def mutated_source(root: Path, mutant: dict) -> str:
-    tree = ast.parse(module_file(root, mutant["module"]).read_text(encoding="utf-8"))
+def mutated_source(mutant: dict) -> str:
+    tree = ast.parse(mutant["source"])
     qualname = mutant["function"].split(":")[1]
     Mutator(mutant["index"]).visit(find_function(tree, qualname))
     return ast.unparse(ast.fix_missing_locations(tree))
@@ -216,9 +225,9 @@ def run(args) -> dict:
     try:
         work = workspace(root, base)
         # The unmutated modules, written back from their syntax trees, must pass.
-        for module in {m["module"] for m in mutants}:
-            source = module_file(root, module).read_text(encoding="utf-8")
-            module_file(work, module).write_text(ast.unparse(ast.parse(source)), encoding="utf-8")
+        unmutated = {m["module"]: ast.unparse(ast.parse(m["source"])) for m in mutants}
+        for module, source in unmutated.items():
+            module_file(work, module).write_text(source, encoding="utf-8")
         status, baseline = run_tests(work, args.tests, timeout=3600)
         if status != "survived":
             raise SystemExit("the selected tests fail without a mutant")
@@ -227,16 +236,16 @@ def run(args) -> dict:
                 status, seconds = "equivalent", 0.0
             else:
                 target = module_file(work, mutant["module"])
-                target.write_text(mutated_source(root, mutant), encoding="utf-8")
+                target.write_text(mutated_source(mutant), encoding="utf-8")
                 status, seconds = run_tests(work, args.tests, timeout=3 * baseline + 10)
-                shutil.copy(module_file(root, mutant["module"]), target)
+                target.write_text(unmutated[mutant["module"]], encoding="utf-8")
                 mutant["seconds"] = round(seconds, 1)
             mutant["status"] = status
             print(f"{status:10} {seconds:6.1f} s  {mutant['key']}", flush=True)
     finally:
         shutil.rmtree(base, ignore_errors=True)
     for mutant in mutants:
-        del mutant["index"], mutant["module"]
+        del mutant["index"], mutant["module"], mutant["source"]
     return {"tests": args.tests, "functions": args.functions, "baseline_s": round(baseline, 1),
             "mutants": mutants}
 
