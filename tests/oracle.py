@@ -1,4 +1,4 @@
-"""A test oracle for rewriting, elimination and the GWA model, written from the definitions.
+"""A test oracle for rewriting, elimination, the GWA model and the skew group algebra, from the definitions.
 
 It imports nothing from ``quiverdu`` and no test module, so a mistake in
 the package cannot be copied into it; ``tests/test_oracle.py`` enforces
@@ -39,12 +39,20 @@ zero test (``Fraction``, int, the tests' ``Poly``).
   d_i -> e_{i+1} X^+) on arrow-name words, and theta' (x_i -> u_i d_i,
   y_i -> d_{i-1} u_{i-1}, X^- -> sum u_i, X^+ -> sum d_i) reduced by
   ``Reducer``.
+- ``smash_times`` multiplies in the skew group algebra B = R # Z_n of the graded
+  down-up algebra R (``graded_down_up``: the relations at n = 1 with alpha = gamma = 0,
+  beta = -1) by (r # g^i)(s # g^j) = r g^i(s) # g^(i+j), g^i(s) = x^(i(#u - #d)) s, on
+  values {(R-word, j): {k: c}} with coefficients in the group algebra Q[x]/(x^n - 1);
+  ``smash_sum`` adds them and ``idempotent`` writes f_i = (1/n) sum_t x^(it) # g^t.
+  ``cyclotomic`` divides x^n - 1 by every Phi_e, e a proper divisor of n, and ``value``
+  reduces each coefficient mod Phi_n (``residue``), the image of x -> zeta in Q(zeta_n).
 """
 
 from __future__ import annotations
 
 import sys
 from fractions import Fraction
+from functools import lru_cache
 
 
 def u(i: int, n: int) -> str:
@@ -534,3 +542,95 @@ def property_witnesses(n: int, alpha, beta, gamma, degree: int = 4) -> list[dict
                               "mirror_zero": not _times(reducer, (d(i, n),), a_i),
                               "dependence_zero": not _times(reducer, (), a_i, x)})
     return witnesses
+
+
+# ---------------------------------------------------------------------------
+# The skew group algebra B = R # Z_n
+# ---------------------------------------------------------------------------
+
+def _divmod(a: list, b: list) -> tuple[list, list]:
+    """(q, r) with a = q b + r and deg r < deg b; coefficients low to high, b's last one nonzero.
+    The remainder has len(b) - 1 entries when len(a) >= len(b) - 1."""
+    rem = list(a)
+    quo = [Fraction(0)] * max(len(a) - len(b) + 1, 0)
+    for shift in range(len(a) - len(b), -1, -1):
+        c = quo[shift] = rem[shift + len(b) - 1] / b[-1]
+        if c:
+            for k, y in enumerate(b):
+                if y:
+                    rem[shift + k] -= c * y
+    return quo, rem[:len(b) - 1]
+
+
+@lru_cache(maxsize=None)
+def cyclotomic(n: int) -> tuple[Fraction, ...]:
+    """Phi_n, low to high: x^n - 1 divided by Phi_e for every proper divisor e of n."""
+    poly = [Fraction(-1)] + [Fraction(0)] * (n - 1) + [Fraction(1)]
+    for e in range(1, n):
+        if n % e == 0:
+            poly, rest = _divmod(poly, list(cyclotomic(e)))
+            if any(rest):
+                raise ArithmeticError(f"Phi_{e} does not divide x^{n} - 1")
+    return tuple(poly)
+
+
+def residue(n: int, counts: dict) -> tuple[Fraction, ...]:
+    """The remainder of sum_k counts[k] x^k on division by Phi_n: phi(n) coefficients, low to high."""
+    phi = cyclotomic(n)
+    poly = [Fraction(0)] * max(len(phi), max(counts, default=0) + 1)
+    for k, c in counts.items():
+        poly[k] += c
+    return tuple(_divmod(poly, list(phi))[1])
+
+
+@lru_cache(maxsize=None)
+def graded_down_up() -> Reducer:
+    """R = k<u, d | d^2 u + u d^2, d u^2 + u^2 d>: the relations at n = 1, alpha = gamma = 0, beta = -1."""
+    return Reducer(oriented(qdu_relations(1, [0], [-1], [0]), 1))
+
+
+def _clean(values: dict) -> dict:
+    return {key: kept for key, counts in values.items() if (kept := nonzero(counts.items()))}
+
+
+def smash_sum(xs) -> dict:
+    """The sum of values of B, exactly, in the group algebra Q[x]/(x^n - 1)."""
+    out: dict = {}
+    for x in xs:
+        for key, counts in x.items():
+            acc = out.setdefault(key, {})
+            for k, c in counts.items():
+                _add(acc, k, c)
+    return _clean(out)
+
+
+def smash_times(n: int, a: dict, b: dict) -> dict:
+    """The product of B's values {(R-word, j): {k: c}}, each the sum of c x^k (word # g^j).
+
+    (r # g^i)(s # g^j) = r g^i(s) # g^(i+j), with g(u) = x u and g(d) = x^-1 d, so
+    g^i(s) = x^(i(#u - #d)) s for a word s; r s is reduced in R, and x^n = 1.  Nothing is
+    reduced mod Phi_n.
+    """
+    reducer = graded_down_up()
+    out: dict = {}
+    for (r, i), left in a.items():
+        for (s, j), right in b.items():
+            weight = sum(1 if name[0] == "u" else -1 for name in s)
+            for w, q in reducer.normal_form(r + s).items():
+                acc = out.setdefault((w, (i + j) % n), {})
+                for k1, c1 in left.items():
+                    qc1, k1 = q * c1, k1 + i * weight
+                    for k2, c2 in right.items():
+                        _add(acc, (k1 + k2) % n, qc1 * c2)
+    return _clean(out)
+
+
+def idempotent(n: int, i: int) -> dict:
+    """f_i = (1/n) sum_t x^(it) # g^t."""
+    return {((), t): {i * t % n: Fraction(1, n)} for t in range(n)}
+
+
+def value(n: int, a: dict) -> dict:
+    """a over Q(zeta_n), the image of x -> zeta: each (word, j) coefficient reduced mod Phi_n,
+    the zeros dropped.  Two values of B are equal over Q(zeta_n) exactly when their forms are."""
+    return {key: rem for key, counts in a.items() if any(rem := residue(n, counts))}

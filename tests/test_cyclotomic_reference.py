@@ -9,10 +9,13 @@ as the reference, for n = 1..12.
 A product is a cyclic convolution mod n reduced by ``power_residue``.
 ``convolution_product`` keeps, verbatim, the product that
 ``quiverdu.cyclotomic`` ran before: a convolution of the reduced
-numerators, then a reduction through the ``_power_table`` of
-``test_smash_reference``.  It is an independent reference for products
-by a rational and by a power of zeta (``times_zeta``, kept there with
-the smash product that called it).
+numerators, then a reduction through ``_power_table`` (the table of
+x^k mod Phi_n).  It is an independent reference for products by a
+rational and by a power of zeta (``times_zeta``, the ``CycScalar``
+method the smash product once called).  ``_power_table``, ``_raw`` and
+``times_zeta`` left ``quiverdu.cyclotomic`` when ``power_residue`` became
+its one reduction mod Phi_n; they are kept here verbatim, the package's
+class named ``New``.
 
 ``power_residue`` reduces a group-algebra map {k: int}, 0 <= k < n, mod
 Phi_n; the reference constructor, which divides by Phi_n, must give the
@@ -31,9 +34,66 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from quiverdu import cyclotomic
-from test_smash_reference import _power_table, times_zeta
 
 New = cyclotomic.CycScalar
+
+
+@lru_cache(maxsize=None)
+def _power_table(n: int) -> tuple[tuple[int, ...], ...]:
+    """Row k holds the integer coefficients of x^k mod Phi_n.
+
+    There are max(n, 2 phi(n) - 1) rows: enough for zeta^e with
+    0 <= e < n and for the product of two reduced residues.
+    """
+    modulus = [int(c) for c in cyclotomic.cyclotomic_polynomial(n)]
+    phi = len(modulus) - 1
+    rows = []
+    vec = [1] + [0] * (phi - 1)
+    for _ in range(max(n, 2 * phi - 1)):
+        rows.append(tuple(vec))
+        top = vec[-1]
+        vec = [0] + vec[:-1]
+        if top:  # x^phi = -(modulus[0] + ... + modulus[phi-1] x^(phi-1))
+            vec = [v - top * m for v, m in zip(vec, modulus)]
+    return tuple(rows)
+
+
+# The slot setters, bound once: they skip the immutability guard of
+# ``CycScalar.__setattr__`` without a per-call attribute lookup.
+_set_n, _set_num, _set_den = (New.__dict__[s].__set__ for s in New.__slots__)
+
+
+def _raw(n: int, num: tuple[int, ...], den: int) -> New:
+    """Wrap numerators and a denominator already in canonical form."""
+    x = object.__new__(New)
+    _set_n(x, n)
+    _set_num(x, num)
+    _set_den(x, den)
+    return x
+
+
+def times_zeta(self, e: int) -> New:
+    """self * zeta^e: numerator i moves to the power (i + e) mod n.
+
+    Only a power at or above phi(n) goes through its ``_power_table``
+    row.  zeta^e is a unit, so the result keeps the canonical
+    denominator and needs no gcd.
+    """
+    n = self.n
+    e %= n
+    if not e:
+        return self
+    num = self._num
+    phi = len(num)
+    out = [0] * phi
+    for i, x in enumerate(num):
+        if x:
+            k = (i + e) % n
+            if k < phi:
+                out[k] += x
+            else:
+                out = [y + x * r for y, r in zip(out, _power_table(n)[k])]
+    return _raw(n, tuple(out), self._den)
 
 
 # ---------------------------------------------------------------------------

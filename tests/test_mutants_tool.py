@@ -12,8 +12,14 @@ from __future__ import annotations
 
 import argparse
 import ast
+import contextlib
 import importlib.util
 import json
+import os
+import signal
+import subprocess
+import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -196,6 +202,63 @@ def test_a_run_records_each_mutants_seconds(tmp_path, monkeypatch):
     assert record["mutants"][0]["status"] == "equivalent" and "seconds" not in record["mutants"][0]
     assert [m["seconds"] for m in record["mutants"][1:]] == [round(0.25 + i, 1) for i in range(len(found) - 1)]
     assert timeouts == [3600] + [3 * 2.34 + 10] * (len(found) - 1)
+
+
+def test_options_after_a_double_dash_reach_pytest(tmp_path, monkeypatch):
+    # --tests takes paths; a pytest option such as -k goes after --, and
+    # every test run, the unmutated one included, is given it.
+    root = checkout(tmp_path / "repo", PARENT)
+    (root / "pyproject.toml").write_text("", encoding="utf-8")
+    selections = []
+
+    def run_tests(work, tests, timeout):
+        selections.append(tests)
+        return ("killed" if len(selections) > 1 else "survived"), 0.0
+
+    monkeypatch.setattr(mutants, "run_tests", run_tests)
+    out = tmp_path / "out.json"
+    assert mutants.main(["toy:toy", "--tests", "tests/test_toy.py", "--out", str(out), "--repo", str(root),
+                         "--workdir", str(tmp_path), "--", "-k", "without_d"]) == 0
+    selection = ["tests/test_toy.py", "-k", "without_d"]
+    assert len(selections) > 1 and all(tests == selection for tests in selections)
+    assert json.loads(out.read_text(encoding="utf-8"))["change"]["tests"] == selection
+
+
+def test_sigterm_removes_the_copy_and_kills_its_pytest(tmp_path):
+    # The tiny repository's one test writes its pid and sleeps.  Once the
+    # copy exists and that test runs, SIGTERM must end the tool within 30 s,
+    # with the copy removed and the pytest child gone.
+    root = checkout(tmp_path / "repo", PARENT)
+    (root / "pyproject.toml").write_text("", encoding="utf-8")
+    pid_file = tmp_path / "pytest.pid"
+    (root / "tests" / "test_toy.py").write_text(
+        "import os\nimport pathlib\nimport time\n\n\ndef test_sleeps():\n"
+        f"    pathlib.Path({str(pid_file)!r}).write_text(str(os.getpid()))\n"
+        "    time.sleep(120)\n", encoding="utf-8")
+    work = tmp_path / "work"
+    work.mkdir()
+    tool = subprocess.Popen([sys.executable, str(TOOL), "toy:toy", "--tests", "tests/test_toy.py",
+                             "--out", str(tmp_path / "out.json"), "--repo", str(root), "--workdir", str(work)],
+                            stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL)
+    child = None
+    try:
+        deadline = time.monotonic() + 60
+        while not (any(work.glob("mutants-*")) and pid_file.exists() and pid_file.read_text()):
+            assert tool.poll() is None and time.monotonic() < deadline
+            time.sleep(0.02)
+        child = int(pid_file.read_text())
+        tool.send_signal(signal.SIGTERM)
+        assert tool.wait(timeout=30) == 128 + signal.SIGTERM
+        assert not any(work.iterdir())
+        with pytest.raises(ProcessLookupError):
+            os.kill(child, 0)
+    finally:
+        if tool.poll() is None:
+            tool.kill()
+            tool.wait()
+        if child is not None:
+            with contextlib.suppress(ProcessLookupError):
+                os.kill(child, signal.SIGKILL)
 
 
 def test_a_run_writes_every_mutant_from_the_source_it_enumerated(tmp_path, monkeypatch):

@@ -11,13 +11,18 @@ independence from the package.  ``oracle.Gwa`` is checked here on the
 paper's identities alone (X^- X^+ = x, X^+ X^- = sigma(x), sigma^-1 the
 inverse of sigma, theta and theta' inverse on generators, theta killing
 every relation, associativity) and on values worked by hand;
-``test_gwa_reference.py`` compares the package's GWA kernel with it.
+``test_gwa_reference.py`` compares the package's GWA kernel with it.  The
+skew group algebra's pieces are checked on their definitions: Phi_n
+against a written table for n = 1..12, of degree phi(n) and dividing
+x^n - 1, with 1 + x + ... + x^(n-1) reducing to 0; products and residues
+worked by hand; and the f_i orthogonal, summing to 1, with g f_0 = f_0.
+``test_smash_oracle.py`` compares the package's skew-group kernel with it.
 """
 
 import ast
 import random
 from fractions import Fraction
-from math import lcm
+from math import gcd, lcm
 from pathlib import Path
 
 import pytest
@@ -92,6 +97,53 @@ def test_oracle_elimination_over_fractions_and_cyclotomics():
     assert oracle.rank([{0: one, 1: z}, {0: z, 1: z * z}], zero) == 1
     assert oracle.rank([{0: one, 1: zero}, {0: zero, 1: z}], zero) == 2
     assert oracle.in_span([{0: one, 1: z}], {0: z, 1: z * z}, zero)
+
+
+# Phi_n for n = 1..12, low to high.
+CYCLOTOMIC = {
+    1: (-1, 1), 2: (1, 1), 3: (1, 1, 1), 4: (1, 0, 1), 5: (1,) * 5, 6: (1, -1, 1), 7: (1,) * 7,
+    8: (1, 0, 0, 0, 1), 9: (1, 0, 0, 1, 0, 0, 1), 10: (1, -1, 1, -1, 1), 11: (1,) * 11,
+    12: (1, 0, -1, 0, 1),
+}
+
+
+@pytest.mark.parametrize("n", CYCLOTOMIC)
+def test_oracle_cyclotomic_polynomials(n):
+    phi = oracle.cyclotomic(n)
+    assert phi == CYCLOTOMIC[n]
+    assert len(phi) - 1 == sum(1 for k in range(1, n + 1) if gcd(k, n) == 1)  # Euler's phi(n)
+    assert oracle.residue(n, {0: -1, n: 1}) == (0,) * (len(phi) - 1)  # Phi_n divides x^n - 1
+    if n >= 2:  # 1 + x + ... + x^(n-1) = (x^n - 1) / (x - 1)
+        assert not any(oracle.residue(n, {k: 1 for k in range(n)}))
+    assert oracle.residue(n, {0: 1}) == (1,) + (0,) * (len(phi) - 2)
+
+
+def test_oracle_skew_group_on_known_values():
+    assert oracle.residue(3, {2: 1}) == (-1, -1)  # x^2 = -1 - x mod x^2 + x + 1
+    assert oracle.residue(4, {3: 2, 5: Fraction(1, 2)}) == (0, Fraction(-3, 2))  # x^2 = -1
+    assert oracle.residue(12, {4: 1}) == (-1, 0, 1, 0)  # x^4 = x^2 - 1
+    n = 3
+    d, u = ("d0",), ("u0",)
+    one = lambda w, j=0, k=0: {(w, j): {k: 1}}
+    # g(u) = x u and g^2(d) = x^-2 d = x d.
+    assert oracle.smash_times(n, one(d, 1), one(u)) == one(d + u, 1, 1)
+    assert oracle.smash_times(n, one(d, 2), one(d)) == one(d + d, 2, 1)
+    # d^2 u = -u d^2 in R, and g^3 = 1.
+    assert oracle.smash_times(n, one(d + d, 2), one(u, 1, 2)) == {(u + d + d, 0): {(2 + 2) % n: -1}}
+    assert oracle.smash_sum([one(u), {(u, 0): {0: -1}}]) == {}
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 5, 6, 12])
+def test_oracle_idempotents_are_orthogonal_and_sum_to_one(n):
+    fs = [oracle.idempotent(n, i) for i in range(n)]
+    for i in range(n):
+        assert oracle.value(n, fs[i])
+        for j in range(n):
+            assert oracle.value(n, oracle.smash_times(n, fs[i], fs[j])) == (
+                oracle.value(n, fs[i]) if i == j else {})
+    assert oracle.value(n, oracle.smash_sum(fs)) == oracle.value(n, {((), 0): {0: 1}})
+    g = {((), 1): {0: 1}}
+    assert oracle.smash_times(n, g, fs[0]) == fs[0]
 
 
 def gwa_cases():

@@ -4,8 +4,12 @@
         --tests tests/test_rewrite.py tests/test_linalg.py \\
         --out MUTANTS_32.json --label change [--repo DIR]
 
+    python3 tools/mutants.py cli:_BETA_NONZERO --tests tests/test_cli.py \\
+        --out refusals.json -- -k refus
+
     python3 tools/mutants.py --compare parent change --out MUTANTS_32.json [--repo DIR]
 
+Everything after ``--`` is passed to pytest after the ``--tests`` selection.
 A function is named ``module:qualname`` (``quiverdu.`` may be left off);
 a module-level assignment is named the same way, so the lambdas of a
 table are mutated too.
@@ -22,6 +26,8 @@ written back from that text's mutated syntax tree into a copy of the
 repository's ``src/`` and ``tests/``, so an edit to ``--repo`` during a run
 changes no mutant, and the selected tests run there
 with ``pytest -x`` and a fixed Hypothesis seed, one mutant after another.
+While the copy exists, SIGTERM ends the run as an exit does: the copy is
+removed and a running pytest is killed.
 A mutant is ``killed`` when they fail, ``timeout`` when they overrun three
 times the unmutated run, and ``survived`` when they pass; its record
 keeps the run's ``seconds``, rounded as ``baseline_s`` is.  A mutant in the
@@ -56,6 +62,7 @@ import copy
 import json
 import os
 import shutil
+import signal
 import subprocess
 import sys
 import tempfile
@@ -217,11 +224,18 @@ def workspace(root: Path, base: Path) -> Path:
     return work
 
 
+def _terminate(signum, frame):
+    raise SystemExit(128 + signum)
+
+
 def run(args) -> dict:
     root = Path(args.repo).resolve()
     mutants = enumerate_mutants(root, args.functions)
     mark_equivalent(mutants, json.loads(ALLOWLIST.read_text(encoding="utf-8")))
     base = Path(tempfile.mkdtemp(prefix="mutants-", dir=args.workdir))
+    # SIGTERM becomes an exit, so the ``finally`` removes the copy and
+    # ``subprocess.run`` kills the pytest it is waiting on.
+    previous = signal.signal(signal.SIGTERM, _terminate)
     try:
         work = workspace(root, base)
         # The unmutated modules, written back from their syntax trees, must pass.
@@ -244,6 +258,7 @@ def run(args) -> dict:
             print(f"{status:10} {seconds:6.1f} s  {mutant['key']}", flush=True)
     finally:
         shutil.rmtree(base, ignore_errors=True)
+        signal.signal(signal.SIGTERM, previous)
     for mutant in mutants:
         del mutant["index"], mutant["module"], mutant["source"]
     return {"tests": args.tests, "functions": args.functions, "baseline_s": round(baseline, 1),
@@ -321,15 +336,20 @@ def compare(results: dict, before: str, after: str, root: Path = Path(".")) -> i
 
 
 def main(argv=None) -> int:
+    argv = sys.argv[1:] if argv is None else list(argv)
+    cut = argv.index("--") if "--" in argv else len(argv)
+    argv, pytest_args = argv[:cut], argv[cut + 1:]
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("functions", nargs="*", help="module:qualname of each function to mutate")
-    parser.add_argument("--tests", nargs="+", default=["tests"], help="pytest selection")
+    parser.add_argument("--tests", nargs="+", default=["tests"],
+                        help="pytest selection; pytest options go after --")
     parser.add_argument("--out", required=True, help="JSON file; results merge under --label")
     parser.add_argument("--label", default="change")
     parser.add_argument("--repo", default=".", help="checkout whose src/ and tests/ are copied")
     parser.add_argument("--workdir", default=None, help="where the copies go (default: system temp)")
     parser.add_argument("--compare", nargs=2, metavar=("BEFORE", "AFTER"))
     args = parser.parse_args(argv)
+    args.tests = args.tests + pytest_args
     out = Path(args.out)
     results = json.loads(out.read_text(encoding="utf-8")) if out.exists() else {}
     if args.compare:
