@@ -153,10 +153,16 @@ def test_twist_is_the_character_automorphism(n):
 @pytest.mark.parametrize("n", NS)
 def test_idempotents_match_the_oracle(n):
     fs = build_idempotents(n)
-    u, d = skewgroup._monomial((1, 0, 0)), skewgroup._monomial((0, 0, 1))
     assert len(fs) == n
     for i, f in enumerate(fs):
         assert oracle.value(n, to_oracle(f)) == oracle.value(n, oracle.idempotent(n, i))
+
+
+@pytest.mark.parametrize("n", NS)
+def test_products_of_idempotents_match_the_oracle(n):
+    fs = build_idempotents(n)
+    u, d = skewgroup._monomial((1, 0, 0)), skewgroup._monomial((0, 0, 1))
+    for f in fs:
         for x, y in ((f, fs[0]), (fs[0], f), (f, u), (u, f), (f, d), (d, f)):
             assert to_oracle(skewgroup._coded_product(n, x, y)) == oracle.smash_times(
                 n, to_oracle(x), to_oracle(y))
