@@ -14,12 +14,14 @@ product of the skew-group check has no subclass: it runs on the int-coded
 form alone.
 
 Beside it sits the int-coded form of a rational combination, ``(den,
-{key: int})``: int numerators over one positive denominator.  The GWA
-product, the normal-form kernel and the proof checks run on it and build
-``Fraction``s only at the public boundary.  ``Combination.coded`` encodes
-over the lcm of the denominators, ``Combination.from_coded`` decodes,
-``add_into`` adds in place, lifting the denominator to the lcm only when
-needed, and ``reduced`` divides out a common factor.
+{key: int})``: int numerators over one positive denominator, fraction-free
+as in Bareiss's elimination.  Every exact check runs on it and builds
+``Fraction``s only at the public boundary, through these functions alone:
+``cleared`` (``Combination.coded``) encodes over the lcm of the
+denominators, ``from_coded`` decodes, ``add_into`` adds in place, lifting
+the denominator to the lcm only when needed, ``coded_sum`` sums scaled
+values, and ``reduced`` drops zero numerators and divides out a common
+factor.
 """
 
 from __future__ import annotations
@@ -237,8 +239,7 @@ class Combination:
 
     def coded(self) -> tuple[int, dict]:
         """``(den, {key: int})``: the coefficients over the lcm of their denominators."""
-        den = lcm(*(c.denominator for c in self.terms.values()))
-        return den, {k: c.numerator * (den // c.denominator) for k, c in self.terms.items()}
+        return cleared(self.terms)
 
     @classmethod
     def combine(cls, n: int, parts: Iterable[tuple["Combination", object]]):
@@ -303,14 +304,22 @@ class Combination:
         raise TypeError(f"{type(self).__name__} has no parameter-free product")
 
 
-def add_into(acc: list, den: int, nums: Mapping, p: int = 1, strip: bool = False) -> None:
-    """acc = [D, out]: out/D += p * nums/den, in place, p an int.
+def cleared(row: Mapping) -> tuple[int, dict]:
+    """``(den, {key: int})``: a row's nonzero int or ``Fraction`` entries over the lcm of
+    their denominators; an int row is over 1."""
+    out = {k: c for k, c in row.items() if c}
+    if all(type(c) is int for c in out.values()):
+        return 1, out
+    den = lcm(*(c.denominator for c in out.values()))
+    return den, {k: c.numerator * (den // c.denominator) for k, c in out.items()}
 
-    D is raised to lcm(D, den) only when ``den`` does not divide it.  With
-    ``strip`` (p and the numerators nonzero) a sum that reaches zero is
-    deleted at once, as each ``Combination`` addition strips it, so a later
-    term with its key goes to the end; without, it stays in place, as
-    ``Combination.combine`` leaves it until the end.
+
+def add_into(acc: list, den: int, nums: Mapping, p: int = 1) -> None:
+    """acc = [D, out]: out/D += p * nums/den, in place, p an int (or, with D = den = 1,
+    any coefficient with ``+`` and ``*``, as the rewriting kernel's may be).
+
+    D is raised to lcm(D, den) only when ``den`` does not divide it; a sum
+    that reaches zero stays in place, as in ``Combination.combine``.
     """
     D, out = acc
     if D % den:
@@ -322,16 +331,24 @@ def add_into(acc: list, den: int, nums: Mapping, p: int = 1, strip: bool = False
     for k, c in nums.items():
         c *= p
         old = out.get(k)
-        if old is not None:
-            c += old
-            if strip and not c:
-                del out[k]
-                continue
-        out[k] = c
+        out[k] = c if old is None else old + c
+
+
+def coded_sum(parts: Iterable[tuple[tuple[int, Mapping], object]]) -> tuple[int, dict]:
+    """The sum of c * x over the pairs ``(x, c)``, x coded and c an int or a ``Fraction``:
+    over the lcm of the denominators of the x and the c, zero sums dropped."""
+    acc = [1, {}]
+    for (den, nums), c in parts:
+        add_into(acc, den * c.denominator, nums, c.numerator)
+    den, out = acc
+    return den, {k: c for k, c in out.items() if c}
 
 
 def reduced(den: int, nums: dict) -> tuple[int, dict]:
-    """``(den, nums)`` divided through by the gcd of ``den`` and every numerator."""
+    """``(den, nums)`` without zero numerators, divided through by the gcd of ``den`` and
+    every numerator: one form per value.  ``nums`` itself when nothing changes."""
+    if not all(nums.values()):
+        nums = {k: c for k, c in nums.items() if c}
     g = gcd(den, *nums.values())
     return (den, nums) if g == 1 else (den // g, {k: c // g for k, c in nums.items()})
 

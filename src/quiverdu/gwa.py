@@ -31,7 +31,8 @@ here.  ``theta`` returns and ``theta_prime`` takes a ``GwaElement``;
 everything else stays coded.
 
 All products run on R in the int-coded form of ``core`` (``(den,
-{(v, a, b): int})``), summed by ``core.add_into``.
+{(v, a, b): int})``), as H's rows from the rewriting kernel do, summed by
+``core.coded_sum`` and ``core.add_into`` and compared after ``core.reduced``.
 
 The algebra maps are theta(u_i) = X_i^-, theta(d_i) = X_i^+ and its
 inverse theta_prime(x_i) = u_i d_i, theta_prime(y_i) = d_{i-1} u_{i-1}, on
@@ -50,7 +51,7 @@ from dataclasses import astuple, dataclass
 from fractions import Fraction
 from functools import lru_cache
 
-from .core import Combination, Element, Parameters, add_into, reduced
+from .core import Combination, Element, Parameters, add_into, coded_sum, reduced
 from .rewrite import (PRESET_QDU, _codec, _normal_sum, _normal_word, _RuleTables, _tables, _word_bits,
                       build_system)
 
@@ -77,17 +78,6 @@ def _decode_gwa(n: int, coded: dict) -> GwaElement:
     return GwaElement._from_sums(n, {m: BaseElement.from_coded(n, *r) for m, r in coded.items()})
 
 
-def _rational(parts) -> tuple[int, dict]:
-    """The sum of c * x over the parts ``(x, c)``, x coded and c rational,
-    stripped and reduced."""
-    acc = [1, {}]
-    for (d, nums), c in parts:
-        c = Fraction(c)
-        add_into(acc, d * c.denominator, nums, c.numerator)
-    den, out = acc
-    return reduced(den, {k: c for k, c in out.items() if c})
-
-
 def _product(left: tuple[int, dict], right: tuple[int, dict]) -> tuple[int, dict]:
     """left times right, reduced, the e_v being orthogonal idempotents."""
     at: dict[int, list[tuple[int, int, int]]] = {}
@@ -99,7 +89,7 @@ def _product(left: tuple[int, dict], right: tuple[int, dict]) -> tuple[int, dict
             key = (v, a + a2, b + b2)
             old = sums.get(key)
             sums[key] = c * c2 if old is None else old + c * c2
-    return reduced(left[0] * right[0], {k: c for k, c in sums.items() if c})
+    return reduced(left[0] * right[0], sums)
 
 
 class _ShiftTable:
@@ -138,14 +128,14 @@ class _ShiftTable:
                 # sigma(x_v) = y_{v+1}, sigma(y_v) = alpha_v y_{v+1} + beta_v x_{v+1} + gamma_v e_{v+1}
                 xs, ys = prev[(v + 1) % n]
                 e = (1, {((v + 1 + m) % n, 0, 0): 1})
-                out.append((ys, _rational([(ys, p.alpha[v]), (xs, p.beta[v]), (e, p.gamma[v])])))
+                out.append((ys, reduced(*coded_sum([(ys, p.alpha[v]), (xs, p.beta[v]), (e, p.gamma[v])]))))
             else:
                 # sigma^-1(y_v) = x_w and beta_w sigma^-1(x_v) = y_w - alpha_w x_w - gamma_w e_w, w = v - 1
                 w = (v - 1) % n
                 xs, ys = prev[w]
                 inv = 1 / p.beta[w]
                 e = (1, {((w + m) % n, 0, 0): 1})
-                out.append((_rational([(ys, inv), (xs, -p.alpha[w] * inv), (e, -p.gamma[w] * inv)]),
+                out.append((reduced(*coded_sum([(ys, inv), (xs, -p.alpha[w] * inv), (e, -p.gamma[w] * inv)])),
                             xs))
         return tuple(out)
 
@@ -165,11 +155,8 @@ class _ShiftTable:
 
     def shift(self, s: tuple[int, dict], m: int) -> tuple[int, dict]:
         """sigma^m(s) for a coded s and m != 0 whose images exist."""
-        acc = [1, {}]
-        for (v, a, b), c in s[1].items():
-            add_into(acc, *self.monomial(m, v, a, b), c)
-        d, out = acc
-        return s[0] * d, {k: c for k, c in out.items() if c}
+        d, out = coded_sum((self.monomial(m, v, a, b), c) for (v, a, b), c in s[1].items())
+        return s[0] * d, out
 
     def cross(self, m: int, s: int, at: int) -> tuple[int, dict] | None:
         """The e_at-component of cross(m, s) for s = +-1, where X^m X^s = cross(m, s) X^{m+s};
@@ -238,18 +225,17 @@ def _theta_word(table: _ShiftTable, source: int, word: int) -> dict[int, tuple[i
 
 def _coded_theta(table: _ShiftTable, den: int, row: dict) -> dict[int, list]:
     """theta of an int row ``{(source, word): numerator}`` over ``den``, as {m: [den,
-    numerators]}, with sums that cancel to zero stripped."""
+    numerators]}, with zero sums left in."""
     sums: dict[int, list] = {}
     for (source, word), c in row.items():
         for m, (d, nums) in _theta_word(table, source, word).items():
-            add_into(sums.setdefault(m, [1, {}]), den * d, nums, c, strip=True)
+            add_into(sums.setdefault(m, [1, {}]), den * d, nums, c)
     return sums
 
 
 def _canonical(coded: dict) -> dict[int, tuple[int, dict]]:
     """A coded GWA value reduced, without zero sums or empty X-degrees: one form per value."""
-    return {m: reduced(den, nz) for m, (den, nums) in coded.items()
-            if (nz := {k: c for k, c in nums.items() if c})}
+    return {m: r for m, x in coded.items() if (r := reduced(*x))[1]}
 
 
 def theta(params: Parameters, a: Element) -> GwaElement:
@@ -274,8 +260,8 @@ def _coded_theta_prime(tables: _RuleTables, coded: dict) -> list:
             for _ in range(abs(m)):
                 code = (at - 1) % n if m > 0 else n + at  # d_{at-1} or u_at, from at
                 at, word = code if m > 0 else (at + 1) % n, (word << bits) | code
-            e, comb = _normal_word(tables, word)
-            add_into(acc, den * tables.denominator ** e, {(v, w): x for w, x in comb.items()}, c)
+            d, comb = _normal_word(tables, word)
+            add_into(acc, den * d, {(v, w): x for w, x in comb.items()}, c)
     return acc
 
 
@@ -317,15 +303,9 @@ def _h_product(tables: _RuleTables, left: list, right: list) -> list:
     for (source, word), c in left[1].items():
         terms = by_source.get(tables.target(source, word))
         if terms:
-            e, comb = _normal_sum(tables, terms, {word: c})
-            add_into(acc, left[0] * right[0] * tables.denominator ** e,
-                     {(source, w): x for w, x in comb.items()})
+            den, comb = _normal_sum(tables, terms, (left[0] * right[0], {word: c}))
+            add_into(acc, den, {(source, w): x for w, x in comb.items()})
     return acc
-
-
-def _value(row: list) -> tuple[int, dict]:
-    """A row ``[den, numerators]`` reduced and without zero sums: one form per value."""
-    return reduced(row[0], {k: c for k, c in row[1].items() if c})
 
 
 def _theta_prime_identities(table: _ShiftTable) -> IdentityCheck:
@@ -367,7 +347,7 @@ def _theta_prime_identities(table: _ShiftTable) -> IdentityCheck:
         for lr, g in gens:
             identities.append((f"{label} {lr}", _h_product(tables, x_sign, of[lr]),
                                image({sign: table.shift((1, {g: 1}), sign)})))
-    failed = tuple(name for name, left, right in identities if _value(left) != _value(right))
+    failed = tuple(name for name, left, right in identities if reduced(*left) != reduced(*right))
     return IdentityCheck(len(identities), failed)
 
 

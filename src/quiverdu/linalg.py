@@ -3,29 +3,21 @@
 A row is a mapping from column key to an int or a ``Fraction``; an absent
 key means zero, so ``Element.terms`` and other term maps are rows as they
 stand.  Column keys need only be hashable.  A row is cleared to ints at
-entry, by the lcm of its denominators, so every entry inside the
-elimination is an int and no division is taken: a row is reduced by a
-pivot row p as r <- (lead/g) r - (c/g) p, with c its entry at p's key and
-g = gcd(c, lead), a nonzero multiple of the reduction over Q (Bareiss,
-integer-preserving elimination).  A new pivot row is divided by its
-content and stored with a positive lead.  Callers in ``src/`` pass
-coded numerators (``Element.coded()`` or the rewriting kernel's
-combinations), for which clearing is a no-op.
+entry (``core.cleared``), so every entry inside the elimination is an int
+and no division is taken: a row is reduced by a pivot row p as
+r <- (lead/g) r - (c/g) p, with c its entry at p's key and g = gcd(c, lead),
+a nonzero multiple of the reduction over Q (Bareiss, integer-preserving
+elimination).  A new pivot row is divided by its content and stored with a
+positive lead.  Callers in ``src/`` pass the numerators of ``core``'s
+int-coded form, for which clearing only drops zeros.
 """
 
 from __future__ import annotations
 
 from collections.abc import Mapping
-from math import gcd, lcm
+from math import gcd
 
-
-def _cleared(row: Mapping) -> dict:
-    """The row's nonzero entries, times the lcm of their denominators, as ints."""
-    out = {k: c for k, c in row.items() if c}
-    if all(type(c) is int for c in out.values()):
-        return out
-    den = lcm(*(c.denominator for c in out.values()))
-    return {k: c.numerator * (den // c.denominator) for k, c in out.items()}
+from .core import cleared
 
 
 class RowSpace:
@@ -47,7 +39,7 @@ class RowSpace:
 
     def residual(self, row: Mapping) -> dict:
         """A nonzero int multiple of the row reduced by every pivot; {} iff in the span."""
-        out = _cleared(row)
+        out = cleared(row)[1]
         for key, pivot_row in self.pivots:
             c = out.get(key)
             if c:

@@ -20,11 +20,14 @@ resolution.  There a word is one int, its codes packed behind a
 sentinel bit (``_pack_word``), and Paths and Elements are built from
 words only for results.  Inside the kernel a combination is int
 numerators over a power D^e of the system's denominator, summed by
-``_add_scaled``.  Every normal form of a
-sum, NF(sum of c * x·w) for a normal x, goes through ``_normal_sum``: it
-reduces x·w one arrow of w at a time (NF(a·b) = NF(NF(a)·b)), so no
-product is built as paths.  ``normal_form`` codes its input once
-(``_RuleTables.row``) and decodes its result once (``Element.from_coded``).
+``_add_scaled``, so the hot loop takes no gcd.  The kernel's doors
+(``_normal_times``, ``_normal_word`` and ``_normal_sum``) take and return
+``core``'s int-coded form ``(den, combination)``, den = den_in * D^e.
+Every normal form of a sum, NF(sum of c * x·w) for a normal x, goes
+through ``_normal_sum``: it reduces x·w one arrow of w at a time
+(NF(a·b) = NF(NF(a)·b)), so no product is built as paths.
+``normal_form`` codes its input once (``_RuleTables.row``) and decodes its
+result once (``Element.from_coded``).
 
 The dimension matrices need no rule tables: ``dimension_matrices`` checks
 the leading words' letters on the specs in O(n) and reads every degree
@@ -47,6 +50,7 @@ from .core import (
     Element,
     Parameters,
     Path,
+    add_into,
     down,
     up,
 )
@@ -385,14 +389,16 @@ def _reduce_end(tables: _RuleTables, wa: int, rule: tuple):
     return entry
 
 
-def _normal_times(tables: _RuleTables, comb: dict, e: int, word: int) -> tuple[int, dict]:
-    """Normal form ``(e, combination)`` of the normal ``comb``/D^e times an int-coded word.
+def _normal_times(tables: _RuleTables, x: tuple[int, dict], word: int) -> tuple[int, dict]:
+    """Normal form of the normal coded ``x`` = (den, comb) times an int-coded word, as
+    ``(den * D^e, combination)``, D^e the power of D that the kernel's combination is over.
 
     Each pending reduction is a generator on an explicit stack, so the
     call depth stays constant; each waits only on smaller words in the
-    term order, so never on itself.  ``comb`` is only read.
+    term order, so never on itself.  ``x`` is only read.
     """
-    stack = [_times_word(tables, comb, e, word)]
+    den, comb = x
+    stack = [_times_word(tables, comb, 0, word)]
     sent = None
     while True:
         try:
@@ -400,7 +406,8 @@ def _normal_times(tables: _RuleTables, comb: dict, e: int, word: int) -> tuple[i
         except StopIteration as done:
             stack.pop()
             if not stack:
-                return done.value
+                e, comb = done.value
+                return den * tables.denominator ** e, comb
             sent = done.value
         else:
             stack.append(_reduce_end(tables, wa, rule))
@@ -408,28 +415,23 @@ def _normal_times(tables: _RuleTables, comb: dict, e: int, word: int) -> tuple[i
 
 
 def _normal_word(tables: _RuleTables, word: int) -> tuple[int, dict]:
-    """Normal form ``(e, combination)`` of an int-coded word."""
-    return _normal_times(tables, {1: 1}, 0, word)
+    """Normal form ``(den, combination)`` of an int-coded word."""
+    return _normal_times(tables, (1, {1: 1}), word)
 
 
-def _normal_sum(tables: _RuleTables, terms, comb: dict | None = None, e: int = 0) -> tuple[int, dict]:
-    """Normal form ``(e, combination)`` of the sum of c * (comb/D^e)·word over ``terms``' (word, c).
+def _normal_sum(tables: _RuleTables, terms, x: tuple[int, dict] = (1, {1: 1})) -> tuple[int, dict]:
+    """Normal form ``(den, combination)`` of the sum of c * x·word over ``terms``' (word, c).
 
-    ``comb`` is normal, the empty word by default, and ends where every
-    word starts.  NF(x·w) = NF(NF(x)·w), so each comb·word is reduced one
-    arrow of the word at a time from the right (``_normal_times``;
+    ``x`` is coded and normal, the empty word by default, and ends where
+    every word starts.  NF(x·w) = NF(NF(x)·w), so each x·word is reduced
+    one arrow of the word at a time from the right (``_normal_times``;
     Bergman's diamond lemma makes the result the normal form), and the
-    parts are summed over the largest power of D; zero sums are left in.
+    parts are summed by ``core.add_into``; zero sums are left in.
     """
-    if comb is None:
-        comb = {1: 1}
-    D = tables.denominator
-    out: dict = {}
-    oe = 0
+    acc = [1, {}]
     for word, c in terms:
-        pe, part = _normal_times(tables, comb, e, word)
-        oe = _add_scaled(out, oe, part, pe, c, D)
-    return oe, out
+        add_into(acc, *_normal_times(tables, x, word), c)
+    return tuple(acc)
 
 
 def normal_form(sys: ReductionSystem, a: Element) -> Element:
@@ -437,7 +439,8 @@ def normal_form(sys: ReductionSystem, a: Element) -> Element:
 
     Each replacement is strictly smaller in the term order.  The input is
     coded once (``_RuleTables.row``), each source's words are summed by
-    ``_normal_sum`` over L * D^e (L the input's lcm), and decoded at once.
+    ``_normal_sum``, and the sums are added over the lcm of their
+    denominators and decoded at once.
     """
     if a.n != sys.n:
         raise ValueError("element over wrong quiver size")
@@ -446,10 +449,11 @@ def normal_form(sys: ReductionSystem, a: Element) -> Element:
     by_source: dict = {}
     for (source, word), c in row.items():
         by_source.setdefault(source, []).append((word, c))
-    sums = [(source, *_normal_sum(tables, terms)) for source, terms in by_source.items()]
-    top, D = max((e for _, e, _ in sums), default=0), tables.denominator
-    return Element.from_coded(sys.n, L * D ** top, {tables.path(source, w): c * D ** (top - e)
-                                                    for source, e, comb in sums for w, c in comb.items()})
+    acc = [1, {}]
+    for source, terms in by_source.items():
+        den, comb = _normal_sum(tables, terms)
+        add_into(acc, den, {(source, w): c for w, c in comb.items()})
+    return tables.decode(L * acc[0], acc[1])
 
 
 # ---------------------------------------------------------------------------
@@ -496,16 +500,15 @@ def check_confluence(sys: ReductionSystem) -> ConfluenceReport:
 
     def resolve(i, j, word, left, right):
         # left and right are (prefix, rhs terms, suffix) one-step reductions of word.
-        e, diff = _normal_sum(tables, (
+        den, diff = _normal_sum(tables, (
             (_concat(_concat(prefix, r), suffix), sign * c)
             for (prefix, rhs, suffix), sign in ((left, 1), (right, -1))
             for r, c in rhs))
-        # Each rhs coefficient c is stored as D * c: the sum is over D^(e + rule_exp).
-        e += tables.rule_exp
         source = tables.sources[i]
         difference = {w: c for w, c in diff.items() if c}
         if all(hasattr(c, "denominator") for c in difference.values()):
-            difference = tables.element(source, D ** e, difference) if difference else Element.zero(sys.n)
+            # Each rhs coefficient c is stored as D * c: the sum is over den * D.
+            difference = tables.element(source, den * D, difference) if difference else Element.zero(sys.n)
         overlaps.append(Overlap(tables.path(source, word), i, j, difference))
 
     rules = tables.rules

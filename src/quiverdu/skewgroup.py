@@ -20,7 +20,7 @@ Q[x]/(x^n - 1): one positive int denominator and a map
 over that denominator.  The action of g^j1 on u^a (du)^b d^c adds
 j1 (a - c) to the exponent, so a term pair (m1, j1, k1), (m2, j2, k2)
 lands at k1 + k2 + j1 (a2 - c2) mod n, times the int coefficients of
-``r_monomial_product``; sums go through ``core.add_into``.  The map
+``r_monomial_product``; sums go through ``core.coded_sum``.  The map
 x -> zeta is a ring map, so every product is the image of the one over
 Q(zeta_n).  Its kernel (Phi_n) is not zero, since 1 + x + ... + x^(n-1)
 maps to 0, so coded values are grouped by (monomial, j) and reduced by
@@ -92,7 +92,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import lru_cache
 
-from .core import Parameters, add_into
+from .core import Parameters, coded_sum
 from .cyclotomic import power_residue
 from .rewrite import PRESET_QDU, _normal_times, _tables, build_system, coded_shape, normal_shapes
 
@@ -153,8 +153,8 @@ def r_monomial_product(m1: RMonomial, m2: RMonomial) -> tuple[tuple[RMonomial, i
         return ((m2, 1),)
     if m2 == _UNIT:
         return ((m1, 1),)
-    e, comb = _normal_times(_r_tables(), {_packed(m1): 1}, 0, _packed(m2))
-    if e or not all(type(c) is int for c in comb.values()):
+    den, comb = _normal_times(_r_tables(), (1, {_packed(m1): 1}), _packed(m2))
+    if den != 1 or not all(type(c) is int for c in comb.values()):
         raise AssertionError(f"R-monomial product {m1} * {m2} has a non-int coefficient")
     return tuple(sorted((coded_shape(1, w), c) for w, c in comb.items()))
 
@@ -165,11 +165,10 @@ Coded = tuple[int, dict]
 
 
 def _grouped(terms: dict) -> dict:
-    """The nonzero numerators by (monomial, group exponent): {(m, j): {k: int}}."""
+    """The numerators by (monomial, group exponent): {(m, j): {k: int}}."""
     groups: dict = {}
     for (m, j, k), c in terms.items():
-        if c:
-            groups.setdefault((m, j), {})[k] = c
+        groups.setdefault((m, j), {})[k] = c
     return groups
 
 
@@ -199,24 +198,14 @@ def _coded_product(n: int, a: Coded, b: Coded) -> Coded:
     return da * db, out
 
 
-def _coded_sum(xs: list[Coded]) -> Coded:
-    """The sum of coded elements, over the lcm of their denominators."""
-    acc = [1, {}]
-    for den, terms in xs:
-        add_into(acc, den, terms)
-    return tuple(acc)
-
-
 def _agree(n: int, a: Coded, b: Coded, scale: int = 1) -> bool:
     """a == scale * b over Q(zeta_n), decided after reduction mod Phi_n.
 
     Only the (monomial, group exponent) groups with a nonzero numerator
     in the difference are reduced.
     """
-    diff = [1, {}]
-    add_into(diff, *a)
-    add_into(diff, *b, -scale)
-    return not any(any(power_residue(n, v)) for v in _grouped(diff[1]).values())
+    _, diff = coded_sum(((a, 1), (b, -scale)))
+    return not any(any(power_residue(n, v)) for v in _grouped(diff).values())
 
 
 def _twist(n: int, i: int, a: Coded) -> Coded:
@@ -260,7 +249,7 @@ def build_idempotents(n: int) -> list[Coded]:
     for j in range(n):
         if not _agree(n, _coded_product(n, fs[0], fs[j]), fs[0] if j == 0 else zero):
             raise AssertionError(f"idempotent orthogonality failed at (0,{j})")
-    if not _agree(n, _coded_sum(fs), _monomial(_UNIT)):
+    if not _agree(n, coded_sum((f, 1) for f in fs), _monomial(_UNIT)):
         raise AssertionError("idempotents do not sum to the identity")
     for k in range(n):
         if _twist(n, 1, fs[k]) != fs[(k + 1) % n]:
@@ -406,6 +395,6 @@ def verify_quotient_match(n: int, params: Parameters | None = None, max_degree: 
 
     _check_generators(n, fs)  # the count lemma's hypotheses: dimensions match in every degree
     for caps, gen in ((us, (1, 0, 0)), (ds, (0, 0, 1))):
-        if not _agree(n, _coded_sum(caps), _monomial(gen)):
+        if not _agree(n, coded_sum((cap, 1) for cap in caps), _monomial(gen)):
             raise AssertionError(f"the map is not onto: sum of caps != {_monomial_word(gen)}#1")
     return SkewGroupReport(n, max_degree, True, forms_agree, relation_kill[-1], relation_kill, True)

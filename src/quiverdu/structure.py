@@ -33,7 +33,7 @@ from functools import cached_property
 from fractions import Fraction
 from math import lcm
 
-from .core import Arrow, Element, Parameters, Path, add_into, path_from_word, trivial_path
+from .core import Arrow, Element, Parameters, Path, coded_sum, path_from_word, trivial_path
 from .gwa import GwaVerifyReport, theta_checks, verify_gwa
 from .linalg import RowSpace, spans_equal
 from .rewrite import (PRESET_QDU, _arrow_rank, _codec, _normal_sum, _normal_times, _pack_word, _qdu_system,
@@ -102,8 +102,8 @@ def _twister(weights: DiagonalMapSpec, degree: int):
 
 
 def _compact_form(Q: int, twist, key: tuple[int, int], degree: int) -> tuple[dict, Fraction]:
-    """The sum of the distinct signed twists of one word, as an int row over
-    Q^(degree - 1), and the orbit-closure scalar: the factor by which the
+    """The sum of the distinct signed twists of one word, as an int row over Q^(degree - 1)
+    with zero sums left in, and the orbit-closure scalar: the factor by which the
     twist after one full rotation (deg steps) differs from the word."""
     seen, terms, row = set(), {}, {key: 1}  # row: the j-th twist, over Q^j
     for j in range(degree):
@@ -116,7 +116,7 @@ def _compact_form(Q: int, twist, key: tuple[int, int], degree: int) -> tuple[dic
     ((cur, c),) = row.items()
     if cur != key:
         raise AssertionError("twist orbit did not return to the starting word")
-    return {k: v for k, v in terms.items() if v}, Fraction(c, Q ** degree)
+    return terms, Fraction(c, Q ** degree)
 
 
 @dataclass
@@ -142,8 +142,7 @@ def build_superpotential(params: Parameters, weights: DiagonalMapSpec) -> Superp
     """Expand the compact-form potential on packed words and report orbit closure."""
     n = params.n
     Q, twist = _twister(weights, 4)
-    acc: list = [1, {}]
-    closures: dict[tuple[str, int], Fraction] = {}
+    parts, closures = [], {}
     for i in range(n):
         h = (i - 1) % n
         # d_i d_{i-1} u_{i-1} u_i, and d_i u_i d_i u_i weighted by -alpha_i: cycles at i+1
@@ -151,9 +150,8 @@ def build_superpotential(params: Parameters, weights: DiagonalMapSpec) -> Superp
                                  ("dudu", (i, n + i, i, n + i), -params.alpha[i])):
             key = ((i + 1) % n, _pack_word(codes, _codec(n).bits))
             form, closures[(family, i)] = _compact_form(Q, twist, key, 4)
-            add_into(acc, Q ** 3 * c.denominator, form, c.numerator)
-    den, words = acc
-    return SuperpotentialResult(n, den, {k: c for k, c in words.items() if c}, closures)
+            parts.append(((Q ** 3, form), c))
+    return SuperpotentialResult(n, *coded_sum(parts), closures)
 
 
 def _omega_row(omega: Element | SuperpotentialResult) -> tuple[int, int, dict]:
@@ -177,10 +175,7 @@ def check_twist_invariance(omega: Element | SuperpotentialResult,
     if len(degrees) > 1:
         raise ValueError("twist invariance needs a homogeneous element")
     Q, twist = _twister(weights, max(degrees, default=1))
-    defect = twist(row)
-    for key, c in row.items():
-        defect[key] = defect.get(key, 0) - Q * c
-    defect = {k: c for k, c in defect.items() if c}
+    _, defect = coded_sum((((1, twist(row)), 1), ((1, row), -Q)))
     return TwistInvarianceReport(not defect, _codec(n).decode(den * Q, defect))
 
 
@@ -338,7 +333,7 @@ def _words(tables: _RuleTables, x: Element) -> dict[int, int]:
 
 def _product_is_zero(tables: _RuleTables, a: Element, b: Element) -> bool:
     """Whether NF(a·b) = 0, for a of normal words that all end where b's words start."""
-    return not any(_normal_sum(tables, _words(tables, b).items(), _words(tables, a))[1].values())
+    return not any(_normal_sum(tables, _words(tables, b).items(), (1, _words(tables, a)))[1].values())
 
 
 def _zero_divisor(params: Parameters, i: int) -> Element:
@@ -438,14 +433,16 @@ def noetherian_chain_check(params: Parameters, i: int | None = None, s_max: int 
     (u-runs are mn or mn+1).  Nothing is decoded: g is coded once, U g,
     U^m and U^m g are ``_normal_sum``s, the basis words come coded
     (``basis_from``), each spanning product is one ``_normal_times`` call,
-    its support is read on the coded words (``coded_shape``), and it is
-    added to the int ``RowSpace`` as it is, over its power of D.
+    its support is read on the coded words (``coded_shape``), and its
+    numerators are added to the int ``RowSpace`` as they are.
     """
     n = params.n
     if i is None:
         i = next((k for k in range(n) if params.beta[k] == 0), None)
         if i is None:
             raise ValueError("no beta_i = 0; the chain construction requires one")
+    if not 0 <= i < n:
+        raise ValueError(f"vertex {i} out of range for n={n}")
     if params.beta[i] != 0:
         raise ValueError(f"beta_{i} must be zero")
     if s_max < 1:
@@ -460,17 +457,17 @@ def noetherian_chain_check(params: Parameters, i: int | None = None, s_max: int 
     u_cycle = tables.encode(up_cycle_path(n, i))
     g = -_zero_divisor(params, i)
     g_terms = _words(tables, g).items()
-    ue, u_g = _normal_sum(tables, g_terms, {u_cycle: 1})
+    u_g = _normal_sum(tables, g_terms, (1, {u_cycle: 1}))
     # U g ends at i, so u_i is the one u_m whose product with it is not 0 as paths.
     u_i = tables.encode(path_from_word(n, i, "u"))
-    annihilation_ok = not any(_normal_sum(tables, [(u_i, 1)], u_g, ue)[1].values())
-    coded, acc, e = [], {1: 1}, 0  # coded[m - 1] = U^m g; acc = U^m, from e_i
+    annihilation_ok = not any(_normal_sum(tables, [(u_i, 1)], u_g)[1].values())
+    coded, acc = [], (1, {1: 1})  # coded[m - 1] = U^m g; acc = U^m, from e_i
     for _ in range(s_max + 1):
-        e, acc = _normal_sum(tables, [(u_cycle, 1)], acc, e)
-        coded.append({w: c for w, c in _normal_sum(tables, g_terms, acc, e)[1].items() if c})
+        acc = _normal_sum(tables, [(u_cycle, 1)], acc)
+        coded.append({w: c for w, c in _normal_sum(tables, g_terms, acc)[1].items() if c})
 
     # The spanning products and the span read a generator's numerators
-    # only: both are blind to its scale, so its power of D is dropped.
+    # only: both are blind to its scale, so its denominator is dropped.
     basis_by_degree = basis_from(sys, i, degree_bound - n - 2)
     support_ok = True
     # One elimination kept across s: I_s grows from I_{s-1}, so each
@@ -483,7 +480,7 @@ def noetherian_chain_check(params: Parameters, i: int | None = None, s_max: int 
         max_b = degree_bound - m * n - 2
         for k in range(max_b + 1):
             for b in basis_by_degree[k]:
-                _, product = _normal_times(tables, g_m, 0, b)
+                _, product = _normal_times(tables, (1, g_m), b)
                 if not product:
                     continue
                 for w in product:

@@ -1,5 +1,6 @@
 import random
 from fractions import Fraction
+from math import lcm
 
 import pytest
 
@@ -9,6 +10,8 @@ from quiverdu.core import (
     Path,
     add_into,
     adjacency_matrix,
+    cleared,
+    coded_sum,
     down,
     format_element,
     multiply,
@@ -253,34 +256,57 @@ def test_add_into_without_strip_keeps_a_zero_sum_in_place():
     assert list(acc[1].items()) == [("a", 1), ("b", 2), ("c", 1)] and acc[0] == 2
 
 
-def test_add_into_with_strip_deletes_a_zero_sum_and_re_appends_it():
-    acc = [1, {"a": 1, "b": 1}]
-    add_into(acc, 1, {"a": -1}, strip=True)
-    assert list(acc[1].items()) == [("b", 1)]
-    add_into(acc, 2, {"a": 1, "c": 1}, strip=True)
-    assert list(acc[1].items()) == [("b", 2), ("a", 1), ("c", 1)] and acc[0] == 2
-
-
 def test_add_into_matches_combination_sums():
-    # strip=False is Combination.combine; strip=True is a chain of + .
     rng = random.Random(12)
     for n in (1, 2, 3):
         for _ in range(60):
             parts = [(rand_element(n, rng, max_len=2, nterms=rng.randint(0, 4)),
                       rng.choice((-3, -2, -1, 1, 2, 3))) for _ in range(rng.randint(1, 5))]
-            for strip in (False, True):
-                acc = [1, {}]
-                for x, p in parts:
-                    add_into(acc, *x.coded(), p, strip=strip)
-                got = Element.from_coded(n, *acc)
-                if strip:
-                    ref = Element.zero(n)
-                    for x, p in parts:
-                        ref = ref + x.scale(p)
-                    assert acc[1] == {k: v for k, v in acc[1].items() if v}
-                else:
-                    ref = Element.combine(n, parts)
-                assert got == ref and list(got.terms) == list(ref.terms)
+            acc = [1, {}]
+            for x, p in parts:
+                add_into(acc, *x.coded(), p)
+            got = Element.from_coded(n, *acc)
+            ref = Element.combine(n, parts)
+            assert got == ref and list(got.terms) == list(ref.terms)
+
+
+def test_cleared_puts_a_row_over_the_lcm_of_its_denominators():
+    ints = {"a": 3, "b": 0, "c": -2}
+    assert cleared(ints) == (1, {"a": 3, "c": -2})
+    assert cleared({"a": Fraction(1, 4), "b": Fraction(-5, 6), "c": Fraction(0)}) == (12, {"a": 3, "b": -10})
+    mixed = cleared({"a": 2, "b": Fraction(1, 3), "c": Fraction(4), "d": 0})
+    assert mixed == (3, {"a": 6, "b": 1, "c": 12})
+    assert all(type(c) is int for c in mixed[1].values())
+    assert cleared({}) == (1, {}) and cleared({"a": 0, "b": Fraction(0)}) == (1, {})
+    rng = random.Random(14)
+    for _ in range(100):
+        row = {k: rng.choice((rng.randint(-5, 5), Fraction(rng.randint(-5, 5), rng.randint(1, 6))))
+               for k in range(rng.randint(0, 5))}
+        den, nums = cleared(row)
+        assert {k: Fraction(c, den) for k, c in nums.items()} == {k: c for k, c in row.items() if c}
+        assert den == lcm(*(Fraction(c).denominator for c in row.values() if c))
+
+
+def test_coded_sum_is_the_fraction_sum_over_the_lcm():
+    assert coded_sum([]) == (1, {})
+    assert coded_sum([((6, {"a": 1}), 0)]) == (6, {})
+    # Over lcm(4, 6 * 1, 1 * 3) = 12, with the zero sum at "a" dropped.
+    total = coded_sum([((4, {"a": 1, "b": 1}), 1), ((6, {"a": 3, "c": 1}), Fraction(-1, 2)),
+                       ((1, {"c": 1}), Fraction(2, 3))])
+    assert total == (12, {"b": 3, "c": 7})
+    rng = random.Random(13)
+    for _ in range(200):
+        parts = [((rng.randint(1, 6), {rng.randrange(4): rng.randint(-4, 4) for _ in range(rng.randint(0, 3))}),
+                  rng.choice((rng.randint(-3, 3), Fraction(rng.randint(-3, 3), rng.randint(1, 5)))))
+                 for _ in range(rng.randint(0, 4))]
+        want: dict = {}
+        for (den, nums), c in parts:
+            for k, v in nums.items():
+                want[k] = want.get(k, 0) + Fraction(v, den) * c
+        den, nums = coded_sum(parts)
+        assert {k: Fraction(v, den) for k, v in nums.items()} == {k: v for k, v in want.items() if v}
+        assert all(type(v) is int and v for v in nums.values())
+        assert den == lcm(*(d * Fraction(c).denominator for (d, _), c in parts))
 
 
 def test_reduced_divides_out_the_common_factor():
@@ -291,3 +317,11 @@ def test_reduced_divides_out_the_common_factor():
     assert den == 5 and same is nums
     assert reduced(4, {}) == (1, {})
     assert reduced(1, {"a": 7}) == (1, {"a": 7})
+
+
+def test_reduced_drops_zero_numerators():
+    assert reduced(12, {"a": 4, "b": 0, "c": -8}) == (3, {"a": 1, "c": -2})
+    assert reduced(5, {"a": 0, "b": 3}) == (5, {"b": 3})
+    assert reduced(6, {"a": 0}) == (1, {})
+    nums = {"a": 0, "b": 3}
+    assert reduced(5, nums)[1] is not nums and nums == {"a": 0, "b": 3}

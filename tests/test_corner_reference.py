@@ -45,7 +45,7 @@ import pytest
 from quiverdu import linalg, rewrite, skewgroup
 from quiverdu.cli import main
 from quiverdu.cyclotomic import CycScalar
-from quiverdu.core import add_into, path_from_word
+from quiverdu.core import add_into, coded_sum, path_from_word
 from quiverdu.rewrite import PRESET_QDU, _closed_shape_matrix, build_system, normal_shapes
 from quiverdu.skewgroup import (
     _UNIT,
@@ -530,24 +530,25 @@ def test_doubled_idempotent_gives_fail_exit_1(tmp_path, capsys, monkeypatch):
 @pytest.mark.parametrize("n", range(2, 13))
 def test_caps_sum_to_the_generators(n):
     us, ds, _ = skewgroup._coded_caps(n, build_idempotents(n))
-    assert _agree(n, skewgroup._coded_sum(us), _monomial((1, 0, 0)))
-    assert _agree(n, skewgroup._coded_sum(ds), _monomial((0, 0, 1)))
-    assert not _agree(n, skewgroup._coded_sum(us[1:]), _monomial((1, 0, 0)))
+    assert _agree(n, coded_sum((u, 1) for u in us), _monomial((1, 0, 0)))
+    assert _agree(n, coded_sum((d, 1) for d in ds), _monomial((0, 0, 1)))
+    assert not _agree(n, coded_sum((u, 1) for u in us[1:]), _monomial((1, 0, 0)))
 
 
 def test_one_cap_left_out_gives_fail_exit_1(tmp_path, capsys, monkeypatch):
     path = tmp_path / "config.json"
     path.write_text(json.dumps({"n": 3, "alpha": ["0"] * 3, "beta": ["-1"] * 3,
                                 "gamma": ["0"] * 3}), encoding="utf-8")
-    genuine = skewgroup._coded_sum
+    genuine = skewgroup.coded_sum
+    us, ds, _ = skewgroup._coded_caps(3, build_idempotents(3))
 
-    def without_last_cap(xs):
-        # Sums of caps only: the idempotents, summed in the group algebra
-        # for the completeness check, keep every summand.
-        caps = any(m != _UNIT for _, terms in xs for (m, _, _) in terms)
-        return genuine(xs[:-1] if caps else xs)
+    def without_last_cap(parts):
+        # Sums of caps only: the idempotents, summed for the completeness
+        # check, and every difference that _agree sums keep each part.
+        parts = list(parts)
+        return genuine(parts[:-1] if [x for x, _ in parts] in (us, ds) else parts)
 
-    monkeypatch.setattr(skewgroup, "_coded_sum", without_last_cap)
+    monkeypatch.setattr(skewgroup, "coded_sum", without_last_cap)
     code = main(["verify", "skewgroup", str(path), "--max-degree", "1", "--json"])
     report = json.loads(capsys.readouterr().out)
     assert code == 1

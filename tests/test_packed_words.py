@@ -22,7 +22,7 @@ import pytest
 
 from quiverdu import rewrite, skewgroup, structure
 from quiverdu.cli import main
-from quiverdu.core import (Element, Parameters, canonical_path_key, path_from_word,
+from quiverdu.core import (Element, Parameters, canonical_path_key, cleared, path_from_word,
                            trivial_path)
 from quiverdu.rewrite import (
     PRESET_PREPROJECTIVE,
@@ -110,7 +110,7 @@ def test_length_guard_keeps_a_short_normal_word():
     word = _pack_word((0, 2), 2)
     (M, L, _, _), = [entry for entry in tables.by_last[2] if entry[1] == 18]
     assert word == 18 and word & M == L and not word > M
-    assert _normal_word(tables, word) == (0, {word: 1})
+    assert _normal_word(tables, word) == (1, {word: 1})
     path = path_from_word(2, 1, "du")
     assert normal_form(sys_, Element.from_path(path)) == Element.from_path(path)
     assert not tables.memo
@@ -145,10 +145,10 @@ def oracle_value(c):
     return Fraction(c.terms.get((), 0) if isinstance(c, Poly) else c)
 
 
-def kernel_terms(tables, e: int, comb: dict) -> dict:
-    """A kernel combination over D^e as {arrow names: coefficient}."""
-    D, n = tables.denominator, tables.n
-    return {word_names(n, w): oracle_value(c if D == 1 else Fraction(c, D ** e)) for w, c in comb.items()}
+def kernel_terms(tables, den: int, comb: dict) -> dict:
+    """A kernel combination over den as {arrow names: coefficient}."""
+    return {word_names(tables.n, w): oracle_value(c if den == 1 else Fraction(c, den))
+            for w, c in comb.items()}
 
 
 def oracle_terms(reducer, word: tuple) -> dict:
@@ -165,16 +165,17 @@ def assert_kernel_matches_oracle(sys_: ReductionSystem, rng: random.Random, word
     for _ in range(words):
         source = rng.randrange(n)
         codes = random_path_codes(rng, n, source, rng.randrange(max_len + 1))
-        e, comb = rewrite._normal_times(tables, {1: 1}, 0, _pack_word(codes, b))
-        assert kernel_terms(tables, e, comb) == oracle_terms(reducer, to_names(codes)), codes
+        den, comb = rewrite._normal_times(tables, (1, {1: 1}), _pack_word(codes, b))
+        assert kernel_terms(tables, den, comb) == oracle_terms(reducer, to_names(codes)), codes
         # The normal form times a path from where the first path ends.
         target = tables.target(source, _pack_word(codes, b))
         more = random_path_codes(rng, n, target, rng.randrange(1, 5))
-        got = rewrite._normal_times(tables, comb, e, _pack_word(more, b))
+        got = rewrite._normal_times(tables, (den, comb), _pack_word(more, b))
         assert kernel_terms(tables, *got) == oracle_terms(reducer, to_names(codes + more)), (codes, more)
     assert tables.memo
-    for word, (e, comb) in tables.memo.items():
-        assert kernel_terms(tables, e, comb) == oracle_terms(reducer, word_names(n, word)), word
+    for word, (e, comb) in tables.memo.items():  # the memo keeps exponents of D
+        want = oracle_terms(reducer, word_names(n, word))
+        assert kernel_terms(tables, tables.denominator ** e, comb) == want, word
 
 
 @pytest.mark.parametrize("n", range(1, 7))
@@ -227,20 +228,18 @@ def via_oracle(monkeypatch) -> None:
     """Route ``structure``'s products through the oracle, on the rules of the tables it passes."""
     reducers: dict = {}  # tables -> the oracle's reducer for their rules
 
-    def normal_times(tables, comb, e, word):
+    def normal_times(tables, x, word):
         n, D = tables.n, tables.denominator
         reducer = reducers.get(tables)
         if reducer is None:
             reducer = reducers[tables] = oracle.Reducer({
                 word_names(n, lhs): {word_names(n, r): Fraction(c, D) for r, c in rhs} for lhs, rhs in tables.rules})
+        den, comb = x
         out: dict = {}
         for w, c in comb.items():
             for v, cv in reducer.normal_form(word_names(n, w) + word_names(n, word)).items():
-                out[v] = out.get(v, 0) + Fraction(c, D ** e) * cv
-        pe = 0
-        while any((c * D ** pe).denominator != 1 for c in out.values()):
-            pe += 1
-        return pe, {packed(n, v): int(c * D ** pe) for v, c in out.items() if c}
+                out[packed(n, v)] = out.get(packed(n, v), 0) + Fraction(c, den) * cv
+        return cleared(out)
 
     monkeypatch.setattr(structure, "_normal_times", normal_times)
 

@@ -1,10 +1,11 @@
 """Differential test of ``rewrite._normal_sum`` and of the checks that use it.
 
-``_normal_sum(tables, terms, comb, e)`` returns the normal form of the
-sum of c * (comb/D^e)·w over the ``(w, c)`` of ``terms``, for a normal
-comb ending where every w starts, one arrow of w at a time; it never
-builds a product's paths.  ``coded_product`` drives it as the checks do,
-on NF(a) split by source and target, and must equal both
+``_normal_sum(tables, terms, (den, comb))`` returns the normal form of the
+sum of c * (comb/den)·w over the ``(w, c)`` of ``terms``, for a normal
+comb ending where every w starts, one arrow of w at a time, as ``core``'s
+int-coded form ``(den, combination)``; it never builds a product's paths.
+``coded_product`` drives it as the checks do, on NF(a) split by source and
+target, and must equal both
 ``normal_form(sys, a * b)`` (the definition) and ``oracle``'s normal form
 of a·b for any ``a``, normal or not.  ``normal_form`` itself, which sums
 each source's words with ``_normal_sum``, is compared with the oracle too.
@@ -112,8 +113,8 @@ def coded_product(sys_, a: Element, b: Element) -> Element:
     parts = []
     for (source, target), comb in groups.items():
         terms = [(q, c) for (v, q), c in right.items() if v == target]
-        e, nf = _normal_sum(tables, terms, comb)
-        parts.append((tables.element(source, La * Lb * tables.denominator ** e, nf), 1))
+        den, nf = _normal_sum(tables, terms, (La * Lb, comb))
+        parts.append((tables.element(source, den, nf), 1))
     return Element.combine(a.n, parts)
 
 
@@ -158,13 +159,13 @@ def test_normal_sum_rational_rules_have_a_denominator(n):
     assert_same_product(sys_, a, b)
     tables = sys_._tables
     assert tables.denominator % 3 == 0
-    # A comb over D^e with e > 0, times more words: the exponent is honoured.
-    e, comb = _normal_sum(tables, [(tables.encode(next(iter(a.terms))), 1)])
-    assert e > 0
+    # A comb over den > 1, times more words: the denominator is honoured.
+    den, comb = _normal_sum(tables, [(tables.encode(next(iter(a.terms))), 1)])
+    assert den > 1
     word = tables.encode(next(iter(b.terms)))
-    pe, nf = _normal_sum(tables, [(word, 3), (word, -1)], comb, e)
+    pden, nf = _normal_sum(tables, [(word, 3), (word, -1)], (den, comb))
     want = normal_form(sys_, a.scale(Fraction(7, 5)) * b.scale(-4))
-    assert tables.element(0, tables.denominator ** pe, nf) == want
+    assert tables.element(0, pden, nf) == want
 
 
 @pytest.mark.parametrize("n", range(1, 7))
@@ -203,8 +204,8 @@ def test_normal_sum_with_trivial_paths(n):
             for v in range(n):
                 part = Element(n, {p: c for p, c in x.terms.items() if p.source == v})
                 den, row = tables.row(part)
-                e, nf = _normal_sum(tables, [(w, c) for (_, w), c in row.items()])
-                assert tables.element(v, den * tables.denominator ** e, nf) == normal_form(sys_, part)
+                nden, nf = _normal_sum(tables, [(w, c) for (_, w), c in row.items()])
+                assert tables.element(v, den * nden, nf) == normal_form(sys_, part)
 
 
 def test_normal_sum_of_zero_and_wrong_size():
@@ -214,8 +215,8 @@ def test_normal_sum_of_zero_and_wrong_size():
     assert coded_product(sys_, Element.zero(3), x).is_zero()
     assert coded_product(sys_, x, Element.zero(3)).is_zero()
     tables = _tables(sys_)
-    assert _normal_sum(tables, []) == (0, {})
-    assert _normal_sum(tables, [], {tables.encode(next(iter(x.terms))): 1}) == (0, {})
+    assert _normal_sum(tables, []) == (1, {})
+    assert _normal_sum(tables, [], (1, {tables.encode(next(iter(x.terms))): 1})) == (1, {})
     with pytest.raises(ValueError):
         normal_form(sys_, Element.identity(2))
     with pytest.raises(ValueError):
@@ -227,7 +228,7 @@ def test_normal_sum_leaves_zero_sums_in():
                                                   [1, 2, Fraction(1, 3)]))
     tables = _tables(sys_)
     word = tables.encode(path_from_word(3, 0, "dduu"))
-    e, nf = _normal_sum(tables, [(word, 2), (word, -2)])
+    _, nf = _normal_sum(tables, [(word, 2), (word, -2)])
     assert nf and not any(nf.values())
     assert set(nf) == set(_normal_sum(tables, [(word, 1)])[1])
 
@@ -250,10 +251,10 @@ def test_normal_sum_leaves_its_operands_and_memo_unchanged():
     comb = {tables.encode(path_from_word(3, 0, text)): c for text, c in (("ud", 2), ("du", -1), ("", 3))}
     terms = [(tables.encode(path_from_word(3, 0, text)), 5) for text in ("dduu", "ud", "")]
     comb_copy, terms_copy = dict(comb), list(terms)
-    e, nf = _normal_sum(tables, terms, comb)
+    den, nf = _normal_sum(tables, terms, (1, comb))
     assert comb == comb_copy and terms == terms_copy
     a, b = tables.element(0, 1, comb), tables.element(0, 1, dict(terms))
-    assert tables.element(0, tables.denominator ** e, nf) == normal_form(sys_, a * b)
+    assert tables.element(0, den, nf) == normal_form(sys_, a * b)
 
 
 # ---------------------------------------------------------------------------
@@ -455,17 +456,16 @@ def check_top_parts_are_graded_products(params: Parameters, max_degree: int = 5)
     tables = _tables(sys_)
     graded = structure._graded_tables(params, tables)
     assert graded is not tables
-    D, G = tables.denominator, graded.denominator
     words = [(v, tables.path(v, w).target, w) for v in range(n)
              for by_degree in basis_from(sys_, v, max_degree) for w in by_degree]
     checked = 0
     for v, k, w in words:
         for _, _, q in (x for x in words if x[0] == k):
-            e, full = _normal_times(tables, {w: 1}, 0, q)
-            ge, top = _normal_times(graded, {w: 1}, 0, q)
+            den, full = _normal_times(tables, (1, {w: 1}), q)
+            gden, top = _normal_times(graded, (1, {w: 1}), q)
             degree = length(tables, w) + length(tables, q)
-            want = {x: Fraction(c, D ** e) for x, c in full.items() if length(tables, x) == degree}
-            assert {x: Fraction(c, G ** ge) for x, c in top.items()} == want, (params, v, w, q)
+            want = {x: Fraction(c, den) for x, c in full.items() if length(tables, x) == degree}
+            assert {x: Fraction(c, gden) for x, c in top.items()} == want, (params, v, w, q)
             checked += 1
     return checked
 

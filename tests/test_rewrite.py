@@ -5,7 +5,7 @@ from fractions import Fraction
 import pytest
 
 from quiverdu import rewrite
-from quiverdu.core import Element, Parameters, canonical_path_key, path_from_word, trivial_path
+from quiverdu.core import Element, Parameters, add_into, canonical_path_key, path_from_word, trivial_path
 from quiverdu.rewrite import (
     PRESET_PREPROJECTIVE,
     PRESET_QDU,
@@ -575,14 +575,14 @@ def unresolved_overlaps(sys_: ReductionSystem) -> list:
                 if a1[len(a1) - k:] != a2[:k]:
                     continue
                 found += 1
-                diff, e = {}, 0
+                diff = [1, {}]
                 sides = ((((), rhs1, a2[k:]), 1), ((a1[:-k], rhs2, ()), -1))
                 for (prefix, rhs, suffix), sign in sides:
                     for r, c in rhs:
-                        pe, part = rewrite._normal_word(tables, _pack_word(prefix + r + suffix, tables.bits))
-                        e = rewrite._add_scaled(diff, e, part, pe, sign * c, 1)
-                assert e == 0
-                if any(diff.values()):
+                        add_into(diff, *rewrite._normal_word(tables, _pack_word(prefix + r + suffix, tables.bits)),
+                                 sign * c)
+                assert diff[0] == 1
+                if any(diff[1].values()):
                     unresolved.append((i, j))
     numeric = check_confluence(build_system(PRESET_QDU, Parameters.of(n, [1] * n, [2] * n, [3] * n)))
     assert found == len(numeric.overlaps) > 0
@@ -617,6 +617,34 @@ def test_perturbed_rule_leaves_an_overlap_unresolved(n):
     for o in bad:
         assert o.difference and all(type(w) is int and isinstance(c, Poly) and c
                                     for w, c in o.difference.items())
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_unresolved_rational_differences_are_decoded_at_their_value(n):
+    # alpha_0 + 1/7 in the first rule of a rational system (D = 42): each
+    # unresolved difference check_confluence decodes must equal NF(left) -
+    # NF(right) of the overlap's two one-step reductions, each side decoded
+    # by normal_form on its own.
+    params = Parameters.of(n, [Fraction(1, 2)] * n, [Fraction(3, 2)] * n, [Fraction(1, 3)] * n)
+    specs = list(rewrite._qdu_specs(params))
+    source, lhs, ((first, c), *rest) = specs[0]
+    specs[0] = (source, lhs, ((first, c + Fraction(1, 7)), *rest))
+    sys_ = ReductionSystem(n, None, PRESET_QDU, params, tuple(specs))
+    tables = rewrite._tables(sys_)
+    assert tables.denominator == 42
+    codes = lambda word: rewrite._unpack_word(word, tables.bits)
+    bad = [o for o in check_confluence(sys_).overlaps if not o.resolves]
+    assert bad
+    for o in bad:
+        (a1, rhs1), (a2, rhs2) = tables.rules[o.left_rule], tables.rules[o.right_rule]
+        a1, a2 = codes(a1), codes(a2)
+        k = len(a1) + len(a2) - o.word.length
+        reduction = lambda prefix, r, suffix: Element.from_path(
+            tables.path(o.word.source, _pack_word(prefix + codes(r) + suffix, tables.bits)))
+        want = Element.combine(n, [(normal_form(sys_, reduction(prefix, r, suffix)), sign * Fraction(c, 42))
+                                   for prefix, rhs, suffix, sign in (((), rhs1, a2[k:], 1), (a1[:-k], rhs2, (), -1))
+                                   for r, c in rhs])
+        assert want and o.difference == want, (o.left_rule, o.right_rule)
 
 
 def test_coded_shape_matches_the_letter_parser():

@@ -20,6 +20,7 @@ import pytest
 
 import oracle
 from quiverdu import skewgroup
+from quiverdu.core import coded_sum
 from quiverdu.cyclotomic import CycScalar, power_residue
 from quiverdu.skewgroup import build_idempotents, r_monomial_product, verify_quotient_match
 from test_skewgroup import decode, encode, monomials_of_degree
@@ -85,7 +86,7 @@ def test_coded_product_matches_the_oracle(n):
         a, b, c = (random_coded(rng, n) for _ in range(3))
         if rng.randrange(3) == 0:
             m, j, _ = next(iter(b[1]))
-            b = skewgroup._coded_sum([b, vanishing(n, m, j)])
+            b = coded_sum([(b, 1), (vanishing(n, m, j), 1)])
         ab = skewgroup._coded_product(n, a, b)
         assert to_oracle(ab) == oracle.smash_times(n, to_oracle(a), to_oracle(b))
         # Associative, exactly, in the group algebra.
@@ -98,7 +99,7 @@ def test_coded_sum_matches_the_oracle(n):
     rng = random.Random(2300 + n)
     for _ in range(25):
         xs = [random_coded(rng, n) for _ in range(rng.randint(1, 3))]
-        total = skewgroup._coded_sum(xs)
+        total = coded_sum((x, 1) for x in xs)
         assert to_oracle(total) == oracle.smash_sum(map(to_oracle, xs))
         assert total[0] == lcm(*(den for den, _ in xs))
 
@@ -112,7 +113,7 @@ def test_agree_matches_the_oracle(n):
         prod = skewgroup._coded_product(n, a, b)
         m, j, _ = next(iter(a[1]))
         # prod plus a term that vanishes only in Q(zeta_n), over another denominator.
-        shifted = skewgroup._coded_sum([prod, vanishing(n, m, j)])
+        shifted = coded_sum([(prod, 1), (vanishing(n, m, j), 1)])
         reduced = from_oracle({key: dict(enumerate(rem))
                                for key, rem in oracle.value(n, to_oracle(prod)).items()})
         zero = (1, {})

@@ -239,6 +239,16 @@ def test_noetherian_chain_requires_zero_beta():
         noetherian_chain_check(params, i=0, s_max=1)
 
 
+def test_noetherian_chain_refuses_a_vertex_out_of_range():
+    # beta_0 = 0, so i = -3 would read beta[-3] = beta_0 and pass at a vertex
+    # that does not exist, and i = 3 would raise IndexError.
+    params = Parameters.of(3, [1, 1, 1], [0, 2, 3], [1, 1, 1])
+    for i in (3, -3, 4, -1):
+        with pytest.raises(ValueError, match=f"vertex {i} out of range for n=3"):
+            noetherian_chain_check(params, i=i, s_max=1)
+    assert noetherian_chain_check(params, i=0, s_max=1).vertex == 0
+
+
 def test_noetherian_chain_refuses_an_empty_chain():
     # With s_max < 1 there is no inclusion I_s < I_{s+1} to check, so a
     # report would pass with nothing checked.
